@@ -427,9 +427,9 @@ pub struct ScalingRow {
     pub incremental_queries: u64,
     /// Clause slots those queries reused instead of re-blasting.
     pub reused_clauses: u64,
-    /// `minimal_ub_set` queries skipped because a memoized assumption core
-    /// proved the candidate condition irrelevant (incremental rows only;
-    /// `queries + minimization_queries_saved` matches the seed row).
+    /// `minimal_ub_set` queries skipped because the last extracted
+    /// assumption core proved the candidate condition irrelevant
+    /// (`queries + minimization_queries_saved` is the same on every row).
     pub minimization_queries_saved: u64,
     /// Total reports produced (must agree across every row).
     pub reports: usize,
@@ -1004,14 +1004,11 @@ pub struct FunctionRescanRow {
 }
 
 /// The per-function incremental-rescan measurement: the same archive
-/// re-scanned after K *functions* (not files) were edited in place,
-/// comparing module-granular replay (one edited function re-analyzes its
-/// whole module — the pre-v4 cache behavior, reproduced via
-/// [`ScanPipeline::with_module_granularity`]) against function-granular
-/// replay (only the edited functions hit the solver). The archive uses
-/// wider files (12 functions each) than the other sections, because that
-/// is exactly the regime where module granularity loses: one edit
-/// invalidates 12 functions' worth of solver work. The section also
+/// re-scanned after K *functions* (not files) were edited in place, with
+/// function-granular replay (only the edited functions hit the solver)
+/// compared against a cold scan of the same sources. The archive uses
+/// wider files (12 functions each) than the other sections, so one edit
+/// leaves 11 sibling functions to replay. The section also
 /// measures cross-path dedup: the archive extended with byte-identical
 /// vendored duplicates, scanned with and without a fresh scan store — the
 /// path-independent replay key answers every duplicate's functions from
@@ -1026,13 +1023,8 @@ pub struct FunctionRescan {
     pub functions: usize,
     /// File-level pipeline workers used by every churn-row run.
     pub jobs: usize,
-    /// Three rows (cold / module-granular warm / function-granular warm)
-    /// per churn level.
+    /// Two rows (cold / function-granular warm) per churn level.
     pub rows: Vec<FunctionRescanRow>,
-    /// Module-granular queries / function-granular queries at 5% function
-    /// churn — how much narrower the re-analysis frontier is when only
-    /// edited functions (instead of their whole modules) hit the solver.
-    pub speedup_function_rescan_vs_module: f64,
     /// The function-granular 5%-churn row's skip rate
     /// (`functions_skipped / functions`; the ground-truth bar is 0.95).
     pub function_skip_rate_5pct: f64,
@@ -1058,7 +1050,6 @@ fn function_rescan_run(
     config: CheckerConfig,
     jobs: usize,
     scan_store_path: Option<&std::path::Path>,
-    module_granular: bool,
 ) -> (FunctionRescanRow, Vec<String>) {
     let tasks: Vec<ScanTask> = files
         .iter()
@@ -1073,9 +1064,6 @@ fn function_rescan_run(
         .map(|path| Arc::new(ScanStore::open(path).expect("open function-rescan scan store")));
     if let Some(store) = &scan_store {
         pipeline = pipeline.with_scan_store(store.clone());
-    }
-    if module_granular {
-        pipeline = pipeline.with_module_granularity();
     }
     let mut reports = Vec::new();
     let start = Instant::now();
@@ -1120,8 +1108,7 @@ pub fn function_rescan(cfg: &ScalingConfig) -> FunctionRescan {
     let _ = std::fs::remove_file(&dedup_store_path);
 
     // Wider files than the default archive: 12 functions each, so one
-    // edited function strands 11 siblings' worth of replay — the gap this
-    // section measures.
+    // edited function leaves 11 siblings to replay.
     let archive_cfg = ArchiveConfig {
         packages: cfg.packages,
         functions_per_file: 12,
@@ -1155,7 +1142,6 @@ pub fn function_rescan(cfg: &ScalingConfig) -> FunctionRescan {
 
     let mut rows = Vec::new();
     let mut reports_identical = true;
-    let mut speedup_function_rescan_vs_module = 0.0;
     let mut function_skip_rate_5pct = 0.0;
     let mut functions = 0usize;
     for churn_pct in [0u32, 5, 20] {
@@ -1168,19 +1154,8 @@ pub fn function_rescan(cfg: &ScalingConfig) -> FunctionRescan {
             config,
             jobs,
             None,
-            false,
         );
         cold.reports_identical = true;
-        let (mut module_row, module_reports) = function_rescan_run(
-            &format!("{churn_pct}% fn churn, module-granular rescan"),
-            churn_pct,
-            &churned.files,
-            config,
-            jobs,
-            Some(&scan_store_path),
-            true,
-        );
-        module_row.reports_identical = module_reports == cold_reports;
         let (mut function_row, function_reports) = function_rescan_run(
             &format!("{churn_pct}% fn churn, function-granular rescan"),
             churn_pct,
@@ -1188,17 +1163,14 @@ pub fn function_rescan(cfg: &ScalingConfig) -> FunctionRescan {
             config,
             jobs,
             Some(&scan_store_path),
-            false,
         );
         function_row.reports_identical = function_reports == cold_reports;
-        reports_identical &= module_row.reports_identical && function_row.reports_identical;
+        reports_identical &= function_row.reports_identical;
         if churn_pct == 5 {
-            speedup_function_rescan_vs_module =
-                module_row.queries.max(1) as f64 / function_row.queries.max(1) as f64;
             function_skip_rate_5pct =
                 function_row.functions_skipped as f64 / function_row.functions.max(1) as f64;
         }
-        rows.extend([cold, module_row, function_row]);
+        rows.extend([cold, function_row]);
     }
 
     // Cross-path dedup: the archive plus vendored byte-identical copies,
@@ -1213,7 +1185,6 @@ pub fn function_rescan(cfg: &ScalingConfig) -> FunctionRescan {
         config,
         1,
         None,
-        false,
     );
     let (with_store, with_store_reports) = function_rescan_run(
         "archive + duplicates, cold scan store (dedup)",
@@ -1222,7 +1193,6 @@ pub fn function_rescan(cfg: &ScalingConfig) -> FunctionRescan {
         config,
         1,
         Some(&dedup_store_path),
-        false,
     );
     reports_identical &= no_store_reports == with_store_reports;
     let dedup_queries_saved = no_store.queries.saturating_sub(with_store.queries);
@@ -1238,7 +1208,6 @@ pub fn function_rescan(cfg: &ScalingConfig) -> FunctionRescan {
         functions,
         jobs,
         rows,
-        speedup_function_rescan_vs_module,
         function_skip_rate_5pct,
         dedup_duplicate_files: dedup_copies,
         dedup_queries_saved,
@@ -1387,12 +1356,9 @@ pub fn fault_tolerance(cfg: &ScalingConfig) -> FaultTolerance {
 pub struct SolverSpeedRow {
     /// Human-readable configuration label.
     pub label: String,
-    /// Whether CNF preprocessing (probing, subsumption, vivification, and
-    /// fresh-mode BVE) was enabled. `false` is the pre-preprocessing solver.
+    /// Whether CNF preprocessing (probing, subsumption, vivification) was
+    /// enabled. `false` is the pre-preprocessing solver.
     pub preprocess: bool,
-    /// Whether assumption-core memoization (the Unsat fast path) was
-    /// enabled. `false` with `preprocess` on is the PR 9 solver.
-    pub core_cache: bool,
     /// Whether hyper-binary resolution during failed-literal probing was
     /// enabled.
     pub hbr: bool,
@@ -1411,7 +1377,7 @@ pub struct SolverSpeedRow {
     /// are denominated in, and this section's measure of raw solver work.
     pub propagations: u64,
     /// Propagations spent on queries that ended Unsat — the share the
-    /// Unsat fast path (core cache, HBR, tiered db) is able to attack.
+    /// Unsat fast path (HBR, tiered db) is able to attack.
     pub unsat_propagations: u64,
     /// Total conflicts across all queries.
     pub conflicts: u64,
@@ -1425,11 +1391,8 @@ pub struct SolverSpeedRow {
     pub avg_lbd: f64,
     /// Clauses and variables removed by the preprocessing passes.
     pub preprocess_eliminations: u64,
-    /// Queries the solver answered Unsat (the side the core cache serves).
+    /// Queries the solver answered Unsat.
     pub unsat_queries: u64,
-    /// Queries answered Unsat in zero propagations from a memoized
-    /// assumption core.
-    pub core_cache_hits: u64,
     /// Assumption cores extracted from final conflicts.
     pub cores_recorded: u64,
     /// Binary clauses added by hyper-binary resolution during probing.
@@ -1467,20 +1430,10 @@ pub struct SolverSpeed {
     /// Per-fragment wall time divided by per-function wall time: values
     /// above 1.0 mean per-function instances win and stay the default.
     pub speedup_function_vs_fragment: f64,
-    /// PR 9 Unsat-side propagations (preprocess on, core cache + HBR off)
-    /// divided by default-configuration Unsat-side propagations
-    /// (per-function rows): the Unsat-path payoff of assumption-core
-    /// memoization, HBR, and the tiered clause database on the same
-    /// queries. Sat-side work is excluded — it is identical across the two
-    /// rows and would otherwise drown the signal.
-    pub speedup_unsat_vs_pr9: f64,
-    /// Core-cache hits divided by Unsat answers on the default row: the
-    /// fraction of Unsat verdicts served in zero propagations.
-    pub core_cache_hit_rate: f64,
     /// Binary clauses hyper-binary resolution added on the default row.
     pub hbr_binaries_added: u64,
     /// `minimal_ub_set` queries the core-seeded search skipped on the
-    /// default row (vs PR 9's full greedy loop).
+    /// default row.
     pub minimization_queries_saved: u64,
     /// The granularity shipped as the default, decided by this benchmark.
     pub default_granularity: String,
@@ -1513,95 +1466,70 @@ pub fn solver_speed(cfg: &ScalingConfig) -> SolverSpeed {
 
     let mut rows = Vec::new();
     let mut report_streams: Vec<Vec<String>> = Vec::new();
-    let mut run =
-        |label: &str, preprocess: bool, core_cache: bool, hbr: bool, fragment_instances: bool| {
-            let config = CheckerConfig {
-                query_budget: cfg.query_budget,
-                threads: Some(1),
-                query_cache: false,
-                preprocess,
-                core_cache,
-                hbr,
-                fragment_instances,
-                ..CheckerConfig::default()
-            };
-            let session = AnalysisSession::new(config);
-            let pipeline = ScanPipeline::new(&session, jobs);
-            let mut reports = Vec::new();
-            let start = Instant::now();
-            pipeline.run(&tasks, &mut |event| {
-                if let ScanEvent::Report(report) = event {
-                    reports.push(format!("{report:?}"));
-                }
-            });
-            let elapsed = start.elapsed();
-            let stats = session.stats();
-            rows.push(SolverSpeedRow {
-                label: label.to_string(),
-                preprocess,
-                core_cache,
-                hbr,
-                granularity: if fragment_instances {
-                    "fragment"
-                } else {
-                    "function"
-                }
-                .to_string(),
-                wall_ms: u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX),
-                wall_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-                queries: stats.queries,
-                timeouts: stats.timeouts,
-                propagations: stats.propagations,
-                unsat_propagations: stats.unsat_propagations,
-                conflicts: stats.conflicts,
-                restarts: stats.restarts,
-                learned_clauses: stats.learned_clauses,
-                deleted_clauses: stats.deleted_clauses,
-                avg_lbd: stats.avg_lbd(),
-                preprocess_eliminations: stats.preprocess_eliminations,
-                unsat_queries: stats.unsat_queries,
-                core_cache_hits: stats.core_cache_hits,
-                cores_recorded: stats.cores_recorded,
-                hbr_binaries_added: stats.hbr_binaries_added,
-                minimization_queries_saved: stats.minimization_queries_saved,
-                reports: reports.len(),
-            });
-            report_streams.push(reports);
+    let mut run = |label: &str, preprocess: bool, hbr: bool, fragment_instances: bool| {
+        let config = CheckerConfig {
+            query_budget: cfg.query_budget,
+            threads: Some(1),
+            query_cache: false,
+            preprocess,
+            hbr,
+            fragment_instances,
+            ..CheckerConfig::default()
         };
+        let session = AnalysisSession::new(config);
+        let pipeline = ScanPipeline::new(&session, jobs);
+        let mut reports = Vec::new();
+        let start = Instant::now();
+        pipeline.run(&tasks, &mut |event| {
+            if let ScanEvent::Report(report) = event {
+                reports.push(format!("{report:?}"));
+            }
+        });
+        let elapsed = start.elapsed();
+        let stats = session.stats();
+        rows.push(SolverSpeedRow {
+            label: label.to_string(),
+            preprocess,
+            hbr,
+            granularity: if fragment_instances {
+                "fragment"
+            } else {
+                "function"
+            }
+            .to_string(),
+            wall_ms: u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX),
+            wall_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
+            queries: stats.queries,
+            timeouts: stats.timeouts,
+            propagations: stats.propagations,
+            unsat_propagations: stats.unsat_propagations,
+            conflicts: stats.conflicts,
+            restarts: stats.restarts,
+            learned_clauses: stats.learned_clauses,
+            deleted_clauses: stats.deleted_clauses,
+            avg_lbd: stats.avg_lbd(),
+            preprocess_eliminations: stats.preprocess_eliminations,
+            unsat_queries: stats.unsat_queries,
+            cores_recorded: stats.cores_recorded,
+            hbr_binaries_added: stats.hbr_binaries_added,
+            minimization_queries_saved: stats.minimization_queries_saved,
+            reports: reports.len(),
+        });
+        report_streams.push(reports);
+    };
     run(
         "baseline: prior solver (no preprocess), per-function",
         false,
         false,
         false,
-        false,
     );
-    run(
-        "PR 9: preprocess + LBD solver (no core cache / HBR), per-function",
-        true,
-        false,
-        false,
-        false,
-    );
-    run(
-        "core cache + HBR + tiered db solver, per-function",
-        true,
-        true,
-        true,
-        false,
-    );
-    run(
-        "core cache + HBR + tiered db solver, per-fragment",
-        true,
-        true,
-        true,
-        true,
-    );
+    run("HBR + tiered db solver, per-function", true, true, false);
+    run("HBR + tiered db solver, per-fragment", true, true, true);
 
     let ratio = |num: u64, den: u64| num as f64 / den.max(1) as f64;
     let baseline = &rows[0];
-    let pr9 = &rows[1];
-    let function = &rows[2];
-    let fragment = &rows[3];
+    let function = &rows[1];
+    let fragment = &rows[2];
     SolverSpeed {
         archive: format!("{} packages, seed {}", cfg.packages, archive_cfg.seed),
         files: churned.files.len(),
@@ -1611,8 +1539,6 @@ pub fn solver_speed(cfg: &ScalingConfig) -> SolverSpeed {
         speedup_solver_vs_baseline: ratio(baseline.propagations, function.propagations),
         speedup_wall_vs_baseline: ratio(baseline.wall_us, function.wall_us),
         speedup_function_vs_fragment: ratio(fragment.wall_us, function.wall_us),
-        speedup_unsat_vs_pr9: ratio(pr9.unsat_propagations, function.unsat_propagations),
-        core_cache_hit_rate: ratio(function.core_cache_hits, function.unsat_queries),
         hbr_binaries_added: function.hbr_binaries_added,
         minimization_queries_saved: function.minimization_queries_saved,
         default_granularity: "function".to_string(),
@@ -1656,8 +1582,8 @@ pub struct CheckerScaling {
     /// fails the bench job if the speedup goes missing).
     pub rescan: IncrementalRescan,
     /// The per-function incremental-rescan + cross-path dedup measurement
-    /// (`speedup_function_rescan_vs_module` and `dedup_queries_saved` live
-    /// here; CI fails the bench job if either goes missing).
+    /// (`dedup_queries_saved` lives here; CI fails the bench job if it goes
+    /// missing).
     pub function_rescan: FunctionRescan,
     /// The distributed-scan measurement (`speedup_merged_warm_vs_cold` and
     /// `merge_reports_identical` live here; CI fails the bench job if
@@ -1906,10 +1832,8 @@ impl CheckerScaling {
         }
         let _ = writeln!(
             out,
-            "  function vs module granularity (5% fn churn): {:.2}x fewer queries; \
-             fn skip rate {:.1}%; dedup saved {} queries over {} duplicate files; \
-             reports identical: {}",
-            self.function_rescan.speedup_function_rescan_vs_module,
+            "  fn skip rate (5% fn churn) {:.1}%; dedup saved {} queries over {} duplicate \
+             files; reports identical: {}",
             100.0 * self.function_rescan.function_skip_rate_5pct,
             self.function_rescan.dedup_queries_saved,
             self.function_rescan.dedup_duplicate_files,
@@ -2000,12 +1924,8 @@ impl CheckerScaling {
         );
         let _ = writeln!(
             out,
-            "  unsat path vs PR 9: {:.2}x fewer propagations; core cache served {:.1}% of \
-             unsat answers, {} HBR binaries, {} minimization queries saved",
-            self.solver_speed.speedup_unsat_vs_pr9,
-            100.0 * self.solver_speed.core_cache_hit_rate,
-            self.solver_speed.hbr_binaries_added,
-            self.solver_speed.minimization_queries_saved
+            "  unsat path: {} HBR binaries, {} minimization queries saved",
+            self.solver_speed.hbr_binaries_added, self.solver_speed.minimization_queries_saved
         );
         out
     }
@@ -2194,7 +2114,6 @@ mod tests {
         assert!(json.contains("\"speedup_merged_warm_vs_cold\""));
         assert!(json.contains("\"merge_reports_identical\""));
         assert!(json.contains("\"function_rescan\""));
-        assert!(json.contains("\"speedup_function_rescan_vs_module\""));
         assert!(json.contains("\"dedup_queries_saved\""));
         assert!(json.contains("\"degraded_queries\""));
         assert!(json.contains("\"salvaged_entries\""));
@@ -2204,24 +2123,16 @@ mod tests {
         // The solver-speed section must measure real work and stay
         // verdict-stable across every configuration it compares.
         let ss = &scaling.solver_speed;
-        assert_eq!(ss.rows.len(), 4, "{ss:?}");
+        assert_eq!(ss.rows.len(), 3, "{ss:?}");
         assert!(ss.rows.iter().all(|r| r.propagations > 0), "{ss:?}");
         assert!(ss.reports_identical, "{ss:?}");
         assert!(ss.speedup_solver_vs_baseline > 1.0, "{ss:?}");
-        // The Unsat fast path must do strictly less solver work than the
-        // PR 9 configuration on the same churned archive, and its savings
-        // must come from measurable sources: core-cache answers and
-        // core-seeded minimization skips.
-        assert!(json.contains("\"speedup_unsat_vs_pr9\""));
-        assert!(json.contains("\"core_cache_hit_rate\""));
+        // The Unsat path's layers must show measurable work: HBR binaries
+        // and extracted cores on the default row.
         assert!(json.contains("\"hbr_binaries_added\""));
-        assert!(ss.speedup_unsat_vs_pr9 > 1.0, "{ss:?}");
-        assert!(ss.core_cache_hit_rate > 0.0, "{ss:?}");
-        let pr9 = &ss.rows[1];
-        let default_row = &ss.rows[2];
-        assert!(pr9.preprocess && !pr9.core_cache && !pr9.hbr, "{pr9:?}");
-        assert_eq!(pr9.core_cache_hits, 0, "{pr9:?}");
-        assert!(default_row.core_cache_hits > 0, "{default_row:?}");
+        let default_row = &ss.rows[1];
+        assert!(default_row.preprocess && default_row.hbr, "{default_row:?}");
+        assert!(default_row.hbr_binaries_added > 0, "{default_row:?}");
         assert!(default_row.cores_recorded > 0, "{default_row:?}");
         // Core-seeded minimization must actually skip queries somewhere in
         // the run: the scaling rows' incremental configurations exercise the
@@ -2289,39 +2200,34 @@ mod tests {
         let section = function_rescan(&cfg);
         assert_eq!(
             section.rows.len(),
-            9,
-            "three configurations x three churn levels"
+            6,
+            "two configurations x three churn levels"
         );
         assert!(section.reports_identical);
         for row in &section.rows {
             assert!(row.reports_identical, "{row:?}");
         }
-        // 0% churn: both granularities replay everything.
-        for row in &section.rows[1..3] {
-            assert_eq!(row.churn_pct, 0);
-            assert_eq!(row.functions_skipped, section.functions, "{row:?}");
-            assert_eq!(row.modules_skipped, row.files, "{row:?}");
-            assert_eq!(row.queries, 0, "{row:?}");
-        }
-        // 5% churn: the function-granular run re-analyzes exactly the
-        // edited functions; the module-granular run pays for whole modules.
-        let edited = (0.05 * section.functions as f64).round() as usize;
-        let module_row = &section.rows[4];
-        let function_row = &section.rows[5];
-        assert_eq!(function_row.functions_skipped, section.functions - edited);
-        assert!(
-            function_row.functions_skipped > module_row.functions_skipped,
-            "{} vs {}",
-            function_row.functions_skipped,
-            module_row.functions_skipped
+        // 0% churn: the rescan replays everything.
+        let zero_row = &section.rows[1];
+        assert_eq!(zero_row.churn_pct, 0);
+        assert_eq!(
+            zero_row.functions_skipped, section.functions,
+            "{zero_row:?}"
         );
+        assert_eq!(zero_row.modules_skipped, zero_row.files, "{zero_row:?}");
+        assert_eq!(zero_row.queries, 0, "{zero_row:?}");
+        // 5% churn: the rescan re-analyzes exactly the edited functions.
+        let edited = (0.05 * section.functions as f64).round() as usize;
+        let cold_row = &section.rows[2];
+        let function_row = &section.rows[3];
+        assert_eq!(function_row.churn_pct, 5);
+        assert_eq!(function_row.functions_skipped, section.functions - edited);
         assert!(function_row.queries > 0);
         assert!(
-            section.speedup_function_rescan_vs_module >= 5.0,
-            "the acceptance bar is 5x fewer queries, got {:.2}x ({} vs {})",
-            section.speedup_function_rescan_vs_module,
-            module_row.queries,
-            function_row.queries
+            function_row.queries * 5 <= cold_row.queries,
+            "the rescan must issue at least 5x fewer queries than cold ({} vs {})",
+            function_row.queries,
+            cold_row.queries
         );
         assert!((section.function_skip_rate_5pct - 0.95).abs() < 0.01);
         // Cross-path dedup must have saved real solver work.

@@ -21,14 +21,10 @@
 //! sequential), `--no-cache` disables the memoized query store,
 //! `--no-incremental` falls back to from-scratch solving per query,
 //! `--no-preprocess` turns off the SAT core's pre/inprocessing layer
-//! (failed-literal probing, subsumption, bounded variable elimination,
-//! clause vivification, LBD-aware clause-database reduction) — the
-//! pre-LBD solver, kept reachable as the benchmark baseline —
-//! `--no-core-cache` turns off assumption-core memoization (the Unsat
-//! fast path that answers superset queries from cached final-conflict
-//! cores, and the core-seeded minimal-UB-set search) — the PR 9 Unsat
-//! path, kept reachable as the benchmark baseline — `--no-hbr` turns
-//! off hyper-binary resolution during failed-literal probing,
+//! (failed-literal probing, subsumption, clause vivification, LBD-aware
+//! clause-database reduction) — the pre-LBD solver, kept reachable as the
+//! benchmark baseline — `--no-hbr` turns off hyper-binary resolution
+//! during failed-literal probing,
 //! `--instance-granularity <function|fragment>` picks whether incremental
 //! solving keeps one persistent instance per function (default; fragments
 //! share the encoding) or starts fresh per fragment, and
@@ -127,9 +123,6 @@ struct AnalysisOpts {
     /// `--instance-granularity fragment` starts a fresh incremental solver
     /// instance per checker fragment instead of per function.
     fragment_instances: bool,
-    /// `--no-core-cache` turns assumption-core memoization (and the
-    /// core-seeded minimal-UB-set search) off — the PR 9 Unsat path.
-    core_cache: bool,
     /// `--no-hbr` turns hyper-binary resolution during probing off.
     hbr: bool,
     /// Per-query propagation budget (`Some(0)` = unlimited).
@@ -194,7 +187,6 @@ impl AnalysisOpts {
             incremental: !has_flag(args, "--no-incremental"),
             preprocess: !has_flag(args, "--no-preprocess"),
             fragment_instances,
-            core_cache: !has_flag(args, "--no-core-cache"),
             hbr: !has_flag(args, "--no-hbr"),
             query_budget: parse_flag_value::<u64>(args, "--query-budget")?,
             cache_file,
@@ -226,7 +218,6 @@ impl AnalysisOpts {
             incremental: self.incremental,
             preprocess: self.preprocess,
             fragment_instances: self.fragment_instances,
-            core_cache: self.core_cache,
             hbr: self.hbr,
             query_budget: self
                 .query_budget
@@ -509,8 +500,7 @@ struct ScanSummary {
     /// clauses; 0 when nothing was learned.
     avg_lbd: f64,
     /// Simplification steps by the solver's pre/inprocessing layer (failed
-    /// literals, subsumed/strengthened clauses, eliminated variables,
-    /// vivified clauses).
+    /// literals, subsumed/strengthened clauses, vivified clauses).
     preprocess_eliminations: u64,
     /// Queries the SAT core answered Sat.
     sat_queries: u64,
@@ -519,9 +509,6 @@ struct ScanSummary {
     /// Queries answered from a cached model without search (a previous
     /// model still satisfied the new assumption set).
     model_cache_hits: u64,
-    /// Queries answered Unsat in zero propagations because a memoized
-    /// assumption core was a subset of the query's assumptions.
-    core_cache_hits: u64,
     /// Assumption cores extracted from final conflicts.
     cores_recorded: u64,
     /// Average literal count of extracted assumption cores; 0 when none
@@ -535,8 +522,8 @@ struct ScanSummary {
     deleted_tier2: u64,
     /// Learned clauses evicted from the local tier (high-LBD half).
     deleted_local: u64,
-    /// `minimal_ub_set` queries skipped because the memoized assumption
-    /// core proved the candidate condition irrelevant.
+    /// `minimal_ub_set` queries skipped because the last extracted
+    /// assumption core proved the candidate condition irrelevant.
     minimization_queries_saved: u64,
     store_hits: u64,
     store_misses: u64,
@@ -621,7 +608,6 @@ fn cmd_scan(args: &[String]) -> ExitCode {
         sat_queries: stats.sat_queries,
         unsat_queries: stats.unsat_queries,
         model_cache_hits: stats.model_cache_hits,
-        core_cache_hits: stats.core_cache_hits,
         cores_recorded: stats.cores_recorded,
         avg_core_size: stats.avg_core_size(),
         hbr_binaries_added: stats.hbr_binaries_added,
@@ -723,7 +709,7 @@ fn gather_scan_sources(args: &[String]) -> Result<Vec<ScanTask>, String> {
         return Err(
             "usage: stack scan <dir|manifest|file.mc> | --synth N  [--seed S] [--cache-file F] \
              [--scan-cache F] [--jobs N] [--threads N] [--query-budget N] [--compact-store N] \
-             [--shard i/n] [--no-cache] [--no-incremental] [--no-core-cache] [--no-hbr] \
+             [--shard i/n] [--no-cache] [--no-incremental] [--no-hbr] \
              [--include-macros] [--json] [--out F] [--quiet]"
                 .to_string(),
         );
@@ -804,13 +790,11 @@ fn render_scan_summary(
     );
     let _ = writeln!(
         out,
-        "  verdicts        {:>8} sat / {} unsat / {} degraded / {} from model cache / {} from \
-         core cache",
+        "  verdicts        {:>8} sat / {} unsat / {} degraded / {} from model cache",
         summary.sat_queries,
         summary.unsat_queries,
         summary.degraded_queries,
-        summary.model_cache_hits,
-        summary.core_cache_hits
+        summary.model_cache_hits
     );
     if summary.degraded_modules > 0 {
         let _ = writeln!(
@@ -835,12 +819,8 @@ fn render_scan_summary(
     );
     let _ = writeln!(
         out,
-        "  core cache      {:>8} hits, {} cores recorded (avg size {:.1}), {} minimization \
-         queries saved",
-        summary.core_cache_hits,
-        summary.cores_recorded,
-        summary.avg_core_size,
-        summary.minimization_queries_saved
+        "  unsat cores     {:>8} recorded (avg size {:.1}), {} minimization queries saved",
+        summary.cores_recorded, summary.avg_core_size, summary.minimization_queries_saved
     );
     let _ = writeln!(
         out,

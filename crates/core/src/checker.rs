@@ -62,8 +62,7 @@ pub struct CheckerConfig {
     pub incremental: bool,
     /// Whether the SAT core runs its pre/inprocessing layer: a one-shot
     /// simplification pass (failed-literal probing, subsumption and
-    /// self-subsumption strengthening, and — for throwaway instances —
-    /// bounded variable elimination) before solving, plus clause
+    /// self-subsumption strengthening) before solving, plus clause
     /// vivification between restarts and LBD-aware clause-database
     /// reduction during search. All simplification work is charged to
     /// `query_budget`, so degraded verdicts stay deterministic. Decided
@@ -73,22 +72,12 @@ pub struct CheckerConfig {
     pub preprocess: bool,
     /// Incremental-instance granularity: `false` (default) shares one
     /// persistent SAT instance across a whole function; `true` starts a
-    /// fresh instance per fragment. Sharing wins on the synthetic
-    /// population (see `BENCH_checker.json`, `solver_speed`) because later
-    /// fragments reuse the function's encoding and learned clauses;
-    /// per-fragment stays reachable for workloads with very large
-    /// functions where instance bloat could dominate. No effect unless
-    /// `incremental` is on.
+    /// fresh instance per fragment. Sharing wins on the cache-disabled
+    /// `solver_speed` scan of `BENCH_checker.json`, because later fragments
+    /// reuse the function's encoding and learned clauses, but per-fragment
+    /// wins on the edit-tail archive (`docs/ARCHITECTURE.md` records both
+    /// measurements). No effect unless `incremental` is on.
     pub fragment_instances: bool,
-    /// Whether the SAT core memoizes assumption cores: every `Unsat` answer
-    /// under assumptions extracts the final conflict's assumption core, any
-    /// later query assuming a superset of a recorded core is answered
-    /// `Unsat` in zero propagations, and the Figure 8 minimal-UB-set loop
-    /// seeds its greedy search from the extracted core instead of toggling
-    /// conditions blindly. Decided verdicts — and therefore reports — are
-    /// identical with it on or off; off (`--no-core-cache`) restores the
-    /// prior Unsat path as the benchmark baseline.
-    pub core_cache: bool,
     /// Whether the SAT core runs hyper-binary resolution during its probing
     /// pass, materializing transitive implications as binary clauses. Off
     /// (`--no-hbr`) restores plain probing.
@@ -105,7 +94,6 @@ impl Default for CheckerConfig {
             incremental: true,
             preprocess: true,
             fragment_instances: false,
-            core_cache: true,
             hbr: true,
         }
     }
@@ -153,8 +141,7 @@ pub struct CheckStats {
     /// measure of raw solver work.
     pub propagations: u64,
     /// SAT-core propagations spent on queries that ended `Unsat` — the
-    /// share of `propagations` the Unsat fast path attacks, and the
-    /// denominator of the `speedup_unsat_vs_pr9` benchmark ratio.
+    /// share of `propagations` the Unsat fast path attacks.
     pub unsat_propagations: u64,
     /// Total SAT-core conflicts across all queries.
     pub conflicts: u64,
@@ -169,7 +156,7 @@ pub struct CheckStats {
     pub lbd_sum: u64,
     /// Simplification steps performed by the solver's pre/inprocessing
     /// layer: failed literals asserted, clauses subsumed or strengthened,
-    /// variables eliminated, learned clauses vivified.
+    /// learned clauses vivified.
     pub preprocess_eliminations: u64,
     /// Queries decided by a persistent incremental solver instance (merged
     /// across worker threads; 0 when `CheckerConfig::incremental` is off).
@@ -178,7 +165,7 @@ pub struct CheckStats {
     /// (summed over queries; the clause-reuse counter of the solver layer).
     pub reused_clauses: u64,
     /// Queries answered `Sat` (merged across worker threads). Together with
-    /// `unsat_queries`, `timeouts`, and the cache/core counters this is the
+    /// `unsat_queries`, `timeouts`, and `model_cache_hits` this is the
     /// per-scan verdict breakdown.
     pub sat_queries: u64,
     /// Queries answered `Unsat` (merged across worker threads).
@@ -186,10 +173,10 @@ pub struct CheckStats {
     /// `Sat` answers the SAT core served from its model cache in zero
     /// propagations.
     pub model_cache_hits: u64,
-    /// `Unsat` answers the SAT core served from its assumption-core cache in
-    /// zero propagations.
+    /// Always 0: no query is answered from memoized assumption cores. The
+    /// field stays because the `perfbench` scan benchmark reads it.
     pub core_cache_hits: u64,
-    /// Assumption cores extracted and recorded after `Unsat` answers.
+    /// Assumption cores extracted after `Unsat` answers.
     pub cores_recorded: u64,
     /// Sum of literal counts over recorded cores (`core_size_sum /
     /// cores_recorded` is the average core size).
@@ -269,7 +256,6 @@ impl CheckStats {
         self.sat_queries += other.sat_queries;
         self.unsat_queries += other.unsat_queries;
         self.model_cache_hits += other.model_cache_hits;
-        self.core_cache_hits += other.core_cache_hits;
         self.cores_recorded += other.cores_recorded;
         self.core_size_sum += other.core_size_sum;
         self.hbr_binaries_added += other.hbr_binaries_added;

@@ -111,7 +111,6 @@ pub struct ScanPipeline<'s> {
     session: &'s AnalysisSession,
     scan_store: Option<Arc<ScanStore>>,
     jobs: usize,
-    module_granular: bool,
     /// Fault injection: panic while analyzing any module whose name
     /// contains this fragment (tests of the containment boundary).
     panic_on: Option<String>,
@@ -140,7 +139,6 @@ impl<'s> ScanPipeline<'s> {
             session,
             scan_store: None,
             jobs: jobs.max(1),
-            module_granular: false,
             panic_on: None,
         }
     }
@@ -149,16 +147,6 @@ impl<'s> ScanPipeline<'s> {
     /// their recorded reports instead of re-analyzing, misses are recorded.
     pub fn with_scan_store(mut self, store: Arc<ScanStore>) -> ScanPipeline<'s> {
         self.scan_store = Some(store);
-        self
-    }
-
-    /// Degrade replay to module granularity: a module replays only when
-    /// *every* one of its functions hits; otherwise the whole module
-    /// re-analyzes, like the pre-v4 fingerprint cache did. This exists as
-    /// the bench/test baseline per-function replay is measured against —
-    /// production scans have no reason to enable it.
-    pub fn with_module_granularity(mut self) -> ScanPipeline<'s> {
-        self.module_granular = true;
         self
     }
 
@@ -295,12 +283,8 @@ impl<'s> ScanPipeline<'s> {
             .iter()
             .map(|f| function_replay_key(f, config))
             .collect();
-        let mut replayed: Vec<Option<FunctionRecord>> =
+        let replayed: Vec<Option<FunctionRecord>> =
             keys.iter().map(|&key| store.lookup(key)).collect();
-        if self.module_granular && replayed.iter().any(Option::is_none) {
-            // Baseline mode: one miss re-analyzes the whole module.
-            replayed = vec![None; keys.len()];
-        }
         let skipped = replayed.iter().filter(|r| r.is_some()).count();
         let select: Vec<bool> = replayed.iter().map(Option::is_none).collect();
 
@@ -605,48 +589,6 @@ mod tests {
             .run(&task(src(2)), &mut |_| {});
         assert_eq!(outcome.modules_skipped, 1);
         assert_eq!(outcome.functions_skipped, 3);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn module_granularity_discards_partial_hits() {
-        let path = temp_path("granular");
-        let config = CheckerConfig::default();
-        let src = |k: u32| {
-            format!(
-                "int f(int x) {{ if (x + {k} < x) return 1; return 0; }}\n\
-                 int g(int a, int b) {{ if (b == 0) return -1; return a / b; }}\n"
-            )
-        };
-        let task = |source: String| {
-            vec![ScanTask {
-                name: "m.c".to_string(),
-                source: ScanSource::Inline(source),
-            }]
-        };
-        let store = Arc::new(ScanStore::open(&path).unwrap());
-        let session = AnalysisSession::new(config);
-        ScanPipeline::new(&session, 1)
-            .with_scan_store(store.clone())
-            .run(&task(src(1)), &mut |_| {});
-        store.save().unwrap();
-
-        // One edited function: module granularity re-analyzes everything.
-        let store2 = Arc::new(ScanStore::open(&path).unwrap());
-        let session2 = AnalysisSession::new(config);
-        let outcome = ScanPipeline::new(&session2, 1)
-            .with_scan_store(store2.clone())
-            .with_module_granularity()
-            .run(&task(src(2)), &mut |_| {});
-        assert_eq!(outcome.functions_skipped, 0);
-        assert_eq!(session2.stats().functions, 2);
-        // An unchanged module still fully replays in this mode.
-        let outcome = ScanPipeline::new(&session2, 1)
-            .with_scan_store(store2)
-            .with_module_granularity()
-            .run(&task(src(1)), &mut |_| {});
-        assert_eq!(outcome.modules_skipped, 1);
-        assert_eq!(outcome.functions_skipped, 2);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -45,15 +45,7 @@ pub struct AnalysisSession {
     config: CheckerConfig,
     store: Arc<dyn QueryStore>,
     aggregate: Mutex<CheckStats>,
-    /// Assumption cores shared across every solver this session creates
-    /// (all modules, all worker threads), keyed on the blasted formula's
-    /// fingerprint — so a core derived for one function answers the
-    /// identical query of a structurally identical function anywhere else
-    /// in the scan. Only consulted when `config.core_cache` is on.
-    shared_cores: Arc<SharedCoreMutex>,
 }
-
-type SharedCoreMutex = std::sync::Mutex<stack_solver::sat::SharedCoreCache>;
 
 /// The outcome of checking one selected function of a module: its **raw**
 /// reports — in discovery order, before the module-level dedup/suppression
@@ -93,7 +85,6 @@ impl AnalysisSession {
             config,
             store,
             aggregate: Mutex::new(CheckStats::default()),
-            shared_cores: Arc::new(SharedCoreMutex::default()),
         }
     }
 
@@ -148,11 +139,7 @@ impl AnalysisSession {
         solver.set_incremental(self.config.incremental);
         solver.set_preprocessing(self.config.preprocess);
         solver.set_fragment_instances(self.config.fragment_instances);
-        solver.set_core_caching(self.config.core_cache);
         solver.set_hbr(self.config.hbr);
-        if self.config.core_cache {
-            solver.set_shared_cores(Arc::clone(&self.shared_cores));
-        }
         solver
     }
 
@@ -306,7 +293,7 @@ impl AnalysisSession {
             sat_queries: solver_stats.sat,
             unsat_queries: solver_stats.unsat,
             model_cache_hits: solver_stats.model_cache_hits,
-            core_cache_hits: solver_stats.core_cache_hits,
+            core_cache_hits: 0,
             cores_recorded: solver_stats.cores_recorded,
             core_size_sum: solver_stats.core_size_sum,
             hbr_binaries_added: solver_stats.hbr_binaries_added,
@@ -629,7 +616,7 @@ fn dominating_conditions(
 /// Because every iteration tests the full set minus exactly one condition
 /// (never an accumulated subset), a skip reproduces the exact verdict the
 /// query would have returned, so the resulting minimal set — and with it
-/// every report — is byte-identical with seeding on or off.
+/// every report — is byte-identical to the unseeded greedy loop's.
 fn minimal_ub_set(
     pool: &stack_solver::TermPool,
     solver: &mut BvSolver,

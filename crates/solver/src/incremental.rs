@@ -92,11 +92,9 @@ pub struct SolverInstance {
     /// the last query; everything older counts as reused by the next query.
     fresh_clauses: usize,
     /// Run the deterministic preprocessing pass before the first query.
-    /// Bounded variable elimination stays off either way: later
-    /// [`literal_for`](SolverInstance::literal_for) calls may add clauses
-    /// over existing variables, which elimination does not survive. Probing,
-    /// subsumption, and strengthening preserve logical equivalence, so they
-    /// are safe under incremental additions.
+    /// Probing, subsumption, and strengthening preserve logical
+    /// equivalence, so later [`literal_for`](SolverInstance::literal_for)
+    /// additions stay sound.
     preprocess: bool,
     /// Whether the one-shot preprocessing pass has already run.
     preprocessed: bool,
@@ -157,31 +155,16 @@ impl SolverInstance {
         self.sat.set_preprocessing(on);
     }
 
-    /// Enable or disable assumption-core memoization on the underlying SAT
-    /// core (on by default). See [`SatSolver::set_core_caching`].
-    pub fn set_core_caching(&mut self, on: bool) {
-        self.sat.set_core_caching(on);
-    }
-
     /// Enable or disable hyper-binary resolution during probing (on by
     /// default). See [`SatSolver::set_hbr`].
     pub fn set_hbr(&mut self, on: bool) {
         self.sat.set_hbr(on);
     }
 
-    /// Attach the owning solver's cross-instance core store. See
-    /// [`SatSolver::set_shared_cores`].
-    pub fn set_shared_cores(
-        &mut self,
-        shared: Option<std::sync::Arc<std::sync::Mutex<crate::sat::SharedCoreCache>>>,
-    ) {
-        self.sat.set_shared_cores(shared);
-    }
-
     /// The assumption core of the last `Unsat` answer: a subset of that
     /// query's assumption literals already unsatisfiable with the formula
     /// (empty when the formula itself is unsatisfiable). `None` after
-    /// non-`Unsat` answers or with core caching off.
+    /// non-`Unsat` answers.
     pub fn last_core(&self) -> Option<&[Lit]> {
         self.sat.last_core()
     }
@@ -255,7 +238,7 @@ impl SolverInstance {
             // root level. Its cost is charged to the budget and carried into
             // the solve below, so degraded verdicts stay byte-reproducible.
             self.sat.cancel_until_root();
-            match self.sat.preprocess(self.budget, false) {
+            match self.sat.preprocess(self.budget) {
                 // Root-unsat: fall through to `solve_with`, which answers
                 // immediately and records the (empty) assumption core so
                 // `last_core` cannot report a stale earlier core.

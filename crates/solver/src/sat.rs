@@ -11,76 +11,14 @@
 //!
 //! On top of the search loop sits a deterministic simplification layer
 //! ([`preprocess`](SatSolver::preprocess)): failed-literal probing at the
-//! root level, clause subsumption + self-subsumption strengthening, and
-//! (for one-shot solving) bounded variable elimination with model
-//! reconstruction, plus periodic clause vivification between restarts. All
-//! of it is charged against the same propagation budget as the search
-//! itself, so a degraded `Unknown` verdict is byte-reproducible no matter
-//! where the budget ran out.
+//! root level and clause subsumption + self-subsumption strengthening, plus
+//! periodic clause vivification between restarts. All of it is charged
+//! against the same propagation budget as the search itself, so a degraded
+//! `Unknown` verdict is byte-reproducible no matter where the budget ran
+//! out.
 
 use crate::cnf::{Clause, ClauseDb, ClauseRef};
 use crate::lit::{LBool, Lit, Var};
-use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
-
-/// Capacity of a per-solver assumption-core cache (both the instance-local
-/// list and each formula's bucket in the shared store).
-const CORE_CACHE: usize = 32;
-
-/// Assumption cores shared across solver instances, keyed on a formula
-/// fingerprint. Structurally identical functions bit-blast to identical
-/// clause sequences over identically numbered variables, so their
-/// instances compute the same fingerprint — and a core recorded by one is
-/// a valid core for the others (the formulas are equal, not merely
-/// similar, so entailment carries over verbatim). Instances with any
-/// difference in their clause stream get different keys and never share.
-///
-/// The store is owned by a [`BvSolver`](crate::solver::BvSolver) (one per
-/// worker) and handed to each of its instances; the mutex makes the handle
-/// `Send` but is never contended. Bounded FIFO over formula keys.
-#[derive(Default, Debug)]
-pub struct SharedCoreCache {
-    map: HashMap<(u64, u64), Vec<Vec<Lit>>>,
-    order: VecDeque<(u64, u64)>,
-}
-
-/// Formula keys retained in a [`SharedCoreCache`] before FIFO eviction.
-const SHARED_CORE_KEYS: usize = 256;
-
-impl SharedCoreCache {
-    /// A cached core of the fingerprinted formula that the assumption set
-    /// covers, if any.
-    fn lookup(&self, fp: (u64, u64), assumptions: &[Lit]) -> Option<Vec<Lit>> {
-        self.map.get(&fp)?.iter().find_map(|core| {
-            core.iter()
-                .all(|l| assumptions.contains(l))
-                .then(|| core.clone())
-        })
-    }
-
-    /// Bank a core under the formula's fingerprint, dropping entries the
-    /// new core subsumes (same policy as the instance-local cache).
-    fn record(&mut self, fp: (u64, u64), core: &[Lit]) {
-        if !self.map.contains_key(&fp) {
-            if self.order.len() == SHARED_CORE_KEYS {
-                if let Some(old) = self.order.pop_front() {
-                    self.map.remove(&old);
-                }
-            }
-            self.order.push_back(fp);
-        }
-        let bucket = self.map.entry(fp).or_default();
-        if bucket.iter().any(|c| c.iter().all(|l| core.contains(l))) {
-            return;
-        }
-        bucket.retain(|c| !core.iter().all(|l| c.contains(l)));
-        if bucket.len() == CORE_CACHE {
-            bucket.remove(0);
-        }
-        bucket.push(core.to_vec());
-    }
-}
 
 /// Result of a satisfiability query.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -140,7 +78,7 @@ pub struct SatStats {
     pub decisions: u64,
     pub propagations: u64,
     /// The subset of `propagations` spent inside the pre/inprocessing
-    /// passes (probing + HBR harvest, subsumption, BVE, vivification).
+    /// passes (probing + HBR harvest, subsumption, vivification).
     /// Instance setup and restart-time maintenance, not per-query search —
     /// callers attributing propagation cost to individual queries subtract
     /// this so the query that happens to trigger a pass is not charged for
@@ -156,17 +94,13 @@ pub struct SatStats {
     /// Sum of learn-time LBD over all learned clauses; the average glue is
     /// `lbd_sum / learned_clauses`.
     pub lbd_sum: u64,
-    /// Facts removed by pre/inprocessing: eliminated variables, subsumed
-    /// clauses, strengthened literals, failed literals, vivified clauses.
+    /// Facts removed by pre/inprocessing: subsumed clauses, strengthened
+    /// literals, failed literals, vivified clauses.
     pub preprocess_eliminations: u64,
     /// `Sat` answers served from the still-valid trail or the cached-model
     /// store in zero propagations.
     pub model_cache_hits: u64,
-    /// `Unsat` answers served from the assumption-core cache in zero
-    /// propagations.
-    pub core_cache_hits: u64,
-    /// Assumption cores extracted after `Unsat` answers and stored in the
-    /// core cache.
+    /// Assumption cores extracted after `Unsat` answers.
     pub cores_recorded: u64,
     /// Sum of literal counts over recorded cores; the average core size is
     /// `core_size_sum / cores_recorded`.
@@ -247,15 +181,6 @@ pub struct SatSolver {
     /// Whether pre/inprocessing and LBD-aware reduction are enabled
     /// (disabling reverts to the plain activity-only CDCL loop).
     preprocessing: bool,
-    /// Variables removed by bounded variable elimination; never decided,
-    /// their model values come from reconstruction.
-    eliminated: Vec<bool>,
-    /// Elimination stack: each eliminated variable with the clauses it
-    /// occurred in, replayed in reverse to reconstruct Sat models.
-    elim: Vec<(Var, Vec<Vec<Lit>>)>,
-    /// Reconstructed model values for eliminated variables, refreshed after
-    /// every Sat answer.
-    elim_values: Vec<LBool>,
     /// The assumption sequence the current trail's decision levels were
     /// established for (level i+1 holds assumption i). Lets the next
     /// `solve_with` keep the still-matching prefix of the trail instead of
@@ -280,37 +205,12 @@ pub struct SatSolver {
     /// so `model_value` reads the witness that was actually returned rather
     /// than whatever the trail holds. Cleared at the next solve call.
     cached_model_hit: Option<usize>,
-    /// Whether assumption-core extraction and the core cache are enabled.
-    /// The Unsat mirror of the model cache; see `core_cache`.
-    core_caching: bool,
     /// Whether hyper-binary resolution runs during failed-literal probing.
     hbr: bool,
-    /// Cached assumption cores (each sorted by literal index). Every core is
-    /// entailed-Unsat by the formula, and `add_clause` only adds constraints,
-    /// so a core stays Unsat forever: any later query whose assumption set is
-    /// a superset of a cached core is answered `Unsat` in zero propagations.
-    /// Never invalidated; bounded FIFO (see `record_core`).
-    core_cache: Vec<Vec<Lit>>,
     /// The assumption core of the last `Unsat` answer (empty when the
     /// formula itself is root-unsat), for callers seeding minimization.
-    /// `None` after `Sat`/`Unknown` answers or when core caching is off.
+    /// `None` after `Sat`/`Unknown` answers.
     last_core: Option<Vec<Lit>>,
-    /// Core clauses (`!a1 | ... | !ak` for a recorded core `{a1..ak}`)
-    /// waiting to be attached. A core clause is formula-entailed, so
-    /// learning it is sound and keeps cached models valid; it lets related
-    /// later queries conflict after propagating just the core's assumptions
-    /// instead of re-deriving the refutation. Attachment is deferred to the
-    /// next solve's root level because at record time assumption literals
-    /// are still assigned on the trail.
-    pending_core_clauses: Vec<Vec<Lit>>,
-    /// Fingerprint of the original formula: a running two-lane hash over
-    /// every `new_var` and the raw literals of every `add_clause` call, in
-    /// order. Learned clauses never fold in, so two instances fed the same
-    /// variable/clause stream keep equal fingerprints regardless of search
-    /// history — the key for [`SharedCoreCache`].
-    formula_fp: (u64, u64),
-    /// Cross-instance core store, if the owning solver attached one.
-    shared_cores: Option<Arc<Mutex<SharedCoreCache>>>,
     /// Count of `reduce_db` invocations, pacing the tier2 sweep cadence.
     reduce_calls: u64,
 }
@@ -354,43 +254,14 @@ impl SatSolver {
             carryover: 0,
             max_learned: 4000,
             preprocessing: true,
-            eliminated: Vec::new(),
-            elim: Vec::new(),
-            elim_values: Vec::new(),
-            core_caching: true,
             hbr: true,
-            core_cache: Vec::new(),
             last_core: None,
-            pending_core_clauses: Vec::new(),
-            formula_fp: (0xcbf2_9ce4_8422_2325, 0x9e37_79b9_7f4a_7c15),
-            shared_cores: None,
             reduce_calls: 0,
         }
     }
 
-    /// Fold one datum into the formula fingerprint. Two independent lanes
-    /// (FNV-1a style and a rotate-multiply mix) so an accidental collision
-    /// needs to defeat both at once.
-    fn fp_fold(&mut self, datum: u64) {
-        let (a, b) = self.formula_fp;
-        self.formula_fp = (
-            (a ^ datum).wrapping_mul(0x0000_0100_0000_01b3),
-            b.rotate_left(23)
-                .wrapping_add(datum)
-                .wrapping_mul(0xc6a4_a793_5bd1_e995),
-        );
-    }
-
-    /// Attach the owning solver's cross-instance core store. Queries then
-    /// consult it (after the instance-local cache) and recorded cores are
-    /// banked in it under the current formula fingerprint.
-    pub fn set_shared_cores(&mut self, shared: Option<Arc<Mutex<SharedCoreCache>>>) {
-        self.shared_cores = shared;
-    }
-
     /// Allocate a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        self.fp_fold(u64::MAX);
         let v = Var(self.assigns.len() as u32);
         self.assigns.push(LBool::Undef);
         self.phases.push(false);
@@ -403,8 +274,6 @@ impl SatSolver {
         self.binary_watches.push(Vec::new());
         self.binary_watches.push(Vec::new());
         self.heap_index.push(None);
-        self.eliminated.push(false);
-        self.elim_values.push(LBool::Undef);
         self.heap_insert(v);
         v
     }
@@ -418,19 +287,6 @@ impl SatSolver {
         self.preprocessing = on;
     }
 
-    /// Enable or disable assumption-core extraction and memoization. With it
-    /// off, `Unsat` answers record no core, the core cache is never
-    /// consulted, and [`last_core`](SatSolver::last_core) stays `None` — the
-    /// exact PR 9 Unsat path, kept reachable via `--no-core-cache`.
-    pub fn set_core_caching(&mut self, on: bool) {
-        self.core_caching = on;
-        if !on {
-            self.core_cache.clear();
-            self.last_core = None;
-            self.pending_core_clauses.clear();
-        }
-    }
-
     /// Enable or disable hyper-binary resolution during failed-literal
     /// probing (`--no-hbr` reverts to plain probing).
     pub fn set_hbr(&mut self, on: bool) {
@@ -440,15 +296,9 @@ impl SatSolver {
     /// The assumption core of the last `Unsat` answer: a subset of the
     /// query's assumptions that is already unsatisfiable with the formula
     /// (empty when the formula is root-unsat, so *any* assumption set is
-    /// Unsat). `None` after non-`Unsat` answers or with core caching off.
+    /// Unsat). `None` after non-`Unsat` answers.
     pub fn last_core(&self) -> Option<&[Lit]> {
         self.last_core.as_deref()
-    }
-
-    /// The currently cached assumption cores (each sorted by literal index).
-    /// Exposed for tests that re-solve cores fresh to audit soundness.
-    pub fn cached_cores(&self) -> &[Vec<Lit>] {
-        &self.core_cache
     }
 
     /// Number of allocated variables.
@@ -498,13 +348,6 @@ impl SatSolver {
     /// Add a clause to the formula. Returns `false` if the clause makes the
     /// formula trivially unsatisfiable at the root level.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        // Fingerprint the raw clause as given, before any normalization —
-        // normalization depends on the root trail, and the fingerprint must
-        // be a pure function of the caller's variable/clause stream.
-        for &lit in lits {
-            self.fp_fold(lit.index() as u64);
-        }
-        self.fp_fold(u64::MAX - 1);
         // Clauses join the formula at the root: cancel any leftover trail
         // (kept around between solves so a later query can reuse it) before
         // normalizing against root values. The old models no longer speak
@@ -1063,22 +906,10 @@ impl SatSolver {
     /// search; if any assumption conflicts with the formula the result is
     /// `Unsat` (for this call only — the formula itself is untouched).
     pub fn solve_with(&mut self, assumptions: &[Lit], budget: Budget) -> SatResult {
-        // Eliminated variables occur in no remaining clause, so an assumption
-        // over one cannot constrain the search — resolution already committed
-        // to "some value works", not the assumed one. BVE is therefore only
-        // enabled on the one-shot (assumption-free) path; see `preprocess`.
-        debug_assert!(
-            assumptions
-                .iter()
-                .all(|a| self.eliminated.get(a.var().index()) != Some(&true)),
-            "assumptions over BVE-eliminated variables are unsupported"
-        );
         self.last_core = None;
         if self.unsat {
             // Root-unsat: the empty core. Any assumption set is a superset.
-            if self.core_caching {
-                self.last_core = Some(Vec::new());
-            }
+            self.last_core = Some(Vec::new());
             return SatResult::Unsat;
         }
         // Model shortcut: the last query's total assignment is still on the
@@ -1112,41 +943,6 @@ impl SatSolver {
                 self.cached_model_hit = Some(i);
                 self.stats.model_cache_hits += 1;
                 return SatResult::Sat;
-            }
-        }
-        // Unsat shortcut, the mirror image: a cached assumption core whose
-        // every literal this query also assumes proves this query Unsat —
-        // cores are formula-entailed and `add_clause` only adds constraints,
-        // so a recorded core never goes stale. The trail, saved phases, and
-        // cached models are left untouched.
-        if self.core_caching && !assumptions.is_empty() {
-            let hit = self
-                .core_cache
-                .iter()
-                .position(|core| core.iter().all(|l| assumptions.contains(l)));
-            if let Some(i) = hit {
-                self.last_core = Some(self.core_cache[i].clone());
-                self.stats.core_cache_hits += 1;
-                return SatResult::Unsat;
-            }
-            // Cross-instance fallback: a core another instance recorded for
-            // the byte-identical formula (equal fingerprints) answers here
-            // too. Bank it locally so the next superset query skips the
-            // shared store.
-            if let Some(shared) = &self.shared_cores {
-                let hit = shared
-                    .lock()
-                    .expect("shared core store lock")
-                    .lookup(self.formula_fp, assumptions);
-                if let Some(core) = hit {
-                    if self.core_cache.len() == CORE_CACHE {
-                        self.core_cache.remove(0);
-                    }
-                    self.core_cache.push(core.clone());
-                    self.last_core = Some(core);
-                    self.stats.core_cache_hits += 1;
-                    return SatResult::Unsat;
-                }
             }
         }
         self.budget_propagations = budget.max_propagations;
@@ -1186,41 +982,9 @@ impl SatSolver {
             self.last_assumptions.clear();
             assumptions
         };
-        // Learn queued core clauses, but only when this query naturally
-        // lands at the root — forcing a backtrack just to attach them would
-        // forfeit trail reuse, which costs more than the clauses save. The
-        // clauses are an optimization (cache lookups already answer exact
-        // supersets), so deferring them across reused-trail queries is fine.
-        // Root-false literals are dropped (the remainder stays entailed),
-        // root-satisfied clauses are skipped, and a clause emptied by the
-        // filter proves the formula itself unsat.
-        if self.decision_level() == 0 && !self.pending_core_clauses.is_empty() {
-            for mut lits in std::mem::take(&mut self.pending_core_clauses) {
-                lits.retain(|&l| self.value_lit(l) != LBool::False);
-                if lits.iter().any(|&l| self.value_lit(l) == LBool::True) {
-                    continue;
-                }
-                match lits.len() {
-                    0 => {
-                        self.unsat = true;
-                        if self.core_caching {
-                            self.last_core = Some(Vec::new());
-                        }
-                        return SatResult::Unsat;
-                    }
-                    1 => self.enqueue(lits[0], None),
-                    _ => {
-                        let cref = self.clauses.add(Clause::learned_with_lbd(lits, 2));
-                        self.attach(cref);
-                    }
-                }
-            }
-        }
         if self.decision_level() == 0 && self.propagate().is_some() {
             self.unsat = true;
-            if self.core_caching {
-                self.last_core = Some(Vec::new());
-            }
+            self.last_core = Some(Vec::new());
             return SatResult::Unsat;
         }
 
@@ -1242,10 +1006,8 @@ impl SatSolver {
                         // implies `!a` from the formula plus earlier
                         // assumptions. The core is `a` itself plus whatever
                         // assumptions forced `!a`.
-                        if self.core_caching {
-                            let core = self.analyze_final_from(&[!a], vec![a]);
-                            self.record_core(core);
-                        }
+                        let core = self.analyze_final_from(&[!a], vec![a]);
+                        self.record_core(core);
                         break SatResult::Unsat;
                     }
                     LBool::Undef => {
@@ -1269,9 +1031,7 @@ impl SatSolver {
                         conflicts_since_restart += 1;
                         if self.decision_level() == 0 {
                             self.unsat = true;
-                            if self.core_caching {
-                                self.last_core = Some(Vec::new());
-                            }
+                            self.last_core = Some(Vec::new());
                             return SatResult::Unsat;
                         }
                         if self.decision_level() <= assumptions.len() as u32 {
@@ -1279,11 +1039,9 @@ impl SatSolver {
                             // assumptions are inconsistent with the formula.
                             // Extract the responsible assumption subset from
                             // the conflicting clause before the trail goes.
-                            if self.core_caching {
-                                let seeds = self.clauses.get(conflict).lits.clone();
-                                let core = self.analyze_final_from(&seeds, Vec::new());
-                                self.record_core(core);
-                            }
+                            let seeds = self.clauses.get(conflict).lits.clone();
+                            let core = self.analyze_final_from(&seeds, Vec::new());
+                            self.record_core(core);
                             self.backtrack(0);
                             return SatResult::Unsat;
                         }
@@ -1298,10 +1056,8 @@ impl SatSolver {
                             // its literals are falsified by the remaining
                             // (assumption-level) trail: its seeds trace to an
                             // assumption core.
-                            if self.core_caching {
-                                let core = self.analyze_final_from(&learned, Vec::new());
-                                self.record_core(core);
-                            }
+                            let core = self.analyze_final_from(&learned, Vec::new());
+                            self.record_core(core);
                             self.backtrack(0);
                             return SatResult::Unsat;
                         }
@@ -1359,9 +1115,7 @@ impl SatSolver {
                     self.vivify_round(24);
                     self.stats.preprocess_propagations += self.stats.propagations - pre_start;
                     if self.unsat {
-                        if self.core_caching {
-                            self.last_core = Some(Vec::new());
-                        }
+                        self.last_core = Some(Vec::new());
                         return SatResult::Unsat;
                     }
                 }
@@ -1372,13 +1126,6 @@ impl SatSolver {
             }
         };
 
-        if result == SatResult::Sat && !self.elim.is_empty() {
-            // Extend the model over eliminated variables so callers reading
-            // `model_value` see an assignment that satisfies the original
-            // (pre-elimination) clauses. The trail itself stays intact; the
-            // next solve call backtracks to level 0 first.
-            self.reconstruct_model();
-        }
         self.model_valid = result == SatResult::Sat;
         if result == SatResult::Sat && self.preprocessing {
             self.cache_model();
@@ -1386,8 +1133,8 @@ impl SatSolver {
         result
     }
 
-    /// Snapshot the current total model (as [`model_value`] reports it,
-    /// eliminated variables included) into the bounded model cache.
+    /// Snapshot the current total model (as [`model_value`] reports it)
+    /// into the bounded model cache.
     fn cache_model(&mut self) {
         const MODEL_CACHE: usize = 4;
         let m: Vec<bool> = (0..self.assigns.len())
@@ -1451,45 +1198,11 @@ impl SatSolver {
         core
     }
 
-    /// Store a freshly extracted assumption core: set `last_core`, account
-    /// stats, and insert it into the bounded FIFO cache unless a cached core
-    /// already covers it (a subset answers strictly more queries). Cached
-    /// supersets of the new core are pruned for the same reason. Empty cores
-    /// are never cached — the root-unsat flag already answers everything.
+    /// Publish a freshly extracted assumption core as `last_core` and
+    /// account it in the stats.
     fn record_core(&mut self, core: Vec<Lit>) {
         self.stats.cores_recorded += 1;
         self.stats.core_size_sum += core.len() as u64;
-        let covered = self
-            .core_cache
-            .iter()
-            .any(|c| c.iter().all(|l| core.contains(l)));
-        if !core.is_empty() && !covered {
-            self.core_cache
-                .retain(|c| !core.iter().all(|l| c.contains(l)));
-            if self.core_cache.len() == CORE_CACHE {
-                self.core_cache.remove(0);
-            }
-            self.core_cache.push(core.clone());
-            // Queue the entailed core clause `!a1 | ... | !ak` for learning:
-            // related later queries then refute themselves by unit
-            // propagation over the core instead of re-running the search
-            // that derived it. Deferred — the core's literals are still
-            // assigned here (see `pending_core_clauses`). Cores from
-            // contradictory assumption sets (containing both l and !l)
-            // would yield tautological clauses; skip those.
-            let tautology = core.iter().any(|&l| core.contains(&!l));
-            if !tautology {
-                self.pending_core_clauses
-                    .push(core.iter().map(|&l| !l).collect());
-            }
-            // Publish for sibling instances of the identical formula.
-            if let Some(shared) = &self.shared_cores {
-                shared
-                    .lock()
-                    .expect("shared core store lock")
-                    .record(self.formula_fp, &core);
-            }
-        }
         self.last_core = Some(core);
     }
 
@@ -1502,82 +1215,28 @@ impl SatSolver {
                 return b;
             }
         }
-        // Eliminated variables answer from the reconstructed values: the
-        // search may still have assigned them arbitrarily (they occur in no
-        // clause after elimination), and that arbitrary value need not
-        // satisfy the saved pre-elimination clauses.
-        match self.elim_values[v.index()] {
+        match self.assigns[v.index()] {
             LBool::True => true,
             LBool::False => false,
-            LBool::Undef => match self.assigns[v.index()] {
-                LBool::True => true,
-                LBool::False => false,
-                // Variables not constrained by any clause may remain
-                // unassigned; any value satisfies the formula, pick the
-                // saved phase.
-                LBool::Undef => self.phases[v.index()],
-            },
+            // Variables not constrained by any clause may remain unassigned;
+            // any value satisfies the formula, pick the saved phase.
+            LBool::Undef => self.phases[v.index()],
         }
-    }
-
-    /// Truth of a literal under [`model_value`](SatSolver::model_value).
-    fn model_lit_true(&self, lit: Lit) -> bool {
-        let b = self.model_value(lit.var());
-        if lit.is_positive() {
-            b
-        } else {
-            !b
-        }
-    }
-
-    /// Replay the elimination stack in reverse, assigning each eliminated
-    /// variable a value that satisfies every clause it was resolved out of.
-    /// The resolvents guarantee such a value exists: if some saved clause
-    /// forces the variable one way, no other saved clause can force it the
-    /// other way under the current model.
-    fn reconstruct_model(&mut self) {
-        for slot in &mut self.elim_values {
-            *slot = LBool::Undef;
-        }
-        let elim = std::mem::take(&mut self.elim);
-        for (v, saved) in elim.iter().rev() {
-            let pos = v.positive();
-            let forced = |target: Lit, this: &SatSolver| {
-                saved.iter().any(|clause| {
-                    clause.contains(&target)
-                        && clause
-                            .iter()
-                            .all(|&l| l.var() == *v || !this.model_lit_true(l))
-                })
-            };
-            let value = if forced(pos, self) {
-                true
-            } else if forced(!pos, self) {
-                false
-            } else {
-                self.phases[v.index()]
-            };
-            self.elim_values[v.index()] = LBool::from_bool(value);
-        }
-        self.elim = elim;
     }
 
     // ---- Pre/inprocessing -------------------------------------------------
 
     /// One-shot deterministic preprocessing, run at the root level before
-    /// (or between) solves: failed-literal probing, clause subsumption +
-    /// self-subsumption strengthening, and — when `enable_bve` is set —
-    /// bounded variable elimination. `enable_bve` is only sound when no
-    /// further clauses will be added over existing variables (one-shot
-    /// solving); probing and subsumption preserve logical equivalence and
-    /// are safe under later incremental additions.
+    /// (or between) solves: failed-literal probing and clause subsumption +
+    /// self-subsumption strengthening. Both preserve logical equivalence, so
+    /// they are safe under later incremental additions.
     ///
     /// All work is charged against `budget` and carried into the next
     /// `solve_with` call. Returns `Some(Unsat)` if simplification refutes
     /// the formula, `Some(Unknown)` if the budget ran out mid-pass (partial
     /// simplification is kept — every committed step preserves
     /// satisfiability), and `None` when solving should proceed.
-    pub fn preprocess(&mut self, budget: Budget, enable_bve: bool) -> Option<SatResult> {
+    pub fn preprocess(&mut self, budget: Budget) -> Option<SatResult> {
         if !self.preprocessing {
             return None;
         }
@@ -1596,9 +1255,6 @@ impl SatSolver {
         let mut outcome = self.probe_failed_literals(&budget);
         if outcome.is_none() {
             outcome = self.simplify_clauses(&budget);
-        }
-        if outcome.is_none() && enable_bve {
-            outcome = self.eliminate_variables(&budget);
         }
         self.stats.preprocess_propagations += self.stats.propagations - pre_start;
         match outcome {
@@ -1709,7 +1365,7 @@ impl SatSolver {
             if probed >= PROBE_CAP || self.solve_propagations - pass_start > cap {
                 break;
             }
-            if !is_candidate || self.eliminated[idx] || !self.assigns[idx].is_undef() {
+            if !is_candidate || !self.assigns[idx].is_undef() {
                 continue;
             }
             probed += 1;
@@ -1934,112 +1590,6 @@ impl SatSolver {
                 None
             }
         }
-    }
-
-    /// Bounded variable elimination: resolve out variables with small
-    /// occurrence lists when the resolvent set is no larger than the clause
-    /// set it replaces. The removed clauses go on the elimination stack for
-    /// model reconstruction. Variable order is index order (deterministic).
-    fn eliminate_variables(&mut self, budget: &Budget) -> Option<SatResult> {
-        const MAX_OCC: usize = 10;
-        let cap = self.pass_cap();
-        let pass_start = self.solve_propagations;
-        let mut occ: Vec<Vec<ClauseRef>> = vec![Vec::new(); 2 * self.num_vars()];
-        for idx in 0..self.clauses.len() {
-            let cref = ClauseRef(idx as u32);
-            let c = self.clauses.get(cref);
-            if c.deleted {
-                continue;
-            }
-            for &l in &c.lits {
-                occ[l.index()].push(cref);
-            }
-        }
-        for idx in 0..self.num_vars() {
-            if self.over_budget(budget) {
-                return Some(SatResult::Unknown);
-            }
-            if self.solve_propagations - pass_start > cap {
-                break;
-            }
-            if self.eliminated[idx] || !self.assigns[idx].is_undef() {
-                continue;
-            }
-            let v = Var(idx as u32);
-            let live = |this: &SatSolver, refs: &[ClauseRef], lit: Lit| -> Vec<ClauseRef> {
-                refs.iter()
-                    .copied()
-                    .filter(|&r| {
-                        let c = this.clauses.get(r);
-                        !c.deleted && c.lits.contains(&lit)
-                    })
-                    .collect()
-            };
-            let pos = live(self, &occ[v.positive().index()], v.positive());
-            let neg = live(self, &occ[v.negative().index()], v.negative());
-            if pos.is_empty() && neg.is_empty() {
-                continue;
-            }
-            if pos.len() > MAX_OCC || neg.len() > MAX_OCC {
-                continue;
-            }
-            // Build the non-tautological resolvents.
-            let mut resolvents: Vec<Vec<Lit>> = Vec::new();
-            let mut too_many = false;
-            'pairs: for &pc in &pos {
-                for &nc in &neg {
-                    let p_lits = &self.clauses.get(pc).lits;
-                    let n_lits = &self.clauses.get(nc).lits;
-                    self.solve_propagations += (p_lits.len() + n_lits.len()) as u64;
-                    let mut resolvent: Vec<Lit> =
-                        p_lits.iter().copied().filter(|&l| l.var() != v).collect();
-                    let mut tautology = false;
-                    for &l in n_lits.iter().filter(|&&l| l.var() != v) {
-                        if resolvent.contains(&!l) {
-                            tautology = true;
-                            break;
-                        }
-                        if !resolvent.contains(&l) {
-                            resolvent.push(l);
-                        }
-                    }
-                    if tautology {
-                        continue;
-                    }
-                    resolvents.push(resolvent);
-                    if resolvents.len() > pos.len() + neg.len() {
-                        too_many = true;
-                        break 'pairs;
-                    }
-                }
-            }
-            if too_many {
-                continue;
-            }
-            // Commit: save and remove the originals, add the resolvents.
-            let mut saved = Vec::with_capacity(pos.len() + neg.len());
-            for &r in pos.iter().chain(neg.iter()) {
-                saved.push(self.clauses.get(r).lits.clone());
-                self.detach(r);
-                self.clauses.delete(r);
-            }
-            self.elim.push((v, saved));
-            self.eliminated[idx] = true;
-            self.stats.preprocess_eliminations += 1;
-            for resolvent in resolvents {
-                let before = self.clauses.len();
-                if !self.add_clause(&resolvent) {
-                    return Some(SatResult::Unsat);
-                }
-                if self.clauses.len() > before {
-                    let new_ref = ClauseRef(before as u32);
-                    for &l in &self.clauses.get(new_ref).lits.clone() {
-                        occ[l.index()].push(new_ref);
-                    }
-                }
-            }
-        }
-        None
     }
 
     /// One bounded round of clause vivification: re-derive learned clauses
@@ -2341,7 +1891,7 @@ mod tests {
                 }
             }
         }
-        let pre = s.preprocess(Budget::unlimited(), true);
+        let pre = s.preprocess(Budget::unlimited());
         match pre {
             Some(SatResult::Unsat) | None => {}
             other => panic!("unexpected preprocess outcome {other:?}"),
@@ -2358,7 +1908,7 @@ mod tests {
         let b = s.new_var();
         s.add_clause(&[a.negative(), b.positive()]);
         s.add_clause(&[a.negative(), b.negative()]);
-        assert_eq!(s.preprocess(Budget::unlimited(), false), None);
+        assert_eq!(s.preprocess(Budget::unlimited()), None);
         assert!(s.stats().preprocess_eliminations > 0);
         assert_eq!(s.solve(), SatResult::Sat);
         assert!(!s.model_value(a));
@@ -2373,15 +1923,17 @@ mod tests {
         s.add_clause(&[v[0].positive(), v[1].positive(), v[2].positive()]);
         s.add_clause(&[v[0].positive(), v[1].positive()]);
         s.add_clause(&[v[0].negative(), v[1].positive()]);
-        assert_eq!(s.preprocess(Budget::unlimited(), false), None);
+        assert_eq!(s.preprocess(Budget::unlimited()), None);
         assert_eq!(s.solve(), SatResult::Sat);
         assert!(s.model_value(v[1]), "b is implied by resolution");
     }
 
     #[test]
-    fn bve_model_satisfies_original_clauses() {
-        // Random-ish low-density 3-SAT: eliminate what is cheap, then the
-        // reconstructed model must satisfy every *original* clause.
+    fn preprocessed_model_satisfies_original_clauses() {
+        // Random-ish low-density mix of binary and ternary clauses, so both
+        // probing and subsumption find work: the model found afterwards must
+        // satisfy every *original* clause, including the ones preprocessing
+        // deleted or strengthened.
         let nv = 24usize;
         let mut s = SatSolver::new();
         let v = vars(&mut s, nv);
@@ -2393,29 +1945,24 @@ mod tests {
             (state >> 33) as usize
         };
         let mut clauses = Vec::new();
-        for _ in 0..40 {
+        for i in 0..40 {
             let mut clause = Vec::new();
-            for _ in 0..3 {
+            for _ in 0..2 + i % 2 {
                 clause.push(Lit::new(v[next() % nv], next() % 2 == 0));
             }
             clauses.push(clause.clone());
             s.add_clause(&clause);
         }
-        assert_eq!(s.preprocess(Budget::unlimited(), true), None);
-        if s.solve() == SatResult::Sat {
-            for clause in &clauses {
-                assert!(
-                    clause.iter().any(|&l| {
-                        let val = s.model_value(l.var());
-                        if l.is_positive() {
-                            val
-                        } else {
-                            !val
-                        }
-                    }),
-                    "model must satisfy pre-elimination clause {clause:?}"
-                );
-            }
+        assert_eq!(s.preprocess(Budget::unlimited()), None);
+        assert!(s.stats().preprocess_eliminations > 0);
+        assert_eq!(s.solve(), SatResult::Sat);
+        for clause in &clauses {
+            assert!(
+                clause
+                    .iter()
+                    .any(|&l| s.model_value(l.var()) == l.is_positive()),
+                "model must satisfy original clause {clause:?}"
+            );
         }
     }
 
@@ -2443,7 +1990,7 @@ mod tests {
             }
         }
         assert_eq!(
-            s.preprocess(Budget::propagations(1), false),
+            s.preprocess(Budget::propagations(1)),
             Some(SatResult::Unknown),
             "probing alone must exhaust a one-propagation budget"
         );
@@ -2459,7 +2006,7 @@ mod tests {
         s.add_clause(&[a.negative(), b.positive()]);
         s.add_clause(&[a.negative(), b.negative()]);
         s.set_preprocessing(false);
-        assert_eq!(s.preprocess(Budget::unlimited(), true), None);
+        assert_eq!(s.preprocess(Budget::unlimited()), None);
         assert_eq!(s.stats().preprocess_eliminations, 0);
         assert_eq!(s.solve(), SatResult::Sat);
     }

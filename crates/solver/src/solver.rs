@@ -16,11 +16,11 @@ use crate::blast::BitBlaster;
 use crate::cache::FingerprintMemo;
 use crate::incremental::SolverInstance;
 use crate::model::Model;
-use crate::sat::{Budget, SatResult, SatSolver, SharedCoreCache};
+use crate::sat::{Budget, SatResult, SatSolver};
 use crate::store::QueryStore;
 use crate::term::{Sort, TermId, TermKind, TermPool};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Outcome of a single query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -65,8 +65,8 @@ pub struct SolverStats {
     /// Total SAT-level propagations across all queries.
     pub propagations: u64,
     /// SAT-level propagations spent on queries that ended `Unsat` — the
-    /// share of `propagations` the Unsat fast path (core cache, HBR,
-    /// tiered clause database) is able to attack.
+    /// share of `propagations` the Unsat fast path (HBR, tiered clause
+    /// database) is able to attack.
     pub unsat_propagations: u64,
     /// Total conflicts across all queries.
     pub conflicts: u64,
@@ -81,8 +81,7 @@ pub struct SolverStats {
     /// (see [`SolverStats::avg_lbd`]).
     pub lbd_sum: u64,
     /// Simplification steps by pre/inprocessing: failed literals asserted,
-    /// clauses subsumed or strengthened, variables eliminated, learned
-    /// clauses vivified.
+    /// clauses subsumed or strengthened, learned clauses vivified.
     pub preprocess_eliminations: u64,
     /// Queries answered from the shared [`QueryCache`](crate::cache::QueryCache) without bit-blasting.
     pub cache_hits: u64,
@@ -98,10 +97,7 @@ pub struct SolverStats {
     /// `Sat` answers the SAT core served from its model cache (valid trail
     /// or cached-model store) in zero propagations.
     pub model_cache_hits: u64,
-    /// `Unsat` answers the SAT core served from its assumption-core cache in
-    /// zero propagations.
-    pub core_cache_hits: u64,
-    /// Assumption cores extracted and recorded after `Unsat` answers.
+    /// Assumption cores extracted after `Unsat` answers.
     pub cores_recorded: u64,
     /// Sum of literal counts over recorded cores (see
     /// [`SolverStats::avg_core_size`]).
@@ -140,7 +136,6 @@ impl SolverStats {
         self.incremental_queries += other.incremental_queries;
         self.reused_clauses += other.reused_clauses;
         self.model_cache_hits += other.model_cache_hits;
-        self.core_cache_hits += other.core_cache_hits;
         self.cores_recorded += other.cores_recorded;
         self.core_size_sum += other.core_size_sum;
         self.hbr_binaries_added += other.hbr_binaries_added;
@@ -161,7 +156,8 @@ impl SolverStats {
     }
 
     /// Average literal count of recorded assumption cores (0.0 when none
-    /// were recorded). Small cores answer more future superset queries.
+    /// were recorded). Small cores let the minimal-UB-set loop skip more
+    /// queries.
     pub fn avg_core_size(&self) -> f64 {
         if self.cores_recorded == 0 {
             0.0
@@ -187,25 +183,16 @@ pub struct BvSolver {
     /// fragment ([`BvSolver::begin_fragment`]) instead of sharing one across
     /// the whole pool/function.
     fragment_instances: bool,
-    /// Whether the SAT core extracts and memoizes assumption cores after
-    /// `Unsat` answers (on by default).
-    core_cache: bool,
     /// Whether the SAT core runs hyper-binary resolution during probing (on
     /// by default).
     hbr: bool,
     /// The subset of the last `Unsat` [`check`](BvSolver::check) call's
     /// assertion terms that its extracted assumption core maps back to —
     /// already unsatisfiable on their own. `None` after non-`Unsat` answers,
-    /// store hits, presimplify shortcuts, fresh-mode solves (no assumptions,
-    /// so no assumption core), or with core caching off.
+    /// store hits, and fresh-mode solves (no assumptions, so no assumption
+    /// core).
     last_core_terms: Option<Vec<TermId>>,
     instance: Option<SolverInstance>,
-    /// Assumption cores shared across this solver's successive instances,
-    /// keyed on the blasted formula's fingerprint — structurally identical
-    /// functions recur across a scan, and a core one instance derived
-    /// answers the identical query in a later instance without search. See
-    /// [`SharedCoreCache`].
-    shared_cores: Arc<Mutex<SharedCoreCache>>,
 }
 
 impl Default for BvSolver {
@@ -231,11 +218,9 @@ impl BvSolver {
             incremental: false,
             preprocess: true,
             fragment_instances: false,
-            core_cache: true,
             hbr: true,
             last_core_terms: None,
             instance: None,
-            shared_cores: Arc::new(Mutex::new(SharedCoreCache::default())),
         }
     }
 
@@ -275,19 +260,17 @@ impl BvSolver {
     }
 
     /// Enable or disable the SAT core's pre/inprocessing layer (on by
-    /// default). With preprocessing on, fresh-mode queries run bounded
-    /// variable elimination, subsumption/self-subsumption, and failed-literal
-    /// probing before the CDCL loop, incremental instances run the
-    /// elimination-free subset once before their first query, and the solve
-    /// loop vivifies learned clauses between restarts and reduces the clause
-    /// database LBD-first. Off restores the pre-LBD solver behaviour — the
-    /// benchmark baseline, reachable from the CLI as `--no-preprocess`.
+    /// default). With preprocessing on, fresh-mode queries and incremental
+    /// instances run subsumption/self-subsumption and failed-literal probing
+    /// once before their first solve, and the solve loop vivifies learned
+    /// clauses between restarts and reduces the clause database LBD-first.
+    /// Off restores the pre-LBD solver behaviour — the benchmark baseline,
+    /// reachable from the CLI as `--no-preprocess`.
     ///
     /// Decided (`Sat`/`Unsat`) answers are identical either way: every
-    /// simplification preserves satisfiability, and `Sat` models are
-    /// reconstructed over eliminated variables. Only where a propagation
-    /// budget runs out — and therefore which queries degrade to `Unknown` —
-    /// can differ between the two settings.
+    /// simplification preserves logical equivalence. Only where a
+    /// propagation budget runs out — and therefore which queries degrade to
+    /// `Unknown` — can differ between the two settings.
     pub fn set_preprocessing(&mut self, on: bool) {
         self.preprocess = on;
         if let Some(instance) = &mut self.instance {
@@ -298,30 +281,6 @@ impl BvSolver {
     /// Builder-style variant of [`BvSolver::set_preprocessing`].
     pub fn with_preprocessing(mut self, on: bool) -> BvSolver {
         self.set_preprocessing(on);
-        self
-    }
-
-    /// Enable or disable assumption-core memoization (on by default). With
-    /// it on, every `Unsat` answer under assumptions extracts the final
-    /// conflict's assumption core; future queries assuming a superset of a
-    /// recorded core answer `Unsat` in zero propagations, and
-    /// [`last_unsat_core`](BvSolver::last_unsat_core) exposes the core's
-    /// assertion terms so the checker's minimization loop can skip queries
-    /// the core already decides. Off is the exact prior Unsat path,
-    /// reachable from the CLI as `--no-core-cache`.
-    pub fn set_core_caching(&mut self, on: bool) {
-        self.core_cache = on;
-        if !on {
-            self.last_core_terms = None;
-        }
-        if let Some(instance) = &mut self.instance {
-            instance.set_core_caching(on);
-        }
-    }
-
-    /// Builder-style variant of [`BvSolver::set_core_caching`].
-    pub fn with_core_caching(mut self, on: bool) -> BvSolver {
-        self.set_core_caching(on);
         self
     }
 
@@ -361,9 +320,9 @@ impl BvSolver {
     /// function — while `true` starts a fresh instance at every
     /// [`BvSolver::begin_fragment`] call. Per-fragment instances trade the
     /// shared encoding and learned clauses of the function-wide instance for
-    /// smaller CNFs per query; measurement (see `BENCH_checker.json`,
-    /// `solver_speed`) says sharing wins, so per-function is the default.
-    /// Has no effect outside incremental mode.
+    /// smaller CNFs per query. Which wins depends on the workload (see
+    /// `docs/ARCHITECTURE.md`); per-function is the default. Has no effect
+    /// outside incremental mode.
     pub fn set_fragment_instances(&mut self, on: bool) {
         self.fragment_instances = on;
     }
@@ -393,25 +352,10 @@ impl BvSolver {
         if stale {
             let mut instance = SolverInstance::with_budget(self.budget);
             instance.set_preprocessing(self.preprocess);
-            instance.set_core_caching(self.core_cache);
             instance.set_hbr(self.hbr);
-            if self.core_cache {
-                instance.set_shared_cores(Some(Arc::clone(&self.shared_cores)));
-            }
             self.instance = Some(instance);
         }
         self.instance.as_mut().expect("instance just ensured")
-    }
-
-    /// Replace the cross-instance core store with one shared more widely —
-    /// typically session-owned, so cores survive this solver itself and
-    /// reach the solvers of later modules. Only consulted with core caching
-    /// on; safe to share across threads (the fingerprint key guarantees a
-    /// looked-up core belongs to the byte-identical formula, whichever
-    /// worker recorded it).
-    pub fn set_shared_cores(&mut self, shared: Arc<Mutex<SharedCoreCache>>) {
-        self.shared_cores = shared;
-        self.instance = None;
     }
 
     /// Attach (or detach) a memoized query store, typically shared between
@@ -463,9 +407,7 @@ impl BvSolver {
                 // core at the assertion level; expose it so the checker's
                 // minimization loop can seed from trivially-decided queries
                 // exactly as it does from solved ones.
-                if self.core_cache {
-                    self.last_core_terms = Some(clash);
-                }
+                self.last_core_terms = Some(clash);
                 return QueryResult::Unsat;
             }
             Presimplified::Sat => {
@@ -579,18 +521,15 @@ impl BvSolver {
     fn solve_fresh(&mut self, pool: &TermPool, simplified: &[TermId]) -> QueryResult {
         let mut sat = SatSolver::new();
         sat.set_preprocessing(self.preprocess);
-        sat.set_core_caching(self.core_cache);
         sat.set_hbr(self.hbr);
         let mut blaster = BitBlaster::new();
         for &a in simplified {
             let lit = blaster.blast_bool(pool, &mut sat, a);
             sat.add_clause(&[lit]);
         }
-        // The instance is throwaway, so the full preprocessing pass — with
-        // bounded variable elimination, which is only sound when no further
-        // clauses will be added — runs before the solve. Its cost is charged
+        // The preprocessing pass runs before the solve; its cost is charged
         // to the same budget the solve uses.
-        let result = match sat.preprocess(self.budget, true) {
+        let result = match sat.preprocess(self.budget) {
             Some(decided) => decided,
             None => sat.solve_with(&[], self.budget),
         };
@@ -618,7 +557,6 @@ impl BvSolver {
         self.stats.lbd_sum += sat.lbd_sum;
         self.stats.preprocess_eliminations += sat.preprocess_eliminations;
         self.stats.model_cache_hits += sat.model_cache_hits;
-        self.stats.core_cache_hits += sat.core_cache_hits;
         self.stats.cores_recorded += sat.cores_recorded;
         self.stats.core_size_sum += sat.core_size_sum;
         self.stats.hbr_binaries_added += sat.hbr_binaries_added;
@@ -651,7 +589,6 @@ impl BvSolver {
         self.stats.preprocess_eliminations +=
             sat_after.preprocess_eliminations - sat_before.preprocess_eliminations;
         self.stats.model_cache_hits += sat_after.model_cache_hits - sat_before.model_cache_hits;
-        self.stats.core_cache_hits += sat_after.core_cache_hits - sat_before.core_cache_hits;
         self.stats.cores_recorded += sat_after.cores_recorded - sat_before.cores_recorded;
         self.stats.core_size_sum += sat_after.core_size_sum - sat_before.core_size_sum;
         self.stats.hbr_binaries_added +=

@@ -4,10 +4,10 @@
 //! The contract under test (ISSUE 9): with an unlimited budget the two
 //! configurations answer every query in an incremental sequence with the
 //! same `Sat`/`Unsat` verdict, and every `Sat` model — including models
-//! served from the solver's internal model cache and models extended over
-//! BVE-eliminated variables — satisfies the *original* clauses and the
-//! query's assumptions. Queries deliberately alternate and repeat literals
-//! so the trail-reuse and model-cache shortcuts fire often.
+//! served from the solver's internal model cache — satisfies the
+//! *original* clauses and the query's assumptions. Queries deliberately
+//! alternate and repeat literals so the trail-reuse and model-cache
+//! shortcuts fire often.
 
 use proptest::prelude::*;
 use stack_solver::lit::{Lit, Var};
@@ -86,9 +86,9 @@ proptest! {
         let mut off = fresh_solver(false);
         add_all(&mut on, &clauses);
         add_all(&mut off, &clauses);
-        // Simplify the way the incremental driver does: at the root, BVE off
-        // (more clauses over these variables are still coming).
-        prop_assert!(on.preprocess(Budget::unlimited(), false) != Some(SatResult::Unknown));
+        // Simplify the way the incremental driver does: at the root, before
+        // the first query.
+        prop_assert!(on.preprocess(Budget::unlimited()) != Some(SatResult::Unknown));
 
         let mut loaded = clauses.clone();
         let split = queries.len() / 2;
@@ -97,8 +97,7 @@ proptest! {
                 add_all(&mut on, &extra);
                 add_all(&mut off, &extra);
                 loaded.extend(extra.iter().cloned());
-                prop_assert!(
-                    on.preprocess(Budget::unlimited(), false) != Some(SatResult::Unknown));
+                prop_assert!(on.preprocess(Budget::unlimited()) != Some(SatResult::Unknown));
             }
             let assumptions = to_lits(q);
             let got = on.solve_with(&assumptions, Budget::unlimited());
@@ -112,19 +111,17 @@ proptest! {
         }
     }
 
-    /// One-shot solve with bounded variable elimination enabled — the only
-    /// path allowed to run BVE, since resolving a variable out commits to
-    /// "some value works" and a later assumption could demand the other one
-    /// (`solve_with` debug-asserts against that misuse). The verdict must
-    /// match the plain solver and a `Sat` model must satisfy the
-    /// *pre-elimination* clauses, exercising model reconstruction.
+    /// One-shot solve, the way fresh-mode queries run: preprocess once, then
+    /// solve without assumptions. The verdict must match the plain solver
+    /// and a `Sat` model must satisfy the *original* clauses, including the
+    /// ones preprocessing deleted or strengthened.
     #[test]
-    fn one_shot_bve_agrees_and_models_check(clauses in clause_set()) {
+    fn one_shot_preprocessing_agrees_and_models_check(clauses in clause_set()) {
         let mut on = fresh_solver(true);
         let mut off = fresh_solver(false);
         add_all(&mut on, &clauses);
         add_all(&mut off, &clauses);
-        let got = match on.preprocess(Budget::unlimited(), true) {
+        let got = match on.preprocess(Budget::unlimited()) {
             Some(SatResult::Unknown) => {
                 prop_assert!(false, "unlimited budget ran out");
                 unreachable!()

@@ -128,14 +128,13 @@ fn preprocessing_and_granularity_do_not_change_reports() {
     }
 }
 
-/// The unsat-side acceleration contract (core-cache memoization, hyper-
-/// binary resolution, tiered clause DB): like preprocessing, these change
-/// how an answer is produced — a memoized core short-circuits the search,
-/// HBR binaries reshape propagation — but never the answer itself. The
-/// report stream must be byte-identical across the full core-cache × HBR
-/// × jobs matrix, compared against the everything-off sequential reference.
+/// The unsat-side acceleration contract (hyper-binary resolution, tiered
+/// clause DB): like preprocessing, HBR changes how an answer is produced —
+/// its binaries reshape propagation — but never the answer itself. The
+/// report stream must be byte-identical across the HBR × jobs matrix,
+/// compared against the HBR-off sequential reference.
 #[test]
-fn core_cache_and_hbr_do_not_change_reports() {
+fn hbr_does_not_change_reports() {
     let archive_cfg = ArchiveConfig {
         packages: 6,
         seed: 0xC0DE,
@@ -149,11 +148,10 @@ fn core_cache_and_hbr_do_not_change_reports() {
             source: ScanSource::Inline(f.source.clone()),
         })
         .collect();
-    let run = |core_cache: bool, hbr: bool, jobs: usize| {
+    let run = |hbr: bool, jobs: usize| {
         let session = AnalysisSession::new(CheckerConfig {
             threads: Some(1),
             query_cache: false,
-            core_cache,
             hbr,
             ..CheckerConfig::default()
         });
@@ -166,21 +164,10 @@ fn core_cache_and_hbr_do_not_change_reports() {
         reports
     };
 
-    let reference = run(false, false, 1);
+    let reference = run(false, 1);
     assert!(!reference.is_empty(), "the archive must produce reports");
-    for (core_cache, hbr, jobs) in [
-        (true, false, 1),
-        (false, true, 1),
-        (true, true, 1),
-        (true, false, 4),
-        (false, true, 4),
-        (true, true, 4),
-    ] {
-        assert_eq!(
-            reference,
-            run(core_cache, hbr, jobs),
-            "core_cache={core_cache} hbr={hbr} jobs={jobs}"
-        );
+    for (hbr, jobs) in [(true, 1), (false, 4), (true, 4)] {
+        assert_eq!(reference, run(hbr, jobs), "hbr={hbr} jobs={jobs}");
     }
 }
 

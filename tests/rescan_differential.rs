@@ -1,7 +1,6 @@
 //! The churn differential-test harness: one reusable scan driver run
-//! under every pipeline configuration — cold, warm function-granular,
-//! warm module-granular, sharded + merged, budget-degraded, and
-//! fault-injected — over randomized multi-step churn sequences, with the
+//! under every pipeline configuration — cold, warm, sharded + merged,
+//! budget-degraded, and fault-injected — over randomized multi-step churn sequences, with the
 //! report stream of each configuration asserted byte-equal to a fresh
 //! storeless cold run of the same sources at every step.
 //!
@@ -45,7 +44,6 @@ struct Scan<'a> {
     /// Persist the (possibly updated) store after the run — how a churn
     /// round advances the recorded state to its edited population.
     save: bool,
-    module_granular: bool,
     query_budget: u64,
     injected_panic: Option<&'a str>,
 }
@@ -56,7 +54,6 @@ impl Default for Scan<'_> {
             jobs: 1,
             store: None,
             save: false,
-            module_granular: false,
             query_budget: CheckerConfig::default().query_budget,
             injected_panic: None,
         }
@@ -79,9 +76,6 @@ fn scan(files: &[ArchiveFile], opts: &Scan) -> (Vec<String>, CheckStats) {
         ..CheckerConfig::default()
     });
     let mut pipeline = ScanPipeline::new(&session, opts.jobs);
-    if opts.module_granular {
-        pipeline = pipeline.with_module_granularity();
-    }
     if let Some(fragment) = opts.injected_panic {
         pipeline = pipeline.with_injected_panic(fragment);
     }
@@ -147,12 +141,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Multi-step churn: N rounds of random in-place function edits, each
-    /// followed by warm function-granular re-scans at jobs 1 and 4 and a
-    /// warm module-granular re-scan — every one byte-identical to a fresh
-    /// storeless cold scan of that round's sources, with `functions_skipped`
-    /// exactly the line-diff ground truth (function-granular: everything
-    /// but the edited functions; module-granular: only the functions of
-    /// fully-unchanged files).
+    /// followed by warm re-scans at jobs 1 and 4 — every one byte-identical
+    /// to a fresh storeless cold scan of that round's sources, with
+    /// `functions_skipped` exactly the line-diff ground truth (everything
+    /// but the edited functions).
     #[test]
     fn multi_step_churn_rescan_matches_cold_at_every_round(
         seed in 1u64..1_000,
@@ -197,24 +189,6 @@ proptest! {
                     round, jobs, stats
                 );
             }
-            let (module_events, module_stats) = scan(&churn.files, &Scan {
-                jobs: 2,
-                store: Some(&store_path),
-                module_granular: true,
-                ..Scan::default()
-            });
-            prop_assert_eq!(&module_events, &reference, "module-granular round {}", round);
-            let unchanged_file_fns: usize = diffs
-                .iter()
-                .filter(|d| d.edited == 0)
-                .map(|d| d.functions)
-                .sum();
-            prop_assert_eq!(
-                module_stats.functions_skipped,
-                unchanged_file_fns,
-                "module granularity replays only fully-unchanged files: {:?}",
-                module_stats
-            );
             // Every check above ran against the prior round's store; only
             // now advance the recorded state to this round's population.
             let (_, _) = scan(&churn.files, &Scan {
