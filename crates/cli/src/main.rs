@@ -50,15 +50,16 @@
 //! key so an edited module replays its unchanged functions and only the
 //! edited functions hit the solver (an unchanged module is skipped
 //! entirely, and identical vendored files share one analysis across
-//! paths), `--compact-store N` prunes
-//! query-store entries unused for `N` scans when the `--cache-file` is
-//! saved, and `--shard i/n` (1-based) analyzes only the modules a stable
+//! paths), `--compact-store N` prunes entries unused for `N` scans from
+//! the `--cache-file` and `--scan-cache` stores when they are saved, and
+//! `--shard i/n` (1-based) analyzes only the modules a stable
 //! hash of each input's *content* assigns to shard `i` of `n` — the
 //! fan-out half of a distributed scan whose per-shard stores
 //! `stack store merge` later folds back into one. Output order is
 //! deterministic regardless of `--jobs`. Flag combinations are validated
 //! before any work starts: scan-only flags are rejected by `check`, and
-//! `--compact-store` without `--cache-file` is an immediate usage error.
+//! `--compact-store` without `--cache-file` or `--scan-cache` is an
+//! immediate usage error.
 //!
 //! Exit codes: `check` exits 0 with no reports, 1 with reports, 2 on any
 //! error. `scan` is a batch driver: it exits 0 when every file was analyzed
@@ -66,12 +67,15 @@
 //! I/O (cache-file, `--out`) operation failed.
 
 use serde::Serialize;
+use stack_core::scanstore::ScanCodec;
 use stack_core::{
     AnalysisSession, CheckStats, Checker, CheckerConfig, ScanEvent, ScanPipeline, ScanSource,
     ScanStore, ScanTask,
 };
 use stack_opt::{lowest_discarding_level, survey_compilers};
-use stack_solver::DiskQueryStore;
+use stack_solver::recordfile::Codec;
+use stack_solver::store::QueryCodec;
+use stack_solver::{DiskQueryStore, RecordFile};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -134,7 +138,7 @@ struct AnalysisOpts {
     jobs: usize,
     /// `scan` only: the persisted report cache behind incremental re-scan.
     scan_cache: Option<PathBuf>,
-    /// `scan` only: compaction horizon for the `--cache-file` store.
+    /// Compaction horizon for the `--cache-file` and `--scan-cache` stores.
     compact_store: Option<u64>,
     /// `scan` only: `--shard i/n` as (1-based index, count).
     shard: Option<(usize, usize)>,
@@ -163,8 +167,12 @@ impl AnalysisOpts {
             Some(0) => return Err("--compact-store needs a positive integer".to_string()),
             other => other,
         };
-        if compact_store.is_some() && cache_file.is_none() {
-            return Err("--compact-store requires --cache-file (it prunes that store)".to_string());
+        let scan_cache = flag_value(args, "--scan-cache")?.map(PathBuf::from);
+        if compact_store.is_some() && cache_file.is_none() && scan_cache.is_none() {
+            return Err(
+                "--compact-store requires --cache-file or --scan-cache (it prunes those stores)"
+                    .to_string(),
+            );
         }
         let shard = match flag_value(args, "--shard")? {
             Some(text) => Some(parse_shard(text)?),
@@ -193,7 +201,7 @@ impl AnalysisOpts {
             out: flag_value(args, "--out")?.map(PathBuf::from),
             quiet: has_flag(args, "--quiet"),
             jobs: jobs.unwrap_or(1),
-            scan_cache: flag_value(args, "--scan-cache")?.map(PathBuf::from),
+            scan_cache,
             compact_store,
             shard,
         })
@@ -280,6 +288,7 @@ impl AnalysisOpts {
                 render_salvage(salvage)
             );
         }
+        store.set_compaction(self.compact_store);
         Ok(Some(store))
     }
 }
@@ -853,29 +862,6 @@ fn render_scan_summary(
 
 // ---- store ------------------------------------------------------------------
 
-/// Which persisted store a file holds, detected from its header line so
-/// `store merge`/`store inspect` work on both kinds without a flag.
-enum StoreKind {
-    Query,
-    Scan,
-}
-
-fn detect_store_kind(path: &Path) -> Result<StoreKind, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let first = text.lines().next().unwrap_or("");
-    if first.starts_with("stack-query-store") {
-        Ok(StoreKind::Query)
-    } else if first.starts_with("stack-scan-store") {
-        Ok(StoreKind::Scan)
-    } else {
-        Err(format!(
-            "{}: not a stack store file (header `{first}`)",
-            path.display()
-        ))
-    }
-}
-
 /// The positional (non-flag) arguments, skipping the values of
 /// `value_flags`.
 fn positionals(args: &[String], value_flags: &[&str]) -> Vec<String> {
@@ -909,47 +895,119 @@ struct MergeStatsJson {
     generation: u64,
 }
 
+const STORE_USAGE: [&str; 3] = [
+    "usage: stack store merge <out> <in...> [--compact N] [--json]",
+    "usage: stack store inspect <file> [--json]",
+    "usage: stack store fsck <file> [--repair] [--json]",
+];
+
+/// A parsed `stack store` subcommand.
+enum StoreOp {
+    Merge {
+        out: PathBuf,
+        inputs: Vec<PathBuf>,
+        compact: Option<u64>,
+    },
+    Inspect(PathBuf),
+    Fsck {
+        path: PathBuf,
+        repair: bool,
+    },
+}
+
+/// `stack store merge|inspect|fsck`: parse the subcommand, then run it on
+/// the store kind the file's header names (for a merge, the first
+/// input's; a mixed set trips the merge's own header check with a
+/// found-vs-expected message).
 fn cmd_store(args: &[String]) -> ExitCode {
-    match args.first().map(String::as_str) {
-        Some("merge") => cmd_store_merge(&args[1..]),
-        Some("inspect") => cmd_store_inspect(&args[1..]),
-        Some("fsck") => cmd_store_fsck(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: stack store merge <out> <in...> [--compact N] [--json]\n\
-                 usage: stack store inspect <file> [--json]\n\
-                 usage: stack store fsck <file> [--repair] [--json]"
-            );
-            ExitCode::from(2)
+    let usage = |line: usize| {
+        eprintln!("{}", STORE_USAGE[line]);
+        ExitCode::from(2)
+    };
+    let rest = args.get(1..).unwrap_or_default();
+    let op = match args.first().map(String::as_str) {
+        Some("merge") => {
+            let compact = match parse_flag_value::<u64>(rest, "--compact") {
+                Ok(Some(0)) => return fail("--compact needs a positive integer"),
+                Ok(other) => other,
+                Err(e) => return fail(&e),
+            };
+            let mut paths = positionals(rest, &["--compact"]);
+            if paths.len() < 2 {
+                return usage(0);
+            }
+            StoreOp::Merge {
+                out: PathBuf::from(paths.remove(0)),
+                inputs: paths.into_iter().map(PathBuf::from).collect(),
+                compact,
+            }
         }
+        Some("inspect") => match positionals(rest, &[]).as_slice() {
+            [path] => StoreOp::Inspect(PathBuf::from(path)),
+            _ => return usage(1),
+        },
+        Some("fsck") => match positionals(rest, &[]).as_slice() {
+            [path] => StoreOp::Fsck {
+                path: PathBuf::from(path),
+                repair: has_flag(rest, "--repair"),
+            },
+            _ => return usage(2),
+        },
+        _ => {
+            eprintln!("{}", STORE_USAGE.join("\n"));
+            return ExitCode::from(2);
+        }
+    };
+    let path = match &op {
+        StoreOp::Merge { inputs, .. } => &inputs[0],
+        StoreOp::Inspect(path) | StoreOp::Fsck { path, .. } => path,
+    };
+    let json = has_flag(rest, "--json");
+    match read_header(path) {
+        Ok(header) if header.starts_with(QueryCodec::PREFIX) => {
+            run_store_op::<QueryCodec>(&op, json)
+        }
+        Ok(header) if header.starts_with(ScanCodec::PREFIX) => run_store_op::<ScanCodec>(&op, json),
+        Ok(header) => fail(&format!(
+            "{}: not a stack store file (header `{header}`)",
+            path.display()
+        )),
+        Err(e) => fail(&format!("cannot read {}: {e}", path.display())),
     }
 }
 
-fn cmd_store_merge(args: &[String]) -> ExitCode {
-    let compact = match parse_flag_value::<u64>(args, "--compact") {
-        Ok(Some(0)) => return fail("--compact needs a positive integer"),
-        Ok(other) => other,
-        Err(e) => return fail(&e),
-    };
-    let json = has_flag(args, "--json");
-    let mut paths = positionals(args, &["--compact"]);
-    if paths.len() < 2 {
-        eprintln!("usage: stack store merge <out> <in...> [--compact N] [--json]");
-        return ExitCode::from(2);
+/// The first line of the file at `path`: enough to tell the store kinds
+/// apart without reading the rest.
+fn read_header(path: &Path) -> std::io::Result<String> {
+    use std::io::BufRead as _;
+    let mut line = Vec::new();
+    std::io::BufReader::new(std::fs::File::open(path)?).read_until(b'\n', &mut line)?;
+    let header = String::from_utf8_lossy(&line);
+    Ok(header.lines().next().unwrap_or("").to_string())
+}
+
+/// Run one `stack store` subcommand on files of the kind `C` reads.
+fn run_store_op<C: Codec>(op: &StoreOp, json: bool) -> ExitCode {
+    match op {
+        StoreOp::Merge {
+            out,
+            inputs,
+            compact,
+        } => store_merge::<C>(out, inputs, *compact, json),
+        StoreOp::Inspect(path) => store_inspect::<C>(path, json),
+        StoreOp::Fsck { path, repair } => store_fsck::<C>(path, *repair, json),
     }
-    let out = PathBuf::from(paths.remove(0));
-    let inputs: Vec<PathBuf> = paths.into_iter().map(PathBuf::from).collect();
-    // Every input must be the kind the first one is; a mixed set trips the
-    // merge's own header check with a found-vs-expected message.
-    let stats = match detect_store_kind(&inputs[0]).and_then(|kind| {
-        match kind {
-            StoreKind::Query => DiskQueryStore::merge(&out, &inputs, compact),
-            StoreKind::Scan => ScanStore::merge(&out, &inputs, compact),
-        }
-        .map_err(|e| e.to_string())
-    }) {
+}
+
+fn store_merge<C: Codec>(
+    out: &Path,
+    inputs: &[PathBuf],
+    compact: Option<u64>,
+    json: bool,
+) -> ExitCode {
+    let stats = match RecordFile::<C>::merge(out, inputs, compact) {
         Ok(stats) => stats,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(&e.to_string()),
     };
     if json {
         let stats = MergeStatsJson {
@@ -1008,23 +1066,10 @@ struct InspectionJson {
     last_used: Vec<LastUsedJson>,
 }
 
-fn cmd_store_inspect(args: &[String]) -> ExitCode {
-    let json = has_flag(args, "--json");
-    let paths = positionals(args, &[]);
-    let [path] = paths.as_slice() else {
-        eprintln!("usage: stack store inspect <file> [--json]");
-        return ExitCode::from(2);
-    };
-    let path = PathBuf::from(path);
-    let info = match detect_store_kind(&path).and_then(|kind| {
-        match kind {
-            StoreKind::Query => DiskQueryStore::inspect(&path),
-            StoreKind::Scan => ScanStore::inspect(&path),
-        }
-        .map_err(|e| e.to_string())
-    }) {
+fn store_inspect<C: Codec>(path: &Path, json: bool) -> ExitCode {
+    let info = match RecordFile::<C>::inspect(path) {
         Ok(info) => info,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(&e.to_string()),
     };
     if json {
         let info = InspectionJson {
@@ -1058,59 +1103,6 @@ fn cmd_store_inspect(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Either persisted store behind one handle, so `store fsck` shares a
-/// single verdict path.
-enum AnyStore {
-    Query(Box<DiskQueryStore>),
-    Scan(ScanStore),
-}
-
-impl AnyStore {
-    fn open(path: &Path) -> Result<AnyStore, String> {
-        let kind = detect_store_kind(path)?;
-        match kind {
-            StoreKind::Query => DiskQueryStore::open(path).map(|s| AnyStore::Query(Box::new(s))),
-            StoreKind::Scan => ScanStore::open(path).map(AnyStore::Scan),
-        }
-        .map_err(|e| format!("cannot open {}: {e}", path.display()))
-    }
-
-    fn kind(&self) -> &'static str {
-        match self {
-            AnyStore::Query(_) => "query",
-            AnyStore::Scan(_) => "scan",
-        }
-    }
-
-    fn was_invalidated(&self) -> bool {
-        match self {
-            AnyStore::Query(s) => s.was_invalidated(),
-            AnyStore::Scan(s) => s.was_invalidated(),
-        }
-    }
-
-    fn salvage(&self) -> Option<stack_solver::SalvageReport> {
-        match self {
-            AnyStore::Query(s) => s.salvage().copied(),
-            AnyStore::Scan(s) => s.salvage().copied(),
-        }
-    }
-
-    fn loaded_entries(&self) -> u64 {
-        match self {
-            AnyStore::Query(s) => s.loaded_entries(),
-            AnyStore::Scan(s) => s.loaded_entries(),
-        }
-    }
-
-    fn save(&self) -> std::io::Result<usize> {
-        match self {
-            AnyStore::Query(s) => s.save(),
-            AnyStore::Scan(s) => s.save(),
-        }
-    }
-}
-
 /// `store fsck` verdict in the shape `--json` emits.
 #[derive(Serialize)]
 struct FsckJson {
@@ -1128,42 +1120,38 @@ struct FsckJson {
 /// `fsck` composes with `fsck --repair` the way the system tool does. An
 /// incompatible (foreign-revision) store is *never* repaired: its entries
 /// cannot be trusted at all, and the next analysis run rewrites it cold.
-fn cmd_store_fsck(args: &[String]) -> ExitCode {
-    let json = has_flag(args, "--json");
-    let repair = has_flag(args, "--repair");
-    let paths = positionals(args, &[]);
-    let [path] = paths.as_slice() else {
-        eprintln!("usage: stack store fsck <file> [--repair] [--json]");
-        return ExitCode::from(2);
+fn store_fsck<C: Codec>(path: &Path, repair: bool, json: bool) -> ExitCode {
+    let (file, entries) = match RecordFile::<C>::open(path) {
+        Ok(opened) => opened,
+        Err(e) => return fail(&format!("cannot open {}: {e}", path.display())),
     };
-    let path = PathBuf::from(path);
-    let store = match AnyStore::open(&path) {
-        Ok(store) => store,
-        Err(e) => return fail(&e),
-    };
-    if store.was_invalidated() {
+    if file.was_invalidated() {
         return fail(&format!(
             "{}: incompatible {} store (written by a different revision); not repairable — the \
              next analysis run starts cold and rewrites it",
             path.display(),
-            store.kind()
+            C::KIND
         ));
     }
-    let salvage = store.salvage();
+    let salvage = file.salvage().copied();
     let damaged = salvage.is_some();
     let repaired = damaged && repair;
     if repaired {
-        if let Err(e) = store.save() {
+        if let Err(e) = file.save(
+            entries
+                .iter()
+                .map(|(key, (value, stamp))| (key, value, *stamp)),
+        ) {
             return fail(&format!("cannot repair {}: {e}", path.display()));
         }
     }
     if json {
         let verdict = FsckJson {
-            kind: store.kind().to_string(),
+            kind: C::KIND.to_string(),
             compatible: true,
             clean: !damaged,
             repaired,
-            entries: store.loaded_entries(),
+            entries: file.loaded_entries(),
             dropped_lines: salvage.map_or(0, |s| s.dropped_lines),
             first_bad_offset: salvage.and_then(|s| s.first_bad_offset),
         };
@@ -1176,14 +1164,14 @@ fn cmd_store_fsck(args: &[String]) -> ExitCode {
             None => println!(
                 "stack: {}: clean {} store ({} entries)",
                 path.display(),
-                store.kind(),
-                store.loaded_entries()
+                C::KIND,
+                file.loaded_entries()
             ),
             Some(salvage) if repaired => println!(
                 "stack: {}: repaired {} store — kept {} entries, dropped {} bad line(s)",
                 path.display(),
-                store.kind(),
-                store.loaded_entries(),
+                C::KIND,
+                file.loaded_entries(),
                 salvage.dropped_lines
             ),
             Some(salvage) => println!(
@@ -1331,6 +1319,7 @@ fn cmd_survey() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stack_solver::StoreInspection;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -1365,6 +1354,53 @@ mod tests {
             Mode::Scan
         )
         .is_ok());
+    }
+
+    #[test]
+    fn compact_store_prunes_both_stores() {
+        let dir = std::env::temp_dir().join(format!("stack-cli-compact-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let archive = dir.join("archive");
+        let (qs, ss) = (dir.join("q.qs"), dir.join("s.ss"));
+        let cfg = stack_corpus::ArchiveConfig {
+            packages: 2,
+            ..stack_corpus::ArchiveConfig::default()
+        };
+        let scan = |extra: &[&str]| {
+            let mut list = vec![
+                archive.to_str().unwrap(),
+                "--cache-file",
+                qs.to_str().unwrap(),
+                "--scan-cache",
+                ss.to_str().unwrap(),
+                "--quiet",
+            ];
+            list.extend(extra);
+            assert_eq!(cmd_scan(&args(&list)), ExitCode::SUCCESS);
+        };
+        stack_corpus::write_archive_edited(&cfg, &archive, 0).unwrap();
+        scan(&[]);
+        // Edit two functions: the scan store's records of their old
+        // versions are dead, and so is every query entry this re-scan
+        // does not look up. A 1-generation horizon prunes all of them.
+        stack_corpus::write_archive_edited(&cfg, &archive, 2).unwrap();
+        scan(&["--compact-store", "1"]);
+        let ages = |info: StoreInspection| {
+            assert!(info.entries > 0, "{}", info.render());
+            (
+                info.generation,
+                info.last_used.into_keys().collect::<Vec<_>>(),
+            )
+        };
+        assert_eq!(
+            ages(RecordFile::<QueryCodec>::inspect(&qs).unwrap()),
+            (2, vec![2])
+        );
+        assert_eq!(
+            ages(RecordFile::<ScanCodec>::inspect(&ss).unwrap()),
+            (2, vec![2])
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

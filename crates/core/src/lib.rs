@@ -50,6 +50,6 @@ pub use fingerprint::{
 };
 pub use report::{Algorithm, BugReport, UbSource};
 pub use scan::{ScanEvent, ScanOutcome, ScanPipeline, ScanSource, ScanTask};
-pub use scanstore::{FunctionRecord, ScanStore, ScanStoreStats};
+pub use scanstore::{FunctionRecord, ScanStore};
 pub use session::{AnalysisSession, FunctionCheck};
 pub use ubcond::{collect_ub_conditions, UbCondition, UbKind};

@@ -23,39 +23,19 @@
 //! [`FunctionRecord::replay`] substitutes the scanning module's name back
 //! in. Records for one key are thus byte-identical no matter which path
 //! recorded them — which is exactly what lets shard scans that saw the
-//! same function under different paths merge without conflict.
+//! same function under different paths merge without conflict. The first
+//! insert of a key wins.
 //!
-//! The file discipline is the one the query store established:
-//!
-//! * **versioned header** — format version,
-//!   [`ENCODING_REVISION`](stack_solver::ENCODING_REVISION), and
-//!   [`FINGERPRINT_REVISION`]; any mismatch discards the whole file and
-//!   [`was_invalidated`] reports it (a v3 module-keyed store
-//!   self-invalidates the same way — that *is* the migration). The replay
-//!   keys additionally bake both revisions and the semantics-relevant
-//!   config knobs into their own bits, so even a same-format file can
-//!   never replay reports computed under different semantics.
-//! * **atomic saves** — serialize to a pid-suffixed temp file, rename over
-//!   the target; a crash mid-save never leaves a truncated store.
-//! * **per-line checksums and salvage** — every body line carries a
-//!   trailing ` !<crc32>`. A torn, truncated, or bit-flipped body is
-//!   salvaged entry by entry at [`open`](ScanStore::open): a function
-//!   record survives only if its `F` line and all of its `R` lines verify
-//!   and parse; everything else is dropped and counted
-//!   ([`salvage`](ScanStore::salvage)), and the next save rewrites the
-//!   file canonically. Duplicate keys (a torn write splicing two file
-//!   versions) keep the first record.
-//! * **byte-determinism** — entries sorted by key, reports kept in their
-//!   recorded order; saving the same logical store twice produces
-//!   byte-identical files.
-//! * **generations and compaction** — every [`open`](ScanStore::open)
-//!   starts a new generation (the persisted one plus one); a lookup hit or
-//!   an insert stamps its record with it, and with
-//!   [`set_compaction`](ScanStore::set_compaction)`(Some(n))` a save drops
-//!   records unused for `n` or more generations. Without compaction a
-//!   long-lived shared store accumulates the key of every function version
-//!   it ever saw; with it, dead keys age out exactly like the query
-//!   store's dead entries.
+//! The store file follows the discipline both persisted stores share,
+//! implemented once in [`stack_solver::recordfile`]: versioned header,
+//! generation stamps and compaction, per-line checksums and salvage,
+//! atomic byte-deterministic saves, strict merge. The header adds
+//! [`FINGERPRINT_REVISION`]; any revision mismatch discards the whole file
+//! (a v3 module-keyed store self-invalidates the same way — that *is* the
+//! migration). The replay keys additionally bake both revisions and the
+//! semantics-relevant config knobs into their own bits, so even a
+//! same-format file can never replay reports computed under different
+//! semantics.
 //!
 //! ## Format
 //!
@@ -67,38 +47,22 @@
 //!
 //! `F` opens one function entry (last-used generation stamp, replay key in
 //! lower-case hex, report count); exactly `r` `R` lines follow, one per
-//! raw report in discovery order; every line ends with its CRC-32. String
-//! fields are percent-escaped so they never contain whitespace or `%`; the
-//! path placeholder is the (never-graphic) byte `0x01`, escaped as `%01`.
-//!
-//! ## Merging
-//!
-//! [`merge`](ScanStore::merge) folds several scan-store files into one —
-//! the distributed-scan fan-in: shard scans record disjoint (or, thanks to
-//! path normalization, byte-identical) function sets, and the merged store
-//! warm-starts the next full scan. Merge semantics match the query
-//! store's: strict header compatibility (a revision mismatch is a loud
-//! [`MergeError::Incompatible`], never a silent discard), duplicate keys
-//! assert record equality, stamps take the max, and the output is written
-//! through the same atomic byte-deterministic path.
-//!
-//! [`was_invalidated`]: ScanStore::was_invalidated
+//! raw report in discovery order, and the record is kept or dropped as a
+//! unit. String fields are percent-escaped so they never contain
+//! whitespace, `@` or `%`; the path placeholder is the (never-graphic) byte
+//! `0x01`, escaped as `%01`.
 
 use crate::fingerprint::{FunctionKey, FINGERPRINT_REVISION};
 use crate::report::{Algorithm, BugReport, UbSource};
 use crate::ubcond::UbKind;
-use stack_solver::store::{
-    body_lines, check_header_compatible, inspect_text, verify_checksummed_line,
-    write_checksummed_line,
-};
-use stack_solver::{MergeError, MergeStats, SalvageReport, StoreInspection};
+use stack_solver::recordfile::{BodyLines, Codec, EntryWriter};
+use stack_solver::{CacheStats, MergeError, MergeStats, RecordFile};
 use std::collections::HashMap;
-use std::collections::HashSet;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// On-disk layout version of the scan-store file. Bump when the syntax
 /// changes. (v2 added the header generation and per-record last-used
@@ -109,24 +73,11 @@ use std::sync::Mutex;
 /// cache does.)
 pub const SCAN_STORE_FORMAT_VERSION: u32 = 4;
 
-/// The first token of every scan-store header line.
-const SCAN_STORE_HEADER_PREFIX: &str = "stack-scan-store";
-
 /// The in-record stand-in for the recording module's file name. A control
 /// byte, so it can never collide with a real (percent-escaped, graphic)
 /// path, and never survives into user-visible reports — replay always
 /// substitutes the scanning module's name.
 const PATH_PLACEHOLDER: &str = "\u{1}";
-
-/// The header fields (beyond the format version) that must match the
-/// running binary for a file to be loaded or merged.
-fn expected_header_fields() -> [(&'static str, u64); 3] {
-    [
-        ("v", u64::from(SCAN_STORE_FORMAT_VERSION)),
-        ("enc", u64::from(stack_solver::ENCODING_REVISION)),
-        ("fpr", u64::from(FINGERPRINT_REVISION)),
-    ]
-}
 
 /// The replayable record of one analyzed function: its raw (pre-filter)
 /// reports in discovery order, path-normalized. Build with
@@ -186,484 +137,176 @@ fn rewrite_report_path(report: &BugReport, from: &str, to: &str) -> BugReport {
     out
 }
 
-/// Hit/miss counters of a scan store (lifetime of this instance).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ScanStoreStats {
-    /// Lookups answered from the store (functions skipped).
-    pub hits: u64,
-    /// Lookups that missed (functions analyzed and, when clean, recorded).
-    pub misses: u64,
-    /// Function records currently stored.
-    pub entries: u64,
+/// The scan store's entries: one `F` line per function record, followed
+/// by one `R` line per report.
+#[derive(Debug)]
+pub struct ScanCodec;
+
+impl Codec for ScanCodec {
+    type Key = FunctionKey;
+    type Value = FunctionRecord;
+    const PREFIX: &'static str = "stack-scan-store";
+    const KIND: &'static str = "scan";
+    const REVISIONS: &'static [(&'static str, u64)] = &[
+        ("v", SCAN_STORE_FORMAT_VERSION as u64),
+        ("enc", stack_solver::ENCODING_REVISION as u64),
+        ("fpr", FINGERPRINT_REVISION as u64),
+    ];
+
+    fn tag(_: &FunctionRecord) -> char {
+        'F'
+    }
+
+    fn write(key: &FunctionKey, record: &FunctionRecord, out: &mut EntryWriter<'_>) {
+        let _ = write!(out, "{key:032x} r{}", record.reports.len());
+        for report in &record.reports {
+            out.end_line();
+            let _ = write!(
+                out,
+                "R {} {} {} {} {} {}",
+                algorithm_tag(report.algorithm),
+                report.line,
+                u8::from(report.compiler_generated),
+                Escaped(&report.function),
+                Escaped(&report.file),
+                Escaped(&report.description)
+            );
+            for src in &report.ub_sources {
+                let _ = write!(
+                    out,
+                    " u {}@{}",
+                    src.kind.short_name(),
+                    Escaped(&src.location)
+                );
+            }
+        }
+    }
+
+    fn read(
+        tag: char,
+        rest: &str,
+        more: &mut BodyLines<'_>,
+    ) -> Option<(FunctionKey, FunctionRecord)> {
+        if tag != 'F' {
+            return None;
+        }
+        let mut parts = rest.split(' ');
+        let key = u128::from_str_radix(parts.next()?, 16).ok()?;
+        let count: usize = parts.next()?.strip_prefix('r')?.parse().ok()?;
+        if parts.next().is_some() {
+            return None;
+        }
+        // `count` comes from the file, so it bounds the preallocation only
+        // up to what a real record holds.
+        let mut reports = Vec::with_capacity(count.min(1024));
+        for _ in 0..count {
+            reports.push(more.line(parse_report)?);
+        }
+        Some((key, FunctionRecord { reports }))
+    }
+
+    fn key_text(key: &FunctionKey) -> String {
+        format!("{key:032x}")
+    }
 }
 
 /// A disk-backed replay-key → function-record table. Shared across the
 /// scan pipeline's file-level workers through an `Arc`, so all methods
 /// take `&self`. Each record carries its last-used generation stamp.
+/// Dereferences to the [`RecordFile`] for the file's lifecycle state
+/// (`path`, `generation`, `loaded_entries`, `salvage`, `set_compaction`).
 #[derive(Debug)]
 pub struct ScanStore {
-    path: PathBuf,
+    file: RecordFile<ScanCodec>,
     records: Mutex<HashMap<FunctionKey, (FunctionRecord, u64)>>,
-    generation: u64,
-    compact_after: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    loaded: u64,
-    invalidated: bool,
-    /// Set when `open` had to drop bad lines from a torn or corrupted
-    /// body (`None` for a clean or missing file).
-    salvage: Option<SalvageReport>,
+}
+
+impl std::ops::Deref for ScanStore {
+    type Target = RecordFile<ScanCodec>;
+
+    fn deref(&self) -> &RecordFile<ScanCodec> {
+        &self.file
+    }
 }
 
 impl ScanStore {
-    /// The header line a store written by this binary carries, stamped
-    /// with the saving run's generation.
-    fn header(generation: u64) -> String {
-        format!(
-            "stack-scan-store v{SCAN_STORE_FORMAT_VERSION} enc{} fpr{FINGERPRINT_REVISION} gen{generation}",
-            stack_solver::ENCODING_REVISION
-        )
-    }
-
-    /// Open a store backed by `path`, loading every persisted record and
-    /// starting a new generation (the persisted one plus one; 1 for a
-    /// fresh store). A missing file yields an empty store; a mismatched
-    /// header discards the file wholesale
-    /// ([`was_invalidated`](Self::was_invalidated) reports it). A
-    /// compatible file with torn or corrupted body lines loads every
-    /// record that checksums and parses, drops the rest, and reports the
-    /// damage through [`salvage`](Self::salvage). Only I/O failures are
-    /// errors.
+    /// Open a store backed by `path`, loading every persisted record that
+    /// verifies and starting the next generation (see
+    /// [`RecordFile::open`]). Only I/O failures are errors.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<ScanStore> {
-        let path = path.into();
-        let mut store = ScanStore {
-            path,
-            records: Mutex::new(HashMap::new()),
-            generation: 1,
-            compact_after: AtomicU64::new(0),
+        let (file, records) = RecordFile::open(path)?;
+        Ok(ScanStore {
+            file,
+            records: Mutex::new(records),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            loaded: 0,
-            invalidated: false,
-            salvage: None,
-        };
-        let text = match std::fs::read_to_string(&store.path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(store),
-            Err(e) => return Err(e),
-        };
-        match parse_store(&text) {
-            Some((file_generation, records, salvage)) => {
-                store.generation = file_generation + 1;
-                store.loaded = records.len() as u64;
-                *store.records.get_mut().unwrap() = records;
-                if !salvage.is_clean() {
-                    store.salvage = Some(salvage);
-                }
-            }
-            None => store.invalidated = true,
-        }
-        Ok(store)
+        })
+    }
+
+    /// The record table. A panic elsewhere cannot poison it for good: every
+    /// method leaves it consistent.
+    fn records(&self) -> MutexGuard<'_, HashMap<FunctionKey, (FunctionRecord, u64)>> {
+        self.records.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Look up the record for a replay key, counting a hit or miss. A hit
     /// refreshes the record's last-used stamp to this run's generation.
     pub fn lookup(&self, key: FunctionKey) -> Option<FunctionRecord> {
-        let found = match self
-            .records
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get_mut(&key)
-        {
-            Some(slot) => {
-                slot.1 = self.generation;
-                Some(slot.0.clone())
-            }
-            None => None,
+        let found = self.records().get_mut(&key).map(|slot| {
+            slot.1 = self.generation();
+            slot.0.clone()
+        });
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
         };
-        match found {
-            Some(record) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(record)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Record a freshly analyzed function, stamped with this run's
     /// generation. First insert wins for the record itself (normalized
     /// records for one key are identical by construction).
     pub fn insert(&self, key: FunctionKey, record: FunctionRecord) {
-        match self
-            .records
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .entry(key)
-        {
-            std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                occupied.get_mut().1 = self.generation;
-            }
-            std::collections::hash_map::Entry::Vacant(vacant) => {
-                vacant.insert((record, self.generation));
-            }
-        }
+        let generation = self.generation();
+        self.records().entry(key).or_insert((record, generation)).1 = generation;
     }
 
-    /// Write every record back to the backing file (temp file + rename, so a
-    /// crash never truncates the store; entries sorted by key, so saving
-    /// the same logical store twice is byte-identical). When a compaction
-    /// horizon is set ([`set_compaction`](Self::set_compaction)), records
-    /// unused for that many generations are dropped. Returns the number of
-    /// function records written.
+    /// Write every record back to the backing file, minus those past the
+    /// compaction horizon ([`RecordFile::set_compaction`]). Returns the
+    /// number of function records written.
     pub fn save(&self) -> io::Result<usize> {
-        let compact = self.compact_after.load(Ordering::Relaxed);
-        let mut entries: Vec<(FunctionKey, FunctionRecord, u64)> = self
-            .records
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        let records = self.records();
+        let entries = records
             .iter()
-            .filter(|(_, (_, stamp))| compact == 0 || self.generation - stamp < compact)
-            .map(|(key, (record, stamp))| (*key, record.clone(), *stamp))
-            .collect();
-        entries.sort_by_key(|(key, _, _)| *key);
-        write_scan_store_file(&self.path, self.generation, &entries)?;
-        Ok(entries.len())
+            .map(|(key, (record, stamp))| (key, record, *stamp));
+        self.file.save(entries)
     }
 
     /// Merge several scan-store files into one at `out` — the
-    /// distributed-scan fan-in. Strict where [`open`](Self::open) is
-    /// forgiving: a revision-mismatched or malformed input is a loud
-    /// error, duplicate keys must carry byte-identical records (their
-    /// stamps take the max — path normalization guarantees this for the
-    /// same function recorded by different shards under different paths),
-    /// and the output header's generation is the max across inputs. With
-    /// `compact_after = Some(n)`, merged records unused for `n` or more
-    /// generations are pruned. The output is written through the same
-    /// atomic byte-deterministic path as [`save`](Self::save).
+    /// distributed-scan fan-in. Path normalization makes the records two
+    /// shards took of one function under different paths equal, so they
+    /// union instead of conflicting. See [`RecordFile::merge`].
     pub fn merge(
         out: impl AsRef<Path>,
         inputs: &[PathBuf],
         compact_after: Option<u64>,
     ) -> Result<MergeStats, MergeError> {
-        let mut merged: HashMap<FunctionKey, (FunctionRecord, u64)> = HashMap::new();
-        let mut stats = MergeStats {
-            inputs: inputs.len(),
-            ..MergeStats::default()
-        };
-        for path in inputs {
-            let text = std::fs::read_to_string(path).map_err(|error| MergeError::Io {
-                path: path.clone(),
-                error,
-            })?;
-            check_header_compatible(
-                text.lines().next().unwrap_or(""),
-                SCAN_STORE_HEADER_PREFIX,
-                &expected_header_fields(),
-            )
-            .map_err(|reason| MergeError::Incompatible {
-                path: path.clone(),
-                reason,
-            })?;
-            let (file_generation, records, salvage) =
-                parse_store(&text).ok_or_else(|| MergeError::Incompatible {
-                    path: path.clone(),
-                    reason: "malformed store content".to_string(),
-                })?;
-            // A store that needed salvage may have lost records; a merge
-            // must never bake the loss into a fleet-shared artifact.
-            if !salvage.is_clean() {
-                return Err(MergeError::Incompatible {
-                    path: path.clone(),
-                    reason: format!(
-                        "store needs salvage ({} bad line{}); run fsck --repair before merging",
-                        salvage.dropped_lines,
-                        if salvage.dropped_lines == 1 { "" } else { "s" }
-                    ),
-                });
-            }
-            stats.generation = stats.generation.max(file_generation);
-            stats.entries_in += records.len() as u64;
-            for (key, (record, stamp)) in records {
-                match merged.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                        stats.duplicates += 1;
-                        if occupied.get().0 != record {
-                            return Err(MergeError::Conflict {
-                                path: path.clone(),
-                                key: format!("{key:032x}"),
-                            });
-                        }
-                        let slot = occupied.get_mut();
-                        slot.1 = slot.1.max(stamp);
-                    }
-                    std::collections::hash_map::Entry::Vacant(vacant) => {
-                        vacant.insert((record, stamp));
-                    }
-                }
-            }
-        }
-        let compact = compact_after.unwrap_or(0);
-        let generation = stats.generation.max(1);
-        stats.generation = generation;
-        let mut entries: Vec<(FunctionKey, FunctionRecord, u64)> = merged
-            .into_iter()
-            .filter(|(_, (_, stamp))| compact == 0 || generation - stamp < compact)
-            .map(|(key, (record, stamp))| (key, record, stamp))
-            .collect();
-        entries.sort_by_key(|(key, _, _)| *key);
-        stats.entries_out = entries.len() as u64;
-        stats.pruned = stats.entries_in - stats.duplicates - stats.entries_out;
-        write_scan_store_file(out.as_ref(), generation, &entries).map_err(|error| {
-            MergeError::Io {
-                path: out.as_ref().to_path_buf(),
-                error,
-            }
-        })?;
-        Ok(stats)
+        RecordFile::<ScanCodec>::merge(out, inputs, compact_after)
     }
 
-    /// Read the store file at `path` for debugging: header revisions,
-    /// generation, entry count, and a last-used-stamp histogram — without
-    /// the all-or-nothing discard [`open`](Self::open) applies, so a store
-    /// a merge rejected can still be examined. Only the header must parse;
-    /// a body in an unknown line format reports `malformed` instead of
-    /// failing.
-    pub fn inspect(path: impl AsRef<Path>) -> Result<StoreInspection, MergeError> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|error| MergeError::Io {
-            path: path.to_path_buf(),
-            error,
-        })?;
-        inspect_text(
-            &text,
-            "scan",
-            SCAN_STORE_HEADER_PREFIX,
-            &expected_header_fields(),
-            |text, generation| {
-                let body_start = text.lines().next().map_or(0, |l| l.len() + 1);
-                let (entries, salvage) = parse_body(text, body_start, generation);
-                (
-                    entries.into_iter().map(|(_, _, stamp)| stamp).collect(),
-                    salvage,
-                )
-            },
-        )
-        .ok_or_else(|| MergeError::Incompatible {
-            path: path.to_path_buf(),
-            reason: format!("not a {SCAN_STORE_HEADER_PREFIX} file"),
-        })
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> ScanStoreStats {
-        ScanStoreStats {
+    /// Counters accumulated so far: lookups answered (functions skipped),
+    /// lookups missed, and records stored.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .records
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .len() as u64,
+            entries: self.records().len() as u64,
         }
     }
-
-    /// Number of function records loaded from disk at [`open`](Self::open).
-    pub fn loaded_entries(&self) -> u64 {
-        self.loaded
-    }
-
-    /// This run's generation: the persisted one plus one (1 for a fresh
-    /// store). Every save stamps the header — and every record this run
-    /// looked up or inserted — with it.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Set (or clear) the compaction horizon: at [`save`](Self::save),
-    /// records whose last-used stamp is `n` or more generations old are
-    /// pruned. `None` (the default) keeps everything forever.
-    pub fn set_compaction(&self, n: Option<u64>) {
-        self.compact_after.store(n.unwrap_or(0), Ordering::Relaxed);
-    }
-
-    /// Whether `open` found a file it had to discard (written by a different
-    /// format/encoding/fingerprint revision — including pre-v4
-    /// module-keyed stores).
-    pub fn was_invalidated(&self) -> bool {
-        self.invalidated
-    }
-
-    /// The damage report when `open` had to drop bad lines from a torn or
-    /// corrupted body; `None` when the file loaded clean (or was missing
-    /// or invalidated wholesale).
-    pub fn salvage(&self) -> Option<&SalvageReport> {
-        self.salvage.as_ref()
-    }
-
-    /// The backing file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-/// Write a complete scan-store file — header at `generation`, then the
-/// given (already sorted) entries — atomically via a pid-suffixed sibling
-/// temp file and rename, byte-deterministic in its inputs. Shared by
-/// [`ScanStore::save`] and [`ScanStore::merge`].
-fn write_scan_store_file(
-    path: &Path,
-    generation: u64,
-    entries: &[(FunctionKey, FunctionRecord, u64)],
-) -> io::Result<()> {
-    let mut out = ScanStore::header(generation);
-    out.push('\n');
-    for (key, record, stamp) in entries {
-        write_checksummed_line(
-            &mut out,
-            &format!("F g{stamp} {key:032x} r{}", record.reports.len()),
-        );
-        for report in &record.reports {
-            write_checksummed_line(&mut out, &report_payload(report));
-        }
-    }
-    let mut tmp = path.to_path_buf().into_os_string();
-    tmp.push(format!(".tmp.{}", std::process::id()));
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, &out)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
-/// Render one report as an `R` line payload (checksummed by the caller).
-fn report_payload(report: &BugReport) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "R {} {} {} {} {} {}",
-        algorithm_tag(report.algorithm),
-        report.line,
-        u8::from(report.compiler_generated),
-        escape(&report.function),
-        escape(&report.file),
-        escape(&report.description)
-    );
-    for src in &report.ub_sources {
-        let _ = write!(
-            out,
-            " u {}@{}",
-            src.kind.short_name(),
-            escape(&src.location)
-        );
-    }
-    out
-}
-
-/// Parse a whole store file into its header generation, its verifiable
-/// records, and the salvage report describing what was dropped. `None`
-/// only on a header mismatch — a file written by a different revision
-/// cannot be trusted at all; a file with a good header is salvaged record
-/// by record.
-#[allow(clippy::type_complexity)]
-fn parse_store(
-    text: &str,
-) -> Option<(
-    u64,
-    HashMap<FunctionKey, (FunctionRecord, u64)>,
-    SalvageReport,
-)> {
-    let first = text.lines().next()?;
-    let generation: u64 = first
-        .strip_prefix(&format!(
-            "stack-scan-store v{SCAN_STORE_FORMAT_VERSION} enc{} fpr{FINGERPRINT_REVISION} gen",
-            stack_solver::ENCODING_REVISION
-        ))?
-        .parse()
-        .ok()?;
-    let (entries, salvage) = parse_body(text, first.len() + 1, generation);
-    Some((
-        generation,
-        entries
-            .into_iter()
-            .map(|(key, record, stamp)| (key, (record, stamp)))
-            .collect(),
-        salvage,
-    ))
-}
-
-/// Salvage-parse the function records of a store body (everything from
-/// `body_start` on). The salvage unit is one record: an `F` line plus its
-/// `r` `R` lines. A record survives only if every one of its lines
-/// checksums and parses, its stamp is not from the future, and its key was
-/// not already seen (a duplicate is the signature of a torn write — the
-/// first record wins). A failed record drops its `F` line and
-/// resynchronizes at the next line, so orphaned `R` lines after damage
-/// drop individually.
-#[allow(clippy::type_complexity)]
-fn parse_body(
-    text: &str,
-    body_start: usize,
-    generation: u64,
-) -> (Vec<(FunctionKey, FunctionRecord, u64)>, SalvageReport) {
-    let mut entries = Vec::new();
-    let mut seen = HashSet::new();
-    let mut salvage = SalvageReport::default();
-    let mut lines = body_lines(text, body_start).peekable();
-    while let Some((line, offset, terminated)) = lines.next() {
-        let header = if terminated {
-            verify_checksummed_line(line).and_then(|payload| parse_entry_line(payload, generation))
-        } else {
-            None
-        };
-        let Some((key, stamp, nreports)) = header else {
-            salvage.bad(offset);
-            continue;
-        };
-        let mut reports = Vec::with_capacity(nreports);
-        while reports.len() < nreports {
-            let parsed = match lines.peek() {
-                Some(&(rline, _, rterminated)) if rterminated => {
-                    verify_checksummed_line(rline).and_then(parse_report)
-                }
-                _ => None,
-            };
-            match parsed {
-                Some(report) => {
-                    lines.next();
-                    reports.push(report);
-                }
-                // Leave the offending line for the outer loop: it is
-                // counted (and resynchronized on) as its own bad line.
-                None => break,
-            }
-        }
-        if reports.len() < nreports || !seen.insert(key) {
-            salvage.bad(offset);
-            continue;
-        }
-        entries.push((key, FunctionRecord { reports }, stamp));
-        salvage.entry();
-    }
-    (entries, salvage)
-}
-
-/// Parse one verified `F` line payload into (key, stamp, report count).
-/// Stamps from beyond `generation` are malformed.
-fn parse_entry_line(payload: &str, generation: u64) -> Option<(u128, u64, usize)> {
-    let rest = payload.strip_prefix("F ")?;
-    let mut parts = rest.split(' ');
-    let stamp: u64 = parts.next()?.strip_prefix('g')?.parse().ok()?;
-    if stamp > generation {
-        return None;
-    }
-    let key = u128::from_str_radix(parts.next()?, 16).ok()?;
-    let nreports: usize = parts.next()?.strip_prefix('r')?.parse().ok()?;
-    if parts.next().is_some() {
-        return None;
-    }
-    Some((key, stamp, nreports))
 }
 
 /// Parse one `R` line back into a report.
@@ -731,26 +374,31 @@ fn parse_ub_kind(tag: &str) -> Option<UbKind> {
         .find(|k| k.short_name() == tag)
 }
 
-/// Percent-escape a string so it never contains whitespace, `@`, or `%`
+/// A string percent-escaped so it never contains whitespace, `@`, or `%`
 /// (the characters the line format relies on). The path placeholder byte
 /// `0x01` is non-graphic, so it always renders as `%01`.
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for byte in text.bytes() {
-        match byte {
-            b'%' | b'@' => {
-                let _ = write!(out, "%{byte:02x}");
+struct Escaped<'a>(&'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut plain = 0;
+        for (i, byte) in self.0.bytes().enumerate() {
+            if byte.is_ascii_graphic() && byte != b'%' && byte != b'@' {
+                continue;
             }
-            b if b.is_ascii_graphic() => out.push(b as char),
-            b => {
-                let _ = write!(out, "%{b:02x}");
+            if plain < i {
+                // Bytes since `plain` are ASCII, so both ends are char
+                // boundaries.
+                f.write_str(&self.0[plain..i])?;
             }
+            write!(f, "%{byte:02x}")?;
+            plain = i + 1;
         }
+        f.write_str(&self.0[plain..])
     }
-    out
 }
 
-/// Invert [`escape`]. `None` on malformed escapes or invalid UTF-8.
+/// Invert [`Escaped`]. `None` on malformed escapes or invalid UTF-8.
 fn unescape(text: &str) -> Option<String> {
     let mut out = Vec::with_capacity(text.len());
     let bytes = text.as_bytes();
@@ -779,6 +427,14 @@ mod tests {
             std::process::id(),
             UNIQUE.fetch_add(1, Ordering::Relaxed)
         ))
+    }
+
+    /// The header line this binary writes at `generation`.
+    fn header(generation: u64) -> String {
+        format!(
+            "stack-scan-store v{SCAN_STORE_FORMAT_VERSION} enc{} fpr{FINGERPRINT_REVISION} gen{generation}",
+            stack_solver::ENCODING_REVISION
+        )
     }
 
     fn sample_report(line: u32) -> BugReport {
@@ -900,11 +556,21 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// One checksummed body line (payload + valid CRC + newline).
+    /// One checksummed body line (payload + valid CRC + newline), with
+    /// the CRC-32 (IEEE) computed bit by bit, independently of the store.
     fn line(payload: &str) -> String {
-        let mut out = String::new();
-        write_checksummed_line(&mut out, payload);
-        out
+        let mut crc = u32::MAX;
+        for &byte in payload.as_bytes() {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                crc = if crc & 1 == 1 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        format!("{payload} !{:08x}\n", !crc)
     }
 
     #[test]
@@ -930,10 +596,11 @@ mod tests {
     fn bad_records_are_salvaged_not_fatal() {
         for bad in [
             "garbage\n".to_string(),
-            line("F 3 r0"),         // stamp missing
-            line("F g2 3 r0"),      // stamp beyond the header generation
-            line("F g1 nothex r0"), // bad key
-            line("F g1 3 r1"),      // missing R line
+            line("F 3 r0"),                           // stamp missing
+            line("F g2 3 r0"),                        // stamp beyond the header generation
+            line("F g1 nothex r0"),                   // bad key
+            line("F g1 3 r1"),                        // missing R line
+            line(&format!("F g1 3 r{}", usize::MAX)), // absurd report count
         ] {
             let path = temp_path("salvaged");
             // One good record on each side of the damage.
@@ -941,7 +608,7 @@ mod tests {
                 &path,
                 format!(
                     "{}\n{}{bad}{}",
-                    ScanStore::header(1),
+                    header(1),
                     line("F g1 1 r0"),
                     line("F g1 2 r0")
                 ),
@@ -958,7 +625,7 @@ mod tests {
             assert_eq!(salvage.salvaged_entries, 2);
             assert_eq!(
                 salvage.first_bad_offset,
-                Some((ScanStore::header(1).len() + 1 + line("F g1 1 r0").len()) as u64)
+                Some((header(1).len() + 1 + line("F g1 1 r0").len()) as u64)
             );
             // A save rewrites the file canonically; the re-open is clean.
             store.save().unwrap();
@@ -979,7 +646,7 @@ mod tests {
             &path,
             format!(
                 "{}\n{}{}{}",
-                ScanStore::header(1),
+                header(1),
                 line("F g1 1 r1"),
                 line("R wat 1 0 f g d"),
                 line("F g1 2 r0")
@@ -1004,9 +671,9 @@ mod tests {
             &path,
             format!(
                 "{}\n{}{}{}",
-                ScanStore::header(2),
+                header(2),
                 line("F g2 1 r1"),
-                line(&report_payload(&sample_report(3))),
+                line("R elim 3 0 f g d"),
                 line("F g1 1 r0")
             ),
         )
@@ -1048,7 +715,7 @@ mod tests {
         let torn = temp_path("merge-salvage-torn");
         std::fs::write(
             &torn,
-            format!("{}\n{}garbage\n", ScanStore::header(1), line("F g1 2 r0")),
+            format!("{}\n{}garbage\n", header(1), line("F g1 2 r0")),
         )
         .unwrap();
         let out = temp_path("merge-salvage-out");
@@ -1094,7 +761,7 @@ mod tests {
         assert!(store.lookup(1).is_some());
         store.save().unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with(&ScanStore::header(2)), "{text}");
+        assert!(text.starts_with(&header(2)), "{text}");
         assert!(
             text.contains("F g2 00000000000000000000000000000001"),
             "{text}"
@@ -1218,7 +885,7 @@ mod tests {
             &a,
             format!(
                 "{}\n{}{}",
-                ScanStore::header(3),
+                header(3),
                 line("F g3 00000000000000000000000000000001 r0"),
                 line("F g1 00000000000000000000000000000002 r0")
             ),
@@ -1230,7 +897,7 @@ mod tests {
             &b,
             format!(
                 "{}\n{}",
-                ScanStore::header(2),
+                header(2),
                 line("F g2 00000000000000000000000000000001 r0")
             ),
         )
@@ -1256,7 +923,7 @@ mod tests {
     #[test]
     fn inspect_reads_headers_even_when_incompatible() {
         let path = store_with("inspect", &[(1, 1), (2, 2)]);
-        let info = ScanStore::inspect(&path).unwrap();
+        let info = RecordFile::<ScanCodec>::inspect(&path).unwrap();
         assert_eq!(info.kind, "scan");
         assert_eq!(info.format_version, u64::from(SCAN_STORE_FORMAT_VERSION));
         assert_eq!(
@@ -1281,7 +948,7 @@ mod tests {
             ),
         )
         .unwrap();
-        let info = ScanStore::inspect(&stale).unwrap();
+        let info = RecordFile::<ScanCodec>::inspect(&stale).unwrap();
         assert!(!info.compatible);
         assert_eq!(info.generation, 4);
         assert_eq!(info.entries, 1);
@@ -1291,7 +958,7 @@ mod tests {
         let other = temp_path("inspect-other");
         std::fs::write(&other, "stack-query-store v2 enc1 gen1\n").unwrap();
         assert!(matches!(
-            ScanStore::inspect(&other),
+            RecordFile::<ScanCodec>::inspect(&other),
             Err(MergeError::Incompatible { .. })
         ));
         for p in [path, stale, other] {
@@ -1302,11 +969,11 @@ mod tests {
     #[test]
     fn escape_roundtrip() {
         for text in ["plain", "a b@c%d", "héllo\nworld", "", PATH_PLACEHOLDER] {
-            assert_eq!(unescape(&escape(text)).as_deref(), Some(text));
+            assert_eq!(unescape(&Escaped(text).to_string()).as_deref(), Some(text));
         }
-        let escaped = escape("a b@c");
+        let escaped = Escaped("a b@c").to_string();
         assert!(!escaped.contains(' '));
         assert!(!escaped.contains('@'));
-        assert_eq!(escape(PATH_PLACEHOLDER), "%01");
+        assert_eq!(Escaped(PATH_PLACEHOLDER).to_string(), "%01");
     }
 }

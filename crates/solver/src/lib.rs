@@ -19,6 +19,8 @@
 //!   a disk-backed store ([`store::DiskQueryStore`]) that persists
 //!   fingerprint→result pairs across processes, so repeated archive scans
 //!   (the paper's §6.5 workload) start warm;
+//! * the store file discipline ([`recordfile::RecordFile`]) the disk query
+//!   store shares with the scan store of `stack-core`;
 //! * incremental solving under assumptions ([`incremental::SolverInstance`]):
 //!   one persistent SAT instance per function encoding, with UB-condition
 //!   literals toggled as assumptions, so the checker's minimal-UB-set loop
@@ -34,6 +36,7 @@ pub mod cnf;
 pub mod incremental;
 pub mod lit;
 pub mod model;
+pub mod recordfile;
 pub mod sat;
 pub mod solver;
 pub mod store;
@@ -45,10 +48,8 @@ pub use cnf::{Clause, ClauseDb, ClauseRef, CnfFormula};
 pub use incremental::{InstanceStats, SolverInstance};
 pub use lit::{LBool, Lit, Var};
 pub use model::Model;
+pub use recordfile::{MergeError, MergeStats, RecordFile, SalvageReport, StoreInspection};
 pub use sat::{Budget, SatResult, SatSolver, SatStats};
 pub use solver::{free_variables, BvSolver, QueryResult, SolverStats};
-pub use store::{
-    crc32, DiskQueryStore, MergeError, MergeStats, QueryStore, SalvageReport, StoreInspection,
-    ENCODING_REVISION, STORE_FORMAT_VERSION,
-};
+pub use store::{DiskQueryStore, QueryStore, ENCODING_REVISION, STORE_FORMAT_VERSION};
 pub use term::{mask, to_signed, Sort, Term, TermId, TermKind, TermPool, MAX_WIDTH};

@@ -9,20 +9,19 @@
 //!
 //! * [`QueryCache`] — the sharded in-memory table of `cache.rs`, shared
 //!   across the parallel checker's worker threads. Dies with the process.
-//! * [`DiskQueryStore`] — an in-memory table bracketed by [`open`] and
-//!   [`save`]: `open` loads every persisted fingerprint→result pair,
-//!   `save` writes the table back (atomically, via a temp file + rename),
-//!   so the next process — the next package of an archive scan, or the next
-//!   scan of the same archive entirely — starts warm. This is the §6.5
-//!   deployment mode: the paper's Debian-scale runs re-analyze thousands of
-//!   packages that instantiate the same unstable idioms, and a cross-run
-//!   store turns all but the first instance into a lookup.
+//! * [`DiskQueryStore`] — the same table bracketed by [`open`] and
+//!   [`save`]: `open` loads every persisted fingerprint→result pair, `save`
+//!   writes the table back, so the next process — the next package of an
+//!   archive scan, or the next scan of the same archive entirely — starts
+//!   warm. This is the §6.5 deployment mode: the paper's Debian-scale runs
+//!   re-analyze thousands of packages that instantiate the same unstable
+//!   idioms, and a cross-run store turns all but the first instance into a
+//!   lookup.
 //!
-//! ## Persistence format
-//!
-//! The store file is line-oriented text. The first line is a header naming
-//! the format version, the encoding revision, and the **generation** the
-//! file was saved at:
+//! The store file follows the shared discipline of
+//! [`recordfile`](crate::recordfile) — versioned header, generation
+//! stamps and compaction, per-line checksums and salvage, atomic
+//! byte-deterministic saves, strict merge — through [`QueryCodec`]:
 //!
 //! ```text
 //! stack-query-store v4 enc1 gen7
@@ -30,30 +29,14 @@
 //! S g<gen> <fp>,<fp>,... !<crc32>
 //! ```
 //!
-//! `U`/`S` lines carry one UNSAT/SAT entry: a last-used generation stamp
-//! and the canonical cache key (sorted 128-bit structural fingerprints,
-//! lower-case hex), terminated by a ` !`-prefixed CRC-32 of the payload
-//! (v4). Entries are written sorted by key, so saving the same logical
-//! store at the same generation always produces byte-identical files.
-//!
-//! ## Crash safety and salvage
-//!
-//! Saves are atomic (temp file + same-directory rename), so an interrupted
-//! save never replaces a good store. But the file can still arrive torn —
-//! a crashed copy, a truncated disk, a bit flip in transit — and a cache
-//! must never serve a wrong answer because of it. The per-line checksum is
-//! what makes the failure model per-entry instead of per-file: at `open`,
-//! a body line whose checksum or syntax does not verify is **dropped and
-//! counted** (see [`SalvageReport`]) while every intact line loads
-//! normally, and a later `save` rewrites the file canonically. Duplicate
-//! keys (the signature of a torn write that spliced two file versions)
-//! keep the first occurrence; an unterminated final line is treated as
-//! truncation debris. Only a header mismatch — wrong format or encoding
-//! revision, i.e. a file whose *semantics* cannot be trusted — still
-//! discards the store wholesale ([`DiskQueryStore::was_invalidated`]).
-//! [`merge`] stays strict: a store that needed salvage is refused, never
-//! silently folded into a fleet-shared artifact. `stack store fsck
-//! [--repair]` drives the same salvage path from the command line.
+//! One `U`/`S` line carries one UNSAT/SAT entry: its last-used generation
+//! stamp and the canonical cache key (sorted 128-bit structural
+//! fingerprints, lower-case hex). The header's `enc` field is
+//! [`ENCODING_REVISION`]: fingerprints bake in the term encoding, so a store
+//! produced by an older encoder or solver self-invalidates rather than
+//! serving wrong answers. `Unknown` results are never inserted (a budget
+//! exhaustion is a property of the budget, not the formula), so they are
+//! never persisted either.
 //!
 //! SAT entries persist the decided **fact**, never the witness model. The
 //! fact is canonical — structurally identical queries decide identically —
@@ -63,29 +46,10 @@
 //! before, so two runs (or two shards of a distributed scan) legitimately
 //! find different witnesses for the same key. A persisted witness would
 //! make store bytes history-dependent, and [`merge`] — which insists that
-//! duplicate keys carry byte-identical values — would reject honest shard
-//! stores. Witnesses therefore stay process-local (the in-memory
-//! [`QueryCache`] keeps them); a warm `Sat` hit from disk carries an empty
-//! model, which no checker algorithm inspects.
-//!
-//! ## Generations and compaction
-//!
-//! Every `open` starts a new generation (the persisted `gen` plus one);
-//! every entry the run touches — a lookup hit or a fresh insert — is
-//! stamped with it, and `save` writes the stamps back. The stamp is how an
-//! otherwise monotonically growing archive-scale store ages out dead
-//! weight: with [`set_compaction`](DiskQueryStore::set_compaction)`(Some(n))`
-//! (the CLI's `--compact-store n`), `save` drops every entry whose last use
-//! is `n` or more generations old. Entries used this run are never dropped.
-//!
-//! A header that does not match the running binary's
-//! [`STORE_FORMAT_VERSION`]/[`ENCODING_REVISION`] causes the whole file to
-//! be discarded and the store to start empty
-//! ([`DiskQueryStore::was_invalidated`] reports it). Fingerprints bake in
-//! the term encoding, so a stale cache produced by an older encoder or
-//! solver must self-invalidate rather than serve wrong answers. `Unknown`
-//! results are never inserted (a budget exhaustion is a property of the
-//! budget, not the formula), so they are never persisted either.
+//! duplicate keys carry equal values — would reject honest shard stores.
+//! Witnesses therefore stay process-local (the in-memory [`QueryCache`]
+//! keeps them); a warm `Sat` hit from disk carries an empty model, which no
+//! checker algorithm inspects.
 //!
 //! [`open`]: DiskQueryStore::open
 //! [`save`]: DiskQueryStore::save
@@ -93,12 +57,12 @@
 
 use crate::cache::{shard_index, CacheKey, CacheStats, QueryCache, STAMP_SHARDS};
 use crate::model::Model;
+use crate::recordfile::{BodyLines, Codec, EntryWriter, MergeError, MergeStats, RecordFile};
 use crate::solver::QueryResult;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// On-disk layout version of the store file. Bump when the file syntax
@@ -149,289 +113,131 @@ impl QueryStore for QueryCache {
     }
 }
 
-/// A disk-backed query store: the in-memory sharded table plus load/save
-/// against one file. See the module docs for the format and invalidation
-/// rules.
+/// The query store's entry lines: one `U` (UNSAT) or `S` (SAT) line per
+/// entry, carrying the canonical key.
+#[derive(Debug)]
+pub struct QueryCodec;
+
+impl Codec for QueryCodec {
+    type Key = CacheKey;
+    type Value = QueryResult;
+    const PREFIX: &'static str = "stack-query-store";
+    const KIND: &'static str = "query";
+    const REVISIONS: &'static [(&'static str, u64)] = &[
+        ("v", STORE_FORMAT_VERSION as u64),
+        ("enc", ENCODING_REVISION as u64),
+    ];
+
+    /// `Unknown` cannot appear: the in-memory table never stores it.
+    fn tag(result: &QueryResult) -> char {
+        match result {
+            QueryResult::Unsat => 'U',
+            QueryResult::Sat(_) => 'S',
+            QueryResult::Unknown => unreachable!("Unknown is never stored"),
+        }
+    }
+
+    /// `Sat` writes the fact alone: witnesses are process-local (see the
+    /// module docs).
+    fn write(key: &CacheKey, _: &QueryResult, out: &mut EntryWriter<'_>) {
+        let _ = out.write_str(&Self::key_text(key));
+    }
+
+    fn read(tag: char, rest: &str, _: &mut BodyLines<'_>) -> Option<(CacheKey, QueryResult)> {
+        let result = match tag {
+            'U' => QueryResult::Unsat,
+            // The empty model is the "witness elided" marker lookups hand
+            // back.
+            'S' => QueryResult::Sat(Model::new()),
+            _ => return None,
+        };
+        let key = if rest.is_empty() {
+            Vec::new()
+        } else {
+            rest.split(',')
+                .map(|fp| u128::from_str_radix(fp, 16).ok())
+                .collect::<Option<_>>()?
+        };
+        Some((key, result))
+    }
+
+    fn key_text(key: &CacheKey) -> String {
+        let fps: Vec<String> = key.iter().map(|fp| format!("{fp:032x}")).collect();
+        fps.join(",")
+    }
+}
+
+/// A disk-backed query store: the in-memory sharded table plus its store
+/// file. Dereferences to the [`RecordFile`] for the file's lifecycle state
+/// (`path`, `generation`, `loaded_entries`, `salvage`, `set_compaction`).
 #[derive(Debug)]
 pub struct DiskQueryStore {
-    path: PathBuf,
+    file: RecordFile<QueryCodec>,
     mem: QueryCache,
-    /// This run's generation: the persisted header generation plus one.
-    generation: u64,
-    /// Last-used generation per key (loaded stamps, overwritten with
-    /// `generation` on every hit or insert this run). Sharded with the
-    /// cache's own shard function so the stamp refresh on the parallel
-    /// hot path contends exactly like the cache itself, never globally.
+    /// Last-used generation per key (loaded stamps, overwritten with this
+    /// run's generation on every hit or insert). Sharded with the cache's
+    /// own shard function so the stamp refresh on the parallel hot path
+    /// contends exactly like the cache itself, never globally.
     last_used: [Mutex<HashMap<CacheKey, u64>>; STAMP_SHARDS],
-    /// Compaction horizon: entries unused for this many generations are
-    /// dropped at `save`. 0 means compaction is off.
-    compact_after: AtomicU64,
-    loaded: u64,
-    invalidated: bool,
-    /// Set when `open` had to drop bad lines from a torn or corrupted
-    /// body (`None` for a clean or missing file).
-    salvage: Option<SalvageReport>,
+}
+
+impl std::ops::Deref for DiskQueryStore {
+    type Target = RecordFile<QueryCodec>;
+
+    fn deref(&self) -> &RecordFile<QueryCodec> {
+        &self.file
+    }
 }
 
 impl DiskQueryStore {
-    /// The header line a store saved at `generation` carries.
-    fn header(generation: u64) -> String {
-        format!("stack-query-store v{STORE_FORMAT_VERSION} enc{ENCODING_REVISION} gen{generation}")
-    }
-
-    /// Open a store backed by `path`, loading every persisted entry and
-    /// starting the next generation. A missing file yields an empty store
-    /// at generation 1; a file with a mismatched header (older format or
-    /// encoding revision) is discarded wholesale and
-    /// [`was_invalidated`](Self::was_invalidated) reports it. A compatible
-    /// file with torn or corrupted body lines loads every line that
-    /// checksums and parses, drops the rest, and reports the damage
-    /// through [`salvage`](Self::salvage). Only I/O failures are errors.
+    /// Open a store backed by `path`, loading every persisted entry that
+    /// verifies and starting the next generation (see
+    /// [`RecordFile::open`]). Only I/O failures are errors.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<DiskQueryStore> {
-        let path = path.into();
+        let (file, entries) = RecordFile::open(path)?;
         let mut store = DiskQueryStore {
-            path,
+            file,
             mem: QueryCache::new(),
-            generation: 1,
             last_used: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            compact_after: AtomicU64::new(0),
-            loaded: 0,
-            invalidated: false,
-            salvage: None,
         };
-        let text = match std::fs::read_to_string(&store.path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(store),
-            Err(e) => return Err(e),
-        };
-        match parse_store(&text) {
-            Some((file_generation, entries, salvage)) => {
-                store.generation = file_generation + 1;
-                store.loaded = entries.len() as u64;
-                for (key, result, stamp) in entries {
-                    store.last_used[shard_index(&key)]
-                        .get_mut()
-                        .unwrap()
-                        .insert(key.clone(), stamp);
-                    store.mem.insert(key, &result);
-                }
-                if !salvage.is_clean() {
-                    store.salvage = Some(salvage);
-                }
-            }
-            None => store.invalidated = true,
+        for (key, (result, stamp)) in entries {
+            store.last_used[shard_index(&key)]
+                .get_mut()
+                .unwrap()
+                .insert(key.clone(), stamp);
+            store.mem.insert(key, &result);
         }
         Ok(store)
     }
 
-    /// Write every entry back to the backing file: serialize to a sibling
-    /// temp file, then rename over the target, so a crash mid-save never
-    /// leaves a truncated store behind. With a compaction horizon set
-    /// ([`set_compaction`](Self::set_compaction)), entries unused for that
-    /// many generations are dropped. Returns the number of entries
-    /// written. Output is deterministic (entries sorted by key, this run's
-    /// generation in the header), so saving the same logical store twice
+    /// Write every entry back to the backing file, minus those past the
+    /// compaction horizon ([`RecordFile::set_compaction`]). Returns the
+    /// number of entries written. Saving the same logical store twice
     /// within one run produces byte-identical files.
     pub fn save(&self) -> io::Result<usize> {
-        let compact_after = self.compact_after.load(Ordering::Relaxed);
-        let mut entries: Vec<(CacheKey, QueryResult, u64)> = self
-            .mem
-            .entries_snapshot()
-            .into_iter()
-            .map(|(key, result)| {
-                // Entries inserted through the QueryStore interface are
-                // always stamped; `loaded` default covers direct test
-                // populations of the inner cache.
-                let stamp = self.last_used[shard_index(&key)]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .get(&key)
-                    .copied()
-                    .unwrap_or(self.generation);
-                (key, result, stamp)
-            })
-            .filter(|(_, _, stamp)| compact_after == 0 || self.generation - stamp < compact_after)
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        write_store_file(&self.path, self.generation, &entries)?;
-        Ok(entries.len())
+        let entries = self.mem.entries_snapshot();
+        self.file.save(entries.iter().map(|(key, result)| {
+            // Entries inserted through the QueryStore interface are always
+            // stamped; the default covers direct test populations of the
+            // inner cache.
+            let stamp = self.last_used[shard_index(key)]
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .get(key)
+                .copied()
+                .unwrap_or(self.generation());
+            (key, result, stamp)
+        }))
     }
 
-    /// Merge the stores at `inputs` into one store file at `out`: the
-    /// sorted union of their entries, saved through the same atomic
-    /// byte-deterministic path [`save`](Self::save) uses. Merging is how a
-    /// sharded archive scan's warm state folds back into one fleet-shared
-    /// cache, so it is strict where `open` is forgiving:
-    ///
-    /// * an input whose header names a different format or encoding
-    ///   revision — or that is malformed — is a **user-facing error**
-    ///   ([`MergeError::Incompatible`]), never a silent discard;
-    /// * a key present in several inputs must carry byte-identical results
-    ///   (fingerprints are canonical, so two honest stores can only agree);
-    ///   a disagreement is a loud [`MergeError::Conflict`];
-    /// * last-used generation stamps take the **max** across inputs, and
-    ///   the output header carries the max input generation, so relative
-    ///   entry ages survive the merge;
-    /// * with `compact_after = Some(n)`, entries unused for `n` or more
-    ///   generations (relative to the output generation) are pruned, like
-    ///   [`set_compaction`](Self::set_compaction) at save.
-    ///
-    /// Merging a store with itself reproduces it byte for byte, and the
-    /// result is independent of input order.
+    /// Merge the query stores at `inputs` into one at `out` — the fan-in of
+    /// a sharded scan. See [`RecordFile::merge`].
     pub fn merge(
         out: impl AsRef<Path>,
         inputs: &[PathBuf],
         compact_after: Option<u64>,
     ) -> Result<MergeStats, MergeError> {
-        let mut merged: HashMap<CacheKey, (QueryResult, u64)> = HashMap::new();
-        let mut stats = MergeStats {
-            inputs: inputs.len(),
-            ..MergeStats::default()
-        };
-        for path in inputs {
-            let text = std::fs::read_to_string(path).map_err(|error| MergeError::Io {
-                path: path.clone(),
-                error,
-            })?;
-            check_header_compatible(
-                text.lines().next().unwrap_or(""),
-                QUERY_STORE_HEADER_PREFIX,
-                &[
-                    ("v", u64::from(STORE_FORMAT_VERSION)),
-                    ("enc", u64::from(ENCODING_REVISION)),
-                ],
-            )
-            .map_err(|reason| MergeError::Incompatible {
-                path: path.clone(),
-                reason,
-            })?;
-            let (file_generation, entries, salvage) =
-                parse_store(&text).ok_or_else(|| MergeError::Incompatible {
-                    path: path.clone(),
-                    reason: "malformed store content".to_string(),
-                })?;
-            // A store that needed salvage may have lost entries; folding
-            // it into a fleet-shared artifact would bake the loss in.
-            // Re-save it (`stack store fsck --repair`) first.
-            if !salvage.is_clean() {
-                return Err(MergeError::Incompatible {
-                    path: path.clone(),
-                    reason: format!(
-                        "store needs salvage ({} bad line{}); run fsck --repair before merging",
-                        salvage.dropped_lines,
-                        if salvage.dropped_lines == 1 { "" } else { "s" }
-                    ),
-                });
-            }
-            stats.generation = stats.generation.max(file_generation);
-            stats.entries_in += entries.len() as u64;
-            for (key, result, stamp) in entries {
-                match merged.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                        stats.duplicates += 1;
-                        if occupied.get().0 != result {
-                            return Err(MergeError::Conflict {
-                                path: path.clone(),
-                                key: key_text(occupied.key()),
-                            });
-                        }
-                        let slot = occupied.get_mut();
-                        slot.1 = slot.1.max(stamp);
-                    }
-                    std::collections::hash_map::Entry::Vacant(vacant) => {
-                        vacant.insert((result, stamp));
-                    }
-                }
-            }
-        }
-        let compact = compact_after.unwrap_or(0);
-        let generation = stats.generation.max(1);
-        stats.generation = generation;
-        let mut entries: Vec<(CacheKey, QueryResult, u64)> = merged
-            .into_iter()
-            .filter(|(_, (_, stamp))| compact == 0 || generation - stamp < compact)
-            .map(|(key, (result, stamp))| (key, result, stamp))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        stats.entries_out = entries.len() as u64;
-        stats.pruned = stats.entries_in - stats.duplicates - stats.entries_out;
-        write_store_file(out.as_ref(), generation, &entries).map_err(|error| MergeError::Io {
-            path: out.as_ref().to_path_buf(),
-            error,
-        })?;
-        Ok(stats)
-    }
-
-    /// Read the store file at `path` for debugging: header revisions,
-    /// generation, entry count, and a last-used-stamp histogram — without
-    /// the all-or-nothing discard [`open`](Self::open) applies, so a store
-    /// a merge rejected can still be examined. Only the header must parse;
-    /// a body in an unknown line format reports `malformed` instead of
-    /// failing.
-    pub fn inspect(path: impl AsRef<Path>) -> Result<StoreInspection, MergeError> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|error| MergeError::Io {
-            path: path.to_path_buf(),
-            error,
-        })?;
-        inspect_text(
-            &text,
-            "query",
-            QUERY_STORE_HEADER_PREFIX,
-            &[
-                ("v", u64::from(STORE_FORMAT_VERSION)),
-                ("enc", u64::from(ENCODING_REVISION)),
-            ],
-            |text, generation| {
-                let body_start = text.lines().next().map_or(0, |l| l.len() + 1);
-                let (entries, salvage) = parse_body(text, body_start, generation);
-                (
-                    entries.into_iter().map(|(_, _, stamp)| stamp).collect(),
-                    salvage,
-                )
-            },
-        )
-        .ok_or_else(|| MergeError::Incompatible {
-            path: path.to_path_buf(),
-            reason: format!("not a {QUERY_STORE_HEADER_PREFIX} file"),
-        })
-    }
-
-    /// Number of entries loaded from disk at [`open`](Self::open) time.
-    pub fn loaded_entries(&self) -> u64 {
-        self.loaded
-    }
-
-    /// This run's generation: the persisted one plus one (1 for a fresh
-    /// store). Every save stamps the header — and every entry this run
-    /// touched — with it.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Set (or clear) the compaction horizon: at [`save`](Self::save),
-    /// entries whose last-used stamp is `n` or more generations old are
-    /// pruned. `None` (the default) keeps everything forever.
-    pub fn set_compaction(&self, n: Option<u64>) {
-        self.compact_after.store(n.unwrap_or(0), Ordering::Relaxed);
-    }
-
-    /// Whether `open` found a file it had to discard (mismatched header —
-    /// written by a different format or encoding revision).
-    pub fn was_invalidated(&self) -> bool {
-        self.invalidated
-    }
-
-    /// The damage report when `open` had to drop bad lines from a torn or
-    /// corrupted body; `None` when the file loaded clean (or was missing
-    /// or invalidated wholesale).
-    pub fn salvage(&self) -> Option<&SalvageReport> {
-        self.salvage.as_ref()
-    }
-
-    /// The backing file path.
-    pub fn path(&self) -> &Path {
-        &self.path
+        RecordFile::<QueryCodec>::merge(out, inputs, compact_after)
     }
 }
 
@@ -446,9 +252,9 @@ impl QueryStore for DiskQueryStore {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         match stamps.get(key) {
-            Some(&g) if g == self.generation => {}
+            Some(&g) if g == self.generation() => {}
             _ => {
-                stamps.insert(key.clone(), self.generation);
+                stamps.insert(key.clone(), self.generation());
             }
         }
         drop(stamps);
@@ -462,7 +268,7 @@ impl QueryStore for DiskQueryStore {
         self.last_used[shard_index(&key)]
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key.clone(), self.generation);
+            .insert(key.clone(), self.generation());
         self.mem.insert(key, result);
     }
 
@@ -471,499 +277,18 @@ impl QueryStore for DiskQueryStore {
     }
 }
 
-/// The first token of every query-store header line.
-const QUERY_STORE_HEADER_PREFIX: &str = "stack-query-store";
-
-/// Statistics of one store merge (either store kind; the scan store's
-/// merge reports through the same shape).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MergeStats {
-    /// Input store files read.
-    pub inputs: usize,
-    /// Entries across all inputs (duplicates counted every time they
-    /// appear beyond the first).
-    pub entries_in: u64,
-    /// Entries in the merged output.
-    pub entries_out: u64,
-    /// Input entries whose key was already present (value equality was
-    /// asserted; stamps took the max).
-    pub duplicates: u64,
-    /// Entries dropped by the compaction horizon.
-    pub pruned: u64,
-    /// The output header's generation: the max across inputs.
-    pub generation: u64,
-}
-
-/// Why a store merge (or inspection) failed. Merging is strict where
-/// `open` is forgiving: a store that cannot be trusted byte for byte is
-/// a loud error, never a silent discard — a fleet-shared cache built from
-/// a half-read input would serve wrong answers forever.
-#[derive(Debug)]
-pub enum MergeError {
-    /// Reading an input or writing the output failed.
-    Io {
-        /// The file involved.
-        path: PathBuf,
-        /// The underlying I/O error.
-        error: io::Error,
-    },
-    /// An input was written by a different format or encoding/fingerprint
-    /// revision (or is not a store file at all).
-    Incompatible {
-        /// The offending input.
-        path: PathBuf,
-        /// What exactly mismatched, naming found vs. expected.
-        reason: String,
-    },
-    /// Two inputs store different values under the same key — one of them
-    /// is corrupt or was produced under different semantics.
-    Conflict {
-        /// The input whose entry disagreed with an earlier one.
-        path: PathBuf,
-        /// The conflicting key, rendered in the store's line syntax.
-        key: String,
-    },
-}
-
-impl std::fmt::Display for MergeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MergeError::Io { path, error } => write!(f, "{}: {error}", path.display()),
-            MergeError::Incompatible { path, reason } => {
-                write!(f, "{}: incompatible store: {reason}", path.display())
-            }
-            MergeError::Conflict { path, key } => write!(
-                f,
-                "{}: conflicting value for key {key} (inputs disagree; refusing to merge)",
-                path.display()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for MergeError {}
-
-/// What [`DiskQueryStore::inspect`] (and the scan store's counterpart)
-/// reads off a store file without trusting it: the header fields, whether
-/// they match the running binary, and a last-used histogram when the body
-/// parses.
-#[derive(Clone, Debug)]
-pub struct StoreInspection {
-    /// `"query"` or `"scan"`.
-    pub kind: &'static str,
-    /// The header's format version.
-    pub format_version: u64,
-    /// The header's encoding revision.
-    pub encoding_revision: u64,
-    /// The header's fingerprint revision (scan stores only).
-    pub fingerprint_revision: Option<u64>,
-    /// The header's generation (0 for formats that predate generations).
-    pub generation: u64,
-    /// Whether every header field matches the running binary — i.e.
-    /// whether `open` would load this file and `merge` would accept it.
-    pub compatible: bool,
-    /// Whether any body line failed to checksum or parse under the
-    /// current line format (those lines were dropped; the rest counted).
-    pub malformed: bool,
-    /// Entries that checksummed and parsed (salvageable content).
-    pub entries: u64,
-    /// Entries in the intact leading prefix, before the first bad line.
-    pub salvageable_prefix: u64,
-    /// Byte offset of the first bad line, when `malformed`.
-    pub first_bad_offset: Option<u64>,
-    /// Body lines dropped as unverifiable.
-    pub dropped_lines: u64,
-    /// last-used generation stamp → entry count.
-    pub last_used: BTreeMap<u64, u64>,
-}
-
-impl StoreInspection {
-    /// Render as the aligned text block `stack store inspect` prints.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{} store", self.kind);
-        let _ = writeln!(out, "  format version   {:>8}", self.format_version);
-        let _ = writeln!(out, "  encoding rev     {:>8}", self.encoding_revision);
-        if let Some(fpr) = self.fingerprint_revision {
-            let _ = writeln!(out, "  fingerprint rev  {:>8}", fpr);
-        }
-        let _ = writeln!(out, "  generation       {:>8}", self.generation);
-        let _ = writeln!(
-            out,
-            "  compatible       {:>8}",
-            if self.compatible { "yes" } else { "NO" }
-        );
-        if self.malformed {
-            let _ = writeln!(
-                out,
-                "  body             {} bad line{} (first at byte offset {})",
-                self.dropped_lines,
-                if self.dropped_lines == 1 { "" } else { "s" },
-                self.first_bad_offset.unwrap_or(0)
-            );
-            let _ = writeln!(
-                out,
-                "  salvageable      {:>8} leading entr{} ({} total)",
-                self.salvageable_prefix,
-                if self.salvageable_prefix == 1 {
-                    "y"
-                } else {
-                    "ies"
-                },
-                self.entries
-            );
-        }
-        let _ = writeln!(out, "  entries          {:>8}", self.entries);
-        if !self.last_used.is_empty() {
-            let _ = writeln!(out, "  last used:");
-            for (stamp, count) in &self.last_used {
-                let age = self.generation.saturating_sub(*stamp);
-                let _ = writeln!(
-                    out,
-                    "    gen {stamp:>6} ({age:>3} old)  {count:>8} entr{}",
-                    if *count == 1 { "y" } else { "ies" }
-                );
-            }
-        }
-        out.trim_end().to_string()
-    }
-}
-
-/// Split a store header line like `stack-query-store v2 enc1 gen7` into
-/// its tag/number fields (`[("v", 2), ("enc", 1), ("gen", 7)]`). `None`
-/// when the prefix is absent or any token is not tag-then-digits. Shared
-/// with the scan store's header (`stack-scan-store v2 enc1 fpr1 gen3`).
-pub fn header_fields<'a>(line: &'a str, prefix: &str) -> Option<Vec<(&'a str, u64)>> {
-    let rest = line.strip_prefix(prefix)?;
-    if !rest.is_empty() && !rest.starts_with(' ') {
-        return None;
-    }
-    let mut fields = Vec::new();
-    for token in rest.split_whitespace() {
-        let digits = token.find(|c: char| c.is_ascii_digit())?;
-        if digits == 0 {
-            return None;
-        }
-        let (tag, number) = token.split_at(digits);
-        fields.push((tag, number.parse().ok()?));
-    }
-    Some(fields)
-}
-
-/// Check a header line against the running binary's expected field values,
-/// returning a found-vs-expected reason on any mismatch. `expected` lists
-/// the revision fields that must match exactly; extra header fields (like
-/// `gen`) are ignored. Shared by both stores' merge paths (the scan store
-/// lives in `stack-core`, hence public).
-pub fn check_header_compatible(
-    line: &str,
-    prefix: &str,
-    expected: &[(&str, u64)],
-) -> Result<(), String> {
-    let fields = header_fields(line, prefix)
-        .ok_or_else(|| format!("not a {prefix} file (header `{line}`)"))?;
-    for (tag, want) in expected {
-        let found = fields.iter().find(|(t, _)| t == tag).map(|(_, n)| *n);
-        match found {
-            Some(n) if n == *want => {}
-            Some(n) => {
-                return Err(format!(
-                    "{tag} revision mismatch: file has {tag}{n}, this binary expects {tag}{want}"
-                ))
-            }
-            None => return Err(format!("header `{line}` lacks the {tag} field")),
-        }
-    }
-    Ok(())
-}
-
-/// Shared body of both stores' `inspect`: parse the header leniently,
-/// compare against the expected fields, and histogram the last-used
-/// stamps `parse_stamps` extracts — called with the full file text and
-/// the header's generation. `parse_stamps` is salvage-aware: it returns
-/// every stamp it could verify plus the [`SalvageReport`] describing what
-/// it had to drop, so an inspection of a torn store shows how much of it
-/// is recoverable instead of a bare `malformed`.
-pub fn inspect_text(
-    text: &str,
-    kind: &'static str,
-    prefix: &str,
-    expected: &[(&str, u64)],
-    parse_stamps: impl Fn(&str, u64) -> (Vec<u64>, SalvageReport),
-) -> Option<StoreInspection> {
-    let first = text.lines().next().unwrap_or("");
-    let fields = header_fields(first, prefix)?;
-    let field = |tag: &str| fields.iter().find(|(t, _)| *t == tag).map(|(_, n)| *n);
-    let compatible = check_header_compatible(first, prefix, expected).is_ok();
-    // Formats that predate generations get an unbounded stamp horizon so
-    // their bodies still count.
-    let (stamps, salvage) = parse_stamps(text, field("gen").unwrap_or(u64::MAX));
-    let mut last_used = BTreeMap::new();
-    for &stamp in &stamps {
-        *last_used.entry(stamp).or_insert(0) += 1;
-    }
-    Some(StoreInspection {
-        kind,
-        format_version: field("v").unwrap_or(0),
-        encoding_revision: field("enc").unwrap_or(0),
-        fingerprint_revision: field("fpr"),
-        generation: field("gen").unwrap_or(0),
-        compatible,
-        malformed: !salvage.is_clean(),
-        entries: stamps.len() as u64,
-        salvageable_prefix: salvage.valid_prefix_entries,
-        first_bad_offset: salvage.first_bad_offset,
-        dropped_lines: salvage.dropped_lines,
-        last_used,
-    })
-}
-
-/// What a salvage pass over a store body recovered and what it dropped.
-/// Produced at `open` (both stores) and by `inspect`; a clean body has
-/// zero dropped lines and no first-bad offset.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SalvageReport {
-    /// Body lines (or multi-line units, for the scan store) dropped
-    /// because a checksum or the line syntax failed to verify.
-    pub dropped_lines: u64,
-    /// Byte offset, from the start of the file, of the first bad line.
-    pub first_bad_offset: Option<u64>,
-    /// Entries recovered before the first bad line — the intact leading
-    /// prefix a simple truncation leaves behind.
-    pub valid_prefix_entries: u64,
-    /// Total entries recovered (the prefix plus every verifiable line
-    /// after the damage).
-    pub salvaged_entries: u64,
-}
-
-impl SalvageReport {
-    /// Whether the body verified in full (nothing was dropped).
-    pub fn is_clean(&self) -> bool {
-        self.dropped_lines == 0
-    }
-
-    /// Count one recovered entry (salvage parsers of both stores).
-    pub fn entry(&mut self) {
-        if self.first_bad_offset.is_none() {
-            self.valid_prefix_entries += 1;
-        }
-        self.salvaged_entries += 1;
-    }
-
-    /// Count one dropped line at `offset` (salvage parsers of both
-    /// stores).
-    pub fn bad(&mut self, offset: u64) {
-        self.dropped_lines += 1;
-        if self.first_bad_offset.is_none() {
-            self.first_bad_offset = Some(offset);
-        }
-    }
-}
-
-/// CRC-32 (IEEE, reflected, polynomial `0xEDB88320`) lookup table,
-/// computed at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `bytes` — the checksum every v4 store line carries.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
-/// Append `payload` to `out` as one checksummed store line:
-/// `<payload> !<crc32 as 8 lower-case hex digits>\n`. Shared by both
-/// stores' writers (the scan store lives in `stack-core`, hence public).
-pub fn write_checksummed_line(out: &mut String, payload: &str) {
-    let _ = writeln!(out, "{payload} !{:08x}", crc32(payload.as_bytes()));
-}
-
-/// Verify one store line's trailing ` !<crc32>` checksum, returning the
-/// payload it covers. `None` when the suffix is missing, not 8 hex
-/// digits, or does not match — the line cannot be trusted.
-pub fn verify_checksummed_line(line: &str) -> Option<&str> {
-    let (payload, sum) = line.rsplit_once(" !")?;
-    if sum.len() != 8 || !sum.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return None;
-    }
-    let sum = u32::from_str_radix(sum, 16).ok()?;
-    (crc32(payload.as_bytes()) == sum).then_some(payload)
-}
-
-/// Iterate the body lines of a store file (everything from `body_start`
-/// on), yielding each line with its byte offset and whether it was
-/// newline-terminated. An unterminated final line is truncation debris —
-/// the writers always terminate every line — so salvage drops it even
-/// when its checksum happens to verify. Shared by both stores' salvage
-/// parsers (the scan store lives in `stack-core`, hence public).
-pub fn body_lines(text: &str, body_start: usize) -> impl Iterator<Item = (&str, u64, bool)> {
-    let body = text.get(body_start..).unwrap_or("");
-    let mut pos = 0;
-    std::iter::from_fn(move || {
-        while pos < body.len() {
-            let end = body[pos..].find('\n').map_or(body.len(), |i| pos + i);
-            let line = &body[pos..end];
-            let offset = (body_start + pos) as u64;
-            let terminated = end < body.len();
-            pos = end + 1;
-            if line.is_empty() {
-                continue;
-            }
-            return Some((line, offset, terminated));
-        }
-        None
-    })
-}
-
-/// The canonical text rendering of a cache key (what `U`/`S` lines carry).
-fn key_text(key: &CacheKey) -> String {
-    let fps: Vec<String> = key.iter().map(|fp| format!("{fp:032x}")).collect();
-    fps.join(",")
-}
-
-/// Write a complete store file — header at `generation`, then the given
-/// (already sorted) entries — atomically: serialize to a sibling temp
-/// file, then rename over the target, so a crash mid-write never leaves a
-/// truncated store behind. The temp name appends to the full path (never
-/// replaces an extension) and carries the pid, so concurrent savers of a
-/// shared store file never collide on it; the rename stays within one
-/// directory, so it is atomic. Output is byte-deterministic in its
-/// inputs.
-fn write_store_file(
-    path: &Path,
-    generation: u64,
-    entries: &[(CacheKey, QueryResult, u64)],
-) -> io::Result<()> {
-    let mut out = DiskQueryStore::header(generation);
-    out.push('\n');
-    for (key, result, stamp) in entries {
-        write_entry(&mut out, key, result, *stamp);
-    }
-    let mut tmp = path.to_path_buf().into_os_string();
-    tmp.push(format!(".tmp.{}", std::process::id()));
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, &out)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
-/// Serialize one entry as a checksummed `U`/`S` line with its last-used
-/// generation stamp. `Unknown` cannot appear: the in-memory table never
-/// stores it. `Sat` writes the fact alone — witnesses are process-local
-/// (see the module docs).
-fn write_entry(out: &mut String, key: &CacheKey, result: &QueryResult, stamp: u64) {
-    let tag = match result {
-        QueryResult::Unsat => 'U',
-        QueryResult::Sat(_) => 'S',
-        QueryResult::Unknown => unreachable!("Unknown is never stored"),
-    };
-    write_checksummed_line(out, &format!("{tag} g{stamp} {}", key_text(key)));
-}
-
-/// Parse a whole store file into its header generation, its verifiable
-/// entries, and the salvage report describing what was dropped. `None`
-/// only on a header mismatch — a file written by a different format or
-/// encoding revision cannot be trusted at all; a file with a good header
-/// is salvaged line by line.
-#[allow(clippy::type_complexity)]
-fn parse_store(text: &str) -> Option<(u64, Vec<(CacheKey, QueryResult, u64)>, SalvageReport)> {
-    let first = text.lines().next()?;
-    let generation: u64 = first
-        .strip_prefix(&format!(
-            "stack-query-store v{STORE_FORMAT_VERSION} enc{ENCODING_REVISION} gen"
-        ))?
-        .parse()
-        .ok()?;
-    let (entries, salvage) = parse_body(text, first.len() + 1, generation);
-    Some((generation, entries, salvage))
-}
-
-/// Salvage-parse the entry lines of a store body (everything from
-/// `body_start` on): a line survives only if its checksum verifies, its
-/// syntax parses, its stamp is not from the future, and its key was not
-/// already seen (a duplicate key is the signature of a torn write that
-/// spliced two file versions — the first occurrence wins). Everything
-/// else is dropped and counted.
-#[allow(clippy::type_complexity)]
-fn parse_body(
-    text: &str,
-    body_start: usize,
-    generation: u64,
-) -> (Vec<(CacheKey, QueryResult, u64)>, SalvageReport) {
-    let mut entries = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    let mut salvage = SalvageReport::default();
-    for (line, offset, terminated) in body_lines(text, body_start) {
-        let parsed = if terminated {
-            verify_checksummed_line(line).and_then(|payload| parse_entry(payload, generation))
-        } else {
-            None
-        };
-        match parsed {
-            Some((key, result, stamp)) if seen.insert(key.clone()) => {
-                entries.push((key, result, stamp));
-                salvage.entry();
-            }
-            _ => salvage.bad(offset),
-        }
-    }
-    (entries, salvage)
-}
-
-/// Parse one verified entry payload (`U g<stamp> <key>` / `S g<stamp>
-/// <key>`). Stamps from beyond `generation` are malformed.
-fn parse_entry(payload: &str, generation: u64) -> Option<(CacheKey, QueryResult, u64)> {
-    let (kind, rest) = payload.split_at_checked(2)?;
-    let (stamp_text, rest) = rest.split_once(' ')?;
-    let stamp: u64 = stamp_text.strip_prefix('g')?.parse().ok()?;
-    if stamp > generation {
-        return None;
-    }
-    match kind {
-        "U " => Some((parse_key(rest)?, QueryResult::Unsat, stamp)),
-        // A `S` line is the decided fact alone; the empty model is the
-        // "witness elided" marker lookups hand back.
-        "S " => Some((parse_key(rest)?, QueryResult::Sat(Model::new()), stamp)),
-        _ => None,
-    }
-}
-
-/// Parse a comma-separated list of 128-bit hex fingerprints.
-fn parse_key(text: &str) -> Option<CacheKey> {
-    if text.is_empty() {
-        return Some(Vec::new());
-    }
-    text.split(',')
-        .map(|fp| u128::from_str_radix(fp, 16).ok())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recordfile::crc32;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("stack-store-{tag}-{}.qs", std::process::id()))
+    }
+
+    /// The header line this binary writes at `generation`.
+    fn header(generation: u64) -> String {
+        format!("stack-query-store v{STORE_FORMAT_VERSION} enc{ENCODING_REVISION} gen{generation}")
     }
 
     fn sat(pairs: &[(&str, u64)]) -> QueryResult {
@@ -1033,7 +358,7 @@ mod tests {
             third.split_once('\n').unwrap().1,
             "entry lines (incl. last-used stamps) unchanged when nothing was touched"
         );
-        assert!(third.starts_with(&DiskQueryStore::header(reloaded.generation())));
+        assert!(third.starts_with(&header(reloaded.generation())));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1074,18 +399,25 @@ mod tests {
         // The standard CRC-32 (IEEE) check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
-        let mut line = String::new();
-        write_checksummed_line(&mut line, "U g1 2a");
-        assert_eq!(verify_checksummed_line(line.trim_end()), Some("U g1 2a"));
-        assert_eq!(verify_checksummed_line("U g1 2a !deadbeef"), None);
-        assert_eq!(verify_checksummed_line("U g1 2a"), None);
+        // A line loads only under its own checksum.
+        let path = temp_path("crc");
+        for (body, loaded) in [
+            (line("U g1 2a"), 1),
+            ("U g1 2a !deadbeef\n".to_string(), 0),
+            ("U g1 2a\n".to_string(), 0),
+        ] {
+            std::fs::write(&path, format!("{}\n{body}", header(1))).unwrap();
+            assert_eq!(
+                DiskQueryStore::open(&path).unwrap().loaded_entries(),
+                loaded
+            );
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     /// One checksummed body line (payload + valid CRC + newline).
     fn line(payload: &str) -> String {
-        let mut out = String::new();
-        write_checksummed_line(&mut out, payload);
-        out
+        format!("{payload} !{:08x}\n", crc32(payload.as_bytes()))
     }
 
     #[test]
@@ -1102,12 +434,7 @@ mod tests {
             let path = temp_path("salvage");
             std::fs::write(
                 &path,
-                format!(
-                    "{}\n{}{bad}{}",
-                    DiskQueryStore::header(1),
-                    line("U g1 a"),
-                    line("U g1 b,c")
-                ),
+                format!("{}\n{}{bad}{}", header(1), line("U g1 a"), line("U g1 b,c")),
             )
             .unwrap();
             let store = DiskQueryStore::open(&path).unwrap();
@@ -1119,7 +446,7 @@ mod tests {
             assert_eq!(salvage.dropped_lines, 1);
             assert_eq!(salvage.valid_prefix_entries, 1);
             assert_eq!(salvage.salvaged_entries, 2);
-            let header_len = DiskQueryStore::header(1).len() as u64 + 1;
+            let header_len = header(1).len() as u64 + 1;
             assert_eq!(
                 salvage.first_bad_offset,
                 Some(header_len + line("U g1 a").len() as u64),
@@ -1143,7 +470,7 @@ mod tests {
             &path,
             format!(
                 "{}\n{}{}{}",
-                DiskQueryStore::header(3),
+                header(3),
                 line("U g3 1"),
                 line("U g1 1"),
                 line("S g2 2")
@@ -1191,11 +518,7 @@ mod tests {
         let torn = temp_path("merge-salvage-torn");
         let out = temp_path("merge-salvage-out");
         store_with(&good, &[(vec![1], QueryResult::Unsat)]);
-        std::fs::write(
-            &torn,
-            format!("{}\n{}garbage\n", DiskQueryStore::header(1), line("U g1 2")),
-        )
-        .unwrap();
+        std::fs::write(&torn, format!("{}\n{}garbage\n", header(1), line("U g1 2"))).unwrap();
         let err = DiskQueryStore::merge(&out, &[good.clone(), torn.clone()], None).unwrap_err();
         match &err {
             MergeError::Incompatible { path, reason } => {
@@ -1385,7 +708,7 @@ mod tests {
         match &err {
             MergeError::Conflict { path, key } => {
                 assert_eq!(path, &b);
-                assert_eq!(key, &key_text(&vec![7]));
+                assert_eq!(key, &QueryCodec::key_text(&vec![7]));
             }
             other => panic!("expected Conflict, got {other:?}"),
         }
@@ -1401,7 +724,7 @@ mod tests {
             &path,
             &[(vec![1], QueryResult::Unsat), (vec![2], QueryResult::Unsat)],
         );
-        let info = DiskQueryStore::inspect(&path).unwrap();
+        let info = RecordFile::<QueryCodec>::inspect(&path).unwrap();
         assert_eq!(info.kind, "query");
         assert_eq!(info.format_version, u64::from(STORE_FORMAT_VERSION));
         assert_eq!(info.encoding_revision, u64::from(ENCODING_REVISION));
@@ -1425,7 +748,7 @@ mod tests {
             ),
         )
         .unwrap();
-        let info = DiskQueryStore::inspect(&path).unwrap();
+        let info = RecordFile::<QueryCodec>::inspect(&path).unwrap();
         assert!(!info.compatible);
         assert_eq!(info.encoding_revision, u64::from(ENCODING_REVISION) + 9);
         assert_eq!(info.generation, 4);
@@ -1435,13 +758,13 @@ mod tests {
         assert_eq!(info.last_used.get(&4), Some(&1));
         // A torn body: inspect reports the salvageable prefix and the byte
         // offset of the first bad line instead of a bare `malformed`.
-        let header = DiskQueryStore::header(2);
+        let header = header(2);
         std::fs::write(
             &path,
             format!("{header}\n{}corrupt\n{}", line("U g1 1"), line("U g2 2")),
         )
         .unwrap();
-        let info = DiskQueryStore::inspect(&path).unwrap();
+        let info = RecordFile::<QueryCodec>::inspect(&path).unwrap();
         assert!(info.compatible);
         assert!(info.malformed);
         assert_eq!(info.entries, 2);
@@ -1457,7 +780,7 @@ mod tests {
         // Not a store file at all: a loud error.
         std::fs::write(&path, "something else\n").unwrap();
         assert!(matches!(
-            DiskQueryStore::inspect(&path),
+            RecordFile::<QueryCodec>::inspect(&path),
             Err(MergeError::Incompatible { .. })
         ));
         std::fs::remove_file(&path).unwrap();
@@ -1465,16 +788,18 @@ mod tests {
 
     #[test]
     fn header_fields_parse_and_reject() {
-        assert_eq!(
-            header_fields("stack-query-store v2 enc1 gen7", "stack-query-store"),
-            Some(vec![("v", 2), ("enc", 1), ("gen", 7)])
-        );
-        assert_eq!(
-            header_fields("stack-query-store", "stack-query-store"),
-            Some(vec![])
-        );
-        assert!(header_fields("stack-query-storev2", "stack-query-store").is_none());
-        assert!(header_fields("other v2", "stack-query-store").is_none());
-        assert!(header_fields("stack-query-store vv", "stack-query-store").is_none());
+        let path = temp_path("header-fields");
+        let inspect = |header: &str| {
+            std::fs::write(&path, format!("{header}\n")).unwrap();
+            RecordFile::<QueryCodec>::inspect(&path)
+                .ok()
+                .map(|info| (info.format_version, info.encoding_revision, info.generation))
+        };
+        assert_eq!(inspect("stack-query-store v2 enc1 gen7"), Some((2, 1, 7)));
+        assert_eq!(inspect("stack-query-store"), Some((0, 0, 0)));
+        assert_eq!(inspect("stack-query-storev2"), None);
+        assert_eq!(inspect("other v2"), None);
+        assert_eq!(inspect("stack-query-store vv"), None);
+        std::fs::remove_file(&path).unwrap();
     }
 }

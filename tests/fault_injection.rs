@@ -8,7 +8,9 @@
 //! salvaged entry. The scan store is keyed per function, so "never a
 //! wrong or duplicate entry" means every surviving function record
 //! replays (the warm scan's `functions_skipped` equals exactly the
-//! salvaged record count) and every lost one recomputes. Budget
+//! salvaged record count) and every lost one recomputes. A flipped high
+//! bit, which leaves its line invalid UTF-8, gets a deterministic case per
+//! store on top of the proptests. Budget
 //! degradation rides the same harness: a scan under an arbitrary tiny
 //! query budget must stream identical events at every file-parallelism
 //! width and never persist a budget-degraded function.
@@ -20,7 +22,7 @@ use stack_repro::core::{
     ScanTask,
 };
 use stack_repro::corpus::{generate_archive, ArchiveConfig};
-use stack_repro::solver::DiskQueryStore;
+use stack_repro::solver::{DiskQueryStore, MergeError, MergeStats};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -234,7 +236,6 @@ proptest! {
 /// outright.
 #[test]
 fn salvaged_store_never_merges() {
-    use stack_repro::solver::MergeError;
     let fx = fixture();
     let clean_a = temp_path("ss");
     let clean_b = temp_path("ss");
@@ -281,6 +282,94 @@ fn salvaged_store_never_merges() {
     }
     for path in [clean_a, clean_b, hurt, out] {
         let _ = std::fs::remove_file(path);
+    }
+}
+
+/// Flip bit 7 of one byte in the first entry line of a saved store image,
+/// leaving that line invalid UTF-8. Writes the damaged file to a fresh
+/// path and returns it with the damaged line's byte offset.
+fn damage_first_entry(ext: &str, clean: &[u8]) -> (PathBuf, u64) {
+    let line = clean.iter().position(|&b| b == b'\n').expect("header line") + 1;
+    let path = temp_path(ext);
+    std::fs::write(&path, flip_bit(clean, line + 5, 7)).unwrap();
+    (path, line as u64)
+}
+
+/// `merge` must refuse a store that needs salvage with a reason naming
+/// the salvage — never an I/O error, which is what reading the file as
+/// text used to produce.
+fn assert_merge_refuses_salvage(
+    merge: impl Fn(&Path, &[PathBuf]) -> Result<MergeStats, MergeError>,
+    damaged: &Path,
+) {
+    let out = temp_path("out");
+    match merge(&out, &[damaged.to_path_buf()]) {
+        Err(MergeError::Incompatible { reason, .. }) => {
+            assert!(reason.contains("salvage"), "{reason}");
+        }
+        other => panic!("merge of a damaged store must be refused, got {other:?}"),
+    }
+    assert!(!out.exists());
+}
+
+/// A body byte that is not UTF-8 is a bad line like any other: the query
+/// store drops exactly that entry, reports its offset, serves a warm scan
+/// the reference reports, refuses to merge, and heals on save.
+#[test]
+fn non_utf8_query_store_line_is_salvaged() {
+    let fx = fixture();
+    let (path, offset) = damage_first_entry("qs", &fx.query_gen2);
+    let store = DiskQueryStore::open(&path).expect("damaged open must not error");
+    assert!(!store.was_invalidated());
+    assert_eq!(store.loaded_entries(), fx.query_entries - 1);
+    let salvage = *store.salvage().expect("damage must be reported");
+    assert_eq!(salvage.dropped_lines, 1);
+    assert_eq!(salvage.first_bad_offset, Some(offset));
+    assert_merge_refuses_salvage(
+        |out, inputs| DiskQueryStore::merge(out, inputs, None),
+        &path,
+    );
+
+    let warm = temp_path("qs");
+    std::fs::copy(&path, &warm).unwrap();
+    let (events, _) = scan(2, CheckerConfig::default().query_budget, Some(&warm), None);
+    assert_eq!(events, fx.reference);
+
+    store.save().expect("healing save");
+    let healed = DiskQueryStore::open(&path).unwrap();
+    assert!(healed.salvage().is_none(), "healed store must be clean");
+    assert_eq!(healed.loaded_entries(), fx.query_entries - 1);
+    for p in [path, warm] {
+        std::fs::remove_file(p).unwrap();
+    }
+}
+
+/// The same for the scan store, where the damaged `F` line takes its
+/// whole function record with it: every other record replays.
+#[test]
+fn non_utf8_scan_store_record_is_salvaged() {
+    let fx = fixture();
+    let (path, offset) = damage_first_entry("ss", &fx.scan_gen2);
+    let store = ScanStore::open(&path).expect("damaged open must not error");
+    assert!(!store.was_invalidated());
+    assert_eq!(store.loaded_entries(), fx.scan_entries - 1);
+    let salvage = *store.salvage().expect("damage must be reported");
+    assert_eq!(salvage.salvaged_entries, fx.scan_entries - 1);
+    assert_eq!(salvage.first_bad_offset, Some(offset));
+    assert_merge_refuses_salvage(|out, inputs| ScanStore::merge(out, inputs, None), &path);
+
+    let warm = temp_path("ss");
+    std::fs::copy(&path, &warm).unwrap();
+    let (events, stats) = scan(2, CheckerConfig::default().query_budget, None, Some(&warm));
+    assert_eq!(events, fx.reference);
+    assert_eq!(stats.functions_skipped as u64, fx.scan_entries - 1);
+
+    store.save().expect("healing save");
+    let healed = ScanStore::open(&path).unwrap();
+    assert!(healed.salvage().is_none(), "healed store must be clean");
+    assert_eq!(healed.loaded_entries(), fx.scan_entries - 1);
+    for p in [path, warm] {
+        std::fs::remove_file(p).unwrap();
     }
 }
 
