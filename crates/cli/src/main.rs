@@ -540,6 +540,10 @@ struct ScanSummary {
     cache_file_loaded_entries: u64,
     scan_cache_loaded_entries: u64,
     jobs: usize,
+    /// Tasks analyzed twice because an earlier task published a store
+    /// entry they had missed (the cost of `--jobs` determinism; 0 at
+    /// `--jobs 1`).
+    rerun_tasks: usize,
     /// Which content-keyed shard this scan analyzed (1-based; `1` of `1`
     /// when unsharded).
     shard_index: usize,
@@ -629,6 +633,7 @@ fn cmd_scan(args: &[String]) -> ExitCode {
         cache_file_loaded_entries: store.as_ref().map_or(0, |s| s.loaded_entries()),
         scan_cache_loaded_entries: scan_store.as_ref().map_or(0, |s| s.loaded_entries()),
         jobs: opts.jobs,
+        rerun_tasks: outcome.reruns,
         shard_index: opts.shard.map_or(1, |(i, _)| i),
         shard_count: opts.shard.map_or(1, |(_, n)| n),
         elapsed_ms: u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX),
@@ -850,9 +855,13 @@ fn render_scan_summary(
             summary.cache_file_loaded_entries
         );
     }
+    let reruns = match summary.rerun_tasks {
+        0 => String::new(),
+        n => format!(", {n} task(s) re-run"),
+    };
     let _ = writeln!(
         out,
-        "  elapsed         {:>8} ms  ({} job(s) x {} thread(s))",
+        "  elapsed         {:>8} ms  ({} job(s) x {} thread(s){reruns})",
         summary.elapsed_ms,
         summary.jobs,
         stats.threads.max(1)

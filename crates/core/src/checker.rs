@@ -672,21 +672,42 @@ mod tests {
         assert!(result.stats.conflicts > 0, "{:?}", result.stats);
         assert!(result.stats.learned_clauses > 0, "{:?}", result.stats);
         assert!(result.stats.avg_lbd() > 0.0, "{:?}", result.stats);
-        assert!(
-            result.stats.preprocess_eliminations > 0,
-            "{:?}",
-            result.stats
-        );
-        let off = Checker::with_config(CheckerConfig {
-            threads: Some(1),
-            query_cache: false,
-            preprocess: false,
-            ..CheckerConfig::default()
-        })
-        .check_source(MULTI_FUNCTION_SRC, "multi.c")
-        .unwrap();
+        // The bit-blaster folds the constants of MULTI_FUNCTION_SRC away, so
+        // the preprocessor counter is exercised on the multiply/divide
+        // overflow guard, whose divider still leaves it work.
+        let guard = "int g(int a, int b) { int p = a * 3; int q = p / 3; \
+                     if (q != a) return -1; return p + b; }";
+        let check_guard = |preprocess: bool| {
+            Checker::with_config(CheckerConfig {
+                threads: Some(1),
+                query_cache: false,
+                preprocess,
+                ..CheckerConfig::default()
+            })
+            .check_source(guard, "guard.c")
+            .unwrap()
+        };
+        let on = check_guard(true);
+        assert!(on.stats.preprocess_eliminations > 0, "{:?}", on.stats);
+        let off = check_guard(false);
         assert_eq!(off.stats.preprocess_eliminations, 0, "{:?}", off.stats);
         assert!(off.stats.propagations > 0);
+    }
+
+    #[test]
+    fn edited_overflow_guard_stays_within_the_default_budget() {
+        // The in-place edit behind the edit-tail archive's hardest queries
+        // (`gen-archive --packages 48 --seed 41 --edit-functions 12`,
+        // module `archive-0023_0`): the guard multiplies and divides by
+        // different constants. Blasted without constant folding, three of
+        // its queries exceeded the default 2M-propagation budget.
+        let src = "int fn_234(int a, int b) { int p = a * 20005; int q = p / 55; \
+                   if (q != a) return -1; return p + b; }";
+        let result = Checker::with_config(CheckerConfig::default())
+            .check_source(src, "archive-0023_0.mc")
+            .unwrap();
+        assert_eq!(result.stats.timeouts, 0, "{:?}", result.stats);
+        assert_eq!(result.stats.degraded_modules, 0, "{:?}", result.stats);
     }
 
     #[test]

@@ -14,11 +14,35 @@
 //!
 //! **Determinism.** Workers finish out of order, but results are emitted in
 //! task order through a small reorder buffer: a finishing worker parks its
-//! result and flushes every consecutive ready result from the head. The
-//! event stream — reports, failures — is therefore byte-identical to a
-//! sequential scan's regardless of `jobs` or scheduling, and the buffer
-//! holds only the out-of-order window, preserving the scan's
-//! bounded-memory property.
+//! run, and whichever worker holds the turn emits every consecutive parked
+//! run from the head. The buffer holds only the out-of-order window,
+//! preserving the scan's bounded-memory property.
+//!
+//! Emitting in order is not enough on its own. With incremental solving, a
+//! function's SAT instance depends on which of its queries the shared query
+//! store answered, so under a query budget *which* queries end `Unknown`
+//! depends on what the store held when the function ran. The pipeline
+//! therefore gives every task the store a `--jobs 1` scan would give it:
+//!
+//! * A task reads only *published* entries — those of tasks already
+//!   emitted — plus its own pending inserts, in both the query store and
+//!   the scan store. It records every query key and replay key it missed.
+//! * At its turn to emit, the task is run again if any key it missed has
+//!   been published since. Then its pending inserts are published, its
+//!   statistics absorbed into the session, and its events handed to the
+//!   sink.
+//!
+//! This is exact. A published entry always comes from an earlier task, so
+//! a hit is a hit at `jobs` 1 too. A miss that is still a miss at emit time
+//! is a miss at `jobs` 1 too, because every earlier task has published by
+//! then. So a task that passes the check saw exactly what it would see at
+//! `jobs` 1, and a re-run (all earlier tasks published) sees exactly that.
+//! The event stream, every counter and both stores' contents are therefore
+//! identical to a sequential scan's at any `jobs` width and any budget. At
+//! `jobs` 1 every task starts after its predecessors are published, so
+//! nothing runs twice; [`ScanOutcome::reruns`] counts the re-runs wider
+//! scans pay. Per-module `threads` > 1 keeps the caveat documented on
+//! [`AnalysisSession::check_module_streaming`].
 //!
 //! **Incremental re-scan.** With a [`ScanStore`] attached, every function
 //! of a compiled module is keyed
@@ -44,17 +68,17 @@
 //! [`ScanEvent::Failure`] carrying the panic payload — the scan, the
 //! other workers, and the exit-code semantics continue as if the module
 //! had failed to compile. A panicking module is never recorded in the
-//! scan store (record inserts happen only after every selected function
-//! returned), and never persisted as a query answer (the unwound query
-//! never returned one). Because failures are emitted through the same
-//! reorder buffer as reports, a panicking module produces the identical
-//! event stream at every `jobs` width.
+//! scan store (its staged records are dropped), and never persisted as a
+//! query answer (the unwound query never returned one). Because failures
+//! are emitted through the same reorder buffer as reports, a panicking
+//! module produces the identical event stream at every `jobs` width.
 
 use crate::checker::CheckStats;
-use crate::fingerprint::function_replay_key;
+use crate::fingerprint::{function_replay_key, FunctionKey};
 use crate::report::BugReport;
 use crate::scanstore::{FunctionRecord, ScanStore};
 use crate::session::AnalysisSession;
+use stack_solver::{CacheKey, CacheStats, QueryResult, QueryStore};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -103,6 +127,10 @@ pub struct ScanOutcome {
     pub modules_skipped: usize,
     /// Functions replayed from the scan store without solver work.
     pub functions_skipped: usize,
+    /// Tasks analyzed a second time at their turn to emit, because an
+    /// earlier task published a store entry they had missed. Always 0 at
+    /// `jobs` 1.
+    pub reruns: usize,
 }
 
 /// The file-parallel scan driver. See the module docs for the pipeline
@@ -116,19 +144,90 @@ pub struct ScanPipeline<'s> {
     panic_on: Option<String>,
 }
 
-/// What one worker produced for one task, parked until its turn to emit.
-enum TaskResult {
-    Analyzed {
-        reports: Vec<BugReport>,
-        functions_skipped: usize,
-    },
-    Skipped {
-        reports: Vec<BugReport>,
-        functions_skipped: usize,
-    },
-    Failed {
-        error: String,
-    },
+/// What one task produced: a module's surviving reports and statistics, or
+/// the error it failed with.
+type TaskResult = Result<(Vec<BugReport>, CheckStats), String>;
+
+/// One attempt at one task, parked until its turn to emit.
+struct TaskRun {
+    result: TaskResult,
+    staged: Staged,
+}
+
+/// What one attempt read from and would write to the shared stores.
+struct Staged {
+    /// The task's query-store view: its pending inserts and missed keys.
+    queries: Arc<TaskQueries>,
+    /// Scan-store records to publish.
+    records: Vec<(FunctionKey, FunctionRecord)>,
+    /// Replay keys the scan store missed.
+    missed_replays: Vec<FunctionKey>,
+}
+
+impl Staged {
+    /// Whether an entry this attempt missed has been published since: then
+    /// it did not see what a `jobs` 1 scan would have, and must run again.
+    fn is_stale(&self, scan_store: Option<&ScanStore>) -> bool {
+        let missed = lock(&self.queries.missed);
+        missed
+            .iter()
+            .any(|key| self.queries.published.contains(key))
+            || scan_store
+                .is_some_and(|store| self.missed_replays.iter().any(|&key| store.contains(key)))
+    }
+
+    /// Move the attempt's pending inserts into the shared stores.
+    fn publish(&mut self, scan_store: Option<&ScanStore>) {
+        for (key, result) in lock(&self.queries.pending).drain() {
+            self.queries.published.insert(key, &result);
+        }
+        if let Some(store) = scan_store {
+            for (key, record) in self.records.drain(..) {
+                store.insert(key, record);
+            }
+        }
+    }
+}
+
+/// A task's view of the session's query store. Lookups see the entries
+/// already published (by tasks emitted before) plus this task's own
+/// inserts, which stay pending until the task's turn to emit; every key
+/// that missed is recorded, so the emitter can tell whether the task saw
+/// what a `jobs` 1 scan would have. (The shared store's own hit counter
+/// never sees the hits answered from the pending inserts; the solver's
+/// `cache_hits`, which the scan reports, counts them all.)
+#[derive(Debug)]
+struct TaskQueries {
+    published: Arc<dyn QueryStore>,
+    pending: Mutex<HashMap<CacheKey, QueryResult>>,
+    missed: Mutex<Vec<CacheKey>>,
+}
+
+impl QueryStore for TaskQueries {
+    fn lookup(&self, key: &CacheKey) -> Option<QueryResult> {
+        if let Some(result) = lock(&self.pending).get(key) {
+            return Some(result.clone());
+        }
+        let found = self.published.lookup(key);
+        if found.is_none() {
+            lock(&self.missed).push(key.clone());
+        }
+        found
+    }
+
+    fn insert(&self, key: CacheKey, result: &QueryResult) {
+        if !result.is_unknown() {
+            lock(&self.pending).insert(key, result.clone());
+        }
+    }
+
+    fn contains(&self, key: &CacheKey) -> bool {
+        lock(&self.pending).contains_key(key) || self.published.contains(key)
+    }
+
+    fn stats(&self) -> CacheStats {
+        self.published.stats()
+    }
 }
 
 impl<'s> ScanPipeline<'s> {
@@ -162,15 +261,18 @@ impl<'s> ScanPipeline<'s> {
 
     /// Run the pipeline over `tasks`, handing every event to `sink` in task
     /// order. `sink` must be `Send` because out-of-order workers take turns
-    /// flushing the reorder buffer; it is never called concurrently.
+    /// emitting; it is never called concurrently.
     pub fn run(&self, tasks: &[ScanTask], sink: &mut (dyn FnMut(ScanEvent) + Send)) -> ScanOutcome {
-        let outcome = Mutex::new(ScanOutcome {
-            files: tasks.len(),
-            ..ScanOutcome::default()
+        let reorder = Mutex::new(Reorder {
+            next: 0,
+            parked: HashMap::new(),
+            emitting: false,
         });
         let emitter = Mutex::new(Emitter {
-            next: 0,
-            pending: HashMap::new(),
+            outcome: ScanOutcome {
+                files: tasks.len(),
+                ..ScanOutcome::default()
+            },
             sink,
         });
         let next_task = AtomicUsize::new(0);
@@ -180,41 +282,89 @@ impl<'s> ScanPipeline<'s> {
                 scope.spawn(|| loop {
                     let i = next_task.fetch_add(1, Ordering::Relaxed);
                     let Some(task) = tasks.get(i) else { break };
-                    let result = self.run_task(task);
-                    {
-                        let mut outcome = outcome
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        match &result {
-                            TaskResult::Failed { .. } => outcome.failures += 1,
-                            TaskResult::Skipped {
-                                functions_skipped, ..
-                            } => {
-                                outcome.modules_skipped += 1;
-                                outcome.functions_skipped += functions_skipped;
-                            }
-                            TaskResult::Analyzed {
-                                functions_skipped, ..
-                            } => outcome.functions_skipped += functions_skipped,
-                        }
-                    }
-                    emitter
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .emit(i, result, tasks);
+                    let run = self.run_task(task);
+                    self.park(i, run, tasks, &reorder, &emitter);
                 });
             }
         });
-        let outcome = outcome.into_inner().unwrap();
-        debug_assert_eq!(emitter.into_inner().unwrap().next, tasks.len());
-        outcome
+        debug_assert_eq!(reorder.into_inner().unwrap().next, tasks.len());
+        emitter.into_inner().unwrap().outcome
+    }
+
+    /// Park task `index`'s run. Unless another worker holds the turn, take
+    /// it and emit every consecutive parked run from the head. The reorder
+    /// lock is released while a run is emitted, so the other workers keep
+    /// analyzing and parking while a stale task runs again.
+    fn park(
+        &self,
+        index: usize,
+        run: TaskRun,
+        tasks: &[ScanTask],
+        reorder: &Mutex<Reorder>,
+        emitter: &Mutex<Emitter<'_>>,
+    ) {
+        let mut state = lock(reorder);
+        state.parked.insert(index, run);
+        if state.emitting {
+            return;
+        }
+        state.emitting = true;
+        loop {
+            let next = state.next;
+            let Some(run) = state.parked.remove(&next) else {
+                break;
+            };
+            drop(state);
+            self.emit(&tasks[next], run, &mut lock(emitter));
+            state = lock(reorder);
+            state.next += 1;
+        }
+        state.emitting = false;
+    }
+
+    /// Emit one task, in task order: run it again if it missed an entry
+    /// published since, then publish its pending store inserts, absorb its
+    /// statistics and hand its events to the sink.
+    fn emit(&self, task: &ScanTask, mut run: TaskRun, out: &mut Emitter<'_>) {
+        let scan_store = self.scan_store.as_deref();
+        if run.staged.is_stale(scan_store) {
+            run = self.run_task(task);
+            out.outcome.reruns += 1;
+        }
+        run.staged.publish(scan_store);
+        match run.result {
+            Ok((reports, stats)) => {
+                self.session.absorb_stats(&stats);
+                out.outcome.modules_skipped += stats.modules_skipped;
+                out.outcome.functions_skipped += stats.functions_skipped;
+                for report in reports {
+                    (out.sink)(ScanEvent::Report(report));
+                }
+            }
+            Err(error) => {
+                out.outcome.failures += 1;
+                (out.sink)(ScanEvent::Failure {
+                    name: task.name.clone(),
+                    error,
+                });
+            }
+        }
     }
 
     /// Process one task end to end: load, compile, key, replay or
     /// analyze. Everything past the source read runs under
     /// `catch_unwind`, so a panic anywhere in the stack degrades the task
-    /// to a `Failed` result instead of aborting the scan.
-    fn run_task(&self, task: &ScanTask) -> TaskResult {
+    /// to a failure instead of aborting the scan.
+    fn run_task(&self, task: &ScanTask) -> TaskRun {
+        let mut staged = Staged {
+            queries: Arc::new(TaskQueries {
+                published: Arc::clone(self.session.store()),
+                pending: Mutex::new(HashMap::new()),
+                missed: Mutex::new(Vec::new()),
+            }),
+            records: Vec::new(),
+            missed_replays: Vec::new(),
+        };
         let read;
         let source: &str = match &task.source {
             ScanSource::Inline(source) => source,
@@ -224,9 +374,8 @@ impl<'s> ScanPipeline<'s> {
                     &read
                 }
                 Err(e) => {
-                    return TaskResult::Failed {
-                        error: format!("cannot read: {e}"),
-                    }
+                    let result = Err(format!("cannot read: {e}"));
+                    return TaskRun { result, staged };
                 }
             },
         };
@@ -234,20 +383,24 @@ impl<'s> ScanPipeline<'s> {
         // aggregate, caches, scan store) guards every structure behind
         // mutexes whose contents stay structurally valid at any unwind
         // point, and their locks recover from poisoning.
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.analyze_task(source, &task.name)
+        let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.analyze_task(source, &task.name, &mut staged)
         })) {
             Ok(result) => result,
-            Err(payload) => TaskResult::Failed {
-                error: format!("panic: {}", panic_message(payload.as_ref())),
-            },
-        }
+            Err(payload) => {
+                // A panicking module is never recorded. Its completed
+                // queries were decided, so they publish as at `jobs` 1.
+                staged.records.clear();
+                Err(format!("panic: {}", panic_message(payload.as_ref())))
+            }
+        };
+        TaskRun { result, staged }
     }
 
     /// The panic-containable body of one task: compile, key every
-    /// function, replay hits, analyze misses, record clean results,
-    /// re-assemble and filter the module's report stream.
-    fn analyze_task(&self, source: &str, name: &str) -> TaskResult {
+    /// function, replay hits, analyze misses, stage clean results for the
+    /// scan store, re-assemble and filter the module's report stream.
+    fn analyze_task(&self, source: &str, name: &str, staged: &mut Staged) -> TaskResult {
         if let Some(fragment) = &self.panic_on {
             if name.contains(fragment.as_str()) {
                 panic!("injected fault: panic while analyzing {name}");
@@ -256,40 +409,41 @@ impl<'s> ScanPipeline<'s> {
         crate::faultinject::maybe_injected_panic(name);
         let mut module = match stack_minic::compile(source, name) {
             Ok(module) => module,
-            Err(e) => {
-                return TaskResult::Failed {
-                    error: e.to_string(),
-                }
-            }
+            Err(e) => return Err(e.to_string()),
         };
         stack_opt::optimize_for_analysis(&mut module);
 
-        let Some(store) = &self.scan_store else {
-            // No store: the session's streaming driver does everything
-            // (including merging its stats into the aggregate).
-            let mut reports = Vec::new();
-            self.session
-                .check_module_streaming(&module, &mut |r| reports.push(r));
-            return TaskResult::Analyzed {
-                reports,
-                functions_skipped: 0,
-            };
-        };
-
         let start = Instant::now();
         let config = self.session.config();
-        let keys: Vec<u128> = module
-            .functions()
-            .iter()
-            .map(|f| function_replay_key(f, config))
-            .collect();
-        let replayed: Vec<Option<FunctionRecord>> =
-            keys.iter().map(|&key| store.lookup(key)).collect();
+        let (keys, replayed): (Vec<FunctionKey>, Vec<Option<FunctionRecord>>) =
+            match &self.scan_store {
+                Some(store) => {
+                    let keys: Vec<FunctionKey> = module
+                        .functions()
+                        .iter()
+                        .map(|f| function_replay_key(f, config))
+                        .collect();
+                    let replayed = keys
+                        .iter()
+                        .map(|&key| {
+                            let found = store.lookup(key);
+                            if found.is_none() {
+                                staged.missed_replays.push(key);
+                            }
+                            found
+                        })
+                        .collect();
+                    (keys, replayed)
+                }
+                None => (Vec::new(), vec![None; module.len()]),
+            };
         let skipped = replayed.iter().filter(|r| r.is_some()).count();
         let select: Vec<bool> = replayed.iter().map(Option::is_none).collect();
 
+        let queries: Arc<dyn QueryStore> = staged.queries.clone();
         let (checks, mut stats) = if select.contains(&true) {
-            self.session.check_functions_selected(&module, &select)
+            self.session
+                .check_functions_with(&module, &select, &queries)
         } else {
             (Vec::new(), CheckStats::default())
         };
@@ -297,12 +451,12 @@ impl<'s> ScanPipeline<'s> {
         // recorded: its report set reflects the budget, not the function,
         // and a later run with a higher budget must re-analyze it. Its
         // healthy siblings still record and will replay next run.
-        for check in &checks {
-            if check.timeouts == 0 {
-                store.insert(
+        if self.scan_store.is_some() {
+            for check in checks.iter().filter(|c| c.timeouts == 0) {
+                staged.records.push((
                     keys[check.index],
                     FunctionRecord::normalized(&check.reports, name),
-                );
+                ));
             }
         }
 
@@ -325,27 +479,22 @@ impl<'s> ScanPipeline<'s> {
         self.session
             .filter_module_reports(raw, &mut by_algorithm, &mut |r| reports.push(r));
 
-        let fully_skipped = skipped == keys.len() && !keys.is_empty();
         stats.modules = 1;
-        stats.modules_skipped = usize::from(fully_skipped);
+        stats.modules_skipped = usize::from(skipped == keys.len() && !keys.is_empty());
         stats.functions += skipped;
         stats.functions_skipped = skipped;
         stats.by_algorithm = by_algorithm;
         stats.elapsed = start.elapsed();
-        self.session.absorb_stats(&stats);
-
-        if fully_skipped {
-            TaskResult::Skipped {
-                reports,
-                functions_skipped: skipped,
-            }
-        } else {
-            TaskResult::Analyzed {
-                reports,
-                functions_skipped: skipped,
-            }
-        }
+        Ok((reports, stats))
     }
+}
+
+/// Lock a pipeline mutex, recovering from poisoning: every structure
+/// behind one stays valid at any unwind point.
+fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Render a caught panic payload: `panic!` carries a `String` or `&str`
@@ -359,34 +508,20 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("<opaque panic payload>")
 }
 
-/// The reorder buffer: workers park finished results under their task index
-/// and whoever holds the lock flushes the consecutive ready prefix, so the
-/// sink sees events in task order no matter which worker finished first.
-struct Emitter<'a> {
+/// The reorder buffer: workers park finished runs under their task index,
+/// and the worker holding the turn (`emitting`) emits the consecutive
+/// parked prefix, so the sink sees events in task order no matter which
+/// worker finished first.
+struct Reorder {
     next: usize,
-    pending: HashMap<usize, TaskResult>,
-    sink: &'a mut (dyn FnMut(ScanEvent) + Send),
+    parked: HashMap<usize, TaskRun>,
+    emitting: bool,
 }
 
-impl Emitter<'_> {
-    fn emit(&mut self, index: usize, result: TaskResult, tasks: &[ScanTask]) {
-        self.pending.insert(index, result);
-        while let Some(result) = self.pending.remove(&self.next) {
-            let name = &tasks[self.next].name;
-            match result {
-                TaskResult::Analyzed { reports, .. } | TaskResult::Skipped { reports, .. } => {
-                    for report in reports {
-                        (self.sink)(ScanEvent::Report(report));
-                    }
-                }
-                TaskResult::Failed { error } => (self.sink)(ScanEvent::Failure {
-                    name: name.clone(),
-                    error,
-                }),
-            }
-            self.next += 1;
-        }
-    }
+/// What only the worker holding the turn touches.
+struct Emitter<'a> {
+    outcome: ScanOutcome,
+    sink: &'a mut (dyn FnMut(ScanEvent) + Send),
 }
 
 #[cfg(test)]

@@ -251,6 +251,12 @@ impl ScanStore {
         self.records.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Whether a record for `key` is stored: a probe that counts nothing
+    /// and refreshes no stamp.
+    pub(crate) fn contains(&self, key: FunctionKey) -> bool {
+        self.records().contains_key(&key)
+    }
+
     /// Look up the record for a replay key, counting a hit or miss. A hit
     /// refreshes the record's last-used stamp to this run's generation.
     pub fn lookup(&self, key: FunctionKey) -> Option<FunctionRecord> {

@@ -125,16 +125,16 @@ impl AnalysisSession {
             .merge(stats);
     }
 
-    /// A solver wired to this session's budget, (if enabled) query store,
-    /// and (if enabled) incremental solving mode.
-    fn make_solver(&self) -> BvSolver {
+    /// A solver wired to this session's budget, (if enabled) the query
+    /// store `store`, and (if enabled) incremental solving mode.
+    fn make_solver(&self, store: &Arc<dyn QueryStore>) -> BvSolver {
         let budget = match self.config.query_budget {
             0 => Budget::unlimited(),
             n => Budget::propagations(n),
         };
         let mut solver = BvSolver::with_budget(budget);
         if self.config.query_cache {
-            solver.set_store(Some(Arc::clone(&self.store)));
+            solver.set_store(Some(Arc::clone(store)));
         }
         solver.set_incremental(self.config.incremental);
         solver.set_preprocessing(self.config.preprocess);
@@ -199,9 +199,12 @@ impl AnalysisSession {
     /// in function order, so the report stream is identical to a sequential
     /// run's regardless of thread count or scheduling. (On workloads where
     /// queries hit the per-query budget, that guarantee additionally
-    /// requires `incremental: false`: an incremental instance's CNF depends
-    /// on which of its queries were answered by the shared store first, so
-    /// budget-boundary `Unknown` outcomes can vary with thread timing.)
+    /// requires `incremental: false` when `threads` > 1: an incremental
+    /// instance's CNF depends on which of its queries the shared store
+    /// answered first, and sibling workers fill the store in timing order,
+    /// so budget-boundary `Unknown` outcomes can vary with thread timing.
+    /// The scan pipeline's file-level `jobs` carry no such caveat: see
+    /// [`ScanPipeline`](crate::ScanPipeline).)
     pub fn check_module_streaming(
         &self,
         module: &Module,
@@ -243,6 +246,21 @@ impl AnalysisSession {
         module: &Module,
         select: &[bool],
     ) -> (Vec<FunctionCheck>, CheckStats) {
+        self.check_functions_with(module, select, &self.store)
+    }
+
+    /// [`check_functions_selected`] against an explicit query store in
+    /// place of the session's — the scan pipeline's per-task hook, through
+    /// which a task sees only published entries plus its own (see
+    /// [`ScanPipeline`](crate::ScanPipeline)).
+    ///
+    /// [`check_functions_selected`]: AnalysisSession::check_functions_selected
+    pub(crate) fn check_functions_with(
+        &self,
+        module: &Module,
+        select: &[bool],
+        store: &Arc<dyn QueryStore>,
+    ) -> (Vec<FunctionCheck>, CheckStats) {
         let start = Instant::now();
         let functions = module.functions();
         assert_eq!(
@@ -253,7 +271,7 @@ impl AnalysisSession {
         let indices: Vec<usize> = (0..functions.len()).filter(|&i| select[i]).collect();
         let threads = self.resolve_threads(indices.len());
         let (checks, solver_stats) = if threads <= 1 {
-            let mut solver = self.make_solver();
+            let mut solver = self.make_solver(store);
             let checks: Vec<FunctionCheck> = indices
                 .iter()
                 .map(|&i| {
@@ -268,7 +286,7 @@ impl AnalysisSession {
                 .collect();
             (checks, solver.stats())
         } else {
-            self.check_functions_parallel(functions, &indices, threads)
+            self.check_functions_parallel(functions, &indices, threads, store)
         };
         let stats = CheckStats {
             modules: 1,
@@ -350,6 +368,7 @@ impl AnalysisSession {
         functions: &[Function],
         indices: &[usize],
         threads: usize,
+        store: &Arc<dyn QueryStore>,
     ) -> (Vec<FunctionCheck>, SolverStats) {
         let next = AtomicUsize::new(0);
         let mut slots: Vec<Option<FunctionCheck>> = Vec::new();
@@ -361,7 +380,7 @@ impl AnalysisSession {
                 .map(|_| {
                     let next = &next;
                     scope.spawn(move || {
-                        let mut solver = self.make_solver();
+                        let mut solver = self.make_solver(store);
                         let mut local: Vec<(usize, FunctionCheck)> = Vec::new();
                         let mut panicked: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
                         loop {

@@ -4,8 +4,33 @@
 //! vector of literals (least-significant bit first). Structural sharing in
 //! the term DAG carries over: each term is translated once and cached.
 //! Arithmetic uses ripple-carry adders, shift-and-add multiplication,
-//! restoring division, and a staged barrel shifter — all emitted as Tseitin
-//! gates over fresh variables.
+//! restoring division, and a staged barrel shifter — all built from four
+//! Tseitin gates (AND, XOR, MUX, majority; OR is a negated AND).
+//!
+//! As in Boolector (Brummayer & Biere, TACAS 2009), the gate constructors
+//! fold and then hash-cons, so the word-level gadgets need no special cases
+//! for constant operands:
+//!
+//! * **Folding.** An input that is the blaster's `true_lit` or its
+//!   negation, or two equal or complementary inputs, never emit a gate.
+//!   AND and XOR reduce to an input, its negation or a constant; a MUX with
+//!   a constant or repeated input reduces to an AND, OR or XNOR; a majority
+//!   with a constant input reduces to an AND or OR, and with two equal
+//!   (complementary) inputs to that input (the third one). `x * 4` thus
+//!   blasts to exactly the literals of `x << 2`, and a multiply or divide by
+//!   a constant keeps only the gates its variable bits need.
+//! * **Hashing.** Every gate still emitted is keyed on its normalized
+//!   inputs: operands sorted, XOR inputs made positive with their polarity
+//!   moved to the output, the MUX condition made positive (swapping the
+//!   arms) and its then-arm made positive (negating the output), the first
+//!   majority input made positive (majority is self-dual). One blaster —
+//!   which lives as long as a function's incremental instance — builds each
+//!   structurally equal gate once, so `x < y` and `y <= x` share one
+//!   subtractor.
+//!
+//! A word-level relational encoding of constant divisors
+//! (`a = q·k + r ∧ r < k`) was measured on top of folding and left out: no
+//! gain on the novel-query benchmark workload, slower on the hardest one.
 
 use std::collections::HashMap;
 
@@ -20,6 +45,8 @@ use crate::term::{TermId, TermKind, TermPool};
 pub struct BitBlaster {
     bool_cache: HashMap<TermId, Lit>,
     bv_cache: HashMap<TermId, Vec<Lit>>,
+    /// Every gate emitted so far, by its normalized inputs.
+    gates: HashMap<Gate, Lit>,
     /// Literal constrained to be true (allocated lazily).
     true_lit: Option<Lit>,
     /// Bits allocated for each free variable, by name, for model extraction.
@@ -80,21 +107,74 @@ impl BitBlaster {
         sat.new_var().positive()
     }
 
+    /// The constant a literal stands for, if it is the blaster's own
+    /// `true_lit` or its negation.
+    fn constant(&self, l: Lit) -> Option<bool> {
+        let t = self.true_lit?;
+        (l.var() == t.var()).then_some(l == t)
+    }
+
     // ---- Tseitin gates -------------------------------------------------------
+    //
+    // Each constructor first folds what it can — constant inputs, equal or
+    // complementary inputs — and hash-conses the gate it still needs on its
+    // normalized inputs, so one blaster emits each structurally equal gate
+    // once (see the module docs).
+
+    /// The output literal of a normalized gate: the existing one, or a fresh
+    /// variable constrained by the gate's Tseitin clauses.
+    fn emit(&mut self, sat: &mut SatSolver, gate: Gate) -> Lit {
+        if let Some(&o) = self.gates.get(&gate) {
+            return o;
+        }
+        let o = self.fresh(sat);
+        match gate {
+            Gate::And(a, b) => {
+                sat.add_clause(&[!o, a]);
+                sat.add_clause(&[!o, b]);
+                sat.add_clause(&[o, !a, !b]);
+            }
+            Gate::Xor(a, b) => {
+                sat.add_clause(&[!o, a, b]);
+                sat.add_clause(&[!o, !a, !b]);
+                sat.add_clause(&[o, !a, b]);
+                sat.add_clause(&[o, a, !b]);
+            }
+            Gate::Mux(c, t, e) => {
+                sat.add_clause(&[!c, !t, o]);
+                sat.add_clause(&[!c, t, !o]);
+                sat.add_clause(&[c, !e, o]);
+                sat.add_clause(&[c, e, !o]);
+            }
+            Gate::Maj(a, b, c) => {
+                sat.add_clause(&[!o, a, b]);
+                sat.add_clause(&[!o, a, c]);
+                sat.add_clause(&[!o, b, c]);
+                sat.add_clause(&[o, !a, !b]);
+                sat.add_clause(&[o, !a, !c]);
+                sat.add_clause(&[o, !b, !c]);
+            }
+        }
+        self.gates.insert(gate, o);
+        o
+    }
 
     /// Output literal constrained to `a AND b`.
     fn gate_and(&mut self, sat: &mut SatSolver, a: Lit, b: Lit) -> Lit {
+        let (a, b) = (a.min(b), a.max(b));
+        match (self.constant(a), self.constant(b)) {
+            (Some(false), _) | (_, Some(false)) => return self.false_lit(sat),
+            (Some(true), _) => return b,
+            (_, Some(true)) => return a,
+            _ => {}
+        }
         if a == b {
             return a;
         }
         if a == !b {
             return self.false_lit(sat);
         }
-        let o = self.fresh(sat);
-        sat.add_clause(&[!o, a]);
-        sat.add_clause(&[!o, b]);
-        sat.add_clause(&[o, !a, !b]);
-        o
+        self.emit(sat, Gate::And(a, b))
     }
 
     /// Output literal constrained to `a OR b`.
@@ -102,45 +182,92 @@ impl BitBlaster {
         !self.gate_and(sat, !a, !b)
     }
 
-    /// Output literal constrained to `a XOR b`.
+    /// Output literal constrained to `a XOR b`. Input polarity moves to the
+    /// output (`!a ^ b == !(a ^ b)`), so the hashed gate has positive inputs.
     fn gate_xor(&mut self, sat: &mut SatSolver, a: Lit, b: Lit) -> Lit {
-        if a == b {
-            return self.false_lit(sat);
+        let flip = a.is_positive() != b.is_positive();
+        let (a, b) = (a.var().positive(), b.var().positive());
+        let (a, b) = (a.min(b), a.max(b));
+        let o = if a == b {
+            self.false_lit(sat)
+        } else if self.constant(a).is_some() {
+            !b
+        } else if self.constant(b).is_some() {
+            !a
+        } else {
+            self.emit(sat, Gate::Xor(a, b))
+        };
+        if flip {
+            !o
+        } else {
+            o
         }
-        if a == !b {
-            return self.true_lit(sat);
-        }
-        let o = self.fresh(sat);
-        sat.add_clause(&[!o, a, b]);
-        sat.add_clause(&[!o, !a, !b]);
-        sat.add_clause(&[o, !a, b]);
-        sat.add_clause(&[o, a, !b]);
-        o
     }
 
-    /// Output literal constrained to `cond ? t : e`.
+    /// Output literal constrained to `cond ? t : e`. A constant or repeated
+    /// input reduces the mux to an AND, OR or XOR gate; otherwise the
+    /// condition is made positive (swapping the arms) and the then-arm
+    /// positive (moving its polarity to the output) before hashing.
     fn gate_mux(&mut self, sat: &mut SatSolver, cond: Lit, t: Lit, e: Lit) -> Lit {
+        match self.constant(cond) {
+            Some(true) => return t,
+            Some(false) => return e,
+            None => {}
+        }
         if t == e {
             return t;
         }
-        let o = self.fresh(sat);
-        sat.add_clause(&[!cond, !t, o]);
-        sat.add_clause(&[!cond, t, !o]);
-        sat.add_clause(&[cond, !e, o]);
-        sat.add_clause(&[cond, e, !o]);
-        o
+        let (c, t, e) = if cond.is_positive() {
+            (cond, t, e)
+        } else {
+            (!cond, e, t)
+        };
+        if t == c || self.constant(t) == Some(true) {
+            return self.gate_or(sat, c, e);
+        }
+        if t == !c || self.constant(t) == Some(false) {
+            return self.gate_and(sat, !c, e);
+        }
+        if e == c || self.constant(e) == Some(false) {
+            return self.gate_and(sat, c, t);
+        }
+        if e == !c || self.constant(e) == Some(true) {
+            return self.gate_or(sat, !c, t);
+        }
+        if t == !e {
+            return !self.gate_xor(sat, c, t);
+        }
+        if t.is_positive() {
+            self.emit(sat, Gate::Mux(c, t, e))
+        } else {
+            !self.emit(sat, Gate::Mux(c, !t, !e))
+        }
     }
 
-    /// Majority-of-three gate (the carry of a full adder).
+    /// Majority-of-three gate (the carry of a full adder). Majority is
+    /// self-dual (`maj(!a, !b, !c) == !maj(a, b, c)`), so the hashed gate
+    /// has sorted inputs, the first one positive.
     fn gate_maj(&mut self, sat: &mut SatSolver, a: Lit, b: Lit, c: Lit) -> Lit {
-        let o = self.fresh(sat);
-        sat.add_clause(&[!o, a, b]);
-        sat.add_clause(&[!o, a, c]);
-        sat.add_clause(&[!o, b, c]);
-        sat.add_clause(&[o, !a, !b]);
-        sat.add_clause(&[o, !a, !c]);
-        sat.add_clause(&[o, !b, !c]);
-        o
+        let mut l = [a, b, c];
+        l.sort_unstable();
+        for (i, j, k) in [(0, 1, 2), (1, 2, 0), (2, 0, 1)] {
+            if l[i] == l[j] {
+                return l[i];
+            }
+            if l[i] == !l[j] {
+                return l[k];
+            }
+            match self.constant(l[i]) {
+                Some(true) => return self.gate_or(sat, l[j], l[k]),
+                Some(false) => return self.gate_and(sat, l[j], l[k]),
+                None => {}
+            }
+        }
+        if l[0].is_positive() {
+            self.emit(sat, Gate::Maj(l[0], l[1], l[2]))
+        } else {
+            !self.emit(sat, Gate::Maj(!l[0], !l[1], !l[2]))
+        }
     }
 
     /// AND over a slice of literals.
@@ -593,6 +720,19 @@ impl BitBlaster {
     }
 }
 
+/// A Tseitin gate on normalized inputs: the structural-hashing key.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Gate {
+    /// `a AND b`, with `a < b`.
+    And(Lit, Lit),
+    /// `a XOR b`, with `a < b`, both positive.
+    Xor(Lit, Lit),
+    /// `c ? t : e`, with `c` and `t` positive.
+    Mux(Lit, Lit, Lit),
+    /// Majority of three, sorted, the first positive.
+    Maj(Lit, Lit, Lit),
+}
+
 /// Direction/fill behaviour of the barrel shifter.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum ShiftKind {
@@ -604,7 +744,9 @@ enum ShiftKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Model;
     use crate::sat::SatResult;
+    use proptest::prelude::*;
 
     /// Assert a boolean term and check satisfiability from scratch.
     fn check(pool: &mut TermPool, t: TermId) -> SatResult {
@@ -771,5 +913,117 @@ mod tests {
         let no_ovf = p.bv_ule(wide_sum, max16);
         let query = p.and(wrapped, no_ovf);
         assert_eq!(check(&mut p, query), SatResult::Unsat);
+    }
+
+    #[test]
+    fn constant_multiplier_folds_to_wiring() {
+        // Shift-and-add over a constant operand folds gate by gate: `x * 4`
+        // is literal for literal the vector `x << 2`, and neither emits a
+        // single gate.
+        let mut p = TermPool::new();
+        let x = p.bv_var("x", 8);
+        let four = p.bv_const(8, 4);
+        let two = p.bv_const(8, 2);
+        let by_mul = p.bv_mul(x, four);
+        let by_shift = p.bv_shl(x, two);
+        let mut sat = SatSolver::new();
+        let mut blaster = BitBlaster::new();
+        let mul_bits = blaster.blast_bv(&p, &mut sat, by_mul);
+        let shift_bits = blaster.blast_bv(&p, &mut sat, by_shift);
+        assert_eq!(mul_bits, shift_bits);
+        assert!(blaster.gates.is_empty());
+    }
+
+    #[test]
+    fn structurally_equal_gates_are_built_once() {
+        // `x < y` and `y <= x` are distinct terms that both blast the
+        // subtractor `x - y`: the second reuses every gate of the first and
+        // returns the complementary literal without adding a clause.
+        let mut p = TermPool::new();
+        let x = p.bv_var("x", 8);
+        let y = p.bv_var("y", 8);
+        let lt = p.bv_ult(x, y);
+        let ge = p.bv_ule(y, x);
+        assert_ne!(lt, ge);
+        let mut sat = SatSolver::new();
+        let mut blaster = BitBlaster::new();
+        let lt_lit = blaster.blast_bool(&p, &mut sat, lt);
+        let (vars, clauses) = (sat.num_vars(), sat.num_clauses());
+        let ge_lit = blaster.blast_bool(&p, &mut sat, ge);
+        assert_eq!(ge_lit, !lt_lit);
+        assert_eq!((sat.num_vars(), sat.num_clauses()), (vars, clauses));
+    }
+
+    /// A random 6-bit term over `x`, `y` and constants, drawn from `tape`:
+    /// every binary bit-vector operator, negation, complement, and `ite`
+    /// over every comparison.
+    fn random_term(p: &mut TermPool, tape: &mut impl Iterator<Item = u64>, depth: u32) -> TermId {
+        let n = tape.next().unwrap_or(0);
+        if depth == 0 || n.is_multiple_of(5) {
+            return match (n >> 3) % 3 {
+                0 => p.bv_var("x", 6),
+                1 => p.bv_var("y", 6),
+                _ => p.bv_const(6, (n >> 5) & 63),
+            };
+        }
+        let a = random_term(p, tape, depth - 1);
+        let b = random_term(p, tape, depth - 1);
+        match (n >> 3) % 16 {
+            0 => p.bv_add(a, b),
+            1 => p.bv_sub(a, b),
+            2 => p.bv_mul(a, b),
+            3 => p.bv_udiv(a, b),
+            4 => p.bv_urem(a, b),
+            5 => p.bv_sdiv(a, b),
+            6 => p.bv_srem(a, b),
+            7 => p.bv_and(a, b),
+            8 => p.bv_or(a, b),
+            9 => p.bv_xor(a, b),
+            10 => p.bv_shl(a, b),
+            11 => p.bv_lshr(a, b),
+            12 => p.bv_ashr(a, b),
+            13 => p.bv_not(a),
+            14 => p.bv_neg(a),
+            _ => {
+                let cond = match (n >> 7) % 5 {
+                    0 => p.bv_ult(a, b),
+                    1 => p.bv_ule(a, b),
+                    2 => p.bv_slt(a, b),
+                    3 => p.bv_sle(a, b),
+                    _ => p.eq(a, b),
+                };
+                let other = random_term(p, tape, depth - 1);
+                p.ite(cond, other, b)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        /// Folding and hashing never change a term's value: pinned to a
+        /// random point `x = a, y = b`, a random term can only equal its
+        /// evaluation there.
+        #[test]
+        fn blasted_terms_agree_with_evaluation(
+            tape in prop::collection::vec(any::<u64>(), 1..40),
+            a in 0u64..64,
+            b in 0u64..64,
+        ) {
+            let mut p = TermPool::new();
+            let t = random_term(&mut p, &mut tape.iter().copied(), 3);
+            let mut point = Model::new();
+            point.set("x", a);
+            point.set("y", b);
+            let expected = point.eval(&p, t);
+            let (x, y) = (p.bv_var("x", 6), p.bv_var("y", 6));
+            let (ca, cb, ct) = (p.bv_const(6, a), p.bv_const(6, b), p.bv_const(6, expected));
+            let pinned_x = p.eq(x, ca);
+            let pinned_y = p.eq(y, cb);
+            let pinned = p.and(pinned_x, pinned_y);
+            let wrong = p.ne(t, ct);
+            let query = p.and(pinned, wrong);
+            prop_assert_eq!(check(&mut p, query), SatResult::Unsat, "tape {:?} x={} y={}", tape, a, b);
+        }
     }
 }

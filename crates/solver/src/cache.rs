@@ -128,6 +128,14 @@ impl QueryCache {
         }
     }
 
+    /// Whether `key` has a decided result, without counting a lookup.
+    pub(crate) fn contains(&self, key: &CacheKey) -> bool {
+        self.shard(key)
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .contains_key(key)
+    }
+
     /// Store a decided result. `Unknown` is silently ignored: a budget
     /// exhaustion is a property of the budget, not of the formula.
     pub(crate) fn insert(&self, key: CacheKey, result: &QueryResult) {

@@ -425,12 +425,14 @@ impl BvSolver {
         // parallel, sequential, cached, and uncached runs byte-identical in
         // fresh (non-incremental) mode. Incremental mode weakens this:
         // decided results are still mode- and history-independent facts, but
-        // an instance's CNF depends on which earlier queries reached it —
-        // under a shared cache and multiple threads, a timing-dependent set —
-        // so budget-boundary `Unknown` outcomes (and anything derived from
-        // them) are only reproducible on timeout-free workloads. The
-        // checker's `--no-incremental` escape hatch restores the strict
-        // guarantee.
+        // an instance's CNF depends on which earlier queries reached it, so
+        // budget-boundary `Unknown` outcomes (and anything derived from
+        // them) are reproducible only when the store's contents at each
+        // lookup are. The scan pipeline guarantees that at every `--jobs`
+        // width (each task sees exactly what a sequential scan would);
+        // several solvers sharing one store under `--threads` > 1 fill it
+        // in timing order, and there the checker's `--no-incremental`
+        // escape hatch restores the strict guarantee.
         let key = self.memo.canonicalize(pool, &mut simplified);
         let key = self.store.is_some().then_some(key);
         if let (Some(store), Some(key)) = (&self.store, &key) {

@@ -95,6 +95,10 @@ pub trait QueryStore: Send + Sync + std::fmt::Debug {
     /// Store a decided result. `Unknown` is silently ignored.
     fn insert(&self, key: CacheKey, result: &QueryResult);
 
+    /// Whether a decided result for `key` is stored: a probe that counts
+    /// nothing and refreshes no stamp.
+    fn contains(&self, key: &CacheKey) -> bool;
+
     /// Counters accumulated so far.
     fn stats(&self) -> CacheStats;
 }
@@ -106,6 +110,10 @@ impl QueryStore for QueryCache {
 
     fn insert(&self, key: CacheKey, result: &QueryResult) {
         QueryCache::insert(self, key, result);
+    }
+
+    fn contains(&self, key: &CacheKey) -> bool {
+        QueryCache::contains(self, key)
     }
 
     fn stats(&self) -> CacheStats {
@@ -270,6 +278,10 @@ impl QueryStore for DiskQueryStore {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .insert(key.clone(), self.generation());
         self.mem.insert(key, result);
+    }
+
+    fn contains(&self, key: &CacheKey) -> bool {
+        self.mem.contains(key)
     }
 
     fn stats(&self) -> CacheStats {

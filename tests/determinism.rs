@@ -265,6 +265,56 @@ fn pipeline_run(
     (events, session.stats())
 }
 
+/// Budget degradation through the store-less scan path (the path a cold
+/// scan without `--scan-cache` takes): every `jobs` width must stream the
+/// events and count the solver work of a sequential scan, because each task
+/// reads only the query-store entries of tasks already emitted. Repeated,
+/// because a violation shows only under some thread timings.
+#[test]
+fn budget_degraded_scan_without_scan_store_matches_sequential_at_every_width() {
+    let tasks: Vec<ScanTask> = generate_archive(&ArchiveConfig {
+        packages: 4,
+        seed: 0xFA_117,
+        ..ArchiveConfig::default()
+    })
+    .into_iter()
+    .map(|f| ScanTask {
+        name: f.name,
+        source: ScanSource::Inline(f.source),
+    })
+    .collect();
+    let scan = |jobs: usize, query_budget: u64| {
+        let session = AnalysisSession::new(CheckerConfig {
+            query_budget,
+            threads: Some(1),
+            ..CheckerConfig::default()
+        });
+        let mut events = Vec::new();
+        let outcome = ScanPipeline::new(&session, jobs)
+            .run(&tasks, &mut |event| events.push(format!("{event:?}")));
+        let s = session.stats();
+        let counters = [
+            s.queries,
+            s.timeouts,
+            s.cache_hits,
+            s.cache_misses,
+            s.propagations,
+            s.conflicts,
+        ];
+        (events, counters, outcome.reruns)
+    };
+    for budget in [99, 199] {
+        let (events, counters, reruns) = scan(1, budget);
+        assert!(counters[1] > 0, "budget {budget} must degrade some queries");
+        assert_eq!(reruns, 0, "a sequential scan never runs a task twice");
+        for _ in 0..5 {
+            let (wide_events, wide_counters, _) = scan(4, budget);
+            assert_eq!(events, wide_events, "budget {budget}");
+            assert_eq!(counters, wide_counters, "budget {budget}");
+        }
+    }
+}
+
 /// The incremental-rescan acceptance contract: a 0%-churn re-scan (only
 /// comment/whitespace edits between runs) skips 100% of modules, issues no
 /// solver queries, and produces a byte-identical report stream — at every
