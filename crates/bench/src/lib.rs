@@ -1356,12 +1356,10 @@ pub fn fault_tolerance(cfg: &ScalingConfig) -> FaultTolerance {
 pub struct SolverSpeedRow {
     /// Human-readable configuration label.
     pub label: String,
-    /// Whether CNF preprocessing (probing, subsumption, vivification) was
-    /// enabled. `false` is the pre-preprocessing solver.
+    /// Whether the SAT core's layers around its search loop (vivification,
+    /// binary watch lists, trail reuse, model cache) were enabled. `false`
+    /// is the plain CDCL solver.
     pub preprocess: bool,
-    /// Whether hyper-binary resolution during failed-literal probing was
-    /// enabled.
-    pub hbr: bool,
     /// Solver-instance granularity: `"function"` (one incremental instance
     /// per function) or `"fragment"` (a fresh instance per code fragment).
     pub granularity: String,
@@ -1376,8 +1374,7 @@ pub struct SolverSpeedRow {
     /// Total unit propagations — the deterministic currency solver budgets
     /// are denominated in, and this section's measure of raw solver work.
     pub propagations: u64,
-    /// Propagations spent on queries that ended Unsat — the share the
-    /// Unsat fast path (HBR, tiered db) is able to attack.
+    /// Propagations spent on queries that ended Unsat.
     pub unsat_propagations: u64,
     /// Total conflicts across all queries.
     pub conflicts: u64,
@@ -1385,18 +1382,16 @@ pub struct SolverSpeedRow {
     pub restarts: u64,
     /// Learned clauses retained across all queries.
     pub learned_clauses: u64,
-    /// Learned clauses evicted by glue-aware clause-database reduction.
+    /// Learned clauses evicted by clause-database reduction.
     pub deleted_clauses: u64,
     /// Mean LBD (glue) over all learned clauses.
     pub avg_lbd: f64,
-    /// Clauses and variables removed by the preprocessing passes.
+    /// Learned clauses shortened by vivification.
     pub preprocess_eliminations: u64,
     /// Queries the solver answered Unsat.
     pub unsat_queries: u64,
     /// Assumption cores extracted from final conflicts.
     pub cores_recorded: u64,
-    /// Binary clauses added by hyper-binary resolution during probing.
-    pub hbr_binaries_added: u64,
     /// `minimal_ub_set` queries skipped by core-seeded minimization.
     pub minimization_queries_saved: u64,
     /// Reports emitted (must match across every row).
@@ -1404,9 +1399,9 @@ pub struct SolverSpeedRow {
 }
 
 /// Results of the solver-speed benchmark: a cache-disabled, high-churn scan
-/// where every query reaches the SAT solver, comparing the preprocessing +
-/// LBD-aware solver against the prior solver (preprocessing off) and the
-/// per-fragment instance granularity against per-function.
+/// where every query reaches the SAT solver, comparing the default solver
+/// against the plain CDCL solver (`--no-preprocess`) and the per-fragment
+/// instance granularity against per-function.
 #[derive(Clone, Debug, Serialize)]
 pub struct SolverSpeed {
     /// Description of the synthetic archive the rows scanned.
@@ -1422,16 +1417,14 @@ pub struct SolverSpeed {
     /// One row per solver configuration.
     pub rows: Vec<SolverSpeedRow>,
     /// Baseline propagations divided by default-configuration propagations
-    /// (per-function rows): how much less solver work the preprocessing +
-    /// LBD solver does than the prior solver on the same queries.
+    /// (per-function rows): how much less solver work the default solver
+    /// does than the plain CDCL solver on the same queries.
     pub speedup_solver_vs_baseline: f64,
     /// Baseline wall time divided by default-configuration wall time.
     pub speedup_wall_vs_baseline: f64,
     /// Per-fragment wall time divided by per-function wall time: values
     /// above 1.0 mean per-function instances win and stay the default.
     pub speedup_function_vs_fragment: f64,
-    /// Binary clauses hyper-binary resolution added on the default row.
-    pub hbr_binaries_added: u64,
     /// `minimal_ub_set` queries the core-seeded search skipped on the
     /// default row.
     pub minimization_queries_saved: u64,
@@ -1444,8 +1437,8 @@ pub struct SolverSpeed {
 /// Run the solver-speed measurement. The cache is disabled (no memo store,
 /// no disk stores) so the scan is the pure worst case — a high-churn tree
 /// where nothing can be reused — and the rows compare raw solver cost:
-/// the prior solver (preprocessing off) as the baseline, the preprocessing
-/// + LBD solver per-function, and the same solver per-fragment.
+/// the plain CDCL solver (`--no-preprocess`) as the baseline, the default
+/// solver per-function, and the same solver per-fragment.
 pub fn solver_speed(cfg: &ScalingConfig) -> SolverSpeed {
     let archive_cfg = ArchiveConfig {
         packages: cfg.packages,
@@ -1466,13 +1459,12 @@ pub fn solver_speed(cfg: &ScalingConfig) -> SolverSpeed {
 
     let mut rows = Vec::new();
     let mut report_streams: Vec<Vec<String>> = Vec::new();
-    let mut run = |label: &str, preprocess: bool, hbr: bool, fragment_instances: bool| {
+    let mut run = |label: &str, preprocess: bool, fragment_instances: bool| {
         let config = CheckerConfig {
             query_budget: cfg.query_budget,
             threads: Some(1),
             query_cache: false,
             preprocess,
-            hbr,
             fragment_instances,
             ..CheckerConfig::default()
         };
@@ -1490,7 +1482,6 @@ pub fn solver_speed(cfg: &ScalingConfig) -> SolverSpeed {
         rows.push(SolverSpeedRow {
             label: label.to_string(),
             preprocess,
-            hbr,
             granularity: if fragment_instances {
                 "fragment"
             } else {
@@ -1511,20 +1502,14 @@ pub fn solver_speed(cfg: &ScalingConfig) -> SolverSpeed {
             preprocess_eliminations: stats.preprocess_eliminations,
             unsat_queries: stats.unsat_queries,
             cores_recorded: stats.cores_recorded,
-            hbr_binaries_added: stats.hbr_binaries_added,
             minimization_queries_saved: stats.minimization_queries_saved,
             reports: reports.len(),
         });
         report_streams.push(reports);
     };
-    run(
-        "baseline: prior solver (no preprocess), per-function",
-        false,
-        false,
-        false,
-    );
-    run("HBR + tiered db solver, per-function", true, true, false);
-    run("HBR + tiered db solver, per-fragment", true, true, true);
+    run("baseline: plain CDCL, per-function", false, false);
+    run("default solver, per-function", true, false);
+    run("default solver, per-fragment", true, true);
 
     let ratio = |num: u64, den: u64| num as f64 / den.max(1) as f64;
     let baseline = &rows[0];
@@ -1539,7 +1524,6 @@ pub fn solver_speed(cfg: &ScalingConfig) -> SolverSpeed {
         speedup_solver_vs_baseline: ratio(baseline.propagations, function.propagations),
         speedup_wall_vs_baseline: ratio(baseline.wall_us, function.wall_us),
         speedup_function_vs_fragment: ratio(fragment.wall_us, function.wall_us),
-        hbr_binaries_added: function.hbr_binaries_added,
         minimization_queries_saved: function.minimization_queries_saved,
         default_granularity: "function".to_string(),
         reports_identical: report_streams.windows(2).all(|w| w[0] == w[1]),
@@ -1924,8 +1908,8 @@ impl CheckerScaling {
         );
         let _ = writeln!(
             out,
-            "  unsat path: {} HBR binaries, {} minimization queries saved",
-            self.solver_speed.hbr_binaries_added, self.solver_speed.minimization_queries_saved
+            "  unsat path: {} minimization queries saved",
+            self.solver_speed.minimization_queries_saved
         );
         out
     }
@@ -2127,12 +2111,10 @@ mod tests {
         assert!(ss.rows.iter().all(|r| r.propagations > 0), "{ss:?}");
         assert!(ss.reports_identical, "{ss:?}");
         assert!(ss.speedup_solver_vs_baseline > 1.0, "{ss:?}");
-        // The Unsat path's layers must show measurable work: HBR binaries
-        // and extracted cores on the default row.
-        assert!(json.contains("\"hbr_binaries_added\""));
+        // The Unsat path must show measurable work: extracted cores on the
+        // default row.
         let default_row = &ss.rows[1];
-        assert!(default_row.preprocess && default_row.hbr, "{default_row:?}");
-        assert!(default_row.hbr_binaries_added > 0, "{default_row:?}");
+        assert!(default_row.preprocess, "{default_row:?}");
         assert!(default_row.cores_recorded > 0, "{default_row:?}");
         // Core-seeded minimization must actually skip queries somewhere in
         // the run: the scaling rows' incremental configurations exercise the

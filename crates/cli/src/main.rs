@@ -20,11 +20,10 @@
 //! driver to `N` workers (default: available parallelism; `1` is fully
 //! sequential), `--no-cache` disables the memoized query store,
 //! `--no-incremental` falls back to from-scratch solving per query,
-//! `--no-preprocess` turns off the SAT core's pre/inprocessing layer
-//! (failed-literal probing, subsumption, clause vivification, LBD-aware
-//! clause-database reduction) — the pre-LBD solver, kept reachable as the
-//! benchmark baseline — `--no-hbr` turns off hyper-binary resolution
-//! during failed-literal probing,
+//! `--no-preprocess` turns off the SAT core's layers around its search
+//! loop (clause vivification between restarts, binary watch lists, trail
+//! reuse, the model cache) — the plain CDCL solver, kept reachable as the
+//! benchmark baseline —
 //! `--instance-granularity <function|fragment>` picks whether incremental
 //! solving keeps one persistent instance per function (default; fragments
 //! share the encoding) or starts fresh per fragment, and
@@ -57,9 +56,9 @@
 //! fan-out half of a distributed scan whose per-shard stores
 //! `stack store merge` later folds back into one. Output order is
 //! deterministic regardless of `--jobs`. Flag combinations are validated
-//! before any work starts: scan-only flags are rejected by `check`, and
-//! `--compact-store` without `--cache-file` or `--scan-cache` is an
-//! immediate usage error.
+//! before any work starts: an unknown flag is rejected by both commands,
+//! scan-only flags are rejected by `check`, and `--compact-store` without
+//! `--cache-file` or `--scan-cache` is an immediate usage error.
 //!
 //! Exit codes: `check` exits 0 with no reports, 1 with reports, 2 on any
 //! error. `scan` is a batch driver: it exits 0 when every file was analyzed
@@ -111,7 +110,28 @@ enum Mode {
 }
 
 /// The flags only `scan` understands, rejected by `check` at parse time.
+/// Each takes a value.
 const SCAN_ONLY_FLAGS: [&str; 5] = ["--jobs", "--scan-cache", "--shard", "--synth", "--seed"];
+
+/// The flags `check` and `scan` share that take a value.
+const VALUE_FLAGS: [&str; 6] = [
+    "--threads",
+    "--query-budget",
+    "--cache-file",
+    "--out",
+    "--compact-store",
+    "--instance-granularity",
+];
+
+/// The flags `check` and `scan` share that take no value.
+const SWITCHES: [&str; 6] = [
+    "--json",
+    "--include-macros",
+    "--no-cache",
+    "--no-incremental",
+    "--no-preprocess",
+    "--quiet",
+];
 
 /// Options shared by `check` and `scan`.
 #[derive(Debug)]
@@ -121,14 +141,12 @@ struct AnalysisOpts {
     threads: Option<usize>,
     query_cache: bool,
     incremental: bool,
-    /// `--no-preprocess` turns the SAT core's pre/inprocessing layer off
-    /// (the pre-LBD solver, kept as the benchmark baseline).
+    /// `--no-preprocess` turns the SAT core's layers around its search loop
+    /// off (the plain CDCL solver, kept as the benchmark baseline).
     preprocess: bool,
     /// `--instance-granularity fragment` starts a fresh incremental solver
     /// instance per checker fragment instead of per function.
     fragment_instances: bool,
-    /// `--no-hbr` turns hyper-binary resolution during probing off.
-    hbr: bool,
     /// Per-query propagation budget (`Some(0)` = unlimited).
     query_budget: Option<u64>,
     cache_file: Option<PathBuf>,
@@ -152,6 +170,14 @@ impl AnalysisOpts {
         if mode == Mode::Check {
             if let Some(flag) = SCAN_ONLY_FLAGS.iter().find(|f| has_flag(args, f)) {
                 return Err(format!("{flag} is a scan-only flag (use `stack scan`)"));
+            }
+        }
+        let mut rest = args.iter().map(String::as_str);
+        while let Some(arg) = rest.next() {
+            if VALUE_FLAGS.contains(&arg) || SCAN_ONLY_FLAGS.contains(&arg) {
+                rest.next(); // the flag's value, whatever it looks like
+            } else if arg.starts_with("--") && !SWITCHES.contains(&arg) {
+                return Err(format!("unknown flag {arg}"));
             }
         }
         let jobs = match parse_flag_value::<usize>(args, "--jobs")? {
@@ -195,7 +221,6 @@ impl AnalysisOpts {
             incremental: !has_flag(args, "--no-incremental"),
             preprocess: !has_flag(args, "--no-preprocess"),
             fragment_instances,
-            hbr: !has_flag(args, "--no-hbr"),
             query_budget: parse_flag_value::<u64>(args, "--query-budget")?,
             cache_file,
             out: flag_value(args, "--out")?.map(PathBuf::from),
@@ -226,7 +251,6 @@ impl AnalysisOpts {
             incremental: self.incremental,
             preprocess: self.preprocess,
             fragment_instances: self.fragment_instances,
-            hbr: self.hbr,
             query_budget: self
                 .query_budget
                 .unwrap_or(CheckerConfig::default().query_budget),
@@ -407,7 +431,8 @@ fn cmd_check(args: &[String]) -> ExitCode {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         eprintln!(
             "usage: stack check <file.mc> [--json] [--include-macros] [--threads N] \
-             [--no-cache] [--no-incremental] [--query-budget N] [--cache-file F] [--out F]"
+             [--no-cache] [--no-incremental] [--no-preprocess] [--instance-granularity G] \
+             [--query-budget N] [--cache-file F] [--compact-store N] [--out F] [--quiet]"
         );
         return ExitCode::from(2);
     };
@@ -493,9 +518,8 @@ struct ScanSummary {
     /// budget, never recorded in the scan cache.
     degraded_modules: usize,
     timeouts: u64,
-    /// Total SAT-core propagations, including the propagation-equivalents
-    /// charged for pre/inprocessing work — the deterministic currency
-    /// query budgets are denominated in.
+    /// Total SAT-core propagations, including those of vivification — the
+    /// deterministic currency query budgets are denominated in.
     propagations: u64,
     /// Total SAT-core conflicts.
     conflicts: u64,
@@ -503,13 +527,12 @@ struct ScanSummary {
     restarts: u64,
     /// Clauses learned by conflict analysis.
     learned_clauses: u64,
-    /// Learned clauses evicted by LBD-aware clause-database reduction.
+    /// Learned clauses evicted by clause-database reduction.
     deleted_clauses: u64,
     /// Average learn-time literal-block-distance ("glue") of learned
     /// clauses; 0 when nothing was learned.
     avg_lbd: f64,
-    /// Simplification steps by the solver's pre/inprocessing layer (failed
-    /// literals, subsumed/strengthened clauses, vivified clauses).
+    /// Learned clauses shortened by vivification.
     preprocess_eliminations: u64,
     /// Queries the SAT core answered Sat.
     sat_queries: u64,
@@ -523,14 +546,6 @@ struct ScanSummary {
     /// Average literal count of extracted assumption cores; 0 when none
     /// were recorded.
     avg_core_size: f64,
-    /// Binary clauses added by hyper-binary resolution during failed
-    /// literal probing.
-    hbr_binaries_added: u64,
-    /// Learned clauses evicted from the mid tier (unused since the last
-    /// tier-2 sweep).
-    deleted_tier2: u64,
-    /// Learned clauses evicted from the local tier (high-LBD half).
-    deleted_local: u64,
     /// `minimal_ub_set` queries skipped because the last extracted
     /// assumption core proved the candidate condition irrelevant.
     minimization_queries_saved: u64,
@@ -623,9 +638,6 @@ fn cmd_scan(args: &[String]) -> ExitCode {
         model_cache_hits: stats.model_cache_hits,
         cores_recorded: stats.cores_recorded,
         avg_core_size: stats.avg_core_size(),
-        hbr_binaries_added: stats.hbr_binaries_added,
-        deleted_tier2: stats.deleted_tier2,
-        deleted_local: stats.deleted_local,
         minimization_queries_saved: stats.minimization_queries_saved,
         store_hits: stats.cache_hits,
         store_misses: stats.cache_misses,
@@ -723,8 +735,8 @@ fn gather_scan_sources(args: &[String]) -> Result<Vec<ScanTask>, String> {
         return Err(
             "usage: stack scan <dir|manifest|file.mc> | --synth N  [--seed S] [--cache-file F] \
              [--scan-cache F] [--jobs N] [--threads N] [--query-budget N] [--compact-store N] \
-             [--shard i/n] [--no-cache] [--no-incremental] [--no-hbr] \
-             [--include-macros] [--json] [--out F] [--quiet]"
+             [--shard i/n] [--no-cache] [--no-incremental] [--no-preprocess] \
+             [--instance-granularity G] [--include-macros] [--json] [--out F] [--quiet]"
                 .to_string(),
         );
     };
@@ -835,11 +847,6 @@ fn render_scan_summary(
         out,
         "  unsat cores     {:>8} recorded (avg size {:.1}), {} minimization queries saved",
         summary.cores_recorded, summary.avg_core_size, summary.minimization_queries_saved
-    );
-    let _ = writeln!(
-        out,
-        "  hyper-binary    {:>8} binaries added; tier evictions: {} tier2, {} local",
-        summary.hbr_binaries_added, summary.deleted_tier2, summary.deleted_local
     );
     let _ = writeln!(
         out,
@@ -1363,6 +1370,31 @@ mod tests {
             Mode::Scan
         )
         .is_ok());
+
+        // An unknown flag fails both commands, naming the flag; a flag's
+        // value is never mistaken for a flag.
+        for (mode, path) in [(Mode::Scan, "dir"), (Mode::Check, "f.mc")] {
+            for flag in ["--no-hbr", "--no-such-flag", "--jobs4"] {
+                let err = AnalysisOpts::parse(&args(&[path, flag]), mode)
+                    .expect_err("an unknown flag must be rejected");
+                assert!(err.contains(flag), "{err}");
+            }
+            assert!(AnalysisOpts::parse(&args(&[path, "--out", "--report.txt"]), mode).is_ok());
+        }
+        // Every flag `scan` takes parses.
+        let all: Vec<&str> = "dir --threads 2 --query-budget 9 --cache-file q.qs --out o \
+             --compact-store 3 --instance-granularity fragment --jobs 2 --scan-cache s.ss \
+             --shard 1/2 --synth 4 --seed 7 --json --include-macros --no-cache \
+             --no-incremental --no-preprocess --quiet"
+            .split_whitespace()
+            .collect();
+        assert_eq!(
+            all.iter().filter(|a| a.starts_with("--")).count(),
+            VALUE_FLAGS.len() + SCAN_ONLY_FLAGS.len() + SWITCHES.len()
+        );
+        if let Err(e) = AnalysisOpts::parse(&args(&all), Mode::Scan) {
+            panic!("{e}");
+        }
     }
 
     #[test]

@@ -60,14 +60,12 @@ pub struct CheckerConfig {
     /// instance absorbs the misses) and with `threads` (each worker's solver
     /// owns its own instances).
     pub incremental: bool,
-    /// Whether the SAT core runs its pre/inprocessing layer: a one-shot
-    /// simplification pass (failed-literal probing, subsumption and
-    /// self-subsumption strengthening) before solving, plus clause
-    /// vivification between restarts and LBD-aware clause-database
-    /// reduction during search. All simplification work is charged to
-    /// `query_budget`, so degraded verdicts stay deterministic. Decided
-    /// verdicts — and therefore reports — are identical with the layer on
-    /// or off; off (`--no-preprocess`) restores the pre-LBD solver as the
+    /// Whether the SAT core runs its layers around the search loop: clause
+    /// vivification between restarts, binary watch lists, trail reuse
+    /// across assumption sets, and the model cache. Vivification is charged
+    /// to `query_budget`, so degraded verdicts stay deterministic. Decided
+    /// verdicts — and therefore reports — are identical with the layers on
+    /// or off; off (`--no-preprocess`) leaves the plain CDCL loop as the
     /// benchmark baseline.
     pub preprocess: bool,
     /// Incremental-instance granularity: `false` (default) shares one
@@ -78,10 +76,6 @@ pub struct CheckerConfig {
     /// wins on the edit-tail archive (`docs/ARCHITECTURE.md` records both
     /// measurements). No effect unless `incremental` is on.
     pub fragment_instances: bool,
-    /// Whether the SAT core runs hyper-binary resolution during its probing
-    /// pass, materializing transitive implications as binary clauses. Off
-    /// (`--no-hbr`) restores plain probing.
-    pub hbr: bool,
 }
 
 impl Default for CheckerConfig {
@@ -94,7 +88,6 @@ impl Default for CheckerConfig {
             incremental: true,
             preprocess: true,
             fragment_instances: false,
-            hbr: true,
         }
     }
 }
@@ -134,14 +127,12 @@ pub struct CheckStats {
     pub cache_hits: u64,
     /// Queries that consulted the store and missed.
     pub cache_misses: u64,
-    /// Total SAT-core propagations across all queries, including the
-    /// propagation-equivalents charged for pre/inprocessing work (merged
-    /// across worker threads). This is the deterministic currency solver
-    /// budgets are denominated in, and the `solver_speed` benchmark's
-    /// measure of raw solver work.
+    /// Total SAT-core propagations across all queries, including those of
+    /// vivification between restarts (merged across worker threads). This
+    /// is the deterministic currency solver budgets are denominated in, and
+    /// the `solver_speed` benchmark's measure of raw solver work.
     pub propagations: u64,
-    /// SAT-core propagations spent on queries that ended `Unsat` — the
-    /// share of `propagations` the Unsat fast path attacks.
+    /// SAT-core propagations spent on queries that ended `Unsat`.
     pub unsat_propagations: u64,
     /// Total SAT-core conflicts across all queries.
     pub conflicts: u64,
@@ -149,14 +140,12 @@ pub struct CheckStats {
     pub restarts: u64,
     /// Clauses learned by conflict analysis across all queries.
     pub learned_clauses: u64,
-    /// Learned clauses evicted by LBD-aware clause-database reduction.
+    /// Learned clauses evicted by clause-database reduction.
     pub deleted_clauses: u64,
     /// Sum of learn-time literal-block-distance values over all learned
     /// clauses; `lbd_sum / learned_clauses` is the average glue.
     pub lbd_sum: u64,
-    /// Simplification steps performed by the solver's pre/inprocessing
-    /// layer: failed literals asserted, clauses subsumed or strengthened,
-    /// learned clauses vivified.
+    /// Learned clauses shortened by vivification.
     pub preprocess_eliminations: u64,
     /// Queries decided by a persistent incremental solver instance (merged
     /// across worker threads; 0 when `CheckerConfig::incremental` is off).
@@ -181,12 +170,6 @@ pub struct CheckStats {
     /// Sum of literal counts over recorded cores (`core_size_sum /
     /// cores_recorded` is the average core size).
     pub core_size_sum: u64,
-    /// Binary clauses added by hyper-binary resolution during probing.
-    pub hbr_binaries_added: u64,
-    /// Learned clauses evicted from the mid (tier2) clause-database tier.
-    pub deleted_tier2: u64,
-    /// Learned clauses evicted from the local (high-LBD) tier.
-    pub deleted_local: u64,
     /// Minimal-UB-set queries skipped because an extracted assumption core
     /// already proved them `Unsat`.
     pub minimization_queries_saved: u64,
@@ -258,9 +241,6 @@ impl CheckStats {
         self.model_cache_hits += other.model_cache_hits;
         self.cores_recorded += other.cores_recorded;
         self.core_size_sum += other.core_size_sum;
-        self.hbr_binaries_added += other.hbr_binaries_added;
-        self.deleted_tier2 += other.deleted_tier2;
-        self.deleted_local += other.deleted_local;
         self.minimization_queries_saved += other.minimization_queries_saved;
         self.threads = self.threads.max(other.threads);
         self.elapsed += other.elapsed;
@@ -634,11 +614,10 @@ mod tests {
 
     #[test]
     fn preprocessing_off_and_granularity_match_defaults() {
-        // Every simplification the solver's pre/inprocessing layer performs
-        // preserves satisfiability, and instance granularity only changes
-        // which persistent instance decides a query — so reports must be
-        // identical with the layer off, with per-fragment instances, across
-        // thread counts.
+        // Every clause the solver's vivification derives is implied by the
+        // formula, and instance granularity only changes which persistent
+        // instance decides a query — so reports must be identical with the
+        // layers off, with per-fragment instances, across thread counts.
         let baseline = Checker::new()
             .check_source(MULTI_FUNCTION_SRC, "multi.c")
             .unwrap();
@@ -665,6 +644,14 @@ mod tests {
         }
     }
 
+    /// The in-place edit behind the edit-tail archive's hardest queries
+    /// (`gen-archive --packages 48 --seed 41 --edit-functions 12`, module
+    /// `archive-0023_0`): the guard multiplies and divides by different
+    /// constants.
+    const EDITED_OVERFLOW_GUARD: &str =
+        "int fn_234(int a, int b) { int p = a * 20005; int q = p / 55; \
+         if (q != a) return -1; return p + b; }";
+
     #[test]
     fn solver_counters_surface_in_check_stats() {
         let result = check_with_inc(Some(1), false, true);
@@ -673,10 +660,9 @@ mod tests {
         assert!(result.stats.learned_clauses > 0, "{:?}", result.stats);
         assert!(result.stats.avg_lbd() > 0.0, "{:?}", result.stats);
         // The bit-blaster folds the constants of MULTI_FUNCTION_SRC away, so
-        // the preprocessor counter is exercised on the multiply/divide
-        // overflow guard, whose divider still leaves it work.
-        let guard = "int g(int a, int b) { int p = a * 3; int q = p / 3; \
-                     if (q != a) return -1; return p + b; }";
+        // the vivification counter is exercised on the edited overflow
+        // guard, whose queries restart often enough for vivification rounds
+        // (every fourth restart) to run.
         let check_guard = |preprocess: bool| {
             Checker::with_config(CheckerConfig {
                 threads: Some(1),
@@ -684,7 +670,7 @@ mod tests {
                 preprocess,
                 ..CheckerConfig::default()
             })
-            .check_source(guard, "guard.c")
+            .check_source(EDITED_OVERFLOW_GUARD, "guard.c")
             .unwrap()
         };
         let on = check_guard(true);
@@ -696,26 +682,20 @@ mod tests {
 
     #[test]
     fn edited_overflow_guard_stays_within_the_default_budget() {
-        // The in-place edit behind the edit-tail archive's hardest queries
-        // (`gen-archive --packages 48 --seed 41 --edit-functions 12`,
-        // module `archive-0023_0`): the guard multiplies and divides by
-        // different constants. Blasted without constant folding, three of
-        // its queries exceeded the default 2M-propagation budget.
-        let src = "int fn_234(int a, int b) { int p = a * 20005; int q = p / 55; \
-                   if (q != a) return -1; return p + b; }";
+        // Blasted without constant folding, three of the edited guard's
+        // queries exceeded the default 2M-propagation budget.
         let result = Checker::with_config(CheckerConfig::default())
-            .check_source(src, "archive-0023_0.mc")
+            .check_source(EDITED_OVERFLOW_GUARD, "archive-0023_0.mc")
             .unwrap();
         assert_eq!(result.stats.timeouts, 0, "{:?}", result.stats);
         assert_eq!(result.stats.degraded_modules, 0, "{:?}", result.stats);
     }
 
     #[test]
-    fn budget_exhausted_during_preprocessing_degrades_and_never_persists() {
-        // A one-propagation budget is exhausted by the preprocessing pass
-        // itself, before any CDCL search: the query must degrade to
-        // `Unknown`, be counted as a timeout and a degraded module, and
-        // leave nothing behind in the query store.
+    fn budget_exhausted_during_search_degrades_and_never_persists() {
+        // A one-propagation budget is exhausted by the CDCL search itself:
+        // the query must degrade to `Unknown`, be counted as a timeout and
+        // a degraded module, and leave nothing behind in the query store.
         let checker = Checker::with_config(CheckerConfig {
             threads: Some(1),
             query_budget: 1,

@@ -139,7 +139,6 @@ impl AnalysisSession {
         solver.set_incremental(self.config.incremental);
         solver.set_preprocessing(self.config.preprocess);
         solver.set_fragment_instances(self.config.fragment_instances);
-        solver.set_hbr(self.config.hbr);
         solver
     }
 
@@ -314,9 +313,6 @@ impl AnalysisSession {
             core_cache_hits: 0,
             cores_recorded: solver_stats.cores_recorded,
             core_size_sum: solver_stats.core_size_sum,
-            hbr_binaries_added: solver_stats.hbr_binaries_added,
-            deleted_tier2: solver_stats.deleted_tier2,
-            deleted_local: solver_stats.deleted_local,
             minimization_queries_saved: solver_stats.minimization_queries_saved,
             threads,
             elapsed: start.elapsed(),

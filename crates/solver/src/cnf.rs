@@ -2,10 +2,8 @@
 //!
 //! Clauses live in a flat arena indexed by [`ClauseRef`]; the SAT core holds
 //! watch lists of clause references rather than owning clause data itself.
-//! Learned clauses carry an activity score and a literal-block-distance
-//! (LBD, "glue") value so that clause-database reduction can evict the least
-//! useful ones while keeping the clauses that tie few decision levels
-//! together.
+//! Learned clauses carry an activity score so that clause-database reduction
+//! can evict the least useful ones.
 
 use crate::lit::Lit;
 
@@ -24,18 +22,6 @@ pub struct Clause {
     pub learned: bool,
     /// Activity for learned-clause eviction.
     pub activity: f64,
-    /// Literal block distance at learn time: the number of distinct decision
-    /// levels among the clause's literals. Low-LBD ("glue") clauses connect
-    /// few decision levels and are empirically the most reusable, so
-    /// database reduction keeps `lbd <= 2` clauses unconditionally. Original
-    /// clauses carry 0 (they are never eviction candidates).
-    pub lbd: u32,
-    /// Recent-use stamp for tiered database reduction: set whenever the
-    /// clause participates in conflict analysis, cleared when the mid tier
-    /// is swept. A mid-tier clause that stayed unused across a whole sweep
-    /// interval is evicted. Fresh learned clauses start marked so they
-    /// survive at least one interval.
-    pub used: bool,
     /// Marked for deletion by clause-database reduction.
     pub deleted: bool,
 }
@@ -47,20 +33,6 @@ impl Clause {
             lits,
             learned,
             activity: 0.0,
-            lbd: 0,
-            used: true,
-            deleted: false,
-        }
-    }
-
-    /// Create a learned clause carrying its literal block distance.
-    pub fn learned_with_lbd(lits: Vec<Lit>, lbd: u32) -> Clause {
-        Clause {
-            lits,
-            learned: true,
-            activity: 0.0,
-            lbd,
-            used: true,
             deleted: false,
         }
     }

@@ -81,6 +81,7 @@ pub struct InstanceStats {
 /// assert!(instance.check_assuming(&[l_pos, l_neg]).is_unsat());
 /// assert!(instance.check_assuming(&[l_neg]).is_sat());
 /// ```
+#[derive(Default)]
 pub struct SolverInstance {
     sat: SatSolver,
     blaster: BitBlaster,
@@ -91,29 +92,7 @@ pub struct SolverInstance {
     /// Clauses emitted by [`literal_for`](SolverInstance::literal_for) since
     /// the last query; everything older counts as reused by the next query.
     fresh_clauses: usize,
-    /// Run the deterministic preprocessing pass before the first query.
-    /// Probing, subsumption, and strengthening preserve logical
-    /// equivalence, so later [`literal_for`](SolverInstance::literal_for)
-    /// additions stay sound.
-    preprocess: bool,
-    /// Whether the one-shot preprocessing pass has already run.
-    preprocessed: bool,
     stats: InstanceStats,
-}
-
-impl Default for SolverInstance {
-    fn default() -> SolverInstance {
-        SolverInstance {
-            sat: SatSolver::new(),
-            blaster: BitBlaster::default(),
-            budget: Budget::default(),
-            epoch: None,
-            fresh_clauses: 0,
-            preprocess: true,
-            preprocessed: false,
-            stats: InstanceStats::default(),
-        }
-    }
 }
 
 impl std::fmt::Debug for SolverInstance {
@@ -146,19 +125,10 @@ impl SolverInstance {
         self.budget = budget;
     }
 
-    /// Enable or disable the preprocessing/inprocessing layer (on by
-    /// default). Off restores the pre-LBD solver behaviour: no simplification
-    /// pass, no vivification between restarts, activity-only clause-database
-    /// reduction.
+    /// Enable or disable the SAT core's layers around the search loop (on
+    /// by default). See [`SatSolver::set_preprocessing`].
     pub fn set_preprocessing(&mut self, on: bool) {
-        self.preprocess = on;
         self.sat.set_preprocessing(on);
-    }
-
-    /// Enable or disable hyper-binary resolution during probing (on by
-    /// default). See [`SatSolver::set_hbr`].
-    pub fn set_hbr(&mut self, on: bool) {
-        self.sat.set_hbr(on);
     }
 
     /// The assumption core of the last `Unsat` answer: a subset of that
@@ -232,21 +202,6 @@ impl SolverInstance {
         let reused = self.sat.num_clauses().saturating_sub(self.fresh_clauses);
         self.stats.reused_clauses += reused as u64;
         self.fresh_clauses = 0;
-        if self.preprocess && !self.preprocessed {
-            self.preprocessed = true;
-            // Simplification rewrites clauses, which is only legal at the
-            // root level. Its cost is charged to the budget and carried into
-            // the solve below, so degraded verdicts stay byte-reproducible.
-            self.sat.cancel_until_root();
-            match self.sat.preprocess(self.budget) {
-                // Root-unsat: fall through to `solve_with`, which answers
-                // immediately and records the (empty) assumption core so
-                // `last_core` cannot report a stale earlier core.
-                Some(SatResult::Unsat) => {}
-                Some(SatResult::Unknown) => return QueryResult::Unknown,
-                _ => {}
-            }
-        }
         match self.sat.solve_with(assumptions, self.budget) {
             SatResult::Unsat => QueryResult::Unsat,
             SatResult::Unknown => QueryResult::Unknown,

@@ -3,16 +3,17 @@
 //! The solver implements the standard conflict-driven clause learning loop:
 //! two-watched-literal unit propagation, first-UIP conflict analysis with
 //! clause minimization by self-subsumption against reason clauses, VSIDS
-//! variable activity with phase saving, Luby restarts, and learned-clause
-//! database reduction keyed on literal block distance (LBD, "glue"). It
-//! supports solving under assumptions (needed by the minimal-UB-set
-//! computation in the checker) and a deterministic resource budget measured
-//! in propagations so that "timeouts" are reproducible.
+//! variable activity with phase saving, Luby restarts, and activity-based
+//! learned-clause database reduction. It supports solving under assumptions
+//! (needed by the minimal-UB-set computation in the checker) and a
+//! deterministic resource budget measured in propagations so that
+//! "timeouts" are reproducible.
 //!
-//! On top of the search loop sits a deterministic simplification layer
-//! ([`preprocess`](SatSolver::preprocess)): failed-literal probing at the
-//! root level and clause subsumption + self-subsumption strengthening, plus
-//! periodic clause vivification between restarts. All of it is charged
+//! [`set_preprocessing`](SatSolver::set_preprocessing) (on by default)
+//! switches on four layers around the search loop: clause vivification
+//! between restarts, dedicated watch lists for binary clauses, trail reuse
+//! across consecutive assumption sets, and a small cache of recent models
+//! that answers a `Sat` query in zero propagations. Vivification is charged
 //! against the same propagation budget as the search itself, so a degraded
 //! `Unknown` verdict is byte-reproducible no matter where the budget ran
 //! out.
@@ -77,12 +78,11 @@ impl Budget {
 pub struct SatStats {
     pub decisions: u64,
     pub propagations: u64,
-    /// The subset of `propagations` spent inside the pre/inprocessing
-    /// passes (probing + HBR harvest, subsumption, vivification).
-    /// Instance setup and restart-time maintenance, not per-query search —
-    /// callers attributing propagation cost to individual queries subtract
-    /// this so the query that happens to trigger a pass is not charged for
-    /// work amortized across the whole instance.
+    /// The subset of `propagations` spent vivifying learned clauses between
+    /// restarts. Restart-time maintenance, not per-query search — callers
+    /// attributing propagation cost to individual queries subtract this so
+    /// the query that happens to trigger a round is not charged for work
+    /// amortized across the whole instance.
     pub preprocess_propagations: u64,
     pub conflicts: u64,
     pub restarts: u64,
@@ -94,8 +94,7 @@ pub struct SatStats {
     /// Sum of learn-time LBD over all learned clauses; the average glue is
     /// `lbd_sum / learned_clauses`.
     pub lbd_sum: u64,
-    /// Facts removed by pre/inprocessing: subsumed clauses, strengthened
-    /// literals, failed literals, vivified clauses.
+    /// Learned clauses shortened by vivification.
     pub preprocess_eliminations: u64,
     /// `Sat` answers served from the still-valid trail or the cached-model
     /// store in zero propagations.
@@ -105,13 +104,6 @@ pub struct SatStats {
     /// Sum of literal counts over recorded cores; the average core size is
     /// `core_size_sum / cores_recorded`.
     pub core_size_sum: u64,
-    /// Binary clauses added by hyper-binary resolution during probing.
-    pub hbr_binaries_added: u64,
-    /// Learned clauses evicted from the mid (tier2) tier for staying unused
-    /// across a whole sweep interval.
-    pub deleted_tier2: u64,
-    /// Learned clauses evicted from the local (high-LBD) tier.
-    pub deleted_local: u64,
 }
 
 impl SatStats {
@@ -146,7 +138,7 @@ pub struct SatSolver {
     /// circuits binary clauses dominate the watch traffic, and this is the
     /// difference between one cache line and three per implication. Only
     /// populated when `preprocessing` is on; with it off every clause goes
-    /// through the plain watch lists, reproducing the prior solver.
+    /// through the plain watch lists.
     binary_watches: Vec<Vec<(Lit, ClauseRef)>>,
     assigns: Vec<LBool>,
     /// Saved phase per variable, used as the decision polarity.
@@ -174,12 +166,9 @@ pub struct SatSolver {
     /// Conflicts seen in the current solve call (for budget accounting).
     solve_conflicts: u64,
     solve_propagations: u64,
-    /// Budget-charged work a `preprocess` call performed; consumed (counted
-    /// against the budget) by the next `solve_with` call.
-    carryover: u64,
     max_learned: usize,
-    /// Whether pre/inprocessing and LBD-aware reduction are enabled
-    /// (disabling reverts to the plain activity-only CDCL loop).
+    /// Whether vivification, binary watch lists, trail reuse and the model
+    /// cache are enabled (disabling leaves the plain CDCL loop).
     preprocessing: bool,
     /// The assumption sequence the current trail's decision levels were
     /// established for (level i+1 holds assumption i). Lets the next
@@ -195,8 +184,8 @@ pub struct SatSolver {
     /// anything that touches the formula or the trail from outside.
     model_valid: bool,
     /// Recent total models (newest last), kept in side storage so they
-    /// survive Unsat queries and trail churn. Every derived clause (learned,
-    /// probed, strengthened) is entailed by the original formula, so a total
+    /// survive Unsat queries and trail churn. Every derived clause (learned
+    /// or vivified) is entailed by the original formula, so a total
     /// model stays a model until `add_clause` grows the formula — the only
     /// point that clears this cache. Checked at solve entry: any cached
     /// model satisfying all assumptions answers `Sat` in zero propagations.
@@ -205,14 +194,10 @@ pub struct SatSolver {
     /// so `model_value` reads the witness that was actually returned rather
     /// than whatever the trail holds. Cleared at the next solve call.
     cached_model_hit: Option<usize>,
-    /// Whether hyper-binary resolution runs during failed-literal probing.
-    hbr: bool,
     /// The assumption core of the last `Unsat` answer (empty when the
     /// formula itself is root-unsat), for callers seeding minimization.
     /// `None` after `Sat`/`Unknown` answers.
     last_core: Option<Vec<Lit>>,
-    /// Count of `reduce_db` invocations, pacing the tier2 sweep cadence.
-    reduce_calls: u64,
 }
 
 impl Default for SatSolver {
@@ -251,12 +236,9 @@ impl SatSolver {
             budget_conflicts: u64::MAX,
             solve_conflicts: 0,
             solve_propagations: 0,
-            carryover: 0,
             max_learned: 4000,
             preprocessing: true,
-            hbr: true,
             last_core: None,
-            reduce_calls: 0,
         }
     }
 
@@ -278,19 +260,13 @@ impl SatSolver {
         v
     }
 
-    /// Enable or disable pre/inprocessing and LBD-aware clause management.
-    /// With it off, [`preprocess`](SatSolver::preprocess) is a no-op, no
-    /// vivification runs between restarts, and database reduction falls back
-    /// to the plain activity ordering — the pre-LBD solver, kept reachable
-    /// as the benchmark baseline and via `--no-preprocess`.
+    /// Enable or disable the layers around the search loop (on by
+    /// default): clause vivification between restarts, binary watch lists,
+    /// trail reuse across assumption sets, and the model cache. With it off
+    /// the solver is the plain CDCL loop, kept reachable as the benchmark
+    /// baseline and via `--no-preprocess`.
     pub fn set_preprocessing(&mut self, on: bool) {
         self.preprocessing = on;
-    }
-
-    /// Enable or disable hyper-binary resolution during failed-literal
-    /// probing (`--no-hbr` reverts to plain probing).
-    pub fn set_hbr(&mut self, on: bool) {
-        self.hbr = on;
     }
 
     /// The assumption core of the last `Unsat` answer: a subset of the
@@ -312,17 +288,6 @@ impl SatSolver {
     /// formula a [`solve_with`](SatSolver::solve_with) call reuses.
     pub fn num_clauses(&self) -> usize {
         self.clauses.len()
-    }
-
-    /// Undo every assignment above the root decision level.
-    ///
-    /// After a `Sat` answer the trail is intentionally left intact so
-    /// [`model_value`](SatSolver::model_value) can read the assignment;
-    /// incremental callers must return to the root level before adding more
-    /// clauses. Calling this at the root level is a no-op.
-    pub fn cancel_until_root(&mut self) {
-        self.model_valid = false;
-        self.backtrack(0);
     }
 
     /// Accumulated statistics.
@@ -398,8 +363,8 @@ impl SatSolver {
     }
 
     /// Attach the first two literals of a clause to the watch lists. Binary
-    /// clauses go to the dedicated implication lists when pre/inprocessing
-    /// is enabled (see `binary_watches`); a clause stays wherever it was
+    /// clauses go to the dedicated implication lists when preprocessing is
+    /// enabled (see `binary_watches`); a clause stays wherever it was
     /// attached until detached, so flipping the flag mid-life is safe.
     fn attach(&mut self, cref: ClauseRef) {
         let (l0, l1, binary) = {
@@ -548,7 +513,6 @@ impl SatSolver {
         if !c.learned {
             return;
         }
-        c.used = true;
         c.activity += self.cla_inc;
         if c.activity > 1e20 {
             let refs = self.clauses.learned_refs();
@@ -560,9 +524,8 @@ impl SatSolver {
     }
 
     /// First-UIP conflict analysis. Returns the learned clause (with the
-    /// asserting literal first), the backtrack level, and the clause's
-    /// literal block distance.
-    fn analyze(&mut self, conflict: ClauseRef) -> (Vec<Lit>, u32, u32) {
+    /// asserting literal first) and the backtrack level.
+    fn analyze(&mut self, conflict: ClauseRef) -> (Vec<Lit>, u32) {
         let mut learned: Vec<Lit> = vec![Lit::new(Var(0), true)]; // placeholder slot 0
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
@@ -645,23 +608,23 @@ impl SatSolver {
         };
 
         // LBD: the number of distinct decision levels among the (minimized)
-        // learned clause's literals. Computed before backtracking, while the
-        // levels are still those of the conflicting assignment.
+        // learned clause's literals, reported as a statistic. Computed before
+        // backtracking, while the levels are still those of the conflicting
+        // assignment.
         let mut lbd_levels: Vec<u32> = learned
             .iter()
             .map(|&lit| self.levels[lit.var().index()])
             .collect();
         lbd_levels.sort_unstable();
         lbd_levels.dedup();
-        let lbd = lbd_levels.len() as u32;
 
         for &lit in &original {
             self.seen[lit.var().index()] = false;
         }
         self.stats.learned_literals += learned.len() as u64;
         self.stats.learned_clauses += 1;
-        self.stats.lbd_sum += u64::from(lbd);
-        (learned, backtrack_level, lbd)
+        self.stats.lbd_sum += lbd_levels.len() as u64;
+        (learned, backtrack_level)
     }
 
     /// Undo assignments above the given decision level.
@@ -686,7 +649,7 @@ impl SatSolver {
     }
 
     /// Record the learned clause and assert its first literal.
-    fn learn(&mut self, learned: Vec<Lit>, lbd: u32) {
+    fn learn(&mut self, learned: Vec<Lit>) {
         let asserting = learned[0];
         if learned.len() == 1 {
             self.enqueue(asserting, None);
@@ -701,7 +664,7 @@ impl SatSolver {
                 }
             }
             lits.swap(1, best);
-            let cref = self.clauses.add(Clause::learned_with_lbd(lits, lbd));
+            let cref = self.clauses.add(Clause::new(lits, true));
             self.attach(cref);
             self.bump_clause(cref);
             self.enqueue(asserting, Some(cref));
@@ -710,93 +673,32 @@ impl SatSolver {
         self.cla_inc /= 0.999;
     }
 
-    /// Learned-clause database reduction. With preprocessing on, the
-    /// database is managed in three tiers by learn-time LBD:
-    ///
-    /// - **core** (`lbd <= 2`): glue clauses, never evicted;
-    /// - **tier2** (`2 < lbd <= TIER2_MAX_LBD`): kept while recently used.
-    ///   Every second reduction sweeps the tier, evicting clauses whose
-    ///   `used` stamp stayed clear since the previous sweep and clearing
-    ///   the stamp on survivors;
-    /// - **local** (`lbd > TIER2_MAX_LBD`): half evicted on every call,
-    ///   worst first.
-    ///
-    /// With preprocessing off this is the plain lowest-activity-first
-    /// halving of the pre-LBD solver. All orderings end with the clause id
-    /// so float-equal activities cannot make eviction order run-dependent.
+    /// Learned-clause database reduction: evict the less active half of the
+    /// learned clauses, sparing those that are the reason of a current
+    /// assignment. The ordering ends with the clause id so float-equal
+    /// activities cannot make eviction order run-dependent.
     fn reduce_db(&mut self) {
-        const TIER2_MAX_LBD: u32 = 6;
-        self.reduce_calls += 1;
         let mut refs = self.clauses.learned_refs();
         refs.retain(|&r| {
-            let c = self.clauses.get(r);
-            if self.preprocessing && c.lbd <= 2 {
-                return false; // glue: never an eviction candidate
-            }
-            // Keep clauses that are the reason of a current assignment.
-            !c.lits
+            !self
+                .clauses
+                .get(r)
+                .lits
                 .first()
-                .map(|&l| self.reasons[l.var().index()] == Some(r))
-                .unwrap_or(false)
+                .is_some_and(|&l| self.reasons[l.var().index()] == Some(r))
         });
-        if self.preprocessing {
-            // Local tier: halve, worst (highest LBD, lowest activity) first.
-            let mut local: Vec<ClauseRef> = refs
-                .iter()
-                .copied()
-                .filter(|&r| self.clauses.get(r).lbd > TIER2_MAX_LBD)
-                .collect();
-            local.sort_by(|&a, &b| {
-                let (ca, cb) = (self.clauses.get(a), self.clauses.get(b));
-                cb.lbd
-                    .cmp(&ca.lbd)
-                    .then(
-                        ca.activity
-                            .partial_cmp(&cb.activity)
-                            .unwrap_or(std::cmp::Ordering::Equal),
-                    )
-                    .then(a.0.cmp(&b.0))
-            });
-            let evict = local.len() / 2;
-            for &r in local.iter().take(evict) {
-                self.detach(r);
-                self.clauses.delete(r);
-                self.stats.deleted_clauses += 1;
-                self.stats.deleted_local += 1;
-            }
-            // Tier2 sweep on alternate calls: evict what stayed unused over
-            // the whole interval, re-arm survivors for the next one.
-            if self.reduce_calls.is_multiple_of(2) {
-                let tier2: Vec<ClauseRef> = refs
-                    .iter()
-                    .copied()
-                    .filter(|&r| self.clauses.get(r).lbd <= TIER2_MAX_LBD)
-                    .collect();
-                for r in tier2 {
-                    if self.clauses.get(r).used {
-                        self.clauses.get_mut(r).used = false;
-                    } else {
-                        self.detach(r);
-                        self.clauses.delete(r);
-                        self.stats.deleted_clauses += 1;
-                        self.stats.deleted_tier2 += 1;
-                    }
-                }
-            }
-        } else {
-            refs.sort_by(|&a, &b| {
-                self.clauses
-                    .get(a)
-                    .activity
-                    .partial_cmp(&self.clauses.get(b).activity)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.0.cmp(&b.0))
-            });
-            for &r in refs.iter().take(refs.len() / 2) {
-                self.detach(r);
-                self.clauses.delete(r);
-                self.stats.deleted_clauses += 1;
-            }
+        refs.sort_by(|&a, &b| {
+            self.clauses
+                .get(a)
+                .activity
+                .partial_cmp(&self.clauses.get(b).activity)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        });
+        for &r in refs.iter().take(refs.len() / 2) {
+            self.detach(r);
+            self.clauses.delete(r);
+            self.stats.deleted_clauses += 1;
         }
     }
 
@@ -948,10 +850,7 @@ impl SatSolver {
         self.budget_propagations = budget.max_propagations;
         self.budget_conflicts = budget.max_conflicts;
         self.solve_conflicts = 0;
-        // Work a preceding `preprocess` call performed counts against this
-        // call's budget, so a budget-degraded verdict lands on exactly the
-        // same query no matter how the work was split between the phases.
-        self.solve_propagations = std::mem::take(&mut self.carryover);
+        self.solve_propagations = 0;
 
         // Trail reuse: consecutive queries on one instance typically share
         // most of their assumptions, and re-establishing a shared assumption
@@ -961,9 +860,9 @@ impl SatSolver {
         // by the formula plus the kept assumptions, and learned clauses are
         // formula-entailed, so delayed propagation of them is sound: a Sat
         // answer is still checked by every original clause, and Unsat
-        // derivations only resolve existing clauses. Anything that touches
-        // the clause set (add_clause, preprocess, cancel_until_root)
-        // backtracks to the root first, which disables reuse on its own.
+        // derivations only resolve existing clauses. `add_clause`, the one
+        // way to touch the clause set from outside, backtracks to the root
+        // first, which disables reuse on its own.
         let ordered: Vec<Lit>;
         let assumptions: &[Lit] = if self.preprocessing && !assumptions.is_empty() {
             ordered = self.reorder_assumptions(assumptions);
@@ -1045,7 +944,7 @@ impl SatSolver {
                             self.backtrack(0);
                             return SatResult::Unsat;
                         }
-                        let (learned, level, lbd) = self.analyze(conflict);
+                        let (learned, level) = self.analyze(conflict);
                         let level = level.max(assumptions.len() as u32);
                         self.backtrack(level);
                         // If backtracking landed inside assumption levels and
@@ -1077,12 +976,12 @@ impl SatSolver {
                                         }
                                     }
                                     lits.swap(1, best);
-                                    self.clauses.add(Clause::learned_with_lbd(lits, lbd))
+                                    self.clauses.add(Clause::new(lits, true))
                                 };
                                 self.attach(cref);
                             }
                         } else {
-                            self.learn(learned, lbd);
+                            self.learn(learned);
                         }
                     }
                 }
@@ -1224,54 +1123,6 @@ impl SatSolver {
         }
     }
 
-    // ---- Pre/inprocessing -------------------------------------------------
-
-    /// One-shot deterministic preprocessing, run at the root level before
-    /// (or between) solves: failed-literal probing and clause subsumption +
-    /// self-subsumption strengthening. Both preserve logical equivalence, so
-    /// they are safe under later incremental additions.
-    ///
-    /// All work is charged against `budget` and carried into the next
-    /// `solve_with` call. Returns `Some(Unsat)` if simplification refutes
-    /// the formula, `Some(Unknown)` if the budget ran out mid-pass (partial
-    /// simplification is kept — every committed step preserves
-    /// satisfiability), and `None` when solving should proceed.
-    pub fn preprocess(&mut self, budget: Budget) -> Option<SatResult> {
-        if !self.preprocessing {
-            return None;
-        }
-        if self.unsat {
-            return Some(SatResult::Unsat);
-        }
-        self.model_valid = false;
-        self.backtrack(0);
-        let pre_start = self.stats.propagations;
-        self.solve_propagations = std::mem::take(&mut self.carryover);
-        if self.propagate().is_some() {
-            self.unsat = true;
-            self.stats.preprocess_propagations += self.stats.propagations - pre_start;
-            return Some(SatResult::Unsat);
-        }
-        let mut outcome = self.probe_failed_literals(&budget);
-        if outcome.is_none() {
-            outcome = self.simplify_clauses(&budget);
-        }
-        self.stats.preprocess_propagations += self.stats.propagations - pre_start;
-        match outcome {
-            Some(result) => {
-                // The budget is spent (Unknown) or the answer is final
-                // (Unsat); either way nothing carries over.
-                self.solve_propagations = 0;
-                Some(result)
-            }
-            None => {
-                self.carryover = self.solve_propagations;
-                self.solve_propagations = 0;
-                None
-            }
-        }
-    }
-
     /// Order a query's assumptions to maximize trail reuse: the literals
     /// shared with the previous query's assumption sequence first (in that
     /// sequence's order, stopping at the first mismatch, since decision
@@ -1295,302 +1146,7 @@ impl SatSolver {
         ordered
     }
 
-    /// Whether the preprocessing work done so far exceeds the budget.
-    fn over_budget(&self, budget: &Budget) -> bool {
-        self.solve_propagations > budget.max_propagations
-    }
-
-    /// Per-pass effort ceiling for pre/inprocessing, in budget-charge units:
-    /// a constant floor (so small formulas are always fully simplified) plus
-    /// a term linear in the formula size. Each pass stops — cleanly, keeping
-    /// whatever it simplified so far — once its own charge exceeds this, so
-    /// total preprocessing charge stays proportional to the formula and can
-    /// never eat a solve-sized share of the query budget on big circuits.
-    /// A pure function of the formula, so degraded verdicts stay
-    /// deterministic.
-    fn pass_cap(&self) -> u64 {
-        4_000 + 4 * self.clauses.len() as u64
-    }
-
-    /// Failed-literal probing at the root: for every variable watched by a
-    /// binary clause, assume each polarity in turn and propagate; a conflict
-    /// proves the negation, which is asserted at the root. Variable order is
-    /// index order, so the pass is deterministic.
-    fn probe_failed_literals(&mut self, budget: &Budget) -> Option<SatResult> {
-        // Only probe variables that head implication chains: those occurring
-        // in some binary clause. Probing everything is quadratic pain on
-        // blasted circuits for little extra root knowledge — and even the
-        // binary-clause subset is capped so a large circuit can't turn a
-        // cheap query into a probing marathon. The cap takes a deterministic
-        // prefix in index order, which on blasted formulas means the
-        // problem's input variables (created first) are probed before gate
-        // variables. On top of the variable cap, the pass stops once its
-        // budget charge exceeds a linear function of the formula size
-        // (see `pass_cap`): preprocessing effort must stay proportional to
-        // the formula, or its budget charge would eat the solve's budget on
-        // large instances.
-        const PROBE_CAP: usize = 64;
-        let cap = self.pass_cap();
-        let pass_start = self.solve_propagations;
-        // Probe propagations overwrite saved phases as a side effect of
-        // enqueue/backtrack; snapshot and restore them so probing leaves the
-        // search heuristics exactly as it found them (probing is supposed to
-        // extract root facts, not steer the upcoming search).
-        let saved_phases = self.phases.clone();
-        let mut candidate = vec![false; self.num_vars()];
-        for idx in 0..self.clauses.len() {
-            let c = self.clauses.get(ClauseRef(idx as u32));
-            if !c.deleted && c.len() == 2 {
-                candidate[c.lits[0].var().index()] = true;
-                candidate[c.lits[1].var().index()] = true;
-            }
-        }
-        // Hyper-binary resolution piggybacks on the same probes: every
-        // literal `q` the probe `lit` forced through a *long* (len > 2)
-        // reason chain is a transitive implication `lit -> q` the binary
-        // implication lists don't know yet. Materializing it as a binary
-        // clause (entailed, so cached models stay valid) lets future
-        // propagation reach `q` in one cache-friendly step and future
-        // probes/vivification resolve against it. Capped per pass and
-        // budget-charged like everything else here.
-        const HBR_CAP: usize = 64;
-        let mut hbr_added = 0usize;
-        let mut probed = 0usize;
-        let mut result = None;
-        'probe: for (idx, &is_candidate) in candidate.iter().enumerate() {
-            if self.over_budget(budget) {
-                result = Some(SatResult::Unknown);
-                break;
-            }
-            if probed >= PROBE_CAP || self.solve_propagations - pass_start > cap {
-                break;
-            }
-            if !is_candidate || !self.assigns[idx].is_undef() {
-                continue;
-            }
-            probed += 1;
-            let v = Var(idx as u32);
-            for positive in [true, false] {
-                let lit = Lit::new(v, positive);
-                if !self.value_lit(lit).is_undef() {
-                    break; // the other phase's failure already decided it
-                }
-                self.trail_lim.push(self.trail.len());
-                let level_start = self.trail.len();
-                self.enqueue(lit, None);
-                let failed = self.propagate().is_some();
-                let mut hyper: Vec<Lit> = Vec::new();
-                if !failed && self.hbr && hbr_added < HBR_CAP {
-                    for &q in &self.trail[level_start + 1..] {
-                        if let Some(r) = self.reasons[q.var().index()] {
-                            if self.clauses.get(r).len() > 2
-                                && !self.binary_watches[lit.index()]
-                                    .iter()
-                                    .any(|&(other, _)| other == q)
-                            {
-                                hyper.push(q);
-                            }
-                        }
-                    }
-                }
-                self.backtrack(0);
-                if failed {
-                    self.stats.preprocess_eliminations += 1;
-                    self.enqueue(!lit, None);
-                    if self.propagate().is_some() {
-                        self.unsat = true;
-                        result = Some(SatResult::Unsat);
-                        break 'probe;
-                    }
-                } else {
-                    for q in hyper {
-                        if hbr_added >= HBR_CAP {
-                            break;
-                        }
-                        let cref = self.clauses.add(Clause::learned_with_lbd(vec![!lit, q], 2));
-                        self.attach(cref);
-                        self.stats.hbr_binaries_added += 1;
-                        self.solve_propagations += 1;
-                        hbr_added += 1;
-                    }
-                }
-            }
-        }
-        for (idx, &phase) in saved_phases.iter().enumerate() {
-            if self.assigns[idx].is_undef() {
-                self.phases[idx] = phase;
-            }
-        }
-        result
-    }
-
-    /// Remove root-satisfied clauses, strip root-false literals, then run
-    /// one backward subsumption + self-subsumption pass over the remaining
-    /// clauses. Everything here preserves logical equivalence of the
-    /// (clauses + root trail) representation.
-    fn simplify_clauses(&mut self, budget: &Budget) -> Option<SatResult> {
-        let n_clauses = self.clauses.len();
-        // Pass 1: clean up against the root trail.
-        for idx in 0..n_clauses {
-            if self.over_budget(budget) {
-                return Some(SatResult::Unknown);
-            }
-            let cref = ClauseRef(idx as u32);
-            if self.clauses.get(cref).deleted {
-                continue;
-            }
-            let len = self.clauses.get(cref).len();
-            self.solve_propagations += len as u64;
-            let lits = self.clauses.get(cref).lits.clone();
-            if lits.iter().any(|&l| self.value_lit(l) == LBool::True) {
-                self.detach(cref);
-                self.clauses.delete(cref);
-                self.stats.preprocess_eliminations += 1;
-                continue;
-            }
-            if lits.iter().any(|&l| self.value_lit(l) == LBool::False) {
-                let kept: Vec<Lit> = lits
-                    .into_iter()
-                    .filter(|&l| self.value_lit(l).is_undef())
-                    .collect();
-                self.stats.preprocess_eliminations += 1;
-                if let Some(result) = self.replace_clause(cref, kept) {
-                    return Some(result);
-                }
-            }
-        }
-        // Pass 2: backward subsumption. For each clause C, candidates are
-        // the clauses sharing C's least-occurring literal (either phase);
-        // C ⊆ D deletes D, and C matching D except for one flipped literal
-        // strengthens D by removing that literal. Effort-capped like every
-        // pass (see `pass_cap`).
-        let cap = self.pass_cap();
-        let pass_start = self.solve_propagations;
-        let mut occ: Vec<Vec<ClauseRef>> = vec![Vec::new(); 2 * self.num_vars()];
-        for idx in 0..n_clauses {
-            let cref = ClauseRef(idx as u32);
-            let c = self.clauses.get(cref);
-            if c.deleted {
-                continue;
-            }
-            for &l in &c.lits {
-                occ[l.index()].push(cref);
-            }
-        }
-        for idx in 0..n_clauses {
-            if self.over_budget(budget) {
-                return Some(SatResult::Unknown);
-            }
-            if self.solve_propagations - pass_start > cap {
-                break;
-            }
-            let cref = ClauseRef(idx as u32);
-            if self.clauses.get(cref).deleted {
-                continue;
-            }
-            let c_lits = self.clauses.get(cref).lits.clone();
-            // Long clauses subsume almost nothing; clauses whose every
-            // literal is ubiquitous would drag in huge candidate lists. Both
-            // caps keep the pass near-linear on blasted circuits.
-            const MAX_SUBSUMER_LEN: usize = 12;
-            const MAX_CANDIDATES: usize = 32;
-            if c_lits.len() > MAX_SUBSUMER_LEN {
-                continue;
-            }
-            // A tautological C subsumes nothing, and self-subsuming
-            // resolution against it is the identity — `subsumes` would
-            // still report a flipped literal and unsoundly strengthen D.
-            if c_lits.iter().any(|&l| c_lits.contains(&!l)) {
-                continue;
-            }
-            let key = c_lits
-                .iter()
-                .copied()
-                .min_by_key(|l| occ[l.index()].len() + occ[(!*l).index()].len());
-            let Some(key) = key else { continue };
-            if occ[key.index()].len() + occ[(!key).index()].len() > MAX_CANDIDATES {
-                continue;
-            }
-            let mut candidates: Vec<ClauseRef> = occ[key.index()].clone();
-            candidates.extend_from_slice(&occ[(!key).index()]);
-            for dref in candidates {
-                if dref == cref || self.clauses.get(dref).deleted {
-                    continue;
-                }
-                if self.clauses.get(cref).deleted {
-                    break; // C itself got strengthened away meanwhile
-                }
-                let d_lits = &self.clauses.get(dref).lits;
-                self.solve_propagations += (c_lits.len() + d_lits.len()) as u64;
-                if d_lits.len() < c_lits.len() {
-                    continue;
-                }
-                match subsumes(&c_lits, d_lits) {
-                    None => {}
-                    Some(None) => {
-                        // C ⊆ D: D is redundant.
-                        self.detach(dref);
-                        self.clauses.delete(dref);
-                        self.stats.preprocess_eliminations += 1;
-                    }
-                    Some(Some(remove)) => {
-                        // Self-subsumption: resolve C against D on `remove`.
-                        let kept: Vec<Lit> = self
-                            .clauses
-                            .get(dref)
-                            .lits
-                            .iter()
-                            .copied()
-                            .filter(|&l| l != remove)
-                            .collect();
-                        self.stats.preprocess_eliminations += 1;
-                        if let Some(result) = self.replace_clause(dref, kept) {
-                            return Some(result);
-                        }
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Replace an attached clause's literals with a (shorter) implied set,
-    /// maintaining the watch lists. An empty set refutes the formula; a unit
-    /// is asserted at the root and the clause deleted. Returns `Some` only
-    /// for a final verdict.
-    fn replace_clause(&mut self, cref: ClauseRef, kept: Vec<Lit>) -> Option<SatResult> {
-        self.detach(cref);
-        match kept.len() {
-            0 => {
-                self.unsat = true;
-                Some(SatResult::Unsat)
-            }
-            1 => {
-                self.clauses.delete(cref);
-                match self.value_lit(kept[0]) {
-                    LBool::True => None,
-                    LBool::False => {
-                        self.unsat = true;
-                        Some(SatResult::Unsat)
-                    }
-                    LBool::Undef => {
-                        self.enqueue(kept[0], None);
-                        if self.propagate().is_some() {
-                            self.unsat = true;
-                            Some(SatResult::Unsat)
-                        } else {
-                            None
-                        }
-                    }
-                }
-            }
-            _ => {
-                self.clauses.get_mut(cref).lits = kept;
-                self.attach(cref);
-                None
-            }
-        }
-    }
+    // ---- Inprocessing -----------------------------------------------------
 
     /// One bounded round of clause vivification: re-derive learned clauses
     /// under their own negation and keep the (often shorter) implied prefix.
@@ -1624,7 +1180,6 @@ impl SatSolver {
             }
             examined += 1;
             let lits = self.clauses.get(r).lits.clone();
-            let lbd = self.clauses.get(r).lbd;
             let mut kept: Vec<Lit> = Vec::with_capacity(lits.len());
             let mut shortened = false;
             self.trail_lim.push(self.trail.len());
@@ -1673,8 +1228,7 @@ impl SatSolver {
                         }
                     }
                     _ => {
-                        let new_lbd = lbd.min(kept.len() as u32);
-                        let cref = self.clauses.add(Clause::learned_with_lbd(kept, new_lbd));
+                        let cref = self.clauses.add(Clause::new(kept, true));
                         self.attach(cref);
                     }
                 }
@@ -1686,27 +1240,6 @@ impl SatSolver {
             }
         }
     }
-}
-
-/// Subsumption check: does clause `c` subsume `d` (`Some(None)`), strengthen
-/// it by resolving on exactly one flipped literal (`Some(Some(lit))` — the
-/// literal to drop from `d`), or neither (`None`)?
-fn subsumes(c: &[Lit], d: &[Lit]) -> Option<Option<Lit>> {
-    let mut flipped: Option<Lit> = None;
-    for &lc in c {
-        if d.contains(&lc) {
-            continue;
-        }
-        if d.contains(&!lc) {
-            if flipped.is_some() {
-                return None;
-            }
-            flipped = Some(!lc);
-            continue;
-        }
-        return None;
-    }
-    Some(flipped)
 }
 
 /// The Luby restart sequence: 1, 1, 2, 1, 1, 2, 4, ...
@@ -1842,30 +1375,40 @@ mod tests {
         assert!(s.model_value(w));
     }
 
-    #[test]
+    /// Load the pigeonhole formula PHP(pigeons, holes) — every pigeon in
+    /// some hole, no two pigeons in one hole — with `guard` (if any) added
+    /// to every clause. Returns the clauses as loaded.
     #[allow(clippy::needless_range_loop)] // p[i][j]: j indexes the inner dim
-    fn budget_exhaustion_returns_unknown() {
-        // A hard-ish pigeonhole instance with a tiny budget must give Unknown.
-        let n = 7usize; // pigeons
-        let m = 6usize; // holes
-        let mut s = SatSolver::new();
-        let mut p = vec![vec![Var(0); m]; n];
-        for row in p.iter_mut() {
-            for slot in row.iter_mut() {
-                *slot = s.new_var();
-            }
-        }
-        for row in &p {
-            let clause: Vec<Lit> = row.iter().map(|v| v.positive()).collect();
-            s.add_clause(&clause);
-        }
-        for j in 0..m {
-            for i in 0..n {
-                for k in (i + 1)..n {
-                    s.add_clause(&[p[i][j].negative(), p[k][j].negative()]);
+    fn pigeonhole(
+        s: &mut SatSolver,
+        pigeons: usize,
+        holes: usize,
+        guard: Option<Lit>,
+    ) -> Vec<Vec<Lit>> {
+        let p: Vec<Vec<Var>> = (0..pigeons).map(|_| vars(s, holes)).collect();
+        let mut clauses: Vec<Vec<Lit>> = p
+            .iter()
+            .map(|row| row.iter().map(|v| v.positive()).collect())
+            .collect();
+        for j in 0..holes {
+            for i in 0..pigeons {
+                for k in (i + 1)..pigeons {
+                    clauses.push(vec![p[i][j].negative(), p[k][j].negative()]);
                 }
             }
         }
+        for clause in &mut clauses {
+            clause.extend(guard);
+            s.add_clause(clause);
+        }
+        clauses
+    }
+
+    #[test]
+    fn budget_exhaustion_returns_unknown() {
+        // A hard-ish pigeonhole instance with a tiny budget must give Unknown.
+        let mut s = SatSolver::new();
+        pigeonhole(&mut s, 7, 6, None);
         let result = s.solve_with(&[], Budget::propagations(50));
         assert_eq!(result, SatResult::Unknown);
         // With an unlimited budget it is UNSAT.
@@ -1873,142 +1416,46 @@ mod tests {
     }
 
     #[test]
-    fn preprocess_keeps_pigeonhole_unsat() {
+    fn reduce_db_evicts_and_pigeonhole_stays_unsat() {
+        // PHP(8,7) takes thousands of conflicts, so the learned clauses
+        // outgrow `max_learned` and database reduction has to evict some.
         let mut s = SatSolver::new();
-        let mut p = [[Var(0); 2]; 3];
-        for row in p.iter_mut() {
-            for slot in row.iter_mut() {
-                *slot = s.new_var();
-            }
-        }
-        for row in &p {
-            s.add_clause(&[row[0].positive(), row[1].positive()]);
-        }
-        for j in [0, 1] {
-            for i in 0..3 {
-                for k in (i + 1)..3 {
-                    s.add_clause(&[p[i][j].negative(), p[k][j].negative()]);
-                }
-            }
-        }
-        let pre = s.preprocess(Budget::unlimited());
-        match pre {
-            Some(SatResult::Unsat) | None => {}
-            other => panic!("unexpected preprocess outcome {other:?}"),
-        }
+        pigeonhole(&mut s, 8, 7, None);
         assert_eq!(s.solve(), SatResult::Unsat);
+        assert!(s.stats().deleted_clauses > 0, "{:?}", s.stats());
     }
 
     #[test]
-    fn probing_derives_failed_literals() {
-        // a implies both b and ¬b, so probing a must fail and assert ¬a at
-        // the root; the model then has a = false.
+    fn reduce_db_keeps_incremental_answers_under_a_selector() {
+        // Every clause is guarded by `¬sel`: assuming `sel` switches the
+        // pigeonhole formula on, assuming `¬sel` switches it off. Evicting
+        // learned clauses in the first solve must not change any later
+        // answer on the same instance.
         let mut s = SatSolver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause(&[a.negative(), b.positive()]);
-        s.add_clause(&[a.negative(), b.negative()]);
-        assert_eq!(s.preprocess(Budget::unlimited()), None);
-        assert!(s.stats().preprocess_eliminations > 0);
-        assert_eq!(s.solve(), SatResult::Sat);
-        assert!(!s.model_value(a));
-    }
-
-    #[test]
-    fn subsumption_strengthens_and_stays_equisatisfiable() {
-        // (a ∨ b) subsumes (a ∨ b ∨ c); (¬a ∨ b) self-subsumes (a ∨ b)
-        // down to the unit b.
-        let mut s = SatSolver::new();
-        let v = vars(&mut s, 3);
-        s.add_clause(&[v[0].positive(), v[1].positive(), v[2].positive()]);
-        s.add_clause(&[v[0].positive(), v[1].positive()]);
-        s.add_clause(&[v[0].negative(), v[1].positive()]);
-        assert_eq!(s.preprocess(Budget::unlimited()), None);
-        assert_eq!(s.solve(), SatResult::Sat);
-        assert!(s.model_value(v[1]), "b is implied by resolution");
-    }
-
-    #[test]
-    fn preprocessed_model_satisfies_original_clauses() {
-        // Random-ish low-density mix of binary and ternary clauses, so both
-        // probing and subsumption find work: the model found afterwards must
-        // satisfy every *original* clause, including the ones preprocessing
-        // deleted or strengthened.
-        let nv = 24usize;
-        let mut s = SatSolver::new();
-        let v = vars(&mut s, nv);
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as usize
-        };
-        let mut clauses = Vec::new();
-        for i in 0..40 {
-            let mut clause = Vec::new();
-            for _ in 0..2 + i % 2 {
-                clause.push(Lit::new(v[next() % nv], next() % 2 == 0));
-            }
-            clauses.push(clause.clone());
-            s.add_clause(&clause);
-        }
-        assert_eq!(s.preprocess(Budget::unlimited()), None);
-        assert!(s.stats().preprocess_eliminations > 0);
-        assert_eq!(s.solve(), SatResult::Sat);
+        let sel = s.new_var();
+        let clauses = pigeonhole(&mut s, 8, 7, Some(sel.negative()));
+        assert_eq!(
+            s.solve_with(&[sel.positive()], Budget::unlimited()),
+            SatResult::Unsat
+        );
+        assert!(s.stats().deleted_clauses > 0, "{:?}", s.stats());
+        assert_eq!(
+            s.solve_with(&[sel.negative()], Budget::unlimited()),
+            SatResult::Sat
+        );
+        assert!(!s.model_value(sel));
         for clause in &clauses {
             assert!(
                 clause
                     .iter()
                     .any(|&l| s.model_value(l.var()) == l.is_positive()),
-                "model must satisfy original clause {clause:?}"
+                "model must satisfy {clause:?}"
             );
         }
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)] // p[i][j]: j indexes the inner dim
-    fn preprocess_budget_exhaustion_returns_unknown() {
-        let n = 7usize;
-        let m = 6usize;
-        let mut s = SatSolver::new();
-        let mut p = vec![vec![Var(0); m]; n];
-        for row in p.iter_mut() {
-            for slot in row.iter_mut() {
-                *slot = s.new_var();
-            }
-        }
-        for row in &p {
-            let clause: Vec<Lit> = row.iter().map(|v| v.positive()).collect();
-            s.add_clause(&clause);
-        }
-        for j in 0..m {
-            for i in 0..n {
-                for k in (i + 1)..n {
-                    s.add_clause(&[p[i][j].negative(), p[k][j].negative()]);
-                }
-            }
-        }
         assert_eq!(
-            s.preprocess(Budget::propagations(1)),
-            Some(SatResult::Unknown),
-            "probing alone must exhaust a one-propagation budget"
+            s.solve_with(&[sel.positive()], Budget::unlimited()),
+            SatResult::Unsat
         );
-        // A later call with an unlimited budget still decides the formula.
-        assert_eq!(s.solve(), SatResult::Unsat);
-    }
-
-    #[test]
-    fn preprocessing_off_is_a_noop() {
-        let mut s = SatSolver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause(&[a.negative(), b.positive()]);
-        s.add_clause(&[a.negative(), b.negative()]);
-        s.set_preprocessing(false);
-        assert_eq!(s.preprocess(Budget::unlimited()), None);
-        assert_eq!(s.stats().preprocess_eliminations, 0);
-        assert_eq!(s.solve(), SatResult::Sat);
     }
 
     #[test]

@@ -64,9 +64,7 @@ pub struct SolverStats {
     pub timeouts: u64,
     /// Total SAT-level propagations across all queries.
     pub propagations: u64,
-    /// SAT-level propagations spent on queries that ended `Unsat` — the
-    /// share of `propagations` the Unsat fast path (HBR, tiered clause
-    /// database) is able to attack.
+    /// SAT-level propagations spent on queries that ended `Unsat`.
     pub unsat_propagations: u64,
     /// Total conflicts across all queries.
     pub conflicts: u64,
@@ -80,8 +78,7 @@ pub struct SolverStats {
     /// by [`learned_clauses`](SolverStats::learned_clauses) for the average
     /// (see [`SolverStats::avg_lbd`]).
     pub lbd_sum: u64,
-    /// Simplification steps by pre/inprocessing: failed literals asserted,
-    /// clauses subsumed or strengthened, learned clauses vivified.
+    /// Learned clauses shortened by vivification.
     pub preprocess_eliminations: u64,
     /// Queries answered from the shared [`QueryCache`](crate::cache::QueryCache) without bit-blasting.
     pub cache_hits: u64,
@@ -102,12 +99,6 @@ pub struct SolverStats {
     /// Sum of literal counts over recorded cores (see
     /// [`SolverStats::avg_core_size`]).
     pub core_size_sum: u64,
-    /// Binary clauses added by hyper-binary resolution during probing.
-    pub hbr_binaries_added: u64,
-    /// Learned clauses evicted from the mid (tier2) clause-database tier.
-    pub deleted_tier2: u64,
-    /// Learned clauses evicted from the local (high-LBD) tier.
-    pub deleted_local: u64,
     /// Queries the checker's minimal-UB-set loop skipped because the last
     /// extracted assumption core already proved them `Unsat`.
     pub minimization_queries_saved: u64,
@@ -138,9 +129,6 @@ impl SolverStats {
         self.model_cache_hits += other.model_cache_hits;
         self.cores_recorded += other.cores_recorded;
         self.core_size_sum += other.core_size_sum;
-        self.hbr_binaries_added += other.hbr_binaries_added;
-        self.deleted_tier2 += other.deleted_tier2;
-        self.deleted_local += other.deleted_local;
         self.minimization_queries_saved += other.minimization_queries_saved;
     }
 
@@ -177,15 +165,13 @@ pub struct BvSolver {
     /// Whether cache misses are decided by a persistent [`SolverInstance`]
     /// (one per pool epoch) instead of a from-scratch bit-blast.
     incremental: bool,
-    /// Whether the SAT core runs its pre/inprocessing layer (on by default).
+    /// Whether the SAT core runs its layers around the search loop (on by
+    /// default; see [`BvSolver::set_preprocessing`]).
     preprocess: bool,
     /// In incremental mode, start a fresh [`SolverInstance`] per checker
     /// fragment ([`BvSolver::begin_fragment`]) instead of sharing one across
     /// the whole pool/function.
     fragment_instances: bool,
-    /// Whether the SAT core runs hyper-binary resolution during probing (on
-    /// by default).
-    hbr: bool,
     /// The subset of the last `Unsat` [`check`](BvSolver::check) call's
     /// assertion terms that its extracted assumption core maps back to —
     /// already unsatisfiable on their own. `None` after non-`Unsat` answers,
@@ -218,7 +204,6 @@ impl BvSolver {
             incremental: false,
             preprocess: true,
             fragment_instances: false,
-            hbr: true,
             last_core_terms: None,
             instance: None,
         }
@@ -259,18 +244,16 @@ impl BvSolver {
         self
     }
 
-    /// Enable or disable the SAT core's pre/inprocessing layer (on by
-    /// default). With preprocessing on, fresh-mode queries and incremental
-    /// instances run subsumption/self-subsumption and failed-literal probing
-    /// once before their first solve, and the solve loop vivifies learned
-    /// clauses between restarts and reduces the clause database LBD-first.
-    /// Off restores the pre-LBD solver behaviour — the benchmark baseline,
-    /// reachable from the CLI as `--no-preprocess`.
+    /// Enable or disable the SAT core's layers around the search loop (on
+    /// by default): clause vivification between restarts, binary watch
+    /// lists, trail reuse across assumption sets, and the model cache. Off
+    /// leaves the plain CDCL loop — the benchmark baseline, reachable from
+    /// the CLI as `--no-preprocess`.
     ///
-    /// Decided (`Sat`/`Unsat`) answers are identical either way: every
-    /// simplification preserves logical equivalence. Only where a
-    /// propagation budget runs out — and therefore which queries degrade to
-    /// `Unknown` — can differ between the two settings.
+    /// Decided (`Sat`/`Unsat`) answers are identical either way: vivified
+    /// clauses are implied by the formula. Only where a propagation budget
+    /// runs out — and therefore which queries degrade to `Unknown` — can
+    /// differ between the two settings.
     pub fn set_preprocessing(&mut self, on: bool) {
         self.preprocess = on;
         if let Some(instance) = &mut self.instance {
@@ -281,21 +264,6 @@ impl BvSolver {
     /// Builder-style variant of [`BvSolver::set_preprocessing`].
     pub fn with_preprocessing(mut self, on: bool) -> BvSolver {
         self.set_preprocessing(on);
-        self
-    }
-
-    /// Enable or disable hyper-binary resolution during the SAT core's
-    /// probing pass (on by default; `--no-hbr` from the CLI).
-    pub fn set_hbr(&mut self, on: bool) {
-        self.hbr = on;
-        if let Some(instance) = &mut self.instance {
-            instance.set_hbr(on);
-        }
-    }
-
-    /// Builder-style variant of [`BvSolver::set_hbr`].
-    pub fn with_hbr(mut self, on: bool) -> BvSolver {
-        self.set_hbr(on);
         self
     }
 
@@ -352,7 +320,6 @@ impl BvSolver {
         if stale {
             let mut instance = SolverInstance::with_budget(self.budget);
             instance.set_preprocessing(self.preprocess);
-            instance.set_hbr(self.hbr);
             self.instance = Some(instance);
         }
         self.instance.as_mut().expect("instance just ensured")
@@ -467,10 +434,9 @@ impl BvSolver {
             self.solve_fresh(pool, &simplified)
         };
         if self.incremental && outcome.is_unsat() {
-            // `solve_with` actually ran for this query (the store missed and
-            // root-unsat preprocessing falls through to it), so the
-            // instance's `last_core` — if any — belongs to exactly this
-            // assumption set and can be mapped back to assertion terms.
+            // `solve_with` actually ran for this query (the store missed),
+            // so the instance's `last_core` — if any — belongs to exactly
+            // this assumption set and can be mapped back to assertion terms.
             self.last_core_terms = self.core_terms(assertions, &simplified);
         }
         match &outcome {
@@ -523,22 +489,16 @@ impl BvSolver {
     fn solve_fresh(&mut self, pool: &TermPool, simplified: &[TermId]) -> QueryResult {
         let mut sat = SatSolver::new();
         sat.set_preprocessing(self.preprocess);
-        sat.set_hbr(self.hbr);
         let mut blaster = BitBlaster::new();
         for &a in simplified {
             let lit = blaster.blast_bool(pool, &mut sat, a);
             sat.add_clause(&[lit]);
         }
-        // The preprocessing pass runs before the solve; its cost is charged
-        // to the same budget the solve uses.
-        let result = match sat.preprocess(self.budget) {
-            Some(decided) => decided,
-            None => sat.solve_with(&[], self.budget),
-        };
+        let result = sat.solve_with(&[], self.budget);
         self.accumulate_sat_stats(&sat.stats());
         if matches!(result, SatResult::Unsat) {
-            // Search work only: the one-shot preprocessing pass is instance
-            // setup, not a cost of answering Unsat.
+            // Search work only: vivification is restart-time maintenance,
+            // not a cost of answering Unsat.
             self.stats.unsat_propagations +=
                 sat.stats().propagations - sat.stats().preprocess_propagations;
         }
@@ -561,9 +521,6 @@ impl BvSolver {
         self.stats.model_cache_hits += sat.model_cache_hits;
         self.stats.cores_recorded += sat.cores_recorded;
         self.stats.core_size_sum += sat.core_size_sum;
-        self.stats.hbr_binaries_added += sat.hbr_binaries_added;
-        self.stats.deleted_tier2 += sat.deleted_tier2;
-        self.stats.deleted_local += sat.deleted_local;
     }
 
     /// Decide a (pre-simplified) assertion set on the persistent instance for
@@ -576,9 +533,9 @@ impl BvSolver {
         let (sat_after, inst_after) = (instance.sat_stats(), instance.stats());
         self.stats.propagations += sat_after.propagations - sat_before.propagations;
         if outcome.is_unsat() {
-            // Charge search work only: the instance's one-shot preprocessing
-            // pass and restart-time vivification are amortized maintenance,
-            // not a cost of the query that happened to trigger them.
+            // Charge search work only: restart-time vivification is
+            // amortized maintenance, not a cost of the query that happened
+            // to trigger it.
             let d = (sat_after.propagations - sat_before.propagations)
                 - (sat_after.preprocess_propagations - sat_before.preprocess_propagations);
             self.stats.unsat_propagations += d;
@@ -593,10 +550,6 @@ impl BvSolver {
         self.stats.model_cache_hits += sat_after.model_cache_hits - sat_before.model_cache_hits;
         self.stats.cores_recorded += sat_after.cores_recorded - sat_before.cores_recorded;
         self.stats.core_size_sum += sat_after.core_size_sum - sat_before.core_size_sum;
-        self.stats.hbr_binaries_added +=
-            sat_after.hbr_binaries_added - sat_before.hbr_binaries_added;
-        self.stats.deleted_tier2 += sat_after.deleted_tier2 - sat_before.deleted_tier2;
-        self.stats.deleted_local += sat_after.deleted_local - sat_before.deleted_local;
         self.stats.incremental_queries += 1;
         self.stats.reused_clauses += inst_after.reused_clauses - inst_before.reused_clauses;
         outcome

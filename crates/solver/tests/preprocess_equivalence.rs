@@ -1,7 +1,8 @@
-//! Property-based equivalence between the preprocessing/LBD solver and the
-//! plain CDCL core it replaced.
+//! Property-based equivalence between the default solver (vivification,
+//! binary watch lists, trail reuse, the model cache) and the plain CDCL core
+//! `set_preprocessing(false)` leaves.
 //!
-//! The contract under test (ISSUE 9): with an unlimited budget the two
+//! The contract under test: with an unlimited budget the two
 //! configurations answer every query in an incremental sequence with the
 //! same `Sat`/`Unsat` verdict, and every `Sat` model — including models
 //! served from the solver's internal model cache — satisfies the
@@ -86,9 +87,6 @@ proptest! {
         let mut off = fresh_solver(false);
         add_all(&mut on, &clauses);
         add_all(&mut off, &clauses);
-        // Simplify the way the incremental driver does: at the root, before
-        // the first query.
-        prop_assert!(on.preprocess(Budget::unlimited()) != Some(SatResult::Unknown));
 
         let mut loaded = clauses.clone();
         let split = queries.len() / 2;
@@ -97,7 +95,6 @@ proptest! {
                 add_all(&mut on, &extra);
                 add_all(&mut off, &extra);
                 loaded.extend(extra.iter().cloned());
-                prop_assert!(on.preprocess(Budget::unlimited()) != Some(SatResult::Unknown));
             }
             let assumptions = to_lits(q);
             let got = on.solve_with(&assumptions, Budget::unlimited());
@@ -111,24 +108,16 @@ proptest! {
         }
     }
 
-    /// One-shot solve, the way fresh-mode queries run: preprocess once, then
-    /// solve without assumptions. The verdict must match the plain solver
-    /// and a `Sat` model must satisfy the *original* clauses, including the
-    /// ones preprocessing deleted or strengthened.
+    /// One-shot solve, the way fresh-mode queries run: solve once without
+    /// assumptions. The verdict must match the plain solver and a `Sat`
+    /// model must satisfy every clause.
     #[test]
     fn one_shot_preprocessing_agrees_and_models_check(clauses in clause_set()) {
         let mut on = fresh_solver(true);
         let mut off = fresh_solver(false);
         add_all(&mut on, &clauses);
         add_all(&mut off, &clauses);
-        let got = match on.preprocess(Budget::unlimited()) {
-            Some(SatResult::Unknown) => {
-                prop_assert!(false, "unlimited budget ran out");
-                unreachable!()
-            }
-            Some(decided) => decided,
-            None => on.solve(),
-        };
+        let got = on.solve();
         prop_assert_eq!(got, off.solve());
         if got == SatResult::Sat {
             prop_assert!(model_satisfies(&on, &clauses));

@@ -6,8 +6,9 @@
 //! contracts, over incremental sequences with mid-sequence clause growth
 //! and an unlimited budget:
 //!
-//! 1. A solver with hyper-binary resolution on answers every query with
-//!    the same `Sat`/`Unsat` verdict as a solver with it off.
+//! 1. A solver with preprocessing on (vivification, binary watch lists,
+//!    trail reuse, the model cache) answers every query with the same
+//!    `Sat`/`Unsat` verdict as a solver with it off.
 //! 2. After every `Unsat`, each solver's core lies within the query's
 //!    assumptions, and re-solving the core as assumptions against the
 //!    clauses loaded so far, in a fresh solver, yields `Unsat`. This would
@@ -34,9 +35,9 @@ fn to_lits(spec: &[(usize, bool)]) -> Vec<Lit> {
         .collect()
 }
 
-fn fresh_solver(hbr: bool) -> SatSolver {
+fn fresh_solver(preprocessing: bool) -> SatSolver {
     let mut s = SatSolver::new();
-    s.set_hbr(hbr);
+    s.set_preprocessing(preprocessing);
     for _ in 0..NUM_VARS {
         s.new_var();
     }
@@ -91,12 +92,12 @@ fn core_is_genuine(s: &SatSolver, assumptions: &[Lit], loaded: &[Lits]) -> Resul
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Incremental sequence with HBR on vs off: verdicts agree query for
-    /// query, before and after mid-sequence clause growth, and every core
-    /// either solver extracts is independently re-derivable as `Unsat`
-    /// from the clauses loaded at the time.
+    /// Incremental sequence with preprocessing on vs off: verdicts agree
+    /// query for query, before and after mid-sequence clause growth, and
+    /// every core either solver extracts is independently re-derivable as
+    /// `Unsat` from the clauses loaded at the time.
     #[test]
-    fn hbr_on_off_agree_and_every_core_is_unsat(
+    fn preprocessing_on_off_agree_and_every_core_is_unsat(
         clauses in clause_set(),
         extra in prop::collection::vec(
             prop::collection::vec((0..NUM_VARS, any::<bool>()), 1..4), 0..20),
@@ -106,8 +107,6 @@ proptest! {
         let mut off = fresh_solver(false);
         add_all(&mut on, &clauses);
         add_all(&mut off, &clauses);
-        prop_assert!(on.preprocess(Budget::unlimited()) != Some(SatResult::Unknown));
-        prop_assert!(off.preprocess(Budget::unlimited()) != Some(SatResult::Unknown));
 
         let mut loaded = clauses.clone();
         let split = queries.len() / 2;
@@ -116,15 +115,13 @@ proptest! {
                 add_all(&mut on, &extra);
                 add_all(&mut off, &extra);
                 loaded.extend(extra.iter().cloned());
-                prop_assert!(on.preprocess(Budget::unlimited()) != Some(SatResult::Unknown));
-                prop_assert!(off.preprocess(Budget::unlimited()) != Some(SatResult::Unknown));
             }
             let assumptions = to_lits(q);
             let got = on.solve_with(&assumptions, Budget::unlimited());
             let want = off.solve_with(&assumptions, Budget::unlimited());
             prop_assert_eq!(got, want, "query {} of {:?}", i, q);
             if got == SatResult::Unsat {
-                for (name, s) in [("hbr on", &on), ("hbr off", &off)] {
+                for (name, s) in [("preprocessing on", &on), ("preprocessing off", &off)] {
                     if let Err(msg) = core_is_genuine(s, &assumptions, &loaded) {
                         prop_assert!(false, "query {} ({}): {}", i, name, msg);
                     }
