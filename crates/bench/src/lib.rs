@@ -1356,13 +1356,9 @@ pub fn fault_tolerance(cfg: &ScalingConfig) -> FaultTolerance {
 pub struct SolverSpeedRow {
     /// Human-readable configuration label.
     pub label: String,
-    /// Whether the SAT core's layers around its search loop (vivification,
-    /// binary watch lists, trail reuse, model cache) were enabled. `false`
-    /// is the plain CDCL solver.
-    pub preprocess: bool,
-    /// Solver-instance granularity: `"function"` (one incremental instance
-    /// per function) or `"fragment"` (a fresh instance per code fragment).
-    pub granularity: String,
+    /// Whether store misses were solved on persistent per-function
+    /// instances (`true`, the default) or one-shot (`--no-incremental`).
+    pub incremental: bool,
     /// Wall-clock time for the scan, in milliseconds.
     pub wall_ms: u64,
     /// Wall-clock time for the scan, in microseconds.
@@ -1371,6 +1367,8 @@ pub struct SolverSpeedRow {
     pub queries: u64,
     /// Queries that exhausted their budget and degraded to Unknown.
     pub timeouts: u64,
+    /// Queries answered Sat by simulation, without reaching the SAT core.
+    pub simulated: u64,
     /// Total unit propagations — the deterministic currency solver budgets
     /// are denominated in, and this section's measure of raw solver work.
     pub propagations: u64,
@@ -1386,8 +1384,6 @@ pub struct SolverSpeedRow {
     pub deleted_clauses: u64,
     /// Mean LBD (glue) over all learned clauses.
     pub avg_lbd: f64,
-    /// Learned clauses shortened by vivification.
-    pub preprocess_eliminations: u64,
     /// Queries the solver answered Unsat.
     pub unsat_queries: u64,
     /// Assumption cores extracted from final conflicts.
@@ -1399,9 +1395,8 @@ pub struct SolverSpeedRow {
 }
 
 /// Results of the solver-speed benchmark: a cache-disabled, high-churn scan
-/// where every query reaches the SAT solver, comparing the default solver
-/// against the plain CDCL solver (`--no-preprocess`) and the per-fragment
-/// instance granularity against per-function.
+/// where every query reaches the solver, comparing the default incremental
+/// instances against one-shot solving (`--no-incremental`).
 #[derive(Clone, Debug, Serialize)]
 pub struct SolverSpeed {
     /// Description of the synthetic archive the rows scanned.
@@ -1416,20 +1411,15 @@ pub struct SolverSpeed {
     pub query_budget: u64,
     /// One row per solver configuration.
     pub rows: Vec<SolverSpeedRow>,
-    /// Baseline propagations divided by default-configuration propagations
-    /// (per-function rows): how much less solver work the default solver
-    /// does than the plain CDCL solver on the same queries.
+    /// Baseline (one-shot) propagations divided by default (incremental)
+    /// propagations: how much less SAT-core work incremental instances do
+    /// on the same queries.
     pub speedup_solver_vs_baseline: f64,
     /// Baseline wall time divided by default-configuration wall time.
     pub speedup_wall_vs_baseline: f64,
-    /// Per-fragment wall time divided by per-function wall time: values
-    /// above 1.0 mean per-function instances win and stay the default.
-    pub speedup_function_vs_fragment: f64,
     /// `minimal_ub_set` queries the core-seeded search skipped on the
     /// default row.
     pub minimization_queries_saved: u64,
-    /// The granularity shipped as the default, decided by this benchmark.
-    pub default_granularity: String,
     /// Every configuration produced byte-identical report streams.
     pub reports_identical: bool,
 }
@@ -1437,8 +1427,8 @@ pub struct SolverSpeed {
 /// Run the solver-speed measurement. The cache is disabled (no memo store,
 /// no disk stores) so the scan is the pure worst case — a high-churn tree
 /// where nothing can be reused — and the rows compare raw solver cost:
-/// the plain CDCL solver (`--no-preprocess`) as the baseline, the default
-/// solver per-function, and the same solver per-fragment.
+/// one-shot solving (`--no-incremental`) as the baseline, then the default
+/// persistent per-function instances.
 pub fn solver_speed(cfg: &ScalingConfig) -> SolverSpeed {
     let archive_cfg = ArchiveConfig {
         packages: cfg.packages,
@@ -1459,13 +1449,12 @@ pub fn solver_speed(cfg: &ScalingConfig) -> SolverSpeed {
 
     let mut rows = Vec::new();
     let mut report_streams: Vec<Vec<String>> = Vec::new();
-    let mut run = |label: &str, preprocess: bool, fragment_instances: bool| {
+    let mut run = |label: &str, incremental: bool| {
         let config = CheckerConfig {
             query_budget: cfg.query_budget,
             threads: Some(1),
             query_cache: false,
-            preprocess,
-            fragment_instances,
+            incremental,
             ..CheckerConfig::default()
         };
         let session = AnalysisSession::new(config);
@@ -1481,17 +1470,12 @@ pub fn solver_speed(cfg: &ScalingConfig) -> SolverSpeed {
         let stats = session.stats();
         rows.push(SolverSpeedRow {
             label: label.to_string(),
-            preprocess,
-            granularity: if fragment_instances {
-                "fragment"
-            } else {
-                "function"
-            }
-            .to_string(),
+            incremental,
             wall_ms: u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX),
             wall_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
             queries: stats.queries,
             timeouts: stats.timeouts,
+            simulated: stats.simulated,
             propagations: stats.propagations,
             unsat_propagations: stats.unsat_propagations,
             conflicts: stats.conflicts,
@@ -1499,7 +1483,6 @@ pub fn solver_speed(cfg: &ScalingConfig) -> SolverSpeed {
             learned_clauses: stats.learned_clauses,
             deleted_clauses: stats.deleted_clauses,
             avg_lbd: stats.avg_lbd(),
-            preprocess_eliminations: stats.preprocess_eliminations,
             unsat_queries: stats.unsat_queries,
             cores_recorded: stats.cores_recorded,
             minimization_queries_saved: stats.minimization_queries_saved,
@@ -1507,25 +1490,21 @@ pub fn solver_speed(cfg: &ScalingConfig) -> SolverSpeed {
         });
         report_streams.push(reports);
     };
-    run("baseline: plain CDCL, per-function", false, false);
-    run("default solver, per-function", true, false);
-    run("default solver, per-fragment", true, true);
+    run("baseline: one-shot solving", false);
+    run("default: incremental per-function instances", true);
 
     let ratio = |num: u64, den: u64| num as f64 / den.max(1) as f64;
     let baseline = &rows[0];
-    let function = &rows[1];
-    let fragment = &rows[2];
+    let default = &rows[1];
     SolverSpeed {
         archive: format!("{} packages, seed {}", cfg.packages, archive_cfg.seed),
         files: churned.files.len(),
         jobs,
         churn_pct: CHURN_PCT,
         query_budget: cfg.query_budget,
-        speedup_solver_vs_baseline: ratio(baseline.propagations, function.propagations),
-        speedup_wall_vs_baseline: ratio(baseline.wall_us, function.wall_us),
-        speedup_function_vs_fragment: ratio(fragment.wall_us, function.wall_us),
-        minimization_queries_saved: function.minimization_queries_saved,
-        default_granularity: "function".to_string(),
+        speedup_solver_vs_baseline: ratio(baseline.propagations, default.propagations),
+        speedup_wall_vs_baseline: ratio(baseline.wall_us, default.wall_us),
+        minimization_queries_saved: default.minimization_queries_saved,
         reports_identical: report_streams.windows(2).all(|w| w[0] == w[1]),
         rows,
     }
@@ -1887,23 +1866,16 @@ impl CheckerScaling {
         for r in &self.solver_speed.rows {
             let _ = writeln!(
                 out,
-                "  {:<44} {:>8} {:>10} props {:>7} conf {:>6} elim  lbd {:>4.1}",
-                r.label,
-                r.wall_ms,
-                r.propagations,
-                r.conflicts,
-                r.preprocess_eliminations,
-                r.avg_lbd
+                "  {:<44} {:>8} {:>10} props {:>7} conf {:>6} simulated  lbd {:>4.1}",
+                r.label, r.wall_ms, r.propagations, r.conflicts, r.simulated, r.avg_lbd
             );
         }
         let _ = writeln!(
             out,
-            "  solver vs baseline: {:.2}x fewer propagations ({:.2}x wall); \
-             fragment vs function: {:.2}x (default: per-{}); reports identical: {}",
+            "  incremental vs one-shot: {:.2}x fewer propagations ({:.2}x wall); \
+             reports identical: {}",
             self.solver_speed.speedup_solver_vs_baseline,
             self.solver_speed.speedup_wall_vs_baseline,
-            self.solver_speed.speedup_function_vs_fragment,
-            self.solver_speed.default_granularity,
             self.solver_speed.reports_identical
         );
         let _ = writeln!(
@@ -2107,14 +2079,14 @@ mod tests {
         // The solver-speed section must measure real work and stay
         // verdict-stable across every configuration it compares.
         let ss = &scaling.solver_speed;
-        assert_eq!(ss.rows.len(), 3, "{ss:?}");
+        assert_eq!(ss.rows.len(), 2, "{ss:?}");
         assert!(ss.rows.iter().all(|r| r.propagations > 0), "{ss:?}");
         assert!(ss.reports_identical, "{ss:?}");
         assert!(ss.speedup_solver_vs_baseline > 1.0, "{ss:?}");
         // The Unsat path must show measurable work: extracted cores on the
         // default row.
         let default_row = &ss.rows[1];
-        assert!(default_row.preprocess, "{default_row:?}");
+        assert!(default_row.incremental, "{default_row:?}");
         assert!(default_row.cores_recorded > 0, "{default_row:?}");
         // Core-seeded minimization must actually skip queries somewhere in
         // the run: the scaling rows' incremental configurations exercise the

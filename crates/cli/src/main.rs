@@ -19,14 +19,7 @@
 //! Shared analysis options: `--threads N` pins the parallel per-function
 //! driver to `N` workers (default: available parallelism; `1` is fully
 //! sequential), `--no-cache` disables the memoized query store,
-//! `--no-incremental` falls back to from-scratch solving per query,
-//! `--no-preprocess` turns off the SAT core's layers around its search
-//! loop (clause vivification between restarts, binary watch lists, trail
-//! reuse, the model cache) — the plain CDCL solver, kept reachable as the
-//! benchmark baseline —
-//! `--instance-granularity <function|fragment>` picks whether incremental
-//! solving keeps one persistent instance per function (default; fragments
-//! share the encoding) or starts fresh per fragment, and
+//! `--no-incremental` falls back to from-scratch solving per query, and
 //! `--include-macros` keeps macro-origin reports. `--cache-file <path>`
 //! backs the query store with a disk file: existing entries warm-start the
 //! run, and the (possibly grown) store is saved back on success — the
@@ -114,22 +107,20 @@ enum Mode {
 const SCAN_ONLY_FLAGS: [&str; 5] = ["--jobs", "--scan-cache", "--shard", "--synth", "--seed"];
 
 /// The flags `check` and `scan` share that take a value.
-const VALUE_FLAGS: [&str; 6] = [
+const VALUE_FLAGS: [&str; 5] = [
     "--threads",
     "--query-budget",
     "--cache-file",
     "--out",
     "--compact-store",
-    "--instance-granularity",
 ];
 
 /// The flags `check` and `scan` share that take no value.
-const SWITCHES: [&str; 6] = [
+const SWITCHES: [&str; 5] = [
     "--json",
     "--include-macros",
     "--no-cache",
     "--no-incremental",
-    "--no-preprocess",
     "--quiet",
 ];
 
@@ -141,12 +132,6 @@ struct AnalysisOpts {
     threads: Option<usize>,
     query_cache: bool,
     incremental: bool,
-    /// `--no-preprocess` turns the SAT core's layers around its search loop
-    /// off (the plain CDCL solver, kept as the benchmark baseline).
-    preprocess: bool,
-    /// `--instance-granularity fragment` starts a fresh incremental solver
-    /// instance per checker fragment instead of per function.
-    fragment_instances: bool,
     /// Per-query propagation budget (`Some(0)` = unlimited).
     query_budget: Option<u64>,
     cache_file: Option<PathBuf>,
@@ -204,23 +189,12 @@ impl AnalysisOpts {
             Some(text) => Some(parse_shard(text)?),
             None => None,
         };
-        let fragment_instances = match flag_value(args, "--instance-granularity")? {
-            None | Some("function") => false,
-            Some("fragment") => true,
-            Some(other) => {
-                return Err(format!(
-                    "--instance-granularity: expected `function` or `fragment`, got `{other}`"
-                ))
-            }
-        };
         Ok(AnalysisOpts {
             json: has_flag(args, "--json"),
             include_macros: has_flag(args, "--include-macros"),
             threads,
             query_cache: !has_flag(args, "--no-cache"),
             incremental: !has_flag(args, "--no-incremental"),
-            preprocess: !has_flag(args, "--no-preprocess"),
-            fragment_instances,
             query_budget: parse_flag_value::<u64>(args, "--query-budget")?,
             cache_file,
             out: flag_value(args, "--out")?.map(PathBuf::from),
@@ -249,8 +223,6 @@ impl AnalysisOpts {
             threads: self.threads,
             query_cache: self.query_cache,
             incremental: self.incremental,
-            preprocess: self.preprocess,
-            fragment_instances: self.fragment_instances,
             query_budget: self
                 .query_budget
                 .unwrap_or(CheckerConfig::default().query_budget),
@@ -431,8 +403,8 @@ fn cmd_check(args: &[String]) -> ExitCode {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         eprintln!(
             "usage: stack check <file.mc> [--json] [--include-macros] [--threads N] \
-             [--no-cache] [--no-incremental] [--no-preprocess] [--instance-granularity G] \
-             [--query-budget N] [--cache-file F] [--compact-store N] [--out F] [--quiet]"
+             [--no-cache] [--no-incremental] [--query-budget N] [--cache-file F] \
+             [--compact-store N] [--out F] [--quiet]"
         );
         return ExitCode::from(2);
     };
@@ -518,8 +490,8 @@ struct ScanSummary {
     /// budget, never recorded in the scan cache.
     degraded_modules: usize,
     timeouts: u64,
-    /// Total SAT-core propagations, including those of vivification — the
-    /// deterministic currency query budgets are denominated in.
+    /// Total SAT-core propagations — the deterministic currency query
+    /// budgets are denominated in.
     propagations: u64,
     /// Total SAT-core conflicts.
     conflicts: u64,
@@ -532,15 +504,12 @@ struct ScanSummary {
     /// Average learn-time literal-block-distance ("glue") of learned
     /// clauses; 0 when nothing was learned.
     avg_lbd: f64,
-    /// Learned clauses shortened by vivification.
-    preprocess_eliminations: u64,
-    /// Queries the SAT core answered Sat.
+    /// Queries answered Sat.
     sat_queries: u64,
-    /// Queries the SAT core answered Unsat.
+    /// Queries answered Unsat.
     unsat_queries: u64,
-    /// Queries answered from a cached model without search (a previous
-    /// model still satisfied the new assumption set).
-    model_cache_hits: u64,
+    /// Queries answered Sat by simulation, without reaching the SAT core.
+    simulated: u64,
     /// Assumption cores extracted from final conflicts.
     cores_recorded: u64,
     /// Average literal count of extracted assumption cores; 0 when none
@@ -632,10 +601,9 @@ fn cmd_scan(args: &[String]) -> ExitCode {
         learned_clauses: stats.learned_clauses,
         deleted_clauses: stats.deleted_clauses,
         avg_lbd: stats.avg_lbd(),
-        preprocess_eliminations: stats.preprocess_eliminations,
         sat_queries: stats.sat_queries,
         unsat_queries: stats.unsat_queries,
-        model_cache_hits: stats.model_cache_hits,
+        simulated: stats.simulated,
         cores_recorded: stats.cores_recorded,
         avg_core_size: stats.avg_core_size(),
         minimization_queries_saved: stats.minimization_queries_saved,
@@ -735,8 +703,8 @@ fn gather_scan_sources(args: &[String]) -> Result<Vec<ScanTask>, String> {
         return Err(
             "usage: stack scan <dir|manifest|file.mc> | --synth N  [--seed S] [--cache-file F] \
              [--scan-cache F] [--jobs N] [--threads N] [--query-budget N] [--compact-store N] \
-             [--shard i/n] [--no-cache] [--no-incremental] [--no-preprocess] \
-             [--instance-granularity G] [--include-macros] [--json] [--out F] [--quiet]"
+             [--shard i/n] [--no-cache] [--no-incremental] [--include-macros] [--json] \
+             [--out F] [--quiet]"
                 .to_string(),
         );
     };
@@ -816,11 +784,8 @@ fn render_scan_summary(
     );
     let _ = writeln!(
         out,
-        "  verdicts        {:>8} sat / {} unsat / {} degraded / {} from model cache",
-        summary.sat_queries,
-        summary.unsat_queries,
-        summary.degraded_queries,
-        summary.model_cache_hits
+        "  verdicts        {:>8} sat / {} unsat / {} degraded / {} simulated",
+        summary.sat_queries, summary.unsat_queries, summary.degraded_queries, summary.simulated
     );
     if summary.degraded_modules > 0 {
         let _ = writeln!(
@@ -837,11 +802,8 @@ fn render_scan_summary(
     );
     let _ = writeln!(
         out,
-        "  clause db       {:>8} learned (avg LBD {:.1}, {} evicted), {} simplifications",
-        summary.learned_clauses,
-        summary.avg_lbd,
-        summary.deleted_clauses,
-        summary.preprocess_eliminations
+        "  clause db       {:>8} learned (avg LBD {:.1}, {} evicted)",
+        summary.learned_clauses, summary.avg_lbd, summary.deleted_clauses
     );
     let _ = writeln!(
         out,
@@ -1374,7 +1336,13 @@ mod tests {
         // An unknown flag fails both commands, naming the flag; a flag's
         // value is never mistaken for a flag.
         for (mode, path) in [(Mode::Scan, "dir"), (Mode::Check, "f.mc")] {
-            for flag in ["--no-hbr", "--no-such-flag", "--jobs4"] {
+            for flag in [
+                "--no-hbr",
+                "--no-preprocess",
+                "--instance-granularity",
+                "--no-such-flag",
+                "--jobs4",
+            ] {
                 let err = AnalysisOpts::parse(&args(&[path, flag]), mode)
                     .expect_err("an unknown flag must be rejected");
                 assert!(err.contains(flag), "{err}");
@@ -1383,9 +1351,8 @@ mod tests {
         }
         // Every flag `scan` takes parses.
         let all: Vec<&str> = "dir --threads 2 --query-budget 9 --cache-file q.qs --out o \
-             --compact-store 3 --instance-granularity fragment --jobs 2 --scan-cache s.ss \
-             --shard 1/2 --synth 4 --seed 7 --json --include-macros --no-cache \
-             --no-incremental --no-preprocess --quiet"
+             --compact-store 3 --jobs 2 --scan-cache s.ss --shard 1/2 --synth 4 --seed 7 \
+             --json --include-macros --no-cache --no-incremental --quiet"
             .split_whitespace()
             .collect();
         assert_eq!(

@@ -60,22 +60,6 @@ pub struct CheckerConfig {
     /// instance absorbs the misses) and with `threads` (each worker's solver
     /// owns its own instances).
     pub incremental: bool,
-    /// Whether the SAT core runs its layers around the search loop: clause
-    /// vivification between restarts, binary watch lists, trail reuse
-    /// across assumption sets, and the model cache. Vivification is charged
-    /// to `query_budget`, so degraded verdicts stay deterministic. Decided
-    /// verdicts — and therefore reports — are identical with the layers on
-    /// or off; off (`--no-preprocess`) leaves the plain CDCL loop as the
-    /// benchmark baseline.
-    pub preprocess: bool,
-    /// Incremental-instance granularity: `false` (default) shares one
-    /// persistent SAT instance across a whole function; `true` starts a
-    /// fresh instance per fragment. Sharing wins on the cache-disabled
-    /// `solver_speed` scan of `BENCH_checker.json`, because later fragments
-    /// reuse the function's encoding and learned clauses, but per-fragment
-    /// wins on the edit-tail archive (`docs/ARCHITECTURE.md` records both
-    /// measurements). No effect unless `incremental` is on.
-    pub fragment_instances: bool,
 }
 
 impl Default for CheckerConfig {
@@ -86,8 +70,6 @@ impl Default for CheckerConfig {
             threads: None,
             query_cache: true,
             incremental: true,
-            preprocess: true,
-            fragment_instances: false,
         }
     }
 }
@@ -127,10 +109,10 @@ pub struct CheckStats {
     pub cache_hits: u64,
     /// Queries that consulted the store and missed.
     pub cache_misses: u64,
-    /// Total SAT-core propagations across all queries, including those of
-    /// vivification between restarts (merged across worker threads). This
-    /// is the deterministic currency solver budgets are denominated in, and
-    /// the `solver_speed` benchmark's measure of raw solver work.
+    /// Total SAT-core propagations across all queries (merged across worker
+    /// threads). This is the deterministic currency solver budgets are
+    /// denominated in, and the `solver_speed` benchmark's measure of raw
+    /// solver work.
     pub propagations: u64,
     /// SAT-core propagations spent on queries that ended `Unsat`.
     pub unsat_propagations: u64,
@@ -145,8 +127,6 @@ pub struct CheckStats {
     /// Sum of learn-time literal-block-distance values over all learned
     /// clauses; `lbd_sum / learned_clauses` is the average glue.
     pub lbd_sum: u64,
-    /// Learned clauses shortened by vivification.
-    pub preprocess_eliminations: u64,
     /// Queries decided by a persistent incremental solver instance (merged
     /// across worker threads; 0 when `CheckerConfig::incremental` is off).
     pub incremental_queries: u64,
@@ -154,13 +134,16 @@ pub struct CheckStats {
     /// (summed over queries; the clause-reuse counter of the solver layer).
     pub reused_clauses: u64,
     /// Queries answered `Sat` (merged across worker threads). Together with
-    /// `unsat_queries`, `timeouts`, and `model_cache_hits` this is the
-    /// per-scan verdict breakdown.
+    /// `unsat_queries`, `timeouts`, and `simulated` this is the per-scan
+    /// verdict breakdown.
     pub sat_queries: u64,
     /// Queries answered `Unsat` (merged across worker threads).
     pub unsat_queries: u64,
-    /// `Sat` answers the SAT core served from its model cache in zero
-    /// propagations.
+    /// Store misses answered `Sat` by simulation, without reaching the SAT
+    /// core (a subset of `sat_queries`).
+    pub simulated: u64,
+    /// Always 0: the SAT core keeps no model cache. The field stays because
+    /// the `perfbench` scan benchmark reads it.
     pub model_cache_hits: u64,
     /// Always 0: no query is answered from memoized assumption cores. The
     /// field stays because the `perfbench` scan benchmark reads it.
@@ -233,11 +216,11 @@ impl CheckStats {
         self.learned_clauses += other.learned_clauses;
         self.deleted_clauses += other.deleted_clauses;
         self.lbd_sum += other.lbd_sum;
-        self.preprocess_eliminations += other.preprocess_eliminations;
         self.incremental_queries += other.incremental_queries;
         self.reused_clauses += other.reused_clauses;
         self.sat_queries += other.sat_queries;
         self.unsat_queries += other.unsat_queries;
+        self.simulated += other.simulated;
         self.model_cache_hits += other.model_cache_hits;
         self.cores_recorded += other.cores_recorded;
         self.core_size_sum += other.core_size_sum;
@@ -612,38 +595,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn preprocessing_off_and_granularity_match_defaults() {
-        // Every clause the solver's vivification derives is implied by the
-        // formula, and instance granularity only changes which persistent
-        // instance decides a query — so reports must be identical with the
-        // layers off, with per-fragment instances, across thread counts.
-        let baseline = Checker::new()
-            .check_source(MULTI_FUNCTION_SRC, "multi.c")
-            .unwrap();
-        for (threads, preprocess, fragment_instances) in [
-            (1, false, false),
-            (4, false, false),
-            (1, true, true),
-            (4, true, true),
-        ] {
-            let variant = Checker::with_config(CheckerConfig {
-                threads: Some(threads),
-                preprocess,
-                fragment_instances,
-                ..CheckerConfig::default()
-            })
-            .check_source(MULTI_FUNCTION_SRC, "multi.c")
-            .unwrap();
-            assert_eq!(
-                format!("{:?}", baseline.reports),
-                format!("{:?}", variant.reports),
-                "threads={threads} preprocess={preprocess} fragments={fragment_instances}"
-            );
-            assert_eq!(baseline.stats.queries, variant.stats.queries);
-        }
-    }
-
     /// The in-place edit behind the edit-tail archive's hardest queries
     /// (`gen-archive --packages 48 --seed 41 --edit-functions 12`, module
     /// `archive-0023_0`): the guard multiplies and divides by different
@@ -659,25 +610,7 @@ mod tests {
         assert!(result.stats.conflicts > 0, "{:?}", result.stats);
         assert!(result.stats.learned_clauses > 0, "{:?}", result.stats);
         assert!(result.stats.avg_lbd() > 0.0, "{:?}", result.stats);
-        // The bit-blaster folds the constants of MULTI_FUNCTION_SRC away, so
-        // the vivification counter is exercised on the edited overflow
-        // guard, whose queries restart often enough for vivification rounds
-        // (every fourth restart) to run.
-        let check_guard = |preprocess: bool| {
-            Checker::with_config(CheckerConfig {
-                threads: Some(1),
-                query_cache: false,
-                preprocess,
-                ..CheckerConfig::default()
-            })
-            .check_source(EDITED_OVERFLOW_GUARD, "guard.c")
-            .unwrap()
-        };
-        let on = check_guard(true);
-        assert!(on.stats.preprocess_eliminations > 0, "{:?}", on.stats);
-        let off = check_guard(false);
-        assert_eq!(off.stats.preprocess_eliminations, 0, "{:?}", off.stats);
-        assert!(off.stats.propagations > 0);
+        assert!(result.stats.simulated > 0, "{:?}", result.stats);
     }
 
     #[test]
@@ -692,10 +625,38 @@ mod tests {
     }
 
     #[test]
+    fn sequential_branch_diamonds_stay_linear_in_model_checks() {
+        // Every `if` diamond shares the reach terms of the ones before it,
+        // so evaluating a model by walking the term tree (as the checks on
+        // every Sat answer once did) doubles with each diamond: twelve took
+        // minutes in a debug build.
+        let mut src = String::from("int f(int x, int y, int z) { int s = 0;\n");
+        for i in 0..12 {
+            src.push_str(&format!(
+                "if (x > {}) {{ s = s + y; }} else {{ s = s ^ z; }} if (z < {}) {{ s = s + 1; }}\n",
+                i * 7,
+                i * 3
+            ));
+        }
+        src.push_str("if (s + 100 < s) return 1; return s; }\n");
+        let result = check(&src);
+        assert!(
+            result
+                .reports
+                .iter()
+                .any(|r| r.involves(UbKind::SignedIntegerOverflow)),
+            "{:?}",
+            result.reports
+        );
+    }
+
+    #[test]
     fn budget_exhausted_during_search_degrades_and_never_persists() {
         // A one-propagation budget is exhausted by the CDCL search itself:
-        // the query must degrade to `Unknown`, be counted as a timeout and
-        // a degraded module, and leave nothing behind in the query store.
+        // the queries that reach it must degrade to `Unknown`, be counted as
+        // timeouts and a degraded module, and leave nothing behind in the
+        // query store. Simulation decides the Sat queries at any budget, and
+        // those are stored like any decided result.
         let checker = Checker::with_config(CheckerConfig {
             threads: Some(1),
             query_budget: 1,
@@ -711,13 +672,14 @@ mod tests {
         );
         assert_eq!(
             checker.cache_stats().entries,
-            0,
+            first.stats.cache_misses - first.stats.timeouts,
             "degraded verdicts must never be persisted"
         );
-        // Re-running reproduces the same degradation — nothing was cached.
+        // Re-running reproduces the same degradation: every degraded query
+        // is re-derived, none is served from the store.
         let second = checker.check_source(src, "deg.c").unwrap();
         assert_eq!(first.stats.timeouts, second.stats.timeouts);
-        assert_eq!(checker.cache_stats().hits, 0);
+        assert_eq!(second.stats.cache_misses, first.stats.timeouts);
     }
 
     #[test]

@@ -137,8 +137,6 @@ impl AnalysisSession {
             solver.set_store(Some(Arc::clone(store)));
         }
         solver.set_incremental(self.config.incremental);
-        solver.set_preprocessing(self.config.preprocess);
-        solver.set_fragment_instances(self.config.fragment_instances);
         solver
     }
 
@@ -304,12 +302,12 @@ impl AnalysisSession {
             learned_clauses: solver_stats.learned_clauses,
             deleted_clauses: solver_stats.deleted_clauses,
             lbd_sum: solver_stats.lbd_sum,
-            preprocess_eliminations: solver_stats.preprocess_eliminations,
             incremental_queries: solver_stats.incremental_queries,
             reused_clauses: solver_stats.reused_clauses,
             sat_queries: solver_stats.sat,
             unsat_queries: solver_stats.unsat,
-            model_cache_hits: solver_stats.model_cache_hits,
+            simulated: solver_stats.simulated,
+            model_cache_hits: 0,
             core_cache_hits: 0,
             cores_recorded: solver_stats.cores_recorded,
             core_size_sum: solver_stats.core_size_sum,
@@ -452,10 +450,6 @@ impl AnalysisSession {
             if block == func.entry() || !enc.cfg.is_reachable(block) {
                 continue;
             }
-            // Under per-fragment instance granularity, this block's queries
-            // start on a fresh solver instance; by default (per-function) the
-            // call is a no-op and the function-wide instance persists.
-            solver.begin_fragment();
             let reach = enc.reach_term(block);
             match solver.check(&enc.pool, &[reach]) {
                 QueryResult::Unsat | QueryResult::Unknown => continue, // trivially dead / timeout
@@ -497,8 +491,6 @@ impl AnalysisSession {
             let InstKind::Cmp { pred, lhs, rhs } = func.inst(inst_id).kind.clone() else {
                 continue;
             };
-            // One fragment per queried comparison, mirroring the block loop.
-            solver.begin_fragment();
             let index = func.position_in_block(inst_id).map(|(_, i)| i).unwrap_or(0);
             let e_term = enc.bool_term(Operand::Inst(inst_id));
             let reach = enc.reach_term(block);

@@ -742,7 +742,7 @@ enum ShiftKind {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::model::Model;
     use crate::sat::SatResult;
@@ -954,21 +954,52 @@ mod tests {
         assert_eq!((sat.num_vars(), sat.num_clauses()), (vars, clauses));
     }
 
-    /// A random 6-bit term over `x`, `y` and constants, drawn from `tape`:
-    /// every binary bit-vector operator, negation, complement, and `ite`
-    /// over every comparison.
-    fn random_term(p: &mut TermPool, tape: &mut impl Iterator<Item = u64>, depth: u32) -> TermId {
+    /// A `width`-bit value drawn from `n`: half the time one of the edge
+    /// values the checker's UB conditions turn on (0, 1, the signed
+    /// extremes, all-ones, and the shift amounts around the width), else
+    /// arbitrary.
+    pub(crate) fn edge_or_random(n: u64, width: u32) -> u64 {
+        let all_ones = crate::term::mask(u64::MAX, width);
+        let w = u64::from(width);
+        let edges = [
+            0,
+            1,
+            1 << (width - 1),
+            all_ones >> 1,
+            all_ones,
+            w - 1,
+            w,
+            w + 1,
+        ];
+        if n.is_multiple_of(2) {
+            crate::term::mask(edges[(n >> 1) as usize % edges.len()], width)
+        } else {
+            crate::term::mask(n >> 1, width)
+        }
+    }
+
+    /// A random `width`-bit term (`width` at most 32) over `x`, `y` and
+    /// constants, drawn from `tape`: every binary bit-vector operator,
+    /// negation, complement, `ite` over every comparison, and round trips
+    /// through `zext`, `sext`, `extract` and `concat` back to `width`.
+    pub(crate) fn random_term(
+        p: &mut TermPool,
+        tape: &mut impl Iterator<Item = u64>,
+        depth: u32,
+        width: u32,
+    ) -> TermId {
         let n = tape.next().unwrap_or(0);
         if depth == 0 || n.is_multiple_of(5) {
             return match (n >> 3) % 3 {
-                0 => p.bv_var("x", 6),
-                1 => p.bv_var("y", 6),
-                _ => p.bv_const(6, (n >> 5) & 63),
+                0 => p.bv_var("x", width),
+                1 => p.bv_var("y", width),
+                _ => p.bv_const(width, edge_or_random(n >> 5, width)),
             };
         }
-        let a = random_term(p, tape, depth - 1);
-        let b = random_term(p, tape, depth - 1);
-        match (n >> 3) % 16 {
+        let a = random_term(p, tape, depth - 1, width);
+        let b = random_term(p, tape, depth - 1, width);
+        let k = (n >> 8) as u32 % width;
+        match (n >> 3) % 20 {
             0 => p.bv_add(a, b),
             1 => p.bv_sub(a, b),
             2 => p.bv_mul(a, b),
@@ -984,6 +1015,22 @@ mod tests {
             12 => p.bv_ashr(a, b),
             13 => p.bv_not(a),
             14 => p.bv_neg(a),
+            15 => {
+                let low = p.extract(a, k, 0);
+                p.zext(low, width)
+            }
+            16 => {
+                let low = p.extract(a, k, 0);
+                p.sext(low, width)
+            }
+            17 => {
+                let both = p.concat(a, b);
+                p.extract(both, k + width - 1, k)
+            }
+            18 => {
+                let wide = p.sext(a, 2 * width);
+                p.extract(wide, k + width - 1, k)
+            }
             _ => {
                 let cond = match (n >> 7) % 5 {
                     0 => p.bv_ult(a, b),
@@ -992,10 +1039,33 @@ mod tests {
                     3 => p.bv_sle(a, b),
                     _ => p.eq(a, b),
                 };
-                let other = random_term(p, tape, depth - 1);
+                let other = random_term(p, tape, depth - 1, width);
                 p.ite(cond, other, b)
             }
         }
+    }
+
+    /// Pin `x` and `y` to `a` and `b` and assert that `t` differs from its
+    /// evaluation there: `Unsat` exactly when the blaster agrees with
+    /// [`TermPool::eval`].
+    fn disagreement_at(p: &mut TermPool, t: TermId, a: u64, b: u64) -> SatResult {
+        let width = p.width(t);
+        let mut point = Model::new();
+        point.set("x", a);
+        point.set("y", b);
+        let expected = point.eval(p, t);
+        let (x, y) = (p.bv_var("x", width), p.bv_var("y", width));
+        let (ca, cb, ct) = (
+            p.bv_const(width, a),
+            p.bv_const(width, b),
+            p.bv_const(width, expected),
+        );
+        let pinned_x = p.eq(x, ca);
+        let pinned_y = p.eq(y, cb);
+        let pinned = p.and(pinned_x, pinned_y);
+        let wrong = p.ne(t, ct);
+        let query = p.and(pinned, wrong);
+        check(p, query)
     }
 
     proptest! {
@@ -1011,19 +1081,29 @@ mod tests {
             b in 0u64..64,
         ) {
             let mut p = TermPool::new();
-            let t = random_term(&mut p, &mut tape.iter().copied(), 3);
-            let mut point = Model::new();
-            point.set("x", a);
-            point.set("y", b);
-            let expected = point.eval(&p, t);
-            let (x, y) = (p.bv_var("x", 6), p.bv_var("y", 6));
-            let (ca, cb, ct) = (p.bv_const(6, a), p.bv_const(6, b), p.bv_const(6, expected));
-            let pinned_x = p.eq(x, ca);
-            let pinned_y = p.eq(y, cb);
-            let pinned = p.and(pinned_x, pinned_y);
-            let wrong = p.ne(t, ct);
-            let query = p.and(pinned, wrong);
-            prop_assert_eq!(check(&mut p, query), SatResult::Unsat, "tape {:?} x={} y={}", tape, a, b);
+            let t = random_term(&mut p, &mut tape.iter().copied(), 3, 6);
+            let verdict = disagreement_at(&mut p, t, a, b);
+            prop_assert_eq!(verdict, SatResult::Unsat, "tape {:?} x={} y={}", tape, a, b);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The same agreement at 32 bits, where the edge cases live:
+        /// division by zero, `INT_MIN / -1`, shifts by the width or more,
+        /// and extensions of the sign bit.
+        #[test]
+        fn blasted_32_bit_terms_agree_with_evaluation(
+            tape in prop::collection::vec(any::<u64>(), 1..40),
+            a in any::<u64>(),
+            b in any::<u64>(),
+        ) {
+            let mut p = TermPool::new();
+            let t = random_term(&mut p, &mut tape.iter().copied(), 3, 32);
+            let (a, b) = (edge_or_random(a, 32), edge_or_random(b, 32));
+            let verdict = disagreement_at(&mut p, t, a, b);
+            prop_assert_eq!(verdict, SatResult::Unsat, "tape {:?} x={} y={}", tape, a, b);
         }
     }
 }

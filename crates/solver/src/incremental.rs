@@ -125,12 +125,6 @@ impl SolverInstance {
         self.budget = budget;
     }
 
-    /// Enable or disable the SAT core's layers around the search loop (on
-    /// by default). See [`SatSolver::set_preprocessing`].
-    pub fn set_preprocessing(&mut self, on: bool) {
-        self.sat.set_preprocessing(on);
-    }
-
     /// The assumption core of the last `Unsat` answer: a subset of that
     /// query's assumption literals already unsatisfiable with the formula
     /// (empty when the formula itself is unsatisfiable). `None` after
@@ -175,9 +169,6 @@ impl SolverInstance {
         );
         self.epoch = Some(pool.epoch());
         debug_assert!(pool.sort(term).is_bool());
-        // Blasting may add clauses; `add_clause` cancels to the root itself
-        // when it does. Leaving the trail alone on the (common) all-cached
-        // path lets the next solve reuse it for shared assumptions.
         let before = self.sat.num_clauses();
         let lit = self.blaster.blast_bool(pool, &mut self.sat, term);
         let added = self.sat.num_clauses() - before;

@@ -8,15 +8,6 @@
 //! (needed by the minimal-UB-set computation in the checker) and a
 //! deterministic resource budget measured in propagations so that
 //! "timeouts" are reproducible.
-//!
-//! [`set_preprocessing`](SatSolver::set_preprocessing) (on by default)
-//! switches on four layers around the search loop: clause vivification
-//! between restarts, dedicated watch lists for binary clauses, trail reuse
-//! across consecutive assumption sets, and a small cache of recent models
-//! that answers a `Sat` query in zero propagations. Vivification is charged
-//! against the same propagation budget as the search itself, so a degraded
-//! `Unknown` verdict is byte-reproducible no matter where the budget ran
-//! out.
 
 use crate::cnf::{Clause, ClauseDb, ClauseRef};
 use crate::lit::{LBool, Lit, Var};
@@ -78,12 +69,6 @@ impl Budget {
 pub struct SatStats {
     pub decisions: u64,
     pub propagations: u64,
-    /// The subset of `propagations` spent vivifying learned clauses between
-    /// restarts. Restart-time maintenance, not per-query search — callers
-    /// attributing propagation cost to individual queries subtract this so
-    /// the query that happens to trigger a round is not charged for work
-    /// amortized across the whole instance.
-    pub preprocess_propagations: u64,
     pub conflicts: u64,
     pub restarts: u64,
     pub learned_literals: u64,
@@ -94,11 +79,6 @@ pub struct SatStats {
     /// Sum of learn-time LBD over all learned clauses; the average glue is
     /// `lbd_sum / learned_clauses`.
     pub lbd_sum: u64,
-    /// Learned clauses shortened by vivification.
-    pub preprocess_eliminations: u64,
-    /// `Sat` answers served from the still-valid trail or the cached-model
-    /// store in zero propagations.
-    pub model_cache_hits: u64,
     /// Assumption cores extracted after `Unsat` answers.
     pub cores_recorded: u64,
     /// Sum of literal counts over recorded cores; the average core size is
@@ -132,14 +112,6 @@ impl SatStats {
 pub struct SatSolver {
     clauses: ClauseDb,
     watches: Vec<Vec<Watcher>>,
-    /// Binary clauses get a dedicated implication list per literal (the
-    /// other literal plus the clause reference for conflict analysis), so
-    /// propagating them never dereferences clause memory — on blasted
-    /// circuits binary clauses dominate the watch traffic, and this is the
-    /// difference between one cache line and three per implication. Only
-    /// populated when `preprocessing` is on; with it off every clause goes
-    /// through the plain watch lists.
-    binary_watches: Vec<Vec<(Lit, ClauseRef)>>,
     assigns: Vec<LBool>,
     /// Saved phase per variable, used as the decision polarity.
     phases: Vec<bool>,
@@ -167,33 +139,6 @@ pub struct SatSolver {
     solve_conflicts: u64,
     solve_propagations: u64,
     max_learned: usize,
-    /// Whether vivification, binary watch lists, trail reuse and the model
-    /// cache are enabled (disabling leaves the plain CDCL loop).
-    preprocessing: bool,
-    /// The assumption sequence the current trail's decision levels were
-    /// established for (level i+1 holds assumption i). Lets the next
-    /// `solve_with` keep the still-matching prefix of the trail instead of
-    /// re-propagating the whole circuit from the root — consecutive queries
-    /// on one instance typically share all but one assumption. Only
-    /// maintained when `preprocessing` is on.
-    last_assumptions: Vec<Lit>,
-    /// Whether the trail currently holds the total assignment of the last
-    /// `Sat` answer with the formula unchanged since. If that model already
-    /// satisfies the next query's assumptions it is a witness for that query
-    /// too, and the solve is answered in zero propagations. Cleared by
-    /// anything that touches the formula or the trail from outside.
-    model_valid: bool,
-    /// Recent total models (newest last), kept in side storage so they
-    /// survive Unsat queries and trail churn. Every derived clause (learned
-    /// or vivified) is entailed by the original formula, so a total
-    /// model stays a model until `add_clause` grows the formula — the only
-    /// point that clears this cache. Checked at solve entry: any cached
-    /// model satisfying all assumptions answers `Sat` in zero propagations.
-    cached_models: Vec<Vec<bool>>,
-    /// Index into `cached_models` the last `Sat` answer was served from,
-    /// so `model_value` reads the witness that was actually returned rather
-    /// than whatever the trail holds. Cleared at the next solve call.
-    cached_model_hit: Option<usize>,
     /// The assumption core of the last `Unsat` answer (empty when the
     /// formula itself is root-unsat), for callers seeding minimization.
     /// `None` after `Sat`/`Unknown` answers.
@@ -212,11 +157,6 @@ impl SatSolver {
         SatSolver {
             clauses: ClauseDb::new(),
             watches: Vec::new(),
-            binary_watches: Vec::new(),
-            last_assumptions: Vec::new(),
-            model_valid: false,
-            cached_models: Vec::new(),
-            cached_model_hit: None,
             assigns: Vec::new(),
             phases: Vec::new(),
             levels: Vec::new(),
@@ -237,7 +177,6 @@ impl SatSolver {
             solve_conflicts: 0,
             solve_propagations: 0,
             max_learned: 4000,
-            preprocessing: true,
             last_core: None,
         }
     }
@@ -253,20 +192,9 @@ impl SatSolver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.binary_watches.push(Vec::new());
-        self.binary_watches.push(Vec::new());
         self.heap_index.push(None);
         self.heap_insert(v);
         v
-    }
-
-    /// Enable or disable the layers around the search loop (on by
-    /// default): clause vivification between restarts, binary watch lists,
-    /// trail reuse across assumption sets, and the model cache. With it off
-    /// the solver is the plain CDCL loop, kept reachable as the benchmark
-    /// baseline and via `--no-preprocess`.
-    pub fn set_preprocessing(&mut self, on: bool) {
-        self.preprocessing = on;
     }
 
     /// The assumption core of the last `Unsat` answer: a subset of the
@@ -313,13 +241,8 @@ impl SatSolver {
     /// Add a clause to the formula. Returns `false` if the clause makes the
     /// formula trivially unsatisfiable at the root level.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        // Clauses join the formula at the root: cancel any leftover trail
-        // (kept around between solves so a later query can reuse it) before
-        // normalizing against root values. The old models no longer speak
-        // for the grown formula.
-        self.model_valid = false;
-        self.cached_models.clear();
-        self.cached_model_hit = None;
+        // Clauses join the formula at the root: cancel the last model's
+        // trail before normalizing against root values.
         self.backtrack(0);
         if self.unsat {
             return false;
@@ -362,22 +285,14 @@ impl SatSolver {
         }
     }
 
-    /// Attach the first two literals of a clause to the watch lists. Binary
-    /// clauses go to the dedicated implication lists when preprocessing is
-    /// enabled (see `binary_watches`); a clause stays wherever it was
-    /// attached until detached, so flipping the flag mid-life is safe.
+    /// Attach the first two literals of a clause to the watch lists.
     fn attach(&mut self, cref: ClauseRef) {
-        let (l0, l1, binary) = {
+        let (l0, l1) = {
             let c = self.clauses.get(cref);
-            (c.lits[0], c.lits[1], c.len() == 2)
+            (c.lits[0], c.lits[1])
         };
-        if binary && self.preprocessing {
-            self.binary_watches[(!l0).index()].push((l1, cref));
-            self.binary_watches[(!l1).index()].push((l0, cref));
-        } else {
-            self.watches[(!l0).index()].push(Watcher { cref, blocker: l1 });
-            self.watches[(!l1).index()].push(Watcher { cref, blocker: l0 });
-        }
+        self.watches[(!l0).index()].push(Watcher { cref, blocker: l1 });
+        self.watches[(!l1).index()].push(Watcher { cref, blocker: l0 });
     }
 
     /// Assign a literal true, recording its reason clause.
@@ -399,27 +314,6 @@ impl SatSolver {
             self.qhead += 1;
             self.stats.propagations += 1;
             self.solve_propagations += 1;
-
-            // Binary implications first: the watch entry carries everything
-            // needed, so no clause memory is touched. The list is never
-            // mutated while scanning (enqueue only grows the trail).
-            let mut k = 0;
-            while k < self.binary_watches[p.index()].len() {
-                let (other, cref) = self.binary_watches[p.index()][k];
-                k += 1;
-                match self.value_lit(other) {
-                    LBool::True => {}
-                    LBool::Undef => self.enqueue(other, Some(cref)),
-                    LBool::False => {
-                        conflict = Some(cref);
-                        self.qhead = self.trail.len();
-                        break;
-                    }
-                }
-            }
-            if conflict.is_some() {
-                break;
-            }
 
             let mut i = 0;
             let mut j = 0;
@@ -536,9 +430,7 @@ impl SatSolver {
         loop {
             self.bump_clause(cref);
             let lits: Vec<Lit> = self.clauses.get(cref).lits.clone();
-            // Skip the implied literal by variable, not by position: long
-            // clauses keep it at slot 0, but binary implications enqueue
-            // straight off the implication list without reordering.
+            // Skip the literal this clause implied (`p`, kept at slot 0).
             for &q in &lits {
                 if p.is_some_and(|pl| pl.var() == q.var()) {
                     continue;
@@ -702,18 +594,12 @@ impl SatSolver {
         }
     }
 
-    /// Remove a clause from the watch lists. Binary clauses scrub both the
-    /// implication lists and the plain lists: which one the clause lives in
-    /// depends on the preprocessing flag at attach time, not now.
+    /// Remove a clause from the watch lists.
     fn detach(&mut self, cref: ClauseRef) {
-        let (l0, l1, binary) = {
+        let (l0, l1) = {
             let c = self.clauses.get(cref);
-            (c.lits[0], c.lits[1], c.len() == 2)
+            (c.lits[0], c.lits[1])
         };
-        if binary {
-            self.binary_watches[(!l0).index()].retain(|&(_, r)| r != cref);
-            self.binary_watches[(!l1).index()].retain(|&(_, r)| r != cref);
-        }
         self.watches[(!l0).index()].retain(|w| w.cref != cref);
         self.watches[(!l1).index()].retain(|w| w.cref != cref);
     }
@@ -814,74 +700,12 @@ impl SatSolver {
             self.last_core = Some(Vec::new());
             return SatResult::Unsat;
         }
-        // Model shortcut: the last query's total assignment is still on the
-        // trail and the formula has not changed since. If it satisfies every
-        // assumption it is a witness for this query too — answer without a
-        // single propagation. Alternating easy Sat queries on one instance
-        // hit this constantly.
-        self.cached_model_hit = None;
-        if self.preprocessing
-            && self.model_valid
-            && !assumptions.is_empty()
-            && assumptions
-                .iter()
-                .all(|&a| self.value_lit(a) == LBool::True)
-        {
-            self.stats.model_cache_hits += 1;
-            return SatResult::Sat;
-        }
-        // Second chance: a slightly older cached model. Unlike the trail,
-        // the cache survives intervening Unsat answers, so a run of mixed
-        // verdicts doesn't forfeit every later Sat shortcut. Scanned newest
-        // first; the trail and saved phases are left untouched so the kept
-        // decision levels stay reusable for the next full search.
-        if self.preprocessing && !assumptions.is_empty() {
-            let hit = self.cached_models.iter().rposition(|m| {
-                assumptions
-                    .iter()
-                    .all(|&a| m.get(a.var().index()).copied() == Some(a.is_positive()))
-            });
-            if let Some(i) = hit {
-                self.cached_model_hit = Some(i);
-                self.stats.model_cache_hits += 1;
-                return SatResult::Sat;
-            }
-        }
         self.budget_propagations = budget.max_propagations;
         self.budget_conflicts = budget.max_conflicts;
         self.solve_conflicts = 0;
         self.solve_propagations = 0;
-
-        // Trail reuse: consecutive queries on one instance typically share
-        // most of their assumptions, and re-establishing a shared assumption
-        // re-propagates the whole blasted circuit. Reorder the new
-        // assumptions to front-load the overlap with the previous query and
-        // keep the still-matching decision levels. Kept literals are entailed
-        // by the formula plus the kept assumptions, and learned clauses are
-        // formula-entailed, so delayed propagation of them is sound: a Sat
-        // answer is still checked by every original clause, and Unsat
-        // derivations only resolve existing clauses. `add_clause`, the one
-        // way to touch the clause set from outside, backtracks to the root
-        // first, which disables reuse on its own.
-        let ordered: Vec<Lit>;
-        let assumptions: &[Lit] = if self.preprocessing && !assumptions.is_empty() {
-            ordered = self.reorder_assumptions(assumptions);
-            let mut keep = 0u32;
-            while (keep as usize) < ordered.len()
-                && keep < self.decision_level()
-                && self.last_assumptions.get(keep as usize) == Some(&ordered[keep as usize])
-            {
-                keep += 1;
-            }
-            self.backtrack(keep);
-            self.last_assumptions.clone_from(&ordered);
-            &ordered
-        } else {
-            self.backtrack(0);
-            self.last_assumptions.clear();
-            assumptions
-        };
-        if self.decision_level() == 0 && self.propagate().is_some() {
+        self.backtrack(0);
+        if self.propagate().is_some() {
             self.unsat = true;
             self.last_core = Some(Vec::new());
             return SatResult::Unsat;
@@ -889,7 +713,7 @@ impl SatSolver {
 
         let mut restart_count = 0u64;
         let mut conflicts_since_restart = 0u64;
-        let result = loop {
+        loop {
             // (Re-)establish the assumptions after any restart.
             if self.decision_level() < assumptions.len() as u32 {
                 let a = assumptions[self.decision_level() as usize];
@@ -1000,52 +824,19 @@ impl SatSolver {
                 return SatResult::Unknown;
             }
 
-            // Luby restarts, with periodic clause vivification between them
-            // (inprocessing; its propagations are budget-charged like any
-            // other, so degraded verdicts stay deterministic).
+            // Luby restarts.
             let restart_limit = 64 * luby(restart_count);
             if conflicts_since_restart >= restart_limit {
                 restart_count += 1;
                 self.stats.restarts += 1;
                 conflicts_since_restart = 0;
                 self.backtrack(0);
-                if self.preprocessing && restart_count.is_multiple_of(4) {
-                    let pre_start = self.stats.propagations;
-                    self.vivify_round(24);
-                    self.stats.preprocess_propagations += self.stats.propagations - pre_start;
-                    if self.unsat {
-                        self.last_core = Some(Vec::new());
-                        return SatResult::Unsat;
-                    }
-                }
             }
 
             if self.clauses.num_learned > self.max_learned + self.trail.len() {
                 self.reduce_db();
             }
-        };
-
-        self.model_valid = result == SatResult::Sat;
-        if result == SatResult::Sat && self.preprocessing {
-            self.cache_model();
         }
-        result
-    }
-
-    /// Snapshot the current total model (as [`model_value`] reports it)
-    /// into the bounded model cache.
-    fn cache_model(&mut self) {
-        const MODEL_CACHE: usize = 4;
-        let m: Vec<bool> = (0..self.assigns.len())
-            .map(|i| self.model_value(Var(i as u32)))
-            .collect();
-        if self.cached_models.last() == Some(&m) {
-            return;
-        }
-        if self.cached_models.len() == MODEL_CACHE {
-            self.cached_models.remove(0);
-        }
-        self.cached_models.push(m);
     }
 
     /// Final-conflict analysis: compute the subset of the current query's
@@ -1107,137 +898,12 @@ impl SatSolver {
 
     /// Value of a variable in the model found by the last successful solve.
     pub fn model_value(&self, v: Var) -> bool {
-        // A `Sat` served from the model cache reports that cached witness,
-        // not whatever older assignment the (untouched) trail holds.
-        if let Some(i) = self.cached_model_hit {
-            if let Some(&b) = self.cached_models[i].get(v.index()) {
-                return b;
-            }
-        }
         match self.assigns[v.index()] {
             LBool::True => true,
             LBool::False => false,
             // Variables not constrained by any clause may remain unassigned;
             // any value satisfies the formula, pick the saved phase.
             LBool::Undef => self.phases[v.index()],
-        }
-    }
-
-    /// Order a query's assumptions to maximize trail reuse: the literals
-    /// shared with the previous query's assumption sequence first (in that
-    /// sequence's order, stopping at the first mismatch, since decision
-    /// levels beyond it cannot be kept anyway), then the rest. Assumption
-    /// order never changes Sat/Unsat, and the ordering is a pure function of
-    /// this instance's query history, so determinism is preserved.
-    fn reorder_assumptions(&self, assumptions: &[Lit]) -> Vec<Lit> {
-        let mut ordered: Vec<Lit> = Vec::with_capacity(assumptions.len());
-        for &a in &self.last_assumptions {
-            if assumptions.contains(&a) && !ordered.contains(&a) {
-                ordered.push(a);
-            } else {
-                break;
-            }
-        }
-        for &a in assumptions {
-            if !ordered.contains(&a) {
-                ordered.push(a);
-            }
-        }
-        ordered
-    }
-
-    // ---- Inprocessing -----------------------------------------------------
-
-    /// One bounded round of clause vivification: re-derive learned clauses
-    /// under their own negation and keep the (often shorter) implied prefix.
-    /// Runs at the root between restarts; examines at most `max_clauses`
-    /// live learned clauses in reference order.
-    fn vivify_round(&mut self, max_clauses: usize) {
-        debug_assert_eq!(self.decision_level(), 0);
-        // Vivification propagates assumed negations and backtracks, which
-        // overwrites saved phases; mid-search those encode the trajectory the
-        // restart is about to resume, so snapshot and restore them.
-        let saved_phases = self.phases.clone();
-        let refs = self.clauses.learned_refs();
-        let mut examined = 0usize;
-        for r in refs {
-            if examined >= max_clauses {
-                break;
-            }
-            let c = self.clauses.get(r);
-            if c.deleted || c.len() < 3 {
-                continue;
-            }
-            if self
-                .clauses
-                .get(r)
-                .lits
-                .first()
-                .map(|&l| self.reasons[l.var().index()] == Some(r))
-                .unwrap_or(false)
-            {
-                continue; // reason of a root assignment
-            }
-            examined += 1;
-            let lits = self.clauses.get(r).lits.clone();
-            let mut kept: Vec<Lit> = Vec::with_capacity(lits.len());
-            let mut shortened = false;
-            self.trail_lim.push(self.trail.len());
-            for &l in &lits {
-                match self.value_lit(l) {
-                    LBool::True => {
-                        // l is implied by the negation of the kept prefix:
-                        // (kept ∪ {l}) is an implied subclause.
-                        kept.push(l);
-                        shortened = true;
-                        break;
-                    }
-                    LBool::False => {
-                        // l is falsified by the kept prefix alone (or the
-                        // root): it contributes nothing.
-                        shortened = true;
-                        continue;
-                    }
-                    LBool::Undef => {
-                        kept.push(l);
-                        self.enqueue(!l, None);
-                        if self.propagate().is_some() {
-                            // ¬kept refutes the formula: `kept` is implied.
-                            shortened = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            self.backtrack(0);
-            if shortened && !kept.is_empty() && kept.len() < lits.len() {
-                self.stats.preprocess_eliminations += 1;
-                self.detach(r);
-                self.clauses.delete(r);
-                match kept.len() {
-                    1 => {
-                        if self.value_lit(kept[0]).is_undef() {
-                            self.enqueue(kept[0], None);
-                            if self.propagate().is_some() {
-                                self.unsat = true;
-                                return;
-                            }
-                        } else if self.value_lit(kept[0]) == LBool::False {
-                            self.unsat = true;
-                            return;
-                        }
-                    }
-                    _ => {
-                        let cref = self.clauses.add(Clause::new(kept, true));
-                        self.attach(cref);
-                    }
-                }
-            }
-        }
-        for (idx, &phase) in saved_phases.iter().enumerate() {
-            if self.assigns[idx].is_undef() {
-                self.phases[idx] = phase;
-            }
         }
     }
 }
@@ -1417,10 +1083,11 @@ mod tests {
 
     #[test]
     fn reduce_db_evicts_and_pigeonhole_stays_unsat() {
-        // PHP(8,7) takes thousands of conflicts, so the learned clauses
-        // outgrow `max_learned` and database reduction has to evict some.
+        // PHP(9,8) takes tens of thousands of conflicts, so the learned
+        // clauses outgrow `max_learned` and database reduction has to evict
+        // some.
         let mut s = SatSolver::new();
-        pigeonhole(&mut s, 8, 7, None);
+        pigeonhole(&mut s, 9, 8, None);
         assert_eq!(s.solve(), SatResult::Unsat);
         assert!(s.stats().deleted_clauses > 0, "{:?}", s.stats());
     }

@@ -2,15 +2,18 @@
 //!
 //! [`BvSolver::check`] decides the conjunction of the given boolean terms:
 //! cheap pre-solve simplification, then a lookup in the attached
-//! [`QueryCache`](crate::cache::QueryCache) (if any), and on a miss a bit-blast + CDCL run under a
-//! deterministic resource budget. The budget plays the role of the per-query
-//! wall-clock timeout the paper uses (5 seconds per Boolector query, §6.4)
-//! while keeping results reproducible across machines. How a miss is solved
-//! depends on the mode: by default each query gets a throwaway SAT instance;
-//! in incremental mode ([`BvSolver::set_incremental`]) misses share one
-//! persistent [`SolverInstance`] per [`TermPool`], which trades per-query
-//! isolation for not re-paying bit-blasting across the checker's
-//! near-identical Figure 8 queries.
+//! [`QueryCache`](crate::cache::QueryCache) (if any), then simulation — the
+//! assertions evaluated under a fixed sequence of candidate assignments, the
+//! first that satisfies them all answering `Sat` — and only then a
+//! bit-blast and CDCL run under a deterministic resource budget. The budget
+//! plays the role of the per-query wall-clock timeout the paper uses (5
+//! seconds per Boolector query, §6.4) while keeping results reproducible
+//! across machines. How the SAT core is reached depends on the mode: by
+//! default each query gets a throwaway SAT instance; in incremental mode
+//! ([`BvSolver::set_incremental`]) misses share one persistent
+//! [`SolverInstance`] per [`TermPool`], which trades per-query isolation for
+//! not re-paying bit-blasting across the checker's near-identical Figure 8
+//! queries.
 
 use crate::blast::BitBlaster;
 use crate::cache::FingerprintMemo;
@@ -18,7 +21,7 @@ use crate::incremental::SolverInstance;
 use crate::model::Model;
 use crate::sat::{Budget, SatResult, SatSolver};
 use crate::store::QueryStore;
-use crate::term::{Sort, TermId, TermKind, TermPool};
+use crate::term::{mask, Sort, TermId, TermKind, TermPool};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -78,8 +81,6 @@ pub struct SolverStats {
     /// by [`learned_clauses`](SolverStats::learned_clauses) for the average
     /// (see [`SolverStats::avg_lbd`]).
     pub lbd_sum: u64,
-    /// Learned clauses shortened by vivification.
-    pub preprocess_eliminations: u64,
     /// Queries answered from the shared [`QueryCache`](crate::cache::QueryCache) without bit-blasting.
     pub cache_hits: u64,
     /// Queries that consulted the cache and missed.
@@ -91,9 +92,8 @@ pub struct SolverStats {
     /// started — formula reused across queries instead of re-emitted. Summed
     /// over all incremental queries.
     pub reused_clauses: u64,
-    /// `Sat` answers the SAT core served from its model cache (valid trail
-    /// or cached-model store) in zero propagations.
-    pub model_cache_hits: u64,
+    /// Queries answered `Sat` by simulation, without reaching the SAT core.
+    pub simulated: u64,
     /// Assumption cores extracted after `Unsat` answers.
     pub cores_recorded: u64,
     /// Sum of literal counts over recorded cores (see
@@ -121,12 +121,11 @@ impl SolverStats {
         self.learned_clauses += other.learned_clauses;
         self.deleted_clauses += other.deleted_clauses;
         self.lbd_sum += other.lbd_sum;
-        self.preprocess_eliminations += other.preprocess_eliminations;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.incremental_queries += other.incremental_queries;
         self.reused_clauses += other.reused_clauses;
-        self.model_cache_hits += other.model_cache_hits;
+        self.simulated += other.simulated;
         self.cores_recorded += other.cores_recorded;
         self.core_size_sum += other.core_size_sum;
         self.minimization_queries_saved += other.minimization_queries_saved;
@@ -165,13 +164,6 @@ pub struct BvSolver {
     /// Whether cache misses are decided by a persistent [`SolverInstance`]
     /// (one per pool epoch) instead of a from-scratch bit-blast.
     incremental: bool,
-    /// Whether the SAT core runs its layers around the search loop (on by
-    /// default; see [`BvSolver::set_preprocessing`]).
-    preprocess: bool,
-    /// In incremental mode, start a fresh [`SolverInstance`] per checker
-    /// fragment ([`BvSolver::begin_fragment`]) instead of sharing one across
-    /// the whole pool/function.
-    fragment_instances: bool,
     /// The subset of the last `Unsat` [`check`](BvSolver::check) call's
     /// assertion terms that its extracted assumption core maps back to —
     /// already unsatisfiable on their own. `None` after non-`Unsat` answers,
@@ -202,8 +194,6 @@ impl BvSolver {
             store: None,
             memo: FingerprintMemo::default(),
             incremental: false,
-            preprocess: true,
-            fragment_instances: false,
             last_core_terms: None,
             instance: None,
         }
@@ -244,29 +234,6 @@ impl BvSolver {
         self
     }
 
-    /// Enable or disable the SAT core's layers around the search loop (on
-    /// by default): clause vivification between restarts, binary watch
-    /// lists, trail reuse across assumption sets, and the model cache. Off
-    /// leaves the plain CDCL loop — the benchmark baseline, reachable from
-    /// the CLI as `--no-preprocess`.
-    ///
-    /// Decided (`Sat`/`Unsat`) answers are identical either way: vivified
-    /// clauses are implied by the formula. Only where a propagation budget
-    /// runs out — and therefore which queries degrade to `Unknown` — can
-    /// differ between the two settings.
-    pub fn set_preprocessing(&mut self, on: bool) {
-        self.preprocess = on;
-        if let Some(instance) = &mut self.instance {
-            instance.set_preprocessing(on);
-        }
-    }
-
-    /// Builder-style variant of [`BvSolver::set_preprocessing`].
-    pub fn with_preprocessing(mut self, on: bool) -> BvSolver {
-        self.set_preprocessing(on);
-        self
-    }
-
     /// The assertion-term core of the last `Unsat` [`check`](BvSolver::check)
     /// answer, when one was extracted: a subset of that call's assertions
     /// already unsatisfiable by itself. Conservative — terms the mapping
@@ -283,44 +250,13 @@ impl BvSolver {
         self.stats.minimization_queries_saved += 1;
     }
 
-    /// Choose the incremental instance granularity: `false` (default) keeps
-    /// one [`SolverInstance`] per [`TermPool`] — in the checker, one per
-    /// function — while `true` starts a fresh instance at every
-    /// [`BvSolver::begin_fragment`] call. Per-fragment instances trade the
-    /// shared encoding and learned clauses of the function-wide instance for
-    /// smaller CNFs per query. Which wins depends on the workload (see
-    /// `docs/ARCHITECTURE.md`); per-function is the default. Has no effect
-    /// outside incremental mode.
-    pub fn set_fragment_instances(&mut self, on: bool) {
-        self.fragment_instances = on;
-    }
-
-    /// Builder-style variant of [`BvSolver::set_fragment_instances`].
-    pub fn with_fragment_instances(mut self, on: bool) -> BvSolver {
-        self.set_fragment_instances(on);
-        self
-    }
-
-    /// Notify the solver that the checker is starting a new fragment. In
-    /// incremental mode with per-fragment granularity
-    /// ([`BvSolver::set_fragment_instances`]) this retires the current
-    /// persistent instance so the fragment's queries start on a fresh one;
-    /// in every other configuration it is a no-op.
-    pub fn begin_fragment(&mut self) {
-        if self.incremental && self.fragment_instances {
-            self.instance = None;
-        }
-    }
-
     /// The persistent instance for `pool`, creating or replacing it as
     /// needed. Only meaningful in incremental mode.
     fn instance_for(&mut self, pool: &TermPool) -> &mut SolverInstance {
         let stale =
             !matches!(&self.instance, Some(i) if i.epoch().is_none_or(|e| e == pool.epoch()));
         if stale {
-            let mut instance = SolverInstance::with_budget(self.budget);
-            instance.set_preprocessing(self.preprocess);
-            self.instance = Some(instance);
+            self.instance = Some(SolverInstance::with_budget(self.budget));
         }
         self.instance.as_mut().expect("instance just ensured")
     }
@@ -357,9 +293,12 @@ impl BvSolver {
     ///
     /// The query pipeline is: cheap pre-solve simplification (conjunction
     /// flattening, constant folding, complementary-literal propagation),
-    /// then a lookup in the attached [`QueryCache`](crate::cache::QueryCache) (if any), and only on a
-    /// miss the full bit-blast + CDCL run. Decided results of full runs are
-    /// stored back into the cache.
+    /// then a lookup in the attached [`QueryCache`](crate::cache::QueryCache) (if any), and on a
+    /// miss simulation: the assertions are evaluated under every variable
+    /// set to 0, 1, all-ones, the signed minimum, the signed maximum, then
+    /// each constant of the query, and the first assignment that satisfies
+    /// them all answers `Sat`. Only if none does, the full bit-blast + CDCL
+    /// run decides. Decided results of both are stored back into the cache.
     pub fn check(&mut self, pool: &TermPool, assertions: &[TermId]) -> QueryResult {
         self.stats.queries += 1;
         // A core is only meaningful for the query that produced it; anything
@@ -428,7 +367,10 @@ impl BvSolver {
             self.stats.cache_misses += 1;
         }
 
-        let outcome = if self.incremental {
+        let outcome = if let Some(model) = simulate(pool, &simplified) {
+            self.stats.simulated += 1;
+            QueryResult::Sat(model)
+        } else if self.incremental {
             self.solve_incremental(pool, &simplified)
         } else {
             self.solve_fresh(pool, &simplified)
@@ -488,7 +430,6 @@ impl BvSolver {
     /// blast every assertion, assert its literal, solve once.
     fn solve_fresh(&mut self, pool: &TermPool, simplified: &[TermId]) -> QueryResult {
         let mut sat = SatSolver::new();
-        sat.set_preprocessing(self.preprocess);
         let mut blaster = BitBlaster::new();
         for &a in simplified {
             let lit = blaster.blast_bool(pool, &mut sat, a);
@@ -497,10 +438,7 @@ impl BvSolver {
         let result = sat.solve_with(&[], self.budget);
         self.accumulate_sat_stats(&sat.stats());
         if matches!(result, SatResult::Unsat) {
-            // Search work only: vivification is restart-time maintenance,
-            // not a cost of answering Unsat.
-            self.stats.unsat_propagations +=
-                sat.stats().propagations - sat.stats().preprocess_propagations;
+            self.stats.unsat_propagations += sat.stats().propagations;
         }
         match result {
             SatResult::Unsat => QueryResult::Unsat,
@@ -517,8 +455,6 @@ impl BvSolver {
         self.stats.learned_clauses += sat.learned_clauses;
         self.stats.deleted_clauses += sat.deleted_clauses;
         self.stats.lbd_sum += sat.lbd_sum;
-        self.stats.preprocess_eliminations += sat.preprocess_eliminations;
-        self.stats.model_cache_hits += sat.model_cache_hits;
         self.stats.cores_recorded += sat.cores_recorded;
         self.stats.core_size_sum += sat.core_size_sum;
     }
@@ -531,23 +467,16 @@ impl BvSolver {
         let (sat_before, inst_before) = (instance.sat_stats(), instance.stats());
         let outcome = instance.check_terms(pool, simplified);
         let (sat_after, inst_after) = (instance.sat_stats(), instance.stats());
-        self.stats.propagations += sat_after.propagations - sat_before.propagations;
+        let propagations = sat_after.propagations - sat_before.propagations;
+        self.stats.propagations += propagations;
         if outcome.is_unsat() {
-            // Charge search work only: restart-time vivification is
-            // amortized maintenance, not a cost of the query that happened
-            // to trigger it.
-            let d = (sat_after.propagations - sat_before.propagations)
-                - (sat_after.preprocess_propagations - sat_before.preprocess_propagations);
-            self.stats.unsat_propagations += d;
+            self.stats.unsat_propagations += propagations;
         }
         self.stats.conflicts += sat_after.conflicts - sat_before.conflicts;
         self.stats.restarts += sat_after.restarts - sat_before.restarts;
         self.stats.learned_clauses += sat_after.learned_clauses - sat_before.learned_clauses;
         self.stats.deleted_clauses += sat_after.deleted_clauses - sat_before.deleted_clauses;
         self.stats.lbd_sum += sat_after.lbd_sum - sat_before.lbd_sum;
-        self.stats.preprocess_eliminations +=
-            sat_after.preprocess_eliminations - sat_before.preprocess_eliminations;
-        self.stats.model_cache_hits += sat_after.model_cache_hits - sat_before.model_cache_hits;
         self.stats.cores_recorded += sat_after.cores_recorded - sat_before.cores_recorded;
         self.stats.core_size_sum += sat_after.core_size_sum - sat_before.core_size_sum;
         self.stats.incremental_queries += 1;
@@ -656,69 +585,77 @@ fn presimplify(pool: &TermPool, assertions: &[TermId]) -> Presimplified {
     }
 }
 
-/// Collect the free variables of a term (name and sort), in first-occurrence
-/// order. Useful for diagnostics and for the property-test harness.
-pub fn free_variables(pool: &TermPool, term: TermId) -> Vec<(String, Sort)> {
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    let mut stack = vec![term];
-    let mut visited = std::collections::HashSet::new();
-    while let Some(t) = stack.pop() {
-        if !visited.insert(t) {
-            continue;
-        }
-        match &pool.term(t).kind {
-            TermKind::Var { name, sort } => {
-                if seen.insert(name.clone()) {
-                    out.push((name.clone(), *sort));
-                }
-            }
-            TermKind::BoolConst(_) | TermKind::BvConst { .. } => {}
-            TermKind::Not(a)
-            | TermKind::BvNot(a)
-            | TermKind::BvNeg(a)
-            | TermKind::ZExt { value: a, .. }
-            | TermKind::SExt { value: a, .. }
-            | TermKind::Extract { value: a, .. } => stack.push(*a),
-            TermKind::And(a, b)
-            | TermKind::Or(a, b)
-            | TermKind::Xor(a, b)
-            | TermKind::Implies(a, b)
-            | TermKind::Eq(a, b)
-            | TermKind::BvAdd(a, b)
-            | TermKind::BvSub(a, b)
-            | TermKind::BvMul(a, b)
-            | TermKind::BvUdiv(a, b)
-            | TermKind::BvSdiv(a, b)
-            | TermKind::BvUrem(a, b)
-            | TermKind::BvSrem(a, b)
-            | TermKind::BvAnd(a, b)
-            | TermKind::BvOr(a, b)
-            | TermKind::BvXor(a, b)
-            | TermKind::BvShl(a, b)
-            | TermKind::BvLshr(a, b)
-            | TermKind::BvAshr(a, b)
-            | TermKind::BvUlt(a, b)
-            | TermKind::BvUle(a, b)
-            | TermKind::BvSlt(a, b)
-            | TermKind::BvSle(a, b)
-            | TermKind::Concat(a, b) => {
-                stack.push(*a);
-                stack.push(*b);
-            }
-            TermKind::Ite(c, a, b) => {
-                stack.push(*c);
-                stack.push(*a);
-                stack.push(*b);
+/// Answer a query by simulation: evaluate the assertions under a fixed
+/// sequence of candidate assignments and return the first that satisfies
+/// them all as the witness model. Each candidate gives every variable the
+/// same value at its width: 0, 1, all-ones, the signed minimum, the signed
+/// maximum, then each constant of the query (booleans read the value's low
+/// bit). `None` when no candidate fits, which leaves the query to the SAT
+/// core.
+///
+/// This is random simulation as used in SAT sweeping (Mishchenko et al.,
+/// "FRAIGs", 2005) with the random vectors replaced by the values the
+/// checker's queries turn on: overflow and wrap-around witnesses sit at the
+/// extremes and at the guards' own constants. Each candidate costs one
+/// linear pass over the assertions' cone ([`TermPool::eval_cone`], the
+/// semantics [`TermPool::eval`] uses), so an `Unsat` query pays a few passes
+/// before it reaches the SAT core.
+fn simulate(pool: &TermPool, assertions: &[TermId]) -> Option<Model> {
+    let cone = pool.cone(assertions);
+    let mut constants: Vec<u64> = Vec::new();
+    for &t in &cone {
+        if let Some(c) = pool.as_bv_const(t) {
+            if c > 1 && !constants.contains(&c) {
+                constants.push(c);
             }
         }
     }
-    out
+    let width = |sort: Sort| match sort {
+        Sort::Bool => 1,
+        Sort::BitVec(w) => w,
+    };
+    let candidate = |k: usize, w: u32| match k {
+        0 => 0,
+        1 => 1,
+        2 => mask(u64::MAX, w),
+        3 => 1 << (w - 1),
+        4 => mask(u64::MAX, w) >> 1,
+        _ => mask(constants[k - 5], w),
+    };
+    (0..5 + constants.len()).find_map(|k| {
+        let values = pool.eval_cone(&cone, &mut |_, sort| candidate(k, width(sort)));
+        if !assertions.iter().all(|&a| values.get(a) != 0) {
+            return None;
+        }
+        let mut model = Model::new();
+        for &t in &cone {
+            if let TermKind::Var { name, sort } = &pool.term(t).kind {
+                model.set(name, candidate(k, width(*sort)));
+            }
+        }
+        Some(model)
+    })
+}
+
+/// Collect the free variables of a term (name and sort), in ascending
+/// [`TermId`] order. Useful for diagnostics and for the property-test
+/// harness.
+pub fn free_variables(pool: &TermPool, term: TermId) -> Vec<(String, Sort)> {
+    pool.cone(&[term])
+        .into_iter()
+        .filter_map(|t| match &pool.term(t).kind {
+            TermKind::Var { name, sort } => Some((name.clone(), *sort)),
+            _ => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blast::tests::random_term;
+    use proptest::prelude::*;
+    use std::cell::Cell;
 
     #[test]
     fn trivial_queries() {
@@ -844,8 +781,13 @@ mod tests {
             assert_eq!(a.is_sat(), b.is_sat(), "query {q:?}");
             assert_eq!(a.is_unsat(), b.is_unsat(), "query {q:?}");
         }
+        // Simulation answers the Sat queries (x = INT16_MAX wraps); the
+        // three Unsat ones reach the instance and reuse its clauses.
         let stats = incremental.stats();
-        assert_eq!(stats.incremental_queries, queries.len() as u64);
+        assert_eq!(
+            stats.incremental_queries + stats.simulated,
+            queries.len() as u64
+        );
         assert!(stats.reused_clauses > 0);
         assert_eq!(fresh.stats().incremental_queries, 0);
     }
@@ -854,16 +796,119 @@ mod tests {
     fn incremental_instance_is_replaced_per_pool() {
         let mut solver = BvSolver::new().with_incremental(true);
         for _ in 0..2 {
+            // Unsat, so simulation cannot answer it and it reaches the core.
             let mut pool = TermPool::new();
             let x = pool.bv_var("x", 8);
             let zero = pool.bv_const(8, 0);
-            let q = pool.bv_slt(x, zero);
-            assert!(solver.check(&pool, &[q]).is_sat());
+            let neg = pool.bv_slt(x, zero);
+            let pos = pool.bv_sgt(x, zero);
+            assert!(solver.check(&pool, &[neg, pos]).is_unsat());
         }
         assert_eq!(solver.stats().incremental_queries, 2);
         // The second pool's query started on a fresh instance (no clause
         // carry-over across pools), so nothing was reused.
         assert_eq!(solver.stats().reused_clauses, 0);
+    }
+
+    #[test]
+    fn simulation_answers_overflow_witnesses_without_the_sat_core() {
+        let mut pool = TermPool::new();
+        let x = pool.bv_var("x", 32);
+        let c100 = pool.bv_const(32, 100);
+        let sum = pool.bv_add(x, c100);
+        let wrap = pool.bv_slt(sum, x); // x + 100 < x: any x near INT_MAX
+        let mut solver = BvSolver::new();
+        let QueryResult::Sat(model) = solver.check(&pool, &[wrap]) else {
+            panic!("x + 100 < x is satisfiable by wrap-around");
+        };
+        assert!(model.eval_bool(&pool, wrap));
+        assert_eq!(model.get("x"), 0x7FFF_FFFF, "the signed-max candidate");
+        let stats = solver.stats();
+        assert_eq!((stats.simulated, stats.propagations), (1, 0));
+    }
+
+    #[test]
+    fn the_sat_core_answers_what_simulation_misses() {
+        // 0x9E37 is odd, so exactly one x solves this, and it is none of
+        // the candidates (0, 1, all-ones, the signed extremes, 0x9E37,
+        // 0x1234).
+        let mut pool = TermPool::new();
+        let x = pool.bv_var("x", 16);
+        let k = pool.bv_const(16, 0x9E37);
+        let product = pool.bv_mul(x, k);
+        let target = pool.bv_const(16, 0x1234);
+        let q = pool.eq(product, target);
+        let mut solver = BvSolver::new();
+        let QueryResult::Sat(model) = solver.check(&pool, &[q]) else {
+            panic!("an odd multiplier is invertible");
+        };
+        assert!(model.eval_bool(&pool, q));
+        assert_eq!(solver.stats().simulated, 0);
+        assert!(solver.stats().propagations > 0);
+    }
+
+    /// One to three comparisons between random 6-bit terms over `x`, `y`.
+    fn random_query(pool: &mut TermPool, tape: &[u64]) -> Vec<TermId> {
+        let mut tape = tape.iter().copied();
+        let count = 1 + tape.next().unwrap_or(0) % 3;
+        (0..count)
+            .map(|_| {
+                let n = tape.next().unwrap_or(0);
+                let a = random_term(pool, &mut tape, 2, 6);
+                let b = random_term(pool, &mut tape, 2, 6);
+                match n % 5 {
+                    0 => pool.bv_ult(a, b),
+                    1 => pool.bv_ule(a, b),
+                    2 => pool.bv_slt(a, b),
+                    3 => pool.eq(a, b),
+                    _ => pool.ne(a, b),
+                }
+            })
+            .collect()
+    }
+
+    thread_local! {
+        /// `Sat` answers [`simulation_agrees_with_the_sat_core`] saw, as
+        /// (simulated, from the SAT core).
+        static SAT_ANSWERS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// No flag reaches the SAT core past simulation any more, so compare
+        /// `check` against a raw instance: the same verdict on every random
+        /// query, and every model satisfies the assertions.
+        fn simulation_agrees_with_the_sat_core(
+            tape in prop::collection::vec(any::<u64>(), 1..48),
+        ) {
+            let mut pool = TermPool::new();
+            let query = random_query(&mut pool, &tape);
+            let mut solver = BvSolver::new();
+            let answer = solver.check(&pool, &query);
+            let mut instance = SolverInstance::new();
+            let lits: Vec<_> = query.iter().map(|&t| instance.literal_for(&pool, t)).collect();
+            let reference = instance.check_assuming(&lits);
+            prop_assert_eq!(answer.is_sat(), reference.is_sat(), "tape {:?}", tape);
+            prop_assert_eq!(answer.is_unsat(), reference.is_unsat(), "tape {:?}", tape);
+            if let QueryResult::Sat(model) = &answer {
+                prop_assert!(query.iter().all(|&t| model.eval_bool(&pool, t)), "tape {:?}", tape);
+                let stats = solver.stats();
+                let from_core = u64::from(stats.simulated == 0 && stats.propagations > 0);
+                SAT_ANSWERS.with(|c| {
+                    let (simulated, core) = c.get();
+                    c.set((simulated + stats.simulated, core + from_core));
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn simulated_and_sat_core_answers_agree_on_random_queries() {
+        simulation_agrees_with_the_sat_core();
+        let (simulated, core) = SAT_ANSWERS.with(Cell::get);
+        assert!(simulated > 0, "no query was simulated");
+        assert!(core > 0, "no Sat query reached the SAT core");
     }
 
     #[test]

@@ -115,6 +115,45 @@ pub enum TermKind {
     Concat(TermId, TermId),
 }
 
+impl TermKind {
+    /// The operand terms of this node, in order, padded with `None`.
+    pub(crate) fn operands(&self) -> [Option<TermId>; 3] {
+        match self {
+            TermKind::BoolConst(_) | TermKind::BvConst { .. } | TermKind::Var { .. } => [None; 3],
+            TermKind::Not(a)
+            | TermKind::BvNot(a)
+            | TermKind::BvNeg(a)
+            | TermKind::ZExt { value: a, .. }
+            | TermKind::SExt { value: a, .. }
+            | TermKind::Extract { value: a, .. } => [Some(*a), None, None],
+            TermKind::And(a, b)
+            | TermKind::Or(a, b)
+            | TermKind::Xor(a, b)
+            | TermKind::Implies(a, b)
+            | TermKind::Eq(a, b)
+            | TermKind::BvAdd(a, b)
+            | TermKind::BvSub(a, b)
+            | TermKind::BvMul(a, b)
+            | TermKind::BvUdiv(a, b)
+            | TermKind::BvSdiv(a, b)
+            | TermKind::BvUrem(a, b)
+            | TermKind::BvSrem(a, b)
+            | TermKind::BvAnd(a, b)
+            | TermKind::BvOr(a, b)
+            | TermKind::BvXor(a, b)
+            | TermKind::BvShl(a, b)
+            | TermKind::BvLshr(a, b)
+            | TermKind::BvAshr(a, b)
+            | TermKind::BvUlt(a, b)
+            | TermKind::BvUle(a, b)
+            | TermKind::BvSlt(a, b)
+            | TermKind::BvSle(a, b)
+            | TermKind::Concat(a, b) => [Some(*a), Some(*b), None],
+            TermKind::Ite(c, a, b) => [Some(*c), Some(*a), Some(*b)],
+        }
+    }
+}
+
 /// A term: kind plus cached sort.
 #[derive(Clone, Debug)]
 pub struct Term {
@@ -137,6 +176,19 @@ pub fn mask(value: u64, width: u32) -> u64 {
 pub fn to_signed(value: u64, width: u32) -> i64 {
     let shift = 64 - width;
     ((mask(value, width) << shift) as i64) >> shift
+}
+
+/// The values [`TermPool::eval_cone`] computed, looked up by term.
+pub(crate) struct ConeValues {
+    first: u32,
+    values: Vec<u64>,
+}
+
+impl ConeValues {
+    /// The value of a term of the evaluated cone.
+    pub(crate) fn get(&self, id: TermId) -> u64 {
+        self.values[(id.0 - self.first) as usize]
+    }
 }
 
 /// The hash-consing pool of terms.
@@ -771,56 +823,103 @@ impl TermPool {
 
     // ---- Evaluation -----------------------------------------------------------
 
+    /// Every term `roots` reach, in ascending [`TermId`] order. A term is
+    /// interned after its operands, so in this order every term follows its
+    /// operands and one forward pass ([`TermPool::eval_cone`]) evaluates the
+    /// whole cone, each shared subterm once.
+    pub(crate) fn cone(&self, roots: &[TermId]) -> Vec<TermId> {
+        let Some(top) = roots.iter().max() else {
+            return Vec::new();
+        };
+        let mut reached = vec![false; top.0 as usize + 1];
+        for r in roots {
+            reached[r.0 as usize] = true;
+        }
+        let mut cone = Vec::new();
+        for id in (0..=top.0).rev() {
+            if reached[id as usize] {
+                cone.push(TermId(id));
+                for operand in self.term(TermId(id)).kind.operands().into_iter().flatten() {
+                    reached[operand.0 as usize] = true;
+                }
+            }
+        }
+        cone.reverse();
+        cone
+    }
+
+    /// Evaluate every term of `cone` (as [`TermPool::cone`] returns it) in
+    /// one forward pass, valuing each free variable by one call of `var`.
+    pub(crate) fn eval_cone(
+        &self,
+        cone: &[TermId],
+        var: &mut dyn FnMut(&str, Sort) -> u64,
+    ) -> ConeValues {
+        let first = cone.first().map_or(0, |t| t.0);
+        let last = cone.last().map_or(0, |t| t.0);
+        let mut values = ConeValues {
+            first,
+            values: vec![0; (last - first) as usize + 1],
+        };
+        for &id in cone {
+            let value = self.eval_node(self.term(id), &|t| values.get(t), var);
+            values.values[(id.0 - first) as usize] = value;
+        }
+        values
+    }
+
     /// Evaluate a term under a model mapping variable names to values.
-    /// Boolean results are encoded as 0/1. Used by tests and by the model
-    /// printer; the authoritative semantics for the bit-blaster.
+    /// Boolean results are encoded as 0/1. The authoritative semantics: the
+    /// bit-blaster must agree with it, and simulated `Sat` answers trust it.
+    /// Linear in the term's DAG: shared subterms are evaluated once.
     pub fn eval(&self, id: TermId, model: &dyn Fn(&str, Sort) -> u64) -> u64 {
-        let t = self.term(id);
+        let cone = self.cone(&[id]);
+        self.eval_cone(&cone, &mut |name, sort| model(name, sort))
+            .get(id)
+    }
+
+    /// The value of one term given its operands' values (`arg`) and the
+    /// free variables' (`var`).
+    fn eval_node(
+        &self,
+        t: &Term,
+        arg: &dyn Fn(TermId) -> u64,
+        var: &mut dyn FnMut(&str, Sort) -> u64,
+    ) -> u64 {
         let b = |x: u64| u64::from(x != 0);
         match &t.kind {
             TermKind::BoolConst(v) => u64::from(*v),
             TermKind::BvConst { value, .. } => *value,
             TermKind::Var { name, sort } => match sort {
-                Sort::Bool => b(model(name, *sort)),
-                Sort::BitVec(w) => mask(model(name, *sort), *w),
+                Sort::Bool => b(var(name, *sort)),
+                Sort::BitVec(w) => mask(var(name, *sort), *w),
             },
-            TermKind::Not(a) => 1 - b(self.eval(*a, model)),
-            TermKind::And(a, c) => b(self.eval(*a, model)) & b(self.eval(*c, model)),
-            TermKind::Or(a, c) => b(self.eval(*a, model)) | b(self.eval(*c, model)),
-            TermKind::Xor(a, c) => b(self.eval(*a, model)) ^ b(self.eval(*c, model)),
-            TermKind::Implies(a, c) => (1 - b(self.eval(*a, model))) | b(self.eval(*c, model)),
+            TermKind::Not(a) => 1 - b(arg(*a)),
+            TermKind::And(a, c) => b(arg(*a)) & b(arg(*c)),
+            TermKind::Or(a, c) => b(arg(*a)) | b(arg(*c)),
+            TermKind::Xor(a, c) => b(arg(*a)) ^ b(arg(*c)),
+            TermKind::Implies(a, c) => (1 - b(arg(*a))) | b(arg(*c)),
             TermKind::Ite(cond, then, els) => {
-                if self.eval(*cond, model) != 0 {
-                    self.eval(*then, model)
+                if arg(*cond) != 0 {
+                    arg(*then)
                 } else {
-                    self.eval(*els, model)
+                    arg(*els)
                 }
             }
-            TermKind::Eq(a, c) => u64::from(self.eval(*a, model) == self.eval(*c, model)),
-            TermKind::BvNot(a) => mask(!self.eval(*a, model), t.sort.width()),
-            TermKind::BvNeg(a) => mask(self.eval(*a, model).wrapping_neg(), t.sort.width()),
-            TermKind::BvAdd(a, c) => mask(
-                self.eval(*a, model).wrapping_add(self.eval(*c, model)),
-                t.sort.width(),
-            ),
-            TermKind::BvSub(a, c) => mask(
-                self.eval(*a, model).wrapping_sub(self.eval(*c, model)),
-                t.sort.width(),
-            ),
-            TermKind::BvMul(a, c) => mask(
-                self.eval(*a, model).wrapping_mul(self.eval(*c, model)),
-                t.sort.width(),
-            ),
+            TermKind::Eq(a, c) => u64::from(arg(*a) == arg(*c)),
+            TermKind::BvNot(a) => mask(!arg(*a), t.sort.width()),
+            TermKind::BvNeg(a) => mask(arg(*a).wrapping_neg(), t.sort.width()),
+            TermKind::BvAdd(a, c) => mask(arg(*a).wrapping_add(arg(*c)), t.sort.width()),
+            TermKind::BvSub(a, c) => mask(arg(*a).wrapping_sub(arg(*c)), t.sort.width()),
+            TermKind::BvMul(a, c) => mask(arg(*a).wrapping_mul(arg(*c)), t.sort.width()),
             TermKind::BvUdiv(a, c) => {
                 let w = t.sort.width();
-                let x = self.eval(*a, model);
-                let y = self.eval(*c, model);
-                x.checked_div(y).unwrap_or(mask(u64::MAX, w))
+                arg(*a).checked_div(arg(*c)).unwrap_or(mask(u64::MAX, w))
             }
             TermKind::BvSdiv(a, c) => {
                 let w = t.sort.width();
-                let x = to_signed(self.eval(*a, model), w);
-                let y = to_signed(self.eval(*c, model), w);
+                let x = to_signed(arg(*a), w);
+                let y = to_signed(arg(*c), w);
                 if y == 0 {
                     if x >= 0 {
                         mask(u64::MAX, w)
@@ -832,8 +931,8 @@ impl TermPool {
                 }
             }
             TermKind::BvUrem(a, c) => {
-                let x = self.eval(*a, model);
-                let y = self.eval(*c, model);
+                let x = arg(*a);
+                let y = arg(*c);
                 if y == 0 {
                     x
                 } else {
@@ -842,21 +941,21 @@ impl TermPool {
             }
             TermKind::BvSrem(a, c) => {
                 let w = t.sort.width();
-                let x = to_signed(self.eval(*a, model), w);
-                let y = to_signed(self.eval(*c, model), w);
+                let x = to_signed(arg(*a), w);
+                let y = to_signed(arg(*c), w);
                 if y == 0 {
                     mask(x as u64, w)
                 } else {
                     mask(x.wrapping_rem(y) as u64, w)
                 }
             }
-            TermKind::BvAnd(a, c) => self.eval(*a, model) & self.eval(*c, model),
-            TermKind::BvOr(a, c) => self.eval(*a, model) | self.eval(*c, model),
-            TermKind::BvXor(a, c) => self.eval(*a, model) ^ self.eval(*c, model),
+            TermKind::BvAnd(a, c) => arg(*a) & arg(*c),
+            TermKind::BvOr(a, c) => arg(*a) | arg(*c),
+            TermKind::BvXor(a, c) => arg(*a) ^ arg(*c),
             TermKind::BvShl(a, c) => {
                 let w = t.sort.width();
-                let x = self.eval(*a, model);
-                let y = self.eval(*c, model);
+                let x = arg(*a);
+                let y = arg(*c);
                 if y >= u64::from(w) {
                     0
                 } else {
@@ -865,8 +964,8 @@ impl TermPool {
             }
             TermKind::BvLshr(a, c) => {
                 let w = t.sort.width();
-                let x = mask(self.eval(*a, model), w);
-                let y = self.eval(*c, model);
+                let x = mask(arg(*a), w);
+                let y = arg(*c);
                 if y >= u64::from(w) {
                     0
                 } else {
@@ -875,8 +974,8 @@ impl TermPool {
             }
             TermKind::BvAshr(a, c) => {
                 let w = t.sort.width();
-                let x = to_signed(self.eval(*a, model), w);
-                let y = self.eval(*c, model);
+                let x = to_signed(arg(*a), w);
+                let y = arg(*c);
                 let shift = if y >= u64::from(w) {
                     u64::from(w) - 1
                 } else {
@@ -886,31 +985,29 @@ impl TermPool {
             }
             TermKind::BvUlt(a, c) => {
                 let w = self.width(*a);
-                u64::from(mask(self.eval(*a, model), w) < mask(self.eval(*c, model), w))
+                u64::from(mask(arg(*a), w) < mask(arg(*c), w))
             }
             TermKind::BvUle(a, c) => {
                 let w = self.width(*a);
-                u64::from(mask(self.eval(*a, model), w) <= mask(self.eval(*c, model), w))
+                u64::from(mask(arg(*a), w) <= mask(arg(*c), w))
             }
             TermKind::BvSlt(a, c) => {
                 let w = self.width(*a);
-                u64::from(to_signed(self.eval(*a, model), w) < to_signed(self.eval(*c, model), w))
+                u64::from(to_signed(arg(*a), w) < to_signed(arg(*c), w))
             }
             TermKind::BvSle(a, c) => {
                 let w = self.width(*a);
-                u64::from(to_signed(self.eval(*a, model), w) <= to_signed(self.eval(*c, model), w))
+                u64::from(to_signed(arg(*a), w) <= to_signed(arg(*c), w))
             }
-            TermKind::ZExt { value, .. } => self.eval(*value, model),
+            TermKind::ZExt { value, .. } => arg(*value),
             TermKind::SExt { value, width } => {
                 let cur = self.width(*value);
-                mask(to_signed(self.eval(*value, model), cur) as u64, *width)
+                mask(to_signed(arg(*value), cur) as u64, *width)
             }
-            TermKind::Extract { value, hi, lo } => {
-                mask(self.eval(*value, model) >> lo, hi - lo + 1)
-            }
+            TermKind::Extract { value, hi, lo } => mask(arg(*value) >> lo, hi - lo + 1),
             TermKind::Concat(a, c) => {
                 let wb = self.width(*c);
-                (self.eval(*a, model) << wb) | self.eval(*c, model)
+                (arg(*a) << wb) | arg(*c)
             }
         }
     }
@@ -1090,6 +1187,31 @@ mod tests {
         assert_eq!(p.eval(sum, &model), 4);
         assert_eq!(p.eval(prod, &model), mask(0xFFFFu64.wrapping_mul(5), 16));
         assert_eq!(p.eval(lt, &model), 1); // -1 < 5 signed
+    }
+
+    #[test]
+    fn eval_values_each_variable_once_on_a_shared_dag() {
+        // t(i+1) = t(i) ^ (t(i) + c(i)) uses t(i) twice, so a tree walk
+        // visits the bottom of a 20-level chain about 2^20 times.
+        let mut p = TermPool::new();
+        let mut t = p.bv_var("x", 32);
+        let mut expected = 7u32;
+        for i in 0..20u32 {
+            let c = p.bv_var(&format!("c{i}"), 32);
+            let sum = p.bv_add(t, c);
+            t = p.bv_xor(t, sum);
+            expected ^= expected.wrapping_add(i * 977);
+        }
+        let lookups = std::cell::Cell::new(0);
+        let value = p.eval(t, &|name, _| {
+            lookups.set(lookups.get() + 1);
+            match name.strip_prefix('c') {
+                Some(i) => i.parse::<u64>().unwrap() * 977,
+                None => 7,
+            }
+        });
+        assert_eq!(value, u64::from(expected));
+        assert_eq!(lookups.get(), 21, "one lookup per variable");
     }
 
     #[test]

@@ -72,22 +72,20 @@ fn cache_does_not_change_reports() {
     assert_eq!(sorted(cached), sorted(uncached));
 }
 
-/// The solver-configuration contract from the cache-miss critical path
-/// work: with every query decided (no budget), the SAT core's layers around
-/// its search loop and the incremental-instance granularity may change how
-/// much work the SAT core does, but never which verdicts come back — so the
-/// report stream must be byte-identical with preprocessing on or off, with
-/// per-function or per-fragment instances, at every parallelism width,
-/// all compared against the uncached sequential reference. Two archive
-/// seeds, so the matrix covers two different populations.
+/// The solver-configuration contract: with every query decided (no
+/// budget), incremental instances and one-shot solving may change how much
+/// work the SAT core does, but never which verdicts come back — so the
+/// report stream must be byte-identical either way, at every parallelism
+/// width, all compared against the uncached sequential reference. Two
+/// archive seeds, so the matrix covers two different populations.
 #[test]
-fn preprocessing_and_granularity_do_not_change_reports() {
+fn incremental_solving_does_not_change_reports() {
     for seed in [0x50AC, 0xC0DE] {
-        preprocessing_and_granularity_agree_on(seed);
+        incremental_and_one_shot_agree_on(seed);
     }
 }
 
-fn preprocessing_and_granularity_agree_on(seed: u64) {
+fn incremental_and_one_shot_agree_on(seed: u64) {
     let archive_cfg = ArchiveConfig {
         packages: 6,
         seed,
@@ -101,12 +99,11 @@ fn preprocessing_and_granularity_agree_on(seed: u64) {
             source: ScanSource::Inline(f.source.clone()),
         })
         .collect();
-    let run = |preprocess: bool, fragment_instances: bool, jobs: usize| {
+    let run = |incremental: bool, jobs: usize| {
         let session = AnalysisSession::new(CheckerConfig {
             threads: Some(1),
             query_cache: false,
-            preprocess,
-            fragment_instances,
+            incremental,
             ..CheckerConfig::default()
         });
         let mut reports = Vec::new();
@@ -118,23 +115,16 @@ fn preprocessing_and_granularity_agree_on(seed: u64) {
         reports
     };
 
-    let reference = run(true, false, 1);
+    let reference = run(true, 1);
     assert!(
         !reference.is_empty(),
         "the archive (seed {seed:#x}) must produce reports"
     );
-    for (preprocess, fragment_instances, jobs) in [
-        (false, false, 1),
-        (true, true, 1),
-        (true, false, 4),
-        (false, false, 4),
-        (true, true, 4),
-    ] {
+    for (incremental, jobs) in [(false, 1), (true, 4), (false, 4)] {
         assert_eq!(
             reference,
-            run(preprocess, fragment_instances, jobs),
-            "seed={seed:#x} preprocess={preprocess} fragment_instances={fragment_instances} \
-             jobs={jobs}"
+            run(incremental, jobs),
+            "seed={seed:#x} incremental={incremental} jobs={jobs}"
         );
     }
 }

@@ -25,19 +25,19 @@ proptest! {
         prop_assert!(!result.reports.is_empty(), "{ub}: {src}");
     }
 
-    /// Reports are identical across worker-thread counts and with the SAT
-    /// core's preprocessing layer on or off: every query here is decided
-    /// (no budget), so the two solver configurations must produce the same
-    /// verdicts and therefore byte-identical reports.
+    /// Reports are identical across worker-thread counts and with
+    /// incremental instances or one-shot solving: every query here is
+    /// decided (no budget), so the two solver configurations must produce
+    /// the same verdicts and therefore byte-identical reports.
     #[test]
-    fn reports_stable_across_threads_and_preprocessing(ub_idx in 0usize..10, n in 1usize..30) {
+    fn reports_stable_across_threads_and_incremental_solving(ub_idx in 0usize..10, n in 1usize..30) {
         let ub = UB_COLUMNS[ub_idx];
         let src = bug_template(ub, "stable", n);
-        let render = |threads: usize, preprocess: bool| {
+        let render = |threads: usize, incremental: bool| {
             let checker = Checker::with_config(CheckerConfig {
                 threads: Some(threads),
                 query_cache: false,
-                preprocess,
+                incremental,
                 ..CheckerConfig::default()
             });
             let result = checker.check_source(&src, "prop.c").expect("template compiles");
