@@ -29,8 +29,8 @@ fn checker_on_paper_examples(c: &mut Criterion) {
     group.finish();
 }
 
-/// The fig16 synthetic workload: sequential-uncached seed path vs the
-/// parallel driver with the memoized query cache.
+/// The fig16 synthetic workload: the uncached seed path vs the memoized
+/// query store.
 fn checker_on_synthetic_population(c: &mut Criterion) {
     let synth = SynthConfig {
         packages: 4,
@@ -47,15 +47,11 @@ fn checker_on_synthetic_population(c: &mut Criterion) {
         }
     }
     let mut group = c.benchmark_group("checker_population");
-    for (name, threads, query_cache) in [
-        ("seed_sequential_uncached", 1usize, false),
-        ("parallel_cached", 4usize, true),
-    ] {
+    for (name, query_cache) in [("seed_uncached", false), ("cached", true)] {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let checker = Checker::with_config(CheckerConfig {
                     query_budget: 500_000,
-                    threads: Some(threads),
                     query_cache,
                     ..CheckerConfig::default()
                 });

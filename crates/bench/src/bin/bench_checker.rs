@@ -1,14 +1,12 @@
-//! Checker-scaling benchmark: measures end-to-end analysis throughput over
-//! the fig16 synthetic population under the sequential uncached seed path,
-//! the parallel driver + memoized query cache at 1/2/4 threads (the PR 2
-//! configuration), and the same thread counts with incremental per-function
-//! solver instances on top of the cache — plus a cold-vs-warm archive scan
-//! through a disk-backed query store (the `scan` section, whose
-//! `speedup_warm_vs_cold` field records what cross-run persistence buys) —
-//! then writes the machine-readable results to `BENCH_checker.json` (CI
-//! uploads it as an artifact, giving the repo a perf trajectory; the
-//! `speedup_incremental_vs_cached` field records how much the incremental
-//! mode gains over cached-parallel alone).
+//! Checker-scaling benchmark: measures end-to-end scan throughput over the
+//! fig16 synthetic population through the file-parallel scan pipeline —
+//! the seed configuration (jobs 1, query store off), then the query store
+//! at jobs 1/2/4 — plus a cold-vs-warm archive scan through a disk-backed
+//! query store (the `scan` section, whose `speedup_warm_vs_cold` field
+//! records what cross-run persistence buys), incremental and per-function
+//! re-scans, a sharded scan, fault tolerance and raw solver speed, then
+//! writes the machine-readable results to `BENCH_checker.json` (CI uploads
+//! it as an artifact, giving the repo a perf trajectory).
 //!
 //! Usage: `bench_checker [--out <path>]`; honors `STACK_BENCH_FAST=1`.
 

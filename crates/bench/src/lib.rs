@@ -349,18 +349,17 @@ impl PrevalenceResult {
 }
 
 /// Configuration of the checker-scaling benchmark (the `BENCH_checker.json`
-/// emitter): how large a synthetic population to analyze, which thread
-/// counts to measure, and the per-query budget.
+/// emitter): how large a synthetic population to analyze, which file-level
+/// `jobs` widths to measure, and the per-query budget.
 #[derive(Clone, Debug)]
 pub struct ScalingConfig {
     /// Packages in the synthetic population (the fig16 workload shape).
     pub packages: usize,
     /// Population seed.
     pub seed: u64,
-    /// Thread counts to measure. Each count is measured twice: once with the
-    /// query cache alone (the PR 2 configuration) and once with the cache
-    /// plus incremental per-function solver instances.
-    pub threads: Vec<usize>,
+    /// Scan-pipeline widths to measure, one query-store row each; the
+    /// widest also drives the other sections' scans.
+    pub jobs: Vec<usize>,
     /// Per-query solver budget in propagations.
     pub query_budget: u64,
 }
@@ -370,7 +369,7 @@ impl Default for ScalingConfig {
         ScalingConfig {
             packages: 24,
             seed: 47,
-            threads: vec![1, 2, 4],
+            jobs: vec![1, 2, 4],
             query_budget: 500_000,
         }
     }
@@ -397,19 +396,33 @@ impl ScalingConfig {
     }
 }
 
+/// The widest scan-pipeline width `cfg` measures (1 when it lists none).
+fn widest_jobs(cfg: &ScalingConfig) -> usize {
+    cfg.jobs.iter().copied().max().unwrap_or(1)
+}
+
+/// One scan task per generated source, in generation order.
+fn inline_tasks<'a>(files: impl IntoIterator<Item = (&'a str, &'a str)>) -> Vec<ScanTask> {
+    files
+        .into_iter()
+        .map(|(name, source)| ScanTask {
+            name: name.to_string(),
+            source: ScanSource::Inline(source.to_string()),
+        })
+        .collect()
+}
+
 /// One measured checker configuration (a row of `BENCH_checker.json`).
 #[derive(Clone, Debug, Serialize)]
 pub struct ScalingRow {
     /// Human-readable configuration label.
     pub label: String,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Whether the memoized query cache was enabled.
+    /// File-level scan-pipeline workers.
+    pub jobs: usize,
+    /// Whether the memoized query store was enabled.
     pub query_cache: bool,
-    /// Whether incremental solving (persistent per-function instances with
-    /// UB conditions as assumption literals) was enabled.
-    pub incremental: bool,
-    /// End-to-end analysis wall clock over the whole population.
+    /// End-to-end scan wall clock over the whole population (compile,
+    /// optimize and check).
     pub wall_ms: u64,
     /// Functions analyzed per second of wall clock.
     pub functions_per_sec: f64,
@@ -519,10 +532,8 @@ pub fn scan_persistence(cfg: &ScalingConfig) -> ScanPersistence {
         modules.push(module);
     }
     let functions: usize = modules.iter().map(|m| m.len()).sum();
-    let threads = cfg.threads.iter().copied().max().unwrap_or(1);
     let config = CheckerConfig {
         query_budget: cfg.query_budget,
-        threads: Some(threads),
         ..CheckerConfig::default()
     };
 
@@ -657,13 +668,7 @@ fn rescan_run(
     scan_store_path: Option<&std::path::Path>,
     save_stores: bool,
 ) -> (RescanRow, Vec<String>) {
-    let tasks: Vec<ScanTask> = files
-        .iter()
-        .map(|f| ScanTask {
-            name: f.name.clone(),
-            source: ScanSource::Inline(f.source.clone()),
-        })
-        .collect();
+    let tasks = inline_tasks(files.iter().map(|f| (f.name.as_str(), f.source.as_str())));
     let query_store = query_store_path
         .map(|path| Arc::new(DiskQueryStore::open(path).expect("open rescan query store")));
     let session = match &query_store {
@@ -728,12 +733,9 @@ pub fn incremental_rescan(cfg: &ScalingConfig) -> IncrementalRescan {
         ..ArchiveConfig::default()
     };
     let base = generate_archive(&archive_cfg);
-    let jobs = cfg.threads.iter().copied().max().unwrap_or(1);
-    // One module thread per file-level worker: on archive workloads the
-    // file level is the scalable one (matches the CLI's `--jobs` default).
+    let jobs = widest_jobs(cfg);
     let config = CheckerConfig {
         query_budget: cfg.query_budget,
-        threads: Some(1),
         ..CheckerConfig::default()
     };
 
@@ -744,13 +746,7 @@ pub fn incremental_rescan(cfg: &ScalingConfig) -> IncrementalRescan {
         let scan_store =
             Arc::new(ScanStore::open(&scan_store_path).expect("open priming scan store"));
         let session = AnalysisSession::with_store(config, query_store.clone() as _);
-        let tasks: Vec<ScanTask> = base
-            .iter()
-            .map(|f| ScanTask {
-                name: f.name.clone(),
-                source: ScanSource::Inline(f.source.clone()),
-            })
-            .collect();
+        let tasks = inline_tasks(base.iter().map(|f| (f.name.as_str(), f.source.as_str())));
         ScanPipeline::new(&session, jobs)
             .with_scan_store(scan_store.clone())
             .run(&tasks, &mut |_| {});
@@ -880,10 +876,9 @@ pub fn sharded_scan(cfg: &ScalingConfig) -> ShardedScan {
         ..ArchiveConfig::default()
     };
     let archive = generate_archive(&archive_cfg);
-    let jobs = cfg.threads.iter().copied().max().unwrap_or(1);
+    let jobs = widest_jobs(cfg);
     let config = CheckerConfig {
         query_budget: cfg.query_budget,
-        threads: Some(1),
         ..CheckerConfig::default()
     };
 
@@ -1051,13 +1046,7 @@ fn function_rescan_run(
     jobs: usize,
     scan_store_path: Option<&std::path::Path>,
 ) -> (FunctionRescanRow, Vec<String>) {
-    let tasks: Vec<ScanTask> = files
-        .iter()
-        .map(|f| ScanTask {
-            name: f.name.clone(),
-            source: ScanSource::Inline(f.source.clone()),
-        })
-        .collect();
+    let tasks = inline_tasks(files.iter().map(|f| (f.name.as_str(), f.source.as_str())));
     let session = AnalysisSession::new(config);
     let mut pipeline = ScanPipeline::new(&session, jobs);
     let scan_store = scan_store_path
@@ -1115,10 +1104,9 @@ pub fn function_rescan(cfg: &ScalingConfig) -> FunctionRescan {
         ..ArchiveConfig::default()
     };
     let base = generate_archive(&archive_cfg);
-    let jobs = cfg.threads.iter().copied().max().unwrap_or(1);
+    let jobs = widest_jobs(cfg);
     let config = CheckerConfig {
         query_budget: cfg.query_budget,
-        threads: Some(1),
         ..CheckerConfig::default()
     };
 
@@ -1127,13 +1115,7 @@ pub fn function_rescan(cfg: &ScalingConfig) -> FunctionRescan {
         let scan_store =
             Arc::new(ScanStore::open(&scan_store_path).expect("open priming scan store"));
         let session = AnalysisSession::new(config);
-        let tasks: Vec<ScanTask> = base
-            .iter()
-            .map(|f| ScanTask {
-                name: f.name.clone(),
-                source: ScanSource::Inline(f.source.clone()),
-            })
-            .collect();
+        let tasks = inline_tasks(base.iter().map(|f| (f.name.as_str(), f.source.as_str())));
         ScanPipeline::new(&session, jobs)
             .with_scan_store(scan_store.clone())
             .run(&tasks, &mut |_| {});
@@ -1216,7 +1198,7 @@ pub fn function_rescan(cfg: &ScalingConfig) -> FunctionRescan {
 }
 
 /// The fault-tolerance measurement: the robustness counterpart of the
-/// throughput sections. One workload is analyzed under a deliberately tiny
+/// throughput sections. One workload is scanned under a deliberately tiny
 /// query budget to measure graceful degradation, and one saved disk store
 /// is deliberately truncated mid-line to measure the salvage path. CI
 /// fails the bench job if `degraded_queries` or `salvaged_entries` go
@@ -1232,9 +1214,11 @@ pub struct FaultTolerance {
     /// Modules with at least one degraded query; their verdicts are never
     /// persisted to either store.
     pub degraded_modules: usize,
-    /// Whether the single-threaded and widest-threaded degraded runs
-    /// produced byte-identical report streams (they must: budget
-    /// exhaustion is deterministic, unlike a wall-clock timeout).
+    /// Whether the degraded scans at jobs 1 and at the widest width
+    /// produced byte-identical report streams and equal solver counters
+    /// (they must: budget exhaustion is deterministic, unlike a wall-clock
+    /// timeout, and the scan pipeline gives every module the store a
+    /// sequential scan would).
     pub degraded_deterministic: bool,
     /// Entries the salvage pass recovered when re-opening the truncated
     /// store.
@@ -1248,8 +1232,8 @@ pub struct FaultTolerance {
     pub store_healed: bool,
 }
 
-/// Run the fault-tolerance measurement: a budget-degraded analysis pass at
-/// two thread widths, then a truncate-and-salvage round trip through the
+/// Run the fault-tolerance measurement: a budget-degraded scan at two
+/// `jobs` widths, then a truncate-and-salvage round trip through the
 /// disk-backed query store.
 pub fn fault_tolerance(cfg: &ScalingConfig) -> FaultTolerance {
     // --- graceful degradation under a tiny budget -------------------------
@@ -1258,40 +1242,46 @@ pub fn fault_tolerance(cfg: &ScalingConfig) -> FaultTolerance {
         seed: cfg.seed,
         ..SynthConfig::default()
     };
-    let mut modules = Vec::new();
-    for pkg in &generate(&synth) {
-        for file in &pkg.files {
-            let mut module =
-                stack_minic::compile(&file.source, &file.name).expect("synthetic files compile");
-            stack_opt::optimize_for_analysis(&mut module);
-            modules.push(module);
-        }
-    }
+    let population = generate(&synth);
+    let tasks = inline_tasks(
+        population
+            .iter()
+            .flat_map(|pkg| &pkg.files)
+            .map(|f| (f.name.as_str(), f.source.as_str())),
+    );
     // Small enough that real queries exhaust it; budget exhaustion (unlike
     // the paper's 5-second wall-clock timeout) is deterministic, so the
-    // two widths below must stream identical reports.
+    // two widths below must stream identical reports and count identical
+    // solver work.
     let tiny_budget = 50u64;
-    let widest = cfg.threads.iter().copied().max().unwrap_or(1);
-    let degraded_run = |threads: usize| {
-        let checker = Checker::with_config(CheckerConfig {
+    let widest = widest_jobs(cfg);
+    let degraded_run = |jobs: usize| {
+        let session = AnalysisSession::new(CheckerConfig {
             query_budget: tiny_budget,
-            threads: Some(threads),
-            incremental: false,
             ..CheckerConfig::default()
         });
-        let mut degraded_queries = 0u64;
-        let mut degraded_modules = 0usize;
         let mut reports = Vec::new();
-        for module in &modules {
-            let result = checker.check_module(module);
-            degraded_queries += result.stats.timeouts;
-            degraded_modules += result.stats.degraded_modules;
-            reports.extend(result.reports.iter().map(|r| format!("{r:?}")));
-        }
-        (degraded_queries, degraded_modules, reports)
+        ScanPipeline::new(&session, jobs).run(&tasks, &mut |event| {
+            if let ScanEvent::Report(r) = event {
+                reports.push(format!("{r:?}"));
+            }
+        });
+        let s = session.stats();
+        let counters = [
+            s.queries,
+            s.timeouts,
+            s.cache_hits,
+            s.cache_misses,
+            s.propagations,
+            s.conflicts,
+            s.sat_queries,
+            s.unsat_queries,
+            s.simulated,
+        ];
+        (s.timeouts, s.degraded_modules, reports, counters)
     };
-    let (degraded_queries, degraded_modules, narrow_reports) = degraded_run(1);
-    let (_, _, wide_reports) = degraded_run(widest);
+    let (degraded_queries, degraded_modules, narrow_reports, narrow_counters) = degraded_run(1);
+    let (_, _, wide_reports, wide_counters) = degraded_run(widest);
 
     // --- truncate-and-salvage round trip ---------------------------------
     static INVOCATION: AtomicU64 = AtomicU64::new(0);
@@ -1306,14 +1296,11 @@ pub fn fault_tolerance(cfg: &ScalingConfig) -> FaultTolerance {
         let session = AnalysisSession::with_store(
             CheckerConfig {
                 query_budget: cfg.query_budget,
-                threads: Some(widest),
                 ..CheckerConfig::default()
             },
             store.clone() as _,
         );
-        for module in &modules {
-            session.check_module_streaming(module, &mut |_| {});
-        }
+        ScanPipeline::new(&session, widest).run(&tasks, &mut |_| {});
         store.save().expect("save fault-bench store");
     }
     // Cut inside the final line: the store ends with a newline and every
@@ -1341,7 +1328,7 @@ pub fn fault_tolerance(cfg: &ScalingConfig) -> FaultTolerance {
         query_budget: tiny_budget,
         degraded_queries,
         degraded_modules,
-        degraded_deterministic: narrow_reports == wide_reports,
+        degraded_deterministic: narrow_reports == wide_reports && narrow_counters == wide_counters,
         salvaged_entries,
         dropped_lines: salvage.dropped_lines,
         first_bad_offset: salvage.first_bad_offset,
@@ -1349,21 +1336,26 @@ pub fn fault_tolerance(cfg: &ScalingConfig) -> FaultTolerance {
     }
 }
 
-/// One raw-solver-speed measurement: the high-churn archive scanned with
-/// the query cache fully disabled (no memo store, no disk stores), so every
-/// query pays the solver and the row isolates per-query solver cost.
+/// The raw-solver-speed measurement: the high-churn archive scanned with
+/// the query store disabled (no memo store, no disk stores), so every
+/// query pays the solver and the section isolates per-query solver cost.
 #[derive(Clone, Debug, Serialize)]
-pub struct SolverSpeedRow {
-    /// Human-readable configuration label.
-    pub label: String,
-    /// Whether store misses were solved on persistent per-function
-    /// instances (`true`, the default) or one-shot (`--no-incremental`).
-    pub incremental: bool,
+pub struct SolverSpeed {
+    /// Description of the synthetic archive scanned.
+    pub archive: String,
+    /// Files in the churned archive.
+    pub files: usize,
+    /// Pipeline worker width used.
+    pub jobs: usize,
+    /// Churn rate applied to the base archive before scanning.
+    pub churn_pct: u32,
+    /// Per-query propagation budget.
+    pub query_budget: u64,
     /// Wall-clock time for the scan, in milliseconds.
     pub wall_ms: u64,
     /// Wall-clock time for the scan, in microseconds.
     pub wall_us: u64,
-    /// Solver queries issued (all misses — the cache is disabled).
+    /// Solver queries issued (all misses — the store is disabled).
     pub queries: u64,
     /// Queries that exhausted their budget and degraded to Unknown.
     pub timeouts: u64,
@@ -1390,45 +1382,14 @@ pub struct SolverSpeedRow {
     pub cores_recorded: u64,
     /// `minimal_ub_set` queries skipped by core-seeded minimization.
     pub minimization_queries_saved: u64,
-    /// Reports emitted (must match across every row).
+    /// Reports emitted.
     pub reports: usize,
 }
 
-/// Results of the solver-speed benchmark: a cache-disabled, high-churn scan
-/// where every query reaches the solver, comparing the default incremental
-/// instances against one-shot solving (`--no-incremental`).
-#[derive(Clone, Debug, Serialize)]
-pub struct SolverSpeed {
-    /// Description of the synthetic archive the rows scanned.
-    pub archive: String,
-    /// Files in the churned archive.
-    pub files: usize,
-    /// Pipeline worker width used for every row.
-    pub jobs: usize,
-    /// Churn rate applied to the base archive before scanning.
-    pub churn_pct: u32,
-    /// Per-query propagation budget shared by every row.
-    pub query_budget: u64,
-    /// One row per solver configuration.
-    pub rows: Vec<SolverSpeedRow>,
-    /// Baseline (one-shot) propagations divided by default (incremental)
-    /// propagations: how much less SAT-core work incremental instances do
-    /// on the same queries.
-    pub speedup_solver_vs_baseline: f64,
-    /// Baseline wall time divided by default-configuration wall time.
-    pub speedup_wall_vs_baseline: f64,
-    /// `minimal_ub_set` queries the core-seeded search skipped on the
-    /// default row.
-    pub minimization_queries_saved: u64,
-    /// Every configuration produced byte-identical report streams.
-    pub reports_identical: bool,
-}
-
-/// Run the solver-speed measurement. The cache is disabled (no memo store,
+/// Run the solver-speed measurement. The store is disabled (no memo store,
 /// no disk stores) so the scan is the pure worst case — a high-churn tree
-/// where nothing can be reused — and the rows compare raw solver cost:
-/// one-shot solving (`--no-incremental`) as the baseline, then the default
-/// persistent per-function instances.
+/// where nothing can be reused — and every store miss is solved on the
+/// function's incremental instance.
 pub fn solver_speed(cfg: &ScalingConfig) -> SolverSpeed {
     let archive_cfg = ArchiveConfig {
         packages: cfg.packages,
@@ -1437,89 +1398,62 @@ pub fn solver_speed(cfg: &ScalingConfig) -> SolverSpeed {
     let base = generate_archive(&archive_cfg);
     const CHURN_PCT: u32 = 20;
     let churned = churn_archive(&base, archive_cfg.seed, f64::from(CHURN_PCT) / 100.0);
-    let jobs = cfg.threads.iter().copied().max().unwrap_or(1);
-    let tasks: Vec<ScanTask> = churned
-        .files
-        .iter()
-        .map(|f| ScanTask {
-            name: f.name.clone(),
-            source: ScanSource::Inline(f.source.clone()),
-        })
-        .collect();
-
-    let mut rows = Vec::new();
-    let mut report_streams: Vec<Vec<String>> = Vec::new();
-    let mut run = |label: &str, incremental: bool| {
-        let config = CheckerConfig {
-            query_budget: cfg.query_budget,
-            threads: Some(1),
-            query_cache: false,
-            incremental,
-            ..CheckerConfig::default()
-        };
-        let session = AnalysisSession::new(config);
-        let pipeline = ScanPipeline::new(&session, jobs);
-        let mut reports = Vec::new();
-        let start = Instant::now();
-        pipeline.run(&tasks, &mut |event| {
-            if let ScanEvent::Report(report) = event {
-                reports.push(format!("{report:?}"));
-            }
-        });
-        let elapsed = start.elapsed();
-        let stats = session.stats();
-        rows.push(SolverSpeedRow {
-            label: label.to_string(),
-            incremental,
-            wall_ms: u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX),
-            wall_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-            queries: stats.queries,
-            timeouts: stats.timeouts,
-            simulated: stats.simulated,
-            propagations: stats.propagations,
-            unsat_propagations: stats.unsat_propagations,
-            conflicts: stats.conflicts,
-            restarts: stats.restarts,
-            learned_clauses: stats.learned_clauses,
-            deleted_clauses: stats.deleted_clauses,
-            avg_lbd: stats.avg_lbd(),
-            unsat_queries: stats.unsat_queries,
-            cores_recorded: stats.cores_recorded,
-            minimization_queries_saved: stats.minimization_queries_saved,
-            reports: reports.len(),
-        });
-        report_streams.push(reports);
-    };
-    run("baseline: one-shot solving", false);
-    run("default: incremental per-function instances", true);
-
-    let ratio = |num: u64, den: u64| num as f64 / den.max(1) as f64;
-    let baseline = &rows[0];
-    let default = &rows[1];
+    let jobs = widest_jobs(cfg);
+    let tasks = inline_tasks(
+        churned
+            .files
+            .iter()
+            .map(|f| (f.name.as_str(), f.source.as_str())),
+    );
+    let session = AnalysisSession::new(CheckerConfig {
+        query_budget: cfg.query_budget,
+        query_cache: false,
+        ..CheckerConfig::default()
+    });
+    let mut reports = 0usize;
+    let start = Instant::now();
+    ScanPipeline::new(&session, jobs).run(&tasks, &mut |event| {
+        if let ScanEvent::Report(_) = event {
+            reports += 1;
+        }
+    });
+    let elapsed = start.elapsed();
+    let stats = session.stats();
     SolverSpeed {
         archive: format!("{} packages, seed {}", cfg.packages, archive_cfg.seed),
         files: churned.files.len(),
         jobs,
         churn_pct: CHURN_PCT,
         query_budget: cfg.query_budget,
-        speedup_solver_vs_baseline: ratio(baseline.propagations, default.propagations),
-        speedup_wall_vs_baseline: ratio(baseline.wall_us, default.wall_us),
-        minimization_queries_saved: default.minimization_queries_saved,
-        reports_identical: report_streams.windows(2).all(|w| w[0] == w[1]),
-        rows,
+        wall_ms: u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX),
+        wall_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
+        queries: stats.queries,
+        timeouts: stats.timeouts,
+        simulated: stats.simulated,
+        propagations: stats.propagations,
+        unsat_propagations: stats.unsat_propagations,
+        conflicts: stats.conflicts,
+        restarts: stats.restarts,
+        learned_clauses: stats.learned_clauses,
+        deleted_clauses: stats.deleted_clauses,
+        avg_lbd: stats.avg_lbd(),
+        unsat_queries: stats.unsat_queries,
+        cores_recorded: stats.cores_recorded,
+        minimization_queries_saved: stats.minimization_queries_saved,
+        reports,
     }
 }
 
-/// Results of the checker-scaling benchmark: the uncached sequential seed
-/// path as the baseline, then cached runs (the PR 2 configuration) and
-/// cached+incremental runs at each requested thread count.
+/// Results of the checker-scaling benchmark: the store-off seed scan at
+/// jobs 1 as the baseline, then a query-store scan at each requested
+/// `jobs` width.
 #[derive(Clone, Debug, Serialize)]
 pub struct CheckerScaling {
     /// Workload description.
     pub population: String,
     /// Packages generated.
     pub packages: usize,
-    /// Files compiled.
+    /// Files scanned.
     pub files: usize,
     /// Functions analyzed per configuration run.
     pub functions: usize,
@@ -1529,14 +1463,6 @@ pub struct CheckerScaling {
     pub speedup_vs_seed: f64,
     /// Label of the fastest non-seed configuration.
     pub best_label: String,
-    /// Best cached-only wall clock / best incremental wall clock: how much
-    /// the incremental mode gains over the PR 2 cached-parallel
-    /// configuration on the same workload (>1 means incremental wins).
-    pub speedup_incremental_vs_cached: f64,
-    /// Label of the fastest cached-only (non-incremental) configuration.
-    pub best_cached_label: String,
-    /// Label of the fastest incremental configuration.
-    pub best_incremental_label: String,
     /// The cold-vs-warm disk-store archive scan (`speedup_warm_vs_cold`
     /// lives here; CI fails the bench job if it goes missing).
     pub scan: ScanPersistence,
@@ -1556,18 +1482,16 @@ pub struct CheckerScaling {
     /// `salvaged_entries` live here; CI fails the bench job if either goes
     /// missing).
     pub fault_tolerance: FaultTolerance,
-    /// The raw-solver-speed measurement on a cache-disabled high-churn scan
-    /// (`speedup_solver_vs_baseline` lives here; CI fails the bench job if
-    /// it goes missing).
+    /// The raw-solver-speed measurement on a store-disabled high-churn
+    /// scan (CI fails the bench job if the section goes missing).
     pub solver_speed: SolverSpeed,
 }
 
-/// Run the checker-scaling benchmark: analyze one synthetic population under
-/// (a) the sequential uncached seed configuration, (b) the cached parallel
-/// driver at each thread count in `cfg.threads` (the PR 2 configuration),
-/// and (c) the cached parallel driver with incremental per-function solver
-/// instances at the same thread counts, measuring wall clock, throughput,
-/// cache behavior, and clause reuse for each.
+/// Run the checker-scaling benchmark: scan one synthetic population
+/// through the [`ScanPipeline`] under (a) the seed configuration, jobs 1
+/// with the query store off, and (b) the query store on at each width in
+/// `cfg.jobs`, measuring wall clock, throughput, store behavior, and clause
+/// reuse for each.
 pub fn checker_scaling(cfg: &ScalingConfig) -> CheckerScaling {
     let synth = SynthConfig {
         packages: cfg.packages,
@@ -1575,119 +1499,73 @@ pub fn checker_scaling(cfg: &ScalingConfig) -> CheckerScaling {
         ..SynthConfig::default()
     };
     let population = generate(&synth);
-    let mut modules = Vec::new();
-    let mut files = 0usize;
-    for pkg in &population {
-        for file in &pkg.files {
-            files += 1;
-            let mut module =
-                stack_minic::compile(&file.source, &file.name).expect("synthetic files compile");
-            stack_opt::optimize_for_analysis(&mut module);
-            modules.push(module);
-        }
-    }
-    let functions: usize = modules.iter().map(|m| m.len()).sum();
+    let tasks = inline_tasks(
+        population
+            .iter()
+            .flat_map(|pkg| &pkg.files)
+            .map(|f| (f.name.as_str(), f.source.as_str())),
+    );
 
     let mut rows = Vec::new();
-    let mut measure = |label: String, threads: usize, query_cache: bool, incremental: bool| {
-        // A fresh checker per configuration: each run starts from a cold
-        // cache, so rows are comparable and independent of run order.
-        let checker = Checker::with_config(CheckerConfig {
+    let mut functions = 0usize;
+    let mut measure = |label: String, jobs: usize, query_cache: bool| {
+        // A fresh session per configuration: each run starts from a cold
+        // store, so rows are comparable and independent of run order.
+        let session = AnalysisSession::new(CheckerConfig {
             query_budget: cfg.query_budget,
-            threads: Some(threads),
             query_cache,
-            incremental,
             ..CheckerConfig::default()
         });
-        let start = Instant::now();
-        let mut queries = 0u64;
-        let mut timeouts = 0u64;
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
-        let mut incremental_queries = 0u64;
-        let mut reused_clauses = 0u64;
-        let mut minimization_queries_saved = 0u64;
         let mut reports = 0usize;
-        for module in &modules {
-            let result = checker.check_module(module);
-            queries += result.stats.queries;
-            timeouts += result.stats.timeouts;
-            cache_hits += result.stats.cache_hits;
-            cache_misses += result.stats.cache_misses;
-            incremental_queries += result.stats.incremental_queries;
-            reused_clauses += result.stats.reused_clauses;
-            minimization_queries_saved += result.stats.minimization_queries_saved;
-            reports += result.reports.len();
-        }
+        let start = Instant::now();
+        ScanPipeline::new(&session, jobs).run(&tasks, &mut |event| {
+            if let ScanEvent::Report(_) = event {
+                reports += 1;
+            }
+        });
         let elapsed = start.elapsed();
-        let secs = elapsed.as_secs_f64().max(1e-9);
-        let lookups = cache_hits + cache_misses;
+        let stats = session.stats();
+        functions = stats.functions;
         rows.push(ScalingRow {
             label,
-            threads,
+            jobs,
             query_cache,
-            incremental,
             wall_ms: u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX),
-            functions_per_sec: functions as f64 / secs,
-            queries,
-            timeouts,
-            cache_hits,
-            cache_misses,
-            cache_hit_rate: if lookups == 0 {
-                0.0
-            } else {
-                cache_hits as f64 / lookups as f64
-            },
-            incremental_queries,
-            reused_clauses,
-            minimization_queries_saved,
+            functions_per_sec: stats.functions as f64 / elapsed.as_secs_f64().max(1e-9),
+            queries: stats.queries,
+            timeouts: stats.timeouts,
+            cache_hits: stats.cache_hits,
+            cache_misses: stats.cache_misses,
+            cache_hit_rate: stats.cache_hit_rate(),
+            incremental_queries: stats.incremental_queries,
+            reused_clauses: stats.reused_clauses,
+            minimization_queries_saved: stats.minimization_queries_saved,
             reports,
         });
     };
 
-    measure("seed (sequential, no cache)".to_string(), 1, false, false);
-    for &threads in &cfg.threads {
-        measure(
-            format!("{threads} thread(s) + query cache"),
-            threads,
-            true,
-            false,
-        );
-    }
-    for &threads in &cfg.threads {
-        measure(
-            format!("{threads} thread(s) + cache + incremental"),
-            threads,
-            true,
-            true,
-        );
+    measure("seed (jobs 1, no query store)".to_string(), 1, false);
+    for &jobs in &cfg.jobs {
+        measure(format!("{jobs} job(s) + query store"), jobs, true);
     }
 
-    let baseline_ms = rows[0].wall_ms.max(1) as f64;
-    let fastest = |rows: &[ScalingRow], pred: &dyn Fn(&ScalingRow) -> bool| {
-        rows.iter()
-            .filter(|r| pred(r))
-            .min_by_key(|r| r.wall_ms)
-            .map(|r| (r.wall_ms.max(1) as f64, r.label.clone()))
-            .expect("at least one matching configuration")
-    };
-    let (best_ms, best_label) = fastest(&rows[1..], &|_| true);
-    let (best_cached_ms, best_cached_label) = fastest(&rows, &|r| r.query_cache && !r.incremental);
-    let (best_incremental_ms, best_incremental_label) = fastest(&rows, &|r| r.incremental);
+    let best = rows[1..]
+        .iter()
+        .min_by_key(|r| r.wall_ms)
+        .expect("at least one jobs width");
+    let speedup_vs_seed = rows[0].wall_ms.max(1) as f64 / best.wall_ms.max(1) as f64;
+    let best_label = best.label.clone();
     CheckerScaling {
         population: format!(
             "fig16 synthetic population (packages={}, seed={})",
             cfg.packages, cfg.seed
         ),
         packages: cfg.packages,
-        files,
+        files: tasks.len(),
         functions,
         rows,
-        speedup_vs_seed: baseline_ms / best_ms,
+        speedup_vs_seed,
         best_label,
-        speedup_incremental_vs_cached: best_cached_ms / best_incremental_ms,
-        best_cached_label,
-        best_incremental_label,
         scan: scan_persistence(cfg),
         rescan: incremental_rescan(cfg),
         function_rescan: function_rescan(cfg),
@@ -1729,11 +1607,6 @@ impl CheckerScaling {
             out,
             "  speedup vs seed path: {:.2}x ({})",
             self.speedup_vs_seed, self.best_label
-        );
-        let _ = writeln!(
-            out,
-            "  incremental vs cached-parallel: {:.2}x ({} over {})",
-            self.speedup_incremental_vs_cached, self.best_incremental_label, self.best_cached_label
         );
         let _ = writeln!(
             out,
@@ -1839,7 +1712,7 @@ impl CheckerScaling {
         let _ = writeln!(
             out,
             "  degraded: {} queries fell back to Unknown across {} module(s); \
-             deterministic across thread widths: {}",
+             deterministic across jobs widths: {}",
             self.fault_tolerance.degraded_queries,
             self.fault_tolerance.degraded_modules,
             self.fault_tolerance.degraded_deterministic
@@ -1855,33 +1728,23 @@ impl CheckerScaling {
                 .map_or("-".to_string(), |o| o.to_string()),
             self.fault_tolerance.store_healed
         );
+        let ss = &self.solver_speed;
         let _ = writeln!(
             out,
-            "Solver speed over {} ({} files, {}% churn, cache disabled, {} jobs)",
-            self.solver_speed.archive,
-            self.solver_speed.files,
-            self.solver_speed.churn_pct,
-            self.solver_speed.jobs
-        );
-        for r in &self.solver_speed.rows {
-            let _ = writeln!(
-                out,
-                "  {:<44} {:>8} {:>10} props {:>7} conf {:>6} simulated  lbd {:>4.1}",
-                r.label, r.wall_ms, r.propagations, r.conflicts, r.simulated, r.avg_lbd
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  incremental vs one-shot: {:.2}x fewer propagations ({:.2}x wall); \
-             reports identical: {}",
-            self.solver_speed.speedup_solver_vs_baseline,
-            self.solver_speed.speedup_wall_vs_baseline,
-            self.solver_speed.reports_identical
+            "Solver speed over {} ({} files, {}% churn, query store disabled, {} jobs)",
+            ss.archive, ss.files, ss.churn_pct, ss.jobs
         );
         let _ = writeln!(
             out,
-            "  unsat path: {} minimization queries saved",
-            self.solver_speed.minimization_queries_saved
+            "  {:>8} ms {:>10} props {:>7} conf {:>6} simulated  lbd {:>4.1}; {} cores, \
+             {} minimization queries saved",
+            ss.wall_ms,
+            ss.propagations,
+            ss.conflicts,
+            ss.simulated,
+            ss.avg_lbd,
+            ss.cores_recorded,
+            ss.minimization_queries_saved
         );
         out
     }
@@ -2021,49 +1884,41 @@ mod tests {
         let cfg = ScalingConfig {
             packages: 4,
             seed: 11,
-            threads: vec![1, 2],
+            jobs: vec![1, 2],
             query_budget: 500_000,
         };
         let scaling = checker_scaling(&cfg);
-        assert_eq!(scaling.rows.len(), 5); // seed + two cached + two incremental
+        assert_eq!(scaling.rows.len(), 3); // seed + one query-store row per width
         assert!(scaling.functions > 0);
         // Every configuration must find exactly the same bugs.
         let seed_reports = scaling.rows[0].reports;
-        let seed_queries = scaling.rows[0].queries;
+        let seed_queries = scaling.rows[0].queries + scaling.rows[0].minimization_queries_saved;
         for row in &scaling.rows {
             assert_eq!(row.reports, seed_reports, "{}", row.label);
-            // Core-seeded minimization skips queries the memoized assumption
-            // core proves irrelevant; every skip is accounted for, so the
-            // issued + saved total still matches the seed row exactly.
+            // Core-seeded minimization skips queries the last extracted
+            // assumption core proves irrelevant; every skip is accounted
+            // for, so the issued + saved total is the same on every row.
             assert_eq!(
                 row.queries + row.minimization_queries_saved,
                 seed_queries,
                 "{}",
                 row.label
             );
+            // Every row solves store misses on persistent instances, and
+            // those must reuse loaded clauses across the Figure 8 loop.
+            assert!(row.incremental_queries > 0, "{}", row.label);
+            assert!(row.reused_clauses > 0, "{}", row.label);
         }
-        // The seed row never consults the cache; the cached rows must get a
+        // The seed row never consults the store; the store rows must get a
         // nonzero hit rate out of the repeated synthetic idioms.
         assert_eq!(scaling.rows[0].cache_hits, 0);
         for row in &scaling.rows[1..] {
             assert!(row.cache_hit_rate > 0.0, "{}", row.label);
         }
-        // Only the incremental rows answer queries on persistent instances,
-        // and those must reuse loaded clauses across the Figure 8 loop.
-        for row in &scaling.rows {
-            if row.incremental {
-                assert!(row.incremental_queries > 0, "{}", row.label);
-                assert!(row.reused_clauses > 0, "{}", row.label);
-            } else {
-                assert_eq!(row.incremental_queries, 0, "{}", row.label);
-            }
-        }
         // The JSON payload is valid enough to round-trip its key fields.
         let json = scaling.to_json();
         assert!(json.contains("\"speedup_vs_seed\""));
         assert!(json.contains("\"cache_hit_rate\""));
-        assert!(json.contains("\"speedup_incremental_vs_cached\""));
-        assert!(json.contains("\"incremental\": true"));
         assert!(json.contains("\"speedup_warm_vs_cold\""));
         assert!(json.contains("\"speedup_rescan_vs_cold\""));
         assert!(json.contains("\"modules_skipped_rate\""));
@@ -2075,23 +1930,14 @@ mod tests {
         assert!(json.contains("\"salvaged_entries\""));
         assert!(json.contains("\"store_healed\""));
         assert!(json.contains("\"solver_speed\""));
-        assert!(json.contains("\"speedup_solver_vs_baseline\""));
-        // The solver-speed section must measure real work and stay
-        // verdict-stable across every configuration it compares.
+        // The solver-speed section must measure real work, and the Unsat
+        // path must show it too: extracted cores.
         let ss = &scaling.solver_speed;
-        assert_eq!(ss.rows.len(), 2, "{ss:?}");
-        assert!(ss.rows.iter().all(|r| r.propagations > 0), "{ss:?}");
-        assert!(ss.reports_identical, "{ss:?}");
-        assert!(ss.speedup_solver_vs_baseline > 1.0, "{ss:?}");
-        // The Unsat path must show measurable work: extracted cores on the
-        // default row.
-        let default_row = &ss.rows[1];
-        assert!(default_row.incremental, "{default_row:?}");
-        assert!(default_row.cores_recorded > 0, "{default_row:?}");
+        assert!(ss.propagations > 0, "{ss:?}");
+        assert!(ss.cores_recorded > 0, "{ss:?}");
         // Core-seeded minimization must actually skip queries somewhere in
-        // the run: the scaling rows' incremental configurations exercise the
-        // Figure 8 minimal-UB-set loop on workloads with multi-condition
-        // minimizations.
+        // the run: the scaling rows exercise the Figure 8 minimal-UB-set
+        // loop on workloads with multi-condition minimizations.
         let saved: u64 = scaling
             .rows
             .iter()
@@ -2114,7 +1960,7 @@ mod tests {
         let cfg = ScalingConfig {
             packages: 6,
             seed: 13,
-            threads: vec![2],
+            jobs: vec![2],
             query_budget: 500_000,
         };
         let sharded = sharded_scan(&cfg);
@@ -2148,7 +1994,7 @@ mod tests {
         let cfg = ScalingConfig {
             packages: 6,
             seed: 13,
-            threads: vec![2],
+            jobs: vec![2],
             query_budget: 500_000,
         };
         let section = function_rescan(&cfg);
@@ -2197,7 +2043,7 @@ mod tests {
         let cfg = ScalingConfig {
             packages: 6,
             seed: 13,
-            threads: vec![2],
+            jobs: vec![2],
             query_budget: 500_000,
         };
         let rescan = incremental_rescan(&cfg);
@@ -2241,7 +2087,7 @@ mod tests {
         let cfg = ScalingConfig {
             packages: 6,
             seed: 13,
-            threads: vec![2],
+            jobs: vec![2],
             query_budget: 500_000,
         };
         let scan = scan_persistence(&cfg);

@@ -16,11 +16,8 @@
 //! stack survey                                   # print the Figure 4 compiler matrix rows
 //! ```
 //!
-//! Shared analysis options: `--threads N` pins the parallel per-function
-//! driver to `N` workers (default: available parallelism; `1` is fully
-//! sequential), `--no-cache` disables the memoized query store,
-//! `--no-incremental` falls back to from-scratch solving per query, and
-//! `--include-macros` keeps macro-origin reports. `--cache-file <path>`
+//! Shared analysis options: `--no-cache` disables the memoized query store
+//! and `--include-macros` keeps macro-origin reports. `--cache-file <path>`
 //! backs the query store with a disk file: existing entries warm-start the
 //! run, and the (possibly grown) store is saved back on success — the
 //! cross-run persistence mode that lets repeated archive scans skip almost
@@ -35,9 +32,9 @@
 //! reported as a bug, never cached — and its module is counted as
 //! degraded and never recorded in the scan cache.
 //!
-//! `scan`-only options: `--jobs N` runs `N` file-level workers (the outer
-//! level of the two-level pipeline; per-module `--threads` defaults to 1
-//! when `--jobs` > 1 so the levels don't oversubscribe), `--scan-cache
+//! `check` analyzes its one file sequentially. `scan` parallelizes only
+//! across files: `--jobs N` runs `N` file-level workers (default: available
+//! parallelism), each checking one module's functions in order. `--scan-cache
 //! <path>` persists per-function results keyed by path-independent replay
 //! key so an edited module replays its unchanged functions and only the
 //! edited functions hit the solver (an unchanged module is skipped
@@ -47,11 +44,14 @@
 //! `--shard i/n` (1-based) analyzes only the modules a stable
 //! hash of each input's *content* assigns to shard `i` of `n` — the
 //! fan-out half of a distributed scan whose per-shard stores
-//! `stack store merge` later folds back into one. Output order is
-//! deterministic regardless of `--jobs`. Flag combinations are validated
-//! before any work starts: an unknown flag is rejected by both commands,
-//! scan-only flags are rejected by `check`, and `--compact-store` without
-//! `--cache-file` or `--scan-cache` is an immediate usage error.
+//! `stack store merge` later folds back into one. Output — reports and
+//! every summary counter — equals `--jobs 1` output at any width and any
+//! query budget. Flag combinations are validated before any work starts:
+//! an unknown flag is rejected by both commands, scan-only flags are
+//! rejected by `check`, an input the command would ignore (a second path,
+//! a path beside `--synth`, `--seed` without `--synth`) is rejected, and
+//! `--compact-store` without `--cache-file` or `--scan-cache` is an
+//! immediate usage error.
 //!
 //! Exit codes: `check` exits 0 with no reports, 1 with reports, 2 on any
 //! error. `scan` is a batch driver: it exits 0 when every file was analyzed
@@ -61,8 +61,8 @@
 use serde::Serialize;
 use stack_core::scanstore::ScanCodec;
 use stack_core::{
-    AnalysisSession, CheckStats, Checker, CheckerConfig, ScanEvent, ScanPipeline, ScanSource,
-    ScanStore, ScanTask,
+    AnalysisSession, Checker, CheckerConfig, ScanEvent, ScanPipeline, ScanSource, ScanStore,
+    ScanTask,
 };
 use stack_opt::{lowest_discarding_level, survey_compilers};
 use stack_solver::recordfile::Codec;
@@ -107,37 +107,23 @@ enum Mode {
 const SCAN_ONLY_FLAGS: [&str; 5] = ["--jobs", "--scan-cache", "--shard", "--synth", "--seed"];
 
 /// The flags `check` and `scan` share that take a value.
-const VALUE_FLAGS: [&str; 5] = [
-    "--threads",
-    "--query-budget",
-    "--cache-file",
-    "--out",
-    "--compact-store",
-];
+const VALUE_FLAGS: [&str; 4] = ["--query-budget", "--cache-file", "--out", "--compact-store"];
 
 /// The flags `check` and `scan` share that take no value.
-const SWITCHES: [&str; 5] = [
-    "--json",
-    "--include-macros",
-    "--no-cache",
-    "--no-incremental",
-    "--quiet",
-];
+const SWITCHES: [&str; 4] = ["--json", "--include-macros", "--no-cache", "--quiet"];
 
 /// Options shared by `check` and `scan`.
 #[derive(Debug)]
 struct AnalysisOpts {
     json: bool,
     include_macros: bool,
-    threads: Option<usize>,
     query_cache: bool,
-    incremental: bool,
     /// Per-query propagation budget (`Some(0)` = unlimited).
     query_budget: Option<u64>,
     cache_file: Option<PathBuf>,
     out: Option<PathBuf>,
     quiet: bool,
-    /// `scan` only: file-level workers of the two-level pipeline.
+    /// `scan` only: file-level workers (default: available parallelism).
     jobs: usize,
     /// `scan` only: the persisted report cache behind incremental re-scan.
     scan_cache: Option<PathBuf>,
@@ -165,12 +151,33 @@ impl AnalysisOpts {
                 return Err(format!("unknown flag {arg}"));
             }
         }
+        let inputs = positionals(args, &[&VALUE_FLAGS[..], &SCAN_ONLY_FLAGS].concat());
+        let synth = has_flag(args, "--synth");
+        match (mode, inputs.as_slice()) {
+            (Mode::Check, [_, extra, ..]) => {
+                return Err(format!(
+                    "unexpected argument `{extra}`: `stack check` analyzes one file (use \
+                     `stack scan` for several)"
+                ))
+            }
+            (Mode::Scan, [_, extra, ..]) => {
+                return Err(format!(
+                    "unexpected argument `{extra}`: `stack scan` takes one directory, manifest \
+                     or file"
+                ))
+            }
+            (Mode::Scan, [input]) if synth => {
+                return Err(format!(
+                    "unexpected argument `{input}`: --synth scans a generated archive, not a path"
+                ))
+            }
+            _ => {}
+        }
+        if has_flag(args, "--seed") && !synth {
+            return Err("--seed applies only to a --synth archive".to_string());
+        }
         let jobs = match parse_flag_value::<usize>(args, "--jobs")? {
             Some(0) => return Err("--jobs needs a positive integer".to_string()),
-            other => other,
-        };
-        let threads = match parse_flag_value::<usize>(args, "--threads")? {
-            Some(0) => return Err("--threads needs a positive integer".to_string()),
             other => other,
         };
         let cache_file = flag_value(args, "--cache-file")?.map(PathBuf::from);
@@ -192,40 +199,27 @@ impl AnalysisOpts {
         Ok(AnalysisOpts {
             json: has_flag(args, "--json"),
             include_macros: has_flag(args, "--include-macros"),
-            threads,
             query_cache: !has_flag(args, "--no-cache"),
-            incremental: !has_flag(args, "--no-incremental"),
             query_budget: parse_flag_value::<u64>(args, "--query-budget")?,
             cache_file,
             out: flag_value(args, "--out")?.map(PathBuf::from),
             quiet: has_flag(args, "--quiet"),
-            jobs: jobs.unwrap_or(1),
+            jobs: jobs.unwrap_or_else(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            }),
             scan_cache,
             compact_store,
             shard,
         })
     }
 
-    /// `scan` only: with an explicit file-level width and no explicit
-    /// per-module width, pin modules to one thread — the file level is the
-    /// scalable one on archives, and two self-sizing pools would
-    /// oversubscribe the machine. `check` has no file level, so it never
-    /// applies this.
-    fn pin_module_threads_for_jobs(&mut self) {
-        if self.jobs > 1 && self.threads.is_none() {
-            self.threads = Some(1);
-        }
-    }
-
     fn config(&self) -> CheckerConfig {
+        let defaults = CheckerConfig::default();
         CheckerConfig {
             report_compiler_generated: self.include_macros,
-            threads: self.threads,
             query_cache: self.query_cache,
-            incremental: self.incremental,
-            query_budget: self
-                .query_budget
-                .unwrap_or(CheckerConfig::default().query_budget),
+            query_budget: self.query_budget.unwrap_or(defaults.query_budget),
+            ..defaults
         }
     }
 
@@ -402,9 +396,8 @@ fn save_store(store: &Arc<DiskQueryStore>, quiet: bool) -> Result<(), String> {
 fn cmd_check(args: &[String]) -> ExitCode {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         eprintln!(
-            "usage: stack check <file.mc> [--json] [--include-macros] [--threads N] \
-             [--no-cache] [--no-incremental] [--query-budget N] [--cache-file F] \
-             [--compact-store N] [--out F] [--quiet]"
+            "usage: stack check <file.mc> [--json] [--include-macros] [--no-cache] \
+             [--query-budget N] [--cache-file F] [--compact-store N] [--out F] [--quiet]"
         );
         return ExitCode::from(2);
     };
@@ -536,11 +529,10 @@ struct ScanSummary {
 }
 
 fn cmd_scan(args: &[String]) -> ExitCode {
-    let mut opts = match AnalysisOpts::parse(args, Mode::Scan) {
+    let opts = match AnalysisOpts::parse(args, Mode::Scan) {
         Ok(opts) => opts,
         Err(e) => return fail(&e),
     };
-    opts.pin_module_threads_for_jobs();
     let mut tasks = match gather_scan_sources(args) {
         Ok(tasks) => tasks,
         Err(e) => return fail(&e),
@@ -624,7 +616,7 @@ fn cmd_scan(args: &[String]) -> ExitCode {
             Err(e) => return fail(&format!("cannot serialize summary: {e}")),
         }
     } else {
-        render_scan_summary(&summary, &stats, scan_store.is_some())
+        render_scan_summary(&summary, scan_store.is_some())
     };
     match &opts.out {
         Some(out) => {
@@ -702,9 +694,8 @@ fn gather_scan_sources(args: &[String]) -> Result<Vec<ScanTask>, String> {
     let Some(root) = args.first().filter(|a| !a.starts_with("--")) else {
         return Err(
             "usage: stack scan <dir|manifest|file.mc> | --synth N  [--seed S] [--cache-file F] \
-             [--scan-cache F] [--jobs N] [--threads N] [--query-budget N] [--compact-store N] \
-             [--shard i/n] [--no-cache] [--no-incremental] [--include-macros] [--json] \
-             [--out F] [--quiet]"
+             [--scan-cache F] [--jobs N] [--query-budget N] [--compact-store N] [--shard i/n] \
+             [--no-cache] [--include-macros] [--json] [--out F] [--quiet]"
                 .to_string(),
         );
     };
@@ -739,11 +730,7 @@ fn gather_scan_sources(args: &[String]) -> Result<Vec<ScanTask>, String> {
         .collect())
 }
 
-fn render_scan_summary(
-    summary: &ScanSummary,
-    stats: &CheckStats,
-    incremental_scan: bool,
-) -> String {
+fn render_scan_summary(summary: &ScanSummary, incremental_scan: bool) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "scan summary");
@@ -830,10 +817,8 @@ fn render_scan_summary(
     };
     let _ = writeln!(
         out,
-        "  elapsed         {:>8} ms  ({} job(s) x {} thread(s){reruns})",
-        summary.elapsed_ms,
-        summary.jobs,
-        stats.threads.max(1)
+        "  elapsed         {:>8} ms  ({} job(s){reruns})",
+        summary.elapsed_ms, summary.jobs
     );
     out.trim_end().to_string()
 }
@@ -1340,6 +1325,8 @@ mod tests {
                 "--no-hbr",
                 "--no-preprocess",
                 "--instance-granularity",
+                "--threads",
+                "--no-incremental",
                 "--no-such-flag",
                 "--jobs4",
             ] {
@@ -1349,10 +1336,29 @@ mod tests {
             }
             assert!(AnalysisOpts::parse(&args(&[path, "--out", "--report.txt"]), mode).is_ok());
         }
+        // An input the command would ignore is rejected, naming it.
+        for (mode, list, named) in [
+            (Mode::Check, &["a.mc", "b.mc"][..], "b.mc"),
+            (Mode::Check, &["a.mc", "--json", "b.mc"][..], "b.mc"),
+            (Mode::Scan, &["ci", "a24"][..], "a24"),
+            (Mode::Scan, &["ci", "--jobs", "2", "a24"][..], "a24"),
+            (Mode::Scan, &["d", "--synth", "4"][..], "d"),
+            (Mode::Scan, &["d", "--seed", "5"][..], "--seed"),
+        ] {
+            let err = AnalysisOpts::parse(&args(list), mode)
+                .expect_err("an ignored input must be rejected");
+            assert!(err.contains(named), "{err}");
+        }
+        // Flag values are never mistaken for inputs.
+        assert!(
+            AnalysisOpts::parse(&args(&["d", "--out", "o.txt", "--jobs", "2"]), Mode::Scan).is_ok()
+        );
+        assert!(AnalysisOpts::parse(&args(&["--synth", "4", "--seed", "5"]), Mode::Scan).is_ok());
+
         // Every flag `scan` takes parses.
-        let all: Vec<&str> = "dir --threads 2 --query-budget 9 --cache-file q.qs --out o \
-             --compact-store 3 --jobs 2 --scan-cache s.ss --shard 1/2 --synth 4 --seed 7 \
-             --json --include-macros --no-cache --no-incremental --quiet"
+        let all: Vec<&str> = "--query-budget 9 --cache-file q.qs --out o --compact-store 3 \
+             --jobs 2 --scan-cache s.ss --shard 1/2 --synth 4 --seed 7 --json \
+             --include-macros --no-cache --quiet"
             .split_whitespace()
             .collect();
         assert_eq!(

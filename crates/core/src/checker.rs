@@ -21,6 +21,10 @@
 //! configuration, and aggregate statistics across modules), and the
 //! [`Checker`] defined here is the historical one-shot wrapper over a
 //! session, kept as the convenient entry point for single-file use.
+//!
+//! A module's functions are checked in order on one solver, and every store
+//! miss is solved on the function's incremental SAT instance. Parallel work
+//! happens across files, in [`ScanPipeline`](crate::ScanPipeline).
 
 use crate::report::{Algorithm, BugReport};
 use crate::session::AnalysisSession;
@@ -29,7 +33,12 @@ use stack_solver::{BvSolver, CacheStats};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
-/// Checker configuration.
+/// Checker configuration. No field selects how a query is solved: every
+/// query the store does not answer is decided on one persistent SAT
+/// instance per function, with every UB-condition negation registered as an
+/// assumption literal, so the Figure 8 minimal-UB-set loop toggles
+/// assumptions on an already-encoded formula instead of re-bit-blasting
+/// each near-identical query.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckerConfig {
     /// Per-query solver budget in propagations (the deterministic analogue of
@@ -41,25 +50,16 @@ pub struct CheckerConfig {
     /// Whether to keep reports whose unstable fragment was produced by a
     /// macro expansion or inlining (the paper suppresses them, §4.2).
     pub report_compiler_generated: bool,
-    /// Worker threads for [`Checker::check_module`]. `None` uses the
-    /// machine's available parallelism; `Some(1)` preserves the sequential
-    /// behavior exactly. Per-function checking (§4.4) makes every function's
-    /// queries independent, so the driver scales near-linearly.
+    /// Unread: a module's functions are always checked sequentially, and
+    /// files are the unit of parallel work
+    /// ([`ScanPipeline`](crate::ScanPipeline)'s `jobs`). The field stays
+    /// because the `perfbench` scan benchmark's configuration names it.
     pub threads: Option<usize>,
     /// Whether to memoize solver queries in a store shared across functions,
-    /// modules, and worker threads (structurally identical queries are
+    /// modules, and scan workers (structurally identical queries are
     /// answered without re-entering the SAT core). The store is in-memory by
     /// default; [`AnalysisSession::with_store`] swaps in a disk-backed one.
     pub query_cache: bool,
-    /// Whether to solve incrementally: one persistent SAT instance per
-    /// function (per worker), with every UB-condition negation registered as
-    /// an assumption literal, so the Figure 8 minimal-UB-set loop toggles
-    /// assumptions on an already-encoded formula instead of re-bit-blasting
-    /// each near-identical query. Composes with `query_cache` (the store
-    /// still answers structurally repeated queries across functions; the
-    /// instance absorbs the misses) and with `threads` (each worker's solver
-    /// owns its own instances).
-    pub incremental: bool,
 }
 
 impl Default for CheckerConfig {
@@ -69,7 +69,6 @@ impl Default for CheckerConfig {
             report_compiler_generated: false,
             threads: None,
             query_cache: true,
-            incremental: true,
         }
     }
 }
@@ -94,10 +93,10 @@ pub struct CheckStats {
     /// function-granular incremental re-scan counter. Always ≤ `functions`;
     /// 0 outside scan-store-backed pipelines.
     pub functions_skipped: usize,
-    /// Total solver queries issued (merged across worker threads).
+    /// Total solver queries issued.
     pub queries: u64,
     /// Degraded queries: queries that exhausted their propagation budget and
-    /// were answered `Unknown` (merged across worker threads). The checker
+    /// were answered `Unknown`. The checker
     /// treats an `Unknown` conservatively — never a report, never cached,
     /// never persisted.
     pub timeouts: u64,
@@ -109,10 +108,9 @@ pub struct CheckStats {
     pub cache_hits: u64,
     /// Queries that consulted the store and missed.
     pub cache_misses: u64,
-    /// Total SAT-core propagations across all queries (merged across worker
-    /// threads). This is the deterministic currency solver budgets are
-    /// denominated in, and the `solver_speed` benchmark's measure of raw
-    /// solver work.
+    /// Total SAT-core propagations across all queries. This is the
+    /// deterministic currency solver budgets are denominated in, and the
+    /// `solver_speed` benchmark's measure of raw solver work.
     pub propagations: u64,
     /// SAT-core propagations spent on queries that ended `Unsat`.
     pub unsat_propagations: u64,
@@ -127,17 +125,16 @@ pub struct CheckStats {
     /// Sum of learn-time literal-block-distance values over all learned
     /// clauses; `lbd_sum / learned_clauses` is the average glue.
     pub lbd_sum: u64,
-    /// Queries decided by a persistent incremental solver instance (merged
-    /// across worker threads; 0 when `CheckerConfig::incremental` is off).
+    /// Queries decided by a persistent incremental solver instance.
     pub incremental_queries: u64,
     /// Clause slots reused by incremental queries instead of re-blasted
     /// (summed over queries; the clause-reuse counter of the solver layer).
     pub reused_clauses: u64,
-    /// Queries answered `Sat` (merged across worker threads). Together with
+    /// Queries answered `Sat`. Together with
     /// `unsat_queries`, `timeouts`, and `simulated` this is the per-scan
     /// verdict breakdown.
     pub sat_queries: u64,
-    /// Queries answered `Unsat` (merged across worker threads).
+    /// Queries answered `Unsat`.
     pub unsat_queries: u64,
     /// Store misses answered `Sat` by simulation, without reaching the SAT
     /// core (a subset of `sat_queries`).
@@ -156,9 +153,6 @@ pub struct CheckStats {
     /// Minimal-UB-set queries skipped because an extracted assumption core
     /// already proved them `Unsat`.
     pub minimization_queries_saved: u64,
-    /// Worker threads the run actually used (maximum across modules for an
-    /// aggregate).
-    pub threads: usize,
     /// Wall-clock analysis time (summed across modules for an aggregate).
     pub elapsed: Duration,
     /// Reports per algorithm.
@@ -197,8 +191,8 @@ impl CheckStats {
     }
 
     /// Fold another run's counters into this one (the session aggregate):
-    /// counts and times add, `threads` takes the maximum, and the
-    /// per-algorithm report counts merge keywise.
+    /// counts and times add, and the per-algorithm report counts merge
+    /// keywise.
     pub fn merge(&mut self, other: &CheckStats) {
         self.modules += other.modules;
         self.modules_skipped += other.modules_skipped;
@@ -225,7 +219,6 @@ impl CheckStats {
         self.cores_recorded += other.cores_recorded;
         self.core_size_sum += other.core_size_sum;
         self.minimization_queries_saved += other.minimization_queries_saved;
-        self.threads = self.threads.max(other.threads);
         self.elapsed += other.elapsed;
         for (algorithm, count) in &other.by_algorithm {
             *self.by_algorithm.entry(*algorithm).or_insert(0) += count;
@@ -300,8 +293,6 @@ impl Checker {
     }
 
     /// Check every function of an (already optimized-for-analysis) module.
-    /// See [`AnalysisSession::check_module_streaming`] for the driver's
-    /// parallelism and determinism contract.
     pub fn check_module(&self, module: &Module) -> CheckResult {
         self.session.check_module(module)
     }
@@ -499,7 +490,6 @@ mod tests {
         assert!(result.stats.queries >= 2);
         assert_eq!(result.stats.timeouts, 0);
         assert!(result.stats.by_algorithm.values().sum::<usize>() >= 1);
-        assert!(result.stats.threads >= 1);
     }
 
     #[test]
@@ -519,8 +509,8 @@ mod tests {
         assert!(merged.elapsed >= a.stats.elapsed.max(b.stats.elapsed));
     }
 
-    /// A module with several functions, mixing unstable and stable code, so
-    /// the parallel driver has real work to distribute.
+    /// A module with several functions, mixing unstable and stable code, two
+    /// of them structurally identical.
     const MULTI_FUNCTION_SRC: &str = "\
         int f0(struct s *tun) { long sk = tun->sk; if (!tun) return 1; return 0; }\n\
         int f1(int x) { if (x + 100 < x) return 1; return 0; }\n\
@@ -533,15 +523,9 @@ mod tests {
         int f4(int x) { if (!(1 << x)) return 1; return 0; }\n\
         int f5(int x) { if (x + 100 < x) return 1; return 0; }\n";
 
-    fn check_with(threads: Option<usize>, query_cache: bool) -> CheckResult {
-        check_with_inc(threads, query_cache, true)
-    }
-
-    fn check_with_inc(threads: Option<usize>, query_cache: bool, incremental: bool) -> CheckResult {
+    fn check_with(query_cache: bool) -> CheckResult {
         Checker::with_config(CheckerConfig {
-            threads,
             query_cache,
-            incremental,
             ..CheckerConfig::default()
         })
         .check_source(MULTI_FUNCTION_SRC, "multi.c")
@@ -549,24 +533,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_matches_sequential_run() {
-        let sequential = check_with(Some(1), true);
-        for threads in [2, 4] {
-            let parallel = check_with(Some(threads), true);
-            assert_eq!(
-                format!("{:?}", sequential.reports),
-                format!("{:?}", parallel.reports),
-                "threads={threads}"
-            );
-            assert_eq!(sequential.stats.queries, parallel.stats.queries);
-            assert_eq!(sequential.stats.timeouts, parallel.stats.timeouts);
-        }
-    }
-
-    #[test]
     fn cache_disabled_matches_cache_enabled() {
-        let cached = check_with(Some(1), true);
-        let uncached = check_with(Some(1), false);
+        let cached = check_with(true);
+        let uncached = check_with(false);
         assert_eq!(
             format!("{:?}", cached.reports),
             format!("{:?}", uncached.reports)
@@ -576,23 +545,6 @@ mod tests {
         // f1 and f5 are structurally identical, so the cached run must
         // answer at least one query from memory.
         assert!(cached.stats.cache_hits > 0, "{:?}", cached.stats);
-    }
-
-    #[test]
-    fn incremental_matches_non_incremental() {
-        // Same reports and the same query count, with and without the cache,
-        // sequential and parallel: incremental solving changes how a query is
-        // decided, never what it decides.
-        let baseline = check_with_inc(Some(1), false, false);
-        for (threads, cache) in [(1, false), (1, true), (4, true)] {
-            let incremental = check_with_inc(Some(threads), cache, true);
-            assert_eq!(
-                format!("{:?}", baseline.reports),
-                format!("{:?}", incremental.reports),
-                "threads={threads} cache={cache}"
-            );
-            assert_eq!(baseline.stats.queries, incremental.stats.queries);
-        }
     }
 
     /// The in-place edit behind the edit-tail archive's hardest queries
@@ -605,7 +557,7 @@ mod tests {
 
     #[test]
     fn solver_counters_surface_in_check_stats() {
-        let result = check_with_inc(Some(1), false, true);
+        let result = check_with(false);
         assert!(result.stats.propagations > 0, "{:?}", result.stats);
         assert!(result.stats.conflicts > 0, "{:?}", result.stats);
         assert!(result.stats.learned_clauses > 0, "{:?}", result.stats);
@@ -658,7 +610,6 @@ mod tests {
         // query store. Simulation decides the Sat queries at any budget, and
         // those are stored like any decided result.
         let checker = Checker::with_config(CheckerConfig {
-            threads: Some(1),
             query_budget: 1,
             ..CheckerConfig::default()
         });
@@ -684,7 +635,7 @@ mod tests {
 
     #[test]
     fn incremental_counters_accumulate() {
-        let incremental = check_with_inc(Some(1), false, true);
+        let incremental = check_with(false);
         // Without the cache, every non-trivial query is decided on a
         // persistent instance; later queries against the same function must
         // reuse its clauses.
@@ -698,9 +649,6 @@ mod tests {
             "{:?}",
             incremental.stats
         );
-        let off = check_with_inc(Some(1), false, false);
-        assert_eq!(off.stats.incremental_queries, 0);
-        assert_eq!(off.stats.reused_clauses, 0);
     }
 
     #[test]

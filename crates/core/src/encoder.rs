@@ -37,10 +37,10 @@ pub struct FunctionEncoder<'f> {
     fresh: u32,
 }
 
-// The parallel checker constructs one encoder — and thus one private
-// `TermPool` — per function inside each worker thread; nothing is shared
-// mutably across workers. Keep the type `Send` so the driver stays free to
-// move encoders into threads, and so a future field can't silently break it.
+// Each scan worker constructs one encoder — and thus one private
+// `TermPool` — per function it checks; nothing is shared mutably across
+// workers. Keep the type `Send` so a driver stays free to move encoders
+// into threads, and so a future field can't silently break it.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<FunctionEncoder<'static>>();

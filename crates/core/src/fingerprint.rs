@@ -45,10 +45,9 @@
 //!   queries differently, so every key of the old revision dies;
 //! * the semantics-relevant [`CheckerConfig`] knobs (`query_budget`,
 //!   `report_compiler_generated`) — they change which reports a function
-//!   yields. Pure performance knobs (`threads`, `query_cache`,
-//!   `incremental`) deliberately do **not** participate: they change how a
-//!   result is computed, never what it is (see the determinism contract in
-//!   `session.rs`).
+//!   yields. The pure performance knob `query_cache` deliberately does
+//!   **not** participate: it changes how a result is computed, never what
+//!   it is.
 //!
 //! One sharp edge of the *module* fingerprint is documented rather than
 //! fought: report line numbers come from instruction origins, which the
@@ -298,11 +297,9 @@ mod tests {
             base,
             source_fingerprint(TWO_FUNCS, "test.c", &macros).unwrap()
         );
-        // Performance knobs never change results, so they never change keys.
+        // A performance knob never changes results, so it never changes keys.
         let perf = CheckerConfig {
-            threads: Some(7),
             query_cache: false,
-            incremental: false,
             ..cfg
         };
         assert_eq!(
@@ -336,9 +333,7 @@ mod tests {
             keys(TWO_FUNCS, "test.c", &macros)
         );
         let perf = CheckerConfig {
-            threads: Some(7),
             query_cache: false,
-            incremental: false,
             ..cfg
         };
         assert_eq!(

@@ -1,16 +1,12 @@
 //! The file-parallel scan pipeline: the archive-scale driver above
 //! [`AnalysisSession`].
 //!
-//! An archive scan has two levels of available parallelism: *within* a
-//! module (the per-function worker pool of
-//! [`AnalysisSession::check_module_streaming`]) and *across* modules. The
-//! session exploits the first; [`ScanPipeline`] adds the second — `jobs`
-//! scoped worker threads draw file indices from a shared atomic counter
-//! (the same dynamic self-scheduling the per-function driver uses), so a
-//! worker that drew cheap files steals the remaining work of slower ones.
-//! Both levels compose: each file-level worker drives the shared session,
-//! whose per-module thread knob still applies (the CLI defaults it to 1
-//! when `--jobs` > 1 so the two levels don't oversubscribe).
+//! Files are the unit of parallel work. STACK checks each function on its
+//! own (§4.4) and its deployment scans an archive of many small files
+//! (§6.5), so `jobs` scoped worker threads draw file indices from a shared
+//! atomic counter (dynamic self-scheduling: a worker that drew cheap files
+//! steals the remaining work of slower ones), and each checks its module's
+//! functions in order through the shared session.
 //!
 //! **Determinism.** Workers finish out of order, but results are emitted in
 //! task order through a small reorder buffer: a finishing worker parks its
@@ -18,9 +14,9 @@
 //! run from the head. The buffer holds only the out-of-order window,
 //! preserving the scan's bounded-memory property.
 //!
-//! Emitting in order is not enough on its own. With incremental solving, a
-//! function's SAT instance depends on which of its queries the shared query
-//! store answered, so under a query budget *which* queries end `Unknown`
+//! Emitting in order is not enough on its own. A function's incremental SAT
+//! instance depends on which of its queries the shared query store
+//! answered, so under a query budget *which* queries end `Unknown`
 //! depends on what the store held when the function ran. The pipeline
 //! therefore gives every task the store a `--jobs 1` scan would give it:
 //!
@@ -41,8 +37,7 @@
 //! identical to a sequential scan's at any `jobs` width and any budget. At
 //! `jobs` 1 every task starts after its predecessors are published, so
 //! nothing runs twice; [`ScanOutcome::reruns`] counts the re-runs wider
-//! scans pay. Per-module `threads` > 1 keeps the caveat documented on
-//! [`AnalysisSession::check_module_streaming`].
+//! scans pay.
 //!
 //! **Incremental re-scan.** With a [`ScanStore`] attached, every function
 //! of a compiled module is keyed

@@ -20,6 +20,12 @@
 //!   thousands of files never holds more than one module's reports in
 //!   memory.
 //!
+//! A session checks a module's functions in order on one solver, so its
+//! reports and counters are a function of the module and the store's
+//! contents alone. Files are the unit of parallel work: the
+//! [`ScanPipeline`](crate::ScanPipeline) runs several modules at once
+//! through one session and keeps that guarantee at every width.
+//!
 //! The one-shot [`Checker`](crate::checker::Checker) is a thin wrapper over
 //! a session; existing call sites keep working unchanged.
 //!
@@ -30,11 +36,8 @@ use crate::encoder::FunctionEncoder;
 use crate::report::{origin_info, Algorithm, BugReport, UbSource};
 use crate::ubcond::{collect_ub_conditions, UbCondition};
 use stack_ir::{CmpPred, Function, InstKind, Module, Operand, Origin};
-use stack_solver::{
-    Budget, BvSolver, CacheStats, QueryCache, QueryResult, QueryStore, SolverStats, TermId,
-};
+use stack_solver::{Budget, BvSolver, CacheStats, QueryCache, QueryResult, QueryStore, TermId};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -107,7 +110,7 @@ impl AnalysisSession {
 
     /// Aggregate statistics over every module checked through this session.
     /// `elapsed` sums the per-module analysis times (not wall clock between
-    /// calls); `threads` is the maximum any module used.
+    /// calls).
     pub fn stats(&self) -> CheckStats {
         self.aggregate
             .lock()
@@ -125,8 +128,8 @@ impl AnalysisSession {
             .merge(stats);
     }
 
-    /// A solver wired to this session's budget, (if enabled) the query
-    /// store `store`, and (if enabled) incremental solving mode.
+    /// A solver wired to this session's budget and (if enabled) the query
+    /// store `store`, solving store misses on incremental instances.
     fn make_solver(&self, store: &Arc<dyn QueryStore>) -> BvSolver {
         let budget = match self.config.query_budget {
             0 => Budget::unlimited(),
@@ -136,20 +139,8 @@ impl AnalysisSession {
         if self.config.query_cache {
             solver.set_store(Some(Arc::clone(store)));
         }
-        solver.set_incremental(self.config.incremental);
+        solver.set_incremental(true);
         solver
-    }
-
-    /// Number of worker threads a module of `functions` functions will use.
-    fn resolve_threads(&self, functions: usize) -> usize {
-        self.config
-            .threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            })
-            .clamp(1, functions.max(1))
     }
 
     /// Compile a mini-C source string, run the analysis pre-pass, and check
@@ -187,21 +178,8 @@ impl AnalysisSession {
     /// statistics (also merged into the session aggregate). An archive scan
     /// that prints or counts reports as they appear never retains them.
     ///
-    /// Functions are distributed over [`CheckerConfig::threads`] scoped
-    /// worker threads pulling from a shared atomic work index (dynamic
-    /// self-scheduling, so a thread that drew cheap functions steals the
-    /// remaining work of slower ones). Each worker owns a private solver —
-    /// and therefore private `TermPool`s via its per-function encoders —
-    /// while sharing the session-wide query store. Results are stitched back
-    /// in function order, so the report stream is identical to a sequential
-    /// run's regardless of thread count or scheduling. (On workloads where
-    /// queries hit the per-query budget, that guarantee additionally
-    /// requires `incremental: false` when `threads` > 1: an incremental
-    /// instance's CNF depends on which of its queries the shared store
-    /// answered first, and sibling workers fill the store in timing order,
-    /// so budget-boundary `Unknown` outcomes can vary with thread timing.
-    /// The scan pipeline's file-level `jobs` carry no such caveat: see
-    /// [`ScanPipeline`](crate::ScanPipeline).)
+    /// Functions are checked in order on one solver. Parallel work is
+    /// across files: see [`ScanPipeline`](crate::ScanPipeline).
     pub fn check_module_streaming(
         &self,
         module: &Module,
@@ -265,30 +243,24 @@ impl AnalysisSession {
             functions.len(),
             "one select flag per function"
         );
-        let indices: Vec<usize> = (0..functions.len()).filter(|&i| select[i]).collect();
-        let threads = self.resolve_threads(indices.len());
-        let (checks, solver_stats) = if threads <= 1 {
-            let mut solver = self.make_solver(store);
-            let checks: Vec<FunctionCheck> = indices
-                .iter()
-                .map(|&i| {
-                    let before = solver.stats().timeouts;
-                    let reports = self.check_function(&functions[i], &mut solver);
-                    FunctionCheck {
-                        index: i,
-                        reports,
-                        timeouts: solver.stats().timeouts - before,
-                    }
-                })
-                .collect();
-            (checks, solver.stats())
-        } else {
-            self.check_functions_parallel(functions, &indices, threads, store)
-        };
+        let mut solver = self.make_solver(store);
+        let checks: Vec<FunctionCheck> = (0..functions.len())
+            .filter(|&i| select[i])
+            .map(|i| {
+                let before = solver.stats().timeouts;
+                let reports = self.check_function(&functions[i], &mut solver);
+                FunctionCheck {
+                    index: i,
+                    reports,
+                    timeouts: solver.stats().timeouts - before,
+                }
+            })
+            .collect();
+        let solver_stats = solver.stats();
         let stats = CheckStats {
             modules: 1,
             modules_skipped: 0,
-            functions: indices.len(),
+            functions: checks.len(),
             functions_skipped: 0,
             queries: solver_stats.queries,
             timeouts: solver_stats.timeouts,
@@ -312,7 +284,6 @@ impl AnalysisSession {
             cores_recorded: solver_stats.cores_recorded,
             core_size_sum: solver_stats.core_size_sum,
             minimization_queries_saved: solver_stats.minimization_queries_saved,
-            threads,
             elapsed: start.elapsed(),
             by_algorithm: HashMap::new(),
         };
@@ -344,86 +315,6 @@ impl AnalysisSession {
         }
     }
 
-    /// The parallel driver: `threads` scoped workers draw positions in the
-    /// selected-index list from a shared counter and return their
-    /// [`FunctionCheck`]s plus their private solver's statistics, which are
-    /// merged field-by-field (so the aggregate equals what one sequential
-    /// solver would have counted). Per-function `timeouts` come from
-    /// snapshotting the worker solver's counter around each call.
-    ///
-    /// Each per-function check runs under `catch_unwind`, and a panicking
-    /// worker stops drawing work. After every worker has drained, the panic
-    /// attached to the *lowest* function index is re-raised — the same one
-    /// a sequential run would hit first — so the module-level containment
-    /// boundary in the scan pipeline observes an identical payload at any
-    /// thread count.
-    fn check_functions_parallel(
-        &self,
-        functions: &[Function],
-        indices: &[usize],
-        threads: usize,
-        store: &Arc<dyn QueryStore>,
-    ) -> (Vec<FunctionCheck>, SolverStats) {
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<FunctionCheck>> = Vec::new();
-        slots.resize_with(indices.len(), || None);
-        let mut solver_stats = SolverStats::default();
-        let mut first_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut solver = self.make_solver(store);
-                        let mut local: Vec<(usize, FunctionCheck)> = Vec::new();
-                        let mut panicked: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&i) = indices.get(k) else { break };
-                            let before = solver.stats().timeouts;
-                            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                self.check_function(&functions[i], &mut solver)
-                            })) {
-                                Ok(reports) => local.push((
-                                    k,
-                                    FunctionCheck {
-                                        index: i,
-                                        reports,
-                                        timeouts: solver.stats().timeouts - before,
-                                    },
-                                )),
-                                Err(payload) => {
-                                    panicked = Some((i, payload));
-                                    break;
-                                }
-                            }
-                        }
-                        (local, solver.stats(), panicked)
-                    })
-                })
-                .collect();
-            for worker in workers {
-                let (local, stats, panicked) = worker
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                solver_stats.merge(&stats);
-                for (k, check) in local {
-                    slots[k] = Some(check);
-                }
-                if let Some((i, payload)) = panicked {
-                    match &first_panic {
-                        Some((j, _)) if *j <= i => {}
-                        _ => first_panic = Some((i, payload)),
-                    }
-                }
-            }
-        });
-        if let Some((_, payload)) = first_panic {
-            std::panic::resume_unwind(payload);
-        }
-        (slots.into_iter().flatten().collect(), solver_stats)
-    }
-
     /// Check a single function.
     pub fn check_function(&self, func: &Function, solver: &mut BvSolver) -> Vec<BugReport> {
         let mut enc = FunctionEncoder::new(func);
@@ -432,10 +323,10 @@ impl AnalysisSession {
 
         // Negate each UB condition exactly once, in condition order:
         // `neg_terms[i]` is the Δ conjunct "¬ub_conds[i]" that every query
-        // below assumes for the conditions dominating its fragment. In
-        // incremental mode each negation becomes an assumption literal on the
-        // function's persistent solver instance the first time a query uses
-        // it — encoded once (blaster-memoized), then merely toggled by every
+        // below assumes for the conditions dominating its fragment. Each
+        // negation becomes an assumption literal on the function's
+        // persistent solver instance the first time a query uses it —
+        // encoded once (blaster-memoized), then merely toggled by every
         // later fragment query and Figure 8 minimization iteration.
         let neg_terms: Vec<TermId> = ub_conds.iter().map(|c| enc.negation(c.term)).collect();
 
@@ -606,8 +497,8 @@ fn dominating_conditions(
 ///
 /// Every iteration asserts the same `base` fragment encoding plus all but one
 /// of the precomputed condition negations (`neg_terms[ci]`, indexed like
-/// `dom_conds`). In incremental mode these terms are already registered as
-/// assumption literals on the function's persistent solver instance, so each
+/// `dom_conds`). These terms are already registered as assumption
+/// literals on the function's persistent solver instance, so each
 /// iteration is a `check_assuming` toggle rather than a fresh bit-blast; the
 /// query store still short-circuits iterations repeated across structurally
 /// identical functions.

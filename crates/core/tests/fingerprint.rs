@@ -124,7 +124,7 @@ proptest! {
             prop_assert!(base != fp(&mutated), "constant {} -> {}", value, value + 1);
         }
 
-        // Semantics-relevant config knobs re-key; performance knobs do not.
+        // Semantics-relevant config knobs re-key; the performance knob does not.
         let cfg = CheckerConfig::default();
         let budget = CheckerConfig { query_budget: cfg.query_budget / 2, ..cfg };
         prop_assert!(
@@ -132,9 +132,7 @@ proptest! {
             "query_budget must re-key"
         );
         let perf = CheckerConfig {
-            threads: Some(3),
             query_cache: false,
-            incremental: false,
             ..cfg
         };
         prop_assert_eq!(base, source_fingerprint(&source, "prop.c", &perf).unwrap());

@@ -32,7 +32,7 @@
 //! (see `store.rs`).
 //!
 //! The cache is sharded (`Mutex<HashMap>` per shard, shard picked by key
-//! hash) and shared across the parallel checker's worker threads through an
+//! hash) and shared across the scan pipeline's worker threads through an
 //! [`Arc`](std::sync::Arc).
 
 use crate::model::Model;

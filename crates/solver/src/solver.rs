@@ -105,32 +105,6 @@ pub struct SolverStats {
 }
 
 impl SolverStats {
-    /// Fold another solver's counters into this one. The parallel checker
-    /// runs one [`BvSolver`] per worker thread and merges their statistics
-    /// at the end; summing every field keeps the aggregate identical to what
-    /// a single sequential solver would have reported.
-    pub fn merge(&mut self, other: &SolverStats) {
-        self.queries += other.queries;
-        self.sat += other.sat;
-        self.unsat += other.unsat;
-        self.timeouts += other.timeouts;
-        self.propagations += other.propagations;
-        self.unsat_propagations += other.unsat_propagations;
-        self.conflicts += other.conflicts;
-        self.restarts += other.restarts;
-        self.learned_clauses += other.learned_clauses;
-        self.deleted_clauses += other.deleted_clauses;
-        self.lbd_sum += other.lbd_sum;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.incremental_queries += other.incremental_queries;
-        self.reused_clauses += other.reused_clauses;
-        self.simulated += other.simulated;
-        self.cores_recorded += other.cores_recorded;
-        self.core_size_sum += other.core_size_sum;
-        self.minimization_queries_saved += other.minimization_queries_saved;
-    }
-
     /// Average literal-block-distance over all learned clauses (0.0 when
     /// nothing was learned). Low averages mean the solver mostly learns
     /// "glue" clauses that tie few decision levels together.
@@ -327,18 +301,14 @@ impl BvSolver {
         // blasting in fingerprint order makes a fresh-mode CNF — and with it
         // a budget-boundary `Unknown` — depend only on the assertion *set*,
         // so answering a later query from the cache can never disagree with
-        // what recomputing it would have produced. That is what keeps
-        // parallel, sequential, cached, and uncached runs byte-identical in
-        // fresh (non-incremental) mode. Incremental mode weakens this:
-        // decided results are still mode- and history-independent facts, but
-        // an instance's CNF depends on which earlier queries reached it, so
-        // budget-boundary `Unknown` outcomes (and anything derived from
-        // them) are reproducible only when the store's contents at each
-        // lookup are. The scan pipeline guarantees that at every `--jobs`
-        // width (each task sees exactly what a sequential scan would);
-        // several solvers sharing one store under `--threads` > 1 fill it
-        // in timing order, and there the checker's `--no-incremental`
-        // escape hatch restores the strict guarantee.
+        // what recomputing it would have produced. Incremental mode weakens
+        // this: decided results are still mode- and history-independent
+        // facts, but an instance's CNF depends on which earlier queries
+        // reached it, so budget-boundary `Unknown` outcomes (and anything
+        // derived from them) are reproducible only when the store's contents
+        // at each lookup are. The checker drives one solver per module, and
+        // the scan pipeline gives each module exactly the store a sequential
+        // scan would, at every `--jobs` width.
         let key = self.memo.canonicalize(pool, &mut simplified);
         let key = self.store.is_some().then_some(key);
         if let (Some(store), Some(key)) = (&self.store, &key) {

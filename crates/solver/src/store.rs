@@ -8,7 +8,7 @@
 //! implementations exist:
 //!
 //! * [`QueryCache`] — the sharded in-memory table of `cache.rs`, shared
-//!   across the parallel checker's worker threads. Dies with the process.
+//!   across the scan pipeline's worker threads. Dies with the process.
 //! * [`DiskQueryStore`] — the same table bracketed by [`open`] and
 //!   [`save`]: `open` loads every persisted fingerprint→result pair, `save`
 //!   writes the table back, so the next process — the next package of an

@@ -1,45 +1,45 @@
-//! Determinism of the parallel checker driver: analyzing the synthetic
-//! corpus with `threads = 4` must produce exactly the same bug reports as
-//! the sequential `threads = 1` run, with and without the query cache. The
-//! driver stitches per-function results back in function order, so even the
-//! raw report order must coincide; the assertions below compare origin-sorted
-//! sets first (the contract) and the raw order second (the implementation
-//! guarantee). The same contract extends across *processes*: a warm run
-//! that answers its queries from a disk-backed store must produce
-//! byte-identical reports to the cold run that populated it.
+//! Determinism of the file-parallel scan pipeline: scanning the synthetic
+//! corpus at `jobs = 4` must produce exactly the same bug reports as the
+//! sequential `jobs = 1` scan, with and without the query cache. The
+//! pipeline emits results in task order, so even the raw report order must
+//! coincide; the assertions below compare origin-sorted sets first (the
+//! contract) and the raw order second (the implementation guarantee). The
+//! same contract extends across *processes*: a warm run that answers its
+//! queries from a disk-backed store must produce byte-identical reports to
+//! the cold run that populated it.
 
 use stack_repro::core::{
-    AnalysisSession, Checker, CheckerConfig, ScanEvent, ScanPipeline, ScanSource, ScanStore,
-    ScanTask,
+    AnalysisSession, CheckerConfig, ScanEvent, ScanPipeline, ScanSource, ScanStore, ScanTask,
 };
 use stack_repro::corpus::{churn_archive, generate, generate_archive, ArchiveConfig, SynthConfig};
 use stack_repro::solver::DiskQueryStore;
 use std::sync::Arc;
 
-/// Render every report of a run as a stable string (Debug covers function,
-/// file, line, algorithm, description, and the minimal UB set).
-fn run(threads: usize, query_cache: bool) -> Vec<String> {
+/// Render every report of a scan as a stable string (Debug covers
+/// function, file, line, algorithm, description, and the minimal UB set).
+fn run(jobs: usize, query_cache: bool) -> Vec<String> {
     let synth = SynthConfig {
         packages: 6,
         seed: 2024,
         ..SynthConfig::default()
     };
-    let checker = Checker::with_config(CheckerConfig {
-        threads: Some(threads),
+    let tasks: Vec<ScanTask> = generate(&synth)
+        .into_iter()
+        .flat_map(|pkg| pkg.files)
+        .map(|file| ScanTask {
+            name: file.name,
+            source: ScanSource::Inline(file.source),
+        })
+        .collect();
+    let session = AnalysisSession::new(CheckerConfig {
         query_cache,
         ..CheckerConfig::default()
     });
     let mut out = Vec::new();
-    for pkg in generate(&synth) {
-        for file in &pkg.files {
-            let result = checker
-                .check_source(&file.source, &file.name)
-                .expect("synthetic files compile");
-            for report in &result.reports {
-                out.push(format!("{report:?}"));
-            }
-        }
-    }
+    ScanPipeline::new(&session, jobs).run(&tasks, &mut |event| match event {
+        ScanEvent::Report(report) => out.push(format!("{report:?}")),
+        ScanEvent::Failure { name, error } => panic!("{name} failed: {error}"),
+    });
     out
 }
 
@@ -72,20 +72,18 @@ fn cache_does_not_change_reports() {
     assert_eq!(sorted(cached), sorted(uncached));
 }
 
-/// The solver-configuration contract: with every query decided (no
-/// budget), incremental instances and one-shot solving may change how much
-/// work the SAT core does, but never which verdicts come back — so the
-/// report stream must be byte-identical either way, at every parallelism
-/// width, all compared against the uncached sequential reference. Two
-/// archive seeds, so the matrix covers two different populations.
+/// With the query store off, every query is solved on the function's own
+/// incremental instance, so a `jobs = 4` scan must stream exactly the
+/// sequential scan's reports. Two archive seeds, so the check covers two
+/// different populations.
 #[test]
-fn incremental_solving_does_not_change_reports() {
+fn uncached_scans_agree_across_jobs_widths() {
     for seed in [0x50AC, 0xC0DE] {
-        incremental_and_one_shot_agree_on(seed);
+        uncached_jobs_widths_agree_on(seed);
     }
 }
 
-fn incremental_and_one_shot_agree_on(seed: u64) {
+fn uncached_jobs_widths_agree_on(seed: u64) {
     let archive_cfg = ArchiveConfig {
         packages: 6,
         seed,
@@ -99,11 +97,9 @@ fn incremental_and_one_shot_agree_on(seed: u64) {
             source: ScanSource::Inline(f.source.clone()),
         })
         .collect();
-    let run = |incremental: bool, jobs: usize| {
+    let run = |jobs: usize| {
         let session = AnalysisSession::new(CheckerConfig {
-            threads: Some(1),
             query_cache: false,
-            incremental,
             ..CheckerConfig::default()
         });
         let mut reports = Vec::new();
@@ -115,18 +111,12 @@ fn incremental_and_one_shot_agree_on(seed: u64) {
         reports
     };
 
-    let reference = run(true, 1);
+    let reference = run(1);
     assert!(
         !reference.is_empty(),
         "the archive (seed {seed:#x}) must produce reports"
     );
-    for (incremental, jobs) in [(false, 1), (true, 4), (false, 4)] {
-        assert_eq!(
-            reference,
-            run(incremental, jobs),
-            "seed={seed:#x} incremental={incremental} jobs={jobs}"
-        );
-    }
+    assert_eq!(reference, run(4), "seed={seed:#x}");
 }
 
 /// One archive pass through a session backed by the given cache file:
@@ -138,13 +128,7 @@ fn archive_run(path: &std::path::Path) -> (Vec<String>, stack_repro::core::Check
         ..ArchiveConfig::default()
     };
     let store = Arc::new(DiskQueryStore::open(path).expect("open cache file"));
-    let session = AnalysisSession::with_store(
-        CheckerConfig {
-            threads: Some(4),
-            ..CheckerConfig::default()
-        },
-        store.clone() as _,
-    );
+    let session = AnalysisSession::with_store(CheckerConfig::default(), store.clone() as _);
     let mut reports = Vec::new();
     for file in generate_archive(&archive_cfg) {
         session
@@ -202,10 +186,7 @@ fn pipeline_run(
             source: ScanSource::Inline(f.source.clone()),
         })
         .collect();
-    let session = AnalysisSession::new(CheckerConfig {
-        threads: Some(1),
-        ..CheckerConfig::default()
-    });
+    let session = AnalysisSession::default();
     let mut pipeline = ScanPipeline::new(&session, jobs);
     let store = scan_store.map(|p| Arc::new(ScanStore::open(p).expect("open scan store")));
     if let Some(store) = &store {
@@ -244,7 +225,6 @@ fn budget_degraded_scan_without_scan_store_matches_sequential_at_every_width() {
     let scan = |jobs: usize, query_budget: u64| {
         let session = AnalysisSession::new(CheckerConfig {
             query_budget,
-            threads: Some(1),
             ..CheckerConfig::default()
         });
         let mut events = Vec::new();
@@ -350,10 +330,7 @@ fn panicking_module_scan_is_deterministic_across_jobs_widths() {
                 source: ScanSource::Inline(f.source.clone()),
             })
             .collect();
-        let session = AnalysisSession::new(CheckerConfig {
-            threads: Some(1),
-            ..CheckerConfig::default()
-        });
+        let session = AnalysisSession::default();
         // Panic while analyzing every file of package 3 (one fragment,
         // several matching modules, so containment is exercised more than
         // once per run).

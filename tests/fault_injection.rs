@@ -65,7 +65,6 @@ fn scan(
 ) -> (Vec<String>, CheckStats) {
     let config = CheckerConfig {
         query_budget,
-        threads: Some(1),
         ..CheckerConfig::default()
     };
     let disk = query_store.map(|p| Arc::new(DiskQueryStore::open(p).expect("open query store")));

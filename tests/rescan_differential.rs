@@ -71,7 +71,6 @@ fn scan(files: &[ArchiveFile], opts: &Scan) -> (Vec<String>, CheckStats) {
         })
         .collect();
     let session = AnalysisSession::new(CheckerConfig {
-        threads: Some(1),
         query_budget: opts.query_budget,
         ..CheckerConfig::default()
     });
