@@ -1,4 +1,4 @@
-//! Runs every experiment and prints all tables (used to fill EXPERIMENTS.md).
+//! Runs every experiment and prints all tables.
 fn main() {
     println!("{}", stack_bench::figure4().render());
     println!("{}", stack_bench::figure9().render());

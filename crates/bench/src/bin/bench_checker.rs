@@ -10,10 +10,14 @@
 //!
 //! Usage: `bench_checker [--out <path>]`; honors `STACK_BENCH_FAST=1`.
 
-use stack_bench::{checker_scaling, ScalingConfig};
+use stack_bench::{checker_scaling, positionals, ScalingConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = positionals(&args, &["--out"], &[]) {
+        eprintln!("bench_checker: {e}");
+        std::process::exit(2);
+    }
     let out_path = match args.iter().position(|a| a == "--out") {
         Some(i) => match args.get(i + 1) {
             Some(path) => path.clone(),

@@ -2,13 +2,14 @@
 //! figure of the paper's evaluation (§2.3 and §6).
 //!
 //! Each `figure*`/`sec*` function returns a plain data structure and a
-//! formatted text rendering; the binaries under `src/bin/` print them, and
-//! `EXPERIMENTS.md` records the comparison against the paper's numbers.
+//! formatted text rendering; the binaries under `src/bin/` print them.
+//! [`checker_scaling`] runs every `BENCH_checker.json` section, each scan
+//! through one helper that reports `stack scan`'s summary as its row.
 
 use serde::Serialize;
 use stack_core::{
     Algorithm, AnalysisSession, Checker, CheckerConfig, ScanEvent, ScanPipeline, ScanSource,
-    ScanStore, ScanTask, UbKind,
+    ScanStore, ScanSummary, ScanTask, UbKind,
 };
 use stack_corpus::{
     churn_archive, churn_functions, completeness_benchmark, duplicate_files, figure9_corpus,
@@ -18,6 +19,7 @@ use stack_opt::{lowest_discarding_level, survey_compilers};
 use stack_solver::DiskQueryStore;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -401,86 +403,157 @@ fn widest_jobs(cfg: &ScalingConfig) -> usize {
     cfg.jobs.iter().copied().max().unwrap_or(1)
 }
 
-/// One scan task per generated source, in generation order.
-fn inline_tasks<'a>(files: impl IntoIterator<Item = (&'a str, &'a str)>) -> Vec<ScanTask> {
+/// The checker configuration every section scans with unless it says
+/// otherwise: the defaults under `cfg`'s query budget.
+fn checker_config(cfg: &ScalingConfig) -> CheckerConfig {
+    CheckerConfig {
+        query_budget: cfg.query_budget,
+        ..CheckerConfig::default()
+    }
+}
+
+/// One scan task per generated archive file, in archive order.
+fn archive_tasks<'a>(files: impl IntoIterator<Item = &'a ArchiveFile>) -> Vec<ScanTask> {
     files
         .into_iter()
-        .map(|(name, source)| ScanTask {
-            name: name.to_string(),
-            source: ScanSource::Inline(source.to_string()),
+        .map(|f| ScanTask {
+            name: f.name.clone(),
+            source: ScanSource::Inline(f.source.clone()),
         })
         .collect()
 }
 
-/// One measured checker configuration (a row of `BENCH_checker.json`).
-#[derive(Clone, Debug, Serialize)]
-pub struct ScalingRow {
-    /// Human-readable configuration label.
-    pub label: String,
-    /// File-level scan-pipeline workers.
-    pub jobs: usize,
-    /// Whether the memoized query store was enabled.
-    pub query_cache: bool,
-    /// End-to-end scan wall clock over the whole population (compile,
-    /// optimize and check).
-    pub wall_ms: u64,
-    /// Functions analyzed per second of wall clock.
-    pub functions_per_sec: f64,
-    /// Total solver queries issued.
-    pub queries: u64,
-    /// Queries that exhausted their budget.
-    pub timeouts: u64,
-    /// Queries answered from the cache.
-    pub cache_hits: u64,
-    /// Queries that consulted the cache and missed.
-    pub cache_misses: u64,
-    /// hits / (hits + misses), 0 when the cache is disabled.
-    pub cache_hit_rate: f64,
-    /// Queries decided on a persistent incremental instance.
-    pub incremental_queries: u64,
-    /// Clause slots those queries reused instead of re-blasting.
-    pub reused_clauses: u64,
-    /// `minimal_ub_set` queries skipped because the last extracted
-    /// assumption core proved the candidate condition irrelevant
-    /// (`queries + minimization_queries_saved` is the same on every row).
-    pub minimization_queries_saved: u64,
-    /// Total reports produced (must agree across every row).
-    pub reports: usize,
+/// The fig16 synthetic population `cfg` describes, one scan task per file.
+fn synth_tasks(cfg: &ScalingConfig) -> Vec<ScanTask> {
+    let synth = SynthConfig {
+        packages: cfg.packages,
+        seed: cfg.seed,
+        ..SynthConfig::default()
+    };
+    generate(&synth)
+        .into_iter()
+        .flat_map(|pkg| pkg.files)
+        .map(|f| ScanTask {
+            name: f.name,
+            source: ScanSource::Inline(f.source),
+        })
+        .collect()
 }
 
-/// One measured archive-scan configuration (a row of the `scan` section of
-/// `BENCH_checker.json`).
+/// One row of a `BENCH_checker.json` section: one timed scan.
 #[derive(Clone, Debug, Serialize)]
-pub struct ScanRow {
-    /// Human-readable configuration label.
+pub struct BenchRow {
+    /// What the row measures.
     pub label: String,
-    /// Whether the run warm-started from a populated disk store.
-    pub warm: bool,
-    /// End-to-end analysis wall clock over the whole archive, in
-    /// milliseconds (rounded; see `wall_us` for the value the speedup is
-    /// computed from).
-    pub wall_ms: u64,
-    /// End-to-end analysis wall clock in microseconds.
+    /// End-to-end scan wall clock (read, compile, optimize and check) in
+    /// microseconds; what the speedups divide.
     pub wall_us: u64,
-    /// Functions analyzed per second of wall clock.
-    pub functions_per_sec: f64,
-    /// Total solver queries issued.
-    pub queries: u64,
-    /// Queries that exhausted their budget (must be 0: `Unknown` results
-    /// are never persisted, so timeouts would erode the warm hit rate).
-    pub timeouts: u64,
-    /// Queries answered from the disk-backed store.
-    pub store_hits: u64,
-    /// Queries that consulted the store and missed.
-    pub store_misses: u64,
-    /// hits / (hits + misses).
-    pub store_hit_rate: f64,
-    /// Total reports produced (must agree between cold and warm).
-    pub reports: usize,
+    /// The scan's summary, as `stack scan --json` reports it.
+    pub summary: ScanSummary,
+}
+
+/// The disk stores one bench scan opens, and whether it saves them after
+/// the run. Without a query store the session memoizes in memory (when
+/// its configuration enables the store).
+#[derive(Clone, Copy, Default)]
+struct Stores<'a> {
+    query: Option<&'a Path>,
+    scan: Option<&'a Path>,
+    save: bool,
+}
+
+/// Scan `tasks` through the file-parallel pipeline at `jobs` workers with
+/// the stores `stores` names, as `stack scan` does, and time the run.
+/// Returns the row and the `Debug`-rendered report stream.
+fn measure(
+    label: impl Into<String>,
+    tasks: &[ScanTask],
+    config: CheckerConfig,
+    jobs: usize,
+    stores: Stores<'_>,
+) -> (BenchRow, Vec<String>) {
+    let query_store = stores
+        .query
+        .map(|path| Arc::new(DiskQueryStore::open(path).expect("open bench query store")));
+    let scan_store = stores
+        .scan
+        .map(|path| Arc::new(ScanStore::open(path).expect("open bench scan store")));
+    let session = match &query_store {
+        Some(store) => AnalysisSession::with_store(config, store.clone() as _),
+        None => AnalysisSession::new(config),
+    };
+    let mut pipeline = ScanPipeline::new(&session, jobs);
+    if let Some(store) = &scan_store {
+        pipeline = pipeline.with_scan_store(store.clone());
+    }
+    let mut reports = Vec::new();
+    let start = Instant::now();
+    let outcome = pipeline.run(tasks, &mut |event| {
+        if let ScanEvent::Report(report) = event {
+            reports.push(format!("{report:?}"));
+        }
+    });
+    let elapsed = start.elapsed();
+    if stores.save {
+        if let Some(store) = &query_store {
+            store.save().expect("save bench query store");
+        }
+        if let Some(store) = &scan_store {
+            store.save().expect("save bench scan store");
+        }
+    }
+    let mut summary = ScanSummary::new(&outcome, &session.stats(), jobs, elapsed);
+    summary.cache_file_loaded_entries = query_store.as_ref().map_or(0, |s| s.loaded_entries());
+    summary.scan_cache_loaded_entries = scan_store.as_ref().map_or(0, |s| s.loaded_entries());
+    let row = BenchRow {
+        label: label.into(),
+        wall_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
+        summary,
+    };
+    (row, reports)
+}
+
+/// `before`'s wall clock over `after`'s (>1 means `after` is faster).
+fn speedup(before: &BenchRow, after: &BenchRow) -> f64 {
+    before.wall_us.max(1) as f64 / after.wall_us.max(1) as f64
+}
+
+/// The fraction of a scan's modules replayed whole from the scan store.
+fn modules_skipped_rate(summary: &ScanSummary) -> f64 {
+    summary.modules_skipped as f64 / summary.files.max(1) as f64
+}
+
+/// A fresh directory for one section's store files in the system temp
+/// directory, unique per process and call, removed with its contents when
+/// dropped.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new() -> TempDir {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "stack-bench-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&path);
+        std::fs::create_dir_all(&path).expect("create bench store directory");
+        TempDir(path)
+    }
+
+    fn join(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// The cold-vs-warm archive-scan measurement: the same archive population
-/// analyzed twice through a disk-backed query store — once cold (empty
+/// scanned twice through a disk-backed query store — once cold (empty
 /// store, which the run populates and saves) and once warm (store reloaded
 /// from the file the cold run wrote). This is the §6.5 deployment mode:
 /// repeated scans of a package archive starting from the previous run's
@@ -496,7 +569,7 @@ pub struct ScanPersistence {
     /// Disk-store entries the warm run loaded.
     pub store_entries: u64,
     /// Cold and warm rows, in that order.
-    pub rows: Vec<ScanRow>,
+    pub rows: Vec<BenchRow>,
     /// Cold wall clock / warm wall clock (>1 means the store pays off).
     pub speedup_warm_vs_cold: f64,
     /// The warm run's store hit rate (the fraction of consulted queries
@@ -507,127 +580,63 @@ pub struct ScanPersistence {
     pub reports_identical: bool,
 }
 
-/// Run the cold-vs-warm archive-scan measurement. The store file lives in
-/// the system temp directory (unique per process and invocation) and is
-/// removed afterwards.
+/// Run the cold-vs-warm archive-scan measurement at the widest width.
 pub fn scan_persistence(cfg: &ScalingConfig) -> ScanPersistence {
-    static INVOCATION: AtomicU64 = AtomicU64::new(0);
-    let store_path = std::env::temp_dir().join(format!(
-        "stack-bench-scan-{}-{}.qs",
-        std::process::id(),
-        INVOCATION.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_file(&store_path);
-
+    let dir = TempDir::new();
+    let store = dir.join("scan.qs");
     let archive_cfg = ArchiveConfig {
         packages: cfg.packages,
         ..ArchiveConfig::default()
     };
-    let archive = generate_archive(&archive_cfg);
-    let mut modules = Vec::new();
-    for file in &archive {
-        let mut module =
-            stack_minic::compile(&file.source, &file.name).expect("archive files compile");
-        stack_opt::optimize_for_analysis(&mut module);
-        modules.push(module);
-    }
-    let functions: usize = modules.iter().map(|m| m.len()).sum();
-    let config = CheckerConfig {
-        query_budget: cfg.query_budget,
-        ..CheckerConfig::default()
+    let tasks = archive_tasks(&generate_archive(&archive_cfg));
+    let (config, jobs) = (checker_config(cfg), widest_jobs(cfg));
+    let stores = Stores {
+        query: Some(&store),
+        ..Stores::default()
     };
-
-    let run = |label: &str, warm: bool| -> (ScanRow, Vec<String>) {
-        let store = Arc::new(DiskQueryStore::open(&store_path).expect("open benchmark store file"));
-        let session = AnalysisSession::with_store(config, store.clone() as _);
-        let mut reports = Vec::new();
-        let start = Instant::now();
-        for module in &modules {
-            session.check_module_streaming(module, &mut |r| reports.push(format!("{r:?}")));
-        }
-        let elapsed = start.elapsed();
-        store.save().expect("save benchmark store file");
-        let stats = session.stats();
-        let lookups = stats.cache_hits + stats.cache_misses;
-        let row = ScanRow {
-            label: label.to_string(),
-            warm,
-            wall_ms: u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX),
-            wall_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-            functions_per_sec: functions as f64 / elapsed.as_secs_f64().max(1e-9),
-            queries: stats.queries,
-            timeouts: stats.timeouts,
-            store_hits: stats.cache_hits,
-            store_misses: stats.cache_misses,
-            store_hit_rate: if lookups == 0 {
-                0.0
-            } else {
-                stats.cache_hits as f64 / lookups as f64
-            },
-            reports: reports.len(),
-        };
-        (row, reports)
+    let cold_stores = Stores {
+        save: true,
+        ..stores
     };
-
-    let (cold_row, cold_reports) = run("archive scan (cold disk store)", false);
-    let store_entries = DiskQueryStore::open(&store_path)
-        .map(|s| s.loaded_entries())
-        .unwrap_or(0);
-    let (warm_row, warm_reports) = run("archive scan (warm disk store)", true);
-    let _ = std::fs::remove_file(&store_path);
-
-    let speedup = cold_row.wall_us.max(1) as f64 / warm_row.wall_us.max(1) as f64;
-    let warm_store_hit_rate = warm_row.store_hit_rate;
+    let (cold, cold_reports) = measure(
+        "archive scan (cold disk store)",
+        &tasks,
+        config,
+        jobs,
+        cold_stores,
+    );
+    let (warm, warm_reports) = measure(
+        "archive scan (warm disk store)",
+        &tasks,
+        config,
+        jobs,
+        stores,
+    );
     ScanPersistence {
         archive: format!(
             "overlap archive (packages={}, seed={:#x})",
             archive_cfg.packages, archive_cfg.seed
         ),
-        files: archive.len(),
-        functions,
-        store_entries,
-        rows: vec![cold_row, warm_row],
-        speedup_warm_vs_cold: speedup,
-        warm_store_hit_rate,
+        files: cold.summary.files,
+        functions: cold.summary.functions,
+        store_entries: warm.summary.cache_file_loaded_entries,
+        speedup_warm_vs_cold: speedup(&cold, &warm),
+        warm_store_hit_rate: warm.summary.store_hit_rate,
         reports_identical: cold_reports == warm_reports,
+        rows: vec![cold, warm],
     }
-}
-
-/// One measured configuration of the incremental-rescan benchmark (a row
-/// of the `rescan` section of `BENCH_checker.json`).
-#[derive(Clone, Debug, Serialize)]
-pub struct RescanRow {
-    /// Human-readable configuration label.
-    pub label: String,
-    /// Semantic churn the scanned archive carries, in percent of files.
-    pub churn_pct: u32,
-    /// Modules (files) scanned.
-    pub files: usize,
-    /// Modules replayed from the scan store without solver work.
-    pub modules_skipped: usize,
-    /// `modules_skipped / files`.
-    pub modules_skipped_rate: f64,
-    /// End-to-end scan wall clock, milliseconds (rounded).
-    pub wall_ms: u64,
-    /// End-to-end scan wall clock, microseconds (what speedups divide).
-    pub wall_us: u64,
-    /// Solver queries issued.
-    pub queries: u64,
-    /// Queries answered from the (disk-backed) query store.
-    pub store_hits: u64,
-    /// Reports produced.
-    pub reports: usize,
 }
 
 /// The incremental-rescan measurement: the same archive scanned after a
 /// simulated evolution step (0%, 5%, 20% of files semantically changed,
 /// plus comment/whitespace-only edits) under three configurations — cold
-/// (no persistence), warm query store (the PR 4 mode: every repeated query
-/// answered from disk, but every module still lowered, fingerprinted and
-/// driven through the checker), and incremental re-scan (query store plus
-/// the fingerprint-keyed scan store: unchanged modules are skipped
-/// entirely). This is the §6.5 deployment loop: the Debian archive
-/// re-scanned as it evolves, where between runs almost nothing changes.
+/// (no persistence), warm query store (every repeated query answered from
+/// disk, but every module still lowered, keyed and driven through the
+/// checker), and incremental re-scan (query store plus the replay-keyed
+/// scan store: unchanged functions replay, and a module whose functions
+/// all replay is skipped). This is the §6.5 deployment loop: the Debian
+/// archive re-scanned as it evolves, where between runs almost nothing
+/// changes.
 #[derive(Clone, Debug, Serialize)]
 pub struct IncrementalRescan {
     /// Workload description.
@@ -637,7 +646,7 @@ pub struct IncrementalRescan {
     /// File-level pipeline workers used by every run.
     pub jobs: usize,
     /// Three rows (cold / warm store / incremental rescan) per churn level.
-    pub rows: Vec<RescanRow>,
+    pub rows: Vec<BenchRow>,
     /// Cold wall clock / incremental-rescan wall clock at 0% churn — the
     /// headline number; must beat `speedup_warm_vs_cold`.
     pub speedup_rescan_vs_cold: f64,
@@ -652,155 +661,57 @@ pub struct IncrementalRescan {
     pub reports_identical: bool,
 }
 
-/// Scan an archive population through the file-parallel pipeline, returning
-/// the rendered report stream and the row measurements. With `save_stores`
-/// the (possibly grown) stores are persisted after the run — the fan-out
-/// half of a sharded scan; measured re-scan runs pass `false` so every
-/// configuration starts from the same primed files.
-#[allow(clippy::too_many_arguments)]
-fn rescan_run(
-    label: &str,
-    churn_pct: u32,
-    files: &[ArchiveFile],
-    config: CheckerConfig,
-    jobs: usize,
-    query_store_path: Option<&std::path::Path>,
-    scan_store_path: Option<&std::path::Path>,
-    save_stores: bool,
-) -> (RescanRow, Vec<String>) {
-    let tasks = inline_tasks(files.iter().map(|f| (f.name.as_str(), f.source.as_str())));
-    let query_store = query_store_path
-        .map(|path| Arc::new(DiskQueryStore::open(path).expect("open rescan query store")));
-    let session = match &query_store {
-        Some(store) => AnalysisSession::with_store(config, store.clone() as _),
-        None => AnalysisSession::new(config),
-    };
-    let mut pipeline = ScanPipeline::new(&session, jobs);
-    let scan_store = scan_store_path
-        .map(|path| Arc::new(ScanStore::open(path).expect("open rescan scan store")));
-    if let Some(store) = &scan_store {
-        pipeline = pipeline.with_scan_store(store.clone());
-    }
-    let mut reports = Vec::new();
-    let start = Instant::now();
-    let outcome = pipeline.run(&tasks, &mut |event| {
-        if let ScanEvent::Report(report) = event {
-            reports.push(format!("{report:?}"));
-        }
-    });
-    let elapsed = start.elapsed();
-    if save_stores {
-        if let Some(store) = &query_store {
-            store.save().expect("save rescan query store");
-        }
-        if let Some(store) = &scan_store {
-            store.save().expect("save rescan scan store");
-        }
-    }
-    let stats = session.stats();
-    let row = RescanRow {
-        label: label.to_string(),
-        churn_pct,
-        files: outcome.files,
-        modules_skipped: outcome.modules_skipped,
-        modules_skipped_rate: outcome.modules_skipped as f64 / outcome.files.max(1) as f64,
-        wall_ms: u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX),
-        wall_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-        queries: stats.queries,
-        store_hits: stats.cache_hits,
-        reports: reports.len(),
-    };
-    (row, reports)
-}
-
 /// Run the incremental-rescan measurement. One priming scan of the base
-/// archive populates the query store and the scan store (the "previous
-/// run"); each measured configuration then reopens those files read-only.
+/// archive fills and saves the query store and the scan store (the
+/// "previous run"); each measured configuration then reopens those files
+/// and never saves them.
 pub fn incremental_rescan(cfg: &ScalingConfig) -> IncrementalRescan {
-    static INVOCATION: AtomicU64 = AtomicU64::new(0);
-    let tag = format!(
-        "stack-bench-rescan-{}-{}",
-        std::process::id(),
-        INVOCATION.fetch_add(1, Ordering::Relaxed)
-    );
-    let query_store_path = std::env::temp_dir().join(format!("{tag}.qs"));
-    let scan_store_path = std::env::temp_dir().join(format!("{tag}.ss"));
-    let _ = std::fs::remove_file(&query_store_path);
-    let _ = std::fs::remove_file(&scan_store_path);
-
+    let dir = TempDir::new();
+    let (query_store, scan_store) = (dir.join("rescan.qs"), dir.join("rescan.ss"));
     let archive_cfg = ArchiveConfig {
         packages: cfg.packages,
         ..ArchiveConfig::default()
     };
     let base = generate_archive(&archive_cfg);
-    let jobs = widest_jobs(cfg);
-    let config = CheckerConfig {
-        query_budget: cfg.query_budget,
-        ..CheckerConfig::default()
+    let (config, jobs) = (checker_config(cfg), widest_jobs(cfg));
+    let warm = Stores {
+        query: Some(&query_store),
+        ..Stores::default()
     };
-
-    // Prime both stores from the base archive, then persist them.
-    {
-        let query_store =
-            Arc::new(DiskQueryStore::open(&query_store_path).expect("open priming query store"));
-        let scan_store =
-            Arc::new(ScanStore::open(&scan_store_path).expect("open priming scan store"));
-        let session = AnalysisSession::with_store(config, query_store.clone() as _);
-        let tasks = inline_tasks(base.iter().map(|f| (f.name.as_str(), f.source.as_str())));
-        ScanPipeline::new(&session, jobs)
-            .with_scan_store(scan_store.clone())
-            .run(&tasks, &mut |_| {});
-        query_store.save().expect("save priming query store");
-        scan_store.save().expect("save priming scan store");
-    }
+    let incremental = Stores {
+        scan: Some(&scan_store),
+        ..warm
+    };
+    let priming = Stores {
+        save: true,
+        ..incremental
+    };
+    measure("priming", &archive_tasks(&base), config, jobs, priming);
 
     let mut rows = Vec::new();
     let mut reports_identical = true;
-    let mut speedup_rescan_vs_cold = 0.0;
-    let mut speedup_rescan_vs_warm = 0.0;
-    let mut modules_skipped_rate = 0.0;
     for churn_pct in [0u32, 5, 20] {
-        let churned = churn_archive(&base, archive_cfg.seed, churn_pct as f64 / 100.0);
-        let (cold, cold_reports) = rescan_run(
-            &format!("{churn_pct}% churn, cold"),
-            churn_pct,
-            &churned.files,
-            config,
-            jobs,
-            None,
-            None,
-            false,
-        );
-        let (warm, warm_reports) = rescan_run(
-            &format!("{churn_pct}% churn, warm query store"),
-            churn_pct,
-            &churned.files,
-            config,
-            jobs,
-            Some(&query_store_path),
-            None,
-            false,
-        );
-        let (rescan, rescan_reports) = rescan_run(
-            &format!("{churn_pct}% churn, incremental rescan"),
-            churn_pct,
-            &churned.files,
-            config,
-            jobs,
-            Some(&query_store_path),
-            Some(&scan_store_path),
-            false,
-        );
+        let churned = churn_archive(&base, archive_cfg.seed, f64::from(churn_pct) / 100.0);
+        let tasks = archive_tasks(&churned.files);
+        let mut run = |label: &str, stores| {
+            let (row, reports) = measure(
+                format!("{churn_pct}% churn, {label}"),
+                &tasks,
+                config,
+                jobs,
+                stores,
+            );
+            rows.push(row);
+            reports
+        };
+        let cold_reports = run("cold", Stores::default());
+        let warm_reports = run("warm query store", warm);
+        let rescan_reports = run("incremental rescan", incremental);
         reports_identical &= cold_reports == warm_reports && cold_reports == rescan_reports;
-        if churn_pct == 0 {
-            speedup_rescan_vs_cold = cold.wall_us.max(1) as f64 / rescan.wall_us.max(1) as f64;
-            speedup_rescan_vs_warm = warm.wall_us.max(1) as f64 / rescan.wall_us.max(1) as f64;
-            modules_skipped_rate = rescan.modules_skipped_rate;
-        }
-        rows.extend([cold, warm, rescan]);
     }
-    let _ = std::fs::remove_file(&query_store_path);
-    let _ = std::fs::remove_file(&scan_store_path);
+    let speedup_rescan_vs_cold = speedup(&rows[0], &rows[2]);
+    let speedup_rescan_vs_warm = speedup(&rows[1], &rows[2]);
+    let modules_skipped_rate = modules_skipped_rate(&rows[2].summary);
     IncrementalRescan {
         archive: format!(
             "overlap archive + churn (packages={}, seed={:#x})",
@@ -822,8 +733,7 @@ pub fn incremental_rescan(cfg: &ScalingConfig) -> IncrementalRescan {
 /// folded back with `DiskQueryStore::merge`/`ScanStore::merge`, and finally
 /// re-scanned in full, warm from the merged stores. The merged-warm run
 /// must skip every module and stream byte-identical reports to the cold
-/// unsharded scan; its speedup is the fleet payoff the ROADMAP's
-/// distributed-scan item is after.
+/// unsharded scan.
 #[derive(Clone, Debug, Serialize)]
 pub struct ShardedScan {
     /// Workload description.
@@ -835,8 +745,8 @@ pub struct ShardedScan {
     /// File-level pipeline workers used by every run.
     pub jobs: usize,
     /// Rows: cold unsharded, one per shard (fan-out), merged warm
-    /// (fan-in). `churn_pct` is always 0 here.
-    pub rows: Vec<RescanRow>,
+    /// (fan-in).
+    pub rows: Vec<BenchRow>,
     /// Entries in the merged query store.
     pub merged_query_entries: u64,
     /// Function records in the merged scan store.
@@ -855,102 +765,70 @@ pub struct ShardedScan {
     pub merge_reports_identical: bool,
 }
 
-/// Run the distributed-scan measurement. Store files live in the system
-/// temp directory (unique per process and invocation) and are removed
-/// afterwards.
+/// Run the distributed-scan measurement.
 pub fn sharded_scan(cfg: &ScalingConfig) -> ShardedScan {
-    static INVOCATION: AtomicU64 = AtomicU64::new(0);
     const SHARDS: usize = 4;
-    let tag = format!(
-        "stack-bench-shard-{}-{}",
-        std::process::id(),
-        INVOCATION.fetch_add(1, Ordering::Relaxed)
-    );
-    let shard_qs = |i: usize| std::env::temp_dir().join(format!("{tag}-{i}.qs"));
-    let shard_ss = |i: usize| std::env::temp_dir().join(format!("{tag}-{i}.ss"));
-    let merged_qs = std::env::temp_dir().join(format!("{tag}-merged.qs"));
-    let merged_ss = std::env::temp_dir().join(format!("{tag}-merged.ss"));
-
+    let dir = TempDir::new();
+    let shard_stores: Vec<(PathBuf, PathBuf)> = (0..SHARDS)
+        .map(|i| {
+            (
+                dir.join(&format!("shard-{i}.qs")),
+                dir.join(&format!("shard-{i}.ss")),
+            )
+        })
+        .collect();
+    let (merged_qs, merged_ss) = (dir.join("merged.qs"), dir.join("merged.ss"));
     let archive_cfg = ArchiveConfig {
         packages: cfg.packages,
         ..ArchiveConfig::default()
     };
     let archive = generate_archive(&archive_cfg);
-    let jobs = widest_jobs(cfg);
-    let config = CheckerConfig {
-        query_budget: cfg.query_budget,
-        ..CheckerConfig::default()
-    };
+    let tasks = archive_tasks(&archive);
+    let (config, jobs) = (checker_config(cfg), widest_jobs(cfg));
 
-    // The same content-keyed partition `stack scan --shard i/n` applies.
-    let shard_files: Vec<Vec<ArchiveFile>> = (0..SHARDS)
-        .map(|shard| {
-            archive
-                .iter()
-                .filter(|f| {
-                    stack_core::shard_assignment(
-                        stack_core::content_key(f.source.as_bytes()),
-                        SHARDS,
-                    ) == shard
-                })
-                .cloned()
-                .collect()
-        })
-        .collect();
-
-    let mut rows = Vec::new();
-    let (cold, cold_reports) = rescan_run(
+    let (cold, cold_reports) = measure(
         "unsharded, cold (baseline)",
-        0,
-        &archive,
+        &tasks,
         config,
         jobs,
-        None,
-        None,
-        false,
+        Stores::default(),
     );
-    rows.push(cold.clone());
-    for (shard, files) in shard_files.iter().enumerate() {
-        let (row, _) = rescan_run(
-            &format!("shard {}/{SHARDS}, cold fan-out", shard + 1),
-            0,
-            files,
-            config,
-            jobs,
-            Some(&shard_qs(shard)),
-            Some(&shard_ss(shard)),
-            true,
-        );
-        rows.push(row);
+    let mut rows = vec![cold];
+    for (shard, (qs, ss)) in shard_stores.iter().enumerate() {
+        // The same content-keyed partition `stack scan --shard i/n` applies.
+        let files = archive.iter().filter(|f| {
+            stack_core::shard_assignment(stack_core::content_key(f.source.as_bytes()), SHARDS)
+                == shard
+        });
+        let stores = Stores {
+            query: Some(qs),
+            scan: Some(ss),
+            save: true,
+        };
+        let label = format!("shard {}/{SHARDS}, cold fan-out", shard + 1);
+        rows.push(measure(label, &archive_tasks(files), config, jobs, stores).0);
     }
 
-    let qs_inputs: Vec<std::path::PathBuf> = (0..SHARDS).map(shard_qs).collect();
-    let ss_inputs: Vec<std::path::PathBuf> = (0..SHARDS).map(shard_ss).collect();
+    let (qs_inputs, ss_inputs): (Vec<PathBuf>, Vec<PathBuf>) = shard_stores.into_iter().unzip();
     let query_stats =
         DiskQueryStore::merge(&merged_qs, &qs_inputs, None).expect("merge shard query stores");
     let scan_stats =
         ScanStore::merge(&merged_ss, &ss_inputs, None).expect("merge shard scan stores");
-
-    let (warm, warm_reports) = rescan_run(
+    let merged = Stores {
+        query: Some(&merged_qs),
+        scan: Some(&merged_ss),
+        save: false,
+    };
+    let (warm, warm_reports) = measure(
         "unsharded, warm from merged stores",
-        0,
-        &archive,
+        &tasks,
         config,
         jobs,
-        Some(&merged_qs),
-        Some(&merged_ss),
-        false,
+        merged,
     );
-    let speedup = cold.wall_us.max(1) as f64 / warm.wall_us.max(1) as f64;
-    let skip_rate = warm.modules_skipped_rate;
-    let identical = cold_reports == warm_reports;
+    let speedup_merged_warm_vs_cold = speedup(&rows[0], &warm);
+    let merged_warm_skip_rate = modules_skipped_rate(&warm.summary);
     rows.push(warm);
-
-    for path in qs_inputs.iter().chain(ss_inputs.iter()) {
-        let _ = std::fs::remove_file(path);
-    }
-    let _ = std::fs::remove_file(&merged_qs);
-    let _ = std::fs::remove_file(&merged_ss);
 
     ShardedScan {
         archive: format!(
@@ -964,38 +842,10 @@ pub fn sharded_scan(cfg: &ScalingConfig) -> ShardedScan {
         merged_query_entries: query_stats.entries_out,
         merged_scan_entries: scan_stats.entries_out,
         merged_query_duplicates: query_stats.duplicates,
-        speedup_merged_warm_vs_cold: speedup,
-        merged_warm_skip_rate: skip_rate,
-        merge_reports_identical: identical,
+        speedup_merged_warm_vs_cold,
+        merged_warm_skip_rate,
+        merge_reports_identical: cold_reports == warm_reports,
     }
-}
-
-/// One measured configuration row of the `function_rescan` section.
-#[derive(Clone, Debug, Serialize)]
-pub struct FunctionRescanRow {
-    /// Human-readable configuration label.
-    pub label: String,
-    /// Percent of *functions* (not files) edited in place.
-    pub churn_pct: u32,
-    /// Modules (files) scanned.
-    pub files: usize,
-    /// Functions across the archive.
-    pub functions: usize,
-    /// Functions replayed from the scan store without solver work.
-    pub functions_skipped: usize,
-    /// Modules all of whose functions replayed.
-    pub modules_skipped: usize,
-    /// End-to-end scan wall clock, milliseconds (rounded).
-    pub wall_ms: u64,
-    /// End-to-end scan wall clock, microseconds.
-    pub wall_us: u64,
-    /// Solver queries issued.
-    pub queries: u64,
-    /// Reports produced.
-    pub reports: usize,
-    /// Whether this row's report stream is byte-identical to the cold
-    /// reference scan of the same churned archive (it must be).
-    pub reports_identical: bool,
 }
 
 /// The per-function incremental-rescan measurement: the same archive
@@ -1019,7 +869,7 @@ pub struct FunctionRescan {
     /// File-level pipeline workers used by every churn-row run.
     pub jobs: usize,
     /// Two rows (cold / function-granular warm) per churn level.
-    pub rows: Vec<FunctionRescanRow>,
+    pub rows: Vec<BenchRow>,
     /// The function-granular 5%-churn row's skip rate
     /// (`functions_skipped / functions`; the ground-truth bar is 0.95).
     pub function_skip_rate_5pct: f64,
@@ -1035,67 +885,14 @@ pub struct FunctionRescan {
     pub reports_identical: bool,
 }
 
-/// Scan an archive population for the `function_rescan` section,
-/// returning the row and the rendered report stream. No store is saved:
-/// every measured run starts from the same primed file.
-fn function_rescan_run(
-    label: &str,
-    churn_pct: u32,
-    files: &[ArchiveFile],
-    config: CheckerConfig,
-    jobs: usize,
-    scan_store_path: Option<&std::path::Path>,
-) -> (FunctionRescanRow, Vec<String>) {
-    let tasks = inline_tasks(files.iter().map(|f| (f.name.as_str(), f.source.as_str())));
-    let session = AnalysisSession::new(config);
-    let mut pipeline = ScanPipeline::new(&session, jobs);
-    let scan_store = scan_store_path
-        .map(|path| Arc::new(ScanStore::open(path).expect("open function-rescan scan store")));
-    if let Some(store) = &scan_store {
-        pipeline = pipeline.with_scan_store(store.clone());
-    }
-    let mut reports = Vec::new();
-    let start = Instant::now();
-    let outcome = pipeline.run(&tasks, &mut |event| {
-        if let ScanEvent::Report(report) = event {
-            reports.push(format!("{report:?}"));
-        }
-    });
-    let elapsed = start.elapsed();
-    let stats = session.stats();
-    let row = FunctionRescanRow {
-        label: label.to_string(),
-        churn_pct,
-        files: outcome.files,
-        functions: stats.functions,
-        functions_skipped: outcome.functions_skipped,
-        modules_skipped: outcome.modules_skipped,
-        wall_ms: u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX),
-        wall_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-        queries: stats.queries,
-        reports: reports.len(),
-        reports_identical: true, // filled in by the caller against its reference
-    };
-    (row, reports)
-}
-
 /// Run the per-function incremental-rescan measurement. One priming scan
-/// of the base archive populates the scan store (the "previous run"); the
-/// churn rows then reopen that file read-only. No query store is attached
-/// anywhere in this section, so `queries` counts exactly the functions
-/// that were actually driven through the solver.
+/// of the base archive fills and saves the scan store (the "previous
+/// run"); the churn rows then reopen that file and never save it. No query
+/// store is attached anywhere in this section, so `queries` counts exactly
+/// the functions that were actually driven through the solver.
 pub fn function_rescan(cfg: &ScalingConfig) -> FunctionRescan {
-    static INVOCATION: AtomicU64 = AtomicU64::new(0);
-    let tag = format!(
-        "stack-bench-fnrescan-{}-{}",
-        std::process::id(),
-        INVOCATION.fetch_add(1, Ordering::Relaxed)
-    );
-    let scan_store_path = std::env::temp_dir().join(format!("{tag}.ss"));
-    let dedup_store_path = std::env::temp_dir().join(format!("{tag}-dedup.ss"));
-    let _ = std::fs::remove_file(&scan_store_path);
-    let _ = std::fs::remove_file(&dedup_store_path);
-
+    let dir = TempDir::new();
+    let (primed, dedup) = (dir.join("fnrescan.ss"), dir.join("dedup.ss"));
     // Wider files than the default archive: 12 functions each, so one
     // edited function leaves 11 siblings to replay.
     let archive_cfg = ArchiveConfig {
@@ -1104,83 +901,65 @@ pub fn function_rescan(cfg: &ScalingConfig) -> FunctionRescan {
         ..ArchiveConfig::default()
     };
     let base = generate_archive(&archive_cfg);
-    let jobs = widest_jobs(cfg);
-    let config = CheckerConfig {
-        query_budget: cfg.query_budget,
-        ..CheckerConfig::default()
+    let (config, jobs) = (checker_config(cfg), widest_jobs(cfg));
+    let rescan = Stores {
+        scan: Some(&primed),
+        ..Stores::default()
     };
-
-    // Prime the scan store from the base archive.
-    {
-        let scan_store =
-            Arc::new(ScanStore::open(&scan_store_path).expect("open priming scan store"));
-        let session = AnalysisSession::new(config);
-        let tasks = inline_tasks(base.iter().map(|f| (f.name.as_str(), f.source.as_str())));
-        ScanPipeline::new(&session, jobs)
-            .with_scan_store(scan_store.clone())
-            .run(&tasks, &mut |_| {});
-        scan_store.save().expect("save priming scan store");
-    }
+    let priming = Stores {
+        save: true,
+        ..rescan
+    };
+    measure("priming", &archive_tasks(&base), config, jobs, priming);
 
     let mut rows = Vec::new();
     let mut reports_identical = true;
-    let mut function_skip_rate_5pct = 0.0;
     let mut functions = 0usize;
     for churn_pct in [0u32, 5, 20] {
-        let churned = churn_functions(&base, archive_cfg.seed, churn_pct as f64 / 100.0);
+        let churned = churn_functions(&base, archive_cfg.seed, f64::from(churn_pct) / 100.0);
         functions = churned.total_functions;
-        let (mut cold, cold_reports) = function_rescan_run(
-            &format!("{churn_pct}% fn churn, cold"),
-            churn_pct,
-            &churned.files,
+        let tasks = archive_tasks(&churned.files);
+        let label = |what: &str| format!("{churn_pct}% fn churn, {what}");
+        let (cold, cold_reports) = measure(label("cold"), &tasks, config, jobs, Stores::default());
+        let (warm, warm_reports) = measure(
+            label("function-granular rescan"),
+            &tasks,
             config,
             jobs,
-            None,
+            rescan,
         );
-        cold.reports_identical = true;
-        let (mut function_row, function_reports) = function_rescan_run(
-            &format!("{churn_pct}% fn churn, function-granular rescan"),
-            churn_pct,
-            &churned.files,
-            config,
-            jobs,
-            Some(&scan_store_path),
-        );
-        function_row.reports_identical = function_reports == cold_reports;
-        reports_identical &= function_row.reports_identical;
-        if churn_pct == 5 {
-            function_skip_rate_5pct =
-                function_row.functions_skipped as f64 / function_row.functions.max(1) as f64;
-        }
-        rows.extend([cold, function_row]);
+        reports_identical &= cold_reports == warm_reports;
+        rows.extend([cold, warm]);
     }
+    let five_pct = &rows[3].summary;
+    let function_skip_rate_5pct =
+        five_pct.functions_skipped as f64 / five_pct.functions.max(1) as f64;
 
     // Cross-path dedup: the archive plus vendored byte-identical copies,
     // scanned sequentially (jobs 1, so every duplicate scans after its
     // original) without any store, then with a fresh cold scan store.
     let dedup_copies = base.len().max(1);
-    let extended = duplicate_files(&base, archive_cfg.seed, dedup_copies);
-    let (no_store, no_store_reports) = function_rescan_run(
+    let extended = archive_tasks(&duplicate_files(&base, archive_cfg.seed, dedup_copies));
+    let dedup_store = Stores {
+        scan: Some(&dedup),
+        ..Stores::default()
+    };
+    let (no_store, no_store_reports) = measure(
         "archive + duplicates, no store",
-        0,
         &extended,
         config,
         1,
-        None,
+        Stores::default(),
     );
-    let (with_store, with_store_reports) = function_rescan_run(
+    let (with_store, with_store_reports) = measure(
         "archive + duplicates, cold scan store (dedup)",
-        0,
         &extended,
         config,
         1,
-        Some(&dedup_store_path),
+        dedup_store,
     );
     reports_identical &= no_store_reports == with_store_reports;
-    let dedup_queries_saved = no_store.queries.saturating_sub(with_store.queries);
 
-    let _ = std::fs::remove_file(&scan_store_path);
-    let _ = std::fs::remove_file(&dedup_store_path);
     FunctionRescan {
         archive: format!(
             "wide-file overlap archive + function churn (packages={}, functions_per_file={}, seed={:#x})",
@@ -1192,7 +971,10 @@ pub fn function_rescan(cfg: &ScalingConfig) -> FunctionRescan {
         rows,
         function_skip_rate_5pct,
         dedup_duplicate_files: dedup_copies,
-        dedup_queries_saved,
+        dedup_queries_saved: no_store
+            .summary
+            .queries
+            .saturating_sub(with_store.summary.queries),
         reports_identical,
     }
 }
@@ -1215,10 +997,11 @@ pub struct FaultTolerance {
     /// persisted to either store.
     pub degraded_modules: usize,
     /// Whether the degraded scans at jobs 1 and at the widest width
-    /// produced byte-identical report streams and equal solver counters
-    /// (they must: budget exhaustion is deterministic, unlike a wall-clock
-    /// timeout, and the scan pipeline gives every module the store a
-    /// sequential scan would).
+    /// produced byte-identical report streams and equal summaries apart
+    /// from the width, its re-run count and the wall clock (they must:
+    /// budget exhaustion is deterministic, unlike a wall-clock timeout,
+    /// and the scan pipeline gives every module the store a sequential
+    /// scan would).
     pub degraded_deterministic: bool,
     /// Entries the salvage pass recovered when re-opening the truncated
     /// store.
@@ -1237,72 +1020,42 @@ pub struct FaultTolerance {
 /// disk-backed query store.
 pub fn fault_tolerance(cfg: &ScalingConfig) -> FaultTolerance {
     // --- graceful degradation under a tiny budget -------------------------
-    let synth = SynthConfig {
-        packages: cfg.packages,
-        seed: cfg.seed,
-        ..SynthConfig::default()
-    };
-    let population = generate(&synth);
-    let tasks = inline_tasks(
-        population
-            .iter()
-            .flat_map(|pkg| &pkg.files)
-            .map(|f| (f.name.as_str(), f.source.as_str())),
-    );
+    let tasks = synth_tasks(cfg);
     // Small enough that real queries exhaust it; budget exhaustion (unlike
     // the paper's 5-second wall-clock timeout) is deterministic, so the
     // two widths below must stream identical reports and count identical
     // solver work.
     let tiny_budget = 50u64;
-    let widest = widest_jobs(cfg);
-    let degraded_run = |jobs: usize| {
-        let session = AnalysisSession::new(CheckerConfig {
-            query_budget: tiny_budget,
-            ..CheckerConfig::default()
-        });
-        let mut reports = Vec::new();
-        ScanPipeline::new(&session, jobs).run(&tasks, &mut |event| {
-            if let ScanEvent::Report(r) = event {
-                reports.push(format!("{r:?}"));
-            }
-        });
-        let s = session.stats();
-        let counters = [
-            s.queries,
-            s.timeouts,
-            s.cache_hits,
-            s.cache_misses,
-            s.propagations,
-            s.conflicts,
-            s.sat_queries,
-            s.unsat_queries,
-            s.simulated,
-        ];
-        (s.timeouts, s.degraded_modules, reports, counters)
+    let degraded = CheckerConfig {
+        query_budget: tiny_budget,
+        ..CheckerConfig::default()
     };
-    let (degraded_queries, degraded_modules, narrow_reports, narrow_counters) = degraded_run(1);
-    let (_, _, wide_reports, wide_counters) = degraded_run(widest);
+    let widest = widest_jobs(cfg);
+    let (narrow, narrow_reports) =
+        measure("degraded, jobs 1", &tasks, degraded, 1, Stores::default());
+    let (wide, wide_reports) = measure(
+        "degraded, widest",
+        &tasks,
+        degraded,
+        widest,
+        Stores::default(),
+    );
+    let counters = |s: &ScanSummary| ScanSummary {
+        jobs: 0,
+        rerun_tasks: 0,
+        elapsed_ms: 0,
+        ..*s
+    };
 
     // --- truncate-and-salvage round trip ---------------------------------
-    static INVOCATION: AtomicU64 = AtomicU64::new(0);
-    let store_path = std::env::temp_dir().join(format!(
-        "stack-bench-fault-{}-{}.qs",
-        std::process::id(),
-        INVOCATION.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_file(&store_path);
-    {
-        let store = Arc::new(DiskQueryStore::open(&store_path).expect("open fault-bench store"));
-        let session = AnalysisSession::with_store(
-            CheckerConfig {
-                query_budget: cfg.query_budget,
-                ..CheckerConfig::default()
-            },
-            store.clone() as _,
-        );
-        ScanPipeline::new(&session, widest).run(&tasks, &mut |_| {});
-        store.save().expect("save fault-bench store");
-    }
+    let dir = TempDir::new();
+    let store_path = dir.join("fault.qs");
+    let fill = Stores {
+        query: Some(&store_path),
+        save: true,
+        ..Stores::default()
+    };
+    measure("salvage fill", &tasks, checker_config(cfg), widest, fill);
     // Cut inside the final line: the store ends with a newline and every
     // checksummed line is longer than three bytes, so this always leaves a
     // torn tail for the salvage pass to drop.
@@ -1322,13 +1075,13 @@ pub fn fault_tolerance(cfg: &ScalingConfig) -> FaultTolerance {
     let store_healed = healed.salvage().is_none()
         && !healed.was_invalidated()
         && healed.loaded_entries() == salvaged_entries;
-    let _ = std::fs::remove_file(&store_path);
 
     FaultTolerance {
         query_budget: tiny_budget,
-        degraded_queries,
-        degraded_modules,
-        degraded_deterministic: narrow_reports == wide_reports && narrow_counters == wide_counters,
+        degraded_queries: narrow.summary.degraded_queries,
+        degraded_modules: narrow.summary.degraded_modules,
+        degraded_deterministic: narrow_reports == wide_reports
+            && counters(&narrow.summary) == counters(&wide.summary),
         salvaged_entries,
         dropped_lines: salvage.dropped_lines,
         first_bad_offset: salvage.first_bad_offset,
@@ -1343,104 +1096,42 @@ pub fn fault_tolerance(cfg: &ScalingConfig) -> FaultTolerance {
 pub struct SolverSpeed {
     /// Description of the synthetic archive scanned.
     pub archive: String,
-    /// Files in the churned archive.
-    pub files: usize,
-    /// Pipeline worker width used.
-    pub jobs: usize,
     /// Churn rate applied to the base archive before scanning.
     pub churn_pct: u32,
     /// Per-query propagation budget.
     pub query_budget: u64,
-    /// Wall-clock time for the scan, in milliseconds.
-    pub wall_ms: u64,
-    /// Wall-clock time for the scan, in microseconds.
-    pub wall_us: u64,
-    /// Solver queries issued (all misses — the store is disabled).
-    pub queries: u64,
-    /// Queries that exhausted their budget and degraded to Unknown.
-    pub timeouts: u64,
-    /// Queries answered Sat by simulation, without reaching the SAT core.
-    pub simulated: u64,
-    /// Total unit propagations — the deterministic currency solver budgets
-    /// are denominated in, and this section's measure of raw solver work.
-    pub propagations: u64,
-    /// Propagations spent on queries that ended Unsat.
-    pub unsat_propagations: u64,
-    /// Total conflicts across all queries.
-    pub conflicts: u64,
-    /// Total solver restarts across all queries.
-    pub restarts: u64,
-    /// Learned clauses retained across all queries.
-    pub learned_clauses: u64,
-    /// Learned clauses evicted by clause-database reduction.
-    pub deleted_clauses: u64,
-    /// Mean LBD (glue) over all learned clauses.
-    pub avg_lbd: f64,
-    /// Queries the solver answered Unsat.
-    pub unsat_queries: u64,
-    /// Assumption cores extracted from final conflicts.
-    pub cores_recorded: u64,
-    /// `minimal_ub_set` queries skipped by core-seeded minimization.
-    pub minimization_queries_saved: u64,
-    /// Reports emitted.
-    pub reports: usize,
+    /// The one measured scan; its summary carries the solver counters.
+    pub rows: Vec<BenchRow>,
 }
 
-/// Run the solver-speed measurement. The store is disabled (no memo store,
-/// no disk stores) so the scan is the pure worst case — a high-churn tree
-/// where nothing can be reused — and every store miss is solved on the
-/// function's incremental instance.
+/// Run the solver-speed measurement at the widest width. The store is
+/// disabled (no memo store, no disk stores) so the scan is the pure worst
+/// case — a high-churn tree where nothing can be reused — and every store
+/// miss is solved on the function's incremental instance.
 pub fn solver_speed(cfg: &ScalingConfig) -> SolverSpeed {
+    const CHURN_PCT: u32 = 20;
     let archive_cfg = ArchiveConfig {
         packages: cfg.packages,
         ..ArchiveConfig::default()
     };
     let base = generate_archive(&archive_cfg);
-    const CHURN_PCT: u32 = 20;
     let churned = churn_archive(&base, archive_cfg.seed, f64::from(CHURN_PCT) / 100.0);
-    let jobs = widest_jobs(cfg);
-    let tasks = inline_tasks(
-        churned
-            .files
-            .iter()
-            .map(|f| (f.name.as_str(), f.source.as_str())),
-    );
-    let session = AnalysisSession::new(CheckerConfig {
-        query_budget: cfg.query_budget,
+    let config = CheckerConfig {
         query_cache: false,
-        ..CheckerConfig::default()
-    });
-    let mut reports = 0usize;
-    let start = Instant::now();
-    ScanPipeline::new(&session, jobs).run(&tasks, &mut |event| {
-        if let ScanEvent::Report(_) = event {
-            reports += 1;
-        }
-    });
-    let elapsed = start.elapsed();
-    let stats = session.stats();
+        ..checker_config(cfg)
+    };
+    let (row, _) = measure(
+        "store disabled",
+        &archive_tasks(&churned.files),
+        config,
+        widest_jobs(cfg),
+        Stores::default(),
+    );
     SolverSpeed {
         archive: format!("{} packages, seed {}", cfg.packages, archive_cfg.seed),
-        files: churned.files.len(),
-        jobs,
         churn_pct: CHURN_PCT,
         query_budget: cfg.query_budget,
-        wall_ms: u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX),
-        wall_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-        queries: stats.queries,
-        timeouts: stats.timeouts,
-        simulated: stats.simulated,
-        propagations: stats.propagations,
-        unsat_propagations: stats.unsat_propagations,
-        conflicts: stats.conflicts,
-        restarts: stats.restarts,
-        learned_clauses: stats.learned_clauses,
-        deleted_clauses: stats.deleted_clauses,
-        avg_lbd: stats.avg_lbd(),
-        unsat_queries: stats.unsat_queries,
-        cores_recorded: stats.cores_recorded,
-        minimization_queries_saved: stats.minimization_queries_saved,
-        reports,
+        rows: vec![row],
     }
 }
 
@@ -1458,7 +1149,7 @@ pub struct CheckerScaling {
     /// Functions analyzed per configuration run.
     pub functions: usize,
     /// Measured configurations; row 0 is the seed baseline.
-    pub rows: Vec<ScalingRow>,
+    pub rows: Vec<BenchRow>,
     /// Baseline wall clock / best non-seed wall clock.
     pub speedup_vs_seed: f64,
     /// Label of the fastest non-seed configuration.
@@ -1490,71 +1181,31 @@ pub struct CheckerScaling {
 /// Run the checker-scaling benchmark: scan one synthetic population
 /// through the [`ScanPipeline`] under (a) the seed configuration, jobs 1
 /// with the query store off, and (b) the query store on at each width in
-/// `cfg.jobs`, measuring wall clock, throughput, store behavior, and clause
-/// reuse for each.
+/// `cfg.jobs`, then run every other section. Each row runs on a fresh
+/// session, so rows are comparable and independent of run order.
 pub fn checker_scaling(cfg: &ScalingConfig) -> CheckerScaling {
-    let synth = SynthConfig {
-        packages: cfg.packages,
-        seed: cfg.seed,
-        ..SynthConfig::default()
+    let tasks = synth_tasks(cfg);
+    let seed = CheckerConfig {
+        query_cache: false,
+        ..checker_config(cfg)
     };
-    let population = generate(&synth);
-    let tasks = inline_tasks(
-        population
-            .iter()
-            .flat_map(|pkg| &pkg.files)
-            .map(|f| (f.name.as_str(), f.source.as_str())),
+    let (seed_row, _) = measure(
+        "seed (jobs 1, no query store)",
+        &tasks,
+        seed,
+        1,
+        Stores::default(),
     );
-
-    let mut rows = Vec::new();
-    let mut functions = 0usize;
-    let mut measure = |label: String, jobs: usize, query_cache: bool| {
-        // A fresh session per configuration: each run starts from a cold
-        // store, so rows are comparable and independent of run order.
-        let session = AnalysisSession::new(CheckerConfig {
-            query_budget: cfg.query_budget,
-            query_cache,
-            ..CheckerConfig::default()
-        });
-        let mut reports = 0usize;
-        let start = Instant::now();
-        ScanPipeline::new(&session, jobs).run(&tasks, &mut |event| {
-            if let ScanEvent::Report(_) = event {
-                reports += 1;
-            }
-        });
-        let elapsed = start.elapsed();
-        let stats = session.stats();
-        functions = stats.functions;
-        rows.push(ScalingRow {
-            label,
-            jobs,
-            query_cache,
-            wall_ms: u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX),
-            functions_per_sec: stats.functions as f64 / elapsed.as_secs_f64().max(1e-9),
-            queries: stats.queries,
-            timeouts: stats.timeouts,
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-            cache_hit_rate: stats.cache_hit_rate(),
-            incremental_queries: stats.incremental_queries,
-            reused_clauses: stats.reused_clauses,
-            minimization_queries_saved: stats.minimization_queries_saved,
-            reports,
-        });
-    };
-
-    measure("seed (jobs 1, no query store)".to_string(), 1, false);
+    let mut rows = vec![seed_row];
     for &jobs in &cfg.jobs {
-        measure(format!("{jobs} job(s) + query store"), jobs, true);
+        let label = format!("{jobs} job(s) + query store");
+        rows.push(measure(label, &tasks, checker_config(cfg), jobs, Stores::default()).0);
     }
 
     let best = rows[1..]
         .iter()
-        .min_by_key(|r| r.wall_ms)
+        .min_by_key(|r| r.wall_us)
         .expect("at least one jobs width");
-    let speedup_vs_seed = rows[0].wall_ms.max(1) as f64 / best.wall_ms.max(1) as f64;
-    let best_label = best.label.clone();
     CheckerScaling {
         population: format!(
             "fig16 synthetic population (packages={}, seed={})",
@@ -1562,10 +1213,10 @@ pub fn checker_scaling(cfg: &ScalingConfig) -> CheckerScaling {
         ),
         packages: cfg.packages,
         files: tasks.len(),
-        functions,
+        functions: rows[0].summary.functions,
+        speedup_vs_seed: speedup(&rows[0], best),
+        best_label: best.label.clone(),
         rows,
-        speedup_vs_seed,
-        best_label,
         scan: scan_persistence(cfg),
         rescan: incremental_rescan(cfg),
         function_rescan: function_rescan(cfg),
@@ -1575,8 +1226,43 @@ pub fn checker_scaling(cfg: &ScalingConfig) -> CheckerScaling {
     }
 }
 
+/// Render rows in the one format every section shares.
+fn render_rows(out: &mut String, rows: &[BenchRow]) {
+    let _ = writeln!(
+        out,
+        "  {:<40} {:>8} {:>8} {:>8} {:>6} {:>7} {:>11} {:>11} {:>10}",
+        "configuration",
+        "wall(ms)",
+        "queries",
+        "hits",
+        "hit%",
+        "reports",
+        "mods skip",
+        "fns skip",
+        "props"
+    );
+    for r in rows {
+        let s = &r.summary;
+        let _ = writeln!(
+            out,
+            "  {:<40} {:>8.1} {:>8} {:>8} {:>5.1}% {:>7} {:>5}/{:<5} {:>5}/{:<5} {:>10}",
+            r.label,
+            r.wall_us as f64 / 1000.0,
+            s.queries,
+            s.store_hits,
+            100.0 * s.store_hit_rate,
+            s.reports,
+            s.modules_skipped,
+            s.files,
+            s.functions_skipped,
+            s.functions,
+            s.propagations
+        );
+    }
+}
+
 impl CheckerScaling {
-    /// Render as an aligned text table.
+    /// Render as aligned text tables, one per section.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -1584,168 +1270,114 @@ impl CheckerScaling {
             "Checker scaling over {} ({} files, {} functions)",
             self.population, self.files, self.functions
         );
-        let _ = writeln!(
-            out,
-            "  {:<30} {:>8} {:>12} {:>9} {:>9} {:>8} {:>9} {:>10}",
-            "configuration", "wall(ms)", "funcs/sec", "queries", "hits", "hit%", "incr", "reused"
-        );
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "  {:<30} {:>8} {:>12.1} {:>9} {:>9} {:>7.1}% {:>9} {:>10}",
-                r.label,
-                r.wall_ms,
-                r.functions_per_sec,
-                r.queries,
-                r.cache_hits,
-                100.0 * r.cache_hit_rate,
-                r.incremental_queries,
-                r.reused_clauses
-            );
-        }
+        render_rows(&mut out, &self.rows);
         let _ = writeln!(
             out,
             "  speedup vs seed path: {:.2}x ({})",
             self.speedup_vs_seed, self.best_label
         );
+        let scan = &self.scan;
         let _ = writeln!(
             out,
             "Archive persistence over {} ({} files, {} functions, {} stored entries)",
-            self.scan.archive, self.scan.files, self.scan.functions, self.scan.store_entries
+            scan.archive, scan.files, scan.functions, scan.store_entries
         );
-        for r in &self.scan.rows {
-            let _ = writeln!(
-                out,
-                "  {:<30} {:>8} {:>12.1} {:>9} {:>9} {:>7.1}%",
-                r.label,
-                r.wall_ms,
-                r.functions_per_sec,
-                r.queries,
-                r.store_hits,
-                100.0 * r.store_hit_rate
-            );
-        }
+        render_rows(&mut out, &scan.rows);
         let _ = writeln!(
             out,
             "  warm vs cold scan: {:.2}x (reports identical: {})",
-            self.scan.speedup_warm_vs_cold, self.scan.reports_identical
+            scan.speedup_warm_vs_cold, scan.reports_identical
         );
+        let rescan = &self.rescan;
         let _ = writeln!(
             out,
             "Incremental re-scan over {} ({} files, {} jobs)",
-            self.rescan.archive, self.rescan.files, self.rescan.jobs
+            rescan.archive, rescan.files, rescan.jobs
         );
-        for r in &self.rescan.rows {
-            let _ = writeln!(
-                out,
-                "  {:<36} {:>8} {:>9} {:>9} {:>8}/{:<5} skipped",
-                r.label, r.wall_ms, r.queries, r.reports, r.modules_skipped, r.files
-            );
-        }
+        render_rows(&mut out, &rescan.rows);
         let _ = writeln!(
             out,
             "  rescan vs cold (0% churn): {:.2}x; vs warm store: {:.2}x; skip rate {:.0}%; \
              reports identical: {}",
-            self.rescan.speedup_rescan_vs_cold,
-            self.rescan.speedup_rescan_vs_warm,
-            100.0 * self.rescan.modules_skipped_rate,
-            self.rescan.reports_identical
+            rescan.speedup_rescan_vs_cold,
+            rescan.speedup_rescan_vs_warm,
+            100.0 * rescan.modules_skipped_rate,
+            rescan.reports_identical
         );
+        let fr = &self.function_rescan;
         let _ = writeln!(
             out,
             "Per-function re-scan over {} ({} files, {} functions, {} jobs)",
-            self.function_rescan.archive,
-            self.function_rescan.files,
-            self.function_rescan.functions,
-            self.function_rescan.jobs
+            fr.archive, fr.files, fr.functions, fr.jobs
         );
-        for r in &self.function_rescan.rows {
-            let _ = writeln!(
-                out,
-                "  {:<44} {:>8} {:>9} {:>9} {:>8}/{:<5} fns replayed",
-                r.label, r.wall_ms, r.queries, r.reports, r.functions_skipped, r.functions
-            );
-        }
+        render_rows(&mut out, &fr.rows);
         let _ = writeln!(
             out,
             "  fn skip rate (5% fn churn) {:.1}%; dedup saved {} queries over {} duplicate \
              files; reports identical: {}",
-            100.0 * self.function_rescan.function_skip_rate_5pct,
-            self.function_rescan.dedup_queries_saved,
-            self.function_rescan.dedup_duplicate_files,
-            self.function_rescan.reports_identical
+            100.0 * fr.function_skip_rate_5pct,
+            fr.dedup_queries_saved,
+            fr.dedup_duplicate_files,
+            fr.reports_identical
         );
+        let sharded = &self.sharded_scan;
         let _ = writeln!(
             out,
             "Distributed scan over {} ({} files, {} shards, {} jobs)",
-            self.sharded_scan.archive,
-            self.sharded_scan.files,
-            self.sharded_scan.shards,
-            self.sharded_scan.jobs
+            sharded.archive, sharded.files, sharded.shards, sharded.jobs
         );
-        for r in &self.sharded_scan.rows {
-            let _ = writeln!(
-                out,
-                "  {:<36} {:>8} {:>9} {:>9} {:>8}/{:<5} skipped",
-                r.label, r.wall_ms, r.queries, r.reports, r.modules_skipped, r.files
-            );
-        }
+        render_rows(&mut out, &sharded.rows);
         let _ = writeln!(
             out,
             "  merged stores: {} query entries ({} shard duplicates), {} function records",
-            self.sharded_scan.merged_query_entries,
-            self.sharded_scan.merged_query_duplicates,
-            self.sharded_scan.merged_scan_entries
+            sharded.merged_query_entries,
+            sharded.merged_query_duplicates,
+            sharded.merged_scan_entries
         );
         let _ = writeln!(
             out,
             "  merged-warm vs cold: {:.2}x; skip rate {:.0}%; reports identical: {}",
-            self.sharded_scan.speedup_merged_warm_vs_cold,
-            100.0 * self.sharded_scan.merged_warm_skip_rate,
-            self.sharded_scan.merge_reports_identical
+            sharded.speedup_merged_warm_vs_cold,
+            100.0 * sharded.merged_warm_skip_rate,
+            sharded.merge_reports_identical
         );
+        let ft = &self.fault_tolerance;
         let _ = writeln!(
             out,
             "Fault tolerance (budget {} propagations; truncated disk store)",
-            self.fault_tolerance.query_budget
+            ft.query_budget
         );
         let _ = writeln!(
             out,
             "  degraded: {} queries fell back to Unknown across {} module(s); \
              deterministic across jobs widths: {}",
-            self.fault_tolerance.degraded_queries,
-            self.fault_tolerance.degraded_modules,
-            self.fault_tolerance.degraded_deterministic
+            ft.degraded_queries, ft.degraded_modules, ft.degraded_deterministic
         );
         let _ = writeln!(
             out,
             "  salvage: kept {} entries, dropped {} bad line(s) (first at byte offset {}); \
              healed on next save: {}",
-            self.fault_tolerance.salvaged_entries,
-            self.fault_tolerance.dropped_lines,
-            self.fault_tolerance
-                .first_bad_offset
+            ft.salvaged_entries,
+            ft.dropped_lines,
+            ft.first_bad_offset
                 .map_or("-".to_string(), |o| o.to_string()),
-            self.fault_tolerance.store_healed
+            ft.store_healed
         );
         let ss = &self.solver_speed;
         let _ = writeln!(
             out,
-            "Solver speed over {} ({} files, {}% churn, query store disabled, {} jobs)",
-            ss.archive, ss.files, ss.churn_pct, ss.jobs
+            "Solver speed over {} ({}% churn, query store disabled)",
+            ss.archive, ss.churn_pct
         );
-        let _ = writeln!(
-            out,
-            "  {:>8} ms {:>10} props {:>7} conf {:>6} simulated  lbd {:>4.1}; {} cores, \
-             {} minimization queries saved",
-            ss.wall_ms,
-            ss.propagations,
-            ss.conflicts,
-            ss.simulated,
-            ss.avg_lbd,
-            ss.cores_recorded,
-            ss.minimization_queries_saved
-        );
+        render_rows(&mut out, &ss.rows);
+        for s in ss.rows.iter().map(|r| &r.summary) {
+            let _ = writeln!(
+                out,
+                "  {} conflicts, {} simulated, avg LBD {:.1}; {} cores, {} minimization \
+                 queries saved",
+                s.conflicts, s.simulated, s.avg_lbd, s.cores_recorded, s.minimization_queries_saved
+            );
+        }
         out
     }
 
@@ -1825,6 +1457,30 @@ pub fn sec66_completeness() -> CompletenessResult {
     }
 }
 
+/// Check a command line's flags before any work starts, and return its
+/// positional arguments in order: the argument parsing of the `stack`
+/// subcommands and of `bench_checker`. Every `--` argument must be one of
+/// `value_flags`, which take the next argument as their value whatever it
+/// looks like, or one of `switches`; any other is an error naming it.
+pub fn positionals<'a>(
+    args: &'a [String],
+    value_flags: &[&str],
+    switches: &[&str],
+) -> Result<Vec<&'a str>, String> {
+    let mut out = Vec::new();
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if value_flags.contains(&arg) {
+            rest.next();
+        } else if !arg.starts_with("--") {
+            out.push(arg);
+        } else if !switches.contains(&arg) {
+            return Err(format!("unknown flag {arg}"));
+        }
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1891,34 +1547,35 @@ mod tests {
         assert_eq!(scaling.rows.len(), 3); // seed + one query-store row per width
         assert!(scaling.functions > 0);
         // Every configuration must find exactly the same bugs.
-        let seed_reports = scaling.rows[0].reports;
-        let seed_queries = scaling.rows[0].queries + scaling.rows[0].minimization_queries_saved;
+        let seed = &scaling.rows[0].summary;
+        let seed_queries = seed.queries + seed.minimization_queries_saved;
         for row in &scaling.rows {
-            assert_eq!(row.reports, seed_reports, "{}", row.label);
+            let s = &row.summary;
+            assert_eq!(s.reports, seed.reports, "{}", row.label);
             // Core-seeded minimization skips queries the last extracted
             // assumption core proves irrelevant; every skip is accounted
             // for, so the issued + saved total is the same on every row.
             assert_eq!(
-                row.queries + row.minimization_queries_saved,
+                s.queries + s.minimization_queries_saved,
                 seed_queries,
                 "{}",
                 row.label
             );
             // Every row solves store misses on persistent instances, and
             // those must reuse loaded clauses across the Figure 8 loop.
-            assert!(row.incremental_queries > 0, "{}", row.label);
-            assert!(row.reused_clauses > 0, "{}", row.label);
+            assert!(s.incremental_queries > 0, "{}", row.label);
+            assert!(s.reused_clauses > 0, "{}", row.label);
         }
         // The seed row never consults the store; the store rows must get a
         // nonzero hit rate out of the repeated synthetic idioms.
-        assert_eq!(scaling.rows[0].cache_hits, 0);
+        assert_eq!(seed.store_hits, 0);
         for row in &scaling.rows[1..] {
-            assert!(row.cache_hit_rate > 0.0, "{}", row.label);
+            assert!(row.summary.store_hit_rate > 0.0, "{}", row.label);
         }
         // The JSON payload is valid enough to round-trip its key fields.
         let json = scaling.to_json();
         assert!(json.contains("\"speedup_vs_seed\""));
-        assert!(json.contains("\"cache_hit_rate\""));
+        assert!(json.contains("\"store_hit_rate\""));
         assert!(json.contains("\"speedup_warm_vs_cold\""));
         assert!(json.contains("\"speedup_rescan_vs_cold\""));
         assert!(json.contains("\"modules_skipped_rate\""));
@@ -1932,7 +1589,7 @@ mod tests {
         assert!(json.contains("\"solver_speed\""));
         // The solver-speed section must measure real work, and the Unsat
         // path must show it too: extracted cores.
-        let ss = &scaling.solver_speed;
+        let ss = &scaling.solver_speed.rows[0].summary;
         assert!(ss.propagations > 0, "{ss:?}");
         assert!(ss.cores_recorded > 0, "{ss:?}");
         // Core-seeded minimization must actually skip queries somewhere in
@@ -1941,7 +1598,7 @@ mod tests {
         let saved: u64 = scaling
             .rows
             .iter()
-            .map(|r| r.minimization_queries_saved)
+            .map(|r| r.summary.minimization_queries_saved)
             .sum();
         assert!(saved > 0, "no minimization queries saved in any row");
         // The fault-tolerance section must actually measure something.
@@ -1971,16 +1628,16 @@ mod tests {
             "cold baseline + four shards + merged warm"
         );
         // The shards partition the archive: fan-out files sum to the total.
-        let fan_out_files: usize = sharded.rows[1..5].iter().map(|r| r.files).sum();
+        let fan_out_files: usize = sharded.rows[1..5].iter().map(|r| r.summary.files).sum();
         assert_eq!(fan_out_files, sharded.files);
         // The merged-warm run replays every module without solver work and
         // streams byte-identical reports to the cold unsharded baseline.
-        let warm = sharded.rows.last().unwrap();
+        let warm = &sharded.rows.last().unwrap().summary;
         assert_eq!(warm.modules_skipped, warm.files);
         assert_eq!(warm.queries, 0, "{warm:?}");
         assert!((sharded.merged_warm_skip_rate - 1.0).abs() < 1e-9);
         assert!(sharded.merge_reports_identical);
-        assert_eq!(warm.reports, sharded.rows[0].reports);
+        assert_eq!(warm.reports, sharded.rows[0].summary.reports);
         // The merged stores hold every shard's state: one record per
         // function (5 per generated archive file), none colliding across
         // shards (every generated function name — and so every key — is
@@ -2003,31 +1660,29 @@ mod tests {
             6,
             "two configurations x three churn levels"
         );
+        // Every rescan row (and the dedup run) streamed its cold
+        // reference's reports.
         assert!(section.reports_identical);
-        for row in &section.rows {
-            assert!(row.reports_identical, "{row:?}");
-        }
         // 0% churn: the rescan replays everything.
         let zero_row = &section.rows[1];
-        assert_eq!(zero_row.churn_pct, 0);
-        assert_eq!(
-            zero_row.functions_skipped, section.functions,
-            "{zero_row:?}"
-        );
-        assert_eq!(zero_row.modules_skipped, zero_row.files, "{zero_row:?}");
-        assert_eq!(zero_row.queries, 0, "{zero_row:?}");
+        let zero = &zero_row.summary;
+        assert!(zero_row.label.starts_with("0% "), "{zero_row:?}");
+        assert_eq!(zero.functions_skipped, section.functions, "{zero_row:?}");
+        assert_eq!(zero.modules_skipped, zero.files, "{zero_row:?}");
+        assert_eq!(zero.queries, 0, "{zero_row:?}");
         // 5% churn: the rescan re-analyzes exactly the edited functions.
         let edited = (0.05 * section.functions as f64).round() as usize;
-        let cold_row = &section.rows[2];
+        let cold = &section.rows[2].summary;
         let function_row = &section.rows[3];
-        assert_eq!(function_row.churn_pct, 5);
-        assert_eq!(function_row.functions_skipped, section.functions - edited);
-        assert!(function_row.queries > 0);
+        let rescan = &function_row.summary;
+        assert!(function_row.label.starts_with("5% "), "{function_row:?}");
+        assert_eq!(rescan.functions_skipped, section.functions - edited);
+        assert!(rescan.queries > 0);
         assert!(
-            function_row.queries * 5 <= cold_row.queries,
+            rescan.queries * 5 <= cold.queries,
             "the rescan must issue at least 5x fewer queries than cold ({} vs {})",
-            function_row.queries,
-            cold_row.queries
+            rescan.queries,
+            cold.queries
         );
         assert!((section.function_skip_rate_5pct - 0.95).abs() < 0.01);
         // Cross-path dedup must have saved real solver work.
@@ -2055,31 +1710,33 @@ mod tests {
         assert!(rescan.reports_identical);
         // At 0% churn every module is unchanged: the rescan row skips all of
         // them and issues no solver query.
-        let zero_rescan = &rescan.rows[2];
-        assert_eq!(zero_rescan.churn_pct, 0);
-        assert_eq!(zero_rescan.modules_skipped, zero_rescan.files);
-        assert_eq!(zero_rescan.queries, 0);
+        let zero_row = &rescan.rows[2];
+        let zero = &zero_row.summary;
+        assert!(zero_row.label.starts_with("0% "), "{zero_row:?}");
+        assert_eq!(zero.modules_skipped, zero.files);
+        assert_eq!(zero.queries, 0);
         assert!((rescan.modules_skipped_rate - 1.0).abs() < 1e-9);
         // Cold and warm rows never skip; churned rescans skip exactly the
         // semantically unchanged remainder (cosmetic edits still hit).
         for row in &rescan.rows {
             if !row.label.contains("incremental rescan") {
-                assert_eq!(row.modules_skipped, 0, "{}", row.label);
+                assert_eq!(row.summary.modules_skipped, 0, "{}", row.label);
             } else {
                 assert!(
-                    row.queries < rescan.rows[0].queries,
+                    row.summary.queries < rescan.rows[0].summary.queries,
                     "a rescan must re-analyze strictly less than cold does ({})",
                     row.label
                 );
             }
         }
-        let twenty_rescan = rescan.rows.last().unwrap();
-        assert_eq!(twenty_rescan.churn_pct, 20);
+        let twenty_row = rescan.rows.last().unwrap();
+        let twenty = &twenty_row.summary;
+        assert!(twenty_row.label.starts_with("20% "), "{twenty_row:?}");
         assert!(
-            twenty_rescan.modules_skipped < twenty_rescan.files,
+            twenty.modules_skipped < twenty.files,
             "semantic churn must invalidate some modules"
         );
-        assert!(twenty_rescan.modules_skipped > 0);
+        assert!(twenty.modules_skipped > 0);
     }
 
     #[test]
@@ -2092,9 +1749,11 @@ mod tests {
         };
         let scan = scan_persistence(&cfg);
         assert_eq!(scan.rows.len(), 2);
-        let (cold, warm) = (&scan.rows[0], &scan.rows[1]);
-        assert!(!cold.warm);
-        assert!(warm.warm);
+        let (cold, warm) = (&scan.rows[0].summary, &scan.rows[1].summary);
+        // The cold run starts from an empty store; the warm run loads what
+        // the cold run saved.
+        assert_eq!(cold.cache_file_loaded_entries, 0);
+        assert_eq!(warm.cache_file_loaded_entries, scan.store_entries);
         // Cold and warm runs do the same work and must report the same bugs,
         // byte for byte.
         assert_eq!(cold.queries, warm.queries);

@@ -47,7 +47,8 @@
 //! `stack store merge` later folds back into one. Output — reports and
 //! every summary counter — equals `--jobs 1` output at any width and any
 //! query budget. Flag combinations are validated before any work starts:
-//! an unknown flag is rejected by both commands, scan-only flags are
+//! an unknown flag is rejected by every subcommand (flags may come before
+//! or after the path), scan-only flags are
 //! rejected by `check`, an input the command would ignore (a second path,
 //! a path beside `--synth`, `--seed` without `--synth`) is rejected, and
 //! `--compact-store` without `--cache-file` or `--scan-cache` is an
@@ -59,10 +60,11 @@
 //! I/O (cache-file, `--out`) operation failed.
 
 use serde::Serialize;
+use stack_bench::positionals;
 use stack_core::scanstore::ScanCodec;
 use stack_core::{
     AnalysisSession, Checker, CheckerConfig, ScanEvent, ScanPipeline, ScanSource, ScanStore,
-    ScanTask,
+    ScanSummary, ScanTask,
 };
 use stack_opt::{lowest_discarding_level, survey_compilers};
 use stack_solver::recordfile::Codec;
@@ -82,8 +84,8 @@ fn main() -> ExitCode {
         Some("bench") => cmd_bench(&args[1..]),
         Some("gen-archive") => cmd_gen_archive(&args[1..]),
         Some("demo") => cmd_demo(&args[1..]),
-        Some("list") => cmd_list(),
-        Some("survey") => cmd_survey(),
+        Some("list") => cmd_list(&args[1..]),
+        Some("survey") => cmd_survey(&args[1..]),
         _ => {
             eprintln!("usage: stack <check|scan|store|bench|gen-archive|demo|list|survey> ...");
             ExitCode::from(2)
@@ -115,6 +117,8 @@ const SWITCHES: [&str; 4] = ["--json", "--include-macros", "--no-cache", "--quie
 /// Options shared by `check` and `scan`.
 #[derive(Debug)]
 struct AnalysisOpts {
+    /// The one path the command analyzes (`None` for `scan --synth`).
+    input: Option<String>,
     json: bool,
     include_macros: bool,
     query_cache: bool,
@@ -143,15 +147,11 @@ impl AnalysisOpts {
                 return Err(format!("{flag} is a scan-only flag (use `stack scan`)"));
             }
         }
-        let mut rest = args.iter().map(String::as_str);
-        while let Some(arg) = rest.next() {
-            if VALUE_FLAGS.contains(&arg) || SCAN_ONLY_FLAGS.contains(&arg) {
-                rest.next(); // the flag's value, whatever it looks like
-            } else if arg.starts_with("--") && !SWITCHES.contains(&arg) {
-                return Err(format!("unknown flag {arg}"));
-            }
-        }
-        let inputs = positionals(args, &[&VALUE_FLAGS[..], &SCAN_ONLY_FLAGS].concat());
+        let inputs = positionals(
+            args,
+            &[&VALUE_FLAGS[..], &SCAN_ONLY_FLAGS].concat(),
+            &SWITCHES,
+        )?;
         let synth = has_flag(args, "--synth");
         match (mode, inputs.as_slice()) {
             (Mode::Check, [_, extra, ..]) => {
@@ -197,6 +197,7 @@ impl AnalysisOpts {
             None => None,
         };
         Ok(AnalysisOpts {
+            input: inputs.first().map(|input| input.to_string()),
             json: has_flag(args, "--json"),
             include_macros: has_flag(args, "--include-macros"),
             query_cache: !has_flag(args, "--no-cache"),
@@ -394,16 +395,16 @@ fn save_store(store: &Arc<DiskQueryStore>, quiet: bool) -> Result<(), String> {
 // ---- check ------------------------------------------------------------------
 
 fn cmd_check(args: &[String]) -> ExitCode {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
+    let opts = match AnalysisOpts::parse(args, Mode::Check) {
+        Ok(opts) => opts,
+        Err(e) => return fail(&e),
+    };
+    let Some(path) = &opts.input else {
         eprintln!(
             "usage: stack check <file.mc> [--json] [--include-macros] [--no-cache] \
              [--query-budget N] [--cache-file F] [--compact-store N] [--out F] [--quiet]"
         );
         return ExitCode::from(2);
-    };
-    let opts = match AnalysisOpts::parse(args, Mode::Check) {
-        Ok(opts) => opts,
-        Err(e) => return fail(&e),
     };
     let source = match std::fs::read_to_string(path) {
         Ok(s) => s,
@@ -464,76 +465,12 @@ fn cmd_check(args: &[String]) -> ExitCode {
 
 // ---- scan -------------------------------------------------------------------
 
-/// Machine-readable scan summary (`--json` / `--out`).
-#[derive(Serialize)]
-struct ScanSummary {
-    files: usize,
-    failures: usize,
-    modules_skipped: usize,
-    /// Functions replayed from the scan cache without solver work (the
-    /// per-function incremental re-scan counter).
-    functions_skipped: usize,
-    functions: usize,
-    reports: usize,
-    queries: u64,
-    /// Degraded queries: budget-exhausted, answered `Unknown`, never
-    /// cached or persisted.
-    degraded_queries: u64,
-    /// Modules with at least one degraded query — analyzed under the
-    /// budget, never recorded in the scan cache.
-    degraded_modules: usize,
-    timeouts: u64,
-    /// Total SAT-core propagations — the deterministic currency query
-    /// budgets are denominated in.
-    propagations: u64,
-    /// Total SAT-core conflicts.
-    conflicts: u64,
-    /// Total SAT-core restarts.
-    restarts: u64,
-    /// Clauses learned by conflict analysis.
-    learned_clauses: u64,
-    /// Learned clauses evicted by clause-database reduction.
-    deleted_clauses: u64,
-    /// Average learn-time literal-block-distance ("glue") of learned
-    /// clauses; 0 when nothing was learned.
-    avg_lbd: f64,
-    /// Queries answered Sat.
-    sat_queries: u64,
-    /// Queries answered Unsat.
-    unsat_queries: u64,
-    /// Queries answered Sat by simulation, without reaching the SAT core.
-    simulated: u64,
-    /// Assumption cores extracted from final conflicts.
-    cores_recorded: u64,
-    /// Average literal count of extracted assumption cores; 0 when none
-    /// were recorded.
-    avg_core_size: f64,
-    /// `minimal_ub_set` queries skipped because the last extracted
-    /// assumption core proved the candidate condition irrelevant.
-    minimization_queries_saved: u64,
-    store_hits: u64,
-    store_misses: u64,
-    store_hit_rate: f64,
-    cache_file_loaded_entries: u64,
-    scan_cache_loaded_entries: u64,
-    jobs: usize,
-    /// Tasks analyzed twice because an earlier task published a store
-    /// entry they had missed (the cost of `--jobs` determinism; 0 at
-    /// `--jobs 1`).
-    rerun_tasks: usize,
-    /// Which content-keyed shard this scan analyzed (1-based; `1` of `1`
-    /// when unsharded).
-    shard_index: usize,
-    shard_count: usize,
-    elapsed_ms: u64,
-}
-
 fn cmd_scan(args: &[String]) -> ExitCode {
     let opts = match AnalysisOpts::parse(args, Mode::Scan) {
         Ok(opts) => opts,
         Err(e) => return fail(&e),
     };
-    let mut tasks = match gather_scan_sources(args) {
+    let mut tasks = match gather_scan_sources(args, opts.input.as_deref()) {
         Ok(tasks) => tasks,
         Err(e) => return fail(&e),
     };
@@ -559,7 +496,6 @@ fn cmd_scan(args: &[String]) -> ExitCode {
         Err(e) => return fail(&e),
     };
     let start = Instant::now();
-    let mut reports = 0usize;
     let quiet = opts.quiet || opts.json;
     let mut pipeline = ScanPipeline::new(&session, opts.jobs);
     if let Some(scan_store) = &scan_store {
@@ -567,49 +503,16 @@ fn cmd_scan(args: &[String]) -> ExitCode {
     }
     let outcome = pipeline.run(&tasks, &mut |event| match event {
         ScanEvent::Report(report) => {
-            reports += 1;
             if !quiet {
                 print!("{report}");
             }
         }
         ScanEvent::Failure { name, error } => eprintln!("stack: {name}: {error}"),
     });
-    let elapsed = start.elapsed();
-    let stats = session.stats();
-    let summary = ScanSummary {
-        files: outcome.files,
-        failures: outcome.failures,
-        modules_skipped: outcome.modules_skipped,
-        functions_skipped: outcome.functions_skipped,
-        functions: stats.functions,
-        reports,
-        queries: stats.queries,
-        degraded_queries: stats.timeouts,
-        degraded_modules: stats.degraded_modules,
-        timeouts: stats.timeouts,
-        propagations: stats.propagations,
-        conflicts: stats.conflicts,
-        restarts: stats.restarts,
-        learned_clauses: stats.learned_clauses,
-        deleted_clauses: stats.deleted_clauses,
-        avg_lbd: stats.avg_lbd(),
-        sat_queries: stats.sat_queries,
-        unsat_queries: stats.unsat_queries,
-        simulated: stats.simulated,
-        cores_recorded: stats.cores_recorded,
-        avg_core_size: stats.avg_core_size(),
-        minimization_queries_saved: stats.minimization_queries_saved,
-        store_hits: stats.cache_hits,
-        store_misses: stats.cache_misses,
-        store_hit_rate: stats.cache_hit_rate(),
-        cache_file_loaded_entries: store.as_ref().map_or(0, |s| s.loaded_entries()),
-        scan_cache_loaded_entries: scan_store.as_ref().map_or(0, |s| s.loaded_entries()),
-        jobs: opts.jobs,
-        rerun_tasks: outcome.reruns,
-        shard_index: opts.shard.map_or(1, |(i, _)| i),
-        shard_count: opts.shard.map_or(1, |(_, n)| n),
-        elapsed_ms: u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX),
-    };
+    let mut summary = ScanSummary::new(&outcome, &session.stats(), opts.jobs, start.elapsed());
+    summary.cache_file_loaded_entries = store.as_ref().map_or(0, |s| s.loaded_entries());
+    summary.scan_cache_loaded_entries = scan_store.as_ref().map_or(0, |s| s.loaded_entries());
+    (summary.shard_index, summary.shard_count) = opts.shard.unwrap_or((1, 1));
     let rendered = if opts.json {
         match serde_json::to_string_pretty(&summary) {
             Ok(json) => json,
@@ -672,7 +575,7 @@ fn is_source_path(path: &Path) -> bool {
 /// (`#` comments allowed). Sources are returned as paths and only read once
 /// a pipeline worker reaches them, so one unreadable file fails that file,
 /// not the scan.
-fn gather_scan_sources(args: &[String]) -> Result<Vec<ScanTask>, String> {
+fn gather_scan_sources(args: &[String], input: Option<&str>) -> Result<Vec<ScanTask>, String> {
     if let Some(packages) = parse_flag_value::<usize>(args, "--synth")? {
         if packages == 0 {
             return Err("--synth needs a positive package count".to_string());
@@ -691,7 +594,7 @@ fn gather_scan_sources(args: &[String]) -> Result<Vec<ScanTask>, String> {
             })
             .collect());
     }
-    let Some(root) = args.first().filter(|a| !a.starts_with("--")) else {
+    let Some(root) = input else {
         return Err(
             "usage: stack scan <dir|manifest|file.mc> | --synth N  [--seed S] [--cache-file F] \
              [--scan-cache F] [--jobs N] [--query-budget N] [--compact-store N] [--shard i/n] \
@@ -825,27 +728,6 @@ fn render_scan_summary(summary: &ScanSummary, incremental_scan: bool) -> String 
 
 // ---- store ------------------------------------------------------------------
 
-/// The positional (non-flag) arguments, skipping the values of
-/// `value_flags`.
-fn positionals(args: &[String], value_flags: &[&str]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        if arg.starts_with("--") {
-            i += if value_flags.contains(&arg.as_str()) {
-                2
-            } else {
-                1
-            };
-        } else {
-            out.push(arg.clone());
-            i += 1;
-        }
-    }
-    out
-}
-
 /// `MergeStats` in the shape `--json` emits (the vendored serde has no
 /// map/foreign-type support, so the stats are restated locally).
 #[derive(Serialize)]
@@ -888,38 +770,41 @@ fn cmd_store(args: &[String]) -> ExitCode {
         ExitCode::from(2)
     };
     let rest = args.get(1..).unwrap_or_default();
-    let op = match args.first().map(String::as_str) {
-        Some("merge") => {
+    let subcommand = args.first().map(String::as_str);
+    let (value_flags, switches): (&[&str], &[&str]) = match subcommand {
+        Some("merge") => (&["--compact"], &["--json"]),
+        Some("inspect") => (&[], &["--json"]),
+        Some("fsck") => (&[], &["--repair", "--json"]),
+        _ => {
+            eprintln!("{}", STORE_USAGE.join("\n"));
+            return ExitCode::from(2);
+        }
+    };
+    let paths = match positionals(rest, value_flags, switches) {
+        Ok(paths) => paths,
+        Err(e) => return fail(&e),
+    };
+    let op = match (subcommand, paths.as_slice()) {
+        (Some("merge"), [out, inputs @ ..]) if !inputs.is_empty() => {
             let compact = match parse_flag_value::<u64>(rest, "--compact") {
                 Ok(Some(0)) => return fail("--compact needs a positive integer"),
                 Ok(other) => other,
                 Err(e) => return fail(&e),
             };
-            let mut paths = positionals(rest, &["--compact"]);
-            if paths.len() < 2 {
-                return usage(0);
-            }
             StoreOp::Merge {
-                out: PathBuf::from(paths.remove(0)),
-                inputs: paths.into_iter().map(PathBuf::from).collect(),
+                out: PathBuf::from(out),
+                inputs: inputs.iter().map(PathBuf::from).collect(),
                 compact,
             }
         }
-        Some("inspect") => match positionals(rest, &[]).as_slice() {
-            [path] => StoreOp::Inspect(PathBuf::from(path)),
-            _ => return usage(1),
+        (Some("inspect"), [path]) => StoreOp::Inspect(PathBuf::from(path)),
+        (Some("fsck"), [path]) => StoreOp::Fsck {
+            path: PathBuf::from(path),
+            repair: has_flag(rest, "--repair"),
         },
-        Some("fsck") => match positionals(rest, &[]).as_slice() {
-            [path] => StoreOp::Fsck {
-                path: PathBuf::from(path),
-                repair: has_flag(rest, "--repair"),
-            },
-            _ => return usage(2),
-        },
-        _ => {
-            eprintln!("{}", STORE_USAGE.join("\n"));
-            return ExitCode::from(2);
-        }
+        (Some("merge"), _) => return usage(0),
+        (Some("inspect"), _) => return usage(1),
+        _ => return usage(2),
     };
     let path = match &op {
         StoreOp::Merge { inputs, .. } => &inputs[0],
@@ -1154,6 +1039,9 @@ fn store_fsck<C: Codec>(path: &Path, repair: bool, json: bool) -> ExitCode {
 // ---- bench ------------------------------------------------------------------
 
 fn cmd_bench(args: &[String]) -> ExitCode {
+    if let Err(e) = positionals(args, &["--out"], &["--fast"]) {
+        return fail(&e);
+    }
     let out_path = match flag_value(args, "--out") {
         Ok(path) => path.unwrap_or("BENCH_checker.json").to_string(),
         Err(e) => return fail(&e),
@@ -1175,9 +1063,16 @@ fn cmd_bench(args: &[String]) -> ExitCode {
 // ---- gen-archive ------------------------------------------------------------
 
 fn cmd_gen_archive(args: &[String]) -> ExitCode {
-    let Some(dir) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: stack gen-archive <dir> [--packages N] [--seed S] [--edit-functions K]");
-        return ExitCode::from(2);
+    let dir = match positionals(args, &["--packages", "--seed", "--edit-functions"], &[]).as_deref()
+    {
+        Ok(&[dir]) => dir,
+        Ok(_) => {
+            eprintln!(
+                "usage: stack gen-archive <dir> [--packages N] [--seed S] [--edit-functions K]"
+            );
+            return ExitCode::from(2);
+        }
+        Err(e) => return fail(e),
     };
     let defaults = stack_corpus::ArchiveConfig::default();
     let (cfg, edit_functions) = match (
@@ -1232,13 +1127,17 @@ fn cmd_gen_archive(args: &[String]) -> ExitCode {
 // ---- demo / list / survey ---------------------------------------------------
 
 fn cmd_demo(args: &[String]) -> ExitCode {
-    let Some(id) = args.first() else {
-        eprintln!("usage: stack demo <pattern-id>   (see `stack list`)");
-        return ExitCode::from(2);
+    let id = match positionals(args, &[], &[]).as_deref() {
+        Ok(&[id]) => id,
+        Ok(_) => {
+            eprintln!("usage: stack demo <pattern-id>   (see `stack list`)");
+            return ExitCode::from(2);
+        }
+        Err(e) => return fail(e),
     };
     let Some(pattern) = stack_corpus::all_patterns()
         .into_iter()
-        .find(|p| p.id == *id)
+        .find(|p| p.id == id)
     else {
         eprintln!("stack: unknown pattern `{id}` (see `stack list`)");
         return ExitCode::from(2);
@@ -1258,14 +1157,20 @@ fn cmd_demo(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_list() -> ExitCode {
+fn cmd_list(args: &[String]) -> ExitCode {
+    if let Err(e) = positionals(args, &[], &[]) {
+        return fail(&e);
+    }
     for p in stack_corpus::all_patterns() {
         println!("{:<36} {}", p.id, p.paper_ref);
     }
     ExitCode::SUCCESS
 }
 
-fn cmd_survey() -> ExitCode {
+fn cmd_survey(args: &[String]) -> ExitCode {
+    if let Err(e) = positionals(args, &[], &[]) {
+        return fail(&e);
+    }
     let src = "int f(int x) { if (x + 100 < x) return 1; return 0; }";
     println!("check: if (x + 100 < x)");
     for profile in survey_compilers() {
@@ -1482,8 +1387,10 @@ mod tests {
     fn positionals_skip_flag_values() {
         let list = args(&["out.qs", "--compact", "3", "a.qs", "--json", "b.qs"]);
         assert_eq!(
-            positionals(&list, &["--compact"]),
-            vec!["out.qs", "a.qs", "b.qs"]
+            positionals(&list, &["--compact"], &["--json"]),
+            Ok(vec!["out.qs", "a.qs", "b.qs"])
         );
+        let err = positionals(&list, &[], &["--json"]).expect_err("--compact is unknown here");
+        assert!(err.contains("--compact"), "{err}");
     }
 }

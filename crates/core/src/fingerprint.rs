@@ -3,42 +3,34 @@
 //! The paper's flagship deployment (§6.5) re-scans the Debian archive as it
 //! evolves, and between runs almost nothing changes. Skipping unchanged
 //! work entirely needs a key for "unchanged" — and raw source bytes are
-//! the wrong key: a comment, a reformatting, or a reordering of definitions
-//! changes the bytes without changing anything the checker could observe.
-//! Following the structural-operational-semantics tradition (a program's
-//! meaning is its derived transition structure, not its spelling), the
-//! keys hash the **verified, lowered IR** in its pool-independent canonical
-//! print instead:
+//! the wrong key: a comment or a reformatting changes the bytes without
+//! changing anything the checker could observe. Following the
+//! structural-operational-semantics tradition (a program's meaning is its
+//! derived transition structure, not its spelling), the key hashes the
+//! **verified, lowered IR** in its pool-independent canonical print
+//! instead:
 //!
 //! * formatting, comments, and macro-expansion spelling vanish during
-//!   lexing/lowering, so cosmetic edits keep the keys stable;
+//!   lexing/lowering, so cosmetic edits within a line keep the key stable;
 //! * any instruction change — including a changed constant, type, or UB
-//!   condition carrier — changes the print and therefore the keys.
+//!   condition carrier — changes the print and therefore the key.
 //!
-//! Two granularities are derived from the same per-function digests:
+//! [`function_replay_key`] is the per-function key the
+//! [`ScanStore`](crate::ScanStore) uses, so an edited module replays the
+//! reports of its unchanged functions and only the edited functions hit
+//! the solver:
 //!
-//! * [`module_fingerprint`] — the whole-module key (per-function digests
-//!   sorted before mixing, so moving a function within a file keeps the
-//!   fingerprint stable; the module *name* participates, so the same bytes
-//!   under another path fingerprint differently).
-//! * [`function_replay_key`] — the per-function key the
-//!   [`ScanStore`](crate::ScanStore) uses, so an edited module replays the
-//!   reports of its unchanged functions and only the edited functions hit
-//!   the solver. Two deliberate asymmetries against the module key:
+//! - the **path does not participate** — records are stored
+//!   path-normalized and rewritten to the scanning file on replay, so
+//!   identical vendored files across an archive share one analysis
+//!   (cross-path dedup);
+//! - the **origin lines and kinds do participate** (via
+//!   [`origin_signature`]: every instruction's source line and
+//!   macro/inline provenance, but never its file) — replayed reports
+//!   embed line numbers, so a function whose lines shifted must miss and
+//!   re-analyze rather than replay stale locations.
 //!
-//!   - the **path does not participate** — records are stored
-//!     path-normalized and rewritten to the scanning file on replay, so
-//!     identical vendored files across an archive share one analysis
-//!     (cross-path dedup);
-//!   - the **origin lines and kinds do participate** (via
-//!     [`origin_signature`]: every instruction's source line and
-//!     macro/inline provenance, but never its file) — replayed reports
-//!     embed line numbers, so a function whose lines shifted must miss and
-//!     re-analyze rather than replay stale locations. This closes, at
-//!     function granularity, the line-number sharp edge the module
-//!     fingerprint documents below.
-//!
-//! Two non-IR inputs are mixed into both keys, because cached *reports*
+//! Two non-IR inputs are mixed into the key, because cached *reports*
 //! are only replayable when they would be re-derived identically:
 //!
 //! * [`ENCODING_REVISION`] — a new encoder/solver revision may decide
@@ -48,21 +40,10 @@
 //!   yields. The pure performance knob `query_cache` deliberately does
 //!   **not** participate: it changes how a result is computed, never what
 //!   it is.
-//!
-//! One sharp edge of the *module* fingerprint is documented rather than
-//! fought: report line numbers come from instruction origins, which the
-//! canonical print excludes, so a comment-only edit that shifts later lines
-//! still keeps the module fingerprint — by design (reorder-invariance needs
-//! origin-free digests). The scan store no longer replays on the module
-//! fingerprint, so nothing stale can replay from it; the per-function key
-//! hashes origin lines precisely so its replays are always byte-exact.
 
 use crate::checker::CheckerConfig;
-use stack_ir::{Function, Module, OriginKind};
+use stack_ir::{Function, OriginKind};
 use stack_solver::ENCODING_REVISION;
-
-/// A canonical module fingerprint (128 bits).
-pub type ModuleFingerprint = u128;
 
 /// A per-function replay key (128 bits): what the scan store is keyed on.
 pub type FunctionKey = u128;
@@ -72,27 +53,6 @@ pub type FunctionKey = u128;
 /// persisted scan stores from older schemes self-invalidate. (2: the scan
 /// store moved from module fingerprints to per-function replay keys.)
 pub const FINGERPRINT_REVISION: u32 = 2;
-
-/// Fingerprint a lowered (and analysis-optimized) module under a
-/// configuration. See the module docs for exactly what participates.
-pub fn module_fingerprint(module: &Module, config: &CheckerConfig) -> ModuleFingerprint {
-    let mut digests: Vec<u128> = module.functions().iter().map(function_digest).collect();
-    // Sorting makes the fingerprint invariant under function reordering:
-    // functions are checked independently, so order affects only the order
-    // reports stream out in.
-    digests.sort_unstable();
-
-    let mut h = hash_bytes(module.name.as_bytes());
-    h = mix(h, u128::from(ENCODING_REVISION));
-    h = mix(h, u128::from(FINGERPRINT_REVISION));
-    h = mix(h, u128::from(config.query_budget));
-    h = mix(h, u128::from(config.report_compiler_generated));
-    h = mix(h, digests.len() as u128);
-    for d in digests {
-        h = mix(h, d);
-    }
-    h
-}
 
 /// The structural digest of one function: a stable hash of its canonical
 /// print, which excludes origins entirely — the same body at any path, or
@@ -139,23 +99,9 @@ pub fn function_replay_key(func: &Function, config: &CheckerConfig) -> FunctionK
     h
 }
 
-/// Fingerprint a mini-C source string: compile, run the analysis pre-pass,
-/// fingerprint. This is the exact preparation the checker performs, so a
-/// fingerprint hit guarantees the checker would see an identical module.
-pub fn source_fingerprint(
-    src: &str,
-    file: &str,
-    config: &CheckerConfig,
-) -> Result<ModuleFingerprint, stack_minic::Diag> {
-    let mut module = stack_minic::compile(src, file)?;
-    stack_opt::optimize_for_analysis(&mut module);
-    Ok(module_fingerprint(&module, config))
-}
-
 /// The distributed-scan partition key of one scan input: a stable hash of
 /// the raw source **content** only. Deliberately path-independent and
-/// config-independent — unlike [`module_fingerprint`], which must change
-/// when a file moves, the shard key must stay put when the archive around
+/// config-independent: the shard key must stay put when the archive around
 /// the file grows, shrinks, or renames siblings, so a re-sharded scan
 /// reassigns as few modules as possible (the consistent-hashing rationale
 /// applied to scan partitioning).
@@ -204,10 +150,6 @@ fn hash_bytes(bytes: &[u8]) -> u128 {
 mod tests {
     use super::*;
 
-    fn fp(src: &str) -> ModuleFingerprint {
-        source_fingerprint(src, "test.c", &CheckerConfig::default()).unwrap()
-    }
-
     /// Per-function replay keys of a compiled source, in definition order.
     fn keys(src: &str, file: &str, config: &CheckerConfig) -> Vec<FunctionKey> {
         let mut module = stack_minic::compile(src, file).unwrap();
@@ -224,88 +166,25 @@ mod tests {
         int g(int *p) { int v = *p; if (!p) return 1; return v; }\n";
 
     #[test]
-    fn cosmetic_edits_keep_the_fingerprint() {
-        let base = fp(TWO_FUNCS);
-        // Extra whitespace between tokens.
-        assert_eq!(
-            base,
-            fp("int f(int x) {   if (x + 7 < x)   return 1;  return 0; }\n\
-                int g(int *p) { int v = *p; if (!p) return 1; return v; }\n")
-        );
-    }
-
-    #[test]
-    fn function_reordering_keeps_the_fingerprint() {
-        let reordered = "\
-            int g(int *p) { int v = *p; if (!p) return 1; return v; }\n\
-            int f(int x) { if (x + 7 < x) return 1; return 0; }\n";
-        assert_eq!(fp(TWO_FUNCS), fp(reordered));
-    }
-
-    #[test]
     fn semantic_edits_change_the_fingerprint() {
-        let base = fp(TWO_FUNCS);
-        // A changed constant.
-        assert_ne!(
-            base,
-            fp("int f(int x) { if (x + 8 < x) return 1; return 0; }\n\
-                int g(int *p) { int v = *p; if (!p) return 1; return v; }\n")
-        );
-        // A changed type (removes the signed-overflow UB condition).
-        assert_ne!(
-            base,
-            fp(
-                "int f(unsigned int x) { if (x + 7 < x) return 1; return 0; }\n\
-                int g(int *p) { int v = *p; if (!p) return 1; return v; }\n"
-            )
-        );
-        // A renamed function (reports embed the name).
-        assert_ne!(
-            base,
-            fp("int f2(int x) { if (x + 7 < x) return 1; return 0; }\n\
-                int g(int *p) { int v = *p; if (!p) return 1; return v; }\n")
-        );
-        // An added function.
-        assert_ne!(
-            base,
-            fp(&format!("{TWO_FUNCS}int h(int x) {{ return x; }}\n"))
-        );
-    }
-
-    #[test]
-    fn module_name_and_config_knobs_participate() {
-        let base = fp(TWO_FUNCS);
         let cfg = CheckerConfig::default();
-        assert_ne!(
-            base,
-            source_fingerprint(TWO_FUNCS, "other.c", &cfg).unwrap(),
-            "the module fingerprint identifies a (path, meaning) pair"
-        );
-        let budget = CheckerConfig {
-            query_budget: cfg.query_budget + 1,
-            ..cfg
-        };
-        assert_ne!(
-            base,
-            source_fingerprint(TWO_FUNCS, "test.c", &budget).unwrap()
-        );
-        let macros = CheckerConfig {
-            report_compiler_generated: true,
-            ..cfg
-        };
-        assert_ne!(
-            base,
-            source_fingerprint(TWO_FUNCS, "test.c", &macros).unwrap()
-        );
-        // A performance knob never changes results, so it never changes keys.
-        let perf = CheckerConfig {
-            query_cache: false,
-            ..cfg
-        };
-        assert_eq!(
-            base,
-            source_fingerprint(TWO_FUNCS, "test.c", &perf).unwrap()
-        );
+        let base = keys(TWO_FUNCS, "test.c", &cfg);
+        // A changed constant, a changed type (removes the signed-overflow
+        // UB condition) and a renamed function (reports embed the name)
+        // each re-key the edited function and leave its sibling's key.
+        for f in [
+            "int f(int x) { if (x + 8 < x) return 1; return 0; }",
+            "int f(unsigned int x) { if (x + 7 < x) return 1; return 0; }",
+            "int f2(int x) { if (x + 7 < x) return 1; return 0; }",
+        ] {
+            let edited = keys(
+                &format!("{f}\nint g(int *p) {{ int v = *p; if (!p) return 1; return v; }}\n"),
+                "test.c",
+                &cfg,
+            );
+            assert_ne!(base[0], edited[0], "{f}");
+            assert_eq!(base[1], edited[1], "{f}");
+        }
     }
 
     #[test]
@@ -404,7 +283,7 @@ mod tests {
         let a = content_key(TWO_FUNCS.as_bytes());
         assert_eq!(a, content_key(TWO_FUNCS.as_bytes()), "stable");
         assert_ne!(a, content_key(b"int f(void) { return 0; }\n"));
-        // Unlike module fingerprints, even a comment changes the key — the
+        // Unlike replay keys, even a comment changes the key — the
         // shard key partitions *inputs*, not *meanings*, and must be
         // computable without compiling.
         assert_ne!(a, content_key(format!("// c\n{TWO_FUNCS}").as_bytes()));

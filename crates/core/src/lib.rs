@@ -45,11 +45,11 @@ pub use checker::{CheckResult, CheckStats, Checker, CheckerConfig};
 pub use classify::{classify_source, BugClass};
 pub use encoder::FunctionEncoder;
 pub use fingerprint::{
-    content_key, function_digest, function_replay_key, module_fingerprint, origin_signature,
-    shard_assignment, source_fingerprint, FunctionKey, ModuleFingerprint,
+    content_key, function_digest, function_replay_key, origin_signature, shard_assignment,
+    FunctionKey,
 };
 pub use report::{Algorithm, BugReport, UbSource};
-pub use scan::{ScanEvent, ScanOutcome, ScanPipeline, ScanSource, ScanTask};
+pub use scan::{ScanEvent, ScanOutcome, ScanPipeline, ScanSource, ScanSummary, ScanTask};
 pub use scanstore::{FunctionRecord, ScanStore};
 pub use session::{AnalysisSession, FunctionCheck};
 pub use ubcond::{collect_ub_conditions, UbCondition, UbKind};

@@ -73,12 +73,13 @@ use crate::fingerprint::{function_replay_key, FunctionKey};
 use crate::report::BugReport;
 use crate::scanstore::{FunctionRecord, ScanStore};
 use crate::session::AnalysisSession;
+use serde::Serialize;
 use stack_solver::{CacheKey, CacheStats, QueryResult, QueryStore};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Where one scan task's source comes from. Paths are read only when their
 /// turn comes, so one unreadable file fails that task, not the scan — and a
@@ -118,6 +119,8 @@ pub struct ScanOutcome {
     pub files: usize,
     /// Tasks that failed to read or compile.
     pub failures: usize,
+    /// Reports handed to the sink.
+    pub reports: usize,
     /// Modules all of whose functions replayed from the scan store.
     pub modules_skipped: usize,
     /// Functions replayed from the scan store without solver work.
@@ -126,6 +129,128 @@ pub struct ScanOutcome {
     /// earlier task published a store entry they had missed. Always 0 at
     /// `jobs` 1.
     pub reruns: usize,
+}
+
+/// The summary of one scan: what `stack scan` prints and emits as `--json`,
+/// and the row every `BENCH_checker.json` section reports.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+pub struct ScanSummary {
+    pub files: usize,
+    pub failures: usize,
+    pub modules_skipped: usize,
+    /// Functions replayed from the scan cache without solver work (the
+    /// per-function incremental re-scan counter).
+    pub functions_skipped: usize,
+    pub functions: usize,
+    pub reports: usize,
+    pub queries: u64,
+    /// Degraded queries: budget-exhausted, answered `Unknown`, never
+    /// cached or persisted.
+    pub degraded_queries: u64,
+    /// Modules with at least one degraded query — analyzed under the
+    /// budget, never recorded in the scan cache.
+    pub degraded_modules: usize,
+    pub timeouts: u64,
+    /// Total SAT-core propagations — the deterministic currency query
+    /// budgets are denominated in.
+    pub propagations: u64,
+    /// Total SAT-core conflicts.
+    pub conflicts: u64,
+    /// Total SAT-core restarts.
+    pub restarts: u64,
+    /// Clauses learned by conflict analysis.
+    pub learned_clauses: u64,
+    /// Learned clauses evicted by clause-database reduction.
+    pub deleted_clauses: u64,
+    /// Average learn-time literal-block-distance ("glue") of learned
+    /// clauses; 0 when nothing was learned.
+    pub avg_lbd: f64,
+    /// Queries answered Sat.
+    pub sat_queries: u64,
+    /// Queries answered Unsat.
+    pub unsat_queries: u64,
+    /// Queries answered Sat by simulation, without reaching the SAT core.
+    pub simulated: u64,
+    /// Assumption cores extracted from final conflicts.
+    pub cores_recorded: u64,
+    /// Average literal count of extracted assumption cores; 0 when none
+    /// were recorded.
+    pub avg_core_size: f64,
+    /// `minimal_ub_set` queries skipped because the last extracted
+    /// assumption core proved the candidate condition irrelevant.
+    pub minimization_queries_saved: u64,
+    /// SAT-core propagations spent on queries that ended Unsat.
+    pub unsat_propagations: u64,
+    /// Queries decided on a persistent incremental instance.
+    pub incremental_queries: u64,
+    /// Clause slots those queries reused instead of re-blasting.
+    pub reused_clauses: u64,
+    pub store_hits: u64,
+    pub store_misses: u64,
+    pub store_hit_rate: f64,
+    pub cache_file_loaded_entries: u64,
+    pub scan_cache_loaded_entries: u64,
+    pub jobs: usize,
+    /// Tasks analyzed twice because an earlier task published a store
+    /// entry they had missed (the cost of `--jobs` determinism; 0 at
+    /// `--jobs 1`).
+    pub rerun_tasks: usize,
+    /// Which content-keyed shard this scan analyzed (1-based; `1` of `1`
+    /// when unsharded).
+    pub shard_index: usize,
+    pub shard_count: usize,
+    pub elapsed_ms: u64,
+}
+
+impl ScanSummary {
+    /// Summarize one pipeline run from its outcome, the session's
+    /// statistics after it, the width it ran at and its wall time. The
+    /// loaded-entry counts start at 0 and the shard at 1 of 1: a caller
+    /// that opened disk stores or sharded its input sets those.
+    pub fn new(
+        outcome: &ScanOutcome,
+        stats: &CheckStats,
+        jobs: usize,
+        elapsed: Duration,
+    ) -> ScanSummary {
+        ScanSummary {
+            files: outcome.files,
+            failures: outcome.failures,
+            modules_skipped: outcome.modules_skipped,
+            functions_skipped: outcome.functions_skipped,
+            functions: stats.functions,
+            reports: outcome.reports,
+            queries: stats.queries,
+            degraded_queries: stats.timeouts,
+            degraded_modules: stats.degraded_modules,
+            timeouts: stats.timeouts,
+            propagations: stats.propagations,
+            conflicts: stats.conflicts,
+            restarts: stats.restarts,
+            learned_clauses: stats.learned_clauses,
+            deleted_clauses: stats.deleted_clauses,
+            avg_lbd: stats.avg_lbd(),
+            sat_queries: stats.sat_queries,
+            unsat_queries: stats.unsat_queries,
+            simulated: stats.simulated,
+            cores_recorded: stats.cores_recorded,
+            avg_core_size: stats.avg_core_size(),
+            minimization_queries_saved: stats.minimization_queries_saved,
+            unsat_propagations: stats.unsat_propagations,
+            incremental_queries: stats.incremental_queries,
+            reused_clauses: stats.reused_clauses,
+            store_hits: stats.cache_hits,
+            store_misses: stats.cache_misses,
+            store_hit_rate: stats.cache_hit_rate(),
+            cache_file_loaded_entries: 0,
+            scan_cache_loaded_entries: 0,
+            jobs,
+            rerun_tasks: outcome.reruns,
+            shard_index: 1,
+            shard_count: 1,
+            elapsed_ms: u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX),
+        }
+    }
 }
 
 /// The file-parallel scan driver. See the module docs for the pipeline
@@ -332,6 +457,7 @@ impl<'s> ScanPipeline<'s> {
                 self.session.absorb_stats(&stats);
                 out.outcome.modules_skipped += stats.modules_skipped;
                 out.outcome.functions_skipped += stats.functions_skipped;
+                out.outcome.reports += reports.len();
                 for report in reports {
                     (out.sink)(ScanEvent::Report(report));
                 }
@@ -860,6 +986,47 @@ mod tests {
         for jobs in [2, 4] {
             assert_eq!(sequential, stream(jobs), "jobs={jobs}");
         }
+    }
+
+    #[test]
+    fn summary_counts_what_the_run_did() {
+        let path = temp_path("summary");
+        let tasks = tasks();
+        let compiling = tasks.len() - 1;
+        // Cold, then warm from the saved scan store: every compiling
+        // module replays on the second run.
+        for (run, skipped_modules) in [("cold", 0), ("warm", compiling)] {
+            let store = Arc::new(ScanStore::open(&path).unwrap());
+            let session = AnalysisSession::default();
+            let mut report_events = 0;
+            let outcome = ScanPipeline::new(&session, 2)
+                .with_scan_store(store.clone())
+                .run(&tasks, &mut |e| {
+                    report_events += usize::from(matches!(e, ScanEvent::Report(_)))
+                });
+            store.save().unwrap();
+            let stats = session.stats();
+            let summary = ScanSummary::new(&outcome, &stats, 2, Duration::from_millis(7));
+            assert_eq!(summary.files, tasks.len(), "{run}");
+            assert_eq!(summary.failures, 1, "{run}: the broken file");
+            assert!(report_events > 0, "{run}");
+            assert_eq!(summary.reports, report_events, "{run}");
+            assert_eq!(summary.modules_skipped, skipped_modules, "{run}");
+            assert_eq!(summary.modules_skipped, stats.modules_skipped, "{run}");
+            assert_eq!(summary.functions_skipped, 2 * skipped_modules, "{run}");
+            assert_eq!(summary.functions_skipped, stats.functions_skipped, "{run}");
+            assert_eq!(summary.degraded_queries, stats.timeouts, "{run}");
+            assert_eq!(summary.timeouts, stats.timeouts, "{run}");
+            assert_eq!(summary.store_hits, stats.cache_hits, "{run}");
+            assert_eq!(summary.store_misses, stats.cache_misses, "{run}");
+            assert_eq!(
+                summary.store_misses > 0,
+                skipped_modules == 0,
+                "{run}: only the cold run consults the query store"
+            );
+            assert_eq!((summary.jobs, summary.elapsed_ms), (2, 7), "{run}");
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Property coverage for the canonical module fingerprint: for random
-//! modules drawn from the unstable-idiom template pool, the fingerprint is
-//! invariant under formatting/comment-only source changes and under
-//! function reordering, but changes whenever an instruction, a UB
-//! condition, or a semantics-relevant config knob changes.
+//! Property coverage for the per-function replay key: for random modules
+//! drawn from the unstable-idiom template pool, every function's key is
+//! invariant under cosmetic edits that move no line, but an edited
+//! function's key changes whenever one of its instructions or UB conditions
+//! changes, and every key changes with a semantics-relevant config knob.
 
 use proptest::prelude::*;
-use stack_core::{source_fingerprint, CheckerConfig};
+use stack_core::{function_replay_key, CheckerConfig, FunctionKey};
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state
@@ -37,18 +37,12 @@ fn random_module(state: &mut u64) -> Vec<String> {
         .collect()
 }
 
-/// A cosmetic rewrite of a module: random comments and blank lines between
-/// definitions (shifting later lines), plus doubled inter-token spacing —
-/// everything the lexer throws away.
+/// A same-line cosmetic rewrite of a module: doubled inter-token spacing
+/// and a trailing comment, everything the lexer throws away, with every
+/// definition kept on its line.
 fn cosmetic_rewrite(functions: &[String], state: &mut u64) -> String {
     let mut out = String::new();
     for f in functions {
-        match lcg(state) % 4 {
-            0 => out.push_str("// a line comment\n"),
-            1 => out.push_str("/* a block\n   comment */\n\n"),
-            2 => out.push('\n'),
-            _ => {}
-        }
         let spaced = if lcg(state).is_multiple_of(2) {
             f.replace(" { ", "  {  ").replace("; ", ";   ")
         } else {
@@ -63,33 +57,30 @@ fn cosmetic_rewrite(functions: &[String], state: &mut u64) -> String {
     out
 }
 
-fn fp(src: &str) -> u128 {
-    source_fingerprint(src, "prop.c", &CheckerConfig::default()).expect("module compiles")
+/// The replay keys of a module's functions, in definition order.
+fn keys(src: &str, config: &CheckerConfig) -> Vec<FunctionKey> {
+    let mut module = stack_minic::compile(src, "prop.c").expect("module compiles");
+    stack_opt::optimize_for_analysis(&mut module);
+    module
+        .functions()
+        .iter()
+        .map(|f| function_replay_key(f, config))
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn cosmetic_rewrites_and_reordering_preserve_the_fingerprint(seed in 0u64..1_000_000) {
+    fn same_line_cosmetic_rewrites_preserve_every_function_key(seed in 0u64..1_000_000) {
         let mut state = seed.wrapping_mul(0x9e37_79b9).wrapping_add(7);
         let functions = random_module(&mut state);
-        let base = fp(&(functions.join("\n") + "\n"));
+        let cfg = CheckerConfig::default();
+        let base = keys(&(functions.join("\n") + "\n"), &cfg);
 
         // Two independent cosmetic rewrites agree with the plain rendering.
         for _ in 0..2 {
-            prop_assert_eq!(base, fp(&cosmetic_rewrite(&functions, &mut state)));
-        }
-
-        // Any rotation of the definition order agrees (semantics per
-        // function are untouched; only the order changes).
-        if functions.len() > 1 {
-            let rot = 1 + (lcg(&mut state) as usize) % (functions.len() - 1);
-            let mut rotated = functions.clone();
-            rotated.rotate_left(rot);
-            prop_assert_eq!(base, fp(&(rotated.join("\n") + "\n")));
-            // Reordering *and* reformatting at once still agrees.
-            prop_assert_eq!(base, fp(&cosmetic_rewrite(&rotated, &mut state)));
+            prop_assert_eq!(&base, &keys(&cosmetic_rewrite(&functions, &mut state), &cfg));
         }
     }
 
@@ -98,17 +89,16 @@ proptest! {
         let mut state = seed.wrapping_mul(0x2545_f491).wrapping_add(11);
         let functions = random_module(&mut state);
         let source = functions.join("\n") + "\n";
-        let base = fp(&source);
+        let cfg = CheckerConfig::default();
+        let base = keys(&source, &cfg);
 
-        // Appending a new function changes the module.
-        prop_assert!(
-            base != fp(&format!("{source}int extra(int x) {{ return x + 1; }}\n")),
-            "appending a function must re-key"
-        );
-
-        // Changing any embedded constant changes some instruction. (Every
-        // template embeds its `k` as a decimal literal; bump the first one.)
-        let idx = source.find(|c: char| c.is_ascii_digit()).unwrap();
+        // Bumping the first constant in the first function's body changes
+        // that function's instructions, and so its key; its siblings keep
+        // theirs.
+        let idx = source
+            .find('{')
+            .and_then(|open| source[open..].find(|c: char| c.is_ascii_digit()).map(|off| open + off))
+            .unwrap();
         let digits_end = source[idx..]
             .find(|c: char| !c.is_ascii_digit())
             .map(|off| idx + off)
@@ -120,21 +110,21 @@ proptest! {
             value + 1,
             &source[digits_end..]
         );
-        if source.matches(&format!("{value}")).count() >= 1 {
-            prop_assert!(base != fp(&mutated), "constant {} -> {}", value, value + 1);
-        }
+        let edited = keys(&mutated, &cfg);
+        prop_assert!(base[0] != edited[0], "constant {} -> {}", value, value + 1);
+        prop_assert_eq!(&base[1..], &edited[1..]);
 
         // Semantics-relevant config knobs re-key; the performance knob does not.
-        let cfg = CheckerConfig::default();
         let budget = CheckerConfig { query_budget: cfg.query_budget / 2, ..cfg };
+        let rekeyed = keys(&source, &budget);
         prop_assert!(
-            base != source_fingerprint(&source, "prop.c", &budget).unwrap(),
-            "query_budget must re-key"
+            base.iter().zip(&rekeyed).all(|(a, b)| a != b),
+            "query_budget must re-key every function"
         );
         let perf = CheckerConfig {
             query_cache: false,
             ..cfg
         };
-        prop_assert_eq!(base, source_fingerprint(&source, "prop.c", &perf).unwrap());
+        prop_assert_eq!(base, keys(&source, &perf));
     }
 }
