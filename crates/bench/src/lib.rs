@@ -1106,8 +1106,8 @@ pub struct SolverSpeed {
 
 /// Run the solver-speed measurement at the widest width. The store is
 /// disabled (no memo store, no disk stores) so the scan is the pure worst
-/// case — a high-churn tree where nothing can be reused — and every store
-/// miss is solved on the function's incremental instance.
+/// case — a high-churn tree where nothing can be reused — and every query
+/// simulation cannot answer is solved on its function's SAT instance.
 pub fn solver_speed(cfg: &ScalingConfig) -> SolverSpeed {
     const CHURN_PCT: u32 = 20;
     let archive_cfg = ArchiveConfig {
@@ -1481,6 +1481,20 @@ pub fn positionals<'a>(
     Ok(out)
 }
 
+/// [`positionals`] for a command that takes no positional argument: a stray
+/// one is an error naming it, followed by the command's `usage` line.
+pub fn no_positionals(
+    args: &[String],
+    value_flags: &[&str],
+    switches: &[&str],
+    usage: &str,
+) -> Result<(), String> {
+    match positionals(args, value_flags, switches)?.first() {
+        None => Ok(()),
+        Some(stray) => Err(format!("unexpected argument `{stray}`\nusage: {usage}")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1561,8 +1575,8 @@ mod tests {
                 "{}",
                 row.label
             );
-            // Every row solves store misses on persistent instances, and
-            // those must reuse loaded clauses across the Figure 8 loop.
+            // Every row solves store misses on per-function SAT instances,
+            // and those must reuse loaded clauses across the Figure 8 loop.
             assert!(s.incremental_queries > 0, "{}", row.label);
             assert!(s.reused_clauses > 0, "{}", row.label);
         }

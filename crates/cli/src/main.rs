@@ -60,7 +60,7 @@
 //! I/O (cache-file, `--out`) operation failed.
 
 use serde::Serialize;
-use stack_bench::positionals;
+use stack_bench::{no_positionals, positionals};
 use stack_core::scanstore::ScanCodec;
 use stack_core::{
     AnalysisSession, Checker, CheckerConfig, ScanEvent, ScanPipeline, ScanSource, ScanStore,
@@ -1039,7 +1039,12 @@ fn store_fsck<C: Codec>(path: &Path, repair: bool, json: bool) -> ExitCode {
 // ---- bench ------------------------------------------------------------------
 
 fn cmd_bench(args: &[String]) -> ExitCode {
-    if let Err(e) = positionals(args, &["--out"], &["--fast"]) {
+    if let Err(e) = no_positionals(
+        args,
+        &["--out"],
+        &["--fast"],
+        "stack bench [--fast] [--out <path>]",
+    ) {
         return fail(&e);
     }
     let out_path = match flag_value(args, "--out") {
@@ -1158,7 +1163,7 @@ fn cmd_demo(args: &[String]) -> ExitCode {
 }
 
 fn cmd_list(args: &[String]) -> ExitCode {
-    if let Err(e) = positionals(args, &[], &[]) {
+    if let Err(e) = no_positionals(args, &[], &[], "stack list") {
         return fail(&e);
     }
     for p in stack_corpus::all_patterns() {
@@ -1168,7 +1173,7 @@ fn cmd_list(args: &[String]) -> ExitCode {
 }
 
 fn cmd_survey(args: &[String]) -> ExitCode {
-    if let Err(e) = positionals(args, &[], &[]) {
+    if let Err(e) = no_positionals(args, &[], &[], "stack survey") {
         return fail(&e);
     }
     let src = "int f(int x) { if (x + 100 < x) return 1; return 0; }";

@@ -23,22 +23,23 @@
 //! session, kept as the convenient entry point for single-file use.
 //!
 //! A module's functions are checked in order on one solver, and every store
-//! miss is solved on the function's incremental SAT instance. Parallel work
-//! happens across files, in [`ScanPipeline`](crate::ScanPipeline).
+//! miss that simulation cannot answer is solved on the function's SAT
+//! instance. Parallel work happens across files, in
+//! [`ScanPipeline`](crate::ScanPipeline).
 
 use crate::report::{Algorithm, BugReport};
 use crate::session::AnalysisSession;
-use stack_ir::{Function, Module};
-use stack_solver::{BvSolver, CacheStats};
-use std::collections::{HashMap, HashSet};
+use stack_ir::Module;
+use stack_solver::CacheStats;
+use std::collections::HashMap;
 use std::time::Duration;
 
-/// Checker configuration. No field selects how a query is solved: every
-/// query the store does not answer is decided on one persistent SAT
-/// instance per function, with every UB-condition negation registered as an
-/// assumption literal, so the Figure 8 minimal-UB-set loop toggles
-/// assumptions on an already-encoded formula instead of re-bit-blasting
-/// each near-identical query.
+/// Checker configuration. No field selects how a query is solved: a query
+/// the store and simulation leave open is decided on the function's one
+/// persistent SAT instance, where each assertion becomes an assumption
+/// literal the first time a query uses it, so the Figure 8 minimal-UB-set
+/// loop toggles assumptions on an already-encoded formula instead of
+/// re-bit-blasting each near-identical query.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckerConfig {
     /// Per-query solver budget in propagations (the deterministic analogue of
@@ -125,10 +126,12 @@ pub struct CheckStats {
     /// Sum of learn-time literal-block-distance values over all learned
     /// clauses; `lbd_sum / learned_clauses` is the average glue.
     pub lbd_sum: u64,
-    /// Queries decided by a persistent incremental solver instance.
+    /// Queries decided in the SAT core, on their function's persistent
+    /// instance.
     pub incremental_queries: u64,
-    /// Clause slots reused by incremental queries instead of re-blasted
-    /// (summed over queries; the clause-reuse counter of the solver layer).
+    /// Clause slots already loaded when those queries started, reused
+    /// instead of re-blasted (summed over queries; the clause-reuse counter
+    /// of the solver layer).
     pub reused_clauses: u64,
     /// Queries answered `Sat`. Together with
     /// `unsat_queries`, `timeouts`, and `simulated` this is the per-scan
@@ -233,20 +236,6 @@ pub struct CheckResult {
     pub stats: CheckStats,
 }
 
-impl CheckResult {
-    /// Reports grouped by the UB kinds they involve (Figure 18's breakdown).
-    pub fn reports_by_ub_kind(&self) -> HashMap<crate::ubcond::UbKind, usize> {
-        let mut map = HashMap::new();
-        for r in &self.reports {
-            let kinds: HashSet<_> = r.ub_sources.iter().map(|s| s.kind).collect();
-            for k in kinds {
-                *map.entry(k).or_insert(0) += 1;
-            }
-        }
-        map
-    }
-}
-
 /// The one-shot checker: a thin wrapper over an [`AnalysisSession`].
 ///
 /// One `Checker` owns one session — and therefore one query store: every
@@ -295,11 +284,6 @@ impl Checker {
     /// Check every function of an (already optimized-for-analysis) module.
     pub fn check_module(&self, module: &Module) -> CheckResult {
         self.session.check_module(module)
-    }
-
-    /// Check a single function.
-    pub fn check_function(&self, func: &Function, solver: &mut BvSolver) -> Vec<BugReport> {
-        self.session.check_function(func, solver)
     }
 }
 

@@ -11,12 +11,12 @@
 //!
 //! One encoder — and therefore one [`TermPool`] — covers a whole function.
 //! Everything is memoized against that pool (operand values, reachability
-//! conditions, condition negations), which is what lets the incremental
-//! solving mode share a single persistent SAT instance across all of the
-//! function's fragments: the checker registers each UB-condition negation
-//! produced by [`FunctionEncoder::negation`] as an assumption literal once,
-//! then drives every elimination, simplification, and Figure 8 minimization
-//! query over the same encoding.
+//! conditions, condition negations), which is what lets the solver keep a
+//! single persistent SAT instance across all of the function's fragments:
+//! each UB-condition negation produced by [`FunctionEncoder::negation`]
+//! becomes an assumption literal once, on first use, and every elimination,
+//! simplification, and Figure 8 minimization query runs over the same
+//! encoding.
 
 use stack_ir::{
     BinOp, BlockId, Cfg, CmpPred, DomTree, Function, InstId, InstKind, Operand, Terminator, Type,
@@ -75,7 +75,7 @@ impl<'f> FunctionEncoder<'f> {
     /// (`¬c` for every condition `c`) that its queries assume. The pool
     /// hash-conses, so repeated negations of the same condition return the
     /// *same* `TermId`, which in turn maps to exactly one assumption literal
-    /// on the incremental solver instance — this wrapper exists to name that
+    /// on the function's SAT instance — this wrapper exists to name that
     /// contract, not to add caching on top of the interning.
     pub fn negation(&mut self, term: TermId) -> TermId {
         self.pool.not(term)

@@ -14,10 +14,11 @@
 //! run from the head. The buffer holds only the out-of-order window,
 //! preserving the scan's bounded-memory property.
 //!
-//! Emitting in order is not enough on its own. A function's incremental SAT
-//! instance depends on which of its queries the shared query store
-//! answered, so under a query budget *which* queries end `Unknown`
-//! depends on what the store held when the function ran. The pipeline
+//! Emitting in order is not enough on its own. A function's SAT instance
+//! carries clauses from one query to the next, and which of its queries
+//! reach it depends on what the shared query store answered, so under a
+//! query budget *which* queries end `Unknown` depends on what the store
+//! held when the function ran. The pipeline
 //! therefore gives every task the store a `--jobs 1` scan would give it:
 //!
 //! * A task reads only *published* entries — those of tasks already
@@ -181,9 +182,11 @@ pub struct ScanSummary {
     pub minimization_queries_saved: u64,
     /// SAT-core propagations spent on queries that ended Unsat.
     pub unsat_propagations: u64,
-    /// Queries decided on a persistent incremental instance.
+    /// Queries decided in the SAT core, on their function's persistent
+    /// instance.
     pub incremental_queries: u64,
-    /// Clause slots those queries reused instead of re-blasting.
+    /// Clause slots already loaded when those queries started, reused
+    /// instead of re-blasted.
     pub reused_clauses: u64,
     pub store_hits: u64,
     pub store_misses: u64,

@@ -129,7 +129,7 @@ impl AnalysisSession {
     }
 
     /// A solver wired to this session's budget and (if enabled) the query
-    /// store `store`, solving store misses on incremental instances.
+    /// store `store`.
     fn make_solver(&self, store: &Arc<dyn QueryStore>) -> BvSolver {
         let budget = match self.config.query_budget {
             0 => Budget::unlimited(),
@@ -139,7 +139,6 @@ impl AnalysisSession {
         if self.config.query_cache {
             solver.set_store(Some(Arc::clone(store)));
         }
-        solver.set_incremental(true);
         solver
     }
 
@@ -324,10 +323,10 @@ impl AnalysisSession {
         // Negate each UB condition exactly once, in condition order:
         // `neg_terms[i]` is the Δ conjunct "¬ub_conds[i]" that every query
         // below assumes for the conditions dominating its fragment. Each
-        // negation becomes an assumption literal on the function's
-        // persistent solver instance the first time a query uses it —
-        // encoded once (blaster-memoized), then merely toggled by every
-        // later fragment query and Figure 8 minimization iteration.
+        // negation becomes an assumption literal on the function's SAT
+        // instance the first time a query that reaches the SAT core uses it
+        // — encoded once (blaster-memoized), then only toggled by every
+        // later such query, fragment or Figure 8 minimization iteration.
         let neg_terms: Vec<TermId> = ub_conds.iter().map(|c| enc.negation(c.term)).collect();
 
         // Index UB conditions by the instruction they attach to.
@@ -497,9 +496,9 @@ fn dominating_conditions(
 ///
 /// Every iteration asserts the same `base` fragment encoding plus all but one
 /// of the precomputed condition negations (`neg_terms[ci]`, indexed like
-/// `dom_conds`). These terms are already registered as assumption
-/// literals on the function's persistent solver instance, so each
-/// iteration is a `check_assuming` toggle rather than a fresh bit-blast; the
+/// `dom_conds`). The triggering query registered these terms as assumption
+/// literals on the function's SAT instance, so an iteration that reaches
+/// the SAT core only toggles assumptions instead of re-bit-blasting; the
 /// query store still short-circuits iterations repeated across structurally
 /// identical functions.
 ///

@@ -24,9 +24,9 @@
 //!   moved to the output, the MUX condition made positive (swapping the
 //!   arms) and its then-arm made positive (negating the output), the first
 //!   majority input made positive (majority is self-dual). One blaster —
-//!   which lives as long as a function's incremental instance — builds each
-//!   structurally equal gate once, so `x < y` and `y <= x` share one
-//!   subtractor.
+//!   which lives as long as its [`BvSolver`](crate::solver::BvSolver) sees
+//!   the same pool, one function in the checker — builds each structurally
+//!   equal gate once, so `x < y` and `y <= x` share one subtractor.
 //!
 //! A word-level relational encoding of constant divisors
 //! (`a = q·k + r ∧ r < k`) was measured on top of folding and left out: no

@@ -6,7 +6,7 @@
 //! the synthetic Debian population (§6.5) instantiates the same unstable
 //! idioms over and over. The paper reports that solver time dominates the
 //! analysis (Figure 16), so answering a repeated query from a lookup instead
-//! of a fresh bit-blast + CDCL run is the single highest-leverage shortcut.
+//! of a bit-blast + CDCL run is the single highest-leverage shortcut.
 //!
 //! Keys are *structural*: each assertion is reduced to a 128-bit fingerprint
 //! of its term DAG (operator tags, constant payloads, variable names), and a
@@ -198,29 +198,28 @@ impl QueryCache {
 // ---- Structural fingerprints ------------------------------------------------
 
 /// Per-solver fingerprint memo. [`TermId`]s are only meaningful within one
-/// pool, so the memo records the pool's epoch and resets itself whenever it
-/// sees a different pool (the checker drives one function — one pool — at a
-/// time through a solver, so in practice this is a clear-per-function).
+/// pool, so the owning [`BvSolver`](crate::solver::BvSolver) clears the memo
+/// whenever it sees a different pool (the checker drives one function — one
+/// pool — at a time through a solver, so this is a clear-per-function).
 #[derive(Debug, Default)]
 pub(crate) struct FingerprintMemo {
-    epoch: u64,
     memo: HashMap<TermId, u128>,
 }
 
 impl FingerprintMemo {
+    /// Forget every fingerprint (the pool changed).
+    pub(crate) fn clear(&mut self) {
+        self.memo.clear();
+    }
+
     /// Canonicalize an assertion set: the assertions sorted by structural
     /// fingerprint (ties are impossible within one pool — hash-consing makes
     /// structurally equal terms the *same* `TermId`, and duplicates are
-    /// assumed already removed). The solver bit-blasts in this order, so the
-    /// CNF it builds — and therefore a budget-boundary `Unknown` outcome —
-    /// is a function of the canonical key alone, not of the order the
-    /// checker happened to list the assertions in. That property is what
-    /// makes a cache hit indistinguishable from recomputation.
+    /// assumed already removed). The solver registers assertions with its
+    /// SAT instance in this order, so the clauses a query adds depend on the
+    /// canonical key and the instance's history, never on the order the
+    /// checker happened to list the assertions in.
     pub(crate) fn canonicalize(&mut self, pool: &TermPool, assertions: &mut [TermId]) -> CacheKey {
-        if self.epoch != pool.epoch() {
-            self.epoch = pool.epoch();
-            self.memo.clear();
-        }
         let mut pairs: Vec<(u128, TermId)> = assertions
             .iter()
             .map(|&a| (fingerprint(pool, a, &mut self.memo), a))

@@ -1,4 +1,4 @@
-//! Clause storage and CNF formula representation.
+//! Clause storage for the SAT core.
 //!
 //! Clauses live in a flat arena indexed by [`ClauseRef`]; the SAT core holds
 //! watch lists of clause references rather than owning clause data itself.
@@ -114,59 +114,6 @@ impl ClauseDb {
     }
 }
 
-/// A plain CNF formula, used as the bit-blasting output before it is loaded
-/// into the SAT core and by the property-test reference solver.
-#[derive(Default, Clone, Debug)]
-pub struct CnfFormula {
-    /// Number of variables referenced (upper bound on variable index + 1).
-    pub num_vars: usize,
-    /// The clauses.
-    pub clauses: Vec<Vec<Lit>>,
-}
-
-impl CnfFormula {
-    /// Create an empty formula.
-    pub fn new() -> CnfFormula {
-        CnfFormula::default()
-    }
-
-    /// Add a clause, updating the variable count.
-    pub fn add_clause(&mut self, lits: Vec<Lit>) {
-        for lit in &lits {
-            let need = lit.var().index() + 1;
-            if need > self.num_vars {
-                self.num_vars = need;
-            }
-        }
-        self.clauses.push(lits);
-    }
-
-    /// Number of clauses.
-    pub fn len(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// Whether there are no clauses.
-    pub fn is_empty(&self) -> bool {
-        self.clauses.is_empty()
-    }
-
-    /// Evaluate the formula under a complete assignment (indexed by variable).
-    /// Used by tests as a reference semantics.
-    pub fn evaluate(&self, assignment: &[bool]) -> bool {
-        self.clauses.iter().all(|clause| {
-            clause.iter().any(|lit| {
-                let value = assignment[lit.var().index()];
-                if lit.is_positive() {
-                    value
-                } else {
-                    !value
-                }
-            })
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,21 +133,6 @@ mod tests {
         assert_eq!(db.num_learned, 0);
         assert!(db.get(c2).deleted);
         assert_eq!(db.len(), 2);
-    }
-
-    #[test]
-    fn cnf_formula_eval() {
-        let mut f = CnfFormula::new();
-        let x = Var(0);
-        let y = Var(1);
-        // (x | y) & (!x | y)
-        f.add_clause(vec![x.positive(), y.positive()]);
-        f.add_clause(vec![x.negative(), y.positive()]);
-        assert_eq!(f.num_vars, 2);
-        assert!(f.evaluate(&[true, true]));
-        assert!(f.evaluate(&[false, true]));
-        assert!(!f.evaluate(&[true, false]));
-        assert!(!f.evaluate(&[false, false]));
     }
 
     #[test]

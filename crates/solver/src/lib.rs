@@ -12,7 +12,12 @@
 //!   shifts, division, width conversion;
 //! * a bit-blaster ([`blast::BitBlaster`]) translating terms to CNF;
 //! * a query-level API ([`solver::BvSolver`]) with deterministic per-query
-//!   resource budgets standing in for the paper's 5-second query timeout;
+//!   resource budgets standing in for the paper's 5-second query timeout.
+//!   Store misses that simulation cannot answer are decided on one
+//!   persistent SAT instance per [`term::TermPool`] (per function, in the
+//!   checker), with each assertion registered once as an assumption literal
+//!   and toggled per query, so the checker's minimal-UB-set loop (paper
+//!   Figure 8) does not re-pay bit-blasting per iteration;
 //! * a memoized query cache ([`cache::QueryCache`]) answering structurally
 //!   identical queries across threads, functions, and modules;
 //! * pluggable query stores ([`store::QueryStore`]): the in-memory cache or
@@ -20,11 +25,7 @@
 //!   fingerprint→result pairs across processes, so repeated archive scans
 //!   (the paper's §6.5 workload) start warm;
 //! * the store file discipline ([`recordfile::RecordFile`]) the disk query
-//!   store shares with the scan store of `stack-core`;
-//! * incremental solving under assumptions ([`incremental::SolverInstance`]):
-//!   one persistent SAT instance per function encoding, with UB-condition
-//!   literals toggled as assumptions, so the checker's minimal-UB-set loop
-//!   (paper Figure 8) stops re-paying bit-blasting per iteration.
+//!   store shares with the scan store of `stack-core`.
 //!
 //! The checker builds elimination and simplification queries (paper §3.2) as
 //! boolean terms and asks [`solver::BvSolver::check`] for SAT/UNSAT; UNSAT
@@ -33,7 +34,6 @@
 pub mod blast;
 pub mod cache;
 pub mod cnf;
-pub mod incremental;
 pub mod lit;
 pub mod model;
 pub mod recordfile;
@@ -44,8 +44,7 @@ pub mod term;
 
 pub use blast::BitBlaster;
 pub use cache::{canonical_key, CacheKey, CacheStats, QueryCache};
-pub use cnf::{Clause, ClauseDb, ClauseRef, CnfFormula};
-pub use incremental::{InstanceStats, SolverInstance};
+pub use cnf::{Clause, ClauseDb, ClauseRef};
 pub use lit::{LBool, Lit, Var};
 pub use model::Model;
 pub use recordfile::{MergeError, MergeStats, RecordFile, SalvageReport, StoreInspection};

@@ -67,11 +67,12 @@ impl Budget {
 /// Statistics accumulated across `solve` calls.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct SatStats {
-    pub decisions: u64,
+    /// Literals assigned by unit propagation.
     pub propagations: u64,
+    /// Conflicts reached during search.
     pub conflicts: u64,
+    /// Search restarts.
     pub restarts: u64,
-    pub learned_literals: u64,
     /// Clauses learned by conflict analysis.
     pub learned_clauses: u64,
     /// Learned clauses evicted by database reduction.
@@ -84,28 +85,6 @@ pub struct SatStats {
     /// Sum of literal counts over recorded cores; the average core size is
     /// `core_size_sum / cores_recorded`.
     pub core_size_sum: u64,
-}
-
-impl SatStats {
-    /// Average learn-time LBD over all learned clauses (0 when nothing was
-    /// learned).
-    pub fn avg_lbd(&self) -> f64 {
-        if self.learned_clauses == 0 {
-            0.0
-        } else {
-            self.lbd_sum as f64 / self.learned_clauses as f64
-        }
-    }
-
-    /// Average literal count of recorded assumption cores (0 when none were
-    /// recorded).
-    pub fn avg_core_size(&self) -> f64 {
-        if self.cores_recorded == 0 {
-            0.0
-        } else {
-            self.core_size_sum as f64 / self.cores_recorded as f64
-        }
-    }
 }
 
 /// The CDCL solver.
@@ -212,8 +191,8 @@ impl SatSolver {
 
     /// Number of clause slots in the database (original and learned,
     /// including slots whose clause was deleted by database reduction).
-    /// Incremental callers use this to measure how much already-loaded
-    /// formula a [`solve_with`](SatSolver::solve_with) call reuses.
+    /// [`BvSolver`](crate::solver::BvSolver) counts the slots loaded before
+    /// a query registers its assertions as formula that query reuses.
     pub fn num_clauses(&self) -> usize {
         self.clauses.len()
     }
@@ -513,7 +492,6 @@ impl SatSolver {
         for &lit in &original {
             self.seen[lit.var().index()] = false;
         }
-        self.stats.learned_literals += learned.len() as u64;
         self.stats.learned_clauses += 1;
         self.stats.lbd_sum += lbd_levels.len() as u64;
         (learned, backtrack_level)
@@ -674,7 +652,6 @@ impl SatSolver {
     fn decide(&mut self) -> Option<Lit> {
         while let Some(v) = self.heap_pop() {
             if self.assigns[v.index()].is_undef() {
-                self.stats.decisions += 1;
                 return Some(Lit::new(v, self.phases[v.index()]));
             }
         }

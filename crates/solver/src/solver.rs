@@ -2,22 +2,34 @@
 //!
 //! [`BvSolver::check`] decides the conjunction of the given boolean terms:
 //! cheap pre-solve simplification, then a lookup in the attached
-//! [`QueryCache`](crate::cache::QueryCache) (if any), then simulation — the
-//! assertions evaluated under a fixed sequence of candidate assignments, the
-//! first that satisfies them all answering `Sat` — and only then a
-//! bit-blast and CDCL run under a deterministic resource budget. The budget
-//! plays the role of the per-query wall-clock timeout the paper uses (5
-//! seconds per Boolector query, §6.4) while keeping results reproducible
-//! across machines. How the SAT core is reached depends on the mode: by
-//! default each query gets a throwaway SAT instance; in incremental mode
-//! ([`BvSolver::set_incremental`]) misses share one persistent
-//! [`SolverInstance`] per [`TermPool`], which trades per-query isolation for
-//! not re-paying bit-blasting across the checker's near-identical Figure 8
-//! queries.
+//! [`QueryStore`] (if any), then simulation — the assertions evaluated under
+//! a fixed sequence of candidate assignments, the first that satisfies them
+//! all answering `Sat` — and only then the SAT core, under a deterministic
+//! resource budget. The budget plays the role of the per-query wall-clock
+//! timeout the paper uses (5 seconds per Boolector query, §6.4) while keeping
+//! results reproducible across machines.
+//!
+//! The SAT core is one persistent [`SatSolver`]/[`BitBlaster`] pair per
+//! [`TermPool`] — in the checker, per function. A query that reaches it
+//! registers each assertion as an *assumption literal*: the literal is
+//! Tseitin-tied to the term (`l ↔ blast(t)`) but never asserted, and
+//! registration is a cache lookup for every term an earlier query already
+//! encoded. The query is then solved under exactly its own literals as
+//! assumptions, so the clauses — learned ones included — stay loaded for the
+//! next query. That is what makes the checker's near-identical Figure 8
+//! minimization queries cheap: each one toggles assumptions on an
+//! already-encoded formula instead of re-bit-blasting. A fresh SAT instance
+//! per query was measured against this and lost: 1.85× the propagations on
+//! the store-off `solver_speed` row of `BENCH_checker.json`.
+//!
+//! Decided answers do not depend on what the instance has seen before: an
+//! assumption literal is definitionally tied to its term, so the answer is
+//! exactly satisfiability of the conjunction. Where a budget runs out can
+//! depend on that history, so an `Unknown` is never stored.
 
 use crate::blast::BitBlaster;
 use crate::cache::FingerprintMemo;
-use crate::incremental::SolverInstance;
+use crate::lit::Lit;
 use crate::model::Model;
 use crate::sat::{Budget, SatResult, SatSolver};
 use crate::store::QueryStore;
@@ -55,6 +67,7 @@ impl QueryResult {
 
 /// Aggregate statistics across all queries issued through one [`BvSolver`].
 /// These feed the Figure 16 performance table (number of queries, timeouts).
+/// The SAT-level counters cover only queries that reached the SAT core.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct SolverStats {
     /// Total queries issued.
@@ -65,7 +78,8 @@ pub struct SolverStats {
     pub unsat: u64,
     /// Queries that exhausted their budget ("timeouts").
     pub timeouts: u64,
-    /// Total SAT-level propagations across all queries.
+    /// Total SAT-level propagations across all queries, including those
+    /// made while a query's assertions were blasted into the instance.
     pub propagations: u64,
     /// SAT-level propagations spent on queries that ended `Unsat`.
     pub unsat_propagations: u64,
@@ -77,74 +91,88 @@ pub struct SolverStats {
     pub learned_clauses: u64,
     /// Learned clauses evicted by clause-database reduction.
     pub deleted_clauses: u64,
-    /// Sum of literal-block-distance values over all learned clauses; divide
-    /// by [`learned_clauses`](SolverStats::learned_clauses) for the average
-    /// (see [`SolverStats::avg_lbd`]).
+    /// Sum of literal-block-distance values over all learned clauses;
+    /// `lbd_sum / learned_clauses` is the average glue.
     pub lbd_sum: u64,
-    /// Queries answered from the shared [`QueryCache`](crate::cache::QueryCache) without bit-blasting.
+    /// Queries answered from the attached [`QueryStore`] without
+    /// bit-blasting.
     pub cache_hits: u64,
-    /// Queries that consulted the cache and missed.
+    /// Queries that consulted the store and missed.
     pub cache_misses: u64,
-    /// Queries decided by a persistent [`SolverInstance`] (incremental mode)
-    /// instead of a from-scratch bit-blast + CDCL run.
+    /// Queries decided in the SAT core: store misses simulation could not
+    /// answer, solved on the pool's persistent instance.
     pub incremental_queries: u64,
-    /// Clause slots already loaded in an incremental instance when a query
-    /// started — formula reused across queries instead of re-emitted. Summed
-    /// over all incremental queries.
+    /// Clause slots already loaded in the pool's instance when a SAT-core
+    /// query started, before it registered its own assertions — formula
+    /// reused across queries instead of re-emitted. Summed over SAT-core
+    /// queries.
     pub reused_clauses: u64,
     /// Queries answered `Sat` by simulation, without reaching the SAT core.
     pub simulated: u64,
     /// Assumption cores extracted after `Unsat` answers.
     pub cores_recorded: u64,
-    /// Sum of literal counts over recorded cores (see
-    /// [`SolverStats::avg_core_size`]).
+    /// Sum of literal counts over recorded cores; `core_size_sum /
+    /// cores_recorded` is the average core size.
     pub core_size_sum: u64,
     /// Queries the checker's minimal-UB-set loop skipped because the last
     /// extracted assumption core already proved them `Unsat`.
     pub minimization_queries_saved: u64,
 }
 
-impl SolverStats {
-    /// Average literal-block-distance over all learned clauses (0.0 when
-    /// nothing was learned). Low averages mean the solver mostly learns
-    /// "glue" clauses that tie few decision levels together.
-    pub fn avg_lbd(&self) -> f64 {
-        if self.learned_clauses == 0 {
-            0.0
-        } else {
-            self.lbd_sum as f64 / self.learned_clauses as f64
-        }
-    }
-
-    /// Average literal count of recorded assumption cores (0.0 when none
-    /// were recorded). Small cores let the minimal-UB-set loop skip more
-    /// queries.
-    pub fn avg_core_size(&self) -> f64 {
-        if self.cores_recorded == 0 {
-            0.0
-        } else {
-            self.core_size_sum as f64 / self.cores_recorded as f64
-        }
-    }
-}
-
-/// The bit-vector solver.
-#[derive(Debug)]
+/// The bit-vector solver: one persistent SAT instance for the [`TermPool`]
+/// it last saw, behind pre-solve simplification, an optional
+/// [`QueryStore`] and simulation (see the [module documentation](self)).
+///
+/// The checker's Figure 8 loop, in miniature:
+///
+/// ```
+/// use stack_solver::{BvSolver, TermPool};
+///
+/// let mut pool = TermPool::new();
+/// let x = pool.bv_var("x", 8);
+/// let y = pool.bv_var("y", 8);
+/// let x_below_y = pool.bv_ult(x, y);
+/// let y_below_x = pool.bv_ult(y, x);
+/// let nine = pool.bv_const(8, 9);
+/// let y_small = pool.bv_ult(y, nine);
+///
+/// let mut solver = BvSolver::new();
+/// // Unsat, so simulation cannot answer it: the SAT core decides it…
+/// assert!(solver.check(&pool, &[x_below_y, y_below_x, y_small]).is_unsat());
+/// // …and names a subset of the assertions that is Unsat on its own.
+/// let core = solver.last_unsat_core().unwrap().to_vec();
+/// assert!(solver.check(&pool, &core).is_unsat());
+/// // The second query reused the clauses the first one loaded.
+/// assert!(solver.stats().reused_clauses > 0);
+/// ```
 pub struct BvSolver {
     budget: Budget,
     stats: SolverStats,
     store: Option<Arc<dyn QueryStore>>,
+    /// Epoch of the pool the fingerprint memo and the SAT instance below
+    /// belong to ([`TermId`]s are pool-local). `None` before the first query.
+    epoch: Option<u64>,
     memo: FingerprintMemo,
-    /// Whether cache misses are decided by a persistent [`SolverInstance`]
-    /// (one per pool epoch) instead of a from-scratch bit-blast.
-    incremental: bool,
+    sat: SatSolver,
+    blaster: BitBlaster,
     /// The subset of the last `Unsat` [`check`](BvSolver::check) call's
     /// assertion terms that its extracted assumption core maps back to —
-    /// already unsatisfiable on their own. `None` after non-`Unsat` answers,
-    /// store hits, and fresh-mode solves (no assumptions, so no assumption
-    /// core).
+    /// already unsatisfiable on their own. `None` after non-`Unsat` answers
+    /// and store hits.
     last_core_terms: Option<Vec<TermId>>,
-    instance: Option<SolverInstance>,
+}
+
+impl std::fmt::Debug for BvSolver {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BvSolver")
+            .field("budget", &self.budget)
+            .field("stats", &self.stats)
+            .field("store", &self.store)
+            .field("epoch", &self.epoch)
+            .field("clauses", &self.sat.num_clauses())
+            .field("last_core_terms", &self.last_core_terms)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Default for BvSolver {
@@ -166,46 +194,18 @@ impl BvSolver {
             budget,
             stats: SolverStats::default(),
             store: None,
+            epoch: None,
             memo: FingerprintMemo::default(),
-            incremental: false,
+            sat: SatSolver::new(),
+            blaster: BitBlaster::new(),
             last_core_terms: None,
-            instance: None,
         }
     }
 
-    /// Change the per-query budget.
+    /// Change the per-query budget. It applies to each later query
+    /// separately, on the same instance.
     pub fn set_budget(&mut self, budget: Budget) {
         self.budget = budget;
-        if let Some(instance) = &mut self.instance {
-            instance.set_budget(budget);
-        }
-    }
-
-    /// Enable or disable incremental solving. When enabled, queries that miss
-    /// the cache are decided by a persistent [`SolverInstance`] shared by
-    /// every query against the same [`TermPool`]: each assertion is
-    /// registered as an assumption literal on its first appearance — exactly
-    /// once per pool, memoized — and toggled per query, so near-identical
-    /// queries (the checker's Figure 8 minimization loop) stop paying
-    /// repeated bit-blasting. The instance is replaced whenever the pool
-    /// changes (in the checker: one instance per function).
-    ///
-    /// Registration is deliberately on-demand rather than up-front: encoding
-    /// a function's full UB-condition set eagerly measured ~2× slower on
-    /// miss-light workloads, because conditions that dominate no queried
-    /// fragment were blasted (and then assigned by every Sat answer) for
-    /// nothing.
-    pub fn set_incremental(&mut self, incremental: bool) {
-        self.incremental = incremental;
-        if !incremental {
-            self.instance = None;
-        }
-    }
-
-    /// Builder-style variant of [`BvSolver::set_incremental`].
-    pub fn with_incremental(mut self, incremental: bool) -> BvSolver {
-        self.set_incremental(incremental);
-        self
     }
 
     /// The assertion-term core of the last `Unsat` [`check`](BvSolver::check)
@@ -224,22 +224,12 @@ impl BvSolver {
         self.stats.minimization_queries_saved += 1;
     }
 
-    /// The persistent instance for `pool`, creating or replacing it as
-    /// needed. Only meaningful in incremental mode.
-    fn instance_for(&mut self, pool: &TermPool) -> &mut SolverInstance {
-        let stale =
-            !matches!(&self.instance, Some(i) if i.epoch().is_none_or(|e| e == pool.epoch()));
-        if stale {
-            self.instance = Some(SolverInstance::with_budget(self.budget));
-        }
-        self.instance.as_mut().expect("instance just ensured")
-    }
-
     /// Attach (or detach) a memoized query store, typically shared between
     /// several solvers via [`Arc`]. With a store attached, [`check`]
-    /// consults it before bit-blasting and inserts every decided result;
-    /// budget-exhausted `Unknown` results are never stored. Any
-    /// [`QueryStore`] works: the in-memory [`QueryCache`](crate::cache::QueryCache) or the disk-backed
+    /// consults it before simulation and the SAT core and inserts every
+    /// decided result; budget-exhausted `Unknown` results are never stored.
+    /// Any [`QueryStore`] works: the in-memory
+    /// [`QueryCache`](crate::cache::QueryCache) or the disk-backed
     /// [`DiskQueryStore`](crate::store::DiskQueryStore).
     ///
     /// [`check`]: BvSolver::check
@@ -258,26 +248,31 @@ impl BvSolver {
         self.stats
     }
 
-    /// Reset the statistics counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = SolverStats::default();
-    }
-
     /// Check satisfiability of the conjunction of `assertions`.
     ///
     /// The query pipeline is: cheap pre-solve simplification (conjunction
     /// flattening, constant folding, complementary-literal propagation),
-    /// then a lookup in the attached [`QueryCache`](crate::cache::QueryCache) (if any), and on a
-    /// miss simulation: the assertions are evaluated under every variable
-    /// set to 0, 1, all-ones, the signed minimum, the signed maximum, then
-    /// each constant of the query, and the first assignment that satisfies
-    /// them all answers `Sat`. Only if none does, the full bit-blast + CDCL
-    /// run decides. Decided results of both are stored back into the cache.
+    /// then a lookup in the attached [`QueryStore`] (if any), and on a miss
+    /// simulation: the assertions are evaluated under every variable set to
+    /// 0, 1, all-ones, the signed minimum, the signed maximum, then each
+    /// constant of the query, and the first assignment that satisfies them
+    /// all answers `Sat`. Only if none does, the pool's SAT instance decides
+    /// under the query's assumption literals. Decided results of both are
+    /// stored back into the store.
     pub fn check(&mut self, pool: &TermPool, assertions: &[TermId]) -> QueryResult {
         self.stats.queries += 1;
         // A core is only meaningful for the query that produced it; anything
-        // short of a fresh incremental `Unsat` solve leaves this `None`.
+        // short of an `Unsat` answer computed for this call leaves this
+        // `None`.
         self.last_core_terms = None;
+        if self.epoch != Some(pool.epoch()) {
+            // A new pool: its terms share nothing with the old pool's, so
+            // the fingerprint memo and the SAT instance start over.
+            self.epoch = Some(pool.epoch());
+            self.memo.clear();
+            self.sat = SatSolver::new();
+            self.blaster = BitBlaster::new();
+        }
 
         // Pre-solve simplification of the assertion conjunction.
         let mut simplified = match presimplify(pool, assertions) {
@@ -297,18 +292,15 @@ impl BvSolver {
             Presimplified::Open(list) => list,
         };
 
-        // Canonicalize unconditionally (not just when a cache is attached):
-        // blasting in fingerprint order makes a fresh-mode CNF — and with it
-        // a budget-boundary `Unknown` — depend only on the assertion *set*,
-        // so answering a later query from the cache can never disagree with
-        // what recomputing it would have produced. Incremental mode weakens
-        // this: decided results are still mode- and history-independent
-        // facts, but an instance's CNF depends on which earlier queries
-        // reached it, so budget-boundary `Unknown` outcomes (and anything
-        // derived from them) are reproducible only when the store's contents
-        // at each lookup are. The checker drives one solver per module, and
-        // the scan pipeline gives each module exactly the store a sequential
-        // scan would, at every `--jobs` width.
+        // Canonicalize unconditionally (not just when a store is attached):
+        // registering assertions in fingerprint order makes the clauses a
+        // query adds depend only on its assertion *set*, not on the order the
+        // checker listed them in. Decided results are facts about that set.
+        // A budget-boundary `Unknown` also depends on which earlier queries
+        // reached the instance, so it is reproducible exactly when the
+        // store's contents at each lookup are: the checker drives one solver
+        // per module, and the scan pipeline gives each module exactly the
+        // store a sequential scan would, at every `--jobs` width.
         let key = self.memo.canonicalize(pool, &mut simplified);
         let key = self.store.is_some().then_some(key);
         if let (Some(store), Some(key)) = (&self.store, &key) {
@@ -340,17 +332,9 @@ impl BvSolver {
         let outcome = if let Some(model) = simulate(pool, &simplified) {
             self.stats.simulated += 1;
             QueryResult::Sat(model)
-        } else if self.incremental {
-            self.solve_incremental(pool, &simplified)
         } else {
-            self.solve_fresh(pool, &simplified)
+            self.solve(pool, assertions, &simplified)
         };
-        if self.incremental && outcome.is_unsat() {
-            // `solve_with` actually ran for this query (the store missed),
-            // so the instance's `last_core` — if any — belongs to exactly
-            // this assumption set and can be mapped back to assertion terms.
-            self.last_core_terms = self.core_terms(assertions, &simplified);
-        }
         match &outcome {
             QueryResult::Unsat => self.stats.unsat += 1,
             QueryResult::Unknown => self.stats.timeouts += 1,
@@ -370,16 +354,68 @@ impl BvSolver {
         outcome
     }
 
-    /// Map the SAT-level assumption core of the last incremental `Unsat`
-    /// back to assertion terms, conservatively: an assertion is dropped only
-    /// when it provably sits outside the core — it survived presimplification
-    /// as itself (so its registered literal *is* its assumption literal, not
-    /// a literal hidden by flattening or dedup) and that literal is not in
-    /// the core. Everything the mapping cannot account for stays in, which
-    /// keeps the returned set unsatisfiable.
+    /// Decide a (pre-simplified) assertion set in the SAT core: register
+    /// each assertion as an assumption literal and solve under exactly
+    /// those literals. On `Unsat`, records the core mapped back to
+    /// `assertions`.
+    fn solve(
+        &mut self,
+        pool: &TermPool,
+        assertions: &[TermId],
+        simplified: &[TermId],
+    ) -> QueryResult {
+        // Snapshot before registering: blasting adds clauses at the root and
+        // propagates them, and that work belongs to this query.
+        let before = self.sat.stats();
+        // Every clause slot loaded before this query's registrations was
+        // paid for by an earlier query: reuse.
+        self.stats.reused_clauses += self.sat.num_clauses() as u64;
+        let literals = self.assumption_literals(pool, simplified);
+        let result = self.sat.solve_with(&literals, self.budget);
+        let after = self.sat.stats();
+        let propagations = after.propagations - before.propagations;
+        self.stats.propagations += propagations;
+        self.stats.conflicts += after.conflicts - before.conflicts;
+        self.stats.restarts += after.restarts - before.restarts;
+        self.stats.learned_clauses += after.learned_clauses - before.learned_clauses;
+        self.stats.deleted_clauses += after.deleted_clauses - before.deleted_clauses;
+        self.stats.lbd_sum += after.lbd_sum - before.lbd_sum;
+        self.stats.cores_recorded += after.cores_recorded - before.cores_recorded;
+        self.stats.core_size_sum += after.core_size_sum - before.core_size_sum;
+        self.stats.incremental_queries += 1;
+        match result {
+            SatResult::Sat => QueryResult::Sat(self.blaster.extract_model(&self.sat)),
+            SatResult::Unknown => QueryResult::Unknown,
+            SatResult::Unsat => {
+                self.stats.unsat_propagations += propagations;
+                self.last_core_terms = self.core_terms(assertions, simplified);
+                QueryResult::Unsat
+            }
+        }
+    }
+
+    /// The assumption literal of each term, blasting into the instance only
+    /// the terms (and subterms) no earlier query registered. Registration is
+    /// on demand on purpose: encoding a function's full UB-condition set up
+    /// front measured ~2× slower on miss-light workloads, because conditions
+    /// that dominate no queried fragment were blasted (and then assigned by
+    /// every `Sat` answer) for nothing.
+    fn assumption_literals(&mut self, pool: &TermPool, terms: &[TermId]) -> Vec<Lit> {
+        terms
+            .iter()
+            .map(|&t| self.blaster.blast_bool(pool, &mut self.sat, t))
+            .collect()
+    }
+
+    /// Map the SAT-level assumption core of the last `Unsat` solve back to
+    /// assertion terms, conservatively: an assertion is dropped only when it
+    /// provably sits outside the core — it survived presimplification as
+    /// itself (so its registered literal *is* its assumption literal, not a
+    /// literal hidden by flattening or dedup) and that literal is not in the
+    /// core. Everything the mapping cannot account for stays in, which keeps
+    /// the returned set unsatisfiable.
     fn core_terms(&self, assertions: &[TermId], simplified: &[TermId]) -> Option<Vec<TermId>> {
-        let instance = self.instance.as_ref()?;
-        let core = instance.last_core()?;
+        let core = self.sat.last_core()?;
         let kept: Vec<TermId> = assertions
             .iter()
             .copied()
@@ -387,71 +423,13 @@ impl BvSolver {
                 if !simplified.contains(&t) {
                     return true; // rewritten away; cannot attribute — keep
                 }
-                match instance.registered_literal(t) {
+                match self.blaster.bool_literal(t) {
                     Some(l) => core.contains(&l),
                     None => true,
                 }
             })
             .collect();
         Some(kept)
-    }
-
-    /// Decide a (pre-simplified) assertion set with a throwaway SAT instance:
-    /// blast every assertion, assert its literal, solve once.
-    fn solve_fresh(&mut self, pool: &TermPool, simplified: &[TermId]) -> QueryResult {
-        let mut sat = SatSolver::new();
-        let mut blaster = BitBlaster::new();
-        for &a in simplified {
-            let lit = blaster.blast_bool(pool, &mut sat, a);
-            sat.add_clause(&[lit]);
-        }
-        let result = sat.solve_with(&[], self.budget);
-        self.accumulate_sat_stats(&sat.stats());
-        if matches!(result, SatResult::Unsat) {
-            self.stats.unsat_propagations += sat.stats().propagations;
-        }
-        match result {
-            SatResult::Unsat => QueryResult::Unsat,
-            SatResult::Unknown => QueryResult::Unknown,
-            SatResult::Sat => QueryResult::Sat(blaster.extract_model(&sat)),
-        }
-    }
-
-    /// Fold a SAT core's counters into the aggregate statistics.
-    fn accumulate_sat_stats(&mut self, sat: &crate::sat::SatStats) {
-        self.stats.propagations += sat.propagations;
-        self.stats.conflicts += sat.conflicts;
-        self.stats.restarts += sat.restarts;
-        self.stats.learned_clauses += sat.learned_clauses;
-        self.stats.deleted_clauses += sat.deleted_clauses;
-        self.stats.lbd_sum += sat.lbd_sum;
-        self.stats.cores_recorded += sat.cores_recorded;
-        self.stats.core_size_sum += sat.core_size_sum;
-    }
-
-    /// Decide a (pre-simplified) assertion set on the persistent instance for
-    /// this pool: register each assertion as an assumption literal (a cache
-    /// lookup for everything already encoded) and solve under assumptions.
-    fn solve_incremental(&mut self, pool: &TermPool, simplified: &[TermId]) -> QueryResult {
-        let instance = self.instance_for(pool);
-        let (sat_before, inst_before) = (instance.sat_stats(), instance.stats());
-        let outcome = instance.check_terms(pool, simplified);
-        let (sat_after, inst_after) = (instance.sat_stats(), instance.stats());
-        let propagations = sat_after.propagations - sat_before.propagations;
-        self.stats.propagations += propagations;
-        if outcome.is_unsat() {
-            self.stats.unsat_propagations += propagations;
-        }
-        self.stats.conflicts += sat_after.conflicts - sat_before.conflicts;
-        self.stats.restarts += sat_after.restarts - sat_before.restarts;
-        self.stats.learned_clauses += sat_after.learned_clauses - sat_before.learned_clauses;
-        self.stats.deleted_clauses += sat_after.deleted_clauses - sat_before.deleted_clauses;
-        self.stats.lbd_sum += sat_after.lbd_sum - sat_before.lbd_sum;
-        self.stats.cores_recorded += sat_after.cores_recorded - sat_before.cores_recorded;
-        self.stats.core_size_sum += sat_after.core_size_sum - sat_before.core_size_sum;
-        self.stats.incremental_queries += 1;
-        self.stats.reused_clauses += inst_after.reused_clauses - inst_before.reused_clauses;
-        outcome
     }
 
     /// Check whether a single boolean term is satisfiable.
@@ -743,10 +721,10 @@ mod tests {
             vec![wrap, pos, neg],
             vec![wrap], // repeat: still answered by the warm instance
         ];
-        let mut fresh = BvSolver::new();
-        let mut incremental = BvSolver::new().with_incremental(true);
+        // One long-lived solver against a new solver per query.
+        let mut incremental = BvSolver::new();
         for q in &queries {
-            let a = fresh.check(&pool, q);
+            let a = BvSolver::new().check(&pool, q);
             let b = incremental.check(&pool, q);
             assert_eq!(a.is_sat(), b.is_sat(), "query {q:?}");
             assert_eq!(a.is_unsat(), b.is_unsat(), "query {q:?}");
@@ -759,24 +737,143 @@ mod tests {
             queries.len() as u64
         );
         assert!(stats.reused_clauses > 0);
-        assert_eq!(fresh.stats().incremental_queries, 0);
+    }
+
+    /// Toggle every subset of four conditions on one long-lived solver and
+    /// compare each answer with a new solver's.
+    #[test]
+    fn check_assuming_agrees_with_fresh_solves() {
+        let mut pool = TermPool::new();
+        let x = pool.bv_var("x", 16);
+        let y = pool.bv_var("y", 16);
+        let c100 = pool.bv_const(16, 100);
+        let sum = pool.bv_add(x, c100);
+        let conds = [
+            pool.bv_slt(sum, x),  // x + 100 < x (signed): needs wrap-around
+            pool.bv_ult(x, y),    // x < y unsigned
+            pool.bv_ugt(x, c100), // x > 100 unsigned
+            pool.eq(y, c100),     // y == 100
+        ];
+        let mut solver = BvSolver::new();
+        // Walk every subset, in an order that toggles membership a lot.
+        for mask in 0..(1u32 << conds.len()) {
+            let subset: Vec<TermId> = conds
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, &t)| t)
+                .collect();
+            let incremental = solver.check(&pool, &subset);
+            let fresh = BvSolver::new().check(&pool, &subset);
+            assert_eq!(
+                incremental.is_sat(),
+                fresh.is_sat(),
+                "subset mask {mask:#b} disagrees"
+            );
+            assert!(!incremental.is_unknown(), "subset mask {mask:#b}");
+            if let QueryResult::Sat(model) = &incremental {
+                for &t in &subset {
+                    assert!(model.eval_bool(&pool, t), "model violates a conjunct");
+                }
+            }
+        }
+        let stats = solver.stats();
+        assert_eq!(stats.queries, 1 << conds.len());
+        assert!(stats.reused_clauses > 0, "later queries must reuse clauses");
+    }
+
+    /// A term and its negation both reach the SAT core as literals of one
+    /// registration: `not t` is the negated literal of `t`.
+    #[test]
+    fn negated_assumption_literals_work() {
+        // 0x9E37 is odd, so exactly one x solves `x * 0x9E37 == 0x1234`.
+        let mut pool = TermPool::new();
+        let x = pool.bv_var("x", 16);
+        let k = pool.bv_const(16, 0x9E37);
+        let product = pool.bv_mul(x, k);
+        let target = pool.bv_const(16, 0x1234);
+        let hit = pool.eq(product, target);
+        let miss = pool.not(hit);
+        let mut solver = BvSolver::new();
+        let QueryResult::Sat(model) = solver.check(&pool, &[hit]) else {
+            panic!("an odd multiplier is invertible");
+        };
+        let root = pool.bv_const(16, model.get("x"));
+        let is_root = pool.eq(x, root);
+        assert!(solver.check(&pool, &[miss, is_root]).is_unsat());
+        let hit_lit = solver.blaster.bool_literal(hit).expect("registered");
+        assert_eq!(solver.blaster.bool_literal(miss), Some(!hit_lit));
+        assert!(solver.check(&pool, &[hit, miss]).is_unsat());
+        assert_eq!(solver.stats().incremental_queries, 2);
+    }
+
+    #[test]
+    fn registration_is_memoized() {
+        let mut pool = TermPool::new();
+        let x = pool.bv_var("x", 8);
+        let y = pool.bv_var("y", 8);
+        let below = pool.bv_ult(x, y);
+        let above = pool.bv_ult(y, x);
+        let mut solver = BvSolver::new();
+        assert!(solver.check(&pool, &[below, above]).is_unsat());
+        let clauses = solver.sat.num_clauses();
+        let again = solver.assumption_literals(&pool, &[below, above]);
+        assert_eq!(solver.sat.num_clauses(), clauses, "no re-blasting");
+        assert_eq!(
+            again,
+            [below, above].map(|t| solver.blaster.bool_literal(t).unwrap())
+        );
+        // A repeated query registers nothing, so every loaded slot counts
+        // as reused.
+        let reused = solver.stats().reused_clauses;
+        assert!(solver.check(&pool, &[below, above]).is_unsat());
+        assert_eq!(solver.stats().reused_clauses - reused, clauses as u64);
+    }
+
+    #[test]
+    fn budget_applies_per_query() {
+        let mut pool = TermPool::new();
+        let x = pool.bv_var("x", 24);
+        let y = pool.bv_var("y", 24);
+        let prod = pool.bv_mul(x, y);
+        let c = pool.bv_const(24, 0x123457);
+        let eq = pool.eq(prod, c);
+        let one = pool.bv_const(24, 1);
+        let xg = pool.bv_ugt(x, one);
+        let yg = pool.bv_ugt(y, one);
+        let mut solver = BvSolver::with_budget(Budget::propagations(10));
+        assert!(solver.check(&pool, &[eq, xg, yg]).is_unknown());
+        // Raising the budget on the same pool lets the query decide.
+        solver.set_budget(Budget::unlimited());
+        assert!(!solver.check(&pool, &[eq, xg, yg]).is_unknown());
+        assert_eq!(solver.stats().incremental_queries, 2);
     }
 
     #[test]
     fn incremental_instance_is_replaced_per_pool() {
-        let mut solver = BvSolver::new().with_incremental(true);
-        for _ in 0..2 {
-            // Unsat, so simulation cannot answer it and it reaches the core.
+        // Unsat, so simulation cannot answer it and it reaches the core.
+        let unsat_pool = || {
             let mut pool = TermPool::new();
             let x = pool.bv_var("x", 8);
             let zero = pool.bv_const(8, 0);
             let neg = pool.bv_slt(x, zero);
             let pos = pool.bv_sgt(x, zero);
-            assert!(solver.check(&pool, &[neg, pos]).is_unsat());
+            (pool, [neg, pos])
+        };
+        let mut solver = BvSolver::new();
+        for _ in 0..2 {
+            let (pool, query) = unsat_pool();
+            assert!(solver.check(&pool, &query).is_unsat());
         }
-        assert_eq!(solver.stats().incremental_queries, 2);
-        // The second pool's query started on a fresh instance (no clause
-        // carry-over across pools), so nothing was reused.
+        // Back and forth between two live pools: A, B, A.
+        let (a, query_a) = unsat_pool();
+        let (b, query_b) = unsat_pool();
+        assert!(solver.check(&a, &query_a).is_unsat());
+        assert!(solver.check(&b, &query_b).is_unsat());
+        assert!(solver.check(&a, &query_a).is_unsat());
+        assert_eq!(solver.stats().incremental_queries, 5);
+        // Every query started on a new instance (no clause carry-over across
+        // pools, not even back to a pool seen before), so nothing was reused.
         assert_eq!(solver.stats().reused_clauses, 0);
     }
 
@@ -846,9 +943,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
-        /// No flag reaches the SAT core past simulation any more, so compare
-        /// `check` against a raw instance: the same verdict on every random
-        /// query, and every model satisfies the assertions.
+        /// Nothing reaches the SAT core past simulation, so compare `check`
+        /// against a raw SAT solve under assumptions: the same verdict on
+        /// every random query, and every model satisfies the assertions.
         fn simulation_agrees_with_the_sat_core(
             tape in prop::collection::vec(any::<u64>(), 1..48),
         ) {
@@ -856,11 +953,11 @@ mod tests {
             let query = random_query(&mut pool, &tape);
             let mut solver = BvSolver::new();
             let answer = solver.check(&pool, &query);
-            let mut instance = SolverInstance::new();
-            let lits: Vec<_> = query.iter().map(|&t| instance.literal_for(&pool, t)).collect();
-            let reference = instance.check_assuming(&lits);
-            prop_assert_eq!(answer.is_sat(), reference.is_sat(), "tape {:?}", tape);
-            prop_assert_eq!(answer.is_unsat(), reference.is_unsat(), "tape {:?}", tape);
+            let (mut sat, mut blaster) = (SatSolver::new(), BitBlaster::new());
+            let lits: Vec<_> = query.iter().map(|&t| blaster.blast_bool(&pool, &mut sat, t)).collect();
+            let reference = sat.solve_with(&lits, Budget::unlimited());
+            prop_assert_eq!(answer.is_sat(), reference == SatResult::Sat, "tape {:?}", tape);
+            prop_assert_eq!(answer.is_unsat(), reference == SatResult::Unsat, "tape {:?}", tape);
             if let QueryResult::Sat(model) = &answer {
                 prop_assert!(query.iter().all(|&t| model.eval_bool(&pool, t)), "tape {:?}", tape);
                 let stats = solver.stats();

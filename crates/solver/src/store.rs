@@ -40,11 +40,11 @@
 //!
 //! SAT entries persist the decided **fact**, never the witness model. The
 //! fact is canonical — structurally identical queries decide identically —
-//! but a witness is whatever assignment the search happened to land on: in
-//! incremental mode it is extracted from a per-function instance whose
-//! variables and phases depend on every query that instance answered
-//! before, so two runs (or two shards of a distributed scan) legitimately
-//! find different witnesses for the same key. A persisted witness would
+//! but a witness is whatever assignment the search happened to land on: the
+//! SAT core extracts it from a per-function instance whose variables and
+//! phases depend on every query that instance answered before, so two runs
+//! (or two shards of a distributed scan) legitimately find different
+//! witnesses for the same key. A persisted witness would
 //! make store bytes history-dependent, and [`merge`] — which insists that
 //! duplicate keys carry equal values — would reject honest shard stores.
 //! Witnesses therefore stay process-local (the in-memory [`QueryCache`]

@@ -216,7 +216,7 @@ impl TermPool {
 
     /// A process-unique identity for this pool. [`TermId`]s are only
     /// meaningful within one pool; consumers that memoize per-term data
-    /// (e.g. the query cache's structural fingerprints) key it by epoch so a
+    /// (`BvSolver`'s fingerprint memo and SAT instance) key it by epoch so a
     /// memo built against one pool is never consulted for another.
     pub fn epoch(&self) -> u64 {
         self.epoch

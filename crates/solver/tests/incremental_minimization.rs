@@ -1,13 +1,20 @@
-//! Property coverage for incremental solving under assumptions: on random
+//! Property coverage for the solver's persistent SAT instance on random
 //! fragments (a base assertion plus a set of UB-condition-like boolean
-//! terms), driving the checker's greedy Figure 8 minimization loop through a
-//! persistent [`SolverInstance`] produces exactly the same minimal condition
-//! sets as re-solving every iteration from scratch, and the two modes agree
-//! on the full-set query itself. Budgets are unlimited, so `Unknown` — the
-//! one outcome where the modes are allowed to diverge — cannot occur.
+//! terms), the shape of the checker's Figure 8 minimization queries:
+//!
+//! * every assumption core a long-lived [`BvSolver`] reports after an
+//!   `Unsat` answer is a subset of that query's assertions and is `Unsat`
+//!   on its own, decided by a new solver;
+//! * the greedy minimization loop run on one solver and seeded from those
+//!   cores, the way the checker's `minimal_ub_set` seeds it, finds the same
+//!   minimal condition sets as the unseeded loop with a new solver per
+//!   iteration.
+//!
+//! Budgets are unlimited, so `Unknown` cannot occur.
 
 use proptest::prelude::*;
-use stack_solver::{BvSolver, Lit, SolverInstance, TermId, TermPool};
+use stack_solver::{BvSolver, QueryResult, TermId, TermPool};
+use std::cell::Cell;
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state
@@ -71,96 +78,110 @@ fn random_fragment(seed: u64) -> (TermPool, TermId, Vec<TermId>) {
     (pool, base, negs)
 }
 
-/// The greedy Figure 8 minimization, one fresh solve per iteration: a
+/// The query of one Figure 8 iteration: `base` and every negation but the
+/// one at `skip` (`None` keeps them all: the query that triggers the loop).
+fn iteration(base: TermId, negs: &[TermId], skip: Option<usize>) -> Vec<TermId> {
+    let mut assertions = vec![base];
+    assertions.extend(
+        negs.iter()
+            .enumerate()
+            .filter(|&(i, _)| Some(i) != skip)
+            .map(|(_, &n)| n),
+    );
+    assertions
+}
+
+/// The greedy Figure 8 minimization, a new solver per iteration: a
 /// condition is essential iff dropping (only) its negation makes the query
 /// satisfiable.
 fn minimal_set_fresh(pool: &TermPool, base: TermId, negs: &[TermId]) -> Vec<usize> {
+    (0..negs.len())
+        .filter(|&skip| {
+            !BvSolver::new()
+                .check(pool, &iteration(base, negs, Some(skip)))
+                .is_unsat()
+        })
+        .collect()
+}
+
+/// The same loop on one solver, after the triggering query and seeded from
+/// its cores as the checker's `minimal_ub_set` is: an iteration whose
+/// dropped negation lies outside the current core is `Unsat` without a
+/// query, and each `Unsat` iteration refreshes the core.
+fn minimal_set_seeded(pool: &TermPool, base: TermId, negs: &[TermId]) -> Vec<usize> {
     let mut solver = BvSolver::new();
+    solver.check(pool, &iteration(base, negs, None));
+    let mut core = solver.last_unsat_core().map(<[TermId]>::to_vec);
     let mut essential = Vec::new();
-    for skip in 0..negs.len() {
-        let mut assertions = vec![base];
-        assertions.extend(
-            negs.iter()
-                .enumerate()
-                .filter(|&(i, _)| i != skip)
-                .map(|(_, &n)| n),
-        );
-        if !solver.check(pool, &assertions).is_unsat() {
+    for (skip, neg) in negs.iter().enumerate() {
+        if core.as_ref().is_some_and(|c| !c.contains(neg)) {
+            SKIPPED.with(|n| n.set(n.get() + 1));
+            continue;
+        }
+        if solver
+            .check(pool, &iteration(base, negs, Some(skip)))
+            .is_unsat()
+        {
+            core = solver.last_unsat_core().map(<[TermId]>::to_vec);
+        } else {
             essential.push(skip);
         }
     }
     essential
 }
 
-/// The same loop on one persistent instance: every term is registered once
-/// and each iteration toggles assumption literals.
-fn minimal_set_incremental(pool: &TermPool, base: TermId, negs: &[TermId]) -> Vec<usize> {
-    let mut instance = SolverInstance::new();
-    let base_lit = instance.literal_for(pool, base);
-    let neg_lits: Vec<Lit> = negs
-        .iter()
-        .map(|&n| instance.literal_for(pool, n))
-        .collect();
-    let mut essential = Vec::new();
-    for skip in 0..neg_lits.len() {
-        let mut assumptions = vec![base_lit];
-        assumptions.extend(
-            neg_lits
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != skip)
-                .map(|(_, &l)| l),
-        );
-        if !instance.check_assuming(&assumptions).is_unsat() {
-            essential.push(skip);
-        }
-    }
-    essential
+thread_local! {
+    /// Iterations [`minimal_set_seeded`] skipped on a core.
+    static SKIPPED: Cell<u64> = const { Cell::new(0) };
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Incremental and non-incremental minimization agree on every random
-    /// fragment, and so does the full-set query both loops start from.
-    #[test]
-    fn incremental_minimization_matches_fresh(seed in any::<u64>()) {
+    /// Core-seeded minimization on one solver agrees with the unseeded loop
+    /// on a new solver per iteration, on every random fragment.
+    fn seeded_minimization_matches_fresh(seed in any::<u64>()) {
         let (pool, base, negs) = random_fragment(seed);
-        let mut all = vec![base];
-        all.extend(&negs);
-        let fresh_full = BvSolver::new().check(&pool, &all);
-        let incr_full = SolverInstance::new().check_terms(&pool, &all);
-        prop_assert_eq!(
-            fresh_full.is_unsat(),
-            incr_full.is_unsat(),
-            "full-set query must agree"
-        );
         let fresh = minimal_set_fresh(&pool, base, &negs);
-        let incremental = minimal_set_incremental(&pool, base, &negs);
-        prop_assert_eq!(fresh, incremental, "minimal UB sets must agree");
+        let seeded = minimal_set_seeded(&pool, base, &negs);
+        prop_assert_eq!(fresh, seeded, "minimal UB sets must agree");
     }
 
-    /// A BvSolver in incremental mode (instance behind the cache-miss path)
-    /// agrees with fresh mode on the same minimization loop, query by query.
+    /// One long-lived solver answers the triggering query and every
+    /// minimization iteration as a new solver does, and every core it
+    /// reports is an `Unsat` subset of its query's assertions.
     #[test]
     fn incremental_bvsolver_minimization_matches(seed in any::<u64>()) {
         let (pool, base, negs) = random_fragment(seed);
-        let mut fresh = BvSolver::new();
-        let mut incremental = BvSolver::new().with_incremental(true);
-        for skip in 0..negs.len() {
-            let mut assertions = vec![base];
-            assertions.extend(
-                negs.iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != skip)
-                    .map(|(_, &n)| n),
-            );
-            let a = fresh.check(&pool, &assertions);
-            let b = incremental.check(&pool, &assertions);
-            prop_assert_eq!(a.is_unsat(), b.is_unsat(), "iteration {} disagrees", skip);
+        let mut solver = BvSolver::new();
+        let queries = std::iter::once(None).chain((0..negs.len()).map(Some));
+        for skip in queries {
+            let assertions = iteration(base, &negs, skip);
+            let answer = solver.check(&pool, &assertions);
+            let fresh = BvSolver::new().check(&pool, &assertions);
+            prop_assert_eq!(answer.is_unsat(), fresh.is_unsat(), "iteration {:?}", skip);
+            prop_assert!(!answer.is_unknown());
+            let core = solver.last_unsat_core();
+            if !answer.is_unsat() {
+                prop_assert!(core.is_none(), "a core after a non-Unsat answer");
+                continue;
+            }
+            // No store is attached, so every Unsat answer carries a core.
+            let core = core.expect("an Unsat answer without a store has a core").to_vec();
+            prop_assert!(core.iter().all(|t| assertions.contains(t)), "core {:?} ⊄ query", core);
+            prop_assert_eq!(BvSolver::new().check(&pool, &core), QueryResult::Unsat);
         }
         // Queries decided by pre-solve simplification (e.g. a complementary
-        // literal pair) never reach the instance, so this is an upper bound.
-        prop_assert!(incremental.stats().incremental_queries <= negs.len() as u64);
+        // literal pair) never reach the SAT core, so this is an upper bound.
+        prop_assert!(solver.stats().incremental_queries <= 1 + negs.len() as u64);
     }
+}
+
+#[test]
+fn incremental_minimization_matches_fresh() {
+    seeded_minimization_matches_fresh();
+    assert!(
+        SKIPPED.with(Cell::get) > 0,
+        "no iteration was skipped on a core, so seeding went untested"
+    );
 }
