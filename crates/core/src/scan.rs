@@ -905,10 +905,11 @@ mod tests {
     #[test]
     fn budget_degraded_function_is_not_recorded_but_siblings_are() {
         let path = temp_path("budget");
-        // f is query-hungry (several checks), h is trivial; a tiny budget
-        // degrades f but leaves h clean.
-        let src = "int f(int x, int y) { if (x + 1 < x) return 1; if (y + 2 < y) return 2; \
-                   if (x + 3 < x) return 3; return x / y; }\n\
+        // f is query-hungry (multiplication guards only the SAT core
+        // decides), h is trivial; a tiny budget degrades f but leaves h
+        // clean.
+        let src = "int f(int x, int y) { int p = x * 3; if (p / 3 != x) return 1; \
+                   int q = y * 5; if (q / 5 != y) return 2; return x / y; }\n\
                    int h(int x) { return x; }\n";
         let tasks = vec![ScanTask {
             name: "m.c".to_string(),

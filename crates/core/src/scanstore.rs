@@ -40,7 +40,7 @@
 //! ## Format
 //!
 //! ```text
-//! stack-scan-store v4 enc1 fpr2 gen3
+//! stack-scan-store v4 enc2 fpr2 gen3
 //! F g<gen> <key> r<reports> !<crc32>
 //! R <alg> <line> <cg> <function> <file> <description> u <kind>@<loc> ... !<crc32>
 //! ```
@@ -425,6 +425,7 @@ fn unescape(text: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stack_solver::ENCODING_REVISION;
 
     fn temp_path(tag: &str) -> PathBuf {
         static UNIQUE: AtomicU64 = AtomicU64::new(0);
@@ -438,8 +439,7 @@ mod tests {
     /// The header line this binary writes at `generation`.
     fn header(generation: u64) -> String {
         format!(
-            "stack-scan-store v{SCAN_STORE_FORMAT_VERSION} enc{} fpr{FINGERPRINT_REVISION} gen{generation}",
-            stack_solver::ENCODING_REVISION
+            "stack-scan-store v{SCAN_STORE_FORMAT_VERSION} enc{ENCODING_REVISION} fpr{FINGERPRINT_REVISION} gen{generation}"
         )
     }
 
@@ -853,7 +853,7 @@ mod tests {
         std::fs::write(
             &stale,
             format!(
-                "stack-scan-store v{SCAN_STORE_FORMAT_VERSION} enc1 fpr{} gen1\n",
+                "stack-scan-store v{SCAN_STORE_FORMAT_VERSION} enc{ENCODING_REVISION} fpr{} gen1\n",
                 FINGERPRINT_REVISION + 1
             ),
         )
@@ -948,7 +948,7 @@ mod tests {
         std::fs::write(
             &stale,
             format!(
-                "stack-scan-store v{SCAN_STORE_FORMAT_VERSION} enc1 fpr{} gen4\n{}",
+                "stack-scan-store v{SCAN_STORE_FORMAT_VERSION} enc{ENCODING_REVISION} fpr{} gen4\n{}",
                 FINGERPRINT_REVISION + 9,
                 line("F g2 1 r0")
             ),

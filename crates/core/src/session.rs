@@ -701,6 +701,7 @@ fn build_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ubcond::UbKind;
     use stack_solver::DiskQueryStore;
 
     const TWO_FUNCTION_SRC: &str = "\
@@ -768,5 +769,45 @@ mod tests {
         assert_eq!(warm_result.stats.cache_misses, 0, "{:?}", warm_result.stats);
         assert!(warm_result.stats.cache_hits > 0);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The §2.2 guards are decided at the word level: each guard and the UB
+    /// condition of its operand intern to one bound on `x`, so every query
+    /// is answered before the SAT core, with the reports the SAT core gave.
+    #[test]
+    fn section_2_2_guards_are_decided_before_the_sat_core() {
+        let src = "\
+            int f1(int x) { if (x + 100 < x) return 1; return 0; }\n\
+            int f2(int x) { if (x - 100 > x) return 1; return 0; }\n\
+            int f3(int x) { if (x + 7 > x) return 0; return 1; }\n\
+            int f4(int x) { if (abs(x) < -3) return 1; return 0; }\n";
+        let session = AnalysisSession::new(CheckerConfig {
+            query_cache: false,
+            ..CheckerConfig::default()
+        });
+        let result = session.check_source(src, "g.c").unwrap();
+        let reports: Vec<(&str, u32, Algorithm, Vec<UbKind>)> = result
+            .reports
+            .iter()
+            .map(|r| {
+                let kinds = r.ub_sources.iter().map(|s| s.kind).collect();
+                (r.function.as_str(), r.line, r.algorithm, kinds)
+            })
+            .collect();
+        let mut expected = Vec::new();
+        for (line, function, kind) in [
+            (1, "f1", UbKind::SignedIntegerOverflow),
+            (2, "f2", UbKind::SignedIntegerOverflow),
+            (3, "f3", UbKind::SignedIntegerOverflow),
+            (4, "f4", UbKind::AbsoluteValueOverflow),
+        ] {
+            for algorithm in [Algorithm::Elimination, Algorithm::SimplifyBoolean] {
+                expected.push((function, line, algorithm, vec![kind]));
+            }
+        }
+        assert_eq!(reports, expected);
+        let stats = &result.stats;
+        assert_eq!((stats.propagations, stats.incremental_queries), (0, 0));
+        assert_eq!(stats.timeouts, 0);
     }
 }

@@ -251,7 +251,16 @@ pub fn collect_ub_conditions(func: &Function, enc: &mut FunctionEncoder<'_>) -> 
 }
 
 /// Signed-overflow condition for `x op y` at the operand width, encoded
-/// without widening (sign-comparison identities).
+/// without widening.
+///
+/// With a constant addend (`x + k`, `k + x`) or subtrahend (`x − k`), the
+/// condition is a signed bound on `x` built by
+/// [`TermPool::signed_add_overflow`](stack_solver::TermPool::signed_add_overflow):
+/// `x − k` overflows as `x + (−k)` does, except for `k = MIN`, where
+/// `x − MIN` overflows exactly when `x ≥s 0`. `TermPool::bv_slt` rewrites
+/// the §2.2 guard `x + k <s x` to the same bound, so the elimination query
+/// clashes syntactically before it reaches the SAT core. Two-variable
+/// operands and `Mul` keep the sign-comparison identities.
 fn signed_overflow_term(
     enc: &mut FunctionEncoder<'_>,
     op: BinOp,
@@ -262,8 +271,19 @@ fn signed_overflow_term(
     let y = enc.bv_term(rhs);
     let width = enc.pool.width(x);
     let zero = enc.pool.bv_const(width, 0);
-    match op {
-        BinOp::Add => {
+    match (op, enc.pool.as_bv_const(x), enc.pool.as_bv_const(y)) {
+        (BinOp::Add, _, Some(k)) => enc.pool.signed_add_overflow(x, k),
+        (BinOp::Add, Some(k), _) => enc.pool.signed_add_overflow(y, k),
+        (BinOp::Sub, _, Some(k)) => {
+            let min = 1u64 << (width - 1);
+            if k == min {
+                let negative = enc.pool.signed_add_overflow(x, min);
+                enc.pool.not(negative)
+            } else {
+                enc.pool.signed_add_overflow(x, k.wrapping_neg())
+            }
+        }
+        (BinOp::Add, ..) => {
             // Overflow iff x and y have the same sign and the result differs.
             let sum = enc.pool.bv_add(x, y);
             let sx = enc.pool.bv_slt(x, zero);
@@ -273,7 +293,7 @@ fn signed_overflow_term(
             let diff = enc.pool.xor(sx, sr);
             enc.pool.and(same, diff)
         }
-        BinOp::Sub => {
+        (BinOp::Sub, ..) => {
             // Overflow iff x and y have different signs and the result's sign
             // differs from x's.
             let diff_v = enc.pool.bv_sub(x, y);
@@ -284,7 +304,7 @@ fn signed_overflow_term(
             let result_differs = enc.pool.xor(sx, sr);
             enc.pool.and(signs_differ, result_differs)
         }
-        BinOp::Mul => {
+        (BinOp::Mul, ..) => {
             // y != 0 and (x*y)/y != x (division-based check; exact except for
             // a corner case involving INT_MIN which it conservatively flags).
             let prod = enc.pool.bv_mul(x, y);
@@ -346,6 +366,40 @@ mod tests {
         let unsigned_kinds =
             conditions("unsigned f(unsigned a, unsigned b) { return a + b; }", "f");
         assert!(!unsigned_kinds.contains(&UbKind::SignedIntegerOverflow));
+    }
+
+    #[test]
+    fn constant_operand_overflow_conditions_agree_with_i8_arithmetic() {
+        use stack_ir::{FunctionBuilder, Type};
+        for k in -128i64..=127 {
+            let mut b = FunctionBuilder::with_params("f", &[("x", Type::I8)], Type::I8);
+            let x = b.param(0);
+            let c = Operand::int(Type::I8, k);
+            b.bin_nsw(BinOp::Add, x, c);
+            b.bin_nsw(BinOp::Add, c, x);
+            b.bin_nsw(BinOp::Sub, x, c);
+            b.ret(x);
+            let func = b.finish();
+            let mut enc = FunctionEncoder::new(&func);
+            let terms: Vec<TermId> = collect_ub_conditions(&func, &mut enc)
+                .iter()
+                .map(|c| c.term)
+                .collect();
+            assert_eq!(terms.len(), 3);
+            let (ki, pool) = (k as i8, &enc.pool);
+            for xi in i8::MIN..=i8::MAX {
+                let holds: Vec<bool> = terms
+                    .iter()
+                    .map(|&t| pool.eval(t, &|_, _| xi as u8 as u64) != 0)
+                    .collect();
+                let expected = [
+                    xi.checked_add(ki).is_none(),
+                    ki.checked_add(xi).is_none(),
+                    xi.checked_sub(ki).is_none(),
+                ];
+                assert_eq!(holds, expected, "x = {xi}, k = {ki}");
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! timeout the paper uses (5 seconds per Boolector query, §6.4) while keeping
 //! results reproducible across machines.
 //!
+//! Word-level decisions come first, at term construction: the
+//! [`TermPool`] builds the §2.2 guards and the overflow conditions of their
+//! operands as one signed bound (see [`crate::term`]), so their `Unsat`
+//! queries are complementary-literal clashes of pre-solve simplification,
+//! answered with a two-assertion core before the store and the SAT core.
+//!
 //! The SAT core is one persistent [`SatSolver`]/[`BitBlaster`] pair per
 //! [`TermPool`] — in the checker, per function. A query that reaches it
 //! registers each assertion as an *assumption literal*: the literal is
@@ -659,7 +665,10 @@ mod tests {
         let wide = pool.bv_add(x64, c64);
         let narrow = pool.sext(sum, 33);
         let no_ovf = pool.eq(wide, narrow);
+        // The pool builds `check` as the bound `x >s MAX − 100`; the widened
+        // condition is not that bound's negation, so the SAT core decides.
         assert!(solver.check(&pool, &[check, no_ovf]).is_unsat());
+        assert_eq!(solver.stats().incremental_queries, 1);
         // Without the assumption it is satisfiable (wrap-around exists).
         assert!(solver.check(&pool, &[check]).is_sat());
     }

@@ -24,7 +24,7 @@
 //! byte-deterministic saves, strict merge — through [`QueryCodec`]:
 //!
 //! ```text
-//! stack-query-store v4 enc1 gen7
+//! stack-query-store v4 enc2 gen7
 //! U g<gen> <fp>,<fp>,... !<crc32>
 //! S g<gen> <fp>,<fp>,... !<crc32>
 //! ```
@@ -79,8 +79,10 @@ pub const STORE_FORMAT_VERSION: u32 = 4;
 /// semantics. Bump whenever any of those change observably — persisted
 /// entries from a different revision are discarded at `open`, so stale
 /// caches self-invalidate instead of serving answers computed under
-/// different semantics.
-pub const ENCODING_REVISION: u32 = 1;
+/// different semantics. Revision 2: the pool builds the §2.2 guards and
+/// the overflow conditions of `x + k` and `x − k` as signed bounds on `x`
+/// (see [`crate::term`]), which changes their fingerprints.
+pub const ENCODING_REVISION: u32 = 2;
 
 /// Destination of memoized query results.
 ///

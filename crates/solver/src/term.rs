@@ -8,6 +8,17 @@
 //! Terms are immutable and deduplicated in a [`TermPool`]; constructors
 //! perform light constant folding and algebraic normalization so the
 //! bit-blaster sees smaller formulas.
+//!
+//! The signed comparisons also decide the paper's §2.2 guards at the word
+//! level. `x + k <s x` (and its `≤s`, flipped and `x − k` forms) becomes a
+//! signed bound on `x`, built by [`TermPool::signed_add_overflow`], the
+//! helper that also builds the overflow condition of `x + k` and `x − k`.
+//! A comparison of the encoder's `abs(x)` against a non-positive constant
+//! becomes `x = MIN`, the `abs` overflow condition. The rules are exact
+//! under wrap-around, so no undefined-behavior assumption enters the pool.
+//! A guard and the UB condition that decides it then intern to one term,
+//! and the elimination query is a syntactic clash `t ∧ ¬t` that the
+//! solver's pre-solve simplification answers before the SAT core.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -697,10 +708,14 @@ impl TermPool {
         self.bv_cmp(a, b, |x, y, _| x <= y, TermKind::BvUle)
     }
 
-    /// Signed less-than.
+    /// Signed less-than. Decides the §2.2 guard shapes at the word level
+    /// (see the [module documentation](crate::term)).
     pub fn bv_slt(&mut self, a: TermId, b: TermId) -> TermId {
         if a == b {
             return self.bool_const(false);
+        }
+        if let Some(t) = self.signed_cmp_rule(a, b, true) {
+            return t;
         }
         self.bv_cmp(
             a,
@@ -710,10 +725,14 @@ impl TermPool {
         )
     }
 
-    /// Signed less-or-equal.
+    /// Signed less-or-equal. Decides the §2.2 guard shapes at the word
+    /// level (see the [module documentation](crate::term)).
     pub fn bv_sle(&mut self, a: TermId, b: TermId) -> TermId {
         if a == b {
             return self.bool_const(true);
+        }
+        if let Some(t) = self.signed_cmp_rule(a, b, false) {
+            return t;
         }
         self.bv_cmp(
             a,
@@ -721,6 +740,113 @@ impl TermPool {
             |x, y, w| to_signed(x, w) <= to_signed(y, w),
             TermKind::BvSle,
         )
+    }
+
+    /// Signed overflow of `x + k` for a constant `k`, as a signed bound on
+    /// `x`: `MAX − k <s x` for `k >s 0`, `x <s MIN − k` for `k <s 0`, and
+    /// `false` for `k = 0`. Exact under wrap-around. The UB conditions of
+    /// `x + k` and `x − k` are built with it, and so is the rewrite of the
+    /// guard `x + k <s x`, so a guard and the condition that decides it
+    /// intern to one term.
+    pub fn signed_add_overflow(&mut self, x: TermId, k: u64) -> TermId {
+        let width = self.width(x);
+        let k = to_signed(k, width);
+        let (min, max) = (i64::MIN >> (64 - width), i64::MAX >> (64 - width));
+        match k.cmp(&0) {
+            std::cmp::Ordering::Greater => {
+                let bound = self.bv_const(width, (max - k) as u64);
+                self.bv_slt(bound, x)
+            }
+            std::cmp::Ordering::Less => {
+                let bound = self.bv_const(width, (min - k) as u64);
+                self.bv_slt(x, bound)
+            }
+            std::cmp::Ordering::Equal => self.bool_const(false),
+        }
+    }
+
+    /// Word-level decision of `a <s b` (`strict`) or `a ≤s b`, for the two
+    /// guard shapes of the paper's §2.2. Each rule is exact under
+    /// wrap-around, so no undefined-behavior assumption enters here (unlike
+    /// a compiler's `nsw` fold); `None` leaves the comparison as it is.
+    ///
+    /// * `x + k <s x` is [`signed_add_overflow`](TermPool::signed_add_overflow)
+    ///   `(x, k)` for `k >s 0` and its negation for `k <s 0`, and
+    ///   `x <s x + k` is the opposite. `≤s` is `<s` here, since `x + k ≠ x`
+    ///   (`bv_add` folds `+ 0`). `x − k` is read as `x + (−k)`.
+    /// * With `a` the encoder's `abs` shape `ite(x <s 0, −x, x)`, `a <s C`
+    ///   for `MIN <s C ≤s 0` and `a ≤s C` for `C <s 0` hold exactly when
+    ///   `x = MIN` (every other `x` has `a ≥s 0`), and `a <s MIN` never
+    ///   holds.
+    ///
+    /// Negated forms are `not` of the same term, so `presimplify` sees a
+    /// guard and its UB condition's negation as a complementary pair.
+    fn signed_cmp_rule(&mut self, a: TermId, b: TermId, strict: bool) -> Option<TermId> {
+        if let Some((x, k)) = self.const_offset(a) {
+            if x == b {
+                return Some(self.offset_below(x, k));
+            }
+        }
+        if let Some((x, k)) = self.const_offset(b) {
+            if x == a {
+                let below = self.offset_below(x, k);
+                return Some(self.not(below));
+            }
+        }
+        let x = self.abs_operand(a)?;
+        let width = self.width(x);
+        let c = to_signed(self.as_bv_const(b)?, width);
+        let min = i64::MIN >> (64 - width);
+        if strict && c == min {
+            return Some(self.bool_const(false));
+        }
+        if c < 0 || (strict && c == 0) {
+            let min = self.bv_const(width, min as u64);
+            return Some(self.eq(x, min));
+        }
+        None
+    }
+
+    /// `x + k <s x` for a constant `k ≠ 0`: `x + k` overflows upward
+    /// (`k >s 0`), or does not overflow downward (`k <s 0`).
+    fn offset_below(&mut self, x: TermId, k: u64) -> TermId {
+        let overflow = self.signed_add_overflow(x, k);
+        if to_signed(k, self.width(x)) > 0 {
+            overflow
+        } else {
+            self.not(overflow)
+        }
+    }
+
+    /// `(x, k)` when `t` is `x + k` or `k + x` for a constant `k`, or
+    /// `x − k`, read as offset `−k` (wrapping, so `k = MIN` stays `MIN`).
+    fn const_offset(&self, t: TermId) -> Option<(TermId, u64)> {
+        match self.term(t).kind {
+            TermKind::BvAdd(a, b) => match (self.as_bv_const(a), self.as_bv_const(b)) {
+                (None, Some(k)) => Some((a, k)),
+                (Some(k), None) => Some((b, k)),
+                _ => None,
+            },
+            TermKind::BvSub(a, b) => {
+                let k = self.as_bv_const(b)?;
+                Some((a, mask(k.wrapping_neg(), self.width(a))))
+            }
+            _ => None,
+        }
+    }
+
+    /// `x` when `t` is `ite(x <s 0, −x, x)`, the encoder's `abs(x)`.
+    fn abs_operand(&self, t: TermId) -> Option<TermId> {
+        let TermKind::Ite(cond, neg, x) = self.term(t).kind else {
+            return None;
+        };
+        let TermKind::BvSlt(cx, zero) = self.term(cond).kind else {
+            return None;
+        };
+        let is_abs = cx == x
+            && self.as_bv_const(zero) == Some(0)
+            && matches!(self.term(neg).kind, TermKind::BvNeg(n) if n == x);
+        is_abs.then_some(x)
     }
 
     /// Unsigned greater-than, expressed via `ult`.
@@ -1255,6 +1381,144 @@ mod tests {
         let minus1 = p.bv_const(8, 0xFF);
         let q = p.bv_sdiv(int_min, minus1);
         assert_eq!(p.as_bv_const(q), Some(0x80));
+    }
+
+    /// The signed predicates: the pool constructor and its `i8` reference.
+    type Predicate = (
+        fn(&mut TermPool, TermId, TermId) -> TermId,
+        fn(&i8, &i8) -> bool,
+    );
+    const PREDICATES: [Predicate; 4] = [
+        (TermPool::bv_slt, i8::lt),
+        (TermPool::bv_sle, i8::le),
+        (TermPool::bv_sgt, i8::gt),
+        (TermPool::bv_sge, i8::ge),
+    ];
+
+    /// Evaluate `roots` under every value of the pool's one 8-bit variable,
+    /// handing `check` the value and the roots' results, in order. The
+    /// reference must come from `i8` arithmetic: the pool rewrites every
+    /// guard it builds, so a pool-built term cannot be its own reference.
+    fn for_every_x8(p: &TermPool, roots: &[TermId], mut check: impl FnMut(i8, &[bool])) {
+        let cone = p.cone(roots);
+        for x in 0..=255u64 {
+            let values = p.eval_cone(&cone, &mut |_, _| x);
+            let results: Vec<bool> = roots.iter().map(|&r| values.get(r) != 0).collect();
+            check(x as u8 as i8, &results);
+        }
+    }
+
+    #[test]
+    fn offset_guards_agree_with_i8_arithmetic() {
+        for k in 0..=255u64 {
+            let mut p = TermPool::new();
+            let x = p.bv_var("x", 8);
+            let c = p.bv_const(8, k);
+            let minus_c = p.bv_const(8, k.wrapping_neg());
+            // `x + k` three ways: either operand order, and `x − (−k)`
+            // (which covers `k = MIN`: `x − MIN` is `x + MIN`).
+            let offsets = [p.bv_add(x, c), p.bv_add(c, x), p.bv_sub(x, minus_c)];
+            let mut roots = Vec::new();
+            for (build, _) in PREDICATES {
+                for offset in offsets {
+                    for guard in [build(&mut p, offset, x), build(&mut p, x, offset)] {
+                        assert!(k == 0 || !p.cone(&[guard]).contains(&offset));
+                        roots.push(guard);
+                    }
+                }
+            }
+            let ki = k as u8 as i8;
+            for_every_x8(&p, &roots, |xi, results| {
+                let sum = xi.wrapping_add(ki);
+                let mut results = results.iter();
+                for (_, reference) in PREDICATES {
+                    for _ in offsets {
+                        assert_eq!(*results.next().unwrap(), reference(&sum, &xi), "{xi}+{ki}");
+                        assert_eq!(*results.next().unwrap(), reference(&xi, &sum), "{xi}+{ki}");
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn overflow_bound_agrees_with_i8_arithmetic() {
+        for k in 0..=255u64 {
+            let mut p = TermPool::new();
+            let x = p.bv_var("x", 8);
+            let add = p.signed_add_overflow(x, k);
+            // `x − k` overflows as `x + (−k)` does, except at `k = MIN`,
+            // where it overflows exactly when `x + MIN` does not.
+            let sub = if k == 0x80 {
+                p.not(add)
+            } else {
+                p.signed_add_overflow(x, k.wrapping_neg())
+            };
+            let ki = k as u8 as i8;
+            for_every_x8(&p, &[add, sub], |xi, results| {
+                assert_eq!(results[0], xi.checked_add(ki).is_none(), "{xi}+{ki}");
+                assert_eq!(results[1], xi.checked_sub(ki).is_none(), "{xi}-{ki}");
+            });
+        }
+    }
+
+    #[test]
+    fn abs_guards_agree_with_i8_arithmetic() {
+        for c in 0..=255u64 {
+            let mut p = TermPool::new();
+            let x = p.bv_var("x", 8);
+            let zero = p.bv_const(8, 0);
+            let negative = p.bv_slt(x, zero);
+            let minus_x = p.bv_neg(x);
+            let abs = p.ite(negative, minus_x, x);
+            let bound = p.bv_const(8, c);
+            let below = p.bv_slt(abs, bound);
+            let at_most = p.bv_sle(abs, bound);
+            let ci = c as u8 as i8;
+            assert_eq!(ci <= 0, !p.cone(&[below]).contains(&abs), "abs <s {ci}");
+            assert_eq!(ci < 0, !p.cone(&[at_most]).contains(&abs), "abs <=s {ci}");
+            for_every_x8(&p, &[below, at_most], |xi, results| {
+                let a = xi.wrapping_abs();
+                assert_eq!(results, [a < ci, a <= ci], "abs({xi}) vs {ci}");
+            });
+        }
+    }
+
+    #[test]
+    fn guard_rules_hold_at_widths_1_and_64() {
+        for width in [1u32, 64] {
+            let min = 1u64 << (width - 1);
+            let max = mask(min.wrapping_sub(1), width);
+            let signed = |v: u64| i128::from(to_signed(v, width));
+            let xs = [
+                0,
+                1,
+                mask(u64::MAX, width),
+                min,
+                max,
+                min + 1,
+                max.wrapping_sub(1),
+            ];
+            for k in [1, mask(u64::MAX, width), min, max] {
+                let mut p = TermPool::new();
+                let x = p.bv_var("x", width);
+                let c = p.bv_const(width, k);
+                let sum = p.bv_add(x, c);
+                let overflow = p.signed_add_overflow(x, k);
+                let below = p.bv_slt(sum, x);
+                let above = p.bv_sle(x, sum);
+                for &xv in &xs {
+                    let xv = mask(xv, width);
+                    let eval = |t: TermId| p.eval(t, &|_, _| xv) != 0;
+                    let exact = signed(xv) + signed(k);
+                    let wrapped = signed(mask(exact as u64, width));
+                    let ctx = format!("width {width}: {} + {}", signed(xv), signed(k));
+                    assert_eq!(eval(overflow), exact != wrapped, "{ctx}");
+                    assert_eq!(eval(below), wrapped < signed(xv), "{ctx}");
+                    assert_eq!(eval(above), signed(xv) <= wrapped, "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -209,9 +209,13 @@ fn pipeline_run(
 /// events and count the solver work of a sequential scan, because each task
 /// reads only the query-store entries of tasks already emitted. Repeated,
 /// because a violation shows only under some thread timings.
+///
+/// The archive's guards are decided before the SAT core, so a file of
+/// multiplication guards, which only the SAT core decides, sits among its
+/// files to make both budgets bite.
 #[test]
 fn budget_degraded_scan_without_scan_store_matches_sequential_at_every_width() {
-    let tasks: Vec<ScanTask> = generate_archive(&ArchiveConfig {
+    let mut tasks: Vec<ScanTask> = generate_archive(&ArchiveConfig {
         packages: 4,
         seed: 0xFA_117,
         ..ArchiveConfig::default()
@@ -222,6 +226,17 @@ fn budget_degraded_scan_without_scan_store_matches_sequential_at_every_width() {
         source: ScanSource::Inline(f.source),
     })
     .collect();
+    tasks.insert(
+        tasks.len() / 2,
+        ScanTask {
+            name: "mul/guards.c".to_string(),
+            source: ScanSource::Inline(
+                "int f(int x, int y) { int p = x * 3; if (p / 3 != x) return 1; \
+                 int q = y * 5; if (q / 5 != y) return 2; return x / y; }\n"
+                    .to_string(),
+            ),
+        },
+    );
     let scan = |jobs: usize, query_budget: u64| {
         let session = AnalysisSession::new(CheckerConfig {
             query_budget,

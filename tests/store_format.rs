@@ -14,7 +14,7 @@ fn temp_path(tag: &str) -> PathBuf {
 }
 
 const QUERY_STORE_FILE: &str = "\
-stack-query-store v4 enc1 gen1
+stack-query-store v4 enc2 gen1
 U g1  !2648e247
 S g1 00000000000000000000000000000001,00000000000000000000000000000abc !bea8cd06
 U g1 ffffffffffffffffffffffffffffffff !d1ce6f3f
@@ -52,7 +52,7 @@ fn query_store_format_is_pinned() {
 }
 
 const SCAN_STORE_FILE: &str = "\
-stack-scan-store v4 enc1 fpr2 gen1
+stack-scan-store v4 enc2 fpr2 gen1
 F g1 00000000000000000000000000000007 r2 !87651fa6
 R elim 12 0 tun%20chr_poll %01 100%25%20gone%20%40%20exit u null@%01:3 u integer@lib/x%40y.c:9 !59c3f6f1
 R bool 14 1 f%c3%a9 other.c always%20true !763e211f
