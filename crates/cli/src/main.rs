@@ -969,8 +969,8 @@ struct FsckJson {
 /// incompatible (foreign-revision) store is *never* repaired: its entries
 /// cannot be trusted at all, and the next analysis run rewrites it cold.
 fn store_fsck<C: Codec>(path: &Path, repair: bool, json: bool) -> ExitCode {
-    let (file, entries) = match RecordFile::<C>::open(path) {
-        Ok(opened) => opened,
+    let file = match RecordFile::<C>::open(path) {
+        Ok(file) => file,
         Err(e) => return fail(&format!("cannot open {}: {e}", path.display())),
     };
     if file.was_invalidated() {
@@ -985,11 +985,7 @@ fn store_fsck<C: Codec>(path: &Path, repair: bool, json: bool) -> ExitCode {
     let damaged = salvage.is_some();
     let repaired = damaged && repair;
     if repaired {
-        if let Err(e) = file.save(
-            entries
-                .iter()
-                .map(|(key, (value, stamp))| (key, value, *stamp)),
-        ) {
+        if let Err(e) = file.save() {
             return fail(&format!("cannot repair {}: {e}", path.display()));
         }
     }

@@ -2,7 +2,8 @@
 //! unit of parallel work, and the scan pipeline gives every file the store
 //! a sequential scan would. Under a query budget small enough to degrade
 //! queries, the default width and `--jobs 4` must print exactly what
-//! `--jobs 1` prints, and count exactly the same work.
+//! `--jobs 1` prints, count exactly the same work, and save byte-identical
+//! query and scan stores.
 
 use std::path::Path;
 use std::process::Command;
@@ -62,6 +63,44 @@ fn budget_degraded_scan_output_is_the_same_at_every_width() {
     for jobs in [&[][..], &["--jobs", "4"][..]] {
         assert_eq!(sequential, reports(jobs), "{jobs:?}");
         assert_eq!(sequential_json, json_summary(&archive, jobs), "{jobs:?}");
+    }
+
+    // Both stores, filled from a second archive, then carried through a
+    // compacting scan of the first at every width: each width must save
+    // the same bytes, so which entries a run touched, stamped and kept
+    // does not depend on scheduling either.
+    let second = dir.join("second");
+    let generated = Command::new(env!("CARGO_BIN_EXE_stack"))
+        .arg("gen-archive")
+        .arg(&second)
+        .args(["--packages", "8", "--seed", "5"])
+        .output()
+        .expect("run stack gen-archive");
+    assert!(generated.status.success(), "{generated:?}");
+    let path = |name: &str| {
+        let path = dir.join(name);
+        path.to_str().expect("temp path is UTF-8").to_string()
+    };
+    let (filled_qs, filled_ss) = (path("filled.qs"), path("filled.ss"));
+    let fill = ["--cache-file", &filled_qs, "--scan-cache", &filled_ss];
+    scan(&second, &[&fill[..], &["--out", summary]].concat());
+    let saved = |label: &str, jobs: &[&str]| {
+        let (qs, ss) = (path(&format!("{label}.qs")), path(&format!("{label}.ss")));
+        std::fs::copy(&filled_qs, &qs).expect("copy query store");
+        std::fs::copy(&filled_ss, &ss).expect("copy scan store");
+        let stores = ["--cache-file", &qs, "--scan-cache", &ss];
+        let compact = ["--compact-store", "1", "--out", summary];
+        let reports = scan(&archive, &[jobs, &stores, &compact].concat());
+        let read = |path: &str| std::fs::read(path).expect("read saved store");
+        (reports, read(&qs), read(&ss))
+    };
+    let sequential = saved("jobs1", &["--jobs", "1"]);
+    assert!(!sequential.1.is_empty() && !sequential.2.is_empty());
+    for (label, jobs) in [("default", &[][..]), ("jobs4", &["--jobs", "4"][..])] {
+        let (reports, qs, ss) = saved(label, jobs);
+        assert_eq!(sequential.0, reports, "{jobs:?}: reports");
+        assert!(sequential.1 == qs, "{jobs:?}: saved query stores differ");
+        assert!(sequential.2 == ss, "{jobs:?}: saved scan stores differ");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

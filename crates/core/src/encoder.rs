@@ -402,13 +402,6 @@ impl<'f> FunctionEncoder<'f> {
             Terminator::Ret { .. } | Terminator::Unreachable => self.pool.bool_const(false),
         }
     }
-
-    /// Reachability condition of the instruction at `(block, index)` — the
-    /// block's reachability (instructions within a block execute together in
-    /// this IR, which has no intra-block exits).
-    pub fn reach_of_inst(&mut self, block: BlockId, _index: usize) -> TermId {
-        self.reach_term(block)
-    }
 }
 
 #[cfg(test)]

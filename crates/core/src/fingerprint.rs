@@ -43,7 +43,7 @@
 
 use crate::checker::CheckerConfig;
 use stack_ir::{Function, OriginKind};
-use stack_solver::ENCODING_REVISION;
+use stack_solver::{mix, mix_bytes, ENCODING_REVISION};
 
 /// A per-function replay key (128 bits): what the scan store is keyed on.
 pub type FunctionKey = u128;
@@ -119,31 +119,9 @@ pub fn shard_assignment(key: u128, shard_count: usize) -> usize {
     (((key >> 64) as u64 ^ key as u64) % shard_count as u64) as usize
 }
 
-/// 128-bit mixing step: a splitmix-style finalizer over the two halves,
-/// cross-fed so both halves depend on all inputs. Stable across processes
-/// and platforms (no `RandomState`), which is what lets fingerprints live in
-/// a file between runs.
-#[inline]
-fn mix(acc: u128, value: u128) -> u128 {
-    let mut lo = (acc as u64) ^ (value as u64);
-    let mut hi = ((acc >> 64) as u64) ^ ((value >> 64) as u64);
-    lo = lo.wrapping_add(0x9e37_79b9_7f4a_7c15).rotate_left(27);
-    hi ^= lo.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    hi = hi.rotate_left(31).wrapping_mul(0x94d0_49bb_1331_11eb);
-    lo ^= hi >> 29;
-    ((hi as u128) << 64) | lo as u128
-}
-
-/// Stable 128-bit hash of a byte string (16-byte blocks through [`mix`],
-/// length-finalized so prefixes never collide with their extensions).
+/// Stable 128-bit hash of a byte string.
 fn hash_bytes(bytes: &[u8]) -> u128 {
-    let mut h = 0x5ca4_f1e6_0001_u128;
-    for chunk in bytes.chunks(16) {
-        let mut block = [0u8; 16];
-        block[..chunk.len()].copy_from_slice(chunk);
-        h = mix(h, u128::from_le_bytes(block));
-    }
-    mix(h, bytes.len() as u128)
+    mix_bytes(0x5ca4_f1e6_0001, bytes)
 }
 
 #[cfg(test)]

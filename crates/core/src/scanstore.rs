@@ -26,16 +26,17 @@
 //! same function under different paths merge without conflict. The first
 //! insert of a key wins.
 //!
-//! The store file follows the discipline both persisted stores share,
-//! implemented once in [`stack_solver::recordfile`]: versioned header,
-//! generation stamps and compaction, per-line checksums and salvage,
-//! atomic byte-deterministic saves, strict merge. The header adds
-//! [`FINGERPRINT_REVISION`]; any revision mismatch discards the whole file
-//! (a v3 module-keyed store self-invalidates the same way — that *is* the
-//! migration). The replay keys additionally bake both revisions and the
-//! semantics-relevant config knobs into their own bits, so even a
-//! same-format file can never replay reports computed under different
-//! semantics.
+//! The store follows the discipline both persisted stores share,
+//! implemented once in [`stack_solver::recordfile`]: the records live in
+//! the same entry table the query store keeps its answers in, and the file
+//! has a versioned header, generation stamps and compaction, per-line
+//! checksums and salvage, atomic byte-deterministic saves and strict merge.
+//! The header adds [`FINGERPRINT_REVISION`]; any revision mismatch discards
+//! the whole file (a v3 module-keyed store self-invalidates the same way —
+//! that *is* the migration). The replay keys additionally bake both
+//! revisions and the semantics-relevant config knobs into their own bits,
+//! so even a same-format file can never replay reports computed under
+//! different semantics.
 //!
 //! ## Format
 //!
@@ -57,12 +58,9 @@ use crate::report::{Algorithm, BugReport, UbSource};
 use crate::ubcond::UbKind;
 use stack_solver::recordfile::{BodyLines, Codec, EntryWriter};
 use stack_solver::{CacheStats, MergeError, MergeStats, RecordFile};
-use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// On-disk layout version of the scan-store file. Bump when the syntax
 /// changes. (v2 added the header generation and per-record last-used
@@ -210,17 +208,15 @@ impl Codec for ScanCodec {
     }
 }
 
-/// A disk-backed replay-key → function-record table. Shared across the
-/// scan pipeline's file-level workers through an `Arc`, so all methods
-/// take `&self`. Each record carries its last-used generation stamp.
-/// Dereferences to the [`RecordFile`] for the file's lifecycle state
-/// (`path`, `generation`, `loaded_entries`, `salvage`, `set_compaction`).
+/// A disk-backed replay-key → function-record table: the store file's
+/// [`RecordFile`], with keys and records passed by value. Shared across the
+/// scan pipeline's file-level workers through an `Arc`, so all methods take
+/// `&self`. Dereferences to the [`RecordFile`] for the file's lifecycle
+/// (`path`, `generation`, `loaded_entries`, `salvage`, `set_compaction`,
+/// `save`).
 #[derive(Debug)]
 pub struct ScanStore {
     file: RecordFile<ScanCodec>,
-    records: Mutex<HashMap<FunctionKey, (FunctionRecord, u64)>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl std::ops::Deref for ScanStore {
@@ -236,60 +232,26 @@ impl ScanStore {
     /// verifies and starting the next generation (see
     /// [`RecordFile::open`]). Only I/O failures are errors.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<ScanStore> {
-        let (file, records) = RecordFile::open(path)?;
-        Ok(ScanStore {
-            file,
-            records: Mutex::new(records),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        })
-    }
-
-    /// The record table. A panic elsewhere cannot poison it for good: every
-    /// method leaves it consistent.
-    fn records(&self) -> MutexGuard<'_, HashMap<FunctionKey, (FunctionRecord, u64)>> {
-        self.records.lock().unwrap_or_else(PoisonError::into_inner)
+        RecordFile::open(path).map(|file| ScanStore { file })
     }
 
     /// Whether a record for `key` is stored: a probe that counts nothing
     /// and refreshes no stamp.
     pub(crate) fn contains(&self, key: FunctionKey) -> bool {
-        self.records().contains_key(&key)
+        self.table().contains(&key)
     }
 
     /// Look up the record for a replay key, counting a hit or miss. A hit
     /// refreshes the record's last-used stamp to this run's generation.
     pub fn lookup(&self, key: FunctionKey) -> Option<FunctionRecord> {
-        let found = self.records().get_mut(&key).map(|slot| {
-            slot.1 = self.generation();
-            slot.0.clone()
-        });
-        let counter = if found.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        found
+        self.table().lookup(&key)
     }
 
     /// Record a freshly analyzed function, stamped with this run's
     /// generation. First insert wins for the record itself (normalized
     /// records for one key are identical by construction).
     pub fn insert(&self, key: FunctionKey, record: FunctionRecord) {
-        let generation = self.generation();
-        self.records().entry(key).or_insert((record, generation)).1 = generation;
-    }
-
-    /// Write every record back to the backing file, minus those past the
-    /// compaction horizon ([`RecordFile::set_compaction`]). Returns the
-    /// number of function records written.
-    pub fn save(&self) -> io::Result<usize> {
-        let records = self.records();
-        let entries = records
-            .iter()
-            .map(|(key, (record, stamp))| (key, record, *stamp));
-        self.file.save(entries)
+        self.table().insert(key, record);
     }
 
     /// Merge several scan-store files into one at `out` — the
@@ -307,11 +269,7 @@ impl ScanStore {
     /// Counters accumulated so far: lookups answered (functions skipped),
     /// lookups missed, and records stored.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.records().len() as u64,
-        }
+        self.table().stats()
     }
 }
 
@@ -426,6 +384,7 @@ fn unescape(text: &str) -> Option<String> {
 mod tests {
     use super::*;
     use stack_solver::ENCODING_REVISION;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_path(tag: &str) -> PathBuf {
         static UNIQUE: AtomicU64 = AtomicU64::new(0);

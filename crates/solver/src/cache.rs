@@ -31,169 +31,23 @@
 //! the query, so the disk-backed store persists the decided fact without it
 //! (see `store.rs`).
 //!
-//! The cache is sharded (`Mutex<HashMap>` per shard, shard picked by key
-//! hash) and shared across the scan pipeline's worker threads through an
-//! [`Arc`](std::sync::Arc).
+//! The cache is one [`Table`] shared across the scan pipeline's worker
+//! threads through an [`Arc`](std::sync::Arc): the table the disk-backed
+//! store loads its file into, here without a file.
 
-use crate::model::Model;
+use crate::recordfile::Table;
 use crate::solver::QueryResult;
 use crate::term::{Sort, TermId, TermKind, TermPool};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Number of independent shards; a small power of two keeps contention low
-/// without bloating the structure.
-const SHARDS: usize = 16;
 
 /// A canonical, pool-independent key for an assertion set: the sorted,
 /// deduplicated structural fingerprints of the assertions.
 pub type CacheKey = Vec<u128>;
 
-/// A decided query outcome, as stored in the cache (`Unknown` is excluded by
-/// construction).
-#[derive(Clone, Debug)]
-enum CachedResult {
-    Sat(Model),
-    Unsat,
-}
-
-/// Aggregate cache counters (process-wide for one cache instance).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that missed (and, for decided queries, later inserted).
-    pub misses: u64,
-    /// Entries currently stored.
-    pub entries: u64,
-}
-
-/// Fold the (already well-mixed) fingerprints of a key into a shard index.
-/// Shared with the disk store's last-used-generation side table so both
-/// structures split contention identically.
-pub(crate) fn shard_index(key: &CacheKey) -> usize {
-    let mut acc = 0xcbf2_9ce4_8422_2325u64;
-    for fp in key {
-        acc ^= (*fp as u64) ^ ((*fp >> 64) as u64);
-        acc = acc.wrapping_mul(0x100_0000_01b3);
-    }
-    (acc as usize) % SHARDS
-}
-
-/// Number of shards [`shard_index`] distributes over (the cache's own
-/// shard count).
-pub(crate) const STAMP_SHARDS: usize = SHARDS;
-
-/// A sharded, thread-safe memoization table for solver queries.
-#[derive(Debug, Default)]
-pub struct QueryCache {
-    shards: [Mutex<HashMap<CacheKey, CachedResult>>; SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
-    entries: AtomicU64,
-}
-
-impl QueryCache {
-    /// An empty cache.
-    pub fn new() -> QueryCache {
-        QueryCache::default()
-    }
-
-    fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, CachedResult>> {
-        &self.shards[shard_index(key)]
-    }
-
-    /// Look up a decided result for `key`, updating hit/miss counters.
-    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<QueryResult> {
-        let found = self
-            .shard(key)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(key)
-            .cloned();
-        match found {
-            Some(CachedResult::Sat(model)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(QueryResult::Sat(model))
-            }
-            Some(CachedResult::Unsat) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(QueryResult::Unsat)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Whether `key` has a decided result, without counting a lookup.
-    pub(crate) fn contains(&self, key: &CacheKey) -> bool {
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .contains_key(key)
-    }
-
-    /// Store a decided result. `Unknown` is silently ignored: a budget
-    /// exhaustion is a property of the budget, not of the formula.
-    pub(crate) fn insert(&self, key: CacheKey, result: &QueryResult) {
-        let value = match result {
-            QueryResult::Sat(model) => CachedResult::Sat(model.clone()),
-            QueryResult::Unsat => CachedResult::Unsat,
-            QueryResult::Unknown => return,
-        };
-        let mut shard = self
-            .shard(&key)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if shard.insert(key, value).is_none() {
-            self.entries.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// A copy of every stored entry, as `(key, decided result)` pairs, in
-    /// unspecified order. Used by the disk-backed store to persist the table
-    /// and by diagnostics; not a hot path.
-    pub fn entries_snapshot(&self) -> Vec<(CacheKey, QueryResult)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            for (key, value) in shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .iter()
-            {
-                let result = match value {
-                    CachedResult::Sat(model) => QueryResult::Sat(model.clone()),
-                    CachedResult::Unsat => QueryResult::Unsat,
-                };
-                out.push((key.clone(), result));
-            }
-        }
-        out
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.entries.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Fraction of lookups answered from the cache (0 when none were made).
-    pub fn hit_rate(&self) -> f64 {
-        let s = self.stats();
-        let total = s.hits + s.misses;
-        if total == 0 {
-            0.0
-        } else {
-            s.hits as f64 / total as f64
-        }
-    }
-}
+/// The in-memory, thread-shared memoization table for solver queries. It
+/// holds decided results only: its [`QueryStore`](crate::QueryStore)
+/// implementation drops `Unknown`.
+pub type QueryCache = Table<CacheKey, QueryResult>;
 
 // ---- Structural fingerprints ------------------------------------------------
 
@@ -248,10 +102,12 @@ pub fn canonical_key(pool: &TermPool, assertions: &[TermId]) -> CacheKey {
     FingerprintMemo::default().canonicalize(pool, &mut unique)
 }
 
-/// 128-bit mixing step (two rounds of a splitmix-style finalizer over the
-/// halves, cross-fed so both halves depend on all inputs).
+/// 128-bit mixing step: a splitmix-style finalizer over the two halves,
+/// cross-fed so both halves depend on all inputs. Stable across processes
+/// and platforms (no `RandomState`), which is what lets fingerprints and
+/// the keys built from them live in a file between runs.
 #[inline]
-fn mix(acc: u128, value: u128) -> u128 {
+pub fn mix(acc: u128, value: u128) -> u128 {
     let mut lo = (acc as u64) ^ (value as u64);
     let mut hi = ((acc >> 64) as u64) ^ ((value >> 64) as u64);
     lo = lo.wrapping_add(0x9e37_79b9_7f4a_7c15).rotate_left(27);
@@ -261,15 +117,17 @@ fn mix(acc: u128, value: u128) -> u128 {
     ((hi as u128) << 64) | lo as u128
 }
 
+/// Fold a byte string into `acc`: 16-byte blocks through [`mix`], then the
+/// length, so a prefix never collides with its extensions.
 #[inline]
-fn mix_str(acc: u128, s: &str) -> u128 {
+pub fn mix_bytes(acc: u128, bytes: &[u8]) -> u128 {
     let mut h = acc;
-    for chunk in s.as_bytes().chunks(16) {
+    for chunk in bytes.chunks(16) {
         let mut block = [0u8; 16];
         block[..chunk.len()].copy_from_slice(chunk);
         h = mix(h, u128::from_le_bytes(block));
     }
-    mix(h, s.len() as u128)
+    mix(h, bytes.len() as u128)
 }
 
 /// Operator tag and direct children of a term (for the DAG walk).
@@ -323,7 +181,7 @@ fn node_payload(pool: &TermPool, id: TermId) -> u128 {
                 Sort::Bool => 1 << 96,
                 Sort::BitVec(w) => (2u128 << 96) | ((*w as u128) << 64),
             };
-            mix_str(sort_tag, name)
+            mix_bytes(sort_tag, name.as_bytes())
         }
         ZExt { width, .. } | SExt { width, .. } => *width as u128,
         Extract { hi, lo, .. } => ((*hi as u128) << 32) | *lo as u128,
@@ -369,6 +227,7 @@ fn fingerprint(pool: &TermPool, root: TermId, memo: &mut HashMap<TermId, u128>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QueryStore;
 
     #[test]
     fn key_is_order_insensitive_and_dedups() {
@@ -419,17 +278,19 @@ mod tests {
     fn cache_roundtrip_and_counters() {
         let cache = QueryCache::new();
         let key = vec![1u128, 2u128];
-        assert!(cache.lookup(&key).is_none());
-        cache.insert(key.clone(), &QueryResult::Unsat);
-        assert!(matches!(cache.lookup(&key), Some(QueryResult::Unsat)));
+        assert!(QueryStore::lookup(&cache, &key).is_none());
+        QueryStore::insert(&cache, key.clone(), &QueryResult::Unsat);
+        assert!(matches!(
+            QueryStore::lookup(&cache, &key),
+            Some(QueryResult::Unsat)
+        ));
         // Unknown is never stored.
         let key2 = vec![3u128];
-        cache.insert(key2.clone(), &QueryResult::Unknown);
-        assert!(cache.lookup(&key2).is_none());
-        let stats = cache.stats();
+        QueryStore::insert(&cache, key2.clone(), &QueryResult::Unknown);
+        assert!(QueryStore::lookup(&cache, &key2).is_none());
+        let stats = QueryStore::stats(&cache);
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.entries, 1);
-        assert!((cache.hit_rate() - 1.0 / 3.0).abs() < 1e-9);
     }
 }

@@ -24,8 +24,11 @@
 //!   a disk-backed store ([`store::DiskQueryStore`]) that persists
 //!   fingerprint→result pairs across processes, so repeated archive scans
 //!   (the paper's §6.5 workload) start warm;
-//! * the store file discipline ([`recordfile::RecordFile`]) the disk query
-//!   store shares with the scan store of `stack-core`.
+//! * the store discipline the disk query store shares with the scan store
+//!   of `stack-core`: one entry table ([`recordfile::Table`]) and the file
+//!   that holds it ([`recordfile::RecordFile`]);
+//! * the stable 128-bit hash ([`cache::mix`], [`cache::mix_bytes`]) every
+//!   persisted key is built from.
 //!
 //! The checker builds elimination and simplification queries (paper §3.2) as
 //! boolean terms and asks [`solver::BvSolver::check`] for SAT/UNSAT; UNSAT
@@ -43,11 +46,13 @@ pub mod store;
 pub mod term;
 
 pub use blast::BitBlaster;
-pub use cache::{canonical_key, CacheKey, CacheStats, QueryCache};
+pub use cache::{canonical_key, mix, mix_bytes, CacheKey, QueryCache};
 pub use cnf::{Clause, ClauseDb, ClauseRef};
 pub use lit::{LBool, Lit, Var};
 pub use model::Model;
-pub use recordfile::{MergeError, MergeStats, RecordFile, SalvageReport, StoreInspection};
+pub use recordfile::{
+    CacheStats, MergeError, MergeStats, RecordFile, SalvageReport, StoreInspection, Table,
+};
 pub use sat::{Budget, SatResult, SatSolver, SatStats};
 pub use solver::{free_variables, BvSolver, QueryResult, SolverStats};
 pub use store::{DiskQueryStore, QueryStore, ENCODING_REVISION, STORE_FORMAT_VERSION};

@@ -1,9 +1,13 @@
-//! The file discipline every persisted store shares: the query store
+//! The discipline every persisted store shares: the query store
 //! ([`DiskQueryStore`](crate::DiskQueryStore)) here and the scan store
 //! (`stack_core::ScanStore`) one crate up. A store kind plugs in through a
 //! small [`Codec`] — its header prefix and revision fields, and how one
 //! entry maps to and from checksummed payload lines — and [`RecordFile`]
-//! does everything else.
+//! does everything else: it loads the file into its [`Table`] at
+//! [`open`](RecordFile::open), serves lookups and inserts from the table,
+//! and writes the table back at [`save`](RecordFile::save). The in-memory
+//! query cache ([`QueryCache`](crate::QueryCache)) is the same table
+//! without a file.
 //!
 //! ## Layout
 //!
@@ -44,7 +48,7 @@
 //! ## Generations and compaction
 //!
 //! Every `open` starts a new generation: the persisted one plus one (1 for
-//! a missing file). The stores stamp every entry a run touches — a lookup
+//! a missing file). The table stamps every entry a run touches — a lookup
 //! hit or an insert — with it, and `save` writes the stamps back. With
 //! [`set_compaction`](RecordFile::set_compaction)`(Some(n))` (the CLI's
 //! `--compact-store n`), `save` drops every entry whose last use is `n` or
@@ -62,20 +66,20 @@
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
-use std::fmt::Write as _;
+use std::fmt::{Debug, Write as _};
 use std::hash::Hash;
 use std::io;
-use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// What one store kind contributes to the shared file discipline.
 pub trait Codec {
     /// Entry key. Files are sorted by it and hold each key at most once.
-    type Key: Eq + Hash + Ord;
+    type Key: Eq + Hash + Ord + Debug;
     /// Entry value. A merge insists that inputs holding the same key hold
     /// equal values.
-    type Value: PartialEq;
+    type Value: PartialEq + Clone + Debug;
     /// The first token of the header line.
     const PREFIX: &'static str;
     /// The store kind as `stack store inspect` and `fsck` name it.
@@ -227,15 +231,109 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
-/// One store file's lifecycle state: its path, this run's generation,
-/// what `open` found, and the compaction horizon `save` applies. A store
-/// pairs it with its in-memory table, loads the table from the entries
-/// [`open`](Self::open) returns, and hands the table's entries back to
-/// [`save`](Self::save).
+/// Aggregate lookup counters of one [`Table`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CacheStats {
+    /// Lookups answered from the table.
+    pub hits: u64,
+    /// Lookups that missed (and, for decided queries, later inserted).
+    pub misses: u64,
+    /// Entries currently stored.
+    pub entries: u64,
+}
+
+/// Values beside their last-used generation stamps, by key.
+type Stamped<K, V> = HashMap<K, (V, u64)>;
+
+/// A store's in-memory entries: each value beside its last-used generation
+/// stamp, plus hit/miss counters. Shared across the scan pipeline's worker
+/// threads, so every method takes `&self`; one lock guards the entries, and
+/// a panic elsewhere cannot poison it for good, because every method leaves
+/// the map consistent.
+///
+/// The first insert of a key wins: a store holds one value per key, and
+/// the values any two inserts of a key carry are interchangeable (equal
+/// scan records, or query answers that agree on the decided fact).
+#[derive(Debug)]
+pub struct Table<K, V> {
+    /// The generation every touched entry is stamped with.
+    generation: u64,
+    entries: Mutex<Stamped<K, V>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl<K: Eq + Hash, V: Clone> Default for Table<K, V> {
+    fn default() -> Table<K, V> {
+        Table::new()
+    }
+}
+
+impl<K: Eq + Hash, V: Clone> Table<K, V> {
+    /// An empty table at generation 1, the generation of a store opened on
+    /// a missing file.
+    pub fn new() -> Table<K, V> {
+        Table::loaded(1, HashMap::new())
+    }
+
+    fn loaded(generation: u64, entries: Stamped<K, V>) -> Table<K, V> {
+        Table {
+            generation,
+            entries: Mutex::new(entries),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    fn entries(&self) -> MutexGuard<'_, Stamped<K, V>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Look up the value for `key`, counting a hit or miss. A hit
+    /// refreshes the entry's last-used stamp, which is what keeps live
+    /// entries out of compaction's reach.
+    pub fn lookup(&self, key: &K) -> Option<V> {
+        let found = self.entries().get_mut(key).map(|slot| {
+            slot.1 = self.generation;
+            slot.0.clone()
+        });
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Store `value` under `key` unless the key is already present, and
+    /// stamp the entry with this run's generation either way.
+    pub fn insert(&self, key: K, value: V) {
+        let generation = self.generation;
+        self.entries().entry(key).or_insert((value, generation)).1 = generation;
+    }
+
+    /// Whether `key` is stored: a probe that counts nothing and refreshes
+    /// no stamp.
+    pub fn contains(&self, key: &K) -> bool {
+        self.entries().contains_key(key)
+    }
+
+    /// Counters accumulated so far.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self.entries().len() as u64,
+        }
+    }
+}
+
+/// One persisted store: its file's path, what `open` found, the compaction
+/// horizon `save` applies, and the [`Table`] of its entries.
 #[derive(Debug)]
 pub struct RecordFile<C: Codec> {
     path: PathBuf,
-    generation: u64,
     /// Entries unused for this many generations are dropped at `save`;
     /// 0 means compaction is off.
     compact_after: AtomicU64,
@@ -243,59 +341,64 @@ pub struct RecordFile<C: Codec> {
     invalidated: bool,
     /// Set when `open` had to drop bad lines from a torn or corrupted body.
     salvage: Option<SalvageReport>,
-    codec: PhantomData<C>,
+    table: Table<C::Key, C::Value>,
 }
 
-/// Every entry of a store body, with its last-used stamp.
-pub type Entries<C> = HashMap<<C as Codec>::Key, (<C as Codec>::Value, u64)>;
-
 impl<C: Codec> RecordFile<C> {
-    /// Open the store file at `path`, returning its state and every entry
-    /// that verifies, and starting the next generation. A missing file is
+    /// Open the store file at `path`, loading every entry that verifies
+    /// into the table and starting the next generation. A missing file is
     /// an empty store at generation 1; a file whose header does not match
     /// the running binary is discarded wholesale
     /// ([`was_invalidated`](Self::was_invalidated)); a compatible file with
     /// torn or corrupted body lines loads every entry that verifies and
     /// reports the rest through [`salvage`](Self::salvage). Only I/O
     /// failures are errors.
-    pub fn open(path: impl Into<PathBuf>) -> io::Result<(RecordFile<C>, Entries<C>)> {
+    pub fn open(path: impl Into<PathBuf>) -> io::Result<RecordFile<C>> {
         let mut file = RecordFile {
             path: path.into(),
-            generation: 1,
             compact_after: AtomicU64::new(0),
             loaded: 0,
             invalidated: false,
             salvage: None,
-            codec: PhantomData,
+            table: Table::new(),
         };
         let bytes = match std::fs::read(&file.path) {
             Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((file, HashMap::new())),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(file),
             Err(e) => return Err(e),
         };
         let (header, body_start) = split_header(&bytes);
         let Ok(generation) = check_header::<C>(&header) else {
             file.invalidated = true;
-            return Ok((file, HashMap::new()));
+            return Ok(file);
         };
         let (entries, salvage) = read_body::<C>(&bytes, body_start, generation);
-        file.generation = generation + 1;
         file.loaded = entries.len() as u64;
         file.salvage = (!salvage.is_clean()).then_some(salvage);
-        Ok((file, entries))
+        file.table = Table::loaded(generation + 1, entries);
+        Ok(file)
     }
 
-    /// Write `entries` (with their last-used stamps) to the file, dropping
-    /// those the compaction horizon has passed. Returns the number written.
-    pub fn save<'e>(
-        &self,
-        entries: impl IntoIterator<Item = (&'e C::Key, &'e C::Value, u64)>,
-    ) -> io::Result<usize>
-    where
-        C: 'e,
-    {
+    /// Write the table back to the file, minus the entries past the
+    /// compaction horizon ([`set_compaction`](Self::set_compaction)).
+    /// Returns the number of entries written. Saving the same logical
+    /// store twice within one run produces byte-identical files.
+    pub fn save(&self) -> io::Result<usize> {
         let compact_after = self.compact_after.load(Ordering::Relaxed);
-        write_file::<C>(&self.path, self.generation, compact_after, entries)
+        let entries = self.table.entries();
+        write_file::<C>(
+            &self.path,
+            self.generation(),
+            compact_after,
+            entries
+                .iter()
+                .map(|(key, (value, stamp))| (key, value, *stamp)),
+        )
+    }
+
+    /// The store's entries.
+    pub fn table(&self) -> &Table<C::Key, C::Value> {
+        &self.table
     }
 
     /// Merge the store files at `inputs` into one at `out`: the sorted
@@ -319,7 +422,7 @@ impl<C: Codec> RecordFile<C> {
         inputs: &[PathBuf],
         compact_after: Option<u64>,
     ) -> Result<MergeStats, MergeError> {
-        let mut merged: Entries<C> = HashMap::new();
+        let mut merged: Stamped<C::Key, C::Value> = HashMap::new();
         let mut stats = MergeStats {
             inputs: inputs.len(),
             ..MergeStats::default()
@@ -438,7 +541,7 @@ impl<C: Codec> RecordFile<C> {
     /// store). Every save stamps the header, and every entry this run
     /// touched, with it.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.table.generation
     }
 
     /// Set (or clear) the compaction horizon: at [`save`](Self::save),
@@ -527,7 +630,7 @@ fn read_body<C: Codec>(
     bytes: &[u8],
     body_start: usize,
     generation: u64,
-) -> (Entries<C>, SalvageReport) {
+) -> (Stamped<C::Key, C::Value>, SalvageReport) {
     let mut entries = HashMap::new();
     let mut salvage = SalvageReport::default();
     let mut lines = BodyLines {

@@ -36,15 +36,12 @@ struct Watcher {
 pub struct Budget {
     /// Maximum number of unit propagations; `u64::MAX` means unlimited.
     pub max_propagations: u64,
-    /// Maximum number of conflicts; `u64::MAX` means unlimited.
-    pub max_conflicts: u64,
 }
 
 impl Default for Budget {
     fn default() -> Budget {
         Budget {
             max_propagations: u64::MAX,
-            max_conflicts: u64::MAX,
         }
     }
 }
@@ -59,7 +56,6 @@ impl Budget {
     pub fn propagations(n: u64) -> Budget {
         Budget {
             max_propagations: n,
-            max_conflicts: u64::MAX,
         }
     }
 }
@@ -113,9 +109,6 @@ pub struct SatSolver {
     unsat: bool,
     stats: SatStats,
     budget_propagations: u64,
-    budget_conflicts: u64,
-    /// Conflicts seen in the current solve call (for budget accounting).
-    solve_conflicts: u64,
     solve_propagations: u64,
     max_learned: usize,
     /// The assumption core of the last `Unsat` answer (empty when the
@@ -152,8 +145,6 @@ impl SatSolver {
             unsat: false,
             stats: SatStats::default(),
             budget_propagations: u64::MAX,
-            budget_conflicts: u64::MAX,
-            solve_conflicts: 0,
             solve_propagations: 0,
             max_learned: 4000,
             last_core: None,
@@ -678,8 +669,6 @@ impl SatSolver {
             return SatResult::Unsat;
         }
         self.budget_propagations = budget.max_propagations;
-        self.budget_conflicts = budget.max_conflicts;
-        self.solve_conflicts = 0;
         self.solve_propagations = 0;
         self.backtrack(0);
         if self.propagate().is_some() {
@@ -727,7 +716,6 @@ impl SatSolver {
                     None => break,
                     Some(conflict) => {
                         self.stats.conflicts += 1;
-                        self.solve_conflicts += 1;
                         conflicts_since_restart += 1;
                         if self.decision_level() == 0 {
                             self.unsat = true;
@@ -786,17 +774,13 @@ impl SatSolver {
                         }
                     }
                 }
-                if self.solve_propagations > self.budget_propagations
-                    || self.solve_conflicts > self.budget_conflicts
-                {
+                if self.solve_propagations > self.budget_propagations {
                     self.backtrack(0);
                     return SatResult::Unknown;
                 }
             }
 
-            if self.solve_propagations > self.budget_propagations
-                || self.solve_conflicts > self.budget_conflicts
-            {
+            if self.solve_propagations > self.budget_propagations {
                 self.backtrack(0);
                 return SatResult::Unknown;
             }

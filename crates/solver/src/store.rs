@@ -4,19 +4,18 @@
 //! The [`QueryStore`] trait abstracts the destination of memoized query
 //! results. [`BvSolver`](crate::solver::BvSolver) only ever talks to the
 //! trait: on every query it looks the canonical fingerprint key up, and on
-//! every decided (never `Unknown`) miss it inserts the result back. Two
-//! implementations exist:
+//! every decided (never `Unknown`) miss it inserts the result back. Both
+//! implementations keep their entries in one [`Table`]:
 //!
-//! * [`QueryCache`] — the sharded in-memory table of `cache.rs`, shared
-//!   across the scan pipeline's worker threads. Dies with the process.
-//! * [`DiskQueryStore`] — the same table bracketed by [`open`] and
-//!   [`save`]: `open` loads every persisted fingerprint→result pair, `save`
-//!   writes the table back, so the next process — the next package of an
-//!   archive scan, or the next scan of the same archive entirely — starts
-//!   warm. This is the §6.5 deployment mode: the paper's Debian-scale runs
-//!   re-analyze thousands of packages that instantiate the same unstable
-//!   idioms, and a cross-run store turns all but the first instance into a
-//!   lookup.
+//! * [`QueryCache`] — the table alone, shared across the scan pipeline's
+//!   worker threads. Dies with the process.
+//! * [`DiskQueryStore`] — a [`RecordFile`] holding the table: [`open`]
+//!   loads every persisted fingerprint→result pair into it, [`save`] writes
+//!   it back, so the next process — the next package of an archive scan,
+//!   or the next scan of the same archive entirely — starts warm. This is
+//!   the §6.5 deployment mode: the paper's Debian-scale runs re-analyze
+//!   thousands of packages that instantiate the same unstable idioms, and a
+//!   cross-run store turns all but the first instance into a lookup.
 //!
 //! The store file follows the shared discipline of
 //! [`recordfile`](crate::recordfile) — versioned header, generation
@@ -47,23 +46,20 @@
 //! witnesses for the same key. A persisted witness would
 //! make store bytes history-dependent, and [`merge`] — which insists that
 //! duplicate keys carry equal values — would reject honest shard stores.
-//! Witnesses therefore stay process-local (the in-memory [`QueryCache`]
-//! keeps them); a warm `Sat` hit from disk carries an empty model, which no
-//! checker algorithm inspects.
+//! Witnesses therefore stay process-local (the in-memory table keeps the
+//! witnesses of this process's inserts); a warm `Sat` hit from disk carries
+//! an empty model, which no checker algorithm inspects.
 //!
-//! [`open`]: DiskQueryStore::open
-//! [`save`]: DiskQueryStore::save
-//! [`merge`]: DiskQueryStore::merge
+//! [`open`]: RecordFile::open
+//! [`save`]: RecordFile::save
+//! [`merge`]: RecordFile::merge
+//! [`Table`]: crate::recordfile::Table
 
-use crate::cache::{shard_index, CacheKey, CacheStats, QueryCache, STAMP_SHARDS};
+use crate::cache::{CacheKey, QueryCache};
 use crate::model::Model;
-use crate::recordfile::{BodyLines, Codec, EntryWriter, MergeError, MergeStats, RecordFile};
+use crate::recordfile::{BodyLines, CacheStats, Codec, EntryWriter, RecordFile};
 use crate::solver::QueryResult;
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// On-disk layout version of the store file. Bump when the file syntax
 /// changes. (v2 added the header generation and per-entry last-used
@@ -111,7 +107,9 @@ impl QueryStore for QueryCache {
     }
 
     fn insert(&self, key: CacheKey, result: &QueryResult) {
-        QueryCache::insert(self, key, result);
+        if !result.is_unknown() {
+            QueryCache::insert(self, key, result.clone());
+        }
     }
 
     fn contains(&self, key: &CacheKey) -> bool {
@@ -177,124 +175,33 @@ impl Codec for QueryCodec {
     }
 }
 
-/// A disk-backed query store: the in-memory sharded table plus its store
-/// file. Dereferences to the [`RecordFile`] for the file's lifecycle state
-/// (`path`, `generation`, `loaded_entries`, `salvage`, `set_compaction`).
-#[derive(Debug)]
-pub struct DiskQueryStore {
-    file: RecordFile<QueryCodec>,
-    mem: QueryCache,
-    /// Last-used generation per key (loaded stamps, overwritten with this
-    /// run's generation on every hit or insert). Sharded with the cache's
-    /// own shard function so the stamp refresh on the parallel hot path
-    /// contends exactly like the cache itself, never globally.
-    last_used: [Mutex<HashMap<CacheKey, u64>>; STAMP_SHARDS],
-}
-
-impl std::ops::Deref for DiskQueryStore {
-    type Target = RecordFile<QueryCodec>;
-
-    fn deref(&self) -> &RecordFile<QueryCodec> {
-        &self.file
-    }
-}
-
-impl DiskQueryStore {
-    /// Open a store backed by `path`, loading every persisted entry that
-    /// verifies and starting the next generation (see
-    /// [`RecordFile::open`]). Only I/O failures are errors.
-    pub fn open(path: impl Into<PathBuf>) -> io::Result<DiskQueryStore> {
-        let (file, entries) = RecordFile::open(path)?;
-        let mut store = DiskQueryStore {
-            file,
-            mem: QueryCache::new(),
-            last_used: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-        };
-        for (key, (result, stamp)) in entries {
-            store.last_used[shard_index(&key)]
-                .get_mut()
-                .unwrap()
-                .insert(key.clone(), stamp);
-            store.mem.insert(key, &result);
-        }
-        Ok(store)
-    }
-
-    /// Write every entry back to the backing file, minus those past the
-    /// compaction horizon ([`RecordFile::set_compaction`]). Returns the
-    /// number of entries written. Saving the same logical store twice
-    /// within one run produces byte-identical files.
-    pub fn save(&self) -> io::Result<usize> {
-        let entries = self.mem.entries_snapshot();
-        self.file.save(entries.iter().map(|(key, result)| {
-            // Entries inserted through the QueryStore interface are always
-            // stamped; the default covers direct test populations of the
-            // inner cache.
-            let stamp = self.last_used[shard_index(key)]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .get(key)
-                .copied()
-                .unwrap_or(self.generation());
-            (key, result, stamp)
-        }))
-    }
-
-    /// Merge the query stores at `inputs` into one at `out` — the fan-in of
-    /// a sharded scan. See [`RecordFile::merge`].
-    pub fn merge(
-        out: impl AsRef<Path>,
-        inputs: &[PathBuf],
-        compact_after: Option<u64>,
-    ) -> Result<MergeStats, MergeError> {
-        RecordFile::<QueryCodec>::merge(out, inputs, compact_after)
-    }
-}
+/// A disk-backed query store: the [`QueryCache`] table loaded from and
+/// saved to a store file.
+pub type DiskQueryStore = RecordFile<QueryCodec>;
 
 impl QueryStore for DiskQueryStore {
     fn lookup(&self, key: &CacheKey) -> Option<QueryResult> {
-        let result = self.mem.lookup(key)?;
-        // A hit refreshes the entry's last-used generation, which is what
-        // keeps live entries out of compaction's reach. Idempotent within
-        // a run, so a key already stamped this generation skips the
-        // key-clone insert entirely (the common case on warm scans).
-        let mut stamps = self.last_used[shard_index(key)]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match stamps.get(key) {
-            Some(&g) if g == self.generation() => {}
-            _ => {
-                stamps.insert(key.clone(), self.generation());
-            }
-        }
-        drop(stamps);
-        Some(result)
+        self.table().lookup(key)
     }
 
     fn insert(&self, key: CacheKey, result: &QueryResult) {
-        if matches!(result, QueryResult::Unknown) {
-            return; // mirror the cache: never stored, so never stamped
-        }
-        self.last_used[shard_index(&key)]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key.clone(), self.generation());
-        self.mem.insert(key, result);
+        QueryStore::insert(self.table(), key, result);
     }
 
     fn contains(&self, key: &CacheKey) -> bool {
-        self.mem.contains(key)
+        self.table().contains(key)
     }
 
     fn stats(&self) -> CacheStats {
-        self.mem.stats()
+        self.table().stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recordfile::crc32;
+    use crate::recordfile::{crc32, MergeError};
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("stack-store-{tag}-{}.qs", std::process::id()))
