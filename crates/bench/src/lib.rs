@@ -749,7 +749,8 @@ pub struct ShardedScan {
     pub rows: Vec<BenchRow>,
     /// Entries in the merged query store.
     pub merged_query_entries: u64,
-    /// Function records in the merged scan store.
+    /// Entries in the merged scan store: function records and file
+    /// records.
     pub merged_scan_entries: u64,
     /// Query-store entries that appeared in more than one shard (their
     /// value equality was asserted during the merge).
@@ -1329,7 +1330,7 @@ impl CheckerScaling {
         render_rows(&mut out, &sharded.rows);
         let _ = writeln!(
             out,
-            "  merged stores: {} query entries ({} shard duplicates), {} function records",
+            "  merged stores: {} query entries ({} shard duplicates), {} function and file records",
             sharded.merged_query_entries,
             sharded.merged_query_duplicates,
             sharded.merged_scan_entries
@@ -1648,15 +1649,16 @@ mod tests {
         // streams byte-identical reports to the cold unsharded baseline.
         let warm = &sharded.rows.last().unwrap().summary;
         assert_eq!(warm.modules_skipped, warm.files);
+        assert_eq!(warm.files_replayed, warm.files, "no file is compiled");
         assert_eq!(warm.queries, 0, "{warm:?}");
         assert!((sharded.merged_warm_skip_rate - 1.0).abs() < 1e-9);
         assert!(sharded.merge_reports_identical);
         assert_eq!(warm.reports, sharded.rows[0].summary.reports);
-        // The merged stores hold every shard's state: one record per
-        // function (5 per generated archive file), none colliding across
-        // shards (every generated function name — and so every key — is
-        // unique).
-        assert_eq!(sharded.merged_scan_entries, sharded.files as u64 * 5);
+        // The merged stores hold every shard's state: one function record
+        // per function (5 per generated archive file) and one file record
+        // per file, none colliding across shards (every generated function
+        // name — and so every key and every file's bytes — is unique).
+        assert_eq!(sharded.merged_scan_entries, sharded.files as u64 * (5 + 1));
         assert!(sharded.merged_query_entries > 0);
     }
 

@@ -38,8 +38,9 @@
 //! <path>` persists per-function results keyed by path-independent replay
 //! key so an edited module replays its unchanged functions and only the
 //! edited functions hit the solver (an unchanged module is skipped
-//! entirely, and identical vendored files share one analysis across
-//! paths), `--compact-store N` prunes entries unused for `N` scans from
+//! entirely, a byte-identical file replays without being compiled, and
+//! identical vendored files share one analysis across paths),
+//! `--compact-store N` prunes entries unused for `N` scans from
 //! the `--cache-file` and `--scan-cache` stores when they are saved, and
 //! `--shard i/n` (1-based) analyzes only the modules a stable
 //! hash of each input's *content* assigns to shard `i` of `n` — the
@@ -536,10 +537,12 @@ fn cmd_scan(args: &[String]) -> ExitCode {
     }
     if let Some(scan_store) = &scan_store {
         match scan_store.save() {
-            Ok(entries) => {
+            Ok(_) => {
                 if !opts.quiet {
                     eprintln!(
-                        "stack: saved {entries} function records to {}",
+                        "stack: saved {} function records and {} file records to {}",
+                        scan_store.function_records(),
+                        scan_store.file_records(),
                         scan_store.path().display()
                     );
                 }
@@ -663,6 +666,13 @@ fn render_scan_summary(summary: &ScanSummary, incremental_scan: bool) -> String 
             summary.functions_skipped,
             100.0 * summary.functions_skipped as f64 / summary.functions.max(1) as f64,
             summary.functions
+        );
+        let _ = writeln!(
+            out,
+            "  replayed {} unchanged files without compiling ({:.1}% of {})",
+            summary.files_replayed,
+            100.0 * summary.files_replayed as f64 / summary.files.max(1) as f64,
+            summary.files
         );
     }
     let _ = writeln!(out, "  functions       {:>8}", summary.functions);

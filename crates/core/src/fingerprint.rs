@@ -40,6 +40,18 @@
 //!   yields. The pure performance knob `query_cache` deliberately does
 //!   **not** participate: it changes how a result is computed, never what
 //!   it is.
+//!
+//! **File keys.** The replay key stays the test of meaning, but computing
+//! it costs a compile and an optimization of the whole file. On a re-scan
+//! most files are byte-identical to the scan that filled the store, so
+//! [`file_replay_key`] puts a shortcut on the *spelling* in front of it: a
+//! hash of the file's raw bytes, under which the scan store keeps the
+//! file's function replay keys in order. Equal bytes compile to equal
+//! functions only under one front end, so the file key also mixes in
+//! [`FRONTEND_REVISION`], and `tests/frontend_pin.rs` fails when the front
+//! end's output moves without it. Like the function key, the file key
+//! never includes the path, and it mixes in the same revisions and config
+//! knobs through one helper, so the two cannot drift apart.
 
 use crate::checker::CheckerConfig;
 use stack_ir::{Function, OriginKind};
@@ -53,6 +65,14 @@ pub type FunctionKey = u128;
 /// persisted scan stores from older schemes self-invalidate. (2: the scan
 /// store moved from module fingerprints to per-function replay keys.)
 pub const FINGERPRINT_REVISION: u32 = 2;
+
+/// Revision of the front end (`stack-minic` and `stack-opt`) that file
+/// keys ([`file_replay_key`]) trust to turn equal bytes into equal
+/// functions. Bump when `stack-minic` or `stack-opt` may accept, reject,
+/// lower or optimize the same bytes differently: old file records then
+/// become dead keys that compaction ages out, while function records,
+/// keyed on the lowered IR itself, stay valid.
+pub const FRONTEND_REVISION: u32 = 1;
 
 /// The structural digest of one function: a stable hash of its canonical
 /// print, which excludes origins entirely — the same body at any path, or
@@ -90,13 +110,32 @@ pub fn origin_signature(func: &Function) -> u128 {
 /// for why that is safe (stored reports are path-normalized) and what it
 /// buys (cross-path dedup).
 pub fn function_replay_key(func: &Function, config: &CheckerConfig) -> FunctionKey {
-    let mut h = function_digest(func);
-    h = mix(h, origin_signature(func));
-    h = mix(h, u128::from(ENCODING_REVISION));
+    with_semantics(mix(function_digest(func), origin_signature(func)), config)
+}
+
+/// The scan store's file key: a hash of a file's raw bytes, the front-end
+/// revision, and the same revision and config bits a
+/// [`function_replay_key`] carries. The store keeps the file's function
+/// replay keys under it, so a byte-identical file replays without being
+/// compiled. It shares the function keys' 128-bit key space (their seeds
+/// differ) and, like them, never includes the path.
+pub fn file_replay_key(source: &[u8], config: &CheckerConfig) -> FunctionKey {
+    with_semantics(
+        mix(
+            mix_bytes(0x5ca4_f11e_0003, source),
+            u128::from(FRONTEND_REVISION),
+        ),
+        config,
+    )
+}
+
+/// Mix the bits every scan-store key carries into `h`: both revisions and
+/// the semantics-relevant config knobs.
+fn with_semantics(h: u128, config: &CheckerConfig) -> u128 {
+    let mut h = mix(h, u128::from(ENCODING_REVISION));
     h = mix(h, u128::from(FINGERPRINT_REVISION));
     h = mix(h, u128::from(config.query_budget));
-    h = mix(h, u128::from(config.report_compiler_generated));
-    h
+    mix(h, u128::from(config.report_compiler_generated))
 }
 
 /// The distributed-scan partition key of one scan input: a stable hash of
@@ -254,6 +293,39 @@ mod tests {
             &cfg,
         );
         assert_ne!(direct, via_macro);
+    }
+
+    #[test]
+    fn file_keys_follow_bytes_and_semantics() {
+        let cfg = CheckerConfig::default();
+        let key = file_replay_key(TWO_FUNCS.as_bytes(), &cfg);
+        assert_eq!(key, file_replay_key(TWO_FUNCS.as_bytes(), &cfg), "stable");
+        // Unlike function keys, any byte change re-keys the file, even one
+        // that keeps every function key.
+        let spaced = TWO_FUNCS.replace("{ if", "{  if");
+        assert_eq!(keys(TWO_FUNCS, "t.c", &cfg), keys(&spaced, "t.c", &cfg));
+        assert_ne!(key, file_replay_key(spaced.as_bytes(), &cfg));
+        // The semantics knobs re-key the file as they re-key its functions;
+        // the performance knob does not.
+        for other in [
+            CheckerConfig {
+                query_budget: cfg.query_budget + 1,
+                ..cfg
+            },
+            CheckerConfig {
+                report_compiler_generated: true,
+                ..cfg
+            },
+        ] {
+            assert_ne!(key, file_replay_key(TWO_FUNCS.as_bytes(), &other));
+        }
+        let perf = CheckerConfig {
+            query_cache: false,
+            ..cfg
+        };
+        assert_eq!(key, file_replay_key(TWO_FUNCS.as_bytes(), &perf));
+        // A file key is never its bytes' shard key.
+        assert_ne!(key, content_key(TWO_FUNCS.as_bytes()));
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub use checker::{CheckResult, CheckStats, Checker, CheckerConfig};
 pub use classify::{classify_source, BugClass};
 pub use encoder::FunctionEncoder;
 pub use fingerprint::{
-    content_key, function_digest, function_replay_key, origin_signature, shard_assignment,
-    FunctionKey,
+    content_key, file_replay_key, function_digest, function_replay_key, origin_signature,
+    shard_assignment, FunctionKey, FRONTEND_REVISION,
 };
 pub use report::{Algorithm, BugReport, UbSource};
 pub use scan::{ScanEvent, ScanOutcome, ScanPipeline, ScanSource, ScanSummary, ScanTask};

@@ -58,22 +58,37 @@
 //! have produced identical raw reports under identical semantics, and the
 //! filter sees the same assembled stream either way.
 //!
+//! Keying a function needs the file compiled and optimized, which is most
+//! of a re-scan's cost when most files did not change. So before compiling,
+//! a task looks up its **file record**: under the hash of the file's bytes
+//! ([`file_replay_key`]), the replay keys its functions had when a scan
+//! last compiled those bytes. When the record is there and the store still
+//! holds every function record it names, the task replays them through the
+//! same assembly and filter without compiling, optimizing or keying
+//! anything, and counts the file in [`ScanOutcome::files_replayed`]. The
+//! statistics equal those of a compile whose functions all replayed.
+//! Otherwise the task compiles as above, and once every function has a
+//! record (none was degraded) it stages the file record beside the
+//! function records. A missed file key is re-checked at the task's turn to
+//! emit like a missed replay key.
+//!
 //! **Panic containment.** Each task's compile-and-analyze body runs under
 //! `catch_unwind`: a panic anywhere in the front end, the optimizer, or
 //! the checker degrades that one module to a
 //! [`ScanEvent::Failure`] carrying the panic payload — the scan, the
 //! other workers, and the exit-code semantics continue as if the module
 //! had failed to compile. A panicking module is never recorded in the
-//! scan store (its staged records are dropped), and never persisted as a
-//! query answer (the unwound query never returned one). Because failures
-//! are emitted through the same reorder buffer as reports, a panicking
-//! module produces the identical event stream at every `jobs` width.
+//! scan store (its staged function and file records are dropped), and
+//! never persisted as a query answer (the unwound query never returned
+//! one). Because failures are emitted through the same reorder buffer as
+//! reports, a panicking module produces the identical event stream at
+//! every `jobs` width.
 
 use crate::checker::CheckStats;
-use crate::fingerprint::{function_replay_key, FunctionKey};
+use crate::fingerprint::{file_replay_key, function_replay_key, FunctionKey};
 use crate::report::BugReport;
 use crate::scanstore::{FunctionRecord, ScanStore};
-use crate::session::AnalysisSession;
+use crate::session::{AnalysisSession, FunctionCheck};
 use serde::Serialize;
 use stack_solver::{CacheKey, CacheStats, QueryResult, QueryStore};
 use std::collections::HashMap;
@@ -126,6 +141,8 @@ pub struct ScanOutcome {
     pub modules_skipped: usize,
     /// Functions replayed from the scan store without solver work.
     pub functions_skipped: usize,
+    /// Files replayed from their file records without being compiled.
+    pub files_replayed: usize,
     /// Tasks analyzed a second time at their turn to emit, because an
     /// earlier task published a store entry they had missed. Always 0 at
     /// `jobs` 1.
@@ -142,6 +159,9 @@ pub struct ScanSummary {
     /// Functions replayed from the scan cache without solver work (the
     /// per-function incremental re-scan counter).
     pub functions_skipped: usize,
+    /// Files replayed from the scan cache's file records without being
+    /// compiled (the per-file incremental re-scan counter).
+    pub files_replayed: usize,
     pub functions: usize,
     pub reports: usize,
     pub queries: u64,
@@ -221,6 +241,7 @@ impl ScanSummary {
             failures: outcome.failures,
             modules_skipped: outcome.modules_skipped,
             functions_skipped: outcome.functions_skipped,
+            files_replayed: outcome.files_replayed,
             functions: stats.functions,
             reports: outcome.reports,
             queries: stats.queries,
@@ -281,10 +302,16 @@ struct TaskRun {
 struct Staged {
     /// The task's query-store view: its pending inserts and missed keys.
     queries: Arc<TaskQueries>,
-    /// Scan-store records to publish.
+    /// Scan-store function records to publish.
     records: Vec<(FunctionKey, FunctionRecord)>,
-    /// Replay keys the scan store missed.
+    /// The scan-store file record to publish: the file key and its
+    /// functions' replay keys, staged once every function has a record.
+    file_record: Option<(FunctionKey, Box<[FunctionKey]>)>,
+    /// Replay keys and file keys the scan store missed.
     missed_replays: Vec<FunctionKey>,
+    /// Whether the attempt replayed its file from a file record, without
+    /// compiling it.
+    replayed_file: bool,
 }
 
 impl Staged {
@@ -307,6 +334,9 @@ impl Staged {
         if let Some(store) = scan_store {
             for (key, record) in self.records.drain(..) {
                 store.insert(key, record);
+            }
+            if let Some((key, keys)) = self.file_record.take() {
+                store.insert_file(key, keys);
             }
         }
     }
@@ -460,6 +490,7 @@ impl<'s> ScanPipeline<'s> {
                 self.session.absorb_stats(&stats);
                 out.outcome.modules_skipped += stats.modules_skipped;
                 out.outcome.functions_skipped += stats.functions_skipped;
+                out.outcome.files_replayed += usize::from(run.staged.replayed_file);
                 out.outcome.reports += reports.len();
                 for report in reports {
                     (out.sink)(ScanEvent::Report(report));
@@ -487,7 +518,9 @@ impl<'s> ScanPipeline<'s> {
                 missed: Mutex::new(Vec::new()),
             }),
             records: Vec::new(),
+            file_record: None,
             missed_replays: Vec::new(),
+            replayed_file: false,
         };
         let read;
         let source: &str = match &task.source {
@@ -515,15 +548,17 @@ impl<'s> ScanPipeline<'s> {
                 // A panicking module is never recorded. Its completed
                 // queries were decided, so they publish as at `jobs` 1.
                 staged.records.clear();
+                staged.file_record = None;
                 Err(format!("panic: {}", panic_message(payload.as_ref())))
             }
         };
         TaskRun { result, staged }
     }
 
-    /// The panic-containable body of one task: compile, key every
-    /// function, replay hits, analyze misses, stage clean results for the
-    /// scan store, re-assemble and filter the module's report stream.
+    /// The panic-containable body of one task: replay the file from its
+    /// file record, or compile it, key every function, replay hits, analyze
+    /// misses and stage clean results for the scan store; then re-assemble
+    /// and filter the module's report stream.
     fn analyze_task(&self, source: &str, name: &str, staged: &mut Staged) -> TaskResult {
         if let Some(fragment) = &self.panic_on {
             if name.contains(fragment.as_str()) {
@@ -531,6 +566,29 @@ impl<'s> ScanPipeline<'s> {
             }
         }
         crate::faultinject::maybe_injected_panic(name);
+        let config = self.session.config();
+        let file_key = self
+            .scan_store
+            .as_ref()
+            .map(|store| (store, file_replay_key(source.as_bytes(), config)));
+        if let Some((store, file_key)) = file_key {
+            match store.lookup_file(file_key) {
+                // Equal bytes compile to equal functions, so the recorded
+                // keys are the ones compiling would compute.
+                Some(keys) if keys.iter().all(|&key| store.contains(key)) => {
+                    let start = Instant::now();
+                    let replayed = keys.iter().map(|&key| store.lookup(key)).collect();
+                    let result =
+                        self.assemble(name, replayed, Vec::new(), CheckStats::default(), start);
+                    staged.replayed_file = true;
+                    return Ok(result);
+                }
+                // Some of its function records were pruned or salvaged
+                // away: compile, and replay what is left.
+                Some(_) => {}
+                None => staged.missed_replays.push(file_key),
+            }
+        }
         let mut module = match stack_minic::compile(source, name) {
             Ok(module) => module,
             Err(e) => return Err(e.to_string()),
@@ -538,34 +596,31 @@ impl<'s> ScanPipeline<'s> {
         stack_opt::optimize_for_analysis(&mut module);
 
         let start = Instant::now();
-        let config = self.session.config();
-        let (keys, replayed): (Vec<FunctionKey>, Vec<Option<FunctionRecord>>) =
-            match &self.scan_store {
-                Some(store) => {
-                    let keys: Vec<FunctionKey> = module
-                        .functions()
-                        .iter()
-                        .map(|f| function_replay_key(f, config))
-                        .collect();
-                    let replayed = keys
-                        .iter()
-                        .map(|&key| {
-                            let found = store.lookup(key);
-                            if found.is_none() {
-                                staged.missed_replays.push(key);
-                            }
-                            found
-                        })
-                        .collect();
-                    (keys, replayed)
-                }
-                None => (Vec::new(), vec![None; module.len()]),
-            };
-        let skipped = replayed.iter().filter(|r| r.is_some()).count();
+        let (keys, replayed): (Vec<FunctionKey>, Vec<Option<FunctionRecord>>) = match file_key {
+            Some((store, _)) => {
+                let keys: Vec<FunctionKey> = module
+                    .functions()
+                    .iter()
+                    .map(|f| function_replay_key(f, config))
+                    .collect();
+                let replayed = keys
+                    .iter()
+                    .map(|&key| {
+                        let found = store.lookup(key);
+                        if found.is_none() {
+                            staged.missed_replays.push(key);
+                        }
+                        found
+                    })
+                    .collect();
+                (keys, replayed)
+            }
+            None => (Vec::new(), vec![None; module.len()]),
+        };
         let select: Vec<bool> = replayed.iter().map(Option::is_none).collect();
 
         let queries: Arc<dyn QueryStore> = staged.queries.clone();
-        let (checks, mut stats) = if select.contains(&true) {
+        let (checks, stats) = if select.contains(&true) {
             self.session
                 .check_functions_with(&module, &select, &queries)
         } else {
@@ -574,24 +629,42 @@ impl<'s> ScanPipeline<'s> {
         // A function with budget-exhausted (degraded) queries is never
         // recorded: its report set reflects the budget, not the function,
         // and a later run with a higher budget must re-analyze it. Its
-        // healthy siblings still record and will replay next run.
-        if self.scan_store.is_some() {
+        // healthy siblings still record and will replay next run. The file
+        // record is staged only when every function has a record.
+        if let Some((_, file_key)) = file_key {
             for check in checks.iter().filter(|c| c.timeouts == 0) {
                 staged.records.push((
                     keys[check.index],
                     FunctionRecord::normalized(&check.reports, name),
                 ));
             }
+            if checks.iter().all(|c| c.timeouts == 0) {
+                staged.file_record = Some((file_key, keys.into_boxed_slice()));
+            }
         }
+        Ok(self.assemble(name, replayed, checks, stats, start))
+    }
 
-        // Re-assemble the module's raw report stream in function order —
-        // replays path-rewritten to this module's name — and apply the
-        // module-level dedup/suppression filter exactly as a cold
-        // analysis would.
+    /// Re-assemble a module's raw report stream in function order —
+    /// replays (`Some` slots of `replayed`) path-rewritten to this module's
+    /// name, fresh analyses from `checks` — and apply the module-level
+    /// dedup/suppression filter exactly as a cold analysis would. `stats`
+    /// are the fresh analyses'; the module and replay counts are added,
+    /// and the time since `start`.
+    fn assemble(
+        &self,
+        name: &str,
+        replayed: Vec<Option<FunctionRecord>>,
+        checks: Vec<FunctionCheck>,
+        mut stats: CheckStats,
+        start: Instant,
+    ) -> (Vec<BugReport>, CheckStats) {
+        let skipped = replayed.iter().filter(|r| r.is_some()).count();
+        let functions = replayed.len();
         let mut fresh: HashMap<usize, Vec<BugReport>> =
             checks.into_iter().map(|c| (c.index, c.reports)).collect();
         let raw: Vec<BugReport> = replayed
-            .iter()
+            .into_iter()
             .enumerate()
             .flat_map(|(i, slot)| match slot {
                 Some(record) => record.replay(name),
@@ -604,12 +677,12 @@ impl<'s> ScanPipeline<'s> {
             .filter_module_reports(raw, &mut by_algorithm, &mut |r| reports.push(r));
 
         stats.modules = 1;
-        stats.modules_skipped = usize::from(skipped == keys.len() && !keys.is_empty());
+        stats.modules_skipped = usize::from(skipped == functions && functions > 0);
         stats.functions += skipped;
         stats.functions_skipped = skipped;
         stats.by_algorithm = by_algorithm;
         stats.elapsed = start.elapsed();
-        Ok((reports, stats))
+        (reports, stats)
     }
 }
 
@@ -730,9 +803,11 @@ mod tests {
             .with_scan_store(rescan_store)
             .run(&tasks, &mut |e| warm.push(format!("{e:?}")));
         assert_eq!(cold, warm, "replayed stream must be byte-identical");
-        // Every compiling module is skipped; the broken file still fails.
+        // Every compiling module is skipped, without being compiled; the
+        // broken file (never recorded) still fails.
         assert_eq!(outcome.modules_skipped, tasks.len() - 1);
         assert_eq!(outcome.functions_skipped, 2 * (tasks.len() - 1));
+        assert_eq!(outcome.files_replayed, tasks.len() - 1);
         assert_eq!(outcome.failures, 1);
         let stats = warm_session.stats();
         assert_eq!(stats.modules_skipped, tasks.len() - 1);
@@ -786,6 +861,8 @@ mod tests {
         );
         assert_eq!(outcome.modules_skipped, 1);
         assert_eq!(outcome.functions_skipped, 1);
+        // New bytes: the file compiles, and its function replays.
+        assert_eq!(outcome.files_replayed, 0);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -887,7 +964,9 @@ mod tests {
         );
         assert_eq!(outcome.functions_skipped, 1);
         assert_eq!(outcome.modules_skipped, 1);
-        assert_eq!(store.stats().entries, 1, "one record serves both paths");
+        assert_eq!(outcome.files_replayed, 1, "the copy is never compiled");
+        assert_eq!(store.function_records(), 1, "one record serves both paths");
+        assert_eq!(store.file_records(), 1, "and one file record");
         // Each copy's reports carry its own path.
         let files: Vec<&str> = events
             .iter()
@@ -930,6 +1009,11 @@ mod tests {
             1,
             "only the clean sibling is recorded"
         );
+        assert_eq!(
+            store.file_records(),
+            0,
+            "a degraded file has no file record"
+        );
         store.save().unwrap();
 
         // Rescan at the same budget: h replays, f re-analyzes (and again
@@ -966,8 +1050,10 @@ mod tests {
             "{events:?}"
         );
         // The panicking module's functions are never cached: only the
-        // clean compiles' are (2 functions per compiling module).
-        assert_eq!(store.stats().entries, 2 * (tasks.len() as u64 - 2));
+        // clean compiles' are (2 functions per compiling module), and so
+        // are their file records.
+        assert_eq!(store.function_records(), 2 * (tasks.len() as u64 - 2));
+        assert_eq!(store.file_records(), tasks.len() as u64 - 2);
         store.save().unwrap();
         std::fs::remove_file(&path).unwrap();
     }
@@ -1019,6 +1105,7 @@ mod tests {
             assert_eq!(summary.modules_skipped, stats.modules_skipped, "{run}");
             assert_eq!(summary.functions_skipped, 2 * skipped_modules, "{run}");
             assert_eq!(summary.functions_skipped, stats.functions_skipped, "{run}");
+            assert_eq!(summary.files_replayed, skipped_modules, "{run}");
             assert_eq!(summary.degraded_queries, stats.timeouts, "{run}");
             assert_eq!(summary.timeouts, stats.timeouts, "{run}");
             assert_eq!(summary.store_hits, stats.cache_hits, "{run}");

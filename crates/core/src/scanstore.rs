@@ -1,4 +1,5 @@
-//! The persisted report cache: function replay key → replayable reports.
+//! The persisted report cache: function replay key → replayable reports,
+//! and file key → the file's function replay keys.
 //!
 //! [`ScanStore`] is the second persistence layer of incremental re-scan,
 //! sibling to the query-level
@@ -13,6 +14,15 @@
 //! therefore pays the solver only for its edited functions; a module whose
 //! functions all replay is additionally counted in
 //! [`CheckStats::modules_skipped`](crate::CheckStats).
+//!
+//! A second entry kind, the **file record**, makes a repeated *file* free
+//! of the front end as well: under a file's
+//! [`file_replay_key`](crate::fingerprint::file_replay_key) (its bytes, not
+//! its path) the store keeps the replay keys of its functions in order, so
+//! a byte-identical file finds its function records without being
+//! compiled, optimized or keyed. A file record is only a shortcut to
+//! function records: it holds no reports, and a file whose function
+//! records are gone compiles again.
 //!
 //! **Path normalization.** Replay keys are path-independent, so one record
 //! serves the same function under every path — identical vendored files
@@ -32,8 +42,8 @@
 //! has a versioned header, generation stamps and compaction, per-line
 //! checksums and salvage, atomic byte-deterministic saves and strict merge.
 //! The header adds [`FINGERPRINT_REVISION`]; any revision mismatch discards
-//! the whole file (a v3 module-keyed store self-invalidates the same way —
-//! that *is* the migration). The replay keys additionally bake both
+//! the whole file (a v4 store without file records self-invalidates the
+//! same way — that *is* the migration). The keys additionally bake both
 //! revisions and the semantics-relevant config knobs into their own bits,
 //! so even a same-format file can never replay reports computed under
 //! different semantics.
@@ -41,9 +51,10 @@
 //! ## Format
 //!
 //! ```text
-//! stack-scan-store v4 enc2 fpr2 gen3
+//! stack-scan-store v5 enc2 fpr2 gen3
 //! F g<gen> <key> r<reports> !<crc32>
 //! R <alg> <line> <cg> <function> <file> <description> u <kind>@<loc> ... !<crc32>
+//! M g<gen> <file key> n<count> <key> ... !<crc32>
 //! ```
 //!
 //! `F` opens one function entry (last-used generation stamp, replay key in
@@ -51,7 +62,9 @@
 //! raw report in discovery order, and the record is kept or dropped as a
 //! unit. String fields are percent-escaped so they never contain
 //! whitespace, `@` or `%`; the path placeholder is the (never-graphic) byte
-//! `0x01`, escaped as `%01`.
+//! `0x01`, escaped as `%01`. `M` is one file entry on one line: the file
+//! key, the function count, then that many function replay keys in
+//! definition order (v5 added it).
 
 use crate::fingerprint::{FunctionKey, FINGERPRINT_REVISION};
 use crate::report::{Algorithm, BugReport, UbSource};
@@ -67,9 +80,9 @@ use std::path::{Path, PathBuf};
 /// stamps; v3 added the per-line ` !<crc32>` checksum that makes torn or
 /// truncated stores salvageable record by record; v4 moved from
 /// module-fingerprint entries to per-function replay keys with
-/// path-normalized reports. Older files self-invalidate, as any stale
-/// cache does.)
-pub const SCAN_STORE_FORMAT_VERSION: u32 = 4;
+/// path-normalized reports; v5 added file records. Older files
+/// self-invalidate, as any stale cache does.)
+pub const SCAN_STORE_FORMAT_VERSION: u32 = 5;
 
 /// The in-record stand-in for the recording module's file name. A control
 /// byte, so it can never collide with a real (percent-escaped, graphic)
@@ -135,14 +148,25 @@ fn rewrite_report_path(report: &BugReport, from: &str, to: &str) -> BugReport {
     out
 }
 
+/// One scan-store entry.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ScanEntry {
+    /// Under a function replay key: the function's record.
+    Function(FunctionRecord),
+    /// Under a file key: the file's function replay keys in definition
+    /// order. A boxed slice, not a `Vec`, so the entry stays as small as a
+    /// function record and the table's buckets do not grow.
+    File(Box<[FunctionKey]>),
+}
+
 /// The scan store's entries: one `F` line per function record, followed
-/// by one `R` line per report.
+/// by one `R` line per report, and one `M` line per file record.
 #[derive(Debug)]
 pub struct ScanCodec;
 
 impl Codec for ScanCodec {
     type Key = FunctionKey;
-    type Value = FunctionRecord;
+    type Value = ScanEntry;
     const PREFIX: &'static str = "stack-scan-store";
     const KIND: &'static str = "scan";
     const REVISIONS: &'static [(&'static str, u64)] = &[
@@ -151,56 +175,77 @@ impl Codec for ScanCodec {
         ("fpr", FINGERPRINT_REVISION as u64),
     ];
 
-    fn tag(_: &FunctionRecord) -> char {
-        'F'
+    fn tag(entry: &ScanEntry) -> char {
+        match entry {
+            ScanEntry::Function(_) => 'F',
+            ScanEntry::File(_) => 'M',
+        }
     }
 
-    fn write(key: &FunctionKey, record: &FunctionRecord, out: &mut EntryWriter<'_>) {
-        let _ = write!(out, "{key:032x} r{}", record.reports.len());
-        for report in &record.reports {
-            out.end_line();
-            let _ = write!(
-                out,
-                "R {} {} {} {} {} {}",
-                algorithm_tag(report.algorithm),
-                report.line,
-                u8::from(report.compiler_generated),
-                Escaped(&report.function),
-                Escaped(&report.file),
-                Escaped(&report.description)
-            );
-            for src in &report.ub_sources {
-                let _ = write!(
-                    out,
-                    " u {}@{}",
-                    src.kind.short_name(),
-                    Escaped(&src.location)
-                );
+    fn write(key: &FunctionKey, entry: &ScanEntry, out: &mut EntryWriter<'_>) {
+        let _ = write!(out, "{key:032x}");
+        match entry {
+            ScanEntry::File(keys) => {
+                let _ = write!(out, " n{}", keys.len());
+                for key in keys {
+                    let _ = write!(out, " {key:032x}");
+                }
+            }
+            ScanEntry::Function(record) => {
+                let _ = write!(out, " r{}", record.reports.len());
+                for report in &record.reports {
+                    out.end_line();
+                    let _ = write!(
+                        out,
+                        "R {} {} {} {} {} {}",
+                        algorithm_tag(report.algorithm),
+                        report.line,
+                        u8::from(report.compiler_generated),
+                        Escaped(&report.function),
+                        Escaped(&report.file),
+                        Escaped(&report.description)
+                    );
+                    for src in &report.ub_sources {
+                        let _ = write!(
+                            out,
+                            " u {}@{}",
+                            src.kind.short_name(),
+                            Escaped(&src.location)
+                        );
+                    }
+                }
             }
         }
     }
 
-    fn read(
-        tag: char,
-        rest: &str,
-        more: &mut BodyLines<'_>,
-    ) -> Option<(FunctionKey, FunctionRecord)> {
-        if tag != 'F' {
-            return None;
-        }
+    fn read(tag: char, rest: &str, more: &mut BodyLines<'_>) -> Option<(FunctionKey, ScanEntry)> {
         let mut parts = rest.split(' ');
-        let key = u128::from_str_radix(parts.next()?, 16).ok()?;
-        let count: usize = parts.next()?.strip_prefix('r')?.parse().ok()?;
-        if parts.next().is_some() {
-            return None;
-        }
-        // `count` comes from the file, so it bounds the preallocation only
-        // up to what a real record holds.
-        let mut reports = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            reports.push(more.line(parse_report)?);
-        }
-        Some((key, FunctionRecord { reports }))
+        let key = parse_key(parts.next()?)?;
+        let entry = match tag {
+            'F' => {
+                let count: usize = parts.next()?.strip_prefix('r')?.parse().ok()?;
+                if parts.next().is_some() {
+                    return None;
+                }
+                // `count` comes from the file, so it bounds the
+                // preallocation only up to what a real record holds.
+                let mut reports = Vec::with_capacity(count.min(1024));
+                for _ in 0..count {
+                    reports.push(more.line(parse_report)?);
+                }
+                ScanEntry::Function(FunctionRecord { reports })
+            }
+            'M' => {
+                let count: usize = parts.next()?.strip_prefix('n')?.parse().ok()?;
+                let keys: Box<[FunctionKey]> = parts.map(parse_key).collect::<Option<_>>()?;
+                if keys.len() != count {
+                    return None;
+                }
+                ScanEntry::File(keys)
+            }
+            _ => return None,
+        };
+        Some((key, entry))
     }
 
     fn key_text(key: &FunctionKey) -> String {
@@ -208,12 +253,17 @@ impl Codec for ScanCodec {
     }
 }
 
-/// A disk-backed replay-key → function-record table: the store file's
-/// [`RecordFile`], with keys and records passed by value. Shared across the
-/// scan pipeline's file-level workers through an `Arc`, so all methods take
-/// `&self`. Dereferences to the [`RecordFile`] for the file's lifecycle
-/// (`path`, `generation`, `loaded_entries`, `salvage`, `set_compaction`,
-/// `save`).
+/// Parse one hex key.
+fn parse_key(text: &str) -> Option<FunctionKey> {
+    u128::from_str_radix(text, 16).ok()
+}
+
+/// A disk-backed table of function records and file records: the store
+/// file's [`RecordFile`], with keys and records passed by value. Shared
+/// across the scan pipeline's file-level workers through an `Arc`, so all
+/// methods take `&self`. Dereferences to the [`RecordFile`] for the file's
+/// lifecycle (`path`, `generation`, `loaded_entries`, `salvage`,
+/// `set_compaction`, `save`).
 #[derive(Debug)]
 pub struct ScanStore {
     file: RecordFile<ScanCodec>,
@@ -235,23 +285,45 @@ impl ScanStore {
         RecordFile::open(path).map(|file| ScanStore { file })
     }
 
-    /// Whether a record for `key` is stored: a probe that counts nothing
+    /// Whether an entry for `key` is stored: a probe that counts nothing
     /// and refreshes no stamp.
     pub(crate) fn contains(&self, key: FunctionKey) -> bool {
         self.table().contains(&key)
     }
 
-    /// Look up the record for a replay key, counting a hit or miss. A hit
-    /// refreshes the record's last-used stamp to this run's generation.
+    /// Look up the function record for a replay key, counting a hit or
+    /// miss. A hit refreshes the record's last-used stamp to this run's
+    /// generation.
     pub fn lookup(&self, key: FunctionKey) -> Option<FunctionRecord> {
-        self.table().lookup(&key)
+        match self.table().lookup(&key)? {
+            ScanEntry::Function(record) => Some(record),
+            ScanEntry::File(_) => None,
+        }
     }
 
     /// Record a freshly analyzed function, stamped with this run's
     /// generation. First insert wins for the record itself (normalized
     /// records for one key are identical by construction).
     pub fn insert(&self, key: FunctionKey, record: FunctionRecord) {
-        self.table().insert(key, record);
+        self.table().insert(key, ScanEntry::Function(record));
+    }
+
+    /// Look up the file record for a file key
+    /// ([`file_replay_key`](crate::fingerprint::file_replay_key)): its
+    /// function replay keys in order. Counts and stamps like
+    /// [`lookup`](Self::lookup).
+    pub fn lookup_file(&self, key: FunctionKey) -> Option<Box<[FunctionKey]>> {
+        match self.table().lookup(&key)? {
+            ScanEntry::File(keys) => Some(keys),
+            ScanEntry::Function(_) => None,
+        }
+    }
+
+    /// Record a file's function replay keys under its file key. First
+    /// insert wins, like [`insert`](Self::insert): the keys are a pure
+    /// function of the file key.
+    pub fn insert_file(&self, key: FunctionKey, keys: Box<[FunctionKey]>) {
+        self.table().insert(key, ScanEntry::File(keys));
     }
 
     /// Merge several scan-store files into one at `out` — the
@@ -266,10 +338,22 @@ impl ScanStore {
         RecordFile::<ScanCodec>::merge(out, inputs, compact_after)
     }
 
-    /// Counters accumulated so far: lookups answered (functions skipped),
-    /// lookups missed, and records stored.
+    /// Counters accumulated so far: lookups answered (functions skipped,
+    /// and file records found), lookups missed, and entries stored.
     pub fn stats(&self) -> CacheStats {
         self.table().stats()
+    }
+
+    /// Function records stored.
+    pub fn function_records(&self) -> u64 {
+        self.table()
+            .count(|entry| matches!(entry, ScanEntry::Function(_)))
+    }
+
+    /// File records stored.
+    pub fn file_records(&self) -> u64 {
+        self.table()
+            .count(|entry| matches!(entry, ScanEntry::File(_)))
     }
 }
 
@@ -454,6 +538,55 @@ mod tests {
     }
 
     #[test]
+    fn file_records_roundtrip_beside_function_records() {
+        let path = temp_path("file-records");
+        let store = ScanStore::open(&path).unwrap();
+        store.insert(7, record(&[5]));
+        store.insert(9, record(&[]));
+        store.insert_file(0x42, vec![9, 7].into_boxed_slice());
+        store.insert_file(0x43, Box::new([]));
+        assert_eq!((store.function_records(), store.file_records()), (2, 2));
+        assert_eq!(store.save().unwrap(), 4);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let hex = |k: u128| format!("{k:032x}");
+        assert!(
+            text.contains(&format!("M g1 {} n2 {} {} !", hex(0x42), hex(9), hex(7))),
+            "{text}"
+        );
+        assert!(text.contains(&format!("M g1 {} n0 !", hex(0x43))), "{text}");
+
+        let reloaded = ScanStore::open(&path).unwrap();
+        assert!(reloaded.salvage().is_none());
+        assert_eq!(reloaded.loaded_entries(), 4);
+        assert_eq!(
+            (reloaded.function_records(), reloaded.file_records()),
+            (2, 2)
+        );
+        assert_eq!(reloaded.lookup_file(0x42).as_deref(), Some(&[9, 7][..]));
+        assert_eq!(reloaded.lookup_file(0x43).as_deref(), Some(&[][..]));
+        // A key names one kind of entry: the other lookup finds nothing.
+        assert!(reloaded.lookup(0x42).is_none());
+        assert!(reloaded.lookup_file(7).is_none());
+        assert_eq!(reloaded.lookup(7).unwrap(), record(&[5]));
+
+        // Merge stays strict for file records: the same file key with
+        // other function keys is a conflict.
+        let other = temp_path("file-records-other");
+        let conflicting = ScanStore::open(&other).unwrap();
+        conflicting.insert_file(0x42, vec![7, 9].into_boxed_slice());
+        conflicting.save().unwrap();
+        let out = temp_path("file-records-out");
+        match ScanStore::merge(&out, &[path.clone(), other.clone()], None) {
+            Err(MergeError::Conflict { key, .. }) => assert_eq!(key, hex(0x42)),
+            result => panic!("expected Conflict, got {result:?}"),
+        }
+        assert!(!out.exists());
+        for p in [path, other] {
+            std::fs::remove_file(p).unwrap();
+        }
+    }
+
+    #[test]
     fn normalization_makes_records_path_independent_and_replay_rewrites() {
         // The same function analyzed under two paths: reports differ only in
         // the file they name.
@@ -543,6 +676,8 @@ mod tests {
         let bad_headers = [
             // The v3 module-keyed format (its fpr1 keys died with it).
             "stack-scan-store v3 enc1 fpr1 gen1\n".to_string(),
+            // The v4 format, which had no file records.
+            format!("stack-scan-store v4 enc{ENCODING_REVISION} fpr{FINGERPRINT_REVISION} gen1\n"),
             format!(
                 "stack-scan-store v{SCAN_STORE_FORMAT_VERSION} enc999 fpr{FINGERPRINT_REVISION} gen1\n"
             ),
@@ -566,6 +701,10 @@ mod tests {
             line("F g1 nothex r0"),                   // bad key
             line("F g1 3 r1"),                        // missing R line
             line(&format!("F g1 3 r{}", usize::MAX)), // absurd report count
+            line("M g1 3 n2 1"),                      // fewer keys than counted
+            line("M g1 3 n1 1 2"),                    // more keys than counted
+            line("M g1 3 n1 nothex"),                 // bad function key
+            line("M g1 3 1"),                         // count missing
         ] {
             let path = temp_path("salvaged");
             // One good record on each side of the damage.

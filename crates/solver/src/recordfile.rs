@@ -5,7 +5,10 @@
 //! entry maps to and from checksummed payload lines — and [`RecordFile`]
 //! does everything else: it loads the file into its [`Table`] at
 //! [`open`](RecordFile::open), serves lookups and inserts from the table,
-//! and writes the table back at [`save`](RecordFile::save). The in-memory
+//! and writes the table back at [`save`](RecordFile::save). `open` sizes
+//! the table once, from a count of the lines that open entries, and `save`
+//! streams the file entry by entry through a buffered writer, so neither
+//! regrows a table nor builds a whole-file image. The in-memory
 //! query cache ([`QueryCache`](crate::QueryCache)) is the same table
 //! without a file.
 //!
@@ -68,7 +71,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::{Debug, Write as _};
 use std::hash::Hash;
-use std::io;
+use std::io::{self, BufRead as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -200,10 +203,12 @@ fn verified(line: &str) -> Option<&str> {
     (crc32(payload.as_bytes()) == sum).then_some(payload)
 }
 
-/// CRC-32 (IEEE, reflected, polynomial `0xEDB88320`) lookup table,
-/// computed at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE, reflected, polynomial `0xEDB88320`) slicing-by-8 lookup
+/// tables, computed at compile time: `CRC32_TABLES[0]` is the bytewise
+/// table, and `CRC32_TABLES[k][b]` is the CRC state after byte `b` is
+/// followed by `k` zero bytes, so eight lookups advance the CRC by 8 bytes.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -216,17 +221,43 @@ const CRC32_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE) of `bytes` — the checksum every store line carries.
+/// CRC-32 (IEEE) of `bytes` — the checksum every store line carries. Every
+/// line of both stores passes through it at open and at save, so it takes
+/// 8 bytes per step (slicing-by-8) and finishes the tail bytewise.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -319,6 +350,15 @@ impl<K: Eq + Hash, V: Clone> Table<K, V> {
         self.entries().contains_key(key)
     }
 
+    /// How many stored values satisfy `pred`: a scan that counts no lookup
+    /// and refreshes no stamp.
+    pub fn count(&self, pred: impl Fn(&V) -> bool) -> u64 {
+        self.entries()
+            .values()
+            .filter(|(value, _)| pred(value))
+            .count() as u64
+    }
+
     /// Counters accumulated so far.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -379,17 +419,21 @@ impl<C: Codec> RecordFile<C> {
         Ok(file)
     }
 
-    /// Write the table back to the file, minus the entries past the
-    /// compaction horizon ([`set_compaction`](Self::set_compaction)).
-    /// Returns the number of entries written. Saving the same logical
-    /// store twice within one run produces byte-identical files.
+    /// Drop the entries past the compaction horizon
+    /// ([`set_compaction`](Self::set_compaction)) from the table, then
+    /// write the table back to the file. Returns the number of entries
+    /// written, which is the table's size afterwards. Saving the same
+    /// logical store twice within one run produces byte-identical files.
+    /// Save after the scan that uses the store, not during it: a scan
+    /// relies on the table only growing while it runs.
     pub fn save(&self) -> io::Result<usize> {
         let compact_after = self.compact_after.load(Ordering::Relaxed);
-        let entries = self.table.entries();
+        let generation = self.generation();
+        let mut entries = self.table.entries();
+        entries.retain(|_, (_, stamp)| is_live(generation, compact_after, *stamp));
         write_file::<C>(
             &self.path,
-            self.generation(),
-            compact_after,
+            generation,
             entries
                 .iter()
                 .map(|(key, (value, stamp))| (key, value, *stamp)),
@@ -472,11 +516,12 @@ impl<C: Codec> RecordFile<C> {
             }
         }
         stats.generation = stats.generation.max(1);
+        let generation = stats.generation;
+        merged.retain(|_, (_, stamp)| is_live(generation, compact_after.unwrap_or(0), *stamp));
         let out = out.as_ref();
         let written = write_file::<C>(
             out,
-            stats.generation,
-            compact_after.unwrap_or(0),
+            generation,
             merged
                 .iter()
                 .map(|(key, (value, stamp))| (key, value, *stamp)),
@@ -631,7 +676,8 @@ fn read_body<C: Codec>(
     body_start: usize,
     generation: u64,
 ) -> (Stamped<C::Key, C::Value>, SalvageReport) {
-    let mut entries = HashMap::new();
+    let mut entries =
+        HashMap::with_capacity(opening_lines(bytes.get(body_start..).unwrap_or_default()));
     let mut salvage = SalvageReport::default();
     let mut lines = BodyLines {
         bytes,
@@ -658,40 +704,60 @@ fn read_body<C: Codec>(
     (entries, salvage)
 }
 
+/// Whether an entry last used at `stamp` survives a save at `generation`
+/// under the compaction horizon `compact_after` (0: compaction off).
+fn is_live(generation: u64, compact_after: u64, stamp: u64) -> bool {
+    compact_after == 0 || generation - stamp < compact_after
+}
+
+/// How many lines of a store body open an entry: every entry's first line
+/// starts `<tag> g`, so this count sizes the table once instead of
+/// regrowing it while it fills. Damaged lines can make it off; it is only a
+/// capacity hint. (`skip_until` finds each newline a word at a time.)
+fn opening_lines(mut body: &[u8]) -> usize {
+    let mut count = 0;
+    loop {
+        count += usize::from(body.get(1..3) == Some(b" g"));
+        if body.skip_until(b'\n').unwrap_or(0) == 0 {
+            return count;
+        }
+    }
+}
+
 /// Write a complete store file — the header at `generation`, then
-/// `entries` minus those past the compaction horizon, sorted by key — via
-/// a sibling temp file and a rename. Returns the number of entries
-/// written.
+/// `entries` sorted by key — via a sibling temp file and a rename. Each
+/// entry is formatted into one reused buffer and streamed through a
+/// [`BufWriter`](io::BufWriter), so a save never holds the whole file
+/// image. Returns the number of entries written.
 fn write_file<'e, C: Codec + 'e>(
     path: &Path,
     generation: u64,
-    compact_after: u64,
     entries: impl IntoIterator<Item = (&'e C::Key, &'e C::Value, u64)>,
 ) -> io::Result<usize> {
-    let mut entries: Vec<_> = entries
-        .into_iter()
-        .filter(|&(_, _, stamp)| compact_after == 0 || generation - stamp < compact_after)
-        .collect();
+    let mut entries: Vec<_> = entries.into_iter().collect();
     entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    let mut out = C::PREFIX.to_string();
-    for (tag, value) in C::REVISIONS {
-        let _ = write!(out, " {tag}{value}");
-    }
-    let _ = writeln!(out, " gen{generation}");
-    for (key, value, stamp) in &entries {
-        let line_start = out.len();
-        let _ = write!(out, "{} g{stamp} ", C::tag(value));
-        let mut writer = EntryWriter {
-            out: &mut out,
-            line_start,
-        };
-        C::write(key, value, &mut writer);
-        writer.end_line();
-    }
     let mut tmp = path.to_path_buf().into_os_string();
     tmp.push(format!(".tmp.{}", std::process::id()));
     let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, &out)?;
+    let mut file = io::BufWriter::new(std::fs::File::create(&tmp)?);
+    let mut buf = C::PREFIX.to_string();
+    for (tag, value) in C::REVISIONS {
+        let _ = write!(buf, " {tag}{value}");
+    }
+    let _ = writeln!(buf, " gen{generation}");
+    file.write_all(buf.as_bytes())?;
+    for (key, value, stamp) in &entries {
+        buf.clear();
+        let _ = write!(buf, "{} g{stamp} ", C::tag(value));
+        let mut writer = EntryWriter {
+            out: &mut buf,
+            line_start: 0,
+        };
+        C::write(key, value, &mut writer);
+        writer.end_line();
+        file.write_all(buf.as_bytes())?;
+    }
+    file.into_inner().map_err(io::IntoInnerError::into_error)?;
     std::fs::rename(&tmp, path)?;
     Ok(entries.len())
 }
@@ -884,5 +950,48 @@ impl StoreInspection {
             }
         }
         out.trim_end().to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The CRC-32 definition, one bit at a time.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &byte in bytes {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                crc = if crc & 1 == 1 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bitwise_definition_at_every_length() {
+        // Lengths 0..=64 cover the empty input, tails alone, whole 8-byte
+        // chunks and every chunk/tail split between.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let bytes: Vec<u8> = (0..64)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        for len in 0..=bytes.len() {
+            assert_eq!(
+                crc32(&bytes[..len]),
+                crc32_bitwise(&bytes[..len]),
+                "length {len}"
+            );
+        }
     }
 }

@@ -426,10 +426,19 @@ fn sharded_scan_with_merged_stores_matches_unsharded_run() {
     let merged = std::env::temp_dir().join(format!("{tag}-merged.ss"));
     let inputs: Vec<std::path::PathBuf> = (0..SHARDS).map(shard_path).collect();
     let stats = ScanStore::merge(&merged, &inputs, None).expect("merge shard scan stores");
-    // One record per *function* since the store keys on function replay
-    // keys; generated function names are unique, so no two shards ever
-    // record the same key.
-    assert_eq!(stats.entries_out, reference_stats.functions as u64);
+    // One function record per *function* and one file record per file;
+    // generated function names are unique, so no two shards ever record
+    // the same key.
+    let merged_store = ScanStore::open(&merged).expect("open merged store");
+    assert_eq!(
+        merged_store.function_records(),
+        reference_stats.functions as u64
+    );
+    assert_eq!(merged_store.file_records(), base.len() as u64);
+    assert_eq!(
+        stats.entries_out,
+        (reference_stats.functions + base.len()) as u64
+    );
     assert_eq!(stats.duplicates, 0, "shards are disjoint");
 
     for jobs in [1, 4] {

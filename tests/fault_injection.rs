@@ -103,6 +103,8 @@ struct Fixture {
     scan_gen1: Vec<u8>,
     scan_gen2: Vec<u8>,
     scan_entries: u64,
+    /// Of `scan_entries`, the function records (the rest are file records).
+    scan_function_records: u64,
 }
 
 fn fixture() -> &'static Fixture {
@@ -122,10 +124,13 @@ fn fixture() -> &'static Fixture {
         let query_gen2 = std::fs::read(&qs).expect("read re-saved query store");
         let scan_gen2 = std::fs::read(&ss).expect("read re-saved scan store");
         let query_entries = DiskQueryStore::open(&qs).unwrap().loaded_entries();
-        let scan_entries = ScanStore::open(&ss).unwrap().loaded_entries();
+        let scan_store = ScanStore::open(&ss).unwrap();
+        let scan_entries = scan_store.loaded_entries();
+        let scan_function_records = scan_store.function_records();
         let _ = std::fs::remove_file(&qs);
         let _ = std::fs::remove_file(&ss);
         assert!(query_entries > 0 && scan_entries > 0);
+        assert!(scan_function_records > 0 && scan_store.file_records() > 0);
         Fixture {
             reference,
             query_gen1,
@@ -134,6 +139,7 @@ fn fixture() -> &'static Fixture {
             scan_gen1,
             scan_gen2,
             scan_entries,
+            scan_function_records,
         }
     })
 }
@@ -212,11 +218,12 @@ proptest! {
         }
         // Surviving function records replay and missing ones recompute —
         // either way the stream matches the reference run, and the replay
-        // count is exactly the salvaged record count (never a phantom or
-        // wrong-function replay).
+        // count is exactly the salvaged function-record count (never a
+        // phantom or wrong-function replay), whether or not the file
+        // records survived.
         let (events, stats) = scan(2, CheckerConfig::default().query_budget, None, Some(&path));
         prop_assert_eq!(&events, &fx.reference);
-        prop_assert_eq!(stats.functions_skipped as u64, loaded);
+        prop_assert_eq!(stats.functions_skipped as u64, store.function_records());
 
         store.save().expect("healing save");
         let healed = ScanStore::open(&path).expect("healed open");
@@ -284,11 +291,18 @@ fn salvaged_store_never_merges() {
     }
 }
 
-/// Flip bit 7 of one byte in the first entry line of a saved store image,
-/// leaving that line invalid UTF-8. Writes the damaged file to a fresh
-/// path and returns it with the damaged line's byte offset.
-fn damage_first_entry(ext: &str, clean: &[u8]) -> (PathBuf, u64) {
-    let line = clean.iter().position(|&b| b == b'\n').expect("header line") + 1;
+/// Flip bit 7 of one byte in the first body line of a saved store image
+/// that starts with `prefix`, leaving that line invalid UTF-8. Writes the
+/// damaged file to a fresh path and returns it with the damaged line's
+/// byte offset.
+fn damage_first_entry(ext: &str, clean: &[u8], prefix: &str) -> (PathBuf, u64) {
+    let header = clean.iter().position(|&b| b == b'\n').expect("header line") + 1;
+    let line = header
+        + clean[header..]
+            .split(|&b| b == b'\n')
+            .take_while(|l| !l.starts_with(prefix.as_bytes()))
+            .map(|l| l.len() + 1)
+            .sum::<usize>();
     let path = temp_path(ext);
     std::fs::write(&path, flip_bit(clean, line + 5, 7)).unwrap();
     (path, line as u64)
@@ -317,7 +331,7 @@ fn assert_merge_refuses_salvage(
 #[test]
 fn non_utf8_query_store_line_is_salvaged() {
     let fx = fixture();
-    let (path, offset) = damage_first_entry("qs", &fx.query_gen2);
+    let (path, offset) = damage_first_entry("qs", &fx.query_gen2, "");
     let store = DiskQueryStore::open(&path).expect("damaged open must not error");
     assert!(!store.was_invalidated());
     assert_eq!(store.loaded_entries(), fx.query_entries - 1);
@@ -344,11 +358,12 @@ fn non_utf8_query_store_line_is_salvaged() {
 }
 
 /// The same for the scan store, where the damaged `F` line takes its
-/// whole function record with it: every other record replays.
+/// whole function record with it: every other record replays, and the
+/// file whose record it was compiles again.
 #[test]
 fn non_utf8_scan_store_record_is_salvaged() {
     let fx = fixture();
-    let (path, offset) = damage_first_entry("ss", &fx.scan_gen2);
+    let (path, offset) = damage_first_entry("ss", &fx.scan_gen2, "F g");
     let store = ScanStore::open(&path).expect("damaged open must not error");
     assert!(!store.was_invalidated());
     assert_eq!(store.loaded_entries(), fx.scan_entries - 1);
@@ -359,9 +374,10 @@ fn non_utf8_scan_store_record_is_salvaged() {
 
     let warm = temp_path("ss");
     std::fs::copy(&path, &warm).unwrap();
+    assert_eq!(store.function_records(), fx.scan_function_records - 1);
     let (events, stats) = scan(2, CheckerConfig::default().query_budget, None, Some(&warm));
     assert_eq!(events, fx.reference);
-    assert_eq!(stats.functions_skipped as u64, fx.scan_entries - 1);
+    assert_eq!(stats.functions_skipped as u64, fx.scan_function_records - 1);
 
     store.save().expect("healing save");
     let healed = ScanStore::open(&path).unwrap();
@@ -388,15 +404,19 @@ proptest! {
         let run = |jobs: usize| {
             let path = temp_path("ss");
             let (events, stats) = scan(jobs, budget, None, Some(&path));
-            let persisted = ScanStore::open(&path).unwrap().loaded_entries();
-            (events, stats, persisted, path)
+            let store = ScanStore::open(&path).unwrap();
+            let persisted = store.function_records();
+            (events, stats, persisted, store.file_records(), path)
         };
-        let (events1, stats1, persisted1, path1) = run(1);
-        let (events4, stats4, persisted4, path4) = run(4);
+        let (events1, stats1, persisted1, files1, path1) = run(1);
+        let (events4, stats4, persisted4, files4, path4) = run(4);
         prop_assert_eq!(&events1, &events4, "degraded runs must be byte-deterministic");
         prop_assert_eq!(stats1.timeouts, stats4.timeouts);
         prop_assert_eq!(stats1.degraded_modules, stats4.degraded_modules);
         prop_assert_eq!(persisted1, persisted4);
+        prop_assert_eq!(files1, files4);
+        // A file with a degraded function leaves no file record.
+        prop_assert_eq!(files1, (stats1.modules - stats1.degraded_modules) as u64);
         prop_assert!(persisted1 <= stats1.functions as u64);
         if stats1.timeouts > 0 {
             prop_assert!(

@@ -15,8 +15,8 @@
 
 use proptest::prelude::*;
 use stack_repro::core::{
-    content_key, shard_assignment, AnalysisSession, CheckStats, CheckerConfig, ScanEvent,
-    ScanPipeline, ScanSource, ScanStore, ScanTask,
+    content_key, file_replay_key, shard_assignment, AnalysisSession, CheckStats, CheckerConfig,
+    ScanEvent, ScanPipeline, ScanSource, ScanStore, ScanTask,
 };
 use stack_repro::corpus::{
     churn_functions_count, duplicate_files, generate_archive, ArchiveConfig, ArchiveFile,
@@ -63,6 +63,13 @@ impl Default for Scan<'_> {
 /// Run one archive scan under `opts`: the ordered event stream (reports
 /// and failures alike) plus the session's aggregate stats.
 fn scan(files: &[ArchiveFile], opts: &Scan) -> (Vec<String>, CheckStats) {
+    let (events, stats, _) = scan_counting_files(files, opts);
+    (events, stats)
+}
+
+/// [`scan`], also returning how many files replayed from their file
+/// records without being compiled.
+fn scan_counting_files(files: &[ArchiveFile], opts: &Scan) -> (Vec<String>, CheckStats, usize) {
     let tasks: Vec<ScanTask> = files
         .iter()
         .map(|f| ScanTask {
@@ -85,7 +92,7 @@ fn scan(files: &[ArchiveFile], opts: &Scan) -> (Vec<String>, CheckStats) {
         pipeline = pipeline.with_scan_store(Arc::clone(store));
     }
     let mut events = Vec::new();
-    pipeline.run(&tasks, &mut |event| {
+    let outcome = pipeline.run(&tasks, &mut |event| {
         events.push(match event {
             ScanEvent::Report(r) => format!("report {r:?}"),
             ScanEvent::Failure { name, error } => format!("failure {name}: {error}"),
@@ -98,7 +105,7 @@ fn scan(files: &[ArchiveFile], opts: &Scan) -> (Vec<String>, CheckStats) {
             .save()
             .expect("save scan store");
     }
-    (events, session.stats())
+    (events, session.stats(), outcome.files_replayed)
 }
 
 /// Per-file function-level diff between two versions of one population:
@@ -259,9 +266,13 @@ fn differential_matrix_covers_sharded_degraded_and_faulted_scans() {
     let merged = temp_path();
     let merge_stats =
         ScanStore::merge(&merged, &shard_paths, None).expect("merge shard scan stores");
-    assert_eq!(merge_stats.entries_out, total as u64);
+    let files = churn.files.len();
+    let merged_store = ScanStore::open(&merged).expect("open merged store");
+    assert_eq!(merged_store.function_records(), total as u64);
+    assert_eq!(merged_store.file_records(), files as u64);
+    assert_eq!(merge_stats.entries_out, (total + files) as u64);
     for jobs in [1, 4] {
-        let (events, stats) = scan(
+        let (events, stats, files_replayed) = scan_counting_files(
             &churn.files,
             &Scan {
                 jobs,
@@ -271,6 +282,7 @@ fn differential_matrix_covers_sharded_degraded_and_faulted_scans() {
         );
         assert_eq!(events, reference, "merged warm scan (jobs {jobs})");
         assert_eq!(stats.functions_skipped, total, "full replay (jobs {jobs})");
+        assert_eq!(files_replayed, files, "jobs {jobs}");
         assert_eq!(stats.queries, 0, "jobs {jobs}");
     }
 
@@ -379,12 +391,13 @@ proptest! {
         let (_, base_stats) = scan(&base, &Scan::default());
 
         let store_path = temp_path();
-        let (events, stats) = scan(&dup, &Scan {
+        let (events, stats, files_replayed) = scan_counting_files(&dup, &Scan {
             store: Some(&store_path),
             save: true,
             ..Scan::default()
         });
         prop_assert_eq!(&events, &reference);
+        prop_assert_eq!(files_replayed, copies, "every copy replays without compiling");
         prop_assert_eq!(
             stats.queries,
             base_stats.queries,
@@ -397,7 +410,8 @@ proptest! {
             "every duplicated function replays"
         );
         let store = ScanStore::open(&store_path).unwrap();
-        prop_assert_eq!(store.loaded_entries(), unique_fns as u64, "one record per unique function");
+        prop_assert_eq!(store.function_records(), unique_fns as u64, "one record per unique function");
+        prop_assert_eq!(store.file_records(), base.len() as u64, "one record per unique file");
         std::fs::remove_file(&store_path).unwrap();
     }
 }
@@ -450,10 +464,13 @@ fn duplicated_files_across_shards_merge_and_replay() {
         "the vendored shard must collide with the originals: {stats:?}"
     );
     let unique_fns: u64 = (reference_stats.functions - vendored.len() * 5) as u64;
-    assert_eq!(stats.entries_out, unique_fns);
+    let merged_store = ScanStore::open(&merged).expect("open merged store");
+    assert_eq!(merged_store.function_records(), unique_fns);
+    assert_eq!(merged_store.file_records(), base.len() as u64);
+    assert_eq!(stats.entries_out, unique_fns + base.len() as u64);
 
     for jobs in [1, 4] {
-        let (events, warm_stats) = scan(
+        let (events, warm_stats, files_replayed) = scan_counting_files(
             &dup,
             &Scan {
                 jobs,
@@ -463,9 +480,237 @@ fn duplicated_files_across_shards_merge_and_replay() {
         );
         assert_eq!(events, reference, "merged warm scan (jobs {jobs})");
         assert_eq!(warm_stats.functions_skipped, reference_stats.functions);
+        assert_eq!(files_replayed, dup.len(), "jobs {jobs}");
         assert_eq!(warm_stats.queries, 0, "jobs {jobs}");
     }
     for path in [shard_a, shard_b, merged] {
         std::fs::remove_file(path).unwrap();
     }
+}
+
+/// A file record is only a shortcut to function records. When records it
+/// names are gone — salvaged away from a damaged store, or compacted while
+/// the file record stayed live — the byte-identical file compiles again,
+/// streams exactly the cold scan's bytes, and records what it lost, so the
+/// next scan replays it without compiling.
+#[test]
+fn file_records_whose_function_records_are_gone_compile_again() {
+    let cfg = ArchiveConfig {
+        packages: 3,
+        seed: 0xF11E,
+        ..ArchiveConfig::default()
+    };
+    let files = generate_archive(&cfg);
+    let (reference, reference_stats) = scan(&files, &Scan::default());
+    let functions = reference_stats.functions;
+    let clean = temp_path();
+    scan(
+        &files,
+        &Scan {
+            jobs: 2,
+            store: Some(&clean),
+            save: true,
+            ..Scan::default()
+        },
+    );
+    let store_path = temp_path();
+    // Run `files` against the store at `store_path` (saving it when
+    // `save`), check the stream, and return (functions replayed, files
+    // replayed without compiling, queries).
+    let rescan = |jobs: usize, save: bool| {
+        let (events, stats, files_replayed) = scan_counting_files(
+            &files,
+            &Scan {
+                jobs,
+                store: Some(&store_path),
+                save,
+                ..Scan::default()
+            },
+        );
+        assert_eq!(events, reference, "jobs {jobs}");
+        (stats.functions_skipped, files_replayed, stats.queries)
+    };
+
+    // Salvaged away: one function record's opening line no longer
+    // verifies, so the record drops with its report lines. Its file keeps
+    // its file record but compiles; its siblings replay.
+    let mut damaged = std::fs::read(&clean).unwrap();
+    let first_function = damaged.windows(4).position(|w| w == b"\nF g").unwrap() + 1;
+    damaged[first_function + 10] ^= 1;
+    std::fs::write(&store_path, &damaged).unwrap();
+    let store = ScanStore::open(&store_path).unwrap();
+    assert!(store.salvage().is_some());
+    assert_eq!(store.function_records(), functions as u64 - 1);
+    assert_eq!(store.file_records(), files.len() as u64);
+    for jobs in [1, 4] {
+        let (skipped, replayed, _) = rescan(jobs, false);
+        assert_eq!((skipped, replayed), (functions - 1, files.len() - 1));
+    }
+    rescan(2, true);
+    assert_eq!(rescan(1, false), (functions, files.len(), 0), "healed");
+
+    // Compacted away: a generation that touched only the file records,
+    // saved with a one-generation horizon, keeps them and prunes every
+    // function record they name. Every file compiles again.
+    std::fs::copy(&clean, &store_path).unwrap();
+    let store = ScanStore::open(&store_path).unwrap();
+    let config = CheckerConfig::default();
+    for file in &files {
+        assert!(store
+            .lookup_file(file_replay_key(file.source.as_bytes(), &config))
+            .is_some());
+    }
+    store.set_compaction(Some(1));
+    store.save().unwrap();
+    assert_eq!(
+        (store.function_records(), store.file_records()),
+        (0, files.len() as u64)
+    );
+    for jobs in [1, 4] {
+        let (skipped, replayed, queries) = rescan(jobs, false);
+        assert_eq!((skipped, replayed), (0, 0), "jobs {jobs}");
+        assert!(queries > 0);
+    }
+    rescan(2, true);
+    assert_eq!(rescan(1, false), (functions, files.len(), 0), "re-recorded");
+    for path in [clean, store_path] {
+        std::fs::remove_file(path).unwrap();
+    }
+}
+
+/// File records ride the distributed scan: three content-keyed shards each
+/// record their files' file records, the merge unions them, and a full warm
+/// re-scan from the merged store replays every file without compiling it,
+/// at every width.
+#[test]
+fn file_records_carry_through_a_three_shard_scan_and_merge() {
+    const SHARDS: usize = 3;
+    let cfg = ArchiveConfig {
+        packages: 4,
+        seed: 0x3_5A4D,
+        ..ArchiveConfig::default()
+    };
+    let files = generate_archive(&cfg);
+    let (reference, reference_stats) = scan(&files, &Scan::default());
+    let shard_paths: Vec<PathBuf> = (0..SHARDS).map(|_| temp_path()).collect();
+    for (shard, path) in shard_paths.iter().enumerate() {
+        let part: Vec<ArchiveFile> = files
+            .iter()
+            .filter(|f| shard_assignment(content_key(f.source.as_bytes()), SHARDS) == shard)
+            .cloned()
+            .collect();
+        assert!(!part.is_empty(), "shard {shard} must draw files");
+        let (_, _, replayed) = scan_counting_files(
+            &part,
+            &Scan {
+                jobs: 2,
+                store: Some(path),
+                save: true,
+                ..Scan::default()
+            },
+        );
+        assert_eq!(replayed, 0, "a cold shard compiles every file");
+        assert_eq!(
+            ScanStore::open(path).unwrap().file_records(),
+            part.len() as u64
+        );
+    }
+    let merged = temp_path();
+    let stats = ScanStore::merge(&merged, &shard_paths, None).expect("merge shard scan stores");
+    assert_eq!(stats.duplicates, 0, "shards are disjoint");
+    assert_eq!(
+        ScanStore::open(&merged).unwrap().file_records(),
+        files.len() as u64
+    );
+    for jobs in [1, 4] {
+        let (events, stats, replayed) = scan_counting_files(
+            &files,
+            &Scan {
+                jobs,
+                store: Some(&merged),
+                ..Scan::default()
+            },
+        );
+        assert_eq!(events, reference, "jobs {jobs}");
+        assert_eq!(replayed, files.len(), "jobs {jobs}");
+        assert_eq!(stats.functions_skipped, reference_stats.functions);
+        assert_eq!(stats.queries, 0, "jobs {jobs}");
+    }
+    for path in shard_paths.into_iter().chain([merged]) {
+        std::fs::remove_file(path).unwrap();
+    }
+}
+
+/// A file with a budget-degraded function never gets a file record: its
+/// report set reflects the budget, not the file. The next run at the same
+/// budget compiles and re-analyzes it, while every clean file replays
+/// without compiling.
+#[test]
+fn budget_degraded_file_leaves_no_file_record_and_reanalyzes() {
+    let mut files = generate_archive(&ArchiveConfig {
+        packages: 2,
+        seed: 0xDE6_0ADE,
+        ..ArchiveConfig::default()
+    });
+    // Multiplication guards are decided only by the SAT core, so a small
+    // budget degrades this file.
+    files.insert(
+        files.len() / 2,
+        ArchiveFile {
+            package: "mul".to_string(),
+            name: "mul/guards.c".to_string(),
+            source: "int f(int x, int y) { int p = x * 3; if (p / 3 != x) return 1; \
+                     int q = y * 5; if (q / 5 != y) return 2; return x / y; }\n\
+                     int h(int x) { return x; }\n"
+                .to_string(),
+            injected: 0,
+        },
+    );
+    let budget = 99;
+    let (reference, reference_stats) = scan(
+        &files,
+        &Scan {
+            query_budget: budget,
+            ..Scan::default()
+        },
+    );
+    let degraded = reference_stats.degraded_modules;
+    assert!(
+        degraded > 0 && degraded < files.len(),
+        "the budget must bite some files, not all: {reference_stats:?}"
+    );
+    let store_path = temp_path();
+    scan(
+        &files,
+        &Scan {
+            jobs: 2,
+            store: Some(&store_path),
+            save: true,
+            query_budget: budget,
+            ..Scan::default()
+        },
+    );
+    let store = ScanStore::open(&store_path).unwrap();
+    assert_eq!(store.file_records(), (files.len() - degraded) as u64);
+    let recorded = store.function_records();
+    assert!(recorded < reference_stats.functions as u64);
+    for jobs in [1, 4] {
+        let (events, stats, replayed) = scan_counting_files(
+            &files,
+            &Scan {
+                jobs,
+                store: Some(&store_path),
+                query_budget: budget,
+                ..Scan::default()
+            },
+        );
+        assert_eq!(events, reference, "jobs {jobs}");
+        assert_eq!(replayed, files.len() - degraded, "jobs {jobs}");
+        assert_eq!(stats.functions_skipped as u64, recorded, "jobs {jobs}");
+        assert_eq!(
+            stats.degraded_modules, degraded,
+            "re-analyzed under the budget (jobs {jobs})"
+        );
+    }
+    std::fs::remove_file(&store_path).unwrap();
 }

@@ -52,10 +52,11 @@ fn query_store_format_is_pinned() {
 }
 
 const SCAN_STORE_FILE: &str = "\
-stack-scan-store v4 enc2 fpr2 gen1
+stack-scan-store v5 enc2 fpr2 gen1
 F g1 00000000000000000000000000000007 r2 !87651fa6
 R elim 12 0 tun%20chr_poll %01 100%25%20gone%20%40%20exit u null@%01:3 u integer@lib/x%40y.c:9 !59c3f6f1
 R bool 14 1 f%c3%a9 other.c always%20true !763e211f
+M g1 00000000000000000000000000000042 n2 00000000000000000000000000000007 fffffffffffffffffffffffffffffffe !82b9a9cd
 F g1 fffffffffffffffffffffffffffffffe r0 !81bc9211
 ";
 
@@ -100,13 +101,20 @@ fn scan_store_format_is_pinned() {
     let record = FunctionRecord::normalized(&reports_under("drv/tun.c"), "drv/tun.c");
     store.insert(u128::MAX - 1, FunctionRecord::normalized(&[], "drv/tun.c"));
     store.insert(7, record.clone());
-    assert_eq!(store.save().unwrap(), 2);
+    store.insert_file(0x42, vec![7, u128::MAX - 1].into_boxed_slice());
+    assert_eq!(store.save().unwrap(), 3);
     assert_eq!(std::fs::read_to_string(&path).unwrap(), SCAN_STORE_FILE);
 
     std::fs::write(&path, SCAN_STORE_FILE).unwrap();
     let store = ScanStore::open(&path).unwrap();
     assert!(!store.was_invalidated() && store.salvage().is_none());
-    assert_eq!(store.loaded_entries(), 2);
+    assert_eq!(store.loaded_entries(), 3);
+    assert_eq!((store.function_records(), store.file_records()), (2, 1));
+    assert_eq!(
+        store.lookup_file(0x42).as_deref(),
+        Some(&[7, u128::MAX - 1][..]),
+        "pinned file record loads"
+    );
     let loaded = store.lookup(7).expect("pinned record loads");
     assert_eq!(loaded, record);
     assert_eq!(loaded.replay("b/copy.c"), reports_under("b/copy.c"));
