@@ -64,8 +64,8 @@ use serde::Serialize;
 use stack_bench::{no_positionals, positionals};
 use stack_core::scanstore::ScanCodec;
 use stack_core::{
-    AnalysisSession, Checker, CheckerConfig, ScanEvent, ScanPipeline, ScanSource, ScanStore,
-    ScanSummary, ScanTask,
+    faultinject, AnalysisSession, Checker, CheckerConfig, ScanEvent, ScanPipeline, ScanSource,
+    ScanStore, ScanSummary, ScanTask,
 };
 use stack_opt::{lowest_discarding_level, survey_compilers};
 use stack_solver::recordfile::Codec;
@@ -501,6 +501,11 @@ fn cmd_scan(args: &[String]) -> ExitCode {
     let mut pipeline = ScanPipeline::new(&session, opts.jobs);
     if let Some(scan_store) = &scan_store {
         pipeline = pipeline.with_scan_store(Arc::clone(scan_store));
+    }
+    if let Ok(fragment) = std::env::var(faultinject::PANIC_ENV) {
+        if !fragment.is_empty() {
+            pipeline = pipeline.with_injected_panic(fragment);
+        }
     }
     let outcome = pipeline.run(&tasks, &mut |event| match event {
         ScanEvent::Report(report) => {
@@ -1185,7 +1190,7 @@ fn cmd_survey(args: &[String]) -> ExitCode {
     let src = "int f(int x) { if (x + 100 < x) return 1; return 0; }";
     println!("check: if (x + 100 < x)");
     for profile in survey_compilers() {
-        let level = lowest_discarding_level(src, "f", &profile);
+        let level = lowest_discarding_level(src, &profile);
         println!(
             "  {:<18} {}",
             profile.name,

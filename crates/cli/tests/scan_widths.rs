@@ -22,19 +22,68 @@ fn scan(dir: &Path, extra: &[&str]) -> String {
     String::from_utf8(output.stdout).expect("stdout is UTF-8")
 }
 
-/// The `--json` summary without the fields that name the width or time
+/// Every key of the `--json` summary, in order: the shape `stack scan
+/// --json` keeps, since `jq -S` and key-based readers would not notice a
+/// reorder.
+const SUMMARY_KEYS: [&str; 36] = [
+    "files",
+    "failures",
+    "modules_skipped",
+    "functions_skipped",
+    "files_replayed",
+    "functions",
+    "reports",
+    "queries",
+    "degraded_queries",
+    "degraded_modules",
+    "timeouts",
+    "propagations",
+    "conflicts",
+    "restarts",
+    "learned_clauses",
+    "deleted_clauses",
+    "avg_lbd",
+    "sat_queries",
+    "unsat_queries",
+    "simulated",
+    "cores_recorded",
+    "avg_core_size",
+    "minimization_queries_saved",
+    "unsat_propagations",
+    "incremental_queries",
+    "reused_clauses",
+    "store_hits",
+    "store_misses",
+    "store_hit_rate",
+    "cache_file_loaded_entries",
+    "scan_cache_loaded_entries",
+    "jobs",
+    "rerun_tasks",
+    "shard_index",
+    "shard_count",
+    "elapsed_ms",
+];
+
+/// Run `stack scan --json` with `extra` flags: the summary's keys in
+/// order, and the summary without the fields that name the width or time
 /// the run.
-fn json_summary(dir: &Path, extra: &[&str]) -> String {
+fn json_summary(dir: &Path, extra: &[&str]) -> (Vec<String>, String) {
     let json = scan(dir, &[extra, &["--json"]].concat());
-    assert!(json.contains("\"degraded_queries\""), "{json}");
-    json.lines()
+    let keys = json
+        .lines()
+        .filter_map(|line| line.trim_start().strip_prefix('"')?.split_once('"'))
+        .map(|(key, _)| key.to_string())
+        .collect();
+    let summary = json
+        .lines()
         .filter(|line| {
             !["\"elapsed_ms\"", "\"jobs\"", "\"rerun_tasks\""]
                 .iter()
                 .any(|field| line.contains(field))
         })
         .collect::<Vec<_>>()
-        .join("\n")
+        .join("\n");
+    (keys, summary)
 }
 
 #[test]
@@ -55,14 +104,15 @@ fn budget_degraded_scan_output_is_the_same_at_every_width() {
     let reports = |jobs: &[&str]| scan(&archive, &[jobs, &["--out", summary]].concat());
     let sequential = reports(&["--jobs", "1"]);
     assert!(!sequential.is_empty(), "the archive must produce reports");
-    let sequential_json = json_summary(&archive, &["--jobs", "1"]);
+    let (keys, sequential_json) = json_summary(&archive, &["--jobs", "1"]);
+    assert_eq!(keys, SUMMARY_KEYS);
     assert!(
         !sequential_json.contains("\"degraded_queries\": 0,"),
         "budget 50 must degrade some queries: {sequential_json}"
     );
     for jobs in [&[][..], &["--jobs", "4"][..]] {
         assert_eq!(sequential, reports(jobs), "{jobs:?}");
-        assert_eq!(sequential_json, json_summary(&archive, jobs), "{jobs:?}");
+        assert_eq!(sequential_json, json_summary(&archive, jobs).1, "{jobs:?}");
     }
 
     // Both stores, filled from a second archive, then carried through a

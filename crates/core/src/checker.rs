@@ -27,12 +27,10 @@
 //! instance. Parallel work happens across files, in
 //! [`ScanPipeline`](crate::ScanPipeline).
 
-use crate::report::{Algorithm, BugReport};
+use crate::report::BugReport;
 use crate::session::AnalysisSession;
 use stack_ir::Module;
 use stack_solver::CacheStats;
-use std::collections::HashMap;
-use std::time::Duration;
 
 /// Checker configuration. No field selects how a query is solved: a query
 /// the store and simulation leave open is decided on the function's one
@@ -74,160 +72,11 @@ impl Default for CheckerConfig {
     }
 }
 
-/// Aggregate statistics of a checker run (drives the Figure 16 columns).
-/// Also the unit of [`AnalysisSession`]'s cross-module aggregate: see
-/// [`CheckStats::merge`].
-#[derive(Clone, Debug, Default)]
-pub struct CheckStats {
-    /// Number of modules these statistics cover (1 for a single
-    /// `check_module` call; the number of modules checked so far for a
-    /// session aggregate).
-    pub modules: usize,
-    /// Modules whose results were replayed from a persisted scan store
-    /// (fingerprint hit) instead of analyzed — the incremental re-scan
-    /// counter. Always ≤ `modules`; 0 outside scan-store-backed pipelines.
-    pub modules_skipped: usize,
-    /// Number of functions covered (analyzed or replayed).
-    pub functions: usize,
-    /// Functions whose reports were replayed from a persisted scan store
-    /// (per-function replay-key hit) instead of analyzed — the
-    /// function-granular incremental re-scan counter. Always ≤ `functions`;
-    /// 0 outside scan-store-backed pipelines.
-    pub functions_skipped: usize,
-    /// Total solver queries issued.
-    pub queries: u64,
-    /// Degraded queries: queries that exhausted their propagation budget and
-    /// were answered `Unknown`. The checker
-    /// treats an `Unknown` conservatively — never a report, never cached,
-    /// never persisted.
-    pub timeouts: u64,
-    /// Modules with at least one degraded (budget-exhausted) query. Such a
-    /// module's report set reflects the budget, not just the module, so it
-    /// is never recorded in the scan store. Always ≤ `modules`.
-    pub degraded_modules: usize,
-    /// Queries answered from the shared query store.
-    pub cache_hits: u64,
-    /// Queries that consulted the store and missed.
-    pub cache_misses: u64,
-    /// Total SAT-core propagations across all queries. This is the
-    /// deterministic currency solver budgets are denominated in, and the
-    /// `solver_speed` benchmark's measure of raw solver work.
-    pub propagations: u64,
-    /// SAT-core propagations spent on queries that ended `Unsat`.
-    pub unsat_propagations: u64,
-    /// Total SAT-core conflicts across all queries.
-    pub conflicts: u64,
-    /// Total SAT-core restarts across all queries.
-    pub restarts: u64,
-    /// Clauses learned by conflict analysis across all queries.
-    pub learned_clauses: u64,
-    /// Learned clauses evicted by clause-database reduction.
-    pub deleted_clauses: u64,
-    /// Sum of learn-time literal-block-distance values over all learned
-    /// clauses; `lbd_sum / learned_clauses` is the average glue.
-    pub lbd_sum: u64,
-    /// Queries decided in the SAT core, on their function's persistent
-    /// instance.
-    pub incremental_queries: u64,
-    /// Clause slots already loaded when those queries started, reused
-    /// instead of re-blasted (summed over queries; the clause-reuse counter
-    /// of the solver layer).
-    pub reused_clauses: u64,
-    /// Queries answered `Sat`. Together with
-    /// `unsat_queries`, `timeouts`, and `simulated` this is the per-scan
-    /// verdict breakdown.
-    pub sat_queries: u64,
-    /// Queries answered `Unsat`.
-    pub unsat_queries: u64,
-    /// Store misses answered `Sat` by simulation, without reaching the SAT
-    /// core (a subset of `sat_queries`).
-    pub simulated: u64,
-    /// Always 0: the SAT core keeps no model cache. The field stays because
-    /// the `perfbench` scan benchmark reads it.
-    pub model_cache_hits: u64,
-    /// Always 0: no query is answered from memoized assumption cores. The
-    /// field stays because the `perfbench` scan benchmark reads it.
-    pub core_cache_hits: u64,
-    /// Assumption cores extracted after `Unsat` answers.
-    pub cores_recorded: u64,
-    /// Sum of literal counts over recorded cores (`core_size_sum /
-    /// cores_recorded` is the average core size).
-    pub core_size_sum: u64,
-    /// Minimal-UB-set queries skipped because an extracted assumption core
-    /// already proved them `Unsat`.
-    pub minimization_queries_saved: u64,
-    /// Wall-clock analysis time (summed across modules for an aggregate).
-    pub elapsed: Duration,
-    /// Reports per algorithm.
-    pub by_algorithm: HashMap<Algorithm, usize>,
-}
-
-impl CheckStats {
-    /// Fraction of queries answered from the store (0 when none consulted).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Average learn-time literal-block-distance across all learned clauses
-    /// (0 when nothing was learned).
-    pub fn avg_lbd(&self) -> f64 {
-        if self.learned_clauses == 0 {
-            0.0
-        } else {
-            self.lbd_sum as f64 / self.learned_clauses as f64
-        }
-    }
-
-    /// Average literal count of recorded assumption cores (0 when none were
-    /// recorded).
-    pub fn avg_core_size(&self) -> f64 {
-        if self.cores_recorded == 0 {
-            0.0
-        } else {
-            self.core_size_sum as f64 / self.cores_recorded as f64
-        }
-    }
-
-    /// Fold another run's counters into this one (the session aggregate):
-    /// counts and times add, and the per-algorithm report counts merge
-    /// keywise.
-    pub fn merge(&mut self, other: &CheckStats) {
-        self.modules += other.modules;
-        self.modules_skipped += other.modules_skipped;
-        self.functions += other.functions;
-        self.functions_skipped += other.functions_skipped;
-        self.queries += other.queries;
-        self.timeouts += other.timeouts;
-        self.degraded_modules += other.degraded_modules;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.propagations += other.propagations;
-        self.unsat_propagations += other.unsat_propagations;
-        self.conflicts += other.conflicts;
-        self.restarts += other.restarts;
-        self.learned_clauses += other.learned_clauses;
-        self.deleted_clauses += other.deleted_clauses;
-        self.lbd_sum += other.lbd_sum;
-        self.incremental_queries += other.incremental_queries;
-        self.reused_clauses += other.reused_clauses;
-        self.sat_queries += other.sat_queries;
-        self.unsat_queries += other.unsat_queries;
-        self.simulated += other.simulated;
-        self.model_cache_hits += other.model_cache_hits;
-        self.cores_recorded += other.cores_recorded;
-        self.core_size_sum += other.core_size_sum;
-        self.minimization_queries_saved += other.minimization_queries_saved;
-        self.elapsed += other.elapsed;
-        for (algorithm, count) in &other.by_algorithm {
-            *self.by_algorithm.entry(*algorithm).or_insert(0) += count;
-        }
-    }
-}
+/// The pipeline's one counter struct, declared in `stack-solver` so the SAT
+/// core and the query layer count into it too. The checker counts
+/// `modules`, `functions` and `degraded_modules`; [`AnalysisSession`] sums
+/// it across modules with [`CheckStats::merge`].
+pub use stack_solver::CheckStats;
 
 /// Result of checking a module.
 #[derive(Clone, Debug, Default)]
@@ -290,6 +139,7 @@ impl Checker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Algorithm;
     use crate::ubcond::UbKind;
 
     fn check(src: &str) -> CheckResult {
@@ -473,24 +323,19 @@ mod tests {
         assert_eq!(result.stats.functions, 1);
         assert!(result.stats.queries >= 2);
         assert_eq!(result.stats.timeouts, 0);
-        assert!(result.stats.by_algorithm.values().sum::<usize>() >= 1);
+        assert!(!result.reports.is_empty());
     }
 
     #[test]
-    fn stats_merge_adds_counts_and_merges_algorithms() {
+    fn stats_merge_adds_counts() {
         let a = check("int f(int x) { if (x + 1 < x) return 1; return 0; }");
         let b = check("int g(int *p) { int v = *p; if (!p) return 1; return v; }");
-        let mut merged = a.stats.clone();
+        assert!(!a.reports.is_empty() && !b.reports.is_empty());
+        let mut merged = a.stats;
         merged.merge(&b.stats);
         assert_eq!(merged.modules, 2);
         assert_eq!(merged.functions, 2);
         assert_eq!(merged.queries, a.stats.queries + b.stats.queries);
-        assert_eq!(
-            merged.by_algorithm.values().sum::<usize>(),
-            a.stats.by_algorithm.values().sum::<usize>()
-                + b.stats.by_algorithm.values().sum::<usize>()
-        );
-        assert!(merged.elapsed >= a.stats.elapsed.max(b.stats.elapsed));
     }
 
     /// A module with several functions, mixing unstable and stable code, two

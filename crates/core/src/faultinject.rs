@@ -12,14 +12,14 @@
 //!   flipped bit ([`flip_bit`]). Tests apply these to a saved store file
 //!   and re-open it to prove the salvage path either recovers the intact
 //!   entries or cleanly restarts — never serves a wrong answer.
-//! * **Panic injection** — [`maybe_injected_panic`] panics when the
-//!   [`PANIC_ENV`] environment variable names a fragment of the current
-//!   module, exercising the scan pipeline's `catch_unwind` containment
-//!   boundary from outside the process (CI corrupts nothing in the binary;
-//!   it just arms the variable and scans). In-process tests use
+//! * **Panic injection** —
 //!   [`ScanPipeline::with_injected_panic`](crate::ScanPipeline::with_injected_panic)
-//!   instead, which scopes the fault to one pipeline and stays safe under
-//!   the test harness's thread-level parallelism.
+//!   panics while analyzing the modules whose names contain a fragment,
+//!   exercising the scan pipeline's `catch_unwind` containment boundary.
+//!   Tests arm it directly, scoped to one pipeline so the test harness's
+//!   thread-level parallelism stays safe. `stack scan` arms it from the
+//!   [`PANIC_ENV`] environment variable, so CI exercises the boundary from
+//!   outside the process without corrupting anything in the binary.
 
 /// Truncate `bytes` at `offset` — the on-disk outcome of a crash (or a
 /// torn copy) that stopped after `offset` bytes reached the file.
@@ -51,22 +51,10 @@ pub fn flip_bit(bytes: &[u8], index: usize, bit: u32) -> Vec<u8> {
     out
 }
 
-/// The environment variable arming panic injection: its value is matched
-/// as a substring against every scanned module's name, and a match
-/// panics the analysis of exactly those modules.
+/// The environment variable `stack scan` arms panic injection from: a
+/// non-empty value is matched as a substring against every scanned
+/// module's name, and a match panics the analysis of exactly those modules.
 pub const PANIC_ENV: &str = "STACK_FAULTINJECT_PANIC";
-
-/// Panic iff [`PANIC_ENV`] is set to a non-empty fragment of `name`.
-/// Called once per scan task, inside the pipeline's containment boundary,
-/// so an armed variable degrades the matching modules to `Failure` events
-/// instead of killing the scan.
-pub fn maybe_injected_panic(name: &str) {
-    if let Ok(pattern) = std::env::var(PANIC_ENV) {
-        if !pattern.is_empty() && name.contains(&pattern) {
-            panic!("injected fault: panic while analyzing {name}");
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {

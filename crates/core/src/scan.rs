@@ -95,7 +95,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Where one scan task's source comes from. Paths are read only when their
 /// turn comes, so one unreadable file fails that task, not the scan — and a
@@ -403,10 +403,11 @@ impl<'s> ScanPipeline<'s> {
     }
 
     /// Arm fault injection for this pipeline: analyzing any module whose
-    /// name contains `fragment` panics on purpose, exercising the
-    /// containment boundary. Scoped to this pipeline (unlike the
-    /// process-wide [`faultinject::PANIC_ENV`](crate::faultinject::PANIC_ENV)
-    /// variable), so concurrent tests never interfere.
+    /// name contains `fragment` panics on purpose, inside the containment
+    /// boundary, exercising it. The one injection path: `stack scan` arms
+    /// it from the [`faultinject::PANIC_ENV`](crate::faultinject::PANIC_ENV)
+    /// variable, and tests call it directly. Scoped to this pipeline, so
+    /// concurrent tests never interfere.
     pub fn with_injected_panic(mut self, fragment: impl Into<String>) -> ScanPipeline<'s> {
         self.panic_on = Some(fragment.into());
         self
@@ -565,7 +566,6 @@ impl<'s> ScanPipeline<'s> {
                 panic!("injected fault: panic while analyzing {name}");
             }
         }
-        crate::faultinject::maybe_injected_panic(name);
         let config = self.session.config();
         let file_key = self
             .scan_store
@@ -576,10 +576,8 @@ impl<'s> ScanPipeline<'s> {
                 // Equal bytes compile to equal functions, so the recorded
                 // keys are the ones compiling would compute.
                 Some(keys) if keys.iter().all(|&key| store.contains(key)) => {
-                    let start = Instant::now();
                     let replayed = keys.iter().map(|&key| store.lookup(key)).collect();
-                    let result =
-                        self.assemble(name, replayed, Vec::new(), CheckStats::default(), start);
+                    let result = self.assemble(name, replayed, Vec::new(), CheckStats::default());
                     staged.replayed_file = true;
                     return Ok(result);
                 }
@@ -595,7 +593,6 @@ impl<'s> ScanPipeline<'s> {
         };
         stack_opt::optimize_for_analysis(&mut module);
 
-        let start = Instant::now();
         let (keys, replayed): (Vec<FunctionKey>, Vec<Option<FunctionRecord>>) = match file_key {
             Some((store, _)) => {
                 let keys: Vec<FunctionKey> = module
@@ -642,22 +639,20 @@ impl<'s> ScanPipeline<'s> {
                 staged.file_record = Some((file_key, keys.into_boxed_slice()));
             }
         }
-        Ok(self.assemble(name, replayed, checks, stats, start))
+        Ok(self.assemble(name, replayed, checks, stats))
     }
 
     /// Re-assemble a module's raw report stream in function order —
     /// replays (`Some` slots of `replayed`) path-rewritten to this module's
     /// name, fresh analyses from `checks` — and apply the module-level
     /// dedup/suppression filter exactly as a cold analysis would. `stats`
-    /// are the fresh analyses'; the module and replay counts are added,
-    /// and the time since `start`.
+    /// are the fresh analyses'; the module and replay counts are added.
     fn assemble(
         &self,
         name: &str,
         replayed: Vec<Option<FunctionRecord>>,
         checks: Vec<FunctionCheck>,
         mut stats: CheckStats,
-        start: Instant,
     ) -> (Vec<BugReport>, CheckStats) {
         let skipped = replayed.iter().filter(|r| r.is_some()).count();
         let functions = replayed.len();
@@ -671,17 +666,14 @@ impl<'s> ScanPipeline<'s> {
                 None => fresh.remove(&i).unwrap_or_default(),
             })
             .collect();
-        let mut by_algorithm = HashMap::new();
         let mut reports = Vec::new();
         self.session
-            .filter_module_reports(raw, &mut by_algorithm, &mut |r| reports.push(r));
+            .filter_module_reports(raw, &mut |r| reports.push(r));
 
         stats.modules = 1;
         stats.modules_skipped = usize::from(skipped == functions && functions > 0);
         stats.functions += skipped;
         stats.functions_skipped = skipped;
-        stats.by_algorithm = by_algorithm;
-        stats.elapsed = start.elapsed();
         (reports, stats)
     }
 }
@@ -817,7 +809,7 @@ mod tests {
             "a full-skip re-scan never touches the solver"
         );
         assert_eq!(stats.functions, 2 * (tasks.len() - 1));
-        assert!(stats.by_algorithm.values().sum::<usize>() > 0);
+        assert!(warm.iter().any(|e| e.starts_with("Report")));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -169,11 +169,6 @@ impl FunctionBuilder {
         Operand::Inst(self.emit(InstKind::Cmp { pred, lhs, rhs }, Type::Bool))
     }
 
-    /// Comparison, with a source name attached (e.g. the original C check).
-    pub fn cmp_named(&mut self, pred: CmpPred, lhs: Operand, rhs: Operand, name: &str) -> Operand {
-        Operand::Inst(self.emit_named(InstKind::Cmp { pred, lhs, rhs }, Type::Bool, name))
-    }
-
     /// Equality against the null pointer (`!p` in C).
     pub fn is_null(&mut self, ptr: Operand) -> Operand {
         self.cmp(CmpPred::Eq, ptr, Operand::null())

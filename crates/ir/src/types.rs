@@ -35,8 +35,6 @@ impl Type {
     pub const I64: Type = Type::Int(64);
     /// 8-bit integer (`char`).
     pub const I8: Type = Type::Int(8);
-    /// 16-bit integer (`short`).
-    pub const I16: Type = Type::Int(16);
 
     /// Bit width of a value of this type when represented in the solver.
     pub fn bit_width(self) -> u32 {

@@ -65,16 +65,9 @@ pub fn run_profile(module: &mut Module, profile: &CompilerProfile, level: u8) ->
 /// For a single unstable-code example, find the lowest optimization level at
 /// which the profile discards (or rewrites) the check. Returns `None` if the
 /// check survives every level — the "–" entries of Figure 4.
-pub fn lowest_discarding_level(
-    source: &str,
-    function: &str,
-    profile: &CompilerProfile,
-) -> Option<u8> {
+pub fn lowest_discarding_level(source: &str, profile: &CompilerProfile) -> Option<u8> {
     for level in 0..=CompilerProfile::MAX_LEVEL {
         let mut module = stack_minic::compile(source, "survey.c").ok()?;
-        // Restrict to the function of interest, mirroring the paper's
-        // single-function test snippets.
-        let _ = function;
         let events = run_profile(&mut module, profile, level);
         if !events.is_empty() {
             return Some(level);
@@ -105,7 +98,7 @@ mod tests {
     #[test]
     fn aggressive_profile_discards_figure1_check() {
         let src = "int f(char *p) { if (p + 100 < p) return 1; return 0; }";
-        let level = lowest_discarding_level(src, "f", &most_aggressive());
+        let level = lowest_discarding_level(src, &most_aggressive());
         assert_eq!(level, Some(0));
     }
 
@@ -115,8 +108,8 @@ mod tests {
         let gcc295 = profiles.iter().find(|p| p.name == "gcc-2.95.3").unwrap();
         let ptr = "int f(char *p) { if (p + 100 < p) return 1; return 0; }";
         let signed_ = "int f(int x) { if (x + 100 < x) return 1; return 0; }";
-        assert_eq!(lowest_discarding_level(ptr, "f", gcc295), None);
-        assert_eq!(lowest_discarding_level(signed_, "f", gcc295), Some(1));
+        assert_eq!(lowest_discarding_level(ptr, gcc295), None);
+        assert_eq!(lowest_discarding_level(signed_, gcc295), Some(1));
     }
 
     #[test]
@@ -124,6 +117,6 @@ mod tests {
         let profiles = survey_compilers();
         let msvc = profiles.iter().find(|p| p.name == "msvc-11.0").unwrap();
         let src = "int f(int *p) { int v = *p; if (!p) return 1; return v; }";
-        assert_eq!(lowest_discarding_level(src, "f", msvc), Some(1));
+        assert_eq!(lowest_discarding_level(src, msvc), Some(1));
     }
 }

@@ -59,12 +59,6 @@ impl BitBlaster {
         BitBlaster::default()
     }
 
-    /// The SAT literals backing a free variable, if it appears in any blasted
-    /// term. Boolean variables have a single literal.
-    pub fn variable_bits(&self, name: &str) -> Option<&[Lit]> {
-        self.var_bits.get(name).map(|v| v.as_slice())
-    }
-
     /// All blasted variables and their literals.
     pub fn variables(&self) -> impl Iterator<Item = (&String, &Vec<Lit>)> {
         self.var_bits.iter()

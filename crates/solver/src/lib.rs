@@ -28,7 +28,9 @@
 //!   of `stack-core`: one entry table ([`recordfile::Table`]) and the file
 //!   that holds it ([`recordfile::RecordFile`]);
 //! * the stable 128-bit hash ([`cache::mix`], [`cache::mix_bytes`]) every
-//!   persisted key is built from.
+//!   persisted key is built from;
+//! * the one counter struct ([`stats::CheckStats`]) every layer from the
+//!   SAT core to the scan summary counts into.
 //!
 //! The checker builds elimination and simplification queries (paper §3.2) as
 //! boolean terms and asks [`solver::BvSolver::check`] for SAT/UNSAT; UNSAT
@@ -42,6 +44,7 @@ pub mod model;
 pub mod recordfile;
 pub mod sat;
 pub mod solver;
+pub mod stats;
 pub mod store;
 pub mod term;
 
@@ -53,7 +56,8 @@ pub use model::Model;
 pub use recordfile::{
     CacheStats, MergeError, MergeStats, RecordFile, SalvageReport, StoreInspection, Table,
 };
-pub use sat::{Budget, SatResult, SatSolver, SatStats};
-pub use solver::{free_variables, BvSolver, QueryResult, SolverStats};
+pub use sat::{Budget, SatResult, SatSolver};
+pub use solver::{free_variables, BvSolver, QueryResult};
+pub use stats::CheckStats;
 pub use store::{DiskQueryStore, QueryStore, ENCODING_REVISION, STORE_FORMAT_VERSION};
 pub use term::{mask, to_signed, Sort, Term, TermId, TermKind, TermPool, MAX_WIDTH};

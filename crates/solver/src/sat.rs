@@ -11,6 +11,7 @@
 
 use crate::cnf::{Clause, ClauseDb, ClauseRef};
 use crate::lit::{LBool, Lit, Var};
+use crate::stats::CheckStats;
 
 /// Result of a satisfiability query.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -60,29 +61,6 @@ impl Budget {
     }
 }
 
-/// Statistics accumulated across `solve` calls.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct SatStats {
-    /// Literals assigned by unit propagation.
-    pub propagations: u64,
-    /// Conflicts reached during search.
-    pub conflicts: u64,
-    /// Search restarts.
-    pub restarts: u64,
-    /// Clauses learned by conflict analysis.
-    pub learned_clauses: u64,
-    /// Learned clauses evicted by database reduction.
-    pub deleted_clauses: u64,
-    /// Sum of learn-time LBD over all learned clauses; the average glue is
-    /// `lbd_sum / learned_clauses`.
-    pub lbd_sum: u64,
-    /// Assumption cores extracted after `Unsat` answers.
-    pub cores_recorded: u64,
-    /// Sum of literal counts over recorded cores; the average core size is
-    /// `core_size_sum / cores_recorded`.
-    pub core_size_sum: u64,
-}
-
 /// The CDCL solver.
 pub struct SatSolver {
     clauses: ClauseDb,
@@ -107,7 +85,9 @@ pub struct SatSolver {
     seen: Vec<bool>,
     /// Whether the root-level formula is already known to be unsatisfiable.
     unsat: bool,
-    stats: SatStats,
+    /// The search counters of [`CheckStats`] this core owns (see
+    /// [`crate::stats`]).
+    stats: CheckStats,
     budget_propagations: u64,
     solve_propagations: u64,
     max_learned: usize,
@@ -143,7 +123,7 @@ impl SatSolver {
             heap_index: Vec::new(),
             seen: Vec::new(),
             unsat: false,
-            stats: SatStats::default(),
+            stats: CheckStats::default(),
             budget_propagations: u64::MAX,
             solve_propagations: 0,
             max_learned: 4000,
@@ -188,9 +168,14 @@ impl SatSolver {
         self.clauses.len()
     }
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> SatStats {
+    /// Statistics accumulated since the last [`take_stats`](Self::take_stats).
+    pub fn stats(&self) -> CheckStats {
         self.stats
+    }
+
+    /// The statistics accumulated since the last call, resetting them.
+    pub fn take_stats(&mut self) -> CheckStats {
+        std::mem::take(&mut self.stats)
     }
 
     /// Current truth value of a literal.

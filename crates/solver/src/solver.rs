@@ -38,6 +38,7 @@ use crate::cache::FingerprintMemo;
 use crate::lit::Lit;
 use crate::model::Model;
 use crate::sat::{Budget, SatResult, SatSolver};
+use crate::stats::CheckStats;
 use crate::store::QueryStore;
 use crate::term::{mask, Sort, TermId, TermKind, TermPool};
 use std::collections::HashMap;
@@ -71,60 +72,6 @@ impl QueryResult {
     }
 }
 
-/// Aggregate statistics across all queries issued through one [`BvSolver`].
-/// These feed the Figure 16 performance table (number of queries, timeouts).
-/// The SAT-level counters cover only queries that reached the SAT core.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct SolverStats {
-    /// Total queries issued.
-    pub queries: u64,
-    /// Queries answered SAT.
-    pub sat: u64,
-    /// Queries answered UNSAT.
-    pub unsat: u64,
-    /// Queries that exhausted their budget ("timeouts").
-    pub timeouts: u64,
-    /// Total SAT-level propagations across all queries, including those
-    /// made while a query's assertions were blasted into the instance.
-    pub propagations: u64,
-    /// SAT-level propagations spent on queries that ended `Unsat`.
-    pub unsat_propagations: u64,
-    /// Total conflicts across all queries.
-    pub conflicts: u64,
-    /// Total restarts across all queries.
-    pub restarts: u64,
-    /// Clauses learned by conflict analysis across all queries.
-    pub learned_clauses: u64,
-    /// Learned clauses evicted by clause-database reduction.
-    pub deleted_clauses: u64,
-    /// Sum of literal-block-distance values over all learned clauses;
-    /// `lbd_sum / learned_clauses` is the average glue.
-    pub lbd_sum: u64,
-    /// Queries answered from the attached [`QueryStore`] without
-    /// bit-blasting.
-    pub cache_hits: u64,
-    /// Queries that consulted the store and missed.
-    pub cache_misses: u64,
-    /// Queries decided in the SAT core: store misses simulation could not
-    /// answer, solved on the pool's persistent instance.
-    pub incremental_queries: u64,
-    /// Clause slots already loaded in the pool's instance when a SAT-core
-    /// query started, before it registered its own assertions — formula
-    /// reused across queries instead of re-emitted. Summed over SAT-core
-    /// queries.
-    pub reused_clauses: u64,
-    /// Queries answered `Sat` by simulation, without reaching the SAT core.
-    pub simulated: u64,
-    /// Assumption cores extracted after `Unsat` answers.
-    pub cores_recorded: u64,
-    /// Sum of literal counts over recorded cores; `core_size_sum /
-    /// cores_recorded` is the average core size.
-    pub core_size_sum: u64,
-    /// Queries the checker's minimal-UB-set loop skipped because the last
-    /// extracted assumption core already proved them `Unsat`.
-    pub minimization_queries_saved: u64,
-}
-
 /// The bit-vector solver: one persistent SAT instance for the [`TermPool`]
 /// it last saw, behind pre-solve simplification, an optional
 /// [`QueryStore`] and simulation (see the [module documentation](self)).
@@ -153,7 +100,9 @@ pub struct SolverStats {
 /// ```
 pub struct BvSolver {
     budget: Budget,
-    stats: SolverStats,
+    /// The query counters of [`CheckStats`] this layer owns, plus the SAT
+    /// core's work merged in query by query (see [`crate::stats`]).
+    stats: CheckStats,
     store: Option<Arc<dyn QueryStore>>,
     /// Epoch of the pool the fingerprint memo and the SAT instance below
     /// belong to ([`TermId`]s are pool-local). `None` before the first query.
@@ -198,7 +147,7 @@ impl BvSolver {
     pub fn with_budget(budget: Budget) -> BvSolver {
         BvSolver {
             budget,
-            stats: SolverStats::default(),
+            stats: CheckStats::default(),
             store: None,
             epoch: None,
             memo: FingerprintMemo::default(),
@@ -249,8 +198,10 @@ impl BvSolver {
         self
     }
 
-    /// Statistics accumulated so far.
-    pub fn stats(&self) -> SolverStats {
+    /// Statistics accumulated so far: every query's counters and the SAT
+    /// core's work on it. These feed the Figure 16 performance table
+    /// (number of queries, timeouts).
+    pub fn stats(&self) -> CheckStats {
         self.stats
     }
 
@@ -283,7 +234,7 @@ impl BvSolver {
         // Pre-solve simplification of the assertion conjunction.
         let mut simplified = match presimplify(pool, assertions) {
             Presimplified::Unsat(clash) => {
-                self.stats.unsat += 1;
+                self.stats.unsat_queries += 1;
                 // The clashing pair (or lone `false` conjunct) is an unsat
                 // core at the assertion level; expose it so the checker's
                 // minimization loop can seed from trivially-decided queries
@@ -292,7 +243,7 @@ impl BvSolver {
                 return QueryResult::Unsat;
             }
             Presimplified::Sat => {
-                self.stats.sat += 1;
+                self.stats.sat_queries += 1;
                 return QueryResult::Sat(Model::new());
             }
             Presimplified::Open(list) => list,
@@ -314,7 +265,7 @@ impl BvSolver {
                 self.stats.cache_hits += 1;
                 match &result {
                     QueryResult::Sat(model) => {
-                        self.stats.sat += 1;
+                        self.stats.sat_queries += 1;
                         // A cached model came from a structurally identical
                         // query, so it names the same variables; re-check it
                         // against this pool's terms in debug builds. An
@@ -327,7 +278,7 @@ impl BvSolver {
                             "cached model does not satisfy the assertions"
                         );
                     }
-                    QueryResult::Unsat => self.stats.unsat += 1,
+                    QueryResult::Unsat => self.stats.unsat_queries += 1,
                     QueryResult::Unknown => unreachable!("Unknown is never cached"),
                 }
                 return result;
@@ -342,10 +293,10 @@ impl BvSolver {
             self.solve(pool, assertions, &simplified)
         };
         match &outcome {
-            QueryResult::Unsat => self.stats.unsat += 1,
+            QueryResult::Unsat => self.stats.unsat_queries += 1,
             QueryResult::Unknown => self.stats.timeouts += 1,
             QueryResult::Sat(model) => {
-                self.stats.sat += 1;
+                self.stats.sat_queries += 1;
                 // Sanity-check the extracted model against term semantics in
                 // debug builds: every assertion must evaluate to true.
                 debug_assert!(
@@ -370,30 +321,21 @@ impl BvSolver {
         assertions: &[TermId],
         simplified: &[TermId],
     ) -> QueryResult {
-        // Snapshot before registering: blasting adds clauses at the root and
-        // propagates them, and that work belongs to this query.
-        let before = self.sat.stats();
         // Every clause slot loaded before this query's registrations was
         // paid for by an earlier query: reuse.
         self.stats.reused_clauses += self.sat.num_clauses() as u64;
         let literals = self.assumption_literals(pool, simplified);
         let result = self.sat.solve_with(&literals, self.budget);
-        let after = self.sat.stats();
-        let propagations = after.propagations - before.propagations;
-        self.stats.propagations += propagations;
-        self.stats.conflicts += after.conflicts - before.conflicts;
-        self.stats.restarts += after.restarts - before.restarts;
-        self.stats.learned_clauses += after.learned_clauses - before.learned_clauses;
-        self.stats.deleted_clauses += after.deleted_clauses - before.deleted_clauses;
-        self.stats.lbd_sum += after.lbd_sum - before.lbd_sum;
-        self.stats.cores_recorded += after.cores_recorded - before.cores_recorded;
-        self.stats.core_size_sum += after.core_size_sum - before.core_size_sum;
+        // The core's work since the last query is this query's: blasting
+        // its literals propagated at the root, then the search ran.
+        let work = self.sat.take_stats();
+        self.stats.merge(&work);
         self.stats.incremental_queries += 1;
         match result {
             SatResult::Sat => QueryResult::Sat(self.blaster.extract_model(&self.sat)),
             SatResult::Unknown => QueryResult::Unknown,
             SatResult::Unsat => {
-                self.stats.unsat_propagations += propagations;
+                self.stats.unsat_propagations += work.propagations;
                 self.last_core_terms = self.core_terms(assertions, simplified);
                 QueryResult::Unsat
             }

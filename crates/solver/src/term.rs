@@ -364,15 +364,6 @@ impl TermPool {
         }
     }
 
-    /// Conjunction of a list of terms.
-    pub fn and_many(&mut self, terms: &[TermId]) -> TermId {
-        let mut acc = self.bool_const(true);
-        for &t in terms {
-            acc = self.and(acc, t);
-        }
-        acc
-    }
-
     /// Logical disjunction.
     pub fn or(&mut self, a: TermId, b: TermId) -> TermId {
         debug_assert!(self.sort(a).is_bool() && self.sort(b).is_bool());
