@@ -685,7 +685,7 @@ fn render_scan_summary(summary: &ScanSummary, incremental_scan: bool) -> String 
     let _ = writeln!(
         out,
         "  queries         {:>8}  ({} timeouts)",
-        summary.queries, summary.timeouts
+        summary.queries, summary.degraded_queries
     );
     let _ = writeln!(
         out,

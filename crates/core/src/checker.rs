@@ -47,7 +47,7 @@ pub struct CheckerConfig {
     /// module is counted in [`CheckStats::degraded_modules`].
     pub query_budget: u64,
     /// Whether to keep reports whose unstable fragment was produced by a
-    /// macro expansion or inlining (the paper suppresses them, §4.2).
+    /// macro expansion (the paper suppresses them, §4.2).
     pub report_compiler_generated: bool,
     /// Unread: a module's functions are always checked sequentially, and
     /// files are the unit of parallel work

@@ -251,18 +251,6 @@ impl<'f> FunctionEncoder<'f> {
                     }
                 }
             }
-            InstKind::Select { cond, then, els } => {
-                let c = self.bool_term(cond);
-                if self.is_bool(then) {
-                    let t = self.bool_term(then);
-                    let e = self.bool_term(els);
-                    self.pool.ite(c, t, e)
-                } else {
-                    let t = self.bv_term(then);
-                    let e = self.bv_term(els);
-                    self.pool.ite(c, t, e)
-                }
-            }
             InstKind::ZExt { value, to } => {
                 let v = self.bv_term(value);
                 self.pool.zext(v, to.bit_width())
@@ -316,7 +304,7 @@ impl<'f> FunctionEncoder<'f> {
                 }
                 acc
             }
-            InstKind::Store { .. } | InstKind::BugOn { .. } => {
+            InstKind::Store { .. } => {
                 // No value; should not be requested.
                 self.pool.bool_const(true)
             }

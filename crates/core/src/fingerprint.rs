@@ -26,7 +26,7 @@
 //!   (cross-path dedup);
 //! - the **origin lines and kinds do participate** (via
 //!   [`origin_signature`]: every instruction's source line and
-//!   macro/inline provenance, but never its file) — replayed reports
+//!   macro provenance, but never its file) — replayed reports
 //!   embed line numbers, so a function whose lines shifted must miss and
 //!   re-analyze rather than replay stale locations.
 //!
@@ -71,8 +71,10 @@ pub const FINGERPRINT_REVISION: u32 = 2;
 /// functions. Bump when `stack-minic` or `stack-opt` may accept, reject,
 /// lower or optimize the same bytes differently: old file records then
 /// become dead keys that compaction ages out, while function records,
-/// keyed on the lowered IR itself, stay valid.
-pub const FRONTEND_REVISION: u32 = 1;
+/// keyed on the lowered IR itself, stay valid. (2: preprocessor lines lex
+/// as their own token, so a string literal is never run as a directive,
+/// and a character literal must be closed.)
+pub const FRONTEND_REVISION: u32 = 2;
 
 /// The structural digest of one function: a stable hash of its canonical
 /// print, which excludes origins entirely — the same body at any path, or
@@ -82,7 +84,7 @@ pub fn function_digest(func: &Function) -> u128 {
 }
 
 /// The origin signature of a function: every instruction's source *line*
-/// and macro/inline provenance, in print order — and never its *file*.
+/// and macro provenance, in print order — and never its *file*.
 /// Reports derive their locations and their suppression flag from exactly
 /// these fields, so two functions with equal [`function_digest`]s and equal
 /// origin signatures yield byte-identical reports up to the file name.
@@ -97,7 +99,6 @@ pub fn origin_signature(func: &Function) -> u128 {
                 OriginKind::MacroExpansion { macro_name } => {
                     mix(mix(h, 2), hash_bytes(macro_name.as_bytes()))
                 }
-                OriginKind::Inlined { callee } => mix(mix(h, 3), hash_bytes(callee.as_bytes())),
             };
         }
     }

@@ -18,7 +18,7 @@
 //!    the per-function approximations of §4.4 (dominator-scoped Δ and
 //!    function-local reachability);
 //! 4. [`report`] produces bug reports with the minimal UB set of Figure 8,
-//!    suppressing macro/inline-generated code, and [`classify`] separates
+//!    suppressing macro-generated code, and [`classify`] separates
 //!    urgent optimization bugs from time bombs by re-running the surveyed
 //!    compiler profiles of `stack-opt`.
 //!

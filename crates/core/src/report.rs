@@ -51,8 +51,8 @@ pub struct BugReport {
     pub description: String,
     /// The minimal set of UB conditions that make the fragment unstable.
     pub ub_sources: Vec<UbSource>,
-    /// Whether the fragment came from a macro expansion or inlined code
-    /// (such reports are suppressed by default, §4.2).
+    /// Whether the fragment came from a macro expansion (such reports are
+    /// suppressed by default, §4.2).
     pub compiler_generated: bool,
 }
 

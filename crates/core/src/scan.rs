@@ -171,7 +171,6 @@ pub struct ScanSummary {
     /// Modules with at least one degraded query — analyzed under the
     /// budget, never recorded in the scan cache.
     pub degraded_modules: usize,
-    pub timeouts: u64,
     /// Total SAT-core propagations — the deterministic currency query
     /// budgets are denominated in.
     pub propagations: u64,
@@ -247,7 +246,6 @@ impl ScanSummary {
             queries: stats.queries,
             degraded_queries: stats.timeouts,
             degraded_modules: stats.degraded_modules,
-            timeouts: stats.timeouts,
             propagations: stats.propagations,
             conflicts: stats.conflicts,
             restarts: stats.restarts,
@@ -1099,7 +1097,6 @@ mod tests {
             assert_eq!(summary.functions_skipped, stats.functions_skipped, "{run}");
             assert_eq!(summary.files_replayed, skipped_modules, "{run}");
             assert_eq!(summary.degraded_queries, stats.timeouts, "{run}");
-            assert_eq!(summary.timeouts, stats.timeouts, "{run}");
             assert_eq!(summary.store_hits, stats.cache_hits, "{run}");
             assert_eq!(summary.store_misses, stats.cache_misses, "{run}");
             assert_eq!(

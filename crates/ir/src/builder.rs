@@ -243,12 +243,6 @@ impl FunctionBuilder {
         Operand::Inst(id)
     }
 
-    /// Select (`cond ? a : b`).
-    pub fn select(&mut self, cond: Operand, then: Operand, els: Operand) -> Operand {
-        let ty = self.func.operand_type(then);
-        Operand::Inst(self.emit(InstKind::Select { cond, then, els }, ty))
-    }
-
     /// Zero-extension.
     pub fn zext(&mut self, value: Operand, to: Type) -> Operand {
         Operand::Inst(self.emit(InstKind::ZExt { value, to }, to))

@@ -1,7 +1,6 @@
 //! Functions, basic blocks, and the instruction arena.
 
-use crate::inst::{Inst, InstKind, Terminator};
-use crate::origin::Origin;
+use crate::inst::{Inst, Terminator};
 use crate::types::Type;
 use crate::value::{BlockId, InstId, Operand};
 
@@ -186,41 +185,12 @@ impl Function {
             block.insts.retain(|&i| i != inst);
         }
     }
-
-    /// Add a `bug_on` marker before the instruction at `(block, index)`.
-    /// Returns the id of the new marker. Used by the UB-condition insertion
-    /// stage of the checker.
-    pub fn insert_bug_on(
-        &mut self,
-        block: BlockId,
-        index: usize,
-        cond: Operand,
-        label: &str,
-        origin: Origin,
-    ) -> InstId {
-        let inst = Inst::new(
-            InstKind::BugOn {
-                cond,
-                label: label.to_string(),
-            },
-            Type::Void,
-            origin,
-        );
-        self.insert_inst(block, index, inst)
-    }
-
-    /// Whether the function still contains a `bug_on` marker (used by tests).
-    pub fn has_bug_on(&self) -> bool {
-        self.all_insts()
-            .iter()
-            .any(|&(_, i)| matches!(self.inst(i).kind, InstKind::BugOn { .. }))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::BinOp;
+    use crate::inst::{BinOp, InstKind};
     use crate::origin::Origin;
 
     fn sample_function() -> Function {
@@ -276,25 +246,6 @@ mod tests {
         assert_eq!(f.block_of(add), None);
         // The arena still holds the instruction.
         assert_eq!(f.num_inst_slots(), 1);
-    }
-
-    #[test]
-    fn bug_on_insertion() {
-        let mut f = sample_function();
-        assert!(!f.has_bug_on());
-        let entry = f.entry();
-        f.insert_bug_on(
-            entry,
-            0,
-            Operand::bool(false),
-            "signed integer overflow",
-            Origin::unknown(),
-        );
-        assert!(f.has_bug_on());
-        assert_eq!(f.block(entry).insts.len(), 2);
-        // The marker sits before the add.
-        let first = f.block(entry).insts[0];
-        assert!(matches!(f.inst(first).kind, InstKind::BugOn { .. }));
     }
 
     #[test]

@@ -175,12 +175,6 @@ pub enum InstKind {
         args: Vec<Operand>,
         ty: Type,
     },
-    /// `cond ? then : els`.
-    Select {
-        cond: Operand,
-        then: Operand,
-        els: Operand,
-    },
     /// Zero-extend an integer to a wider type.
     ZExt { value: Operand, to: Type },
     /// Sign-extend an integer to a wider type.
@@ -194,10 +188,6 @@ pub enum InstKind {
     IntToPtr { value: Operand },
     /// SSA phi node: one incoming operand per predecessor block.
     Phi { incomings: Vec<(BlockId, Operand)> },
-    /// The checker's UB-condition marker: `bug_on(cond)` asserts that if this
-    /// program point is reached and `cond` holds, undefined behavior occurs
-    /// (paper §4.3). `label` names the kind of UB for reports.
-    BugOn { cond: Operand, label: String },
 }
 
 impl InstKind {
@@ -210,14 +200,12 @@ impl InstKind {
             InstKind::Store { ptr, value } => vec![*ptr, *value],
             InstKind::Alloca { .. } => vec![],
             InstKind::Call { args, .. } => args.clone(),
-            InstKind::Select { cond, then, els } => vec![*cond, *then, *els],
             InstKind::ZExt { value, .. }
             | InstKind::SExt { value, .. }
             | InstKind::Trunc { value, .. }
             | InstKind::PtrToInt { value }
             | InstKind::IntToPtr { value } => vec![*value],
             InstKind::Phi { incomings } => incomings.iter().map(|(_, op)| *op).collect(),
-            InstKind::BugOn { cond, .. } => vec![*cond],
         }
     }
 
@@ -244,11 +232,6 @@ impl InstKind {
                     *a = f(*a);
                 }
             }
-            InstKind::Select { cond, then, els } => {
-                *cond = f(*cond);
-                *then = f(*then);
-                *els = f(*els);
-            }
             InstKind::ZExt { value, .. }
             | InstKind::SExt { value, .. }
             | InstKind::Trunc { value, .. }
@@ -259,17 +242,13 @@ impl InstKind {
                     *op = f(*op);
                 }
             }
-            InstKind::BugOn { cond, .. } => *cond = f(*cond),
         }
     }
 
     /// Whether this instruction has a side effect and must not be removed by
     /// dead-code elimination even if its result is unused.
     pub fn has_side_effects(&self) -> bool {
-        matches!(
-            self,
-            InstKind::Store { .. } | InstKind::Call { .. } | InstKind::BugOn { .. }
-        )
+        matches!(self, InstKind::Store { .. } | InstKind::Call { .. })
     }
 
     /// Whether this is a memory access (used for the null-dereference UB

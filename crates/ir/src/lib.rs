@@ -13,10 +13,10 @@
 //! * Types are integers of explicit width, an opaque pointer type, booleans,
 //!   and void ([`types::Type`]); signedness is a property of operations.
 //! * Every instruction records an [`origin::Origin`] (source location plus
-//!   programmer/macro/inline provenance) which the checker uses to suppress
-//!   reports about compiler-generated code, mirroring §4.2 of the paper.
-//! * The `bug_on` marker instruction ([`inst::InstKind::BugOn`]) is how the
-//!   checker's UB-condition insertion stage (§4.3) annotates the IR.
+//!   programmer/macro provenance) which the checker uses to suppress
+//!   reports about macro-generated code, mirroring §4.2 of the paper.
+//! * UB conditions (§4.3) are not IR instructions: `stack_core::ubcond`
+//!   builds them as solver terms over the IR.
 
 pub mod builder;
 pub mod cfg;

@@ -1,10 +1,10 @@
 //! Source locations and code origins.
 //!
 //! STACK must distinguish code the programmer wrote from code the compiler
-//! generated (macro expansions and inlined function bodies); reports are only
-//! emitted for programmer-written fragments (paper §4.2, §4.5). Every IR
-//! instruction therefore carries an [`Origin`]: its source position plus a
-//! record of the macro or inlining step that produced it, if any.
+//! generated (macro expansions); reports are only emitted for
+//! programmer-written fragments (paper §4.2, §4.5). Every IR instruction
+//! therefore carries an [`Origin`]: its source position plus the macro that
+//! produced it, if any.
 
 use std::fmt;
 
@@ -63,11 +63,6 @@ pub enum OriginKind {
         /// Name of the macro whose body produced the code.
         macro_name: String,
     },
-    /// Produced by inlining the named callee into the analyzed function.
-    Inlined {
-        /// Name of the function whose body was inlined.
-        callee: String,
-    },
 }
 
 /// Origin of an instruction: source position plus provenance.
@@ -96,16 +91,6 @@ impl Origin {
         }
     }
 
-    /// Code produced by inlining `callee`.
-    pub fn inlined(loc: SourceLoc, callee: &str) -> Origin {
-        Origin {
-            loc,
-            kind: OriginKind::Inlined {
-                callee: callee.to_string(),
-            },
-        }
-    }
-
     /// An origin with no information.
     pub fn unknown() -> Origin {
         Origin::default()
@@ -116,27 +101,6 @@ impl Origin {
     pub fn is_programmer_written(&self) -> bool {
         matches!(self.kind, OriginKind::Programmer)
     }
-
-    /// Mark this origin as coming from a macro expansion, keeping the
-    /// location. Used by the frontend when a token originates in a macro body.
-    pub fn into_macro(self, macro_name: &str) -> Origin {
-        Origin {
-            loc: self.loc,
-            kind: OriginKind::MacroExpansion {
-                macro_name: macro_name.to_string(),
-            },
-        }
-    }
-
-    /// Mark this origin as inlined from `callee`, keeping the location.
-    pub fn into_inlined(self, callee: &str) -> Origin {
-        Origin {
-            loc: self.loc,
-            kind: OriginKind::Inlined {
-                callee: callee.to_string(),
-            },
-        }
-    }
 }
 
 impl fmt::Display for Origin {
@@ -146,7 +110,6 @@ impl fmt::Display for Origin {
             OriginKind::MacroExpansion { macro_name } => {
                 write!(f, "{} (from macro {macro_name})", self.loc)
             }
-            OriginKind::Inlined { callee } => write!(f, "{} (inlined from {callee})", self.loc),
         }
     }
 }
@@ -160,21 +123,8 @@ mod tests {
         let loc = SourceLoc::new("tun.c", 42, 7);
         let prog = Origin::programmer(loc.clone());
         assert!(prog.is_programmer_written());
-        let mac = Origin::macro_expansion(loc.clone(), "IS_A");
+        let mac = Origin::macro_expansion(loc, "IS_A");
         assert!(!mac.is_programmer_written());
-        let inl = Origin::inlined(loc, "helper");
-        assert!(!inl.is_programmer_written());
-    }
-
-    #[test]
-    fn conversions_preserve_location() {
-        let loc = SourceLoc::new("x.c", 10, 1);
-        let o = Origin::programmer(loc.clone()).into_macro("M");
-        assert_eq!(o.loc, loc);
-        assert!(!o.is_programmer_written());
-        let o2 = Origin::programmer(loc.clone()).into_inlined("f");
-        assert_eq!(o2.loc, loc);
-        assert!(matches!(o2.kind, OriginKind::Inlined { .. }));
     }
 
     #[test]

@@ -77,9 +77,6 @@ pub fn print_inst(func: &Function, id: InstId) -> String {
             let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
             format!("{id} = call {ty} @{callee}({})", args.join(", "))
         }
-        InstKind::Select { cond, then, els } => {
-            format!("{id} = select {cond}, {then}, {els}")
-        }
         InstKind::ZExt { value, to } => format!("{id} = zext {value} to {to}"),
         InstKind::SExt { value, to } => format!("{id} = sext {value} to {to}"),
         InstKind::Trunc { value, to } => format!("{id} = trunc {value} to {to}"),
@@ -92,7 +89,6 @@ pub fn print_inst(func: &Function, id: InstId) -> String {
                 .collect();
             format!("{id} = phi {} {}", inst.ty, inc.join(", "))
         }
-        InstKind::BugOn { cond, label } => format!("bug_on {cond} ; {label}"),
     };
     format!("{body}{name_suffix}")
 }
@@ -128,9 +124,8 @@ mod tests {
         let x = b.param(1);
         let deref = b.load_named(p, Type::I32, "p_value");
         let sum = b.add(x, Operand::int(Type::I32, 100));
-        let cmp = b.cmp(CmpPred::Slt, sum, x);
-        let sel = b.select(cmp, deref, sum);
-        let abs = b.call("abs", &[sel], Type::I32);
+        b.cmp(CmpPred::Slt, sum, x);
+        let abs = b.call("abs", &[deref], Type::I32);
         b.ret(abs);
         let f = b.finish();
         let text = print_function(&f);
@@ -139,7 +134,6 @@ mod tests {
         assert!(text.contains("; p_value"));
         assert!(text.contains("add i32"));
         assert!(text.contains("icmp slt"));
-        assert!(text.contains("select"));
         assert!(text.contains("call i32 @abs"));
         assert!(text.contains("ret"));
     }

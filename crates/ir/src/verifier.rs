@@ -219,9 +219,6 @@ pub fn verify_function(func: &Function) -> Result<(), Vec<VerifyError>> {
                         }
                     }
                 }
-                InstKind::BugOn { cond, .. } if func.operand_type(*cond) != Type::Bool => {
-                    err!("{i}: bug_on condition must be i1");
-                }
                 _ => {}
             }
         }

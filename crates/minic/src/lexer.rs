@@ -1,7 +1,8 @@
 //! Lexer and preprocessor for the mini-C language.
 //!
 //! The preprocessor supports object-like and function-like `#define` macros.
-//! Tokens produced by macro expansion are tagged with the macro's name so the
+//! The lexer turns each preprocessor line into one [`Tok::Directive`], which
+//! `preprocess` interprets and drops. Tokens produced by macro expansion are tagged with the macro's name so the
 //! lowering stage can mark the resulting IR as compiler-generated — the
 //! mechanism STACK uses to avoid warning about unstable code the programmer
 //! did not write (paper §4.2).
@@ -85,9 +86,8 @@ fn tokenize_raw(src: &str) -> Result<Vec<Token>, Diag> {
                 col += 2;
             }
             '#' => {
-                // Preprocessor directives are line-oriented; emit a synthetic
-                // identifier token "#directive" followed by the rest of the
-                // line's tokens so `preprocess` can interpret it.
+                // A preprocessor directive runs to the end of the line;
+                // `preprocess` interprets it.
                 let mut text = String::new();
                 i += 1; // skip the leading '#'
                 col += 1;
@@ -103,11 +103,7 @@ fn tokenize_raw(src: &str) -> Result<Vec<Token>, Diag> {
                     i += 1;
                     col += 1;
                 }
-                out.push(Token::new(
-                    Tok::StrLit(format!("#{tline}#{text}")),
-                    tline,
-                    tcol,
-                ));
+                out.push(Token::new(Tok::Directive(text), tline, tcol));
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let mut s = String::new();
@@ -149,23 +145,29 @@ fn tokenize_raw(src: &str) -> Result<Vec<Token>, Diag> {
                 }
             }
             '\'' => {
-                // Character literal (single char or simple escape).
-                i += 1;
-                col += 1;
-                let ch = if bytes[i] == '\\' {
-                    i += 1;
-                    col += 1;
-                    match bytes[i] {
-                        'n' => b'\n',
-                        't' => b'\t',
-                        '0' => 0,
-                        other => other as u8,
+                // Character literal: one character or a simple escape, then
+                // the closing quote.
+                let (ch, len) = match bytes[i + 1..] {
+                    ['\\', escape, '\'', ..] => {
+                        let ch = match escape {
+                            'n' => b'\n',
+                            't' => b'\t',
+                            '0' => 0,
+                            other => other as u8,
+                        };
+                        (ch, 4)
                     }
-                } else {
-                    bytes[i] as u8
+                    [c, '\'', ..] if c != '\\' => (c as u8, 3),
+                    _ => {
+                        return Err(Diag::new(
+                            "unterminated character literal".to_string(),
+                            tline,
+                            tcol,
+                        ))
+                    }
                 };
-                i += 2; // skip char and closing quote
-                col += 2;
+                i += len;
+                col += len as u32;
                 out.push(Token::new(Tok::CharLit(ch), tline, tcol));
             }
             '"' => {
@@ -257,24 +259,18 @@ fn preprocess(tokens: Vec<Token>) -> Result<Vec<Token>, Diag> {
 
     while i < tokens.len() {
         let t = tokens[i].clone();
-        // Directive tokens were packed into StrLit("#<line>#<text>") by the lexer.
-        if let Tok::StrLit(s) = &t.tok {
-            if let Some(rest) = s.strip_prefix('#') {
-                if let Some((line_str, text)) = rest.split_once('#') {
-                    let dline: u32 = line_str.parse().unwrap_or(t.line);
-                    let text = text.trim();
-                    if let Some(def) = text
-                        .strip_prefix("define ")
-                        .or(text.strip_prefix("define\t"))
-                    {
-                        let (name, def_macro) = parse_define(def, dline)?;
-                        macros.insert(name, def_macro);
-                    }
-                    // Other directives (#include, #ifdef, ...) are ignored.
-                    i += 1;
-                    continue;
-                }
+        if let Tok::Directive(text) = &t.tok {
+            let text = text.trim();
+            if let Some(def) = text
+                .strip_prefix("define ")
+                .or(text.strip_prefix("define\t"))
+            {
+                let (name, def_macro) = parse_define(def, t.line)?;
+                macros.insert(name, def_macro);
             }
+            // Other directives (#include, #ifdef, ...) are ignored.
+            i += 1;
+            continue;
         }
         // Macro expansion.
         if let Tok::Ident(name) = &t.tok {
@@ -328,42 +324,36 @@ fn parse_define(def: &str, line: u32) -> Result<(String, MacroDef), Diag> {
     let name_end = def
         .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
         .unwrap_or(def.len());
-    let name = def[..name_end].to_string();
+    let (name, rest) = def.split_at(name_end);
     if name.is_empty() {
         return Err(Diag::new("malformed #define".to_string(), line, 1));
     }
-    let rest = &def[name_end..];
     // Function-like only if '(' immediately follows the name.
-    if let Some(stripped) = rest.strip_prefix('(') {
-        let close = stripped
-            .find(')')
-            .ok_or_else(|| Diag::new("unterminated macro parameter list".to_string(), line, 1))?;
-        let params: Vec<String> = stripped[..close]
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect();
-        let body_src = &stripped[close + 1..];
-        let mut body = tokenize_raw(body_src)?;
-        body.pop(); // Eof
-        for t in &mut body {
-            t.line = line;
+    let (params, body_src) = match rest.strip_prefix('(') {
+        Some(stripped) => {
+            let close = stripped.find(')').ok_or_else(|| {
+                Diag::new("unterminated macro parameter list".to_string(), line, 1)
+            })?;
+            let params = stripped[..close]
+                .split(',')
+                .map(|s| s.trim().to_string())
+                .filter(|s| !s.is_empty())
+                .collect();
+            (Some(params), &stripped[close + 1..])
         }
-        Ok((
-            name,
-            MacroDef {
-                params: Some(params),
-                body,
-            },
-        ))
-    } else {
-        let mut body = tokenize_raw(rest)?;
-        body.pop(); // Eof
-        for t in &mut body {
-            t.line = line;
+        None => (None, rest),
+    };
+    let mut body = tokenize_raw(body_src)?;
+    body.pop(); // Eof
+    for t in &mut body {
+        t.line = line;
+        // In a macro body `#` is the stringizing operator, not a directive:
+        // it and what follows become a string literal.
+        if let Tok::Directive(operand) = &mut t.tok {
+            t.tok = Tok::StrLit(std::mem::take(operand));
         }
-        Ok((name, MacroDef { params: None, body }))
     }
+    Ok((name.to_string(), MacroDef { params, body }))
 }
 
 /// Collect the argument token lists of a function-like macro invocation.
@@ -542,6 +532,31 @@ mod tests {
             })
             .collect();
         assert_eq!(chars, vec![b'.', b'\n']);
+    }
+
+    #[test]
+    fn string_literal_is_never_a_directive() {
+        let toks = lex("char *s = \"#1#define X 2\"; int y = X;").unwrap();
+        let kinds: Vec<&Tok> = toks.iter().map(|t| &t.tok).collect();
+        assert!(kinds.contains(&&Tok::StrLit("#1#define X 2".to_string())));
+        assert!(kinds.contains(&&Tok::Ident("X".to_string())));
+    }
+
+    #[test]
+    fn hash_in_a_macro_body_stringizes() {
+        let toks = lex("#define S(x) #x\nchar *s = S(a);").unwrap();
+        let s = toks.iter().find(|t| matches!(t.tok, Tok::StrLit(_)));
+        assert_eq!(s.and_then(|t| t.from_macro.as_deref()), Some("S"));
+        assert!(!toks.iter().any(|t| matches!(t.tok, Tok::Directive(_))));
+    }
+
+    #[test]
+    fn unterminated_character_literal_is_a_diagnostic() {
+        for src in ["int c = '", "int c = '\\", "int c = 'a", "int c = '\\n;"] {
+            let err = lex(src).unwrap_err();
+            assert_eq!(err.message, "unterminated character literal", "{src}");
+            assert_eq!((err.line, err.column), (1, 9), "{src}");
+        }
     }
 
     #[test]

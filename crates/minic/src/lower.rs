@@ -128,13 +128,13 @@ impl<'a> FuncLowerer<'a> {
         self.builder.set_origin(origin);
     }
 
-    fn lookup(&self, name: &str) -> Option<Slot> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(s) = scope.get(name) {
-                return Some(s.clone());
-            }
+    /// The slot of the innermost variable named `name`, or an "unknown
+    /// variable" error at `span`.
+    fn lookup(&self, name: &str, span: &Span) -> Result<Slot, Diag> {
+        match self.scopes.iter().rev().find_map(|scope| scope.get(name)) {
+            Some(slot) => Ok(slot.clone()),
+            None => self.err(&format!("unknown variable `{name}`"), span),
         }
-        None
     }
 
     fn err<T>(&self, msg: &str, span: &Span) -> Result<T, Diag> {
@@ -351,10 +351,7 @@ impl<'a> FuncLowerer<'a> {
             }
             Expr::Var { name, span } => {
                 self.set_origin(span);
-                let slot = match self.lookup(name) {
-                    Some(s) => s,
-                    None => return self.err(&format!("unknown variable `{name}`"), span),
-                };
+                let slot = self.lookup(name, span)?;
                 if slot.array.is_some() {
                     // Arrays decay to a pointer to their first element.
                     Ok((slot.ptr, CType::ptr_to(slot.ty.clone())))
@@ -484,10 +481,7 @@ impl<'a> FuncLowerer<'a> {
         // buffer-overflow UB condition.
         let (base_op, base_ty, bound) = match base {
             Expr::Var { name, span: vspan } => {
-                let slot = match self.lookup(name) {
-                    Some(s) => s,
-                    None => return self.err(&format!("unknown variable `{name}`"), vspan),
-                };
+                let slot = self.lookup(name, vspan)?;
                 if slot.array.is_some() {
                     self.set_origin(vspan);
                     (slot.ptr, CType::ptr_to(slot.ty.clone()), slot.array)
@@ -532,10 +526,7 @@ impl<'a> FuncLowerer<'a> {
     ) -> Result<(Operand, CType), Diag> {
         match target {
             Expr::Var { name, span: vspan } => {
-                let slot = match self.lookup(name) {
-                    Some(s) => s,
-                    None => return self.err(&format!("unknown variable `{name}`"), vspan),
-                };
+                let slot = self.lookup(name, vspan)?;
                 let converted = self.convert(value, vty, &slot.ty, span)?;
                 self.set_origin(span);
                 self.builder.store(slot.ptr, converted);
@@ -642,10 +633,7 @@ impl<'a> FuncLowerer<'a> {
             }
             UnOpKind::AddrOf => match operand {
                 Expr::Var { name, span: vspan } => {
-                    let slot = match self.lookup(name) {
-                        Some(s) => s,
-                        None => return self.err(&format!("unknown variable `{name}`"), vspan),
-                    };
+                    let slot = self.lookup(name, vspan)?;
                     self.set_origin(span);
                     Ok((slot.ptr, CType::ptr_to(slot.ty)))
                 }

@@ -70,6 +70,19 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Consume the identifier that names a `what`, or report its absence at
+    /// `span`, the start of the construct being parsed.
+    fn expect_ident(&mut self, what: &str, span: &Span) -> Result<String, Diag> {
+        match self.bump().tok {
+            Tok::Ident(name) => Ok(name),
+            other => Err(Diag::new(
+                format!("expected {what} name, found `{other}`"),
+                span.line,
+                span.column,
+            )),
+        }
+    }
+
     fn eat(&mut self, tok: Tok) -> bool {
         if *self.peek() == tok {
             self.bump();
@@ -95,7 +108,7 @@ impl<'a> Parser<'a> {
                 | Tok::KwBool
                 | Tok::KwStruct
                 | Tok::KwConst
-        ) || matches!(self.peek(), Tok::Ident(name) if is_typedef_name(name))
+        ) || matches!(self.peek(), Tok::Ident(name) if typedef_type(name).is_some())
     }
 
     /// Parse a type (base type plus any number of `*`).
@@ -121,7 +134,11 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let mut base = match self.peek().clone() {
+        let typedef = match self.peek() {
+            Tok::Ident(name) => typedef_type(name),
+            _ => None,
+        };
+        let mut base = match self.peek() {
             Tok::KwVoid => {
                 self.bump();
                 CType::Void
@@ -159,12 +176,14 @@ impl<'a> Parser<'a> {
                 // it. Treat the struct itself as void so `struct T *` works.
                 CType::Void
             }
-            Tok::Ident(name) if is_typedef_name(&name) => {
-                self.bump();
-                typedef_type(&name)
-            }
-            _ if saw_sign => CType::Int { width: 32, signed },
-            _ => return self.error("expected a type"),
+            _ => match typedef {
+                Some(ty) => {
+                    self.bump();
+                    ty
+                }
+                None if saw_sign => CType::Int { width: 32, signed },
+                None => return self.error("expected a type"),
+            },
         };
         // If only `unsigned`/`signed` was given, adjust signedness of typedefs
         // (e.g. `unsigned` alone).
@@ -189,11 +208,6 @@ impl<'a> Parser<'a> {
     fn translation_unit(&mut self) -> Result<TranslationUnit, Diag> {
         let mut unit = TranslationUnit::default();
         while *self.peek() != Tok::Eof {
-            // Skip stray string literal tokens (unprocessed directives).
-            if matches!(self.peek(), Tok::StrLit(_)) {
-                self.bump();
-                continue;
-            }
             // struct declarations `struct X { ... };` are skipped opaquely.
             if *self.peek() == Tok::KwStruct && *self.peek_at(2) == Tok::LBrace {
                 self.skip_struct_decl()?;
@@ -201,16 +215,7 @@ impl<'a> Parser<'a> {
             }
             let span = self.span();
             let ret_ty = self.parse_type()?;
-            let name = match self.bump().tok {
-                Tok::Ident(s) => s,
-                other => {
-                    return Err(Diag::new(
-                        format!("expected function name, found `{other}`"),
-                        span.line,
-                        span.column,
-                    ))
-                }
-            };
+            let name = self.expect_ident("function", &span)?;
             self.expect(Tok::LParen, "`(`")?;
             let mut params = Vec::new();
             if *self.peek() != Tok::RParen {
@@ -219,17 +224,8 @@ impl<'a> Parser<'a> {
                         break;
                     }
                     let ty = self.parse_type()?;
-                    let pname = match self.bump().tok {
-                        Tok::Ident(s) => s,
-                        other => {
-                            return Err(Diag::new(
-                                format!("expected parameter name, found `{other}`"),
-                                span.line,
-                                span.column,
-                            ))
-                        }
-                    };
-                    params.push(FuncParam { name: pname, ty });
+                    let name = self.expect_ident("parameter", &span)?;
+                    params.push(FuncParam { name, ty });
                     if !self.eat(Tok::Comma) {
                         break;
                     }
@@ -367,16 +363,7 @@ impl<'a> Parser<'a> {
         let span = self.span();
         if self.at_type() {
             let ty = self.parse_type()?;
-            let name = match self.bump().tok {
-                Tok::Ident(s) => s,
-                other => {
-                    return Err(Diag::new(
-                        format!("expected variable name, found `{other}`"),
-                        span.line,
-                        span.column,
-                    ))
-                }
-            };
+            let name = self.expect_ident("variable", &span)?;
             let array = if self.eat(Tok::LBracket) {
                 let size = match self.bump().tok {
                     Tok::IntLit(v) if v >= 0 => v as u64,
@@ -465,7 +452,7 @@ impl<'a> Parser<'a> {
     }
 
     fn conditional(&mut self) -> Result<Expr, Diag> {
-        let cond = self.logical_or()?;
+        let cond = self.binary(0)?;
         if self.eat(Tok::Question) {
             let span = self.span();
             let then = self.expression()?;
@@ -482,184 +469,18 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn logical_or(&mut self) -> Result<Expr, Diag> {
-        let mut lhs = self.logical_and()?;
-        while *self.peek() == Tok::OrOr {
+    /// A left-associative chain of the operators of `BINARY_LEVELS[level]`
+    /// over operands that bind tighter; past the last level, a unary
+    /// expression.
+    fn binary(&mut self, level: usize) -> Result<Expr, Diag> {
+        let Some(ops) = BINARY_LEVELS.get(level) else {
+            return self.unary();
+        };
+        let mut lhs = self.binary(level + 1)?;
+        while let Some(&(_, op)) = ops.iter().find(|(tok, _)| tok == self.peek()) {
             let span = self.span();
             self.bump();
-            let rhs = self.logical_and()?;
-            lhs = Expr::Binary {
-                op: BinOpKind::LogicalOr,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn logical_and(&mut self) -> Result<Expr, Diag> {
-        let mut lhs = self.bit_or()?;
-        while *self.peek() == Tok::AndAnd {
-            let span = self.span();
-            self.bump();
-            let rhs = self.bit_or()?;
-            lhs = Expr::Binary {
-                op: BinOpKind::LogicalAnd,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn bit_or(&mut self) -> Result<Expr, Diag> {
-        let mut lhs = self.bit_xor()?;
-        while *self.peek() == Tok::Pipe {
-            let span = self.span();
-            self.bump();
-            let rhs = self.bit_xor()?;
-            lhs = Expr::Binary {
-                op: BinOpKind::BitOr,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn bit_xor(&mut self) -> Result<Expr, Diag> {
-        let mut lhs = self.bit_and()?;
-        while *self.peek() == Tok::Caret {
-            let span = self.span();
-            self.bump();
-            let rhs = self.bit_and()?;
-            lhs = Expr::Binary {
-                op: BinOpKind::BitXor,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn bit_and(&mut self) -> Result<Expr, Diag> {
-        let mut lhs = self.equality()?;
-        while *self.peek() == Tok::Amp {
-            let span = self.span();
-            self.bump();
-            let rhs = self.equality()?;
-            lhs = Expr::Binary {
-                op: BinOpKind::BitAnd,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn equality(&mut self) -> Result<Expr, Diag> {
-        let mut lhs = self.relational()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Eq => BinOpKind::Eq,
-                Tok::Ne => BinOpKind::Ne,
-                _ => break,
-            };
-            let span = self.span();
-            self.bump();
-            let rhs = self.relational()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn relational(&mut self) -> Result<Expr, Diag> {
-        let mut lhs = self.shift()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Lt => BinOpKind::Lt,
-                Tok::Le => BinOpKind::Le,
-                Tok::Gt => BinOpKind::Gt,
-                Tok::Ge => BinOpKind::Ge,
-                _ => break,
-            };
-            let span = self.span();
-            self.bump();
-            let rhs = self.shift()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn shift(&mut self) -> Result<Expr, Diag> {
-        let mut lhs = self.additive()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Shl => BinOpKind::Shl,
-                Tok::Shr => BinOpKind::Shr,
-                _ => break,
-            };
-            let span = self.span();
-            self.bump();
-            let rhs = self.additive()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn additive(&mut self) -> Result<Expr, Diag> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOpKind::Add,
-                Tok::Minus => BinOpKind::Sub,
-                _ => break,
-            };
-            let span = self.span();
-            self.bump();
-            let rhs = self.multiplicative()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, Diag> {
-        let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOpKind::Mul,
-                Tok::Slash => BinOpKind::Div,
-                Tok::Percent => BinOpKind::Rem,
-                _ => break,
-            };
-            let span = self.span();
-            self.bump();
-            let rhs = self.unary()?;
+            let rhs = self.binary(level + 1)?;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
@@ -734,16 +555,7 @@ impl<'a> Parser<'a> {
                 }
                 Tok::Arrow => {
                     self.bump();
-                    let field = match self.bump().tok {
-                        Tok::Ident(s) => s,
-                        other => {
-                            return Err(Diag::new(
-                                format!("expected field name, found `{other}`"),
-                                span.line,
-                                span.column,
-                            ))
-                        }
-                    };
+                    let field = self.expect_ident("field", &span)?;
                     e = Expr::Member {
                         base: Box::new(e),
                         field,
@@ -843,63 +655,44 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Common typedef names that appear in the paper's examples.
-fn is_typedef_name(name: &str) -> bool {
-    matches!(
-        name,
-        "int8_t"
-            | "int16_t"
-            | "int32_t"
-            | "int64_t"
-            | "uint8_t"
-            | "uint16_t"
-            | "uint32_t"
-            | "uint64_t"
-            | "size_t"
-            | "ssize_t"
-            | "ptrdiff_t"
-            | "intptr_t"
-            | "uintptr_t"
-    )
-}
+/// The binary operators by precedence level, loosest first.
+const BINARY_LEVELS: [&[(Tok, BinOpKind)]; 10] = [
+    &[(Tok::OrOr, BinOpKind::LogicalOr)],
+    &[(Tok::AndAnd, BinOpKind::LogicalAnd)],
+    &[(Tok::Pipe, BinOpKind::BitOr)],
+    &[(Tok::Caret, BinOpKind::BitXor)],
+    &[(Tok::Amp, BinOpKind::BitAnd)],
+    &[(Tok::Eq, BinOpKind::Eq), (Tok::Ne, BinOpKind::Ne)],
+    &[
+        (Tok::Lt, BinOpKind::Lt),
+        (Tok::Le, BinOpKind::Le),
+        (Tok::Gt, BinOpKind::Gt),
+        (Tok::Ge, BinOpKind::Ge),
+    ],
+    &[(Tok::Shl, BinOpKind::Shl), (Tok::Shr, BinOpKind::Shr)],
+    &[(Tok::Plus, BinOpKind::Add), (Tok::Minus, BinOpKind::Sub)],
+    &[
+        (Tok::Star, BinOpKind::Mul),
+        (Tok::Slash, BinOpKind::Div),
+        (Tok::Percent, BinOpKind::Rem),
+    ],
+];
 
-/// The type a typedef name denotes.
-fn typedef_type(name: &str) -> CType {
-    match name {
-        "int8_t" => CType::Int {
-            width: 8,
-            signed: true,
-        },
-        "int16_t" => CType::Int {
-            width: 16,
-            signed: true,
-        },
-        "int32_t" => CType::Int {
-            width: 32,
-            signed: true,
-        },
-        "int64_t" | "ssize_t" | "ptrdiff_t" | "intptr_t" => CType::Int {
-            width: 64,
-            signed: true,
-        },
-        "uint8_t" => CType::Int {
-            width: 8,
-            signed: false,
-        },
-        "uint16_t" => CType::Int {
-            width: 16,
-            signed: false,
-        },
-        "uint32_t" => CType::Int {
-            width: 32,
-            signed: false,
-        },
-        "uint64_t" | "size_t" | "uintptr_t" => CType::Int {
-            width: 64,
-            signed: false,
-        },
-        _ => CType::int(),
-    }
+/// The type a typedef name of the paper's examples denotes, if `name` is
+/// one.
+fn typedef_type(name: &str) -> Option<CType> {
+    let (width, signed) = match name {
+        "int8_t" => (8, true),
+        "int16_t" => (16, true),
+        "int32_t" => (32, true),
+        "int64_t" | "ssize_t" | "ptrdiff_t" | "intptr_t" => (64, true),
+        "uint8_t" => (8, false),
+        "uint16_t" => (16, false),
+        "uint32_t" => (32, false),
+        "uint64_t" | "size_t" | "uintptr_t" => (64, false),
+        _ => return None,
+    };
+    Some(CType::Int { width, signed })
 }
 
 #[cfg(test)]
@@ -951,34 +744,62 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parse_expressions_with_precedence() {
-        let unit = parse_src("int f(int x, int y) { return x + y * 2 < x << 1; }");
-        let f = &unit.functions[0];
-        match &f.body[0] {
-            Stmt::Return { value: Some(e), .. } => match e {
-                // `<` binds loosest: (x + y*2) < (x << 1)
+    /// The expression `src` parsed, with every binary operation written as
+    /// `(op lhs rhs)`.
+    fn parenthesized(src: &str) -> String {
+        fn render(e: &Expr) -> String {
+            match e {
                 Expr::Binary { op, lhs, rhs, .. } => {
-                    assert_eq!(*op, BinOpKind::Lt);
-                    assert!(matches!(
-                        **lhs,
-                        Expr::Binary {
-                            op: BinOpKind::Add,
-                            ..
-                        }
-                    ));
-                    assert!(matches!(
-                        **rhs,
-                        Expr::Binary {
-                            op: BinOpKind::Shl,
-                            ..
-                        }
-                    ));
+                    format!("({op:?} {} {})", render(lhs), render(rhs))
                 }
-                other => panic!("unexpected expr {other:?}"),
-            },
+                Expr::Var { name, .. } => name.clone(),
+                Expr::IntLit { value, .. } => value.to_string(),
+                other => panic!("unexpected operand {other:?}"),
+            }
+        }
+        let unit = parse_src(&format!("int f(void) {{ return {src}; }}"));
+        match &unit.functions[0].body[0] {
+            Stmt::Return { value: Some(e), .. } => render(e),
             other => panic!("expected return, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn parse_expressions_with_precedence() {
+        let cases = [
+            ("x + y * 2 < x << 1", "(Lt (Add x (Mul y 2)) (Shl x 1))"),
+            // All 18 binary operators, each level binding tighter than the
+            // one before it.
+            (
+                "a || b && c | d ^ e & f == g != h < i <= j > k >= l << m >> n + o - p * q / r % s",
+                "(LogicalOr a (LogicalAnd b (BitOr c (BitXor d (BitAnd e (Ne (Eq f g) \
+                 (Ge (Gt (Le (Lt h i) j) k) (Shr (Shl l m) (Sub (Add n o) \
+                 (Rem (Div (Mul p q) r) s))))))))))",
+            ),
+            (
+                "a * b + c << d < e == f & g ^ h | i && j || k",
+                "(LogicalOr (LogicalAnd (BitOr (BitXor (BitAnd (Eq (Lt (Shl (Add (Mul a b) c) d) \
+                 e) f) g) h) i) j) k)",
+            ),
+            ("a - b - c", "(Sub (Sub a b) c)"),
+            ("a / b % c", "(Rem (Div a b) c)"),
+        ];
+        for (src, tree) in cases {
+            assert_eq!(parenthesized(src), tree, "{src}");
+        }
+        // Each operation carries its operator token's span.
+        let unit = parse_src("int f(void) { return a - b - c; }");
+        let Stmt::Return {
+            value: Some(Expr::Binary { lhs, span, .. }),
+            ..
+        } = &unit.functions[0].body[0]
+        else {
+            panic!("expected a returned binary expression");
+        };
+        let Expr::Binary { span: inner, .. } = &**lhs else {
+            panic!("expected a nested binary expression");
+        };
+        assert_eq!((inner.column, span.column), (24, 28));
     }
 
     #[test]

@@ -10,6 +10,8 @@ pub enum Tok {
     IntLit(i64),
     CharLit(u8),
     StrLit(String),
+    /// A preprocessor line: the text after `#`, line continuations joined.
+    Directive(String),
 
     // Keywords.
     KwInt,
@@ -80,6 +82,7 @@ impl fmt::Display for Tok {
             Tok::IntLit(v) => write!(f, "{v}"),
             Tok::CharLit(c) => write!(f, "'{}'", *c as char),
             Tok::StrLit(s) => write!(f, "\"{s}\""),
+            Tok::Directive(s) => write!(f, "#{s}"),
             other => write!(f, "{other:?}"),
         }
     }

@@ -96,20 +96,4 @@ mod tests {
         assert_eq!(removed, 0);
         assert_eq!(f.num_live_insts(), 2);
     }
-
-    #[test]
-    fn bug_on_markers_are_preserved() {
-        let mut b = FunctionBuilder::with_params("f", &[], Type::Void);
-        b.func_mut().insert_bug_on(
-            stack_ir::BlockId(0),
-            0,
-            Operand::bool(false),
-            "division by zero",
-            stack_ir::Origin::unknown(),
-        );
-        b.ret_void();
-        let mut f = b.finish();
-        run(&mut f);
-        assert!(f.has_bug_on());
-    }
 }

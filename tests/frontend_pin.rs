@@ -17,19 +17,28 @@ use stack_repro::solver::mix;
 /// The fold of every pinned function's digest and origin signature.
 const FRONTEND_PIN: u128 = 0x10b9_2579_f927_b2c7_c580_af11_f38a_be4f;
 
-/// Compile, optimize and fold every function of every input, in order.
-fn frontend_fold() -> (u128, usize) {
+/// The pinned inputs, as (file name, source): the CI archive's files and
+/// every pattern idiom.
+fn pinned_inputs() -> Vec<(String, String)> {
     let archive = generate_archive(&ArchiveConfig {
         packages: 8,
         ..ArchiveConfig::default()
     });
-    let inputs = archive.into_iter().map(|f| (f.name, f.source)).chain(
-        all_patterns()
-            .into_iter()
-            .map(|p| (format!("{}.c", p.id), p.source.to_string())),
-    );
+    archive
+        .into_iter()
+        .map(|f| (f.name, f.source))
+        .chain(
+            all_patterns()
+                .into_iter()
+                .map(|p| (format!("{}.c", p.id), p.source.to_string())),
+        )
+        .collect()
+}
+
+/// Compile, optimize and fold every function of every input, in order.
+fn frontend_fold() -> (u128, usize) {
     let (mut fold, mut functions) = (0u128, 0);
-    for (name, source) in inputs {
+    for (name, source) in pinned_inputs() {
         let mut module = stack_repro::minic::compile(&source, &name)
             .unwrap_or_else(|e| panic!("{name} must compile: {e}"));
         stack_repro::opt::optimize_for_analysis(&mut module);
@@ -50,5 +59,27 @@ fn frontend_output_is_pinned() {
         "the front end's output changed ({functions} functions fold to {fold:#x}). If that \
          is intended, bump FRONTEND_REVISION (now {FRONTEND_REVISION}) so scan stores stop \
          trusting file records written by the old front end, and set FRONTEND_PIN to {fold:#x}"
+    );
+}
+
+/// A file cut anywhere, as an editor may save it, compiles or is diagnosed:
+/// the front end never panics on it.
+#[test]
+fn every_prefix_compiles_or_is_diagnosed() {
+    let (mut prefixes, mut panics) = (0, Vec::new());
+    for (name, source) in pinned_inputs() {
+        let cuts = source.char_indices().map(|(cut, _)| cut);
+        for cut in cuts.chain([source.len()]) {
+            prefixes += 1;
+            let prefix = &source[..cut];
+            if std::panic::catch_unwind(|| stack_repro::minic::compile(prefix, &name)).is_err() {
+                panics.push(format!("{name} cut at byte {cut}"));
+            }
+        }
+    }
+    assert!(
+        panics.is_empty(),
+        "{} of {prefixes} prefixes panic: {panics:?}",
+        panics.len()
     );
 }
