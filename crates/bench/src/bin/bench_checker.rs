@@ -14,7 +14,7 @@ use stack_bench::{checker_scaling, no_positionals, ScalingConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = no_positionals(&args, &["--out"], &[], "bench_checker [--out <path>]") {
+    if let Err(e) = no_positionals(&args, &["--out"], "bench_checker [--out <path>]") {
         eprintln!("bench_checker: {e}");
         std::process::exit(2);
     }

@@ -8,8 +8,8 @@
 
 use serde::Serialize;
 use stack_core::{
-    Algorithm, AnalysisSession, Checker, CheckerConfig, ScanEvent, ScanPipeline, ScanSource,
-    ScanStore, ScanSummary, ScanTask, UbKind,
+    Algorithm, AnalysisSession, CheckerConfig, ScanEvent, ScanPipeline, ScanSource, ScanStore,
+    ScanSummary, ScanTask, UbKind,
 };
 use stack_corpus::{
     churn_archive, churn_functions, completeness_benchmark, duplicate_files, figure9_corpus,
@@ -90,10 +90,10 @@ pub struct Figure9 {
 
 /// Regenerate Figure 9 from the per-system corpus.
 pub fn figure9() -> Figure9 {
-    let checker = Checker::new();
+    let session = AnalysisSession::default();
     let mut rows: Vec<(String, usize, HashMap<UbKind, usize>)> = Vec::new();
     for bug in figure9_corpus() {
-        let result = checker
+        let result = session
             .check_source(&bug.source, &bug.file)
             .expect("corpus programs must compile");
         let found = !result.reports.is_empty();
@@ -196,7 +196,7 @@ pub fn figure16(scale: usize) -> Vec<Figure16Row> {
             }
         }
         let build_time_ms = build_start.elapsed().as_millis();
-        let checker = Checker::with_config(CheckerConfig {
+        let session = AnalysisSession::new(CheckerConfig {
             query_budget: 500_000,
             ..CheckerConfig::default()
         });
@@ -204,7 +204,7 @@ pub fn figure16(scale: usize) -> Vec<Figure16Row> {
         let mut queries = 0u64;
         let mut timeouts = 0u64;
         for module in &modules {
-            let result = checker.check_module(module);
+            let result = session.check_module(module);
             queries += result.stats.queries;
             timeouts += result.stats.timeouts;
         }
@@ -257,7 +257,7 @@ pub fn prevalence(packages: usize, seed: u64) -> PrevalenceResult {
         ..SynthConfig::default()
     };
     let population = generate(&cfg);
-    let checker = Checker::new();
+    let session = AnalysisSession::default();
     let mut result = PrevalenceResult {
         packages: population.len(),
         packages_with_reports: 0,
@@ -271,7 +271,7 @@ pub fn prevalence(packages: usize, seed: u64) -> PrevalenceResult {
         let mut pkg_kinds = Vec::new();
         let mut any = false;
         for file in &pkg.files {
-            let check = checker
+            let check = session
                 .check_source(&file.source, &file.name)
                 .expect("synthetic files compile");
             for report in &check.reports {
@@ -378,23 +378,15 @@ impl Default for ScalingConfig {
 }
 
 impl ScalingConfig {
-    /// The default configuration, shrunk when `STACK_BENCH_FAST` is set (CI
-    /// runs the benchmark as a smoke + artifact step, not as a measurement).
+    /// The default configuration, shrunk to the 6-package smoke population
+    /// when `STACK_BENCH_FAST` is set (CI runs the benchmark as a smoke +
+    /// artifact step, not as a measurement).
     pub fn from_env() -> ScalingConfig {
-        let cfg = ScalingConfig::default();
+        let mut cfg = ScalingConfig::default();
         if std::env::var_os("STACK_BENCH_FAST").is_some() {
-            cfg.fast()
-        } else {
-            cfg
+            cfg.packages = 6;
         }
-    }
-
-    /// Shrink to the smoke-test population (what `STACK_BENCH_FAST` and the
-    /// CLI's `stack bench --fast` both mean); the single definition of the
-    /// fast-mode knob.
-    pub fn fast(mut self) -> ScalingConfig {
-        self.packages = 6;
-        self
+        cfg
     }
 }
 
@@ -1399,14 +1391,14 @@ pub struct PrecisionResult {
 
 /// Regenerate the §6.3 precision experiment shape.
 pub fn sec63_precision() -> Vec<PrecisionResult> {
-    let checker = Checker::new();
+    let session = AnalysisSession::default();
     let mut out = Vec::new();
     for system in ["Kerberos", "Postgres"] {
         let mut reports = 0usize;
         let mut urgent = 0usize;
         let mut time_bombs = 0usize;
         for bug in figure9_corpus().iter().filter(|b| b.system == system) {
-            let result = checker.check_source(&bug.source, &bug.file).unwrap();
+            let result = session.check_source(&bug.source, &bug.file).unwrap();
             for report in &result.reports {
                 reports += 1;
                 match stack_core::classify_source(&bug.source, &bug.file, report.line) {
@@ -1435,13 +1427,13 @@ pub struct CompletenessResult {
 
 /// Regenerate the §6.6 completeness experiment.
 pub fn sec66_completeness() -> CompletenessResult {
-    let checker = Checker::new();
+    let session = AnalysisSession::default();
     let mut details = Vec::new();
     let mut found = 0usize;
     let tests = completeness_benchmark();
     let expected_found = tests.iter().filter(|t| t.expected_found).count();
     for t in &tests {
-        let result = checker
+        let result = session
             .check_source(t.pattern.source, &format!("{}.c", t.pattern.id))
             .unwrap();
         let got = !result.reports.is_empty();
@@ -1482,15 +1474,11 @@ pub fn positionals<'a>(
     Ok(out)
 }
 
-/// [`positionals`] for a command that takes no positional argument: a stray
-/// one is an error naming it, followed by the command's `usage` line.
-pub fn no_positionals(
-    args: &[String],
-    value_flags: &[&str],
-    switches: &[&str],
-    usage: &str,
-) -> Result<(), String> {
-    match positionals(args, value_flags, switches)?.first() {
+/// [`positionals`] for a command that takes no positional argument and no
+/// switch: a stray argument is an error naming it, followed by the
+/// command's `usage` line.
+pub fn no_positionals(args: &[String], value_flags: &[&str], usage: &str) -> Result<(), String> {
+    match positionals(args, value_flags, &[])?.first() {
         None => Ok(()),
         Some(stray) => Err(format!("unexpected argument `{stray}`\nusage: {usage}")),
     }

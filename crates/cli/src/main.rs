@@ -9,7 +9,6 @@
 //! stack store merge <out> <in...> [--compact N] [--json]   # fold stores into one
 //! stack store inspect <file> [--json]            # header/generation/entry report
 //! stack store fsck <file> [--repair] [--json]    # check (and heal) a damaged store
-//! stack bench [--out <path>] [--fast]            # checker-scaling benchmark
 //! stack gen-archive <dir> [--packages N] [--seed S]
 //! stack demo  <pattern-id>                       # analyze a built-in paper example
 //! stack list                                     # list built-in examples
@@ -64,8 +63,8 @@ use serde::Serialize;
 use stack_bench::{no_positionals, positionals};
 use stack_core::scanstore::ScanCodec;
 use stack_core::{
-    faultinject, AnalysisSession, Checker, CheckerConfig, ScanEvent, ScanPipeline, ScanSource,
-    ScanStore, ScanSummary, ScanTask,
+    faultinject, AnalysisSession, CheckerConfig, ScanEvent, ScanPipeline, ScanSource, ScanStore,
+    ScanSummary, ScanTask,
 };
 use stack_opt::{lowest_discarding_level, survey_compilers};
 use stack_solver::recordfile::Codec;
@@ -82,13 +81,12 @@ fn main() -> ExitCode {
         Some("check") => cmd_check(&args[1..]),
         Some("scan") => cmd_scan(&args[1..]),
         Some("store") => cmd_store(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("gen-archive") => cmd_gen_archive(&args[1..]),
         Some("demo") => cmd_demo(&args[1..]),
         Some("list") => cmd_list(&args[1..]),
         Some("survey") => cmd_survey(&args[1..]),
         _ => {
-            eprintln!("usage: stack <check|scan|store|bench|gen-archive|demo|list|survey> ...");
+            eprintln!("usage: stack <check|scan|store|gen-archive|demo|list|survey> ...");
             ExitCode::from(2)
         }
     }
@@ -1047,35 +1045,6 @@ fn store_fsck<C: Codec>(path: &Path, repair: bool, json: bool) -> ExitCode {
     }
 }
 
-// ---- bench ------------------------------------------------------------------
-
-fn cmd_bench(args: &[String]) -> ExitCode {
-    if let Err(e) = no_positionals(
-        args,
-        &["--out"],
-        &["--fast"],
-        "stack bench [--fast] [--out <path>]",
-    ) {
-        return fail(&e);
-    }
-    let out_path = match flag_value(args, "--out") {
-        Ok(path) => path.unwrap_or("BENCH_checker.json").to_string(),
-        Err(e) => return fail(&e),
-    };
-    let mut cfg = stack_bench::ScalingConfig::from_env();
-    if has_flag(args, "--fast") {
-        cfg = cfg.fast();
-    }
-    let results = stack_bench::checker_scaling(&cfg);
-    print!("{}", results.render());
-    let json = results.to_json();
-    if let Err(e) = write_output(Path::new(&out_path), &json) {
-        return fail(&e);
-    }
-    println!("  wrote {out_path}");
-    ExitCode::SUCCESS
-}
-
 // ---- gen-archive ------------------------------------------------------------
 
 fn cmd_gen_archive(args: &[String]) -> ExitCode {
@@ -1121,7 +1090,7 @@ fn cmd_gen_archive(args: &[String]) -> ExitCode {
     ) {
         return fail(&format!("generated archive does not compile: {e}"));
     }
-    match stack_corpus::write_archive_edited(&cfg, Path::new(dir), edit_functions) {
+    match stack_corpus::write_archive(Path::new(dir), &files) {
         Ok(paths) => {
             println!(
                 "stack: wrote {} archive files ({} packages, seed {}{}) under {dir}",
@@ -1162,7 +1131,7 @@ fn cmd_demo(args: &[String]) -> ExitCode {
         "// {} ({})\n{}\n",
         pattern.id, pattern.paper_ref, pattern.source
     );
-    match Checker::new().check_source(pattern.source, &format!("{id}.c")) {
+    match AnalysisSession::default().check_source(pattern.source, &format!("{id}.c")) {
         Ok(result) => {
             for report in &result.reports {
                 print!("{report}");
@@ -1174,7 +1143,7 @@ fn cmd_demo(args: &[String]) -> ExitCode {
 }
 
 fn cmd_list(args: &[String]) -> ExitCode {
-    if let Err(e) = no_positionals(args, &[], &[], "stack list") {
+    if let Err(e) = no_positionals(args, &[], "stack list") {
         return fail(&e);
     }
     for p in stack_corpus::all_patterns() {
@@ -1184,7 +1153,7 @@ fn cmd_list(args: &[String]) -> ExitCode {
 }
 
 fn cmd_survey(args: &[String]) -> ExitCode {
-    if let Err(e) = no_positionals(args, &[], &[], "stack survey") {
+    if let Err(e) = no_positionals(args, &[], "stack survey") {
         return fail(&e);
     }
     let src = "int f(int x) { if (x + 100 < x) return 1; return 0; }";
@@ -1313,12 +1282,14 @@ mod tests {
             list.extend(extra);
             assert_eq!(cmd_scan(&args(&list)), ExitCode::SUCCESS);
         };
-        stack_corpus::write_archive_edited(&cfg, &archive, 0).unwrap();
+        let files = stack_corpus::generate_archive(&cfg);
+        stack_corpus::write_archive(&archive, &files).unwrap();
         scan(&[]);
         // Edit two functions: the scan store's records of their old
         // versions are dead, and so is every query entry this re-scan
         // does not look up. A 1-generation horizon prunes all of them.
-        stack_corpus::write_archive_edited(&cfg, &archive, 2).unwrap();
+        let edited = stack_corpus::churn_functions_count(&files, cfg.seed, 2).files;
+        stack_corpus::write_archive(&archive, &edited).unwrap();
         scan(&["--compact-store", "1"]);
         let ages = |info: StoreInspection| {
             assert!(info.entries > 0, "{}", info.render());

@@ -21,11 +21,10 @@ const DOCS: [&str; 3] = [
 ];
 
 /// The `stack` subcommands.
-const SUBCOMMANDS: [&str; 8] = [
+const SUBCOMMANDS: [&str; 7] = [
     "check",
     "scan",
     "store",
-    "bench",
     "gen-archive",
     "demo",
     "list",

@@ -150,32 +150,19 @@ fn every_subcommand_rejects_an_unknown_flag_before_any_work() {
         "--compat",
     );
     assert!(!merged.exists(), "no merged store may be written");
-
-    assert_rejected(&[Path::new("bench")], &["--fsat"], "--fsat");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn a_stray_argument_to_a_command_without_inputs_is_rejected_before_any_work() {
-    let dir = fixture("stray");
-    let out = dir.join("bench.json");
-    let out = out.to_str().unwrap();
-    // `stack bench fast`, with the `--` forgotten, must not run the full
-    // benchmark and overwrite its results file.
-    for (command, extra) in [
-        ("list", &["extra-arg"][..]),
-        ("survey", &["extra-arg"]),
-        ("bench", &["fast", "--out", out]),
-        ("bench", &["stray-arg", "--fast", "--out", out]),
-    ] {
-        assert_rejected(&[Path::new(command)], extra, extra[0]);
+    for command in ["list", "survey"] {
+        let extra = ["extra-arg"];
+        assert_rejected(&[Path::new(command)], &extra, extra[0]);
         let stderr =
-            String::from_utf8_lossy(&stack(&[Path::new(command)], extra).stderr).into_owned();
+            String::from_utf8_lossy(&stack(&[Path::new(command)], &extra).stderr).into_owned();
         assert!(
             stderr.contains(&format!("usage: stack {command}")),
             "{stderr}"
         );
     }
-    assert!(!Path::new(out).exists(), "no benchmark may run");
-    std::fs::remove_dir_all(&dir).unwrap();
 }

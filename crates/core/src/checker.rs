@@ -17,10 +17,10 @@
 //! unsatisfiable, computed with the greedy algorithm of Figure 8.
 //!
 //! The algorithms themselves live in [`crate::session`]: an
-//! [`AnalysisSession`] is the long-lived layer (owning the query store, the
-//! configuration, and aggregate statistics across modules), and the
-//! [`Checker`] defined here is the historical one-shot wrapper over a
-//! session, kept as the convenient entry point for single-file use.
+//! [`AnalysisSession`](crate::AnalysisSession) owns the query store, the
+//! configuration and aggregate statistics across modules, and is the one
+//! entry point for checking a source string or a module. This module holds
+//! the configuration and result types it shares with its callers.
 //!
 //! A module's functions are checked in order on one solver, and every store
 //! miss that simulation cannot answer is solved on the function's SAT
@@ -28,9 +28,6 @@
 //! [`ScanPipeline`](crate::ScanPipeline).
 
 use crate::report::BugReport;
-use crate::session::AnalysisSession;
-use stack_ir::Module;
-use stack_solver::CacheStats;
 
 /// Checker configuration. No field selects how a query is solved: a query
 /// the store and simulation leave open is decided on the function's one
@@ -57,7 +54,9 @@ pub struct CheckerConfig {
     /// Whether to memoize solver queries in a store shared across functions,
     /// modules, and scan workers (structurally identical queries are
     /// answered without re-entering the SAT core). The store is in-memory by
-    /// default; [`AnalysisSession::with_store`] swaps in a disk-backed one.
+    /// default;
+    /// [`AnalysisSession::with_store`](crate::AnalysisSession::with_store)
+    /// swaps in a disk-backed one.
     pub query_cache: bool,
 }
 
@@ -74,8 +73,9 @@ impl Default for CheckerConfig {
 
 /// The pipeline's one counter struct, declared in `stack-solver` so the SAT
 /// core and the query layer count into it too. The checker counts
-/// `modules`, `functions` and `degraded_modules`; [`AnalysisSession`] sums
-/// it across modules with [`CheckStats::merge`].
+/// `modules`, `functions` and `degraded_modules`; an
+/// [`AnalysisSession`](crate::AnalysisSession) sums it across modules with
+/// [`CheckStats::merge`].
 pub use stack_solver::CheckStats;
 
 /// Result of checking a module.
@@ -85,65 +85,17 @@ pub struct CheckResult {
     pub stats: CheckStats,
 }
 
-/// The one-shot checker: a thin wrapper over an [`AnalysisSession`].
-///
-/// One `Checker` owns one session — and therefore one query store: every
-/// [`check_module`] / [`check_source`] call through the same instance shares
-/// it, so repeated idioms are answered from memory across files and modules
-/// (the synthetic Debian population re-instantiates the same unstable
-/// patterns thousands of times). For archive-scale work — disk-backed
-/// stores, streaming reports, aggregate statistics — use the session
-/// directly.
-///
-/// [`check_module`]: Checker::check_module
-/// [`check_source`]: Checker::check_source
-#[derive(Debug, Default)]
-pub struct Checker {
-    session: AnalysisSession,
-}
-
-impl Checker {
-    /// A checker with the default configuration.
-    pub fn new() -> Checker {
-        Checker::default()
-    }
-
-    /// A checker with an explicit configuration.
-    pub fn with_config(config: CheckerConfig) -> Checker {
-        Checker {
-            session: AnalysisSession::new(config),
-        }
-    }
-
-    /// The underlying session.
-    pub fn session(&self) -> &AnalysisSession {
-        &self.session
-    }
-
-    /// Counters of the checker-owned query store (lifetime of this instance).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.session.store_stats()
-    }
-
-    /// Compile a mini-C source string, run the analysis pre-pass, and check it.
-    pub fn check_source(&self, src: &str, file: &str) -> Result<CheckResult, stack_minic::Diag> {
-        self.session.check_source(src, file)
-    }
-
-    /// Check every function of an (already optimized-for-analysis) module.
-    pub fn check_module(&self, module: &Module) -> CheckResult {
-        self.session.check_module(module)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::report::Algorithm;
+    use crate::session::AnalysisSession;
     use crate::ubcond::UbKind;
 
     fn check(src: &str) -> CheckResult {
-        Checker::new().check_source(src, "test.c").unwrap()
+        AnalysisSession::default()
+            .check_source(src, "test.c")
+            .unwrap()
     }
 
     #[test]
@@ -233,7 +185,7 @@ mod tests {
             "macro-origin reports must be suppressed: {:?}",
             default_result.reports
         );
-        let permissive = Checker::with_config(CheckerConfig {
+        let permissive = AnalysisSession::new(CheckerConfig {
             report_compiler_generated: true,
             ..CheckerConfig::default()
         });
@@ -353,7 +305,7 @@ mod tests {
         int f5(int x) { if (x + 100 < x) return 1; return 0; }\n";
 
     fn check_with(query_cache: bool) -> CheckResult {
-        Checker::with_config(CheckerConfig {
+        AnalysisSession::new(CheckerConfig {
             query_cache,
             ..CheckerConfig::default()
         })
@@ -398,7 +350,7 @@ mod tests {
     fn edited_overflow_guard_stays_within_the_default_budget() {
         // Blasted without constant folding, three of the edited guard's
         // queries exceeded the default 2M-propagation budget.
-        let result = Checker::with_config(CheckerConfig::default())
+        let result = AnalysisSession::new(CheckerConfig::default())
             .check_source(EDITED_OVERFLOW_GUARD, "archive-0023_0.mc")
             .unwrap();
         assert_eq!(result.stats.timeouts, 0, "{:?}", result.stats);
@@ -438,12 +390,12 @@ mod tests {
         // timeouts and a degraded module, and leave nothing behind in the
         // query store. Simulation decides the Sat queries at any budget, and
         // those are stored like any decided result.
-        let checker = Checker::with_config(CheckerConfig {
+        let session = AnalysisSession::new(CheckerConfig {
             query_budget: 1,
             ..CheckerConfig::default()
         });
         let src = "int f(int x, int y) { if (x * y + 1 < x * y) return 1; return 0; }";
-        let first = checker.check_source(src, "deg.c").unwrap();
+        let first = session.check_source(src, "deg.c").unwrap();
         assert!(first.stats.timeouts > 0, "{:?}", first.stats);
         assert_eq!(first.stats.degraded_modules, 1);
         assert!(
@@ -451,13 +403,13 @@ mod tests {
             "Unknown must never become a report"
         );
         assert_eq!(
-            checker.cache_stats().entries,
+            session.store().stats().entries,
             first.stats.cache_misses - first.stats.timeouts,
             "degraded verdicts must never be persisted"
         );
         // Re-running reproduces the same degradation: every degraded query
         // is re-derived, none is served from the store.
-        let second = checker.check_source(src, "deg.c").unwrap();
+        let second = session.check_source(src, "deg.c").unwrap();
         assert_eq!(first.stats.timeouts, second.stats.timeouts);
         assert_eq!(second.stats.cache_misses, first.stats.timeouts);
     }
@@ -482,10 +434,10 @@ mod tests {
 
     #[test]
     fn cache_is_shared_across_check_calls() {
-        let checker = Checker::new();
+        let session = AnalysisSession::default();
         let src = "int f(int x) { if (x + 1 < x) return 1; return 0; }";
-        let first = checker.check_source(src, "a.c").unwrap();
-        let second = checker.check_source(src, "b.c").unwrap();
+        let first = session.check_source(src, "a.c").unwrap();
+        let second = session.check_source(src, "b.c").unwrap();
         assert_eq!(first.reports.len(), second.reports.len());
         // The second pass re-issues structurally identical queries, so every
         // decided query hits the cache built by the first pass.
@@ -496,7 +448,7 @@ mod tests {
             second.stats
         );
         assert!(second.stats.cache_hits > 0);
-        let cache = checker.cache_stats();
+        let cache = session.store().stats();
         assert_eq!(
             cache.hits + cache.misses,
             first.stats.cache_hits

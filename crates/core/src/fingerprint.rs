@@ -73,8 +73,9 @@ pub const FINGERPRINT_REVISION: u32 = 2;
 /// become dead keys that compaction ages out, while function records,
 /// keyed on the lowered IR itself, stay valid. (2: preprocessor lines lex
 /// as their own token, so a string literal is never run as a directive,
-/// and a character literal must be closed.)
-pub const FRONTEND_REVISION: u32 = 2;
+/// and a character literal must be closed. 3: a string literal must be
+/// closed on its own line.)
+pub const FRONTEND_REVISION: u32 = 3;
 
 /// The structural digest of one function: a stable hash of its canonical
 /// print, which excludes origins entirely — the same body at any path, or

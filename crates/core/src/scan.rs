@@ -664,9 +664,7 @@ impl<'s> ScanPipeline<'s> {
                 None => fresh.remove(&i).unwrap_or_default(),
             })
             .collect();
-        let mut reports = Vec::new();
-        self.session
-            .filter_module_reports(raw, &mut |r| reports.push(r));
+        let reports = self.session.filter_module_reports(raw);
 
         stats.modules = 1;
         stats.modules_skipped = usize::from(skipped == functions && functions > 0);

@@ -14,29 +14,24 @@
 //!   every module;
 //! * it accumulates **aggregate statistics** ([`CheckStats`]) across
 //!   modules, so an archive scan can report totals without retaining
-//!   per-module results;
-//! * its streaming entry point ([`check_module_streaming`]) hands each
-//!   [`BugReport`] to a sink as the module finishes, so a scan over
-//!   thousands of files never holds more than one module's reports in
-//!   memory.
+//!   per-module results.
 //!
-//! A session checks a module's functions in order on one solver, so its
-//! reports and counters are a function of the module and the store's
-//! contents alone. Files are the unit of parallel work: the
-//! [`ScanPipeline`](crate::ScanPipeline) runs several modules at once
-//! through one session and keeps that guarantee at every width.
-//!
-//! The one-shot [`Checker`](crate::checker::Checker) is a thin wrapper over
-//! a session; existing call sites keep working unchanged.
-//!
-//! [`check_module_streaming`]: AnalysisSession::check_module_streaming
+//! It is the one way to check a source string
+//! ([`check_source`](AnalysisSession::check_source)) or a module
+//! ([`check_module`](AnalysisSession::check_module)). A session checks a
+//! module's functions in order on one solver, so its reports and counters
+//! are a function of the module and the store's contents alone. Files are
+//! the unit of parallel work: the [`ScanPipeline`](crate::ScanPipeline)
+//! runs several modules at once through one session, streaming each
+//! module's reports as it finishes, and keeps that guarantee at every
+//! width.
 
 use crate::checker::{CheckResult, CheckStats, CheckerConfig};
 use crate::encoder::FunctionEncoder;
 use crate::report::{origin_info, Algorithm, BugReport, UbSource};
 use crate::ubcond::{collect_ub_conditions, UbCondition};
 use stack_ir::{CmpPred, Function, InstKind, Module, Operand, Origin};
-use stack_solver::{Budget, BvSolver, CacheStats, QueryCache, QueryResult, QueryStore, TermId};
+use stack_solver::{Budget, BvSolver, QueryCache, QueryResult, QueryStore, TermId};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -100,13 +95,6 @@ impl AnalysisSession {
         &self.store
     }
 
-    /// Counters of the session's query store (lifetime of the store — for a
-    /// disk-backed store that includes nothing from previous processes, only
-    /// lookups made through this one).
-    pub fn store_stats(&self) -> CacheStats {
-        self.store.stats()
-    }
-
     /// Aggregate statistics over every module checked through this session.
     pub fn stats(&self) -> CheckStats {
         *self
@@ -115,9 +103,9 @@ impl AnalysisSession {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Fold externally produced per-module statistics into the session
-    /// aggregate — how the scan pipeline accounts for modules it replayed
-    /// from the scan store without driving the checker.
+    /// Fold one module's statistics into the session aggregate — called by
+    /// [`check_module`](AnalysisSession::check_module), and by the scan
+    /// pipeline for the modules it checked or replayed from the scan store.
     pub(crate) fn absorb_stats(&self, stats: &CheckStats) {
         self.aggregate
             .lock()
@@ -132,11 +120,12 @@ impl AnalysisSession {
             0 => Budget::unlimited(),
             n => Budget::propagations(n),
         };
-        let mut solver = BvSolver::with_budget(budget);
+        let solver = BvSolver::with_budget(budget);
         if self.config.query_cache {
-            solver.set_store(Some(Arc::clone(store)));
+            solver.with_store(Arc::clone(store))
+        } else {
+            solver
         }
-        solver
     }
 
     /// Compile a mini-C source string, run the analysis pre-pass, and check
@@ -147,52 +136,23 @@ impl AnalysisSession {
         Ok(self.check_module(&module))
     }
 
-    /// Streaming variant of [`check_source`](AnalysisSession::check_source):
-    /// reports go to `sink` instead of a vector.
-    pub fn check_source_streaming(
-        &self,
-        src: &str,
-        file: &str,
-        sink: &mut dyn FnMut(BugReport),
-    ) -> Result<CheckStats, stack_minic::Diag> {
-        let mut module = stack_minic::compile(src, file)?;
-        stack_opt::optimize_for_analysis(&mut module);
-        Ok(self.check_module_streaming(&module, sink))
-    }
-
     /// Check every function of an (already optimized-for-analysis) module,
-    /// collecting the reports. Thin wrapper over
-    /// [`check_module_streaming`](AnalysisSession::check_module_streaming).
-    pub fn check_module(&self, module: &Module) -> CheckResult {
-        let mut reports = Vec::new();
-        let stats = self.check_module_streaming(module, &mut |r| reports.push(r));
-        CheckResult { reports, stats }
-    }
-
-    /// Check every function of an (already optimized-for-analysis) module,
-    /// handing each surviving report to `sink` and returning the module's
-    /// statistics (also merged into the session aggregate). An archive scan
-    /// that prints or counts reports as they appear never retains them.
+    /// collecting the reports that survive the module filter and returning
+    /// them with the module's statistics (also merged into the session
+    /// aggregate).
     ///
     /// Functions are checked in order on one solver. Parallel work is
     /// across files: see [`ScanPipeline`](crate::ScanPipeline).
-    pub fn check_module_streaming(
-        &self,
-        module: &Module,
-        sink: &mut dyn FnMut(BugReport),
-    ) -> CheckStats {
+    pub fn check_module(&self, module: &Module) -> CheckResult {
         let select = vec![true; module.len()];
         let (checks, stats) = self.check_functions_selected(module, &select);
-        self.filter_module_reports(checks.into_iter().flat_map(|c| c.reports), sink);
-        self.aggregate
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .merge(&stats);
-        stats
+        let reports = self.filter_module_reports(checks.into_iter().flat_map(|c| c.reports));
+        self.absorb_stats(&stats);
+        CheckResult { reports, stats }
     }
 
     /// Check a *selected subset* of a module's functions — the primitive
-    /// under both [`check_module_streaming`] (everything selected) and the
+    /// under both [`check_module`] (everything selected) and the
     /// scan pipeline's per-function incremental re-scan (only the functions
     /// whose replay keys missed the scan store). Returns one
     /// [`FunctionCheck`] per selected function, in function order, carrying
@@ -203,7 +163,7 @@ impl AnalysisSession {
     /// session aggregate — callers compose the final per-module statistics
     /// and absorb them once).
     ///
-    /// [`check_module_streaming`]: AnalysisSession::check_module_streaming
+    /// [`check_module`]: AnalysisSession::check_module
     pub fn check_functions_selected(
         &self,
         module: &Module,
@@ -255,29 +215,25 @@ impl AnalysisSession {
 
     /// The module-level report filter: deduplicate identical (location,
     /// function, algorithm) reports, then apply the macro/inline
-    /// suppression, streaming what survives to `sink`. Order-sensitive (the
-    /// seen-set is first-wins), so callers feed the assembled per-function
-    /// streams in function order — which is why the scan store records raw
-    /// pre-filter reports.
+    /// suppression, returning what survives. Order-sensitive (the seen-set
+    /// is first-wins), so callers feed the assembled per-function streams in
+    /// function order — which is why the scan store records raw pre-filter
+    /// reports.
     pub(crate) fn filter_module_reports(
         &self,
         raw: impl IntoIterator<Item = BugReport>,
-        sink: &mut dyn FnMut(BugReport),
-    ) {
+    ) -> Vec<BugReport> {
         let mut seen = HashSet::new();
-        for report in raw {
-            if !seen.insert((report.location(), report.function.clone(), report.algorithm)) {
-                continue;
-            }
-            if !self.config.report_compiler_generated && report.compiler_generated {
-                continue;
-            }
-            sink(report);
-        }
+        raw.into_iter()
+            .filter(|report| {
+                seen.insert((report.location(), report.function.clone(), report.algorithm))
+                    && (self.config.report_compiler_generated || !report.compiler_generated)
+            })
+            .collect()
     }
 
     /// Check a single function.
-    pub fn check_function(&self, func: &Function, solver: &mut BvSolver) -> Vec<BugReport> {
+    fn check_function(&self, func: &Function, solver: &mut BvSolver) -> Vec<BugReport> {
         let mut enc = FunctionEncoder::new(func);
         let ub_conds = collect_ub_conditions(func, &mut enc);
         let mut reports = Vec::new();
@@ -688,22 +644,6 @@ mod tests {
         // The second, structurally identical module is answered from the
         // shared store.
         assert!(second.stats.cache_hits > 0);
-    }
-
-    #[test]
-    fn streaming_and_collecting_agree() {
-        let session = AnalysisSession::new(CheckerConfig::default());
-        let collected = session.check_source(TWO_FUNCTION_SRC, "a.c").unwrap();
-        let mut streamed = Vec::new();
-        let stats = session
-            .check_source_streaming(TWO_FUNCTION_SRC, "a.c", &mut |r| streamed.push(r))
-            .unwrap();
-        assert_eq!(
-            format!("{:?}", collected.reports),
-            format!("{streamed:?}"),
-            "streamed reports must match collected reports, in order"
-        );
-        assert_eq!(stats.queries, collected.stats.queries);
     }
 
     #[test]

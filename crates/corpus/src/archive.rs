@@ -415,23 +415,13 @@ pub fn duplicate_files(base: &[ArchiveFile], seed: u64, copies: usize) -> Vec<Ar
     files
 }
 
-/// Materialize the archive population as `.mc` files under `dir` (created
-/// if needed), returning the written paths in generation order. This is
-/// what `stack gen-archive` uses to give the `scan` subcommand a real
-/// directory to walk. With `edit_functions > 0`, the written population is
-/// the [`churn_functions_count`] edit of the generated one (the CLI's
-/// "touch K functions, then re-scan" smoke workload); file names and
-/// counts are unchanged either way.
-pub fn write_archive_edited(
-    config: &ArchiveConfig,
-    dir: &Path,
-    edit_functions: usize,
-) -> io::Result<Vec<PathBuf>> {
+/// Materialize `files` as `.mc` files under `dir` (created if needed),
+/// returning the written paths in the order given. This is what `stack
+/// gen-archive` uses to give the `scan` subcommand a real directory to
+/// walk: it writes the population it generated and validated, edited by
+/// [`churn_functions_count`] when asked.
+pub fn write_archive(dir: &Path, files: &[ArchiveFile]) -> io::Result<Vec<PathBuf>> {
     std::fs::create_dir_all(dir)?;
-    let mut files = generate_archive(config);
-    if edit_functions > 0 {
-        files = churn_functions_count(&files, config.seed, edit_functions).files;
-    }
     let mut paths = Vec::new();
     for file in files {
         let path = dir.join(&file.name);
@@ -442,11 +432,6 @@ pub fn write_archive_edited(
         paths.push(path);
     }
     Ok(paths)
-}
-
-/// [`write_archive_edited`] with no function edits.
-pub fn write_archive(config: &ArchiveConfig, dir: &Path) -> io::Result<Vec<PathBuf>> {
-    write_archive_edited(config, dir, 0)
 }
 
 #[cfg(test)]
@@ -690,10 +675,11 @@ mod tests {
             packages: 2,
             ..ArchiveConfig::default()
         };
-        let paths = write_archive(&cfg, &dir).unwrap();
+        let files = generate_archive(&cfg);
+        let paths = write_archive(&dir, &files).unwrap();
         assert_eq!(paths.len(), cfg.packages * cfg.files_per_package);
-        for path in &paths {
-            assert!(path.exists(), "{path:?}");
+        for (path, file) in paths.iter().zip(&files) {
+            assert_eq!(std::fs::read_to_string(path).unwrap(), file.source);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -42,7 +42,7 @@ pub fn validate_sources<'a, E: std::fmt::Display>(
 
 pub use archive::{
     churn_archive, churn_functions, churn_functions_count, duplicate_files, generate_archive,
-    write_archive, write_archive_edited, ArchiveConfig, ArchiveFile, ChurnedArchive, FunctionChurn,
+    write_archive, ArchiveConfig, ArchiveFile, ChurnedArchive, FunctionChurn,
 };
 pub use patterns::{
     all_patterns, completeness_benchmark, CompletenessTest, Pattern, FIG10_POSTGRES_DIVISION,

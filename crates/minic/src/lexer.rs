@@ -171,12 +171,21 @@ fn tokenize_raw(src: &str) -> Result<Vec<Token>, Diag> {
                 out.push(Token::new(Tok::CharLit(ch), tline, tcol));
             }
             '"' => {
+                // String literal: C forbids a raw newline in one, so it must
+                // close on its own line.
                 i += 1;
                 col += 1;
                 let mut s = String::new();
-                while i < bytes.len() && bytes[i] != '"' {
+                while i < bytes.len() && !matches!(bytes[i], '"' | '\n') {
                     s.push(bytes[i]);
                     advance(&mut i, &mut col);
+                }
+                if bytes.get(i) != Some(&'"') {
+                    return Err(Diag::new(
+                        "unterminated string literal".to_string(),
+                        tline,
+                        tcol,
+                    ));
                 }
                 i += 1;
                 col += 1;
@@ -556,6 +565,32 @@ mod tests {
             let err = lex(src).unwrap_err();
             assert_eq!(err.message, "unterminated character literal", "{src}");
             assert_eq!((err.line, err.column), (1, 9), "{src}");
+        }
+    }
+
+    #[test]
+    fn string_literal_closes_on_its_own_line() {
+        let toks = lex("char *s = \"a b\";\nint y;").unwrap();
+        assert_eq!(toks[4].tok, Tok::StrLit("a b".to_string()));
+        let y = toks
+            .iter()
+            .find(|t| matches!(&t.tok, Tok::Ident(s) if s == "y"))
+            .unwrap();
+        assert_eq!((y.line, y.column), (2, 5));
+    }
+
+    #[test]
+    fn unterminated_string_literal_is_a_diagnostic() {
+        // Cut by a raw newline, or by the end of the file: the diagnostic
+        // names the opening quote.
+        for (src, at) in [
+            ("int g(char *s);\nint f(void) { g(\"a\nb\"); }", (2, 17)),
+            ("char *s = \"", (1, 11)),
+            ("char *s = \"abc;", (1, 11)),
+        ] {
+            let err = lex(src).unwrap_err();
+            assert_eq!(err.message, "unterminated string literal", "{src}");
+            assert_eq!((err.line, err.column), at, "{src}");
         }
     }
 

@@ -179,20 +179,15 @@ impl BvSolver {
         self.stats.minimization_queries_saved += 1;
     }
 
-    /// Attach (or detach) a memoized query store, typically shared between
-    /// several solvers via [`Arc`]. With a store attached, [`check`]
-    /// consults it before simulation and the SAT core and inserts every
-    /// decided result; budget-exhausted `Unknown` results are never stored.
-    /// Any [`QueryStore`] works: the in-memory
+    /// Attach a memoized query store, typically shared between several
+    /// solvers via [`Arc`]. With a store attached, [`check`] consults it
+    /// before simulation and the SAT core and inserts every decided result;
+    /// budget-exhausted `Unknown` results are never stored. Any
+    /// [`QueryStore`] works: the in-memory
     /// [`QueryCache`](crate::cache::QueryCache) or the disk-backed
     /// [`DiskQueryStore`](crate::store::DiskQueryStore).
     ///
     /// [`check`]: BvSolver::check
-    pub fn set_store(&mut self, store: Option<Arc<dyn QueryStore>>) {
-        self.store = store;
-    }
-
-    /// Builder-style variant of [`BvSolver::set_store`].
     pub fn with_store(mut self, store: Arc<dyn QueryStore>) -> BvSolver {
         self.store = Some(store);
         self
@@ -378,25 +373,6 @@ impl BvSolver {
             })
             .collect();
         Some(kept)
-    }
-
-    /// Check whether a single boolean term is satisfiable.
-    pub fn check_one(&mut self, pool: &TermPool, assertion: TermId) -> QueryResult {
-        self.check(pool, &[assertion])
-    }
-
-    /// Check whether `a` and `b` are equivalent (i.e. `a != b` is UNSAT).
-    /// Both terms must be boolean.
-    pub fn equivalent(&mut self, pool: &mut TermPool, a: TermId, b: TermId) -> bool {
-        let distinct = pool.xor(a, b);
-        self.check_one(pool, distinct).is_unsat()
-    }
-
-    /// Check whether `assumption -> conclusion` is valid.
-    pub fn implies(&mut self, pool: &mut TermPool, assumption: TermId, conclusion: TermId) -> bool {
-        let not_conclusion = pool.not(conclusion);
-        let counterexample = pool.and(assumption, not_conclusion);
-        self.check_one(pool, counterexample).is_unsat()
     }
 }
 
@@ -645,13 +621,19 @@ mod tests {
         let sign = pool.extract(x, 7, 7);
         let one1 = pool.bv_const(1, 1);
         let b = pool.eq(sign, one1);
-        assert!(solver.equivalent(&mut pool, a, b));
-        // x == 0 implies x <= 5 unsigned.
+        let distinct = pool.xor(a, b);
+        assert!(solver.check(&pool, &[distinct]).is_unsat());
+        // x == 0 implies x <= 5 unsigned: `is_zero ∧ ¬le5` is Unsat, and the
+        // converse `le5 ∧ ¬is_zero` is Sat.
         let is_zero = pool.eq(x, zero);
         let five = pool.bv_const(8, 5);
         let le5 = pool.bv_ule(x, five);
-        assert!(solver.implies(&mut pool, is_zero, le5));
-        assert!(!solver.implies(&mut pool, le5, is_zero));
+        let not_le5 = pool.not(le5);
+        let counterexample = pool.and(is_zero, not_le5);
+        assert!(solver.check(&pool, &[counterexample]).is_unsat());
+        let not_zero = pool.not(is_zero);
+        let converse = pool.and(le5, not_zero);
+        assert!(!solver.check(&pool, &[converse]).is_unsat());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use stack_core::Checker;
+use stack_core::AnalysisSession;
 
 fn main() {
     // The null-pointer-check-after-dereference bug of the paper's Figure 2
@@ -13,7 +13,7 @@ fn main() {
                     if (!tun) return 1;\n\
                     return 0;\n\
                   }";
-    let result = Checker::new()
+    let result = AnalysisSession::default()
         .check_source(source, "tun.c")
         .expect("the example compiles");
 

@@ -22,7 +22,7 @@ pub use stack_opt as opt;
 pub use stack_solver as solver;
 
 pub use stack_core::{
-    Algorithm, AnalysisSession, BugReport, CheckResult, Checker, CheckerConfig, ScanPipeline,
-    ScanStore, UbKind,
+    Algorithm, AnalysisSession, BugReport, CheckResult, CheckerConfig, ScanPipeline, ScanStore,
+    UbKind,
 };
 pub use stack_solver::{DiskQueryStore, QueryStore};

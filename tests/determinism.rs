@@ -131,11 +131,10 @@ fn archive_run(path: &std::path::Path) -> (Vec<String>, stack_repro::core::Check
     let session = AnalysisSession::with_store(CheckerConfig::default(), store.clone() as _);
     let mut reports = Vec::new();
     for file in generate_archive(&archive_cfg) {
-        session
-            .check_source_streaming(&file.source, &file.name, &mut |r| {
-                reports.push(format!("{r:?}"));
-            })
+        let result = session
+            .check_source(&file.source, &file.name)
             .expect("archive files compile");
+        reports.extend(result.reports.iter().map(|r| format!("{r:?}")));
     }
     store.save().expect("save cache file");
     (reports, session.stats())

@@ -5,12 +5,12 @@
 
 use stack_repro::corpus::{all_patterns, FIG2_TUN_NULL_CHECK, UB_COLUMNS};
 use stack_repro::solver::{BvSolver, QueryResult, TermPool};
-use stack_repro::{Algorithm, CheckResult, Checker, CheckerConfig, UbKind};
+use stack_repro::{Algorithm, AnalysisSession, CheckResult, CheckerConfig, UbKind};
 
 #[test]
 fn checker_reexport_analyzes_figure2() {
-    let checker = Checker::new();
-    let result: CheckResult = checker
+    let session = AnalysisSession::default();
+    let result: CheckResult = session
         .check_source(FIG2_TUN_NULL_CHECK.source, "tun.c")
         .expect("Figure 2 example must compile");
     assert!(
@@ -29,11 +29,11 @@ fn checker_reexport_analyzes_figure2() {
 
 #[test]
 fn checker_config_reexport_is_usable() {
-    let checker = Checker::with_config(CheckerConfig {
+    let session = AnalysisSession::new(CheckerConfig {
         report_compiler_generated: true,
         ..CheckerConfig::default()
     });
-    let result = checker
+    let result = session
         .check_source(FIG2_TUN_NULL_CHECK.source, "tun.c")
         .unwrap();
     assert!(!result.reports.is_empty());

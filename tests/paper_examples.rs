@@ -2,11 +2,13 @@
 //! pre-pass → checker) over every paper example in the corpus and check that
 //! the expected reports appear (and that stable code stays clean).
 
-use stack_repro::core::{Algorithm, Checker, UbKind};
+use stack_repro::core::{Algorithm, AnalysisSession, UbKind};
 use stack_repro::corpus;
 
 fn check(source: &str, file: &str) -> stack_repro::core::CheckResult {
-    Checker::new().check_source(source, file).expect("compiles")
+    AnalysisSession::default()
+        .check_source(source, file)
+        .expect("compiles")
 }
 
 #[test]
@@ -78,9 +80,9 @@ fn table1_idioms_are_flagged_with_the_right_ub_class() {
     // null check, e1000e's memset-of-null, e2fsprogs' signed offset
     // overflow guard) must each yield a report involving the UB class the
     // paper attributes to them.
-    let checker = Checker::new();
+    let session = AnalysisSession::default();
     for idiom in corpus::table1_idioms() {
-        let result = checker
+        let result = session
             .check_source(idiom.source, &format!("{}.c", idiom.id))
             .unwrap_or_else(|e| panic!("{}: {e}", idiom.id));
         let expected = match idiom.ub {
@@ -105,9 +107,9 @@ fn figure9_corpus_bugs_are_all_detected() {
     // Sample the per-system corpus (every 7th bug keeps the test fast) and
     // confirm each generated bug yields at least one report of a matching
     // UB class.
-    let checker = Checker::new();
+    let session = AnalysisSession::default();
     for bug in corpus::figure9_corpus().iter().step_by(7) {
-        let result = checker.check_source(&bug.source, &bug.file).unwrap();
+        let result = session.check_source(&bug.source, &bug.file).unwrap();
         assert!(
             !result.reports.is_empty(),
             "{} ({}): expected a report\n{}",
@@ -140,7 +142,7 @@ fn compiler_profiles_discard_what_the_checker_flags() {
 #[test]
 fn checker_budget_exhaustion_is_counted_not_crashed() {
     use stack_repro::core::CheckerConfig;
-    let tight = Checker::with_config(CheckerConfig {
+    let tight = AnalysisSession::new(CheckerConfig {
         query_budget: 50,
         ..CheckerConfig::default()
     });

@@ -4,7 +4,7 @@
 //! frontend must agree with concrete evaluation.
 
 use proptest::prelude::*;
-use stack_repro::core::Checker;
+use stack_repro::core::AnalysisSession;
 use stack_repro::corpus::{bug_template, UB_COLUMNS};
 use stack_repro::solver::{BvSolver, QueryResult, TermPool};
 
@@ -21,7 +21,7 @@ proptest! {
         stack_repro::ir::verify_module(&module).unwrap();
         stack_repro::opt::optimize_for_analysis(&mut module);
         stack_repro::ir::verify_module(&module).unwrap();
-        let result = Checker::new().check_module(&module);
+        let result = AnalysisSession::default().check_module(&module);
         prop_assert!(!result.reports.is_empty(), "{ub}: {src}");
     }
 
