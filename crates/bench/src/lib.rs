@@ -331,12 +331,13 @@ impl PrevalenceResult {
         out
     }
 
-    /// Render the Figure 18 table (reports per UB condition).
+    /// Render the Figure 18 table (reports per UB condition), by report
+    /// count and then, among equal counts, in [`UbKind`] order.
     pub fn render_figure18(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "Figure 18: reports per undefined-behavior condition");
         let mut kinds: Vec<(&UbKind, &usize)> = self.reports_by_ub.iter().collect();
-        kinds.sort_by(|a, b| b.1.cmp(a.1));
+        kinds.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
         for (kind, count) in kinds {
             let _ = writeln!(
                 out,
@@ -1487,6 +1488,31 @@ pub fn no_positionals(args: &[String], value_flags: &[&str], usage: &str) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn figure18_orders_tied_rows_by_kind() {
+        let reports_by_ub: HashMap<UbKind, usize> = [
+            (UbKind::OversizedShift, 2),
+            (UbKind::NullPointerDereference, 5),
+            (UbKind::DivisionByZero, 2),
+        ]
+        .into();
+        let result = PrevalenceResult {
+            packages: 3,
+            packages_with_reports: 3,
+            reports_by_algorithm: HashMap::new(),
+            packages_by_algorithm: HashMap::new(),
+            reports_by_ub,
+            packages_by_ub: HashMap::new(),
+        };
+        let table = result.render_figure18();
+        let rows: Vec<&str> = table
+            .lines()
+            .skip(1)
+            .map(|row| row.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(rows, ["null", "division", "oversized"]);
+    }
 
     #[test]
     fn figure4_matches_the_papers_matrix() {

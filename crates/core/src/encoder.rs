@@ -19,7 +19,8 @@
 //! encoding.
 
 use stack_ir::{
-    BinOp, BlockId, Cfg, CmpPred, DomTree, Function, InstId, InstKind, Operand, Terminator, Type,
+    BinOp, BlockId, Cfg, CmpPred, DomTree, Function, InstId, InstKind, InstPositions, Operand,
+    Terminator, Type,
 };
 use stack_solver::{TermId, TermPool};
 use std::collections::HashMap;
@@ -31,9 +32,11 @@ pub struct FunctionEncoder<'f> {
     pub pool: TermPool,
     pub cfg: Cfg,
     pub dom: DomTree,
+    /// The block and index of every instruction of `func`.
+    pub(crate) positions: InstPositions,
     value_cache: HashMap<Operand, TermId>,
-    reach_cache: HashMap<BlockId, TermId>,
-    rpo_index: HashMap<BlockId, usize>,
+    /// Reachability condition per block, once computed.
+    reach_cache: Vec<Option<TermId>>,
     fresh: u32,
 }
 
@@ -51,20 +54,14 @@ impl<'f> FunctionEncoder<'f> {
     pub fn new(func: &'f Function) -> FunctionEncoder<'f> {
         let cfg = Cfg::compute(func);
         let dom = DomTree::compute(func, &cfg);
-        let rpo_index = cfg
-            .reverse_post_order()
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| (b, i))
-            .collect();
         FunctionEncoder {
             func,
             pool: TermPool::new(),
             cfg,
             dom,
+            positions: func.positions(),
             value_cache: HashMap::new(),
-            reach_cache: HashMap::new(),
-            rpo_index,
+            reach_cache: vec![None; func.num_blocks()],
             fresh: 0,
         }
     }
@@ -155,7 +152,8 @@ impl<'f> FunctionEncoder<'f> {
     }
 
     fn translate_inst(&mut self, id: InstId) -> TermId {
-        let inst = self.func.inst(id).clone();
+        let func = self.func;
+        let inst = func.inst(id);
         let result_width = match inst.ty {
             Type::Bool => 1,
             Type::Int(w) => w,
@@ -212,7 +210,7 @@ impl<'f> FunctionEncoder<'f> {
                 let name = self.fresh_name(&format!(
                     "load{}_{}",
                     id.0,
-                    inst.name.clone().unwrap_or_default()
+                    inst.name.as_deref().unwrap_or_default()
                 ));
                 if inst.ty == Type::Bool {
                     self.pool.bool_var(&name)
@@ -224,7 +222,11 @@ impl<'f> FunctionEncoder<'f> {
                 let name = self.fresh_name(&format!("alloca{}", id.0));
                 self.pool.bv_var(&name, 64)
             }
-            InstKind::Call { callee, args, .. } => {
+            InstKind::Call {
+                ref callee,
+                ref args,
+                ..
+            } => {
                 // `abs` is modeled precisely so that the `abs(x) < 0` check of
                 // §2.2 can be reasoned about; other calls are unknown values.
                 if (callee == "abs" || callee == "labs" || callee == "llabs") && args.len() == 1 {
@@ -273,21 +275,20 @@ impl<'f> FunctionEncoder<'f> {
                 }
             }
             InstKind::Phi { ref incomings } => {
-                let block = self.func.block_of(id).expect("phi must belong to a block");
-                let my_rpo = self.rpo_index.get(&block).copied().unwrap_or(usize::MAX);
+                let (block, _) = self.positions.get(id).expect("phi must belong to a block");
+                let my_rpo = self.cfg.rpo_position(block).unwrap_or(usize::MAX);
                 // Start from an unconstrained value (covers back edges and
                 // unreachable predecessors), then layer forward-edge values
                 // gated by their edge conditions.
                 let base_name = self.fresh_name(&format!("phi{}", id.0));
-                let is_bool = self.func.inst(id).ty == Type::Bool;
+                let is_bool = inst.ty == Type::Bool;
                 let mut acc = if is_bool {
                     self.pool.bool_var(&base_name)
                 } else {
                     self.pool.bv_var(&base_name, result_width)
                 };
-                for (pred, value) in incomings.clone() {
-                    let pred_rpo = self.rpo_index.get(&pred).copied();
-                    match pred_rpo {
+                for &(pred, value) in incomings {
+                    match self.cfg.rpo_position(pred) {
                         Some(p) if p < my_rpo => {
                             let reach = self.reach_term(pred);
                             let edge = self.edge_cond(pred, block);
@@ -336,21 +337,18 @@ impl<'f> FunctionEncoder<'f> {
     /// Reachability condition of a block from the function entry, following
     /// forward edges only.
     pub fn reach_term(&mut self, block: BlockId) -> TermId {
-        if let Some(&t) = self.reach_cache.get(&block) {
+        if let Some(t) = self.reach_cache[block.index()] {
             return t;
         }
         let term = if block == self.func.entry() {
             self.pool.bool_const(true)
-        } else if !self.cfg.is_reachable(block) {
-            self.pool.bool_const(false)
-        } else {
-            let my_rpo = self.rpo_index[&block];
+        } else if let Some(my_rpo) = self.cfg.rpo_position(block) {
             let preds: Vec<BlockId> = self
                 .cfg
                 .preds(block)
                 .iter()
                 .copied()
-                .filter(|p| self.rpo_index.get(p).map(|&i| i < my_rpo).unwrap_or(false))
+                .filter(|&p| self.cfg.rpo_position(p).is_some_and(|i| i < my_rpo))
                 .collect();
             let mut disjuncts = Vec::new();
             for p in preds {
@@ -364,14 +362,16 @@ impl<'f> FunctionEncoder<'f> {
             } else {
                 self.pool.or_many(&disjuncts)
             }
+        } else {
+            self.pool.bool_const(false)
         };
-        self.reach_cache.insert(block, term);
+        self.reach_cache[block.index()] = Some(term);
         term
     }
 
     /// Condition under which control flows along the edge `from -> to`.
     pub fn edge_cond(&mut self, from: BlockId, to: BlockId) -> TermId {
-        match self.func.block(from).terminator.clone() {
+        match self.func.block(from).terminator {
             Terminator::Br { .. } => self.pool.bool_const(true),
             Terminator::CondBr {
                 cond,

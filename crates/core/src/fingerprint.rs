@@ -74,8 +74,10 @@ pub const FINGERPRINT_REVISION: u32 = 2;
 /// keyed on the lowered IR itself, stay valid. (2: preprocessor lines lex
 /// as their own token, so a string literal is never run as a directive,
 /// and a character literal must be closed. 3: a string literal must be
-/// closed on its own line.)
-pub const FRONTEND_REVISION: u32 = 3;
+/// closed on its own line. 4: `\` escapes the next character of a string
+/// literal, `##` pastes tokens in a macro body, and a variable merged at
+/// several points gets its phis numbered in block order.)
+pub const FRONTEND_REVISION: u32 = 4;
 
 /// The structural digest of one function: a stable hash of its canonical
 /// print, which excludes origins entirely — the same body at any path, or

@@ -85,10 +85,11 @@ impl std::fmt::Display for BugReport {
     }
 }
 
-/// Convert an IR origin to a (file, line, compiler_generated) triple.
-pub fn origin_info(origin: &Origin) -> (String, u32, bool) {
+/// Convert an IR origin in the module compiled from `file` to a (file,
+/// line, compiler_generated) triple. An unknown origin has no file.
+pub fn origin_info(origin: &Origin, file: &str) -> (String, u32, bool) {
     (
-        origin.loc.file.clone(),
+        origin.loc.file(file).to_string(),
         origin.loc.line,
         !origin.is_programmer_written(),
     )

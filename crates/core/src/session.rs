@@ -195,7 +195,7 @@ impl AnalysisSession {
             .filter(|&i| select[i])
             .map(|i| {
                 let before = solver.stats().timeouts;
-                let reports = self.check_function(&functions[i], &mut solver);
+                let reports = self.check_function(&module.name, &functions[i], &mut solver);
                 FunctionCheck {
                     index: i,
                     reports,
@@ -232,8 +232,8 @@ impl AnalysisSession {
             .collect()
     }
 
-    /// Check a single function.
-    fn check_function(&self, func: &Function, solver: &mut BvSolver) -> Vec<BugReport> {
+    /// Check a single function of the module compiled from `file`.
+    fn check_function(&self, file: &str, func: &Function, solver: &mut BvSolver) -> Vec<BugReport> {
         let mut enc = FunctionEncoder::new(func);
         let ub_conds = collect_ub_conditions(func, &mut enc);
         let mut reports = Vec::new();
@@ -274,6 +274,7 @@ impl AnalysisSession {
                 let minimal = minimal_ub_set(&enc.pool, solver, &[reach], &dom_conds, &neg_terms);
                 let origin = block_report_origin(func, block);
                 reports.push(build_report(
+                    file,
                     func,
                     &origin,
                     Algorithm::Elimination,
@@ -296,10 +297,10 @@ impl AnalysisSession {
             if !enc.cfg.is_reachable(block) {
                 continue;
             }
-            let InstKind::Cmp { pred, lhs, rhs } = func.inst(inst_id).kind.clone() else {
+            let InstKind::Cmp { pred, lhs, rhs } = func.inst(inst_id).kind else {
                 continue;
             };
-            let index = func.position_in_block(inst_id).map(|(_, i)| i).unwrap_or(0);
+            let index = enc.positions.get(inst_id).map_or(0, |(_, i)| i);
             let e_term = enc.bool_term(Operand::Inst(inst_id));
             let reach = enc.reach_term(block);
             let dom_conds = dominating_conditions(func, &enc, &by_inst, block, Some(index));
@@ -325,6 +326,7 @@ impl AnalysisSession {
                         minimal_ub_set(&enc.pool, solver, &[diff, reach], &dom_conds, &neg_terms);
                     let origin = func.inst(inst_id).origin.clone();
                     reports.push(build_report(
+                        file,
                         func,
                         &origin,
                         Algorithm::SimplifyBoolean,
@@ -361,6 +363,7 @@ impl AnalysisSession {
                         );
                         let origin = func.inst(inst_id).origin.clone();
                         reports.push(build_report(
+                            file,
                             func,
                             &origin,
                             Algorithm::SimplifyAlgebra,
@@ -565,7 +568,7 @@ fn block_report_origin(func: &Function, block: stack_ir::BlockId) -> Origin {
         }
         for b in func.block_ids() {
             let term = &func.block(b).terminator;
-            if !term.successors().contains(&cur) {
+            if !term.successors().any(|s| s == cur) {
                 continue;
             }
             if let stack_ir::Terminator::CondBr {
@@ -584,7 +587,9 @@ fn block_report_origin(func: &Function, block: stack_ir::BlockId) -> Origin {
     Origin::unknown()
 }
 
+/// A report on `func`, of the module compiled from `file`, at `origin`.
 fn build_report(
+    file: &str,
     func: &Function,
     origin: &Origin,
     algorithm: Algorithm,
@@ -592,22 +597,22 @@ fn build_report(
     minimal: &[usize],
     ub_conds: &[UbCondition],
 ) -> BugReport {
-    let (file, line, compiler_generated) = origin_info(origin);
+    let (report_file, line, compiler_generated) = origin_info(origin, file);
     let mut ub_sources: Vec<UbSource> = minimal
         .iter()
-        .map(|&i| UbSource {
-            kind: ub_conds[i].kind,
-            location: format!(
-                "{}:{}",
-                ub_conds[i].origin.loc.file, ub_conds[i].origin.loc.line
-            ),
+        .map(|&i| {
+            let loc = func.inst(ub_conds[i].inst).origin.loc;
+            UbSource {
+                kind: ub_conds[i].kind,
+                location: format!("{}:{}", loc.file(file), loc.line),
+            }
         })
         .collect();
     ub_sources.sort_by(|a, b| (a.kind, &a.location).cmp(&(b.kind, &b.location)));
     ub_sources.dedup();
     BugReport {
         function: func.name.clone(),
-        file,
+        file: report_file,
         line,
         algorithm,
         description,

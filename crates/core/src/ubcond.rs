@@ -9,7 +9,7 @@
 
 use crate::encoder::FunctionEncoder;
 use serde::Serialize;
-use stack_ir::{BinOp, BlockId, Function, InstId, InstKind, Operand, Origin};
+use stack_ir::{BinOp, BlockId, Function, InstId, InstKind, Operand};
 use stack_solver::TermId;
 
 /// The kinds of undefined behavior modeled by the checker, matching the rows
@@ -78,13 +78,13 @@ impl UbKind {
     }
 }
 
-/// One undefined-behavior condition attached to an instruction.
+/// One undefined-behavior condition attached to an instruction (whose
+/// origin locates it in reports).
 #[derive(Clone, Debug)]
 pub struct UbCondition {
     pub kind: UbKind,
     pub inst: InstId,
     pub block: BlockId,
-    pub origin: Origin,
     /// Term that is true iff executing the instruction triggers this UB.
     pub term: TermId,
 }
@@ -102,14 +102,12 @@ pub fn collect_ub_conditions(func: &Function, enc: &mut FunctionEncoder<'_>) -> 
         if !enc.cfg.is_reachable(block) {
             continue;
         }
-        let inst = func.inst(inst_id).clone();
-        let origin = inst.origin.clone();
+        let inst = func.inst(inst_id);
         let push = |kind: UbKind, term: TermId, out: &mut Vec<UbCondition>| {
             out.push(UbCondition {
                 kind,
                 inst: inst_id,
                 block,
-                origin: origin.clone(),
                 term,
             });
         };
@@ -190,13 +188,13 @@ pub fn collect_ub_conditions(func: &Function, enc: &mut FunctionEncoder<'_>) -> 
                 // Use after free / realloc: a dominating release of the same
                 // pointer value makes this access undefined.
                 for (released, rel_inst) in &freed {
-                    if released == ptr && dominates_inst(func, enc, *rel_inst, inst_id) {
+                    if released == ptr && dominates_inst(enc, *rel_inst, inst_id) {
                         let term = enc.pool.bool_const(true);
                         push(UbKind::UseAfterFree, term, &mut out);
                     }
                 }
                 for (released, rel_inst) in &reallocated {
-                    if released == ptr && dominates_inst(func, enc, *rel_inst, inst_id) {
+                    if released == ptr && dominates_inst(enc, *rel_inst, inst_id) {
                         // Undefined only if realloc succeeded (returned non-null).
                         let result = enc.bv_term(Operand::Inst(*rel_inst));
                         let null = enc.pool.bv_const(64, 0);
@@ -318,14 +316,9 @@ fn signed_overflow_term(
 }
 
 /// Whether instruction `a` dominates instruction `b`.
-fn dominates_inst(func: &Function, enc: &FunctionEncoder<'_>, a: InstId, b: InstId) -> bool {
-    let (ba, pa) = match func.position_in_block(a) {
-        Some(p) => p,
-        None => return false,
-    };
-    let (bb, pb) = match func.position_in_block(b) {
-        Some(p) => p,
-        None => return false,
+fn dominates_inst(enc: &FunctionEncoder<'_>, a: InstId, b: InstId) -> bool {
+    let (Some((ba, pa)), Some((bb, pb))) = (enc.positions.get(a), enc.positions.get(b)) else {
+        return false;
     };
     if ba == bb {
         pa < pb

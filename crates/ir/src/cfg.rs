@@ -3,49 +3,90 @@
 
 use crate::function::Function;
 use crate::value::BlockId;
-use std::collections::{HashMap, HashSet};
 
-/// Predecessor and successor maps for a function's CFG.
+/// Marks a block that is unreachable from the entry in [`Cfg`]'s
+/// reverse-post-order positions.
+const UNREACHABLE: u32 = u32::MAX;
+
+/// Predecessor and successor lists of a function's CFG, plus the reverse
+/// post-order of its reachable blocks, all indexed by block.
 #[derive(Clone, Debug)]
 pub struct Cfg {
-    preds: HashMap<BlockId, Vec<BlockId>>,
-    succs: HashMap<BlockId, Vec<BlockId>>,
+    /// `preds[pred_start[b]..pred_start[b + 1]]` are the predecessors of
+    /// block `b`, in block order (a block branching twice to `b` appears
+    /// twice).
+    preds: Vec<BlockId>,
+    pred_start: Vec<u32>,
+    /// `succs[succ_start[b]..succ_start[b + 1]]` are the successors of `b`.
+    succs: Vec<BlockId>,
+    succ_start: Vec<u32>,
     rpo: Vec<BlockId>,
+    /// Each block's index in `rpo`, or [`UNREACHABLE`].
+    rpo_pos: Vec<u32>,
 }
 
 impl Cfg {
     /// Compute the CFG of a function.
     pub fn compute(func: &Function) -> Cfg {
-        let mut preds: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        let mut succs: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        let num_blocks = func.num_blocks() as u32;
+        let n = func.num_blocks();
+        // Successors pointing outside the function (malformed IR caught by
+        // the verifier) are ignored so CFG construction never panics.
+        let mut succs = Vec::with_capacity(2 * n);
+        let mut succ_start = Vec::with_capacity(n + 1);
+        let mut pred_count = vec![0u32; n + 1];
         for b in func.block_ids() {
-            // Successors pointing outside the function (malformed IR caught by
-            // the verifier) are ignored so CFG construction never panics.
-            let ss: Vec<BlockId> = func
-                .block(b)
-                .terminator
-                .successors()
-                .into_iter()
-                .filter(|s| s.0 < num_blocks)
-                .collect();
-            for s in &ss {
-                preds.entry(*s).or_default().push(b);
+            succ_start.push(succs.len() as u32);
+            for s in func.block(b).terminator.successors() {
+                if s.index() < n {
+                    succs.push(s);
+                    pred_count[s.index()] += 1;
+                }
             }
-            succs.insert(b, ss);
         }
-        let rpo = reverse_post_order(func);
-        Cfg { preds, succs, rpo }
+        succ_start.push(succs.len() as u32);
+        // Counting sort of the edges by target keeps each block's
+        // predecessors in block order.
+        let mut pred_start = Vec::with_capacity(n + 1);
+        let mut total = 0;
+        for count in &pred_count[..n] {
+            pred_start.push(total);
+            total += count;
+        }
+        pred_start.push(total);
+        let mut fill = pred_start.clone();
+        let mut preds = vec![BlockId(0); succs.len()];
+        for b in func.block_ids() {
+            let range = succ_start[b.index()] as usize..succ_start[b.index() + 1] as usize;
+            for &s in &succs[range] {
+                preds[fill[s.index()] as usize] = b;
+                fill[s.index()] += 1;
+            }
+        }
+        let mut cfg = Cfg {
+            preds,
+            pred_start,
+            succs,
+            succ_start,
+            rpo: Vec::new(),
+            rpo_pos: vec![UNREACHABLE; n],
+        };
+        cfg.rpo = cfg.depth_first_reverse_post_order(func.entry());
+        for (i, b) in cfg.rpo.iter().enumerate() {
+            cfg.rpo_pos[b.index()] = i as u32;
+        }
+        cfg
     }
 
     /// Predecessors of a block (empty for the entry and unreachable blocks).
     pub fn preds(&self, block: BlockId) -> &[BlockId] {
-        self.preds.get(&block).map(|v| v.as_slice()).unwrap_or(&[])
+        let b = block.index();
+        &self.preds[self.pred_start[b] as usize..self.pred_start[b + 1] as usize]
     }
 
     /// Successors of a block.
     pub fn succs(&self, block: BlockId) -> &[BlockId] {
-        self.succs.get(&block).map(|v| v.as_slice()).unwrap_or(&[])
+        let b = block.index();
+        &self.succs[self.succ_start[b] as usize..self.succ_start[b + 1] as usize]
     }
 
     /// Blocks reachable from the entry, in reverse post-order.
@@ -53,40 +94,44 @@ impl Cfg {
         &self.rpo
     }
 
-    /// Whether a block is reachable from the entry.
-    pub fn is_reachable(&self, block: BlockId) -> bool {
-        self.rpo.contains(&block)
-    }
-}
-
-/// Reverse post-order of the blocks reachable from the entry.
-pub fn reverse_post_order(func: &Function) -> Vec<BlockId> {
-    let mut visited: HashSet<BlockId> = HashSet::new();
-    let mut post: Vec<BlockId> = Vec::new();
-    // Iterative DFS with an explicit stack of (block, next successor index).
-    let mut stack: Vec<(BlockId, usize)> = vec![(func.entry(), 0)];
-    let num_blocks = func.num_blocks() as u32;
-    visited.insert(func.entry());
-    while let Some((block, idx)) = stack.pop() {
-        let succs: Vec<BlockId> = func
-            .block(block)
-            .terminator
-            .successors()
-            .into_iter()
-            .filter(|s| s.0 < num_blocks)
-            .collect();
-        if idx < succs.len() {
-            stack.push((block, idx + 1));
-            let next = succs[idx];
-            if visited.insert(next) {
-                stack.push((next, 0));
-            }
-        } else {
-            post.push(block);
+    /// A reachable block's index in [`reverse_post_order`], or `None` for
+    /// an unreachable block.
+    ///
+    /// [`reverse_post_order`]: Cfg::reverse_post_order
+    pub fn rpo_position(&self, block: BlockId) -> Option<usize> {
+        match self.rpo_pos[block.index()] {
+            UNREACHABLE => None,
+            pos => Some(pos as usize),
         }
     }
-    post.reverse();
-    post
+
+    /// Whether a block is reachable from the entry.
+    pub fn is_reachable(&self, block: BlockId) -> bool {
+        self.rpo_pos[block.index()] != UNREACHABLE
+    }
+
+    /// Iterative DFS from `entry` with an explicit stack of (block, next
+    /// successor index), visiting successors in order; returns the reversed
+    /// post-order.
+    fn depth_first_reverse_post_order(&self, entry: BlockId) -> Vec<BlockId> {
+        let mut visited = vec![false; self.rpo_pos.len()];
+        let mut post = Vec::with_capacity(self.rpo_pos.len());
+        let mut stack = vec![(entry, 0)];
+        visited[entry.index()] = true;
+        while let Some((block, idx)) = stack.pop() {
+            if let Some(&next) = self.succs(block).get(idx) {
+                stack.push((block, idx + 1));
+                if !visited[next.index()] {
+                    visited[next.index()] = true;
+                    stack.push((next, 0));
+                }
+            } else {
+                post.push(block);
+            }
+        }
+        post.reverse();
+        post
+    }
 }
 
 #[cfg(test)]

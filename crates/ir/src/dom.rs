@@ -9,13 +9,16 @@
 use crate::cfg::Cfg;
 use crate::function::Function;
 use crate::value::{BlockId, InstId};
-use std::collections::HashMap;
+
+/// Marks a block without an immediate dominator in [`DomTree`]'s table.
+const NO_IDOM: u32 = u32::MAX;
 
 /// Dominator tree over the reachable blocks of a function.
 #[derive(Clone, Debug)]
 pub struct DomTree {
-    /// Immediate dominator of each reachable block (the entry maps to itself).
-    idom: HashMap<BlockId, BlockId>,
+    /// Immediate dominator of each block, indexed by block: the entry maps
+    /// to itself, an unreachable block to [`NO_IDOM`].
+    idom: Vec<u32>,
     entry: BlockId,
 }
 
@@ -23,19 +26,19 @@ impl DomTree {
     /// Compute dominators using the Cooper–Harvey–Kennedy iterative
     /// algorithm over reverse post-order.
     pub fn compute(func: &Function, cfg: &Cfg) -> DomTree {
-        let rpo = cfg.reverse_post_order().to_vec();
+        let rpo = cfg.reverse_post_order();
         let entry = func.entry();
-        let order: HashMap<BlockId, usize> = rpo.iter().enumerate().map(|(i, &b)| (b, i)).collect();
-        let mut idom: HashMap<BlockId, BlockId> = HashMap::new();
-        idom.insert(entry, entry);
-
-        let intersect = |idom: &HashMap<BlockId, BlockId>, mut a: BlockId, mut b: BlockId| {
+        // The algorithm runs on reverse-post-order positions: `idom[i]` is
+        // the position of the immediate dominator of `rpo[i]`.
+        let mut idom = vec![NO_IDOM; rpo.len()];
+        idom[0] = 0;
+        let intersect = |idom: &[u32], mut a: u32, mut b: u32| {
             while a != b {
-                while order[&a] > order[&b] {
-                    a = idom[&a];
+                while a > b {
+                    a = idom[a as usize];
                 }
-                while order[&b] > order[&a] {
-                    b = idom[&b];
+                while b > a {
+                    b = idom[b as usize];
                 }
             }
             a
@@ -44,29 +47,35 @@ impl DomTree {
         let mut changed = true;
         while changed {
             changed = false;
-            for &b in rpo.iter().skip(1) {
+            for (i, &b) in rpo.iter().enumerate().skip(1) {
                 // Pick the first processed predecessor as the starting point.
-                let mut new_idom: Option<BlockId> = None;
+                let mut new_idom = NO_IDOM;
                 for &p in cfg.preds(b) {
-                    if !order.contains_key(&p) {
-                        continue; // unreachable predecessor
-                    }
-                    if idom.contains_key(&p) {
-                        new_idom = Some(match new_idom {
-                            None => p,
-                            Some(cur) => intersect(&idom, cur, p),
-                        });
+                    // Skip unreachable and not yet processed predecessors.
+                    let Some(p) = cfg.rpo_position(p) else {
+                        continue;
+                    };
+                    if idom[p] != NO_IDOM {
+                        new_idom = match new_idom {
+                            NO_IDOM => p as u32,
+                            cur => intersect(&idom, cur, p as u32),
+                        };
                     }
                 }
-                if let Some(nd) = new_idom {
-                    if idom.get(&b) != Some(&nd) {
-                        idom.insert(b, nd);
-                        changed = true;
-                    }
+                if new_idom != NO_IDOM && idom[i] != new_idom {
+                    idom[i] = new_idom;
+                    changed = true;
                 }
             }
         }
-        DomTree { idom, entry }
+        let mut by_block = vec![NO_IDOM; func.num_blocks()];
+        for (i, &b) in rpo.iter().enumerate() {
+            by_block[b.index()] = rpo[idom[i] as usize].0;
+        }
+        DomTree {
+            idom: by_block,
+            entry,
+        }
     }
 
     /// Immediate dominator of a block (`None` for the entry or unreachable
@@ -75,7 +84,10 @@ impl DomTree {
         if block == self.entry {
             return None;
         }
-        self.idom.get(&block).copied()
+        match self.idom[block.index()] {
+            NO_IDOM => None,
+            d => Some(BlockId(d)),
+        }
     }
 
     /// Whether `a` dominates `b` (reflexive).

@@ -136,26 +136,10 @@ impl Function {
         }
     }
 
-    /// The block that contains an instruction, if it is still attached.
-    pub fn block_of(&self, inst: InstId) -> Option<BlockId> {
-        self.block_ids()
-            .find(|&id| self.block(id).insts.contains(&inst))
-    }
-
-    /// Position of an instruction within its block.
-    pub fn position_in_block(&self, inst: InstId) -> Option<(BlockId, usize)> {
-        for id in self.block_ids() {
-            if let Some(pos) = self.block(id).insts.iter().position(|&i| i == inst) {
-                return Some((id, pos));
-            }
-        }
-        None
-    }
-
     /// Iterate `(BlockId, InstId)` over all attached instructions in block
     /// order.
     pub fn all_insts(&self) -> Vec<(BlockId, InstId)> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.num_live_insts());
         for b in self.block_ids() {
             for &i in &self.block(b).insts {
                 out.push((b, i));
@@ -164,25 +148,58 @@ impl Function {
         out
     }
 
-    /// Replace every use of `from` with `to` across all instructions and
-    /// terminators.
-    pub fn replace_all_uses(&mut self, from: Operand, to: Operand) {
-        for inst in self.insts.iter_mut() {
-            inst.kind
-                .map_operands(|op| if op == from { to } else { op });
+    /// The block and index of every attached instruction, computed in one
+    /// pass over the blocks.
+    pub fn positions(&self) -> InstPositions {
+        let mut at = vec![(DETACHED, 0); self.insts.len()];
+        for (b, block) in self.blocks.iter().enumerate() {
+            for (index, &i) in block.insts.iter().enumerate() {
+                at[i.index()] = (b as u32, index as u32);
+            }
         }
-        for block in self.blocks.iter_mut() {
-            block
-                .terminator
-                .map_operands(|op| if op == from { to } else { op });
+        InstPositions { at }
+    }
+
+    /// Rewrite every operand of the attached instructions and of every
+    /// terminator through `f`, in one pass.
+    pub fn map_operands(&mut self, mut f: impl FnMut(Operand) -> Operand) {
+        for block in &mut self.blocks {
+            for &i in &block.insts {
+                self.insts[i.index()].kind.map_operands(&mut f);
+            }
+            block.terminator.map_operands(&mut f);
         }
     }
 
-    /// Remove an instruction from its block (the arena slot is retained so
-    /// existing `InstId`s stay valid).
-    pub fn remove_inst(&mut self, inst: InstId) {
-        for block in self.blocks.iter_mut() {
-            block.insts.retain(|&i| i != inst);
+    /// Detach every instruction for which `remove` holds from its block, in
+    /// one pass over the blocks. The arena slots are retained so existing
+    /// `InstId`s stay valid.
+    pub fn detach_insts(&mut self, mut remove: impl FnMut(InstId) -> bool) {
+        for block in &mut self.blocks {
+            block.insts.retain(|&i| !remove(i));
+        }
+    }
+}
+
+/// Block of an instruction that is in no block, in [`InstPositions`].
+const DETACHED: u32 = u32::MAX;
+
+/// Where each instruction of a function sits: built once by
+/// [`Function::positions`], looked up in constant time.
+#[derive(Clone, Debug)]
+pub struct InstPositions {
+    /// `(block, index)` per arena slot; the block is [`DETACHED`] for an
+    /// instruction in no block.
+    at: Vec<(u32, u32)>,
+}
+
+impl InstPositions {
+    /// The block holding an instruction and its index there, or `None` if
+    /// it is detached.
+    pub fn get(&self, inst: InstId) -> Option<(BlockId, usize)> {
+        match self.at.get(inst.index()) {
+            Some(&(b, index)) if b != DETACHED => Some((BlockId(b), index as usize)),
+            _ => None,
         }
     }
 }
@@ -230,8 +247,7 @@ mod tests {
         assert_eq!(b, f.entry());
         assert_eq!(f.operand_type(Operand::Inst(i)), Type::I32);
         assert_eq!(f.operand_type(Operand::Param(0)), Type::I32);
-        assert_eq!(f.block_of(i), Some(f.entry()));
-        assert_eq!(f.position_in_block(i), Some((f.entry(), 0)));
+        assert_eq!(f.positions().get(i), Some((f.entry(), 0)));
     }
 
     #[test]
@@ -239,11 +255,17 @@ mod tests {
         let mut f = sample_function();
         let (_, add) = f.all_insts()[0];
         // Replace the parameter with a constant everywhere.
-        f.replace_all_uses(Operand::Param(0), Operand::int(Type::I32, 1));
-        assert_eq!(f.inst(add).kind.operands()[0], Operand::int(Type::I32, 1));
-        f.remove_inst(add);
+        f.map_operands(|op| match op {
+            Operand::Param(0) => Operand::int(Type::I32, 1),
+            op => op,
+        });
+        assert_eq!(
+            f.inst(add).kind.operands().next(),
+            Some(Operand::int(Type::I32, 1))
+        );
+        f.detach_insts(|i| i == add);
         assert_eq!(f.num_live_insts(), 0);
-        assert_eq!(f.block_of(add), None);
+        assert_eq!(f.positions().get(add), None);
         // The arena still holds the instruction.
         assert_eq!(f.num_inst_slots(), 1);
     }
@@ -256,6 +278,12 @@ mod tests {
         assert_eq!(f.num_blocks(), 2);
         f.block_mut(f.entry()).terminator = Terminator::Br { target: second };
         f.block_mut(second).terminator = Terminator::Ret { value: None };
-        assert_eq!(f.block(f.entry()).terminator.successors(), vec![second]);
+        assert_eq!(
+            f.block(f.entry())
+                .terminator
+                .successors()
+                .collect::<Vec<_>>(),
+            [second]
+        );
     }
 }

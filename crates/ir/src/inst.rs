@@ -192,20 +192,22 @@ pub enum InstKind {
 
 impl InstKind {
     /// Operands read by this instruction, in a fixed order.
-    pub fn operands(&self) -> Vec<Operand> {
+    pub fn operands(&self) -> Operands<'_> {
         match self {
-            InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => vec![*lhs, *rhs],
-            InstKind::PtrAdd { ptr, offset, .. } => vec![*ptr, *offset],
-            InstKind::Load { ptr, .. } => vec![*ptr],
-            InstKind::Store { ptr, value } => vec![*ptr, *value],
-            InstKind::Alloca { .. } => vec![],
-            InstKind::Call { args, .. } => args.clone(),
+            InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => {
+                Operands::inline(*lhs, *rhs, 2)
+            }
+            InstKind::PtrAdd { ptr, offset, .. } => Operands::inline(*ptr, *offset, 2),
+            InstKind::Load { ptr, .. } => Operands::inline(*ptr, *ptr, 1),
+            InstKind::Store { ptr, value } => Operands::inline(*ptr, *value, 2),
+            InstKind::Alloca { .. } => Operands::Args([].iter()),
+            InstKind::Call { args, .. } => Operands::Args(args.iter()),
             InstKind::ZExt { value, .. }
             | InstKind::SExt { value, .. }
             | InstKind::Trunc { value, .. }
             | InstKind::PtrToInt { value }
-            | InstKind::IntToPtr { value } => vec![*value],
-            InstKind::Phi { incomings } => incomings.iter().map(|(_, op)| *op).collect(),
+            | InstKind::IntToPtr { value } => Operands::inline(*value, *value, 1),
+            InstKind::Phi { incomings } => Operands::Incomings(incomings.iter()),
         }
     }
 
@@ -317,22 +319,23 @@ pub enum Terminator {
 
 impl Terminator {
     /// Successor blocks, in order.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Br { target } => vec![*target],
+    pub fn successors(&self) -> Successors {
+        let (blocks, len) = match self {
+            Terminator::Br { target } => ([*target; 2], 1),
             Terminator::CondBr {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Ret { .. } | Terminator::Unreachable => vec![],
-        }
+            } => ([*then_bb, *else_bb], 2),
+            Terminator::Ret { .. } | Terminator::Unreachable => ([BlockId(0); 2], 0),
+        };
+        blocks.into_iter().take(len)
     }
 
-    /// Operands read by the terminator.
-    pub fn operands(&self) -> Vec<Operand> {
+    /// The operand read by the terminator, if any.
+    pub fn operand(&self) -> Option<Operand> {
         match self {
-            Terminator::CondBr { cond, .. } => vec![*cond],
-            Terminator::Ret { value: Some(v) } => vec![*v],
-            _ => vec![],
+            Terminator::CondBr { cond, .. } => Some(*cond),
+            Terminator::Ret { value } => *value,
+            _ => None,
         }
     }
 
@@ -359,6 +362,41 @@ impl Terminator {
         }
     }
 }
+
+/// The operands of one instruction, without allocating: up to two inline,
+/// or a borrowed call argument list or phi incoming list.
+#[derive(Clone, Debug)]
+pub enum Operands<'a> {
+    /// At most two operands, stored in the iterator.
+    Inline(std::iter::Take<std::array::IntoIter<Operand, 2>>),
+    /// A call's arguments.
+    Args(std::slice::Iter<'a, Operand>),
+    /// A phi's incoming values.
+    Incomings(std::slice::Iter<'a, (BlockId, Operand)>),
+}
+
+impl Operands<'_> {
+    /// The first `len` of `a`, `b`.
+    fn inline(a: Operand, b: Operand, len: usize) -> Operands<'static> {
+        Operands::Inline([a, b].into_iter().take(len))
+    }
+}
+
+impl Iterator for Operands<'_> {
+    type Item = Operand;
+
+    fn next(&mut self) -> Option<Operand> {
+        match self {
+            Operands::Inline(ops) => ops.next(),
+            Operands::Args(args) => args.next().copied(),
+            Operands::Incomings(incomings) => incomings.next().map(|&(_, op)| op),
+        }
+    }
+}
+
+/// The successors of a terminator, without allocating: a terminator has at
+/// most two.
+pub type Successors = std::iter::Take<std::array::IntoIter<BlockId, 2>>;
 
 /// Reference to a value-producing program point used in reports: an
 /// instruction or a terminator of a block.
@@ -429,7 +467,7 @@ mod tests {
             lhs,
             rhs,
         };
-        assert_eq!(kind.operands(), vec![lhs, rhs]);
+        assert_eq!(kind.operands().collect::<Vec<_>>(), vec![lhs, rhs]);
         kind.map_operands(|op| {
             if op == lhs {
                 Operand::int(Type::I32, 7)
@@ -437,7 +475,7 @@ mod tests {
                 op
             }
         });
-        assert_eq!(kind.operands()[0], Operand::int(Type::I32, 7));
+        assert_eq!(kind.operands().next(), Some(Operand::int(Type::I32, 7)));
         assert!(!kind.has_side_effects());
         let store = InstKind::Store {
             ptr: Operand::Param(0),
@@ -450,18 +488,24 @@ mod tests {
     #[test]
     fn terminator_successors() {
         let br = Terminator::Br { target: BlockId(1) };
-        assert_eq!(br.successors(), vec![BlockId(1)]);
+        assert_eq!(br.successors().collect::<Vec<_>>(), [BlockId(1)]);
         let cbr = Terminator::CondBr {
             cond: Operand::bool(true),
             then_bb: BlockId(1),
             else_bb: BlockId(2),
         };
-        assert_eq!(cbr.successors(), vec![BlockId(1), BlockId(2)]);
-        assert_eq!(cbr.operands().len(), 1);
+        assert_eq!(
+            cbr.successors().collect::<Vec<_>>(),
+            [BlockId(1), BlockId(2)]
+        );
+        assert_eq!(cbr.operand(), Some(Operand::bool(true)));
         let ret = Terminator::Ret { value: None };
-        assert!(ret.successors().is_empty());
+        assert_eq!(ret.successors().len(), 0);
         let mut retargeted = cbr.clone();
         retargeted.map_successors(|b| BlockId(b.0 + 10));
-        assert_eq!(retargeted.successors(), vec![BlockId(11), BlockId(12)]);
+        assert_eq!(
+            retargeted.successors().collect::<Vec<_>>(),
+            [BlockId(11), BlockId(12)]
+        );
     }
 }

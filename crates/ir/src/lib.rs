@@ -31,10 +31,10 @@ pub mod value;
 pub mod verifier;
 
 pub use builder::FunctionBuilder;
-pub use cfg::{reverse_post_order, Cfg};
+pub use cfg::Cfg;
 pub use dom::DomTree;
-pub use function::{Block, Function, Param};
-pub use inst::{BinOp, CmpPred, Inst, InstKind, ProgramPoint, Terminator};
+pub use function::{Block, Function, InstPositions, Param};
+pub use inst::{BinOp, CmpPred, Inst, InstKind, Operands, ProgramPoint, Successors, Terminator};
 pub use module::Module;
 pub use origin::{Origin, OriginKind, SourceLoc};
 pub use printer::{print_function, print_inst, print_module, print_terminator};

@@ -5,7 +5,8 @@ use crate::function::Function;
 /// A module, corresponding to a single source file after lowering.
 #[derive(Clone, Debug, Default)]
 pub struct Module {
-    /// Name of the module (usually the source file name).
+    /// Name of the module: the source file its functions were lowered
+    /// from, and so the file of every known [`crate::SourceLoc`] in them.
     pub name: String,
     functions: Vec<Function>,
 }

@@ -4,15 +4,15 @@
 //! generated (macro expansions); reports are only emitted for
 //! programmer-written fragments (paper §4.2, §4.5). Every IR instruction
 //! therefore carries an [`Origin`]: its source position plus the macro that
-//! produced it, if any.
+//! produced it, if any. A module comes from one file, so the file is said
+//! once, as the module's name ([`crate::Module::name`]), and a location
+//! holds only the line and column within it.
 
 use std::fmt;
 
-/// A position in a source file.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
+/// A position in the module's source file.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct SourceLoc {
-    /// File name (as given to the frontend).
-    pub file: String,
     /// 1-based line number; 0 means unknown.
     pub line: u32,
     /// 1-based column number; 0 means unknown.
@@ -21,12 +21,8 @@ pub struct SourceLoc {
 
 impl SourceLoc {
     /// Create a location.
-    pub fn new(file: &str, line: u32, column: u32) -> SourceLoc {
-        SourceLoc {
-            file: file.to_string(),
-            line,
-            column,
-        }
+    pub fn new(line: u32, column: u32) -> SourceLoc {
+        SourceLoc { line, column }
     }
 
     /// An unknown location.
@@ -36,7 +32,18 @@ impl SourceLoc {
 
     /// Whether the location carries real position information.
     pub fn is_known(&self) -> bool {
-        !self.file.is_empty() || self.line != 0
+        self.line != 0
+    }
+
+    /// The file a location of a module named `module` lies in: the module's
+    /// name, or the empty string for an unknown location (compiler-made
+    /// code such as a promoted variable's phi).
+    pub fn file<'m>(&self, module: &'m str) -> &'m str {
+        if self.is_known() {
+            module
+        } else {
+            ""
+        }
     }
 }
 
@@ -45,7 +52,7 @@ impl fmt::Display for SourceLoc {
         if !self.is_known() {
             write!(f, "<unknown>")
         } else {
-            write!(f, "{}:{}:{}", self.file, self.line, self.column)
+            write!(f, "{}:{}", self.line, self.column)
         }
     }
 }
@@ -120,8 +127,8 @@ mod tests {
 
     #[test]
     fn origin_classification() {
-        let loc = SourceLoc::new("tun.c", 42, 7);
-        let prog = Origin::programmer(loc.clone());
+        let loc = SourceLoc::new(42, 7);
+        let prog = Origin::programmer(loc);
         assert!(prog.is_programmer_written());
         let mac = Origin::macro_expansion(loc, "IS_A");
         assert!(!mac.is_programmer_written());
@@ -129,10 +136,12 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        let loc = SourceLoc::new("a.c", 3, 4);
-        assert_eq!(loc.to_string(), "a.c:3:4");
+        let loc = SourceLoc::new(3, 4);
+        assert_eq!(loc.to_string(), "3:4");
+        assert_eq!(loc.file("a.c"), "a.c");
         assert_eq!(SourceLoc::unknown().to_string(), "<unknown>");
         assert!(!SourceLoc::unknown().is_known());
+        assert_eq!(SourceLoc::unknown().file("a.c"), "");
         let mac = Origin::macro_expansion(loc, "CHECK");
         assert!(mac.to_string().contains("from macro CHECK"));
     }

@@ -222,7 +222,7 @@ pub fn verify_function(func: &Function) -> Result<(), Vec<VerifyError>> {
                 _ => {}
             }
         }
-        for op in block.terminator.operands() {
+        if let Some(op) = block.terminator.operand() {
             check_operand(op, b, block.insts.len(), false, &mut errors);
         }
         if let Terminator::CondBr { cond, .. } = &block.terminator {

@@ -1,11 +1,12 @@
 //! Lexer and preprocessor for the mini-C language.
 //!
-//! The preprocessor supports object-like and function-like `#define` macros.
-//! The lexer turns each preprocessor line into one [`Tok::Directive`], which
-//! `preprocess` interprets and drops. Tokens produced by macro expansion are tagged with the macro's name so the
-//! lowering stage can mark the resulting IR as compiler-generated — the
-//! mechanism STACK uses to avoid warning about unstable code the programmer
-//! did not write (paper §4.2).
+//! The preprocessor supports object-like and function-like `#define` macros,
+//! with `#` stringizing and `##` token pasting in their bodies. The lexer
+//! turns each preprocessor line into one [`Tok::Directive`], which
+//! `preprocess` interprets and drops. Tokens produced by macro expansion are
+//! tagged with the macro's name so the lowering stage can mark the resulting
+//! IR as compiler-generated — the mechanism STACK uses to avoid warning
+//! about unstable code the programmer did not write (paper §4.2).
 
 use crate::diag::Diag;
 use crate::token::{Tok, Token};
@@ -20,69 +21,140 @@ struct MacroDef {
     body: Vec<Token>,
 }
 
-/// Tokenize a source string without macro expansion.
+/// The keyword spelled `word`, if it is one.
+fn keyword(word: &str) -> Option<Tok> {
+    Some(match word {
+        "int" => Tok::KwInt,
+        "long" => Tok::KwLong,
+        "short" => Tok::KwShort,
+        "char" => Tok::KwChar,
+        "unsigned" => Tok::KwUnsigned,
+        "signed" => Tok::KwSigned,
+        "void" => Tok::KwVoid,
+        "bool" | "_Bool" => Tok::KwBool,
+        "if" => Tok::KwIf,
+        "else" => Tok::KwElse,
+        "while" => Tok::KwWhile,
+        "for" => Tok::KwFor,
+        "return" => Tok::KwReturn,
+        "struct" => Tok::KwStruct,
+        "const" => Tok::KwConst,
+        "sizeof" => Tok::KwSizeof,
+        "NULL" => Tok::KwNull,
+        _ => return None,
+    })
+}
+
+/// The two-character operator spelled `c` then `next`, if it is one.
+fn two_char_operator(c: char, next: Option<u8>) -> Option<Tok> {
+    Some(match (c, next? as char) {
+        ('-', '>') => Tok::Arrow,
+        ('=', '=') => Tok::Eq,
+        ('!', '=') => Tok::Ne,
+        ('<', '=') => Tok::Le,
+        ('>', '=') => Tok::Ge,
+        ('<', '<') => Tok::Shl,
+        ('>', '>') => Tok::Shr,
+        ('&', '&') => Tok::AndAnd,
+        ('|', '|') => Tok::OrOr,
+        ('+', '+') => Tok::PlusPlus,
+        ('-', '-') => Tok::MinusMinus,
+        ('+', '=') => Tok::PlusAssign,
+        ('-', '=') => Tok::MinusAssign,
+        _ => return None,
+    })
+}
+
+/// The one-character operator or punctuation `c`, if it is one.
+fn one_char_operator(c: char) -> Option<Tok> {
+    Some(match c {
+        '(' => Tok::LParen,
+        ')' => Tok::RParen,
+        '{' => Tok::LBrace,
+        '}' => Tok::RBrace,
+        '[' => Tok::LBracket,
+        ']' => Tok::RBracket,
+        ';' => Tok::Semi,
+        ',' => Tok::Comma,
+        '.' => Tok::Dot,
+        '+' => Tok::Plus,
+        '-' => Tok::Minus,
+        '*' => Tok::Star,
+        '/' => Tok::Slash,
+        '%' => Tok::Percent,
+        '&' => Tok::Amp,
+        '|' => Tok::Pipe,
+        '^' => Tok::Caret,
+        '~' => Tok::Tilde,
+        '!' => Tok::Bang,
+        '?' => Tok::Question,
+        ':' => Tok::Colon,
+        '=' => Tok::Assign,
+        '<' => Tok::Lt,
+        '>' => Tok::Gt,
+        _ => return None,
+    })
+}
+
+/// The character starting at byte `i` of `src` and its length in bytes.
+fn char_at(src: &str, i: usize) -> Option<(char, usize)> {
+    let byte = *src.as_bytes().get(i)?;
+    if byte.is_ascii() {
+        return Some((char::from(byte), 1));
+    }
+    let c = src[i..].chars().next()?;
+    Some((c, c.len_utf8()))
+}
+
+/// Tokenize a source string without macro expansion. Columns count
+/// characters.
 fn tokenize_raw(src: &str) -> Result<Vec<Token>, Diag> {
-    let bytes: Vec<char> = src.chars().collect();
+    let bytes = src.as_bytes();
     let mut i = 0usize;
     let mut line = 1u32;
     let mut col = 1u32;
     let mut out = Vec::new();
 
-    let keyword = |s: &str| -> Option<Tok> {
-        Some(match s {
-            "int" => Tok::KwInt,
-            "long" => Tok::KwLong,
-            "short" => Tok::KwShort,
-            "char" => Tok::KwChar,
-            "unsigned" => Tok::KwUnsigned,
-            "signed" => Tok::KwSigned,
-            "void" => Tok::KwVoid,
-            "bool" | "_Bool" => Tok::KwBool,
-            "if" => Tok::KwIf,
-            "else" => Tok::KwElse,
-            "while" => Tok::KwWhile,
-            "for" => Tok::KwFor,
-            "return" => Tok::KwReturn,
-            "struct" => Tok::KwStruct,
-            "const" => Tok::KwConst,
-            "sizeof" => Tok::KwSizeof,
-            "NULL" => Tok::KwNull,
-            _ => return None,
-        })
-    };
-
-    while i < bytes.len() {
-        let c = bytes[i];
+    while let Some((c, len)) = char_at(src, i) {
         let (tline, tcol) = (line, col);
-        let advance = |i: &mut usize, col: &mut u32| {
-            *i += 1;
-            *col += 1;
-        };
+        let next = bytes.get(i + 1).copied();
         match c {
             '\n' => {
                 i += 1;
                 line += 1;
                 col = 1;
             }
-            ' ' | '\t' | '\r' => advance(&mut i, &mut col),
-            '/' if i + 1 < bytes.len() && bytes[i + 1] == '/' => {
-                while i < bytes.len() && bytes[i] != '\n' {
+            ' ' | '\t' | '\r' => {
+                i += 1;
+                col += 1;
+            }
+            '/' if next == Some(b'/') => {
+                while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
             }
-            '/' if i + 1 < bytes.len() && bytes[i + 1] == '*' => {
+            '/' if next == Some(b'*') => {
                 i += 2;
                 col += 2;
-                while i + 1 < bytes.len() && !(bytes[i] == '*' && bytes[i + 1] == '/') {
-                    if bytes[i] == '\n' {
+                // Up to the closing `*/`; an unclosed comment swallows the
+                // rest of the input.
+                while let Some((c, len)) = char_at(src, i) {
+                    if i + len == bytes.len() {
+                        i = bytes.len();
+                        break;
+                    }
+                    if c == '*' && bytes[i + 1] == b'/' {
+                        i += 2;
+                        break;
+                    }
+                    if c == '\n' {
                         line += 1;
                         col = 1;
                     } else {
                         col += 1;
                     }
-                    i += 1;
+                    i += len;
                 }
-                i += 2;
                 col += 2;
             }
             '#' => {
@@ -91,37 +163,42 @@ fn tokenize_raw(src: &str) -> Result<Vec<Token>, Diag> {
                 let mut text = String::new();
                 i += 1; // skip the leading '#'
                 col += 1;
-                while i < bytes.len() && bytes[i] != '\n' {
+                while let Some((c, len)) = char_at(src, i) {
+                    if c == '\n' {
+                        break;
+                    }
                     // Line continuation.
-                    if bytes[i] == '\\' && i + 1 < bytes.len() && bytes[i + 1] == '\n' {
+                    if c == '\\' && bytes.get(i + 1) == Some(&b'\n') {
                         i += 2;
                         line += 1;
                         col = 1;
                         continue;
                     }
-                    text.push(bytes[i]);
-                    i += 1;
+                    text.push(c);
+                    i += len;
                     col += 1;
                 }
                 out.push(Token::new(Tok::Directive(text), tline, tcol));
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut s = String::new();
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_') {
-                    s.push(bytes[i]);
-                    advance(&mut i, &mut col);
+                let start = i;
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                    i += 1;
                 }
-                let tok = keyword(&s).unwrap_or(Tok::Ident(s));
+                col += (i - start) as u32;
+                let word = &src[start..i];
+                let tok = keyword(word).unwrap_or_else(|| Tok::Ident(word.to_string()));
                 out.push(Token::new(tok, tline, tcol));
             }
             c if c.is_ascii_digit() => {
-                let mut s = String::new();
+                let start = i;
                 while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_' || bytes[i] == 'x')
+                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b'x')
                 {
-                    s.push(bytes[i]);
-                    advance(&mut i, &mut col);
+                    i += 1;
                 }
+                col += (i - start) as u32;
+                let s = &src[start..i];
                 // Strip integer suffixes (U, L, UL, LL, ULL).
                 let trimmed = s.trim_end_matches(['u', 'U', 'l', 'L']);
                 let value =
@@ -147,102 +224,84 @@ fn tokenize_raw(src: &str) -> Result<Vec<Token>, Diag> {
             '\'' => {
                 // Character literal: one character or a simple escape, then
                 // the closing quote.
-                let (ch, len) = match bytes[i + 1..] {
-                    ['\\', escape, '\'', ..] => {
-                        let ch = match escape {
-                            'n' => b'\n',
-                            't' => b'\t',
-                            '0' => 0,
-                            other => other as u8,
-                        };
-                        (ch, 4)
-                    }
-                    [c, '\'', ..] if c != '\\' => (c as u8, 3),
-                    _ => {
-                        return Err(Diag::new(
-                            "unterminated character literal".to_string(),
-                            tline,
-                            tcol,
-                        ))
-                    }
+                let quote_after = |at: usize| char_at(src, at).map(|(c, _)| c) == Some('\'');
+                // (value, length in bytes, length in characters)
+                let literal = match char_at(src, i + 1) {
+                    Some(('\\', 1)) => match char_at(src, i + 2) {
+                        Some((escape, len)) if quote_after(i + 2 + len) => {
+                            let ch = match escape {
+                                'n' => b'\n',
+                                't' => b'\t',
+                                '0' => 0,
+                                other => other as u8,
+                            };
+                            Some((ch, len + 3, 4))
+                        }
+                        _ => None,
+                    },
+                    Some((c, len)) if quote_after(i + 1 + len) => Some((c as u8, len + 2, 3)),
+                    _ => None,
                 };
-                i += len;
-                col += len as u32;
-                out.push(Token::new(Tok::CharLit(ch), tline, tcol));
-            }
-            '"' => {
-                // String literal: C forbids a raw newline in one, so it must
-                // close on its own line.
-                i += 1;
-                col += 1;
-                let mut s = String::new();
-                while i < bytes.len() && !matches!(bytes[i], '"' | '\n') {
-                    s.push(bytes[i]);
-                    advance(&mut i, &mut col);
-                }
-                if bytes.get(i) != Some(&'"') {
+                let Some((ch, byte_len, chars)) = literal else {
                     return Err(Diag::new(
-                        "unterminated string literal".to_string(),
+                        "unterminated character literal".to_string(),
                         tline,
                         tcol,
                     ));
-                }
+                };
+                i += byte_len;
+                col += chars;
+                out.push(Token::new(Tok::CharLit(ch), tline, tcol));
+            }
+            '"' => {
+                // String literal: `\` escapes the character after it, and C
+                // forbids a raw newline in one, so it must close on its own
+                // line. Its text is kept as written.
                 i += 1;
                 col += 1;
-                out.push(Token::new(Tok::StrLit(s), tline, tcol));
+                let start = i;
+                loop {
+                    match char_at(src, i) {
+                        Some(('"', _)) => break,
+                        None | Some(('\n', _)) => {
+                            return Err(Diag::new(
+                                "unterminated string literal".to_string(),
+                                tline,
+                                tcol,
+                            ))
+                        }
+                        Some(('\\', _)) if !matches!(bytes.get(i + 1), None | Some(b'\n')) => {
+                            let (_, len) = char_at(src, i + 1).expect("a character follows");
+                            i += 1 + len;
+                            col += 2;
+                        }
+                        Some((_, len)) => {
+                            i += len;
+                            col += 1;
+                        }
+                    }
+                }
+                out.push(Token::new(
+                    Tok::StrLit(src[start..i].to_string()),
+                    tline,
+                    tcol,
+                ));
+                i += 1;
+                col += 1;
             }
             _ => {
-                let two: String = bytes[i..bytes.len().min(i + 2)].iter().collect();
-                let (tok, len) = match two.as_str() {
-                    "->" => (Tok::Arrow, 2),
-                    "==" => (Tok::Eq, 2),
-                    "!=" => (Tok::Ne, 2),
-                    "<=" => (Tok::Le, 2),
-                    ">=" => (Tok::Ge, 2),
-                    "<<" => (Tok::Shl, 2),
-                    ">>" => (Tok::Shr, 2),
-                    "&&" => (Tok::AndAnd, 2),
-                    "||" => (Tok::OrOr, 2),
-                    "++" => (Tok::PlusPlus, 2),
-                    "--" => (Tok::MinusMinus, 2),
-                    "+=" => (Tok::PlusAssign, 2),
-                    "-=" => (Tok::MinusAssign, 2),
-                    _ => {
-                        let t = match c {
-                            '(' => Tok::LParen,
-                            ')' => Tok::RParen,
-                            '{' => Tok::LBrace,
-                            '}' => Tok::RBrace,
-                            '[' => Tok::LBracket,
-                            ']' => Tok::RBracket,
-                            ';' => Tok::Semi,
-                            ',' => Tok::Comma,
-                            '.' => Tok::Dot,
-                            '+' => Tok::Plus,
-                            '-' => Tok::Minus,
-                            '*' => Tok::Star,
-                            '/' => Tok::Slash,
-                            '%' => Tok::Percent,
-                            '&' => Tok::Amp,
-                            '|' => Tok::Pipe,
-                            '^' => Tok::Caret,
-                            '~' => Tok::Tilde,
-                            '!' => Tok::Bang,
-                            '?' => Tok::Question,
-                            ':' => Tok::Colon,
-                            '=' => Tok::Assign,
-                            '<' => Tok::Lt,
-                            '>' => Tok::Gt,
-                            other => {
-                                return Err(Diag::new(
-                                    format!("unexpected character `{other}`"),
-                                    tline,
-                                    tcol,
-                                ))
-                            }
-                        };
-                        (t, 1)
-                    }
+                let (tok, len) = match two_char_operator(c, next) {
+                    Some(tok) => (tok, 2),
+                    None => match one_char_operator(c) {
+                        Some(tok) => (tok, len),
+                        None => {
+                            return Err(Diag::new(
+                                format!("unexpected character `{c}`"),
+                                tline,
+                                tcol,
+                            ))
+                        }
+                    },
                 };
                 i += len;
                 col += len as u32;
@@ -260,14 +319,15 @@ pub fn lex(src: &str) -> Result<Vec<Token>, Diag> {
     preprocess(raw)
 }
 
-/// Expand `#define` macros in a raw token stream.
-fn preprocess(tokens: Vec<Token>) -> Result<Vec<Token>, Diag> {
+/// Expand `#define` macros in a raw token stream, moving every token that
+/// is not a directive or an expanded invocation to the output.
+fn preprocess(mut tokens: Vec<Token>) -> Result<Vec<Token>, Diag> {
     let mut macros: HashMap<String, MacroDef> = HashMap::new();
-    let mut out: Vec<Token> = Vec::new();
+    let mut out: Vec<Token> = Vec::with_capacity(tokens.len());
     let mut i = 0usize;
 
     while i < tokens.len() {
-        let t = tokens[i].clone();
+        let t = &tokens[i];
         if let Tok::Directive(text) = &t.tok {
             let text = text.trim();
             if let Some(def) = text
@@ -283,11 +343,11 @@ fn preprocess(tokens: Vec<Token>) -> Result<Vec<Token>, Diag> {
         }
         // Macro expansion.
         if let Tok::Ident(name) = &t.tok {
-            if let Some(def) = macros.get(name).cloned() {
+            if let Some(def) = macros.get(name) {
                 match &def.params {
                     None => {
                         let expanded =
-                            substitute(&def.body, &HashMap::new(), name, t.line, t.column);
+                            substitute(&def.body, &HashMap::new(), name, t.line, t.column)?;
                         out.extend(expanded);
                         i += 1;
                         continue;
@@ -307,11 +367,9 @@ fn preprocess(tokens: Vec<Token>) -> Result<Vec<Token>, Diag> {
                                     t.column,
                                 ));
                             }
-                            let mut bind: HashMap<String, Vec<Token>> = HashMap::new();
-                            for (p, a) in params.iter().zip(args) {
-                                bind.insert(p.clone(), a);
-                            }
-                            let expanded = substitute(&def.body, &bind, name, t.line, t.column);
+                            let bind: HashMap<&str, Vec<Token>> =
+                                params.iter().map(String::as_str).zip(args).collect();
+                            let expanded = substitute(&def.body, &bind, name, t.line, t.column)?;
                             out.extend(expanded);
                             i += 1 + consumed;
                             continue;
@@ -320,7 +378,10 @@ fn preprocess(tokens: Vec<Token>) -> Result<Vec<Token>, Diag> {
                 }
             }
         }
-        out.push(t);
+        out.push(std::mem::replace(
+            &mut tokens[i],
+            Token::new(Tok::Eof, 0, 0),
+        ));
         i += 1;
     }
     Ok(out)
@@ -352,17 +413,32 @@ fn parse_define(def: &str, line: u32) -> Result<(String, MacroDef), Diag> {
         }
         None => (None, rest),
     };
-    let mut body = tokenize_raw(body_src)?;
-    body.pop(); // Eof
-    for t in &mut body {
+    let body = macro_body(body_src, line)?;
+    Ok((name.to_string(), MacroDef { params, body }))
+}
+
+/// Tokenize a macro body on the `#define` at `line`. In a body `#` is the
+/// stringizing operator, not a directive: it and what follows on the line
+/// become a string literal. `##` is [`Tok::Paste`].
+fn macro_body(src: &str, line: u32) -> Result<Vec<Token>, Diag> {
+    let mut raw = tokenize_raw(src)?;
+    raw.pop(); // Eof
+    let mut body = Vec::with_capacity(raw.len());
+    for mut t in raw {
         t.line = line;
-        // In a macro body `#` is the stringizing operator, not a directive:
-        // it and what follows become a string literal.
         if let Tok::Directive(operand) = &mut t.tok {
+            if let Some(rest) = operand.strip_prefix('#') {
+                let rest = macro_body(rest, line)?;
+                t.tok = Tok::Paste;
+                body.push(t);
+                body.extend(rest);
+                continue;
+            }
             t.tok = Tok::StrLit(std::mem::take(operand));
         }
+        body.push(t);
     }
-    Ok((name.to_string(), MacroDef { params, body }))
+    Ok(body)
 }
 
 /// Collect the argument token lists of a function-like macro invocation.
@@ -407,19 +483,29 @@ fn collect_macro_args(tokens: &[Token], start: usize) -> Result<(Vec<Vec<Token>>
 }
 
 /// Substitute macro parameters in a body and tag all produced tokens with the
-/// macro name and the invocation location.
+/// macro name and the invocation location. `a ## b` pastes the last token
+/// substituted for `a` and the first substituted for `b` into one token; an
+/// empty operand leaves the other as it is.
 fn substitute(
     body: &[Token],
-    bind: &HashMap<String, Vec<Token>>,
+    bind: &HashMap<&str, Vec<Token>>,
     macro_name: &str,
     line: u32,
     column: u32,
-) -> Vec<Token> {
+) -> Result<Vec<Token>, Diag> {
     let mut out = Vec::new();
+    // `out[operand..]` holds what the last body token substituted to.
+    let mut operand = 0;
+    let mut paste_left: Option<usize> = None;
     for t in body {
+        if t.tok == Tok::Paste {
+            paste_left = (out.len() > operand).then(|| out.len() - 1);
+            continue;
+        }
+        operand = out.len();
         match &t.tok {
-            Tok::Ident(name) if bind.contains_key(name) => {
-                for a in &bind[name] {
+            Tok::Ident(name) if bind.contains_key(name.as_str()) => {
+                for a in &bind[name.as_str()] {
                     let mut tok = a.clone();
                     // Argument tokens come from the call site; they keep their
                     // own provenance (the programmer wrote them).
@@ -436,8 +522,33 @@ fn substitute(
                 out.push(tok);
             }
         }
+        if let Some(left) = paste_left.take() {
+            if out.len() > operand {
+                let right = out.remove(operand);
+                out[left] = paste(&out[left], &right)?;
+                operand = left;
+            }
+        }
     }
-    out
+    Ok(out)
+}
+
+/// Paste two tokens of one expansion into one: re-lex their spellings as a
+/// single token. The result is programmer-written only if both parts are.
+fn paste(left: &Token, right: &Token) -> Result<Token, Diag> {
+    let (a, b) = (left.tok.spelling(), right.tok.spelling());
+    match tokenize_raw(&format!("{a}{b}")).as_deref() {
+        Ok([pasted, eof]) if eof.tok == Tok::Eof => Ok(Token {
+            tok: pasted.tok.clone(),
+            from_macro: left.from_macro.clone().or_else(|| right.from_macro.clone()),
+            ..left.clone()
+        }),
+        _ => Err(Diag::new(
+            format!("pasting `{a}` and `{b}` does not give one token"),
+            left.line,
+            left.column,
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -592,6 +703,51 @@ mod tests {
             assert_eq!(err.message, "unterminated string literal", "{src}");
             assert_eq!((err.line, err.column), at, "{src}");
         }
+    }
+
+    #[test]
+    fn backslash_escapes_the_next_character_of_a_string() {
+        // `\"` stays in the literal, `\\` closes before the quote.
+        let toks = lex("g(\"a\\\"b\"); x;").unwrap();
+        assert_eq!(toks[2].tok, Tok::StrLit("a\\\"b".to_string()));
+        assert_eq!(toks[3].tok, Tok::RParen);
+        assert_eq!((toks[5].line, toks[5].column), (1, 12));
+        let toks = lex("g(\"a\\\\\"); x;").unwrap();
+        assert_eq!(toks[2].tok, Tok::StrLit("a\\\\".to_string()));
+        assert_eq!(toks[3].tok, Tok::RParen);
+        // A backslash does not carry a raw newline into the literal.
+        let err = lex("g(\"a\\\nb\");").unwrap_err();
+        assert_eq!(err.message, "unterminated string literal");
+        assert_eq!((err.line, err.column), (1, 3));
+    }
+
+    #[test]
+    fn token_pasting_joins_two_spellings() {
+        let toks = lex("#define CAT(a, b) a##b\nint y = CAT(x, 1) + CAT(1, 2);").unwrap();
+        let kinds: Vec<&Tok> = toks.iter().map(|t| &t.tok).collect();
+        assert_eq!(kinds[3], &Tok::Ident("x1".to_string()));
+        assert_eq!(kinds[5], &Tok::IntLit(12));
+        // Both parts came from the call site, so the pasted token is the
+        // programmer's, at the invocation.
+        assert_eq!(toks[3].from_macro, None);
+        assert_eq!((toks[3].line, toks[3].column), (2, 9));
+        // A part written in the body tags the result as the macro's, and
+        // spaces around `##` and operators paste too.
+        let toks = lex("#define V(n) var ## n\n#define OP(a, b) a ## b\nint y = V(2) OP(+, =) 1;")
+            .unwrap();
+        assert_eq!(toks[3].tok, Tok::Ident("var2".to_string()));
+        assert_eq!(toks[3].from_macro.as_deref(), Some("V"));
+        assert_eq!(toks[4].tok, Tok::PlusAssign);
+        // An empty argument leaves the other side as it is.
+        let toks = lex("#define CAT(a, b) a##b\nint y = CAT(, z);").unwrap();
+        assert_eq!(toks[3].tok, Tok::Ident("z".to_string()));
+    }
+
+    #[test]
+    fn a_paste_that_is_not_one_token_is_a_diagnostic() {
+        let err = lex("#define CAT(a, b) a##b\nint y;\nint z = CAT(x, +);").unwrap_err();
+        assert_eq!(err.message, "pasting `x` and `+` does not give one token");
+        assert_eq!((err.line, err.column), (3, 9));
     }
 
     #[test]

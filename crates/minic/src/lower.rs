@@ -27,7 +27,7 @@ pub fn lower(unit: &TranslationUnit, file_name: &str) -> Result<Module, Diag> {
         .map(|f| (f.name.clone(), f.ret_ty.clone()))
         .collect();
     for func in &unit.functions {
-        let lowered = FuncLowerer::new(func, file_name, &signatures).lower()?;
+        let lowered = FuncLowerer::new(func, &signatures).lower()?;
         module.add_function(lowered);
     }
     Ok(module)
@@ -53,14 +53,13 @@ struct Slot {
 
 struct FuncLowerer<'a> {
     def: &'a FuncDef,
-    file: &'a str,
     signatures: &'a HashMap<String, CType>,
     builder: FunctionBuilder,
     scopes: Vec<HashMap<String, Slot>>,
 }
 
 impl<'a> FuncLowerer<'a> {
-    fn new(def: &'a FuncDef, file: &'a str, signatures: &'a HashMap<String, CType>) -> Self {
+    fn new(def: &'a FuncDef, signatures: &'a HashMap<String, CType>) -> Self {
         let params: Vec<Param> = def
             .params
             .iter()
@@ -72,7 +71,6 @@ impl<'a> FuncLowerer<'a> {
         let builder = FunctionBuilder::new(&def.name, params, ctype_to_ir(&def.ret_ty));
         FuncLowerer {
             def,
-            file,
             signatures,
             builder,
             scopes: vec![HashMap::new()],
@@ -120,7 +118,7 @@ impl<'a> FuncLowerer<'a> {
     }
 
     fn set_origin(&mut self, span: &Span) {
-        let loc = SourceLoc::new(self.file, span.line, span.column);
+        let loc = SourceLoc::new(span.line, span.column);
         let origin = match &span.from_macro {
             Some(name) => Origin::macro_expansion(loc, name),
             None => Origin::programmer(loc),

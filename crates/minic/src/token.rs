@@ -70,9 +70,82 @@ pub enum Tok {
     OrOr,
     PlusPlus,
     MinusMinus,
+    /// `##` in a macro body: paste the tokens on either side into one.
+    Paste,
 
     /// End of input.
     Eof,
+}
+
+impl Tok {
+    /// How the token is written in source. An integer literal is spelled in
+    /// decimal, a character or string literal as the lexer kept it.
+    pub fn spelling(&self) -> String {
+        let fixed = match self {
+            Tok::Ident(s) => return s.clone(),
+            Tok::IntLit(v) => return v.to_string(),
+            Tok::CharLit(c) => return format!("'{}'", *c as char),
+            Tok::StrLit(s) => return format!("\"{s}\""),
+            Tok::Directive(s) => return format!("#{s}"),
+            Tok::KwInt => "int",
+            Tok::KwLong => "long",
+            Tok::KwShort => "short",
+            Tok::KwChar => "char",
+            Tok::KwUnsigned => "unsigned",
+            Tok::KwSigned => "signed",
+            Tok::KwVoid => "void",
+            Tok::KwBool => "bool",
+            Tok::KwIf => "if",
+            Tok::KwElse => "else",
+            Tok::KwWhile => "while",
+            Tok::KwFor => "for",
+            Tok::KwReturn => "return",
+            Tok::KwStruct => "struct",
+            Tok::KwConst => "const",
+            Tok::KwSizeof => "sizeof",
+            Tok::KwNull => "NULL",
+            Tok::LParen => "(",
+            Tok::RParen => ")",
+            Tok::LBrace => "{",
+            Tok::RBrace => "}",
+            Tok::LBracket => "[",
+            Tok::RBracket => "]",
+            Tok::Semi => ";",
+            Tok::Comma => ",",
+            Tok::Arrow => "->",
+            Tok::Dot => ".",
+            Tok::Plus => "+",
+            Tok::Minus => "-",
+            Tok::Star => "*",
+            Tok::Slash => "/",
+            Tok::Percent => "%",
+            Tok::Amp => "&",
+            Tok::Pipe => "|",
+            Tok::Caret => "^",
+            Tok::Tilde => "~",
+            Tok::Bang => "!",
+            Tok::Question => "?",
+            Tok::Colon => ":",
+            Tok::Assign => "=",
+            Tok::PlusAssign => "+=",
+            Tok::MinusAssign => "-=",
+            Tok::Eq => "==",
+            Tok::Ne => "!=",
+            Tok::Lt => "<",
+            Tok::Le => "<=",
+            Tok::Gt => ">",
+            Tok::Ge => ">=",
+            Tok::Shl => "<<",
+            Tok::Shr => ">>",
+            Tok::AndAnd => "&&",
+            Tok::OrOr => "||",
+            Tok::PlusPlus => "++",
+            Tok::MinusMinus => "--",
+            Tok::Paste => "##",
+            Tok::Eof => "",
+        };
+        fixed.to_string()
+    }
 }
 
 impl fmt::Display for Tok {

@@ -1,8 +1,7 @@
 //! Dead code elimination: removes instructions whose results are unused and
 //! which have no side effects.
 
-use stack_ir::{Function, InstId, Operand};
-use std::collections::HashSet;
+use stack_ir::{Function, Operand};
 
 /// Run DCE on a function. Returns the number of instructions removed.
 pub fn run(func: &mut Function) -> usize {
@@ -21,39 +20,39 @@ fn run_impl(func: &mut Function, keep_loads: bool) -> usize {
     let mut removed_total = 0;
     loop {
         // Collect all used instruction results.
-        let mut used: HashSet<InstId> = HashSet::new();
-        for (_, i) in func.all_insts() {
-            for op in func.inst(i).kind.operands() {
-                if let Operand::Inst(id) = op {
-                    used.insert(id);
-                }
+        let mut used = vec![false; func.num_inst_slots()];
+        let mut mark = |op: Operand| {
+            if let Operand::Inst(id) = op {
+                used[id.index()] = true;
             }
-        }
+        };
         for b in func.block_ids() {
-            for op in func.block(b).terminator.operands() {
-                if let Operand::Inst(id) = op {
-                    used.insert(id);
-                }
+            let block = func.block(b);
+            for &i in &block.insts {
+                func.inst(i).kind.operands().for_each(&mut mark);
             }
+            block.terminator.operand().into_iter().for_each(&mut mark);
         }
         // Remove unused, side-effect-free instructions.
-        let mut to_remove: Vec<InstId> = Vec::new();
-        for (_, i) in func.all_insts() {
-            let inst = func.inst(i);
-            if keep_loads && inst.kind.is_memory_access() {
-                continue;
-            }
-            if !used.contains(&i) && !inst.kind.has_side_effects() {
-                to_remove.push(i);
+        let mut dead = vec![false; func.num_inst_slots()];
+        let mut count = 0;
+        for b in func.block_ids() {
+            for &i in &func.block(b).insts {
+                let kind = &func.inst(i).kind;
+                if keep_loads && kind.is_memory_access() {
+                    continue;
+                }
+                if !used[i.index()] && !kind.has_side_effects() {
+                    dead[i.index()] = true;
+                    count += 1;
+                }
             }
         }
-        if to_remove.is_empty() {
+        if count == 0 {
             break;
         }
-        removed_total += to_remove.len();
-        for i in to_remove {
-            func.remove_inst(i);
-        }
+        removed_total += count;
+        func.detach_insts(|i| dead[i.index()]);
     }
     removed_total
 }

@@ -20,6 +20,7 @@ pub mod dce;
 pub mod mem2reg;
 pub mod pipeline;
 pub mod profile;
+mod replace;
 pub mod simplify;
 pub mod simplifycfg;
 pub mod ub_rewrites;

@@ -4,86 +4,230 @@
 //! and stores. This pass promotes the allocas whose address never escapes
 //! (no pointer arithmetic, no calls taking the address, no stores *of* the
 //! address) into SSA form by placing phi nodes at iterated dominance
-//! frontiers and renaming along the dominator tree. The checker depends on
-//! this: the solver reasons about SSA values, not memory.
+//! frontiers and renaming along the dominator tree (Cytron et al., TOPLAS
+//! 1991). The checker depends on this: the solver reasons about SSA values,
+//! not memory.
+//!
+//! All slots are promoted together: one scan finds them, one dominator-tree
+//! walk renames every slot at once, one operand pass applies the load
+//! replacements and one sweep per block drops the promoted loads, stores
+//! and allocas. Phis are created slot by slot in alloca order and, within a
+//! slot, in block order, each at the head of its block; phi numbering, and
+//! with it the printed IR, is a function of the input alone.
 
+use crate::replace::Replacements;
 use stack_ir::{BlockId, Cfg, DomTree, Function, Inst, InstId, InstKind, Operand, Origin, Type};
-use std::collections::{HashMap, HashSet};
+
+/// Slot index of an instruction that is no promotable alloca.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Run mem2reg on a function. Returns the number of promoted allocas.
 pub fn run(func: &mut Function) -> usize {
-    let promotable = find_promotable(func);
-    if promotable.is_empty() {
+    let slots = find_promotable(func);
+    if slots.is_empty() {
         return 0;
     }
     let cfg = Cfg::compute(func);
     let dt = DomTree::compute(func, &cfg);
-    let frontiers = dominance_frontiers(func, &cfg, &dt);
-
-    let mut count = 0;
-    for (alloca, ty) in &promotable {
-        promote_one(func, &cfg, &dt, &frontiers, *alloca, *ty);
-        count += 1;
+    let mut slot_of = vec![NO_SLOT; func.num_inst_slots()];
+    for (s, &(alloca, _)) in slots.iter().enumerate() {
+        slot_of[alloca.index()] = s as u32;
     }
-    count
-}
+    let slot = |ptr: Operand| match ptr {
+        Operand::Inst(id) => match slot_of.get(id.index()) {
+            Some(&s) if s != NO_SLOT => Some(s as usize),
+            _ => None,
+        },
+        _ => None,
+    };
 
-/// Find allocas that can be promoted: single-element slots whose only uses
-/// are direct loads and stores of the slot pointer.
-fn find_promotable(func: &Function) -> Vec<(InstId, Type)> {
-    let mut candidates: HashMap<InstId, Type> = HashMap::new();
-    for (_, i) in func.all_insts() {
-        if let InstKind::Alloca { elem_ty, count } = &func.inst(i).kind {
-            if *count == 1 && elem_ty.is_value() {
-                candidates.insert(i, *elem_ty);
-            }
-        }
-    }
-    // Disqualify allocas whose pointer escapes.
-    for (_, i) in func.all_insts() {
-        let inst = func.inst(i);
-        match &inst.kind {
-            InstKind::Load { .. } => {}
-            InstKind::Store { ptr, value } => {
-                // Storing the address itself disqualifies it.
-                if let Operand::Inst(v) = value {
-                    candidates.remove(v);
-                }
-                let _ = ptr;
-            }
-            other => {
-                for op in other.operands() {
-                    if let Operand::Inst(id) = op {
-                        candidates.remove(&id);
+    // Blocks that store to each slot.
+    let mut def_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); slots.len()];
+    for b in func.block_ids() {
+        for &i in &func.block(b).insts {
+            if let InstKind::Store { ptr, .. } = func.inst(i).kind {
+                if let Some(s) = slot(ptr) {
+                    if def_blocks[s].last() != Some(&b) {
+                        def_blocks[s].push(b);
                     }
                 }
             }
         }
     }
-    // Terminator uses (should not happen for pointers, but be safe).
-    for b in func.block_ids() {
-        for op in func.block(b).terminator.operands() {
-            if let Operand::Inst(id) = op {
-                candidates.remove(&id);
+
+    // Phi placement at iterated dominance frontiers. `phis` lists every phi
+    // with its slot; `phis_at[b]` indexes the phis at the head of block `b`.
+    let frontiers = dominance_frontiers(func, &cfg, &dt);
+    let mut phis: Vec<(usize, InstId)> = Vec::new();
+    let mut phis_at: Vec<Vec<usize>> = vec![Vec::new(); func.num_blocks()];
+    let mut placed = vec![false; func.num_blocks()];
+    for (s, &(_, ty)) in slots.iter().enumerate() {
+        let mut work = def_blocks[s].clone();
+        let mut blocks = Vec::new();
+        while let Some(b) = work.pop() {
+            for &d in &frontiers[b.index()] {
+                if !placed[d.index()] {
+                    placed[d.index()] = true;
+                    blocks.push(d);
+                    work.push(d);
+                }
+            }
+        }
+        blocks.sort_unstable();
+        for b in blocks {
+            placed[b.index()] = false;
+            let phi = Inst::new(InstKind::Phi { incomings: vec![] }, ty, Origin::unknown());
+            phis_at[b.index()].push(phis.len());
+            phis.push((s, func.insert_inst(b, 0, phi)));
+        }
+    }
+
+    // Rename: one walk of the dominator tree keeps every slot's reaching
+    // definition, restoring it from an undo log on leaving a subtree.
+    let children = dom_children(func, &dt);
+    let mut current: Vec<Operand> = slots.iter().map(|&(_, ty)| Operand::int(ty, 0)).collect();
+    let mut undo: Vec<(usize, Operand)> = Vec::new();
+    let mut incomings: Vec<Vec<(BlockId, Operand)>> = vec![Vec::new(); phis.len()];
+    let mut replacements = Replacements::new(func);
+    // The promoted allocas, and every load and store of them.
+    let mut promoted = vec![false; func.num_inst_slots()];
+    for &(alloca, _) in &slots {
+        promoted[alloca.index()] = true;
+    }
+    let mut stack = vec![Visit::Enter(func.entry())];
+    while let Some(visit) = stack.pop() {
+        let b = match visit {
+            Visit::Enter(b) => b,
+            Visit::Leave(mark) => {
+                for (s, value) in undo.drain(mark..).rev() {
+                    current[s] = value;
+                }
+                continue;
+            }
+        };
+        stack.push(Visit::Leave(undo.len()));
+        for &p in &phis_at[b.index()] {
+            let (s, phi) = phis[p];
+            undo.push((s, current[s]));
+            current[s] = Operand::Inst(phi);
+        }
+        for &i in &func.block(b).insts {
+            match func.inst(i).kind {
+                InstKind::Load { ptr, .. } => {
+                    if let Some(s) = slot(ptr) {
+                        replacements.insert(i, current[s]);
+                        promoted[i.index()] = true;
+                    }
+                }
+                InstKind::Store { ptr, value } => {
+                    if let Some(s) = slot(ptr) {
+                        undo.push((s, current[s]));
+                        current[s] = value;
+                        promoted[i.index()] = true;
+                    }
+                }
+                _ => {}
+            }
+        }
+        // The value flowing along each CFG edge into successor phis.
+        for &succ in cfg.succs(b) {
+            for &p in &phis_at[succ.index()] {
+                incomings[p].push((b, current[phis[p].0]));
+            }
+        }
+        stack.extend(children[b.index()].iter().map(|&c| Visit::Enter(c)));
+    }
+
+    // The walk never enters an unreachable block: a load there reads the
+    // slot type's zero, and a store there is dropped.
+    for b in func.block_ids().filter(|&b| !cfg.is_reachable(b)) {
+        for &i in &func.block(b).insts {
+            match func.inst(i).kind {
+                InstKind::Load { ptr, .. } => {
+                    if let Some(s) = slot(ptr) {
+                        replacements.insert(i, Operand::int(slots[s].1, 0));
+                        promoted[i.index()] = true;
+                    }
+                }
+                InstKind::Store { ptr, .. } => promoted[i.index()] |= slot(ptr).is_some(),
+                _ => {}
             }
         }
     }
-    let mut out: Vec<(InstId, Type)> = candidates.into_iter().collect();
-    out.sort_by_key(|(id, _)| *id);
-    out
+
+    // Fill the phis, drop the promoted loads, stores and allocas, and
+    // rewrite every use of a load to the value it read.
+    for (&(_, phi), mut incoming) in phis.iter().zip(incomings) {
+        if incoming.is_empty() {
+            continue;
+        }
+        incoming.sort_by_key(|&(b, _)| b);
+        for (_, value) in &mut incoming {
+            *value = replacements.resolve(*value);
+        }
+        func.inst_mut(phi).kind = InstKind::Phi {
+            incomings: incoming,
+        };
+    }
+    func.detach_insts(|i| promoted[i.index()]);
+    replacements.apply(func);
+    slots.len()
 }
 
-/// Compute dominance frontiers for all reachable blocks.
-fn dominance_frontiers(func: &Function, cfg: &Cfg, dt: &DomTree) -> HashMap<BlockId, Vec<BlockId>> {
-    let mut df: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-    for b in cfg.reverse_post_order() {
-        let preds = cfg.preds(*b);
+/// One step of the renaming walk.
+enum Visit {
+    /// Rename a block, then its dominator-tree children.
+    Enter(BlockId),
+    /// Leave a subtree: undo the definitions logged since this length.
+    Leave(usize),
+}
+
+/// Find allocas that can be promoted: single-element slots whose only uses
+/// are direct loads and stores of the slot pointer. Returns them in
+/// instruction order with their element type.
+fn find_promotable(func: &Function) -> Vec<(InstId, Type)> {
+    let mut candidates = Vec::new();
+    let mut escapes = vec![false; func.num_inst_slots()];
+    let mut escape = |op: Operand| {
+        if let Operand::Inst(id) = op {
+            escapes[id.index()] = true;
+        }
+    };
+    for b in func.block_ids() {
+        let block = func.block(b);
+        for &i in &block.insts {
+            match &func.inst(i).kind {
+                InstKind::Alloca { elem_ty, count } => {
+                    if *count == 1 && elem_ty.is_value() {
+                        candidates.push((i, *elem_ty));
+                    }
+                }
+                InstKind::Load { .. } => {}
+                // Storing the address itself disqualifies it.
+                InstKind::Store { value, .. } => escape(*value),
+                other => other.operands().for_each(&mut escape),
+            }
+        }
+        // Terminator uses (should not happen for pointers, but be safe).
+        if let Some(op) = block.terminator.operand() {
+            escape(op);
+        }
+    }
+    candidates.retain(|(i, _)| !escapes[i.index()]);
+    candidates.sort_by_key(|&(i, _)| i);
+    candidates
+}
+
+/// Dominance frontier of every block, indexed by block.
+fn dominance_frontiers(func: &Function, cfg: &Cfg, dt: &DomTree) -> Vec<Vec<BlockId>> {
+    let mut df: Vec<Vec<BlockId>> = vec![Vec::new(); func.num_blocks()];
+    for &b in cfg.reverse_post_order() {
+        let preds = cfg.preds(b);
         if preds.len() < 2 {
             continue;
         }
-        let idom_b = match dt.idom(*b) {
-            Some(d) => d,
-            None => continue,
+        let Some(idom_b) = dt.idom(b) else {
+            continue;
         };
         for &p in preds {
             if !cfg.is_reachable(p) {
@@ -91,7 +235,7 @@ fn dominance_frontiers(func: &Function, cfg: &Cfg, dt: &DomTree) -> HashMap<Bloc
             }
             let mut runner = p;
             while runner != idom_b {
-                df.entry(runner).or_default().push(*b);
+                df[runner.index()].push(b);
                 runner = match dt.idom(runner) {
                     Some(d) => d,
                     None => break,
@@ -99,153 +243,15 @@ fn dominance_frontiers(func: &Function, cfg: &Cfg, dt: &DomTree) -> HashMap<Bloc
             }
         }
     }
-    let _ = func;
     df
 }
 
-/// Promote a single alloca to SSA.
-fn promote_one(
-    func: &mut Function,
-    cfg: &Cfg,
-    dt: &DomTree,
-    frontiers: &HashMap<BlockId, Vec<BlockId>>,
-    alloca: InstId,
-    ty: Type,
-) {
-    let slot = Operand::Inst(alloca);
-
-    // Blocks containing a store to the slot.
-    let mut def_blocks: Vec<BlockId> = Vec::new();
-    for (b, i) in func.all_insts() {
-        if let InstKind::Store { ptr, .. } = &func.inst(i).kind {
-            if *ptr == slot && !def_blocks.contains(&b) {
-                def_blocks.push(b);
-            }
-        }
-    }
-
-    // Iterated dominance frontier: where phis are needed.
-    let mut phi_blocks: HashSet<BlockId> = HashSet::new();
-    let mut work: Vec<BlockId> = def_blocks.clone();
-    while let Some(b) = work.pop() {
-        for &d in frontiers.get(&b).map(|v| v.as_slice()).unwrap_or(&[]) {
-            if phi_blocks.insert(d) {
-                work.push(d);
-            }
-        }
-    }
-
-    // Insert empty phis (operands filled during renaming).
-    let mut phi_of_block: HashMap<BlockId, InstId> = HashMap::new();
-    for &b in &phi_blocks {
-        if !cfg.is_reachable(b) {
-            continue;
-        }
-        let phi = func.insert_inst(
-            b,
-            0,
-            Inst::new(InstKind::Phi { incomings: vec![] }, ty, Origin::unknown()),
-        );
-        phi_of_block.insert(b, phi);
-    }
-
-    // Rename: walk the dominator tree, tracking the reaching definition.
-    let children = dom_children(func, dt);
-    let undef = Operand::int(ty, 0);
-    let mut replacements: Vec<(InstId, Operand)> = Vec::new(); // load -> value
-    let mut phi_incomings: HashMap<InstId, Vec<(BlockId, Operand)>> = HashMap::new();
-    let mut removals: Vec<InstId> = Vec::new();
-
-    // Stack of (block, reaching value at block entry).
-    let mut stack: Vec<(BlockId, Operand)> = vec![(func.entry(), undef)];
-    let mut visited: HashSet<BlockId> = HashSet::new();
-    while let Some((b, mut current)) = stack.pop() {
-        if !visited.insert(b) {
-            continue;
-        }
-        if let Some(&phi) = phi_of_block.get(&b) {
-            current = Operand::Inst(phi);
-        }
-        for &i in &func.block(b).insts.clone() {
-            match &func.inst(i).kind {
-                InstKind::Load { ptr, .. } if *ptr == slot => {
-                    replacements.push((i, current));
-                    removals.push(i);
-                }
-                InstKind::Store { ptr, value } if *ptr == slot => {
-                    current = *value;
-                    removals.push(i);
-                }
-                _ => {}
-            }
-        }
-        // Record the value flowing along each CFG edge into successor phis.
-        for &s in cfg.succs(b) {
-            if let Some(&phi) = phi_of_block.get(&s) {
-                phi_incomings.entry(phi).or_default().push((b, current));
-            }
-        }
-        for &c in children.get(&b).map(|v| v.as_slice()).unwrap_or(&[]) {
-            stack.push((c, current));
-        }
-    }
-
-    // Loads and stores of the slot in unreachable blocks were not visited by
-    // the renaming walk; drop them too so the alloca has no remaining uses.
-    for (b, i) in func.all_insts() {
-        if visited.contains(&b) {
-            continue;
-        }
-        match &func.inst(i).kind {
-            InstKind::Load { ptr, .. } if *ptr == slot => {
-                replacements.push((i, undef));
-                removals.push(i);
-            }
-            InstKind::Store { ptr, .. } if *ptr == slot => removals.push(i),
-            _ => {}
-        }
-    }
-
-    // Apply: fill phis, rewrite loads, drop stores/loads/alloca.
-    for (phi, mut incomings) in phi_incomings {
-        incomings.sort_by_key(|(b, _)| *b);
-        if let InstKind::Phi { incomings: slots } = &mut func.inst_mut(phi).kind {
-            *slots = incomings;
-        }
-    }
-    // Resolve chains: a load replaced by another load's value.
-    let mut resolved: HashMap<InstId, Operand> = HashMap::new();
-    for (load, value) in &replacements {
-        let mut v = *value;
-        let mut guard = 0;
-        while let Operand::Inst(id) = v {
-            if let Some(&next) = resolved.get(&id) {
-                v = next;
-                guard += 1;
-                if guard > 1000 {
-                    break;
-                }
-            } else {
-                break;
-            }
-        }
-        resolved.insert(*load, v);
-    }
-    for (load, value) in resolved {
-        func.replace_all_uses(Operand::Inst(load), value);
-    }
-    for i in removals {
-        func.remove_inst(i);
-    }
-    func.remove_inst(alloca);
-}
-
-/// Children lists of the dominator tree.
-fn dom_children(func: &Function, dt: &DomTree) -> HashMap<BlockId, Vec<BlockId>> {
-    let mut children: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+/// Children lists of the dominator tree, indexed by block, in block order.
+fn dom_children(func: &Function, dt: &DomTree) -> Vec<Vec<BlockId>> {
+    let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); func.num_blocks()];
     for b in func.block_ids() {
         if let Some(d) = dt.idom(b) {
-            children.entry(d).or_default().push(b);
+            children[d.index()].push(b);
         }
     }
     children
@@ -288,6 +294,27 @@ mod tests {
         let text = print_function(&f);
         assert!(!text.contains("alloca"), "{text}");
         assert!(text.contains("phi"), "{text}");
+    }
+
+    /// A variable merged at two points gets one phi in each merge block,
+    /// numbered in block order, so equal bytes always compile to equal IR.
+    #[test]
+    fn phis_of_one_variable_are_numbered_in_block_order() {
+        let src = "int f(int x, int y) { int r = 0; if (x > 0) { r = 1; } else { r = 2; } \
+                   if (y > 0) { r = r + 3; } else { r = r + 4; } return r; }";
+        let f = promoted(src, "f");
+        let text = print_function(&f);
+        for _ in 1..16 {
+            assert_eq!(print_function(&promoted(src, "f")), text);
+        }
+        let phis: Vec<InstId> = f
+            .all_insts()
+            .into_iter()
+            .filter(|&(_, i)| matches!(f.inst(i).kind, InstKind::Phi { .. }))
+            .map(|(_, i)| i)
+            .collect();
+        assert_eq!(phis.len(), 2, "{text}");
+        assert!(phis[0] < phis[1], "{text}");
     }
 
     #[test]

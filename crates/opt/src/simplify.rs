@@ -5,6 +5,7 @@
 //! applying identities like `x + 0 = x`. The UB-exploiting rewrites live in
 //! [`crate::ub_rewrites`] so profiles can enable them selectively.
 
+use crate::replace::Replacements;
 use stack_ir::{BinOp, CmpPred, Constant, Function, InstKind, Operand, Type};
 
 /// Mask a raw value to the given bit width.
@@ -18,31 +19,48 @@ fn mask_to_width(value: u64, width: u32) -> u64 {
 
 /// Run constant folding and simplification to a fixed point. Returns the
 /// number of instructions simplified away.
+///
+/// Each round visits the instructions in block order. A visited
+/// instruction first reads its operands through the replacements recorded
+/// so far in the round, so it sees every earlier simplification; the round
+/// then rewrites all remaining uses and detaches the simplified
+/// instructions in one pass each.
 pub fn run(func: &mut Function) -> usize {
     let mut total = 0;
     loop {
+        let mut replacements = Replacements::new(func);
+        let mut removed = vec![false; func.num_inst_slots()];
         let mut changed = 0;
-        for (_, i) in func.all_insts() {
-            let inst = func.inst(i).clone();
-            if let Some(replacement) = simplify_inst(func, &inst.kind, inst.ty) {
-                func.replace_all_uses(Operand::Inst(i), replacement);
-                func.remove_inst(i);
-                changed += 1;
+        for b in func.block_ids() {
+            for k in 0..func.block(b).insts.len() {
+                let i = func.block(b).insts[k];
+                if !replacements.is_empty() {
+                    let inst = func.inst_mut(i);
+                    inst.kind.map_operands(|op| replacements.resolve(op));
+                }
+                let inst = func.inst(i);
+                if let Some(replacement) = simplify_inst(&inst.kind, inst.ty) {
+                    replacements.insert(i, replacement);
+                    removed[i.index()] = true;
+                    changed += 1;
+                }
             }
         }
         if changed == 0 {
             break;
         }
+        func.detach_insts(|i| removed[i.index()]);
+        replacements.apply(func);
         total += changed;
     }
     total
 }
 
 /// Try to simplify one instruction into an existing operand or constant.
-fn simplify_inst(func: &Function, kind: &InstKind, ty: Type) -> Option<Operand> {
+fn simplify_inst(kind: &InstKind, ty: Type) -> Option<Operand> {
     match kind {
         InstKind::Bin { op, lhs, rhs } => simplify_bin(*op, *lhs, *rhs, ty),
-        InstKind::Cmp { pred, lhs, rhs } => simplify_cmp(func, *pred, *lhs, *rhs),
+        InstKind::Cmp { pred, lhs, rhs } => simplify_cmp(*pred, *lhs, *rhs),
         InstKind::ZExt { value, to } => value.as_const().map(|c| {
             Operand::Const(Constant {
                 ty: *to,
@@ -141,7 +159,7 @@ fn simplify_bin(op: BinOp, lhs: Operand, rhs: Operand, ty: Type) -> Option<Opera
     }
 }
 
-fn simplify_cmp(func: &Function, pred: CmpPred, lhs: Operand, rhs: Operand) -> Option<Operand> {
+fn simplify_cmp(pred: CmpPred, lhs: Operand, rhs: Operand) -> Option<Operand> {
     if let (Some(a), Some(b)) = (lhs.as_const(), rhs.as_const()) {
         let result = match pred {
             CmpPred::Eq => a.bits == b.bits,
@@ -164,7 +182,6 @@ fn simplify_cmp(func: &Function, pred: CmpPred, lhs: Operand, rhs: Operand) -> O
         );
         return Some(Operand::bool(result));
     }
-    let _ = func;
     None
 }
 

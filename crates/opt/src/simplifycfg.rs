@@ -6,8 +6,8 @@
 //! "the compiler knows this check is always false" into "the check is gone
 //! from the generated code" (paper §1, Figure 1).
 
-use stack_ir::{BlockId, Cfg, Function, InstKind, Operand, Terminator};
-use std::collections::HashSet;
+use crate::replace::Replacements;
+use stack_ir::{BlockId, Cfg, Function, InstKind, Terminator};
 
 /// Run CFG simplification. Returns the number of branches folded.
 pub fn run(func: &mut Function) -> usize {
@@ -15,7 +15,7 @@ pub fn run(func: &mut Function) -> usize {
     loop {
         let mut changed = false;
         // Fold conditional branches on constants.
-        for b in func.block_ids().collect::<Vec<_>>() {
+        for b in func.block_ids() {
             let term = func.block(b).terminator.clone();
             if let Terminator::CondBr {
                 cond,
@@ -41,61 +41,50 @@ pub fn run(func: &mut Function) -> usize {
                 }
             }
         }
-        // Drop phi entries from blocks that became unreachable.
+        // Drop phi entries from blocks that became unreachable; a phi left
+        // with one entry is replaced by its value.
         let cfg = Cfg::compute(func);
-        let reachable: HashSet<BlockId> = cfg.reverse_post_order().iter().copied().collect();
-        for b in func.block_ids().collect::<Vec<_>>() {
-            if !reachable.contains(&b) {
+        let mut is_pred = vec![false; func.num_blocks()];
+        let mut replacements = Replacements::new(func);
+        let mut removed = vec![false; func.num_inst_slots()];
+        for b in func.block_ids() {
+            if !cfg.is_reachable(b) {
                 continue;
             }
-            let preds: HashSet<BlockId> = cfg
-                .preds(b)
-                .iter()
-                .copied()
-                .filter(|p| reachable.contains(p))
-                .collect();
-            for &i in &func.block(b).insts.clone() {
-                if let InstKind::Phi { incomings } = &func.inst(i).kind {
-                    let filtered: Vec<(BlockId, Operand)> = incomings
-                        .iter()
-                        .filter(|(p, _)| preds.contains(p))
-                        .cloned()
-                        .collect();
-                    if filtered.len() != incomings.len() {
-                        changed = true;
-                        if filtered.len() == 1 {
-                            let value = filtered[0].1;
-                            func.replace_all_uses(Operand::Inst(i), value);
-                            func.remove_inst(i);
-                        } else if let InstKind::Phi { incomings } = &mut func.inst_mut(i).kind {
-                            *incomings = filtered;
-                        }
-                    } else if filtered.len() == 1 {
-                        // Single-predecessor phi left over from earlier folding.
-                        let value = filtered[0].1;
-                        func.replace_all_uses(Operand::Inst(i), value);
-                        func.remove_inst(i);
+            for &p in cfg.preds(b) {
+                is_pred[p.index()] = cfg.is_reachable(p);
+            }
+            for k in 0..func.block(b).insts.len() {
+                let i = func.block(b).insts[k];
+                if let InstKind::Phi { incomings } = &mut func.inst_mut(i).kind {
+                    let before = incomings.len();
+                    incomings.retain(|(p, _)| is_pred[p.index()]);
+                    changed |= incomings.len() != before;
+                    if let [(_, value)] = incomings[..] {
+                        replacements.insert(i, replacements.resolve(value));
+                        removed[i.index()] = true;
                         changed = true;
                     }
                 }
             }
+            for &p in cfg.preds(b) {
+                is_pred[p.index()] = false;
+            }
         }
+        func.detach_insts(|i| removed[i.index()]);
+        replacements.apply(func);
         // Delete the contents of unreachable blocks: this is the moment a
         // discarded check actually disappears from the generated code.
-        for b in func.block_ids().collect::<Vec<_>>() {
-            if reachable.contains(&b) {
+        for b in func.block_ids() {
+            if cfg.is_reachable(b) {
                 continue;
             }
-            let insts = func.block(b).insts.clone();
-            if insts.is_empty()
-                && matches!(func.block(b).terminator, stack_ir::Terminator::Unreachable)
-            {
+            let block = func.block_mut(b);
+            if block.insts.is_empty() && matches!(block.terminator, Terminator::Unreachable) {
                 continue;
             }
-            for i in insts {
-                func.remove_inst(i);
-            }
-            func.block_mut(b).terminator = stack_ir::Terminator::Unreachable;
+            block.insts.clear();
+            block.terminator = Terminator::Unreachable;
             changed = true;
         }
         if !changed {
@@ -131,7 +120,7 @@ pub fn count_constant_branches(func: &Function) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stack_ir::{print_function, verify_function, CmpPred, FunctionBuilder, Type};
+    use stack_ir::{print_function, verify_function, CmpPred, FunctionBuilder, Operand, Type};
 
     #[test]
     fn folds_constant_branch_and_cleans_phi() {

@@ -82,40 +82,50 @@ pub fn run(func: &mut Function, enabled: &[UbRewrite]) -> Vec<OptEvent> {
     if enabled.is_empty() {
         return events;
     }
-    loop {
-        let cfg = Cfg::compute(func);
-        let dt = DomTree::compute(func, &cfg);
-        let mut applied = false;
-        for (block, inst) in func.all_insts() {
-            if !cfg.is_reachable(block) {
-                continue;
+    // A rewrite replaces or rewrites one comparison and never changes the
+    // CFG, so one dominator tree serves every round. Each round rescans from
+    // the top, because the rewrite may enable one earlier in block order.
+    let cfg = Cfg::compute(func);
+    let dt = DomTree::compute(func, &cfg);
+    while let Some((block, index, (replacement, rewrite, desc))) =
+        find_rewrite(func, &cfg, &dt, enabled)
+    {
+        let inst = func.block(block).insts[index];
+        events.push(OptEvent {
+            rewrite,
+            origin: func.inst(inst).origin.clone(),
+            description: desc,
+        });
+        match replacement {
+            Replacement::Value(op) => {
+                let from = Operand::Inst(inst);
+                func.detach_insts(|i| i == inst);
+                func.map_operands(|o| if o == from { op } else { o });
             }
-            if let Some((replacement, rewrite, desc)) = try_rewrite(func, &dt, block, inst, enabled)
-            {
-                let origin = func.inst(inst).origin.clone();
-                events.push(OptEvent {
-                    rewrite,
-                    origin,
-                    description: desc,
-                });
-                match replacement {
-                    Replacement::Value(op) => {
-                        func.replace_all_uses(Operand::Inst(inst), op);
-                        func.remove_inst(inst);
-                    }
-                    Replacement::NewCmp { pred, lhs, rhs } => {
-                        func.inst_mut(inst).kind = InstKind::Cmp { pred, lhs, rhs };
-                    }
-                }
-                applied = true;
-                break; // recompute dominators after each change
+            Replacement::NewCmp { pred, lhs, rhs } => {
+                func.inst_mut(inst).kind = InstKind::Cmp { pred, lhs, rhs };
             }
-        }
-        if !applied {
-            break;
         }
     }
     events
+}
+
+/// The first instruction, in block order, that an enabled rewrite applies
+/// to: its block, its index there, and the rewrite.
+fn find_rewrite(
+    func: &Function,
+    cfg: &Cfg,
+    dt: &DomTree,
+    enabled: &[UbRewrite],
+) -> Option<(BlockId, usize, (Replacement, UbRewrite, String))> {
+    for block in func.block_ids().filter(|&b| cfg.is_reachable(b)) {
+        for (index, &inst) in func.block(block).insts.iter().enumerate() {
+            if let Some(found) = try_rewrite(func, dt, block, index, inst, enabled) {
+                return Some((block, index, found));
+            }
+        }
+    }
+    None
 }
 
 enum Replacement {
@@ -133,6 +143,7 @@ fn try_rewrite(
     func: &Function,
     dt: &DomTree,
     block: BlockId,
+    index: usize,
     inst: InstId,
     enabled: &[UbRewrite],
 ) -> Option<(Replacement, UbRewrite, String)> {
@@ -184,7 +195,7 @@ fn try_rewrite(
             (Operand::bool(false), Operand::bool(false))
         };
         if func.operand_type(ptr).is_ptr() {
-            let nonnull = pointer_known_nonnull(func, dt, block, inst, ptr);
+            let nonnull = pointer_known_nonnull(func, dt, block, index, ptr);
             if nonnull {
                 let result = pred == CmpPred::Ne;
                 return Some((
@@ -371,14 +382,14 @@ fn as_negation(func: &Function, op: Operand) -> Option<Operand> {
     None
 }
 
-/// Whether a pointer is known non-null at the given program point:
-/// either a dominating load/store dereferences it, or it is itself the
-/// result of pointer arithmetic on some object.
+/// Whether a pointer is known non-null at the instruction at `index` in
+/// `block`: either a dominating load/store dereferences it, or it is itself
+/// the result of pointer arithmetic on some object.
 fn pointer_known_nonnull(
     func: &Function,
     dt: &DomTree,
     block: BlockId,
-    inst: InstId,
+    index: usize,
     ptr: Operand,
 ) -> bool {
     // Pointer arithmetic results cannot be null without pointer overflow.
@@ -390,10 +401,7 @@ fn pointer_known_nonnull(
         }
     }
     // A dominating dereference of the same pointer implies it is non-null.
-    let index = match func.position_in_block(inst) {
-        Some((b, i)) if b == block => i,
-        _ => return false,
-    };
+    let inst = func.block(block).insts[index];
     for d in dt.dominating_insts(func, block, index) {
         if d == inst {
             continue;
