@@ -9,10 +9,9 @@
 //! stack store merge <out> <in...> [--compact N] [--json]   # fold stores into one
 //! stack store inspect <file> [--json]            # header/generation/entry report
 //! stack store fsck <file> [--repair] [--json]    # check (and heal) a damaged store
-//! stack gen-archive <dir> [--packages N] [--seed S]
+//! stack gen-archive <dir> [--packages N] [--seed S] [--edit-functions K]
 //! stack demo  <pattern-id>                       # analyze a built-in paper example
 //! stack list                                     # list built-in examples
-//! stack survey                                   # print the Figure 4 compiler matrix rows
 //! ```
 //!
 //! Shared analysis options: `--no-cache` disables the memoized query store
@@ -66,7 +65,6 @@ use stack_core::{
     faultinject, AnalysisSession, CheckerConfig, ScanEvent, ScanPipeline, ScanSource, ScanStore,
     ScanSummary, ScanTask,
 };
-use stack_opt::{lowest_discarding_level, survey_compilers};
 use stack_solver::recordfile::Codec;
 use stack_solver::store::QueryCodec;
 use stack_solver::{DiskQueryStore, RecordFile};
@@ -84,9 +82,8 @@ fn main() -> ExitCode {
         Some("gen-archive") => cmd_gen_archive(&args[1..]),
         Some("demo") => cmd_demo(&args[1..]),
         Some("list") => cmd_list(&args[1..]),
-        Some("survey") => cmd_survey(&args[1..]),
         _ => {
-            eprintln!("usage: stack <check|scan|store|gen-archive|demo|list|survey> ...");
+            eprintln!("usage: stack <check|scan|store|gen-archive|demo|list> ...");
             ExitCode::from(2)
         }
     }
@@ -1075,30 +1072,33 @@ fn cmd_gen_archive(args: &[String]) -> ExitCode {
         ),
         (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => return fail(&e),
     };
+    if cfg.packages == 0 {
+        return fail("--packages needs a positive package count");
+    }
     // Validate the (deterministic) population before a single file is
     // written: a generator bug surfaces as one clean error, not a panic
     // mid-write or a half-materialized archive. With --edit-functions K
     // (the "developer touched K functions, now re-scan" workload), the
-    // edited population is what gets validated and written.
-    let mut files = stack_corpus::generate_archive(&cfg);
-    if edit_functions > 0 {
-        files = stack_corpus::churn_functions_count(&files, cfg.seed, edit_functions).files;
-    }
+    // edited population is what gets validated and written; K is clamped
+    // to the functions the archive has, and 0 edits none.
+    let archive = stack_corpus::generate_archive(&cfg);
+    let churn = stack_corpus::churn_functions_count(&archive, cfg.seed, edit_functions);
+    let files = &churn.files;
     if let Err(e) = stack_corpus::validate_sources(
         files.iter().map(|f| (f.name.as_str(), f.source.as_str())),
         |name, source| stack_minic::compile(source, name).map(|_| ()),
     ) {
         return fail(&format!("generated archive does not compile: {e}"));
     }
-    match stack_corpus::write_archive(Path::new(dir), &files) {
+    match stack_corpus::write_archive(Path::new(dir), files) {
         Ok(paths) => {
             println!(
                 "stack: wrote {} archive files ({} packages, seed {}{}) under {dir}",
                 paths.len(),
                 cfg.packages,
                 cfg.seed,
-                if edit_functions > 0 {
-                    format!(", {edit_functions} functions edited")
+                if churn.edited_functions > 0 {
+                    format!(", {} functions edited", churn.edited_functions)
                 } else {
                     String::new()
                 }
@@ -1109,7 +1109,7 @@ fn cmd_gen_archive(args: &[String]) -> ExitCode {
     }
 }
 
-// ---- demo / list / survey ---------------------------------------------------
+// ---- demo / list ------------------------------------------------------------
 
 fn cmd_demo(args: &[String]) -> ExitCode {
     let id = match positionals(args, &[], &[]).as_deref() {
@@ -1148,23 +1148,6 @@ fn cmd_list(args: &[String]) -> ExitCode {
     }
     for p in stack_corpus::all_patterns() {
         println!("{:<36} {}", p.id, p.paper_ref);
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_survey(args: &[String]) -> ExitCode {
-    if let Err(e) = no_positionals(args, &[], "stack survey") {
-        return fail(&e);
-    }
-    let src = "int f(int x) { if (x + 100 < x) return 1; return 0; }";
-    println!("check: if (x + 100 < x)");
-    for profile in survey_compilers() {
-        let level = lowest_discarding_level(src, &profile);
-        println!(
-            "  {:<18} {}",
-            profile.name,
-            level.map(|l| format!("O{l}")).unwrap_or_else(|| "–".into())
-        );
     }
     ExitCode::SUCCESS
 }

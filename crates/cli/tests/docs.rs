@@ -21,15 +21,7 @@ const DOCS: [&str; 3] = [
 ];
 
 /// The `stack` subcommands.
-const SUBCOMMANDS: [&str; 7] = [
-    "check",
-    "scan",
-    "store",
-    "gen-archive",
-    "demo",
-    "list",
-    "survey",
-];
+const SUBCOMMANDS: [&str; 6] = ["check", "scan", "store", "gen-archive", "demo", "list"];
 
 /// Words that end the shell command a doc line shows.
 const COMMAND_ENDS: [&str; 7] = ["#", "|", "||", "&&", ";", ">", "2>"];

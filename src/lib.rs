@@ -11,8 +11,8 @@
 //! * [`corpus`] — the unstable-code corpora used by the experiments.
 //!
 //! See `examples/quickstart.rs` for the three-line usage pattern, and the
-//! `stack-bench` crate for the binaries that regenerate every table and
-//! figure of the paper's evaluation.
+//! `stack-bench` crate's `all_experiments` binary, which regenerates every
+//! table and figure of the paper's evaluation.
 
 pub use stack_core as core;
 pub use stack_corpus as corpus;
